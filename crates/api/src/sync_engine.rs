@@ -9,11 +9,12 @@
 //! immutable SoA/CSR snapshot of the routing topology — large ones fanned
 //! out across `std::thread::scope` workers.  Each worker computes its
 //! contiguous chunk of operations into a private [`RouteScratch`],
-//! accumulating the message accounting as a [`TrafficAccumulator`]; the
-//! main thread then merges results and accounting **in op order**, so
-//! owners, hop counts, query matches, global traffic stats and per-node
-//! sent counters are bit-identical at any worker count — including one,
-//! and including the pre-parallel sequential path.
+//! accumulating the message accounting in a [`TrafficAccumulator`] the
+//! engine keeps for it across runs; the main thread then joins the results
+//! **in op order** and applies the accumulators one after the other (the
+//! counters are sums), so owners, hop counts, query matches and traffic
+//! stats, per-sender counts included, are bit-identical at any worker
+//! count — including one, and including the pre-parallel sequential path.
 //!
 //! # Epoch-based view maintenance
 //!
@@ -94,6 +95,11 @@ pub struct SyncEngine {
     /// first freeze even though no single run crosses the threshold.
     reads_seen: usize,
     maintenance: ViewMaintenance,
+    /// One accounting accumulator per read-run worker (the first serves
+    /// single-threaded runs), kept across runs: applying an accumulator
+    /// empties it in O(distinct senders), so short read runs between write
+    /// barriers do not pay an O(population) zeroing each.
+    accs: Vec<TrafficAccumulator>,
 }
 
 impl SyncEngine {
@@ -114,6 +120,7 @@ impl SyncEngine {
             views: None,
             reads_seen: 0,
             maintenance: ViewMaintenance::default(),
+            accs: Vec::new(),
         }
     }
 
@@ -236,35 +243,36 @@ impl SyncEngine {
         } else {
             1
         };
+        if self.accs.len() < workers {
+            self.accs.resize_with(workers, TrafficAccumulator::new);
+        }
         if workers == 1 {
-            let mut acc = TrafficAccumulator::new(view);
+            let acc = &mut self.accs[0];
             for op in run {
                 self.scratch.delta.clear();
                 results.push(Self::exec_read(&self.net, view, op, &mut self.scratch));
                 acc.absorb(view, &self.scratch.delta);
             }
             self.scratch.delta.clear();
-            self.net.apply_accumulated_traffic(view, &acc);
         } else {
             let chunk = run.len().div_ceil(workers);
             let net = &self.net;
-            let view_ref = view;
             // Contiguous chunks keep the op → worker mapping independent of
             // scheduling; joining in spawn order restores op order exactly.
-            let outcomes: Vec<(Vec<OpResult>, TrafficAccumulator)> = std::thread::scope(|s| {
+            let outcomes: Vec<Vec<OpResult>> = std::thread::scope(|s| {
                 let handles: Vec<_> = run
                     .chunks(chunk)
-                    .map(|ops| {
+                    .zip(&mut self.accs)
+                    .map(|(ops, acc)| {
                         s.spawn(move || {
                             let mut scratch = RouteScratch::new();
-                            let mut acc = TrafficAccumulator::new(view_ref);
                             let mut out = Vec::with_capacity(ops.len());
                             for op in ops {
                                 scratch.delta.clear();
-                                out.push(Self::exec_read(net, view_ref, op, &mut scratch));
-                                acc.absorb(view_ref, &scratch.delta);
+                                out.push(Self::exec_read(net, view, op, &mut scratch));
+                                acc.absorb(view, &scratch.delta);
                             }
-                            (out, acc)
+                            out
                         })
                     })
                     .collect();
@@ -273,17 +281,12 @@ impl SyncEngine {
                     .map(|h| h.join().expect("read-run worker panicked"))
                     .collect()
             });
-            let mut merged: Option<TrafficAccumulator> = None;
-            for (out, acc) in outcomes {
-                results.extend(out);
-                match merged.as_mut() {
-                    None => merged = Some(acc),
-                    Some(m) => m.merge(&acc),
-                }
-            }
-            if let Some(acc) = merged {
-                self.net.apply_accumulated_traffic(view, &acc);
-            }
+            results.extend(outcomes.into_iter().flatten());
+        }
+        // Counts are sums, so applying the workers' accumulators one after
+        // the other equals applying the whole run's delta in op order.
+        for acc in &mut self.accs[..workers] {
+            self.net.apply_accumulated_traffic(view, acc);
         }
         // Route-stat recording happens here (in op order) because the
         // frozen path bypasses `Overlay::route`.

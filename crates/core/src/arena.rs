@@ -2,13 +2,15 @@
 //!
 //! Every live object of a [`crate::VoroNet`] owns one [`NodeSlot`] in a
 //! [`NodeArena`]: its attribute coordinates, its triangulation vertex, the
-//! close-neighbour set `cn(o)`, the long-range links `LRn(o)`, the
-//! back-long-range pointers `BLRn(o)` and a per-node traffic counter.  The
-//! arena replaces the former `HashMap<ObjectId, ObjectState>`:
+//! close-neighbour set `cn(o)`, the long-range links `LRn(o)` and the
+//! back-long-range pointers `BLRn(o)`.  (Per-node message counts are not
+//! here: they live once, in the overlay's `TrafficStats`, indexed by object
+//! id.)  The arena replaces the former `HashMap<ObjectId, ObjectState>`:
 //!
 //! * slots live in one flat `Vec` (slab-style, recycled through a free
 //!   list), so iterating all nodes is a linear scan and a slot access from a
-//!   [`NodeIndex`] is two array reads — no hashing on the hot path;
+//!   [`NodeIndex`] is two array reads; a slot access from an [`ObjectId`]
+//!   goes through a hash map with a one-multiply hasher (`IdHasher`);
 //! * each slot carries a *generation* that is bumped on recycling, so a
 //!   stale [`NodeIndex`] held across a departure can never alias the node
 //!   that reused the slot;
@@ -23,6 +25,7 @@
 
 use crate::object::{BackLink, LongLink, ObjectId};
 use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use voronet_geom::{Point2, VertexId};
 
 /// Generation-tagged handle of a node slot in a [`NodeArena`].
@@ -66,10 +69,6 @@ pub struct NodeSlot {
     /// Back-long-range pointers: links of other objects whose target falls
     /// in this object's region.
     pub(crate) back_long: Vec<BackLink>,
-    /// Protocol messages sent by this node while live (a per-node O(1)
-    /// mirror of the global `TrafficStats`; departed nodes take their
-    /// counter with them).
-    pub(crate) sent: u64,
     /// Position in the dense sampling order.
     dense_pos: u32,
 }
@@ -83,7 +82,6 @@ impl NodeSlot {
             close: BTreeSet::new(),
             long: Vec::new(),
             back_long: Vec::new(),
-            sent: 0,
             dense_pos: 0,
         }
     }
@@ -117,10 +115,33 @@ impl NodeSlot {
     pub fn back_long(&self) -> &[BackLink] {
         &self.back_long
     }
+}
 
-    /// Protocol messages sent by this node while live.
-    pub fn sent(&self) -> u64 {
-        self.sent
+/// Hasher of the `ObjectId → slot` map: one multiply by the 64-bit golden
+/// ratio, with the product's high half folded into its low half so both
+/// projections the table uses (low bits pick the bucket, top seven bits tag
+/// the entry) are spread even when the live ids are strided.
+///
+/// Dropping SipHash's collision resistance is safe here because object ids
+/// are allocated by the overlay itself (monotonically, from zero) and never
+/// taken from a peer or the wire, and nothing iterates the map, so its order
+/// cannot leak into results.
+#[derive(Debug, Clone, Copy, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("an ObjectId hashes as a single u64");
+    }
+
+    #[inline]
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
     }
 }
 
@@ -136,7 +157,7 @@ struct Entry {
 pub struct NodeArena {
     entries: Vec<Entry>,
     free: Vec<u32>,
-    lookup: HashMap<ObjectId, u32>,
+    lookup: HashMap<ObjectId, u32, BuildHasherDefault<IdHasher>>,
     /// Dense list of live ids: push on join, swap-remove on departure.
     order: Vec<ObjectId>,
 }
@@ -196,11 +217,6 @@ impl NodeArena {
         self.get(id).map(|s| s.dense_pos as usize)
     }
 
-    /// Protocol messages sent by a live node (`None` for unknown nodes).
-    pub fn sent_by(&self, id: ObjectId) -> Option<u64> {
-        self.get(id).map(|s| s.sent)
-    }
-
     /// Read access to a live node's slot.
     pub fn get(&self, id: ObjectId) -> Option<&NodeSlot> {
         let &idx = self.lookup.get(&id)?;
@@ -225,22 +241,6 @@ impl NodeArena {
     /// Iterator over all live slots, in slot (allocation) order.
     pub fn iter(&self) -> impl Iterator<Item = &NodeSlot> + '_ {
         self.entries.iter().filter_map(|e| e.node.as_ref())
-    }
-
-    /// Bumps the per-node sent counter (no-op for departed nodes).
-    pub(crate) fn bump_sent(&mut self, id: ObjectId) {
-        if let Some(slot) = self.get_mut(id) {
-            slot.sent += 1;
-        }
-    }
-
-    /// Bumps the per-node sent counter by `n` in one lookup (no-op for
-    /// departed nodes) — the bulk form behind
-    /// [`crate::VoroNet::apply_accumulated_traffic`].
-    pub(crate) fn bump_sent_by(&mut self, id: ObjectId, n: u64) {
-        if let Some(slot) = self.get_mut(id) {
-            slot.sent += n;
-        }
     }
 
     /// Inserts a node, returning its generation-tagged index.
@@ -301,6 +301,10 @@ impl NodeArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    use std::collections::HashSet;
+    use std::hash::BuildHasher;
 
     fn slot(id: u64) -> NodeSlot {
         NodeSlot::new(
@@ -365,16 +369,67 @@ mod tests {
     }
 
     #[test]
-    fn sent_counters_live_with_the_node() {
+    fn lookups_survive_churn_far_past_the_live_population() {
+        // Ids are never reused, so under churn the id range outgrows the
+        // population without bound; here it ends ≥ 64× wider.
+        const LIVE: u64 = 96;
         let mut arena = NodeArena::new();
-        arena.insert(slot(3));
-        arena.bump_sent(ObjectId(3));
-        arena.bump_sent(ObjectId(3));
-        arena.bump_sent(ObjectId(99)); // unknown: no-op
-        assert_eq!(arena.sent_by(ObjectId(3)), Some(2));
-        assert_eq!(arena.sent_by(ObjectId(99)), None);
-        arena.remove(ObjectId(3)).unwrap();
-        assert_eq!(arena.sent_by(ObjectId(3)), None);
+        let mut next = 0u64;
+        while next < LIVE {
+            arena.insert(slot(next));
+            next += 1;
+        }
+        // Victims are drawn at random, so the survivors end up scattered
+        // over the id range rather than contiguous.
+        let mut rng = StdRng::seed_from_u64(0xA4E7A);
+        while next < LIVE * 64 + 1000 {
+            let victim = arena.id_at(rng.random_range(0..arena.len())).unwrap();
+            arena.remove(victim).unwrap();
+            arena.insert(slot(next));
+            next += 1;
+        }
+        assert_eq!(arena.len() as u64, LIVE);
+        let live: Vec<ObjectId> = arena.ids().collect();
+        let span = live.iter().map(|id| id.0).max().unwrap() + 1;
+        assert!(span >= 64 * LIVE);
+        for (pos, &id) in live.iter().enumerate() {
+            assert!(arena.contains(id));
+            assert_eq!(arena.get(id).unwrap().id(), id);
+            assert_eq!(arena.dense_pos_of(id), Some(pos));
+            let index = arena.index_of(id).unwrap();
+            assert_eq!(arena.get_at(index).unwrap().id(), id);
+        }
+        for raw in 0..next + 10 {
+            let id = ObjectId(raw);
+            assert_eq!(arena.contains(id), live.contains(&id), "{id:?}");
+            assert_eq!(arena.get(id).is_some(), live.contains(&id), "{id:?}");
+        }
+    }
+
+    #[test]
+    fn id_hasher_spreads_dense_and_strided_ids() {
+        // The table reads two projections of a hash: the low bits select the
+        // bucket and the top seven bits tag the entry.  Both must take at
+        // least half of their possible values over the id sets the overlay
+        // produces — a fresh population (dense ids) and a churned one
+        // (survivors strided across a wide range) — so a bad multiplier or
+        // fold fails here rather than in a wall-clock gate.
+        fn hash(id: u64) -> u64 {
+            BuildHasherDefault::<IdHasher>::default().hash_one(ObjectId(id))
+        }
+        let dense: Vec<u64> = (0..65_536).collect();
+        let mut id_sets = vec![("dense", dense)];
+        for stride in [2u64, 3, 64, 1000, 1 << 10, 1 << 16, 1 << 20] {
+            let ids = (0..65_536).map(|i| 1_000_000 + i * stride).collect();
+            id_sets.push(("strided", ids));
+        }
+        for (name, ids) in id_sets {
+            let low: HashSet<u64> = ids.iter().map(|&id| hash(id) & 0xFFFF).collect();
+            let top: HashSet<u64> = ids.iter().map(|&id| hash(id) >> 57).collect();
+            let step = ids[1] - ids[0];
+            assert!(low.len() >= 32_768, "{name} step {step}: {} low", low.len());
+            assert!(top.len() >= 64, "{name} step {step}: {} top", top.len());
+        }
     }
 
     #[test]

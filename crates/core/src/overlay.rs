@@ -225,10 +225,11 @@ impl VoroNet {
         self.arena.index_of(id)
     }
 
-    /// Protocol messages sent by a live object (the per-node counter kept in
-    /// its arena slot; `None` for departed or unknown objects).
+    /// Protocol messages sent by a live object since construction (or the
+    /// last [`VoroNet::reset_traffic`]); `None` for departed or unknown
+    /// objects.  Read from [`VoroNet::traffic`] — the only per-node count.
     pub fn sent_by(&self, id: ObjectId) -> Option<u64> {
-        self.arena.sent_by(id)
+        self.contains(id).then(|| self.traffic.sent_by(id.0))
     }
 
     /// Accumulated protocol traffic since construction (or the last
@@ -259,14 +260,12 @@ impl VoroNet {
         self.note(from, kind);
     }
 
-    /// Records a message in the global traffic stats and the sender's
-    /// per-node arena counter.  The sender must be live; messages emitted by
-    /// a departing object after its arena slot is gone go through
-    /// [`TrafficStats::record`] directly (its counter leaves with it).
+    /// Records a message sent by a live object.  (A departing object's last
+    /// messages, emitted after its arena slot is gone, go through
+    /// [`TrafficStats::record`] directly.)
     fn note(&mut self, from: ObjectId, kind: MessageKind) {
         debug_assert!(self.arena.contains(from), "note() requires a live sender");
         self.traffic.record(from.0, kind);
-        self.arena.bump_sent(from);
     }
 
     // ------------------------------------------------------------------
@@ -509,22 +508,21 @@ impl VoroNet {
     }
 
     /// Replays a [`TrafficDelta`] onto the overlay's counters: exactly the
-    /// global stats and per-node sent counters the events would have
-    /// produced had they been recorded inline.
+    /// per-kind and per-sender counts the events would have produced had
+    /// they been recorded inline.
     pub fn apply_traffic(&mut self, delta: &TrafficDelta) {
         for &(id, kind) in delta.events() {
             self.traffic.record(id.0, kind);
-            self.arena.bump_sent(id);
         }
     }
 
     /// Applies a [`TrafficAccumulator`] (aggregated against `view`, which
-    /// must have been frozen from this overlay) in one pass — O(distinct
-    /// senders) instead of O(messages), with counters identical to
-    /// replaying every constituent delta through
-    /// [`VoroNet::apply_traffic`].
-    pub fn apply_accumulated_traffic(&mut self, view: &FrozenView, acc: &TrafficAccumulator) {
-        acc.apply_to(&mut self.traffic, &mut self.arena, view);
+    /// must have been frozen from this overlay) in one pass over its
+    /// distinct senders, and leaves it empty for the next run.  The
+    /// counters end up identical to replaying every constituent delta
+    /// through [`VoroNet::apply_traffic`].
+    pub fn apply_accumulated_traffic(&mut self, view: &FrozenView, acc: &mut TrafficAccumulator) {
+        acc.apply_to(&mut self.traffic, view);
     }
 
     /// Freezes the current routing topology into a [`FrozenView`] — the
@@ -753,6 +751,9 @@ impl VoroNet {
         };
         let id = ObjectId(self.next_id);
         self.next_id += 1;
+        // Every id handed out so far indexes the sender table, so recording
+        // a message from a live object never allocates.
+        self.traffic.reserve_senders(self.next_id);
         if self.vertex_obj.len() <= vertex as usize {
             self.vertex_obj.resize(vertex as usize + 1, None);
         }
@@ -893,10 +894,6 @@ impl VoroNet {
             .remove(id)
             .ok_or(OverlayError::UnknownObject(id))?;
         let mut messages = 0u64;
-
-        // The departing object's arena slot is already gone, so its outgoing
-        // messages are recorded in the global stats only — the per-node
-        // counter departs with the node.
 
         // Voronoi neighbours receive the recomputed boundaries.
         let vn: Vec<ObjectId> = self
@@ -1526,6 +1523,46 @@ mod tests {
         let t0 = net.traffic().total();
         let _ = net.route_between(ids[0], ids[1]).unwrap();
         assert!(net.traffic().count(MessageKind::RouteForward) > 0 || net.traffic().total() == t0);
+    }
+
+    #[test]
+    fn reset_traffic_resets_the_per_object_counts_too() {
+        // Regression: per-object counts used to be mirrored in the arena
+        // slots, which `reset_traffic` did not clear, so `sent_by(id)` and
+        // `traffic().sent_by(id.0)` disagreed after a reset.
+        let (mut net, ids) = build_random(60, 1, 67);
+        assert!(ids.iter().any(|&id| net.sent_by(id).unwrap() > 0));
+        let departed = ids[7];
+        net.remove(departed).unwrap();
+
+        net.reset_traffic();
+        assert_eq!(net.traffic(), &TrafficStats::new());
+        for &id in &ids {
+            let expected = (id != departed).then_some(0);
+            assert_eq!(net.sent_by(id), expected, "{id:?} after reset");
+        }
+
+        // Counting resumes from zero, in the one store both accessors read.
+        let report = net.route_between(ids[0], ids[1]).unwrap();
+        for &id in &ids {
+            let on_path = report.path[..report.hops as usize].contains(&id);
+            let expected = (id != departed).then_some(u64::from(on_path));
+            assert_eq!(net.sent_by(id), expected, "{id:?} after one route");
+            if id != departed {
+                assert_eq!(net.sent_by(id), Some(net.traffic().sent_by(id.0)));
+            }
+        }
+
+        // A departing object's last messages still land in `traffic()`,
+        // although `sent_by` stops answering for it.
+        let leaving = ids[20];
+        let before = net.traffic().sent_by(leaving.0);
+        let total_before = net.traffic().total();
+        let leave = net.remove(leaving).unwrap();
+        assert!(leave.messages > 0);
+        assert_eq!(net.traffic().total(), total_before + leave.messages);
+        assert!(net.traffic().sent_by(leaving.0) > before);
+        assert_eq!(net.sent_by(leaving), None);
     }
 
     #[test]

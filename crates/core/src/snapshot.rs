@@ -21,9 +21,9 @@
 //!   contiguous array reads — no hashing, no triangle-fan walking — and
 //!   `FrozenView` is `Sync`, so one snapshot serves any number of threads.
 //! * [`TrafficAccumulator`] — dense per-node aggregation of many
-//!   [`TrafficDelta`]s, applied in one pass
-//!   ([`crate::VoroNet::apply_accumulated_traffic`]) so batch executors do
-//!   O(distinct senders) map updates instead of O(messages).
+//!   [`TrafficDelta`]s, applied in one pass over the distinct senders
+//!   ([`crate::VoroNet::apply_accumulated_traffic`]) and reused from one
+//!   read run to the next.
 //!
 //! A `FrozenView` describes the overlay state at one **snapshot epoch**
 //! ([`crate::VoroNet::snapshot_epoch`], bumped on every topology
@@ -46,36 +46,12 @@
 //! distances are compared with the same strict-`<` rule, so owners, hop
 //! counts, paths and recorded messages are bit-identical.
 
-use crate::arena::{NodeArena, NodeSlot};
+use crate::arena::NodeSlot;
 use crate::object::ObjectId;
 use crate::overlay::{OverlayError, VoroNet};
 use std::collections::VecDeque;
 use voronet_geom::Point2;
 use voronet_sim::{MessageKind, TrafficStats};
-
-/// Every [`MessageKind`], in a fixed order used to index
-/// [`TrafficAccumulator`]'s per-kind counters.
-const KINDS: [MessageKind; 7] = [
-    MessageKind::RouteForward,
-    MessageKind::VoronoiUpdate,
-    MessageKind::CloseNeighbourExchange,
-    MessageKind::LongLink,
-    MessageKind::Departure,
-    MessageKind::QueryAnswer,
-    MessageKind::Other,
-];
-
-fn kind_index(kind: MessageKind) -> usize {
-    match kind {
-        MessageKind::RouteForward => 0,
-        MessageKind::VoronoiUpdate => 1,
-        MessageKind::CloseNeighbourExchange => 2,
-        MessageKind::LongLink => 3,
-        MessageKind::Departure => 4,
-        MessageKind::QueryAnswer => 5,
-        MessageKind::Other => 6,
-    }
-}
 
 /// The protocol messages a side-effect-free read operation would have
 /// sent, in emission order.
@@ -871,32 +847,34 @@ impl ViewGenerations {
 /// Message accounting is two independent aggregations (per kind and per
 /// sender — see [`TrafficStats::add_kind`] /
 /// [`TrafficStats::add_sender`]), so the accumulator keeps a fixed
-/// per-kind array plus a dense per-node count vector and applies
-/// O(distinct senders) map updates instead of one map update per message.
-/// Parallel batch executors give each worker its own accumulator and
-/// merge them before applying.
-#[derive(Debug, Clone)]
+/// per-kind array plus a per-node count vector indexed by the view's dense
+/// order, and remembers which entries it touched.  Applying it visits only
+/// those and zeroes them on the way, so one accumulator serves every read
+/// run of an engine without being re-zeroed in O(population); it grows by
+/// itself when a later view is larger.  Parallel batch executors give each
+/// worker its own accumulator and apply them one after the other.
+#[derive(Debug, Clone, Default)]
 pub struct TrafficAccumulator {
-    pub(crate) kind_counts: [u64; KINDS.len()],
-    pub(crate) node_counts: Vec<u32>,
-    pub(crate) touched: Vec<u32>,
+    kind_counts: [u64; MessageKind::ALL.len()],
+    node_counts: Vec<u32>,
+    touched: Vec<u32>,
 }
 
 impl TrafficAccumulator {
-    /// Creates an accumulator sized for `view`.
-    pub fn new(view: &FrozenView) -> Self {
-        TrafficAccumulator {
-            kind_counts: [0; KINDS.len()],
-            node_counts: vec![0; view.len()],
-            touched: Vec::new(),
-        }
+    /// Creates an empty accumulator.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Folds a delta in.  Every sender must be a node of `view` (read
-    /// operations only record live senders).
+    /// operations only record live senders), and everything absorbed since
+    /// the last application must have been resolved against the same view.
     pub fn absorb(&mut self, view: &FrozenView, delta: &TrafficDelta) {
+        if self.node_counts.len() < view.len() {
+            self.node_counts.resize(view.len(), 0);
+        }
         for &(id, kind) in delta.events() {
-            self.kind_counts[kind_index(kind)] += 1;
+            self.kind_counts[kind.index()] += 1;
             let dense = view
                 .dense_of(id)
                 .expect("read-path senders are live in the frozen view")
@@ -908,39 +886,19 @@ impl TrafficAccumulator {
         }
     }
 
-    /// Merges another accumulator (built against the same view) into this
-    /// one.
-    pub fn merge(&mut self, other: &TrafficAccumulator) {
-        for (mine, theirs) in self.kind_counts.iter_mut().zip(other.kind_counts) {
-            *mine += theirs;
-        }
-        for &dense in &other.touched {
-            if self.node_counts[dense as usize] == 0 {
-                self.touched.push(dense);
-            }
-            self.node_counts[dense as usize] += other.node_counts[dense as usize];
-        }
-    }
-
     /// Total messages accumulated.
     pub fn total(&self) -> u64 {
         self.kind_counts.iter().sum()
     }
 
-    pub(crate) fn apply_to(
-        &self,
-        traffic: &mut TrafficStats,
-        arena: &mut NodeArena,
-        view: &FrozenView,
-    ) {
-        for (i, &n) in self.kind_counts.iter().enumerate() {
-            traffic.add_kind(KINDS[i], n);
+    /// Moves the accumulated counts into `traffic`, leaving `self` empty.
+    pub(crate) fn apply_to(&mut self, traffic: &mut TrafficStats, view: &FrozenView) {
+        for (kind, n) in MessageKind::ALL.into_iter().zip(&mut self.kind_counts) {
+            traffic.add_kind(kind, std::mem::take(n));
         }
-        for &dense in &self.touched {
-            let id = view.id_at(dense);
-            let n = self.node_counts[dense as usize] as u64;
-            traffic.add_sender(id.0, n);
-            arena.bump_sent_by(id, n);
+        for dense in self.touched.drain(..) {
+            let n = std::mem::take(&mut self.node_counts[dense as usize]);
+            traffic.add_sender(view.id_at(dense).0, u64::from(n));
         }
     }
 }
@@ -1288,8 +1246,8 @@ mod tests {
 
         let mut scratch_a = RouteScratch::new();
         let mut scratch_b = RouteScratch::new();
-        let mut acc_a = TrafficAccumulator::new(&view);
-        let mut acc_b = TrafficAccumulator::new(&view);
+        let mut acc_a = TrafficAccumulator::new();
+        let mut acc_b = TrafficAccumulator::new();
         for i in 0..120 {
             let from = ids[rng.random_range(0..ids.len())];
             let to = ids[rng.random_range(0..ids.len())];
@@ -1303,16 +1261,31 @@ mod tests {
             verbatim.apply_traffic(&scratch.delta);
             acc.absorb(&view, &scratch.delta);
         }
-        acc_a.merge(&acc_b);
-        accumulated.apply_accumulated_traffic(&view, &acc_a);
+        // One accumulator per worker, applied one after the other.
+        let absorbed = acc_a.total() + acc_b.total();
+        accumulated.apply_accumulated_traffic(&view, &mut acc_a);
+        accumulated.apply_accumulated_traffic(&view, &mut acc_b);
 
         assert_eq!(verbatim.traffic(), accumulated.traffic());
-        assert_eq!(
-            verbatim.traffic().total(),
-            net.traffic().total() + acc_a.total()
-        );
+        assert_eq!(verbatim.traffic().total(), net.traffic().total() + absorbed);
         for &id in &ids {
             assert_eq!(verbatim.sent_by(id), accumulated.sent_by(id));
         }
+
+        // Application empties the accumulator, so it can serve the next run:
+        // applying it again changes nothing, and a second run through the
+        // same accumulator still matches the verbatim replay.
+        assert_eq!(acc_a.total(), 0);
+        accumulated.apply_accumulated_traffic(&view, &mut acc_a);
+        assert_eq!(verbatim.traffic(), accumulated.traffic());
+        for i in 0..40 {
+            scratch_a.delta.clear();
+            view.route_between_in(ids[i], ids[ids.len() - 1 - i], &mut scratch_a)
+                .unwrap();
+            verbatim.apply_traffic(&scratch_a.delta);
+            acc_a.absorb(&view, &scratch_a.delta);
+        }
+        accumulated.apply_accumulated_traffic(&view, &mut acc_a);
+        assert_eq!(verbatim.traffic(), accumulated.traffic());
     }
 }

@@ -30,49 +30,123 @@ pub enum MessageKind {
     Other,
 }
 
+impl MessageKind {
+    /// Every kind, in [`MessageKind::index`] order.
+    pub const ALL: [MessageKind; 7] = [
+        MessageKind::RouteForward,
+        MessageKind::VoronoiUpdate,
+        MessageKind::CloseNeighbourExchange,
+        MessageKind::LongLink,
+        MessageKind::Departure,
+        MessageKind::QueryAnswer,
+        MessageKind::Other,
+    ];
+
+    /// Position of this kind in [`MessageKind::ALL`] — the index of its
+    /// counter in any per-kind array.
+    #[inline]
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+}
+
 /// Aggregated traffic counters for a simulation run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// Recording a message is three stores and no search: the per-kind
+/// counter in an array indexed by [`MessageKind::index`], the sender's
+/// counter in a table indexed by [`NodeId`], and the running total.  Node
+/// ids are expected to be allocated densely from zero (the overlay's object
+/// ids are), so the table is as large as the id range; the few senders far
+/// outside it — the provisional joiner ids counting down from
+/// `NodeId::MAX`, one per join — are kept in an ordered spill instead of
+/// stretching the table.  Which store holds a count is not observable: two
+/// values are equal when every kind and every sender count agree.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TrafficStats {
-    per_kind: BTreeMap<MessageKind, u64>,
-    per_node_sent: BTreeMap<NodeId, u64>,
+    per_kind: [u64; MessageKind::ALL.len()],
+    /// `per_node_sent[id]` for every id below the table's length.
+    per_node_sent: Vec<u64>,
+    /// Counts of the ids at or beyond the table's length (never zero).
+    spill: BTreeMap<NodeId, u64>,
     total: u64,
 }
 
+impl PartialEq for TrafficStats {
+    fn eq(&self, other: &Self) -> bool {
+        self.per_kind == other.per_kind && self.senders().eq(other.senders())
+    }
+}
+
+impl Eq for TrafficStats {}
+
 impl TrafficStats {
+    /// An id may exceed the table's length by at most this factor (plus a
+    /// small floor) and still extend the table; anything further goes to
+    /// the spill, so one stray id never allocates more than O(senders).
+    const MAX_SPREAD: u64 = 8;
+
     /// Creates empty counters.
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// Extends the per-sender table to cover every id below `ids`, so
+    /// recording a message from any of them is a plain array store that
+    /// never allocates.  Counts are unaffected.
+    pub fn reserve_senders(&mut self, ids: NodeId) {
+        let Ok(len) = usize::try_from(ids) else {
+            return;
+        };
+        if len <= self.per_node_sent.len() {
+            return;
+        }
+        self.per_node_sent.resize(len, 0);
+        if !self.spill.is_empty() {
+            let beyond = self.spill.split_off(&ids);
+            for (node, c) in std::mem::replace(&mut self.spill, beyond) {
+                self.per_node_sent[node as usize] = c;
+            }
+        }
+    }
+
+    /// Adds `n > 0` to the sender counter of `node`.
+    #[inline]
+    fn bump_sender(&mut self, node: NodeId, n: u64) {
+        let len = self.per_node_sent.len() as u64;
+        if node >= len && node <= len.saturating_mul(Self::MAX_SPREAD).saturating_add(64) {
+            self.reserve_senders(node + 1);
+        }
+        let slot = usize::try_from(node).ok();
+        match slot.and_then(|i| self.per_node_sent.get_mut(i)) {
+            Some(count) => *count += n,
+            None => *self.spill.entry(node).or_insert(0) += n,
+        }
+    }
+
     /// Records one message of the given kind sent by `from`.
+    #[inline]
     pub fn record(&mut self, from: NodeId, kind: MessageKind) {
-        *self.per_kind.entry(kind).or_insert(0) += 1;
-        *self.per_node_sent.entry(from).or_insert(0) += 1;
-        self.total += 1;
+        self.add_kind(kind, 1);
+        self.bump_sender(from, 1);
     }
 
     /// Bulk-records `n` messages of one kind (the per-kind and total
     /// counters only).  Together with [`TrafficStats::add_sender`] this
     /// decomposes [`TrafficStats::record`] for batched appliers that
     /// aggregate per-kind and per-sender counts independently: `record(f,
-    /// k)` ≡ `add_kind(k, 1); add_sender(f, 1)`.  No entry is created when
-    /// `n == 0`, so bulk application leaves the maps identical to an
-    /// equivalent sequence of `record` calls.
+    /// k)` ≡ `add_kind(k, 1); add_sender(f, 1)`.
     pub fn add_kind(&mut self, kind: MessageKind, n: u64) {
-        if n == 0 {
-            return;
-        }
-        *self.per_kind.entry(kind).or_insert(0) += n;
+        self.per_kind[kind.index()] += n;
         self.total += n;
     }
 
     /// Bulk-records `n` messages sent by one node (the per-sender counter
-    /// only); see [`TrafficStats::add_kind`].
+    /// only); see [`TrafficStats::add_kind`].  `n == 0` records nothing —
+    /// in particular it does not make `node` a sender.
     pub fn add_sender(&mut self, node: NodeId, n: u64) {
-        if n == 0 {
-            return;
+        if n != 0 {
+            self.bump_sender(node, n);
         }
-        *self.per_node_sent.entry(node).or_insert(0) += n;
     }
 
     /// Total number of messages recorded.
@@ -82,46 +156,61 @@ impl TrafficStats {
 
     /// Number of messages of a given kind.
     pub fn count(&self, kind: MessageKind) -> u64 {
-        self.per_kind.get(&kind).copied().unwrap_or(0)
+        self.per_kind[kind.index()]
     }
 
     /// Number of messages sent by a given node.
     pub fn sent_by(&self, node: NodeId) -> u64 {
-        self.per_node_sent.get(&node).copied().unwrap_or(0)
+        match usize::try_from(node)
+            .ok()
+            .and_then(|i| self.per_node_sent.get(i))
+        {
+            Some(&c) => c,
+            None => self.spill.get(&node).copied().unwrap_or(0),
+        }
     }
 
-    /// The most loaded sender and its message count, if any traffic exists.
+    /// Every node with a non-zero count, in ascending id order.
+    fn senders(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
+        let table = self.per_node_sent.iter().enumerate();
+        table
+            .filter(|&(_, &c)| c != 0)
+            .map(|(node, &c)| (node as NodeId, c))
+            .chain(self.spill.iter().map(|(&node, &c)| (node, c)))
+    }
+
+    /// The most loaded sender and its message count, if any traffic exists
+    /// (the highest id among equally loaded senders).
     pub fn max_sender(&self) -> Option<(NodeId, u64)> {
-        self.per_node_sent
-            .iter()
-            .max_by_key(|(_, &c)| c)
-            .map(|(&n, &c)| (n, c))
+        self.senders().max_by_key(|&(_, c)| c)
     }
 
     /// Mean messages per sender (0 when no traffic).
     pub fn mean_per_sender(&self) -> f64 {
-        if self.per_node_sent.is_empty() {
-            0.0
-        } else {
-            self.total as f64 / self.per_node_sent.len() as f64
+        match self.senders().count() {
+            0 => 0.0,
+            senders => self.total as f64 / senders as f64,
         }
     }
 
     /// Merges another set of counters into this one.
     pub fn merge(&mut self, other: &TrafficStats) {
-        for (&k, &c) in &other.per_kind {
-            *self.per_kind.entry(k).or_insert(0) += c;
-        }
-        for (&n, &c) in &other.per_node_sent {
-            *self.per_node_sent.entry(n).or_insert(0) += c;
+        for (mine, theirs) in self.per_kind.iter_mut().zip(other.per_kind) {
+            *mine += theirs;
         }
         self.total += other.total;
+        self.reserve_senders(other.per_node_sent.len() as NodeId);
+        for (node, c) in other.senders() {
+            self.bump_sender(node, c);
+        }
     }
 
-    /// Clears all counters.
+    /// Clears all counters (the sender table keeps its extent, so ids
+    /// reserved with [`TrafficStats::reserve_senders`] stay reserved).
     pub fn reset(&mut self) {
-        self.per_kind.clear();
-        self.per_node_sent.clear();
+        self.per_kind = Default::default();
+        self.per_node_sent.fill(0);
+        self.spill.clear();
         self.total = 0;
     }
 }
@@ -293,8 +382,8 @@ mod tests {
     #[test]
     fn bulk_adds_decompose_record_exactly() {
         // `record(f, k)` must equal `add_kind(k, 1) + add_sender(f, 1)`,
-        // including map *shape* (no zero-count entries), so batch appliers
-        // replaying aggregated counts reproduce bit-identical stats.
+        // and a zero-count add must not make its node a sender, so batch
+        // appliers replaying aggregated counts reproduce identical stats.
         let mut inline = TrafficStats::new();
         inline.record(4, MessageKind::RouteForward);
         inline.record(4, MessageKind::RouteForward);
@@ -303,14 +392,16 @@ mod tests {
         let mut bulk = TrafficStats::new();
         bulk.add_kind(MessageKind::RouteForward, 2);
         bulk.add_kind(MessageKind::Other, 1);
-        bulk.add_kind(MessageKind::Departure, 0); // must not create an entry
+        bulk.add_kind(MessageKind::Departure, 0);
         bulk.add_sender(4, 2);
         bulk.add_sender(9, 1);
-        bulk.add_sender(77, 0); // must not create an entry
+        bulk.add_sender(77, 0); // must not count as a sender
+        bulk.add_sender(NodeId::MAX, 0);
 
         assert_eq!(inline, bulk);
         assert_eq!(bulk.total(), 3);
         assert_eq!(bulk.sent_by(77), 0);
+        assert_eq!(bulk.mean_per_sender(), inline.mean_per_sender());
     }
 
     #[test]
