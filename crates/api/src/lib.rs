@@ -62,7 +62,7 @@ pub use ops::{
     SubscribeOutcome, UnsubscribeOutcome,
 };
 pub use overlay::Overlay;
-pub use sync_engine::{SyncEngine, ViewMaintenance};
+pub use sync_engine::SyncEngine;
 pub use workload::resolve_workload;
 
 // The error taxonomy lives in `voronet-core` (the overlay itself reports

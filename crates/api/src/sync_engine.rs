@@ -26,10 +26,9 @@
 //! it — and flipped to the front; when no write happened since the last
 //! run the front is reused for free (the epoch check is one integer
 //! compare).  Under mixed read/write traffic this keeps the ~5× frozen
-//! read path without paying an O(n) freeze at every write barrier;
-//! [`ViewMaintenance::RebuildPerBarrier`] restores the old behaviour as a
-//! benchmark baseline.  Either way results are bit-identical — a patched
-//! view equals a fresh freeze, and both equal the live walk.
+//! read path without paying an O(n) freeze at every write barrier.
+//! Results are bit-identical to per-op execution — a patched view equals
+//! a fresh freeze, and both equal the live walk.
 
 use crate::ops::{
     InsertOutcome, Op, OpResult, OverlayStats, QueryOutcome, RemoveOutcome, RouteOutcome,
@@ -59,19 +58,6 @@ fn frozen_run_threshold(population: usize) -> usize {
     FROZEN_MIN_RUN.max(population / 16)
 }
 
-/// How [`SyncEngine`] keeps its frozen view generations current at read
-/// barriers (see the [module docs](self)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ViewMaintenance {
-    /// Delta-patch the stale generation through the overlay's change log
-    /// (full rebuild only when the log window no longer covers it).
-    #[default]
-    Incremental,
-    /// Rebuild a stale generation from scratch at every barrier — the
-    /// pre-epoch behaviour, kept as the benchmark baseline.
-    RebuildPerBarrier,
-}
-
 /// The synchronous VoroNet engine: every operation executes to completion
 /// inside one address space — the fast path used to reproduce the paper's
 /// figures.
@@ -94,7 +80,6 @@ pub struct SyncEngine {
     /// short read runs (the mixed-workload shape) eventually justify the
     /// first freeze even though no single run crosses the threshold.
     reads_seen: usize,
-    maintenance: ViewMaintenance,
     /// One accounting accumulator per read-run worker (the first serves
     /// single-threaded runs), kept across runs: applying an accumulator
     /// empties it in O(distinct senders), so short read runs between write
@@ -119,27 +104,8 @@ impl SyncEngine {
                 .unwrap_or(1),
             views: None,
             reads_seen: 0,
-            maintenance: ViewMaintenance::default(),
             accs: Vec::new(),
         }
-    }
-
-    /// Sets the frozen-view maintenance policy (builder form).  Results
-    /// are bit-identical under every policy; only the snapshot economics
-    /// ([`SyncEngine::snapshot_stats`]) differ.
-    pub fn with_view_maintenance(mut self, maintenance: ViewMaintenance) -> Self {
-        self.set_view_maintenance(maintenance);
-        self
-    }
-
-    /// Sets the frozen-view maintenance policy.
-    pub fn set_view_maintenance(&mut self, maintenance: ViewMaintenance) {
-        self.maintenance = maintenance;
-    }
-
-    /// The frozen-view maintenance policy in use.
-    pub fn view_maintenance(&self) -> ViewMaintenance {
-        self.maintenance
     }
 
     /// Sets the number of worker threads used for read-only batch runs
@@ -220,12 +186,9 @@ impl SyncEngine {
     fn apply_read_run(&mut self, run: &[Op], results: &mut Vec<OpResult>) {
         // Bring a generation up to the overlay's epoch and flip: free
         // when no write happened since the last run, O(affected
-        // neighbourhoods) otherwise (O(n) under RebuildPerBarrier).
+        // neighbourhoods) otherwise.
         let refresh = match &mut self.views {
-            Some(views) => match self.maintenance {
-                ViewMaintenance::Incremental => views.advance(&self.net),
-                ViewMaintenance::RebuildPerBarrier => views.advance_rebuilding(&self.net),
-            },
+            Some(views) => views.advance(&self.net),
             None => {
                 self.views = Some(ViewGenerations::new(&self.net));
                 ViewRefresh::Rebuilt
@@ -379,7 +342,7 @@ impl Overlay for SyncEngine {
     /// however short — uses the frozen path, since keeping a view current
     /// costs O(affected neighbourhoods), not O(n).  Results and traffic
     /// accounting are bit-identical to sequential per-op application at
-    /// any thread count and under either maintenance policy.
+    /// any thread count.
     fn apply_batch(&mut self, ops: &[Op]) -> Vec<OpResult> {
         let mut results = Vec::with_capacity(ops.len());
         let mut i = 0;

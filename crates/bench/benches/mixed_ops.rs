@@ -1,17 +1,15 @@
 //! Mixed read/write traffic over the epoch-patched frozen read path:
 //! `OpMix::mixed` batches (99:1, 95:5, 80:20 read/write) on a pre-built
-//! 10,000-node overlay, submitted through `SyncEngine::apply_batch`
-//! under both view-maintenance policies — the incremental delta-patch
-//! path against rebuild-per-barrier as the baseline.
+//! 10,000-node overlay, submitted through `SyncEngine::apply_batch`.
 //!
 //! This is the measurement behind the tentpole claim of the epoch work:
 //! the ~5× frozen read path only pays off under sustained read traffic
 //! if interleaved writers don't force a full snapshot rebuild at every
-//! barrier.  The bench records ns/op for both policies and the
-//! incremental speedup per mix as the `mixed_ops` section of
-//! `BENCH_routes.json`, together with the snapshot economics
-//! (patches / rebuilds / patched rows), and **asserts** that both
-//! policies produce element-wise identical results.
+//! barrier.  The bench records ns/op per mix as the `mixed_ops` section
+//! of `BENCH_routes.json`, together with the snapshot economics
+//! (patches / rebuilds / patched rows), and **asserts** that the batched
+//! results equal one-op-at-a-time application over the live overlay and
+//! that delta patches, not rebuilds, kept the view current.
 //!
 //! Smoke mode (`VORONET_SMOKE=1`, used by CI) shrinks the overlay and
 //! the batches so the bench finishes in seconds, keeps the determinism
@@ -21,7 +19,7 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::path::Path;
 use std::time::Instant;
-use voronet_api::{resolve_workload, Op, Overlay, SyncEngine, ViewMaintenance};
+use voronet_api::{resolve_workload, Op, OpResult, Overlay, SyncEngine};
 use voronet_core::experiments::build_overlay;
 use voronet_core::{SnapshotStats, VoroNet, VoroNetConfig};
 use voronet_workloads::{Distribution, OpBatchGenerator, OpMix};
@@ -64,8 +62,8 @@ fn build_net() -> VoroNet {
 }
 
 /// Pre-resolves the whole mixed script against an untimed scratch replay
-/// of the same overlay, so both timed engines execute identical id-named
-/// batches (the scratch engine evolves exactly as the timed ones will).
+/// of the same overlay, so every replay executes identical id-named
+/// batches (the scratch engine evolves exactly as the timed one will).
 fn scripts_for(net: &VoroNet, read_pct: u32) -> Vec<Vec<Op>> {
     let mut scratch = SyncEngine::from_net(net.clone());
     let mut gen = OpBatchGenerator::new(
@@ -83,16 +81,10 @@ fn scripts_for(net: &VoroNet, read_pct: u32) -> Vec<Vec<Op>> {
         .collect()
 }
 
-/// Replays the full batch sequence on a fresh engine under `policy`;
-/// returns (ns/op, all results in order, snapshot economics).
-fn run_policy(
-    net: &VoroNet,
-    scripts: &[Vec<Op>],
-    policy: ViewMaintenance,
-) -> (f64, Vec<voronet_api::OpResult>, SnapshotStats) {
-    let mut engine = SyncEngine::from_net(net.clone())
-        .with_threads(4)
-        .with_view_maintenance(policy);
+/// Replays the full batch sequence on a fresh engine; returns (ns/op,
+/// all results in order, snapshot economics).
+fn run_batched(net: &VoroNet, scripts: &[Vec<Op>]) -> (f64, Vec<OpResult>, SnapshotStats) {
+    let mut engine = SyncEngine::from_net(net.clone()).with_threads(4);
     let total: usize = scripts.iter().map(Vec::len).sum();
     let mut results = Vec::with_capacity(total);
     let start = Instant::now();
@@ -103,6 +95,17 @@ fn run_policy(
     (ns, results, engine.snapshot_stats())
 }
 
+/// The untimed reference: the same ops one at a time over the live
+/// overlay, never freezing a view.
+fn run_per_op(net: &VoroNet, scripts: &[Vec<Op>]) -> Vec<OpResult> {
+    let mut engine = SyncEngine::from_net(net.clone());
+    scripts
+        .iter()
+        .flatten()
+        .map(|op| engine.apply(op))
+        .collect()
+}
+
 fn mixed_ops(c: &mut Criterion) {
     let net = build_net();
 
@@ -111,51 +114,38 @@ fn mixed_ops(c: &mut Criterion) {
     let mut sections = Vec::new();
     for &pct in &READ_PCTS {
         let scripts = scripts_for(&net, pct);
-        let (inc_ns, inc_results, inc_snap) =
-            run_policy(&net, &scripts, ViewMaintenance::Incremental);
-        let (reb_ns, reb_results, reb_snap) =
-            run_policy(&net, &scripts, ViewMaintenance::RebuildPerBarrier);
+        let (ns, results, snap) = run_batched(&net, &scripts);
         assert_eq!(
-            inc_results,
-            reb_results,
-            "{pct}:{} mix: both maintenance policies must produce identical results",
+            results,
+            run_per_op(&net, &scripts),
+            "{pct}:{} mix: batched and per-op application must produce identical results",
             100 - pct
         );
         assert!(
-            inc_snap.delta_patches > 0,
-            "{pct}:{} mix: the incremental engine never took the patch path: {inc_snap}",
+            snap.delta_patches > 0,
+            "{pct}:{} mix: the engine never took the patch path: {snap}",
             100 - pct
         );
-        assert_eq!(
-            reb_snap.delta_patches, 0,
-            "rebuild-per-barrier must never patch: {reb_snap}"
-        );
-        let speedup = reb_ns / inc_ns;
-        println!(
-            "mixed_ops {pct}:{}: incremental {inc_ns:.0} ns/op ({inc_snap}), \
-             rebuild-per-barrier {reb_ns:.0} ns/op ({reb_snap}), speedup {speedup:.2}x",
+        assert!(
+            snap.full_rebuilds < snap.delta_patches,
+            "{pct}:{} mix: patches must dominate rebuilds: {snap}",
             100 - pct
         );
+        println!("mixed_ops {pct}:{}: {ns:.0} ns/op ({snap})", 100 - pct);
         sections.push(format!(
-            "\"{pct}\": {{ \"incremental_ns_per_op\": {inc_ns:.1}, \
-             \"rebuild_per_barrier_ns_per_op\": {reb_ns:.1}, \"speedup\": {speedup:.2}, \
+            "\"{pct}\": {{ \"ns_per_op\": {ns:.1}, \
              \"delta_patches\": {}, \"patched_nodes\": {}, \"full_rebuilds\": {}, \
              \"views_reused\": {} }}",
-            inc_snap.delta_patches, inc_snap.patched_nodes, inc_snap.full_rebuilds, inc_snap.reused
+            snap.delta_patches, snap.patched_nodes, snap.full_rebuilds, snap.reused
         ));
 
         // Criterion timing for the 95:5 headline mix only (each sample
         // replays the whole sequence from a fresh engine clone, so the
         // mutation script stays applicable).
         if pct == 95 {
-            for (policy, label) in [
-                (ViewMaintenance::Incremental, "incremental"),
-                (ViewMaintenance::RebuildPerBarrier, "rebuild_per_barrier"),
-            ] {
-                group.bench_function(BenchmarkId::new("replay_95_5", label), |b| {
-                    b.iter(|| black_box(run_policy(&net, &scripts, policy).0));
-                });
-            }
+            group.bench_function(BenchmarkId::new("replay_95_5", "batched"), |b| {
+                b.iter(|| black_box(run_batched(&net, &scripts).0));
+            });
         }
     }
     group.finish();

@@ -825,19 +825,6 @@ impl ViewGenerations {
         self.front = back;
         refresh
     }
-
-    /// Like [`ViewGenerations::advance`], but always rebuilds a stale
-    /// back generation from scratch — the rebuild-per-barrier baseline
-    /// the incremental path is benchmarked against.
-    pub fn advance_rebuilding(&mut self, net: &VoroNet) -> ViewRefresh {
-        if self.gens[self.front].epoch() == net.snapshot_epoch() {
-            return ViewRefresh::Current;
-        }
-        let back = 1 - self.front;
-        self.gens[back] = FrozenView::new(net);
-        self.front = back;
-        ViewRefresh::Rebuilt
-    }
 }
 
 /// Dense aggregation of many [`TrafficDelta`]s against one
@@ -1138,12 +1125,6 @@ mod tests {
         net.remove(ids[10]).unwrap();
         assert!(matches!(gens.advance(&net), ViewRefresh::Patched { .. }));
         assert_eq!(*gens.front(), net.freeze());
-
-        // The rebuild-per-barrier baseline produces the same views.
-        net.remove(ids[20]).unwrap();
-        assert_eq!(gens.advance_rebuilding(&net), ViewRefresh::Rebuilt);
-        assert_eq!(*gens.front(), net.freeze());
-        assert_eq!(gens.advance_rebuilding(&net), ViewRefresh::Current);
     }
 
     #[test]

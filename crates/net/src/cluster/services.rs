@@ -1,0 +1,473 @@
+//! The driver-side service plane: region pub/sub and the
+//! coordinate-keyed KV store, as control state mirrored onto the hosts
+//! through sequence-numbered service pushes.
+
+use super::driver::Driver;
+use super::liveness::HostState;
+use super::pump::Completes;
+use super::{host_of, ClusterError, OpOutcome};
+use crate::transport::{PeerId, Transport};
+use crate::wire::WireMsg;
+use std::collections::BTreeSet;
+use voronet_geom::{Point2, Rect};
+use voronet_services::{key_point, topic_key};
+use voronet_workloads::RangeQuery;
+
+/// Driver-side control record of one coordinate-keyed entry: its value,
+/// the object whose Voronoi cell currently stores it, that object's
+/// replica set (its Voronoi neighbours), and the entry's write sequence
+/// used to validate replica freshness on degraded reads.
+#[derive(Debug, Clone, PartialEq)]
+pub(super) struct KvPlacement {
+    value: u64,
+    owner: u64,
+    entry_seq: u64,
+    replicas: Vec<u64>,
+}
+
+impl KvPlacement {
+    /// Every object holding a copy: the owner, then its replicas.
+    fn roles(&self) -> impl Iterator<Item = u64> + '_ {
+        std::iter::once(self.owner).chain(self.replicas.iter().copied())
+    }
+}
+
+impl<T: Transport> Driver<T> {
+    /// Queues one service push to `object`'s host under the object's
+    /// next service sequence number, for [`Self::flush_pushes`].
+    fn queue_service_push(&mut self, object: u64, build: impl FnOnce(u64) -> WireMsg<'static>) {
+        let seq = self.svc_seqs.entry(object).or_insert(0);
+        *seq += 1;
+        let seq = *seq;
+        self.queue(
+            host_of(object, self.hosts),
+            build(seq),
+            Completes::SvcAck(object, seq),
+            "service push acks",
+            self.policy.pushes(),
+        );
+    }
+
+    /// Subscribes the `index`-th live object (modulo the population) to a
+    /// region, installing the subscription on the object's host.
+    pub fn subscribe(&mut self, index: usize, region: Rect) -> Result<OpOutcome, ClusterError> {
+        let Some(id) = self.origin(index)? else {
+            return Ok(OpOutcome::Skipped);
+        };
+        let replaced = self.subs.insert(id, region).is_some();
+        self.queue_service_push(id, |seq| WireMsg::SvcSubscribe {
+            object: id,
+            seq,
+            region,
+        });
+        self.flush_pushes()?;
+        Ok(OpOutcome::Subscribed { id, replaced })
+    }
+
+    /// Drops the `index`-th live object's subscription.
+    pub fn unsubscribe(&mut self, index: usize) -> Result<OpOutcome, ClusterError> {
+        let Some(id) = self.origin(index)? else {
+            return Ok(OpOutcome::Skipped);
+        };
+        let existed = self.subs.remove(&id).is_some();
+        self.queue_service_push(id, |seq| WireMsg::SvcUnsubscribe { object: id, seq });
+        self.flush_pushes()?;
+        Ok(OpOutcome::Unsubscribed { id, existed })
+    }
+
+    /// Publishes a payload to every subscriber inside `region`: resolves
+    /// the recipients through the distributed area flood, then delivers
+    /// host-by-host.  Subscribers whose subscribed region intersects the
+    /// publication but who sit outside it are reported as missed.
+    pub fn publish(
+        &mut self,
+        from: usize,
+        region: Rect,
+        payload: u64,
+    ) -> Result<OpOutcome, ClusterError> {
+        let OpOutcome::Matches {
+            matches,
+            hops,
+            visited,
+        } = self.range_query(from, RangeQuery { rect: region })?
+        else {
+            return Ok(OpOutcome::Skipped);
+        };
+        let topic = topic_key(&region);
+        let seq = self.topic_seqs.entry(topic).or_insert(0);
+        *seq += 1;
+        let topic_seq = *seq;
+        let mut subscribers: Vec<u64> = self
+            .subs
+            .iter()
+            .filter(|(_, sub_region)| sub_region.intersects(&region))
+            .map(|(&id, _)| id)
+            .collect();
+        subscribers.sort_unstable();
+        let (delivered, missed): (Vec<u64>, Vec<u64>) = subscribers
+            .into_iter()
+            .partition(|id| matches.binary_search(id).is_ok());
+        for &id in &delivered {
+            self.queue_service_push(id, |seq| WireMsg::SvcDeliver {
+                object: id,
+                seq,
+                topic,
+                topic_seq,
+                payload,
+            });
+        }
+        self.flush_pushes()?;
+        Ok(OpOutcome::Published {
+            topic_seq,
+            delivered,
+            missed,
+            hops,
+            visited,
+        })
+    }
+
+    /// The replica set of one owner object — its Voronoi neighbours,
+    /// the exact rule of the single-process `ServiceEngine`.
+    fn replicas_of(&self, owner: u64) -> Vec<u64> {
+        let Ok(view) = self.net.view(voronet_core::ObjectId(owner)) else {
+            return Vec::new();
+        };
+        let mut replicas: Vec<u64> = view.voronoi_neighbours.iter().map(|n| n.0).collect();
+        replicas.sort_unstable();
+        replicas
+    }
+
+    /// The owning object of a point per the authoritative tessellation
+    /// (min squared distance, ties to the lower id — the `rebalance_kv`
+    /// rule).
+    fn local_owner_of(&self, target: Point2) -> Option<u64> {
+        self.net
+            .ids()
+            .map(|id| (self.net.coords(id).expect("live").distance2(target), id.0))
+            .min_by(|a, b| a.partial_cmp(b).expect("finite distances"))
+            .map(|(_, id)| id)
+    }
+
+    /// Locates the owner of a point: the distributed greedy route
+    /// decides on the healthy path; when any host is suspected or dead
+    /// (or the route fails), the authoritative tessellation decides
+    /// directly — the same owner the healthy route converges to — instead
+    /// of letting the route burn its retry ladder on a dead hop first.
+    fn owner_of_point(&mut self, from_object: u64, target: Point2) -> Result<u64, ClusterError> {
+        let routed = if self.detector.all_alive() {
+            self.query(from_object, "kv route", |token| WireMsg::RouteReq {
+                token,
+                from_object,
+                target,
+            })
+        } else {
+            Err(ClusterError::Unavailable("kv route"))
+        };
+        match routed {
+            Ok(OpOutcome::Route { owner, .. }) => Ok(owner),
+            Ok(_) | Err(ClusterError::Timeout(_) | ClusterError::Unavailable(_)) => self
+                .local_owner_of(target)
+                .ok_or(ClusterError::Unavailable("kv owner")),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// The object owning `key`'s coordinates, located from the `from`-th
+    /// live object; `None` on an empty overlay.
+    fn kv_owner(&mut self, from: usize, key: u64) -> Result<Option<u64>, ClusterError> {
+        let Some(from_object) = self.origin(from)? else {
+            return Ok(None);
+        };
+        let target = key_point(key, self.net.config().domain);
+        self.owner_of_point(from_object, target).map(Some)
+    }
+
+    /// Queues the final replication layout of one entry: the owner
+    /// stores, each replica mirrors, and every previously involved live
+    /// object no longer in the layout drops.  At most one push per
+    /// `(object, key)`, so the host-side sequence filter can never let a
+    /// reordered resend leave a stale role behind.
+    fn queue_kv_layout(&mut self, key: u64, placement: &KvPlacement, previous: &[u64]) {
+        let mut dropped: BTreeSet<u64> = previous.iter().copied().collect();
+        dropped.remove(&placement.owner);
+        for replica in &placement.replicas {
+            dropped.remove(replica);
+        }
+        let (owner, value, entry_seq) = (placement.owner, placement.value, placement.entry_seq);
+        self.queue_service_push(owner, |seq| WireMsg::SvcKvStore {
+            object: owner,
+            seq,
+            key,
+            value,
+        });
+        for &replica in &placement.replicas {
+            if replica == owner {
+                continue;
+            }
+            self.queue_service_push(replica, |seq| WireMsg::SvcKvReplicate {
+                object: replica,
+                seq,
+                key,
+                value,
+                entry_seq,
+            });
+        }
+        for object in dropped {
+            // A departed object's host already dropped the entry when
+            // the object was evicted; only live former roles need it.
+            if self.net.coords(voronet_core::ObjectId(object)).is_none() {
+                continue;
+            }
+            self.queue_service_push(object, |seq| WireMsg::SvcKvDrop { object, seq, key });
+        }
+    }
+
+    /// Stores `key → value` at the host of the object whose Voronoi cell
+    /// contains the key's coordinates (located by a distributed route
+    /// from the `from`-th live object) and mirrors it to the owner's
+    /// Voronoi-neighbour replica set, so an acked write survives any
+    /// single-host crash.
+    pub fn kv_put(&mut self, from: usize, key: u64, value: u64) -> Result<OpOutcome, ClusterError> {
+        let Some(owner) = self.kv_owner(from, key)? else {
+            return Ok(OpOutcome::Skipped);
+        };
+        self.kv_seq += 1;
+        let placement = KvPlacement {
+            value,
+            owner,
+            entry_seq: self.kv_seq,
+            replicas: self.replicas_of(owner),
+        };
+        let replicas = placement.replicas.len() as u32;
+        let old = self.kv.insert(key, placement.clone());
+        let previous: Vec<u64> = old.iter().flat_map(KvPlacement::roles).collect();
+        self.queue_kv_layout(key, &placement, &previous);
+        self.flush_pushes()?;
+        Ok(OpOutcome::KvStored {
+            key,
+            owner,
+            replaced: old.is_some(),
+            replicas,
+        })
+    }
+
+    /// Reads `key` from the host of the owning cell's object — the route
+    /// decides the owner, so a get issued after churn reads from
+    /// wherever the entry migrated to.  When the owner's host is
+    /// suspected or dead (or stops answering mid-read), the read
+    /// degrades to the replica set instead of failing.
+    pub fn kv_get(&mut self, from: usize, key: u64) -> Result<OpOutcome, ClusterError> {
+        let Some(owner) = self.kv_owner(from, key)? else {
+            return Ok(OpOutcome::Skipped);
+        };
+        if self.host_state(host_of(owner, self.hosts)) == HostState::Alive {
+            match self.fetch_value(owner, key) {
+                Ok(value) => {
+                    return Ok(OpOutcome::KvFetched {
+                        key,
+                        owner,
+                        value,
+                        degraded: false,
+                    })
+                }
+                Err(ClusterError::Timeout(_) | ClusterError::Unavailable(_)) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        self.degraded_kv_get(key, owner)
+    }
+
+    /// Serves a read whose owner host is unreachable from the replica
+    /// set, accepting only a replica whose entry sequence matches the
+    /// driver's record — a stale copy is never returned.
+    fn degraded_kv_get(&mut self, key: u64, owner: u64) -> Result<OpOutcome, ClusterError> {
+        self.stats.degraded_reads += 1;
+        let Some(placement) = self.kv.get(&key).cloned() else {
+            // No acked write for this key: absence is an exact answer
+            // even while the owning host is down.
+            return Ok(OpOutcome::KvFetched {
+                key,
+                owner,
+                value: None,
+                degraded: true,
+            });
+        };
+        for &replica in &placement.replicas {
+            if self.detector.is_dead(host_of(replica, self.hosts)) {
+                continue;
+            }
+            if let Ok(Some((value, entry_seq))) = self.fetch_replica(replica, key) {
+                if entry_seq == placement.entry_seq {
+                    return Ok(OpOutcome::KvFetched {
+                        key,
+                        owner: placement.owner,
+                        value: Some(value),
+                        degraded: true,
+                    });
+                }
+            }
+        }
+        self.stats.fail_fast += 1;
+        Err(ClusterError::Unavailable("kv degraded read"))
+    }
+
+    /// Deletes `key` from the host of the owning cell's object and from
+    /// every replica.
+    pub fn kv_delete(&mut self, from: usize, key: u64) -> Result<OpOutcome, ClusterError> {
+        let Some(owner) = self.kv_owner(from, key)? else {
+            return Ok(OpOutcome::Skipped);
+        };
+        let old = self.kv.remove(&key);
+        let mut parties: BTreeSet<u64> = old.iter().flat_map(KvPlacement::roles).collect();
+        parties.insert(owner);
+        for object in parties {
+            if self.net.coords(voronet_core::ObjectId(object)).is_none() {
+                continue;
+            }
+            self.queue_service_push(object, |seq| WireMsg::SvcKvDrop { object, seq, key });
+        }
+        self.flush_pushes()?;
+        Ok(OpOutcome::KvDropped {
+            key,
+            owner,
+            existed: old.is_some(),
+        })
+    }
+
+    /// Reads `key` from `owner`'s host.
+    fn fetch_value(&mut self, owner: u64, key: u64) -> Result<Option<u64>, ClusterError> {
+        let fetch = |token| WireMsg::SvcKvFetch {
+            token,
+            object: owner,
+            key,
+        };
+        let read = |msg: &WireMsg<'_>| match *msg {
+            WireMsg::SvcKvValue { value, .. } => Some(value),
+            _ => None,
+        };
+        self.request(owner, "kv fetch", self.policy.requests(), fetch, read)
+    }
+
+    /// Reads the copy of `key` mirrored at `object`:
+    /// `Ok(Some((value, entry_seq)))` when the replica holds one.  Capped
+    /// at two attempts — a degraded read tries the next replica instead
+    /// of burning the full budget here.
+    pub(super) fn fetch_replica(
+        &mut self,
+        object: u64,
+        key: u64,
+    ) -> Result<Option<(u64, u64)>, ClusterError> {
+        let fetch = |token| WireMsg::SvcKvFetchReplica { token, object, key };
+        let read = |msg: &WireMsg<'_>| match *msg {
+            WireMsg::SvcKvReplicaValue {
+                entry_seq, value, ..
+            } => Some(value.map(|v| (v, entry_seq))),
+            _ => None,
+        };
+        let mut ladder = self.policy.requests();
+        ladder.max_attempts = ladder.max_attempts.min(2);
+        self.request(object, "kv replica fetch", ladder, fetch, read)
+    }
+
+    /// Replays a revived host's service state — subscriptions, owned KV
+    /// entries and replica copies — from driver control state.
+    pub(super) fn replay_services(&mut self, peer: PeerId) -> Result<(), ClusterError> {
+        let hosts = self.hosts;
+        let subs: Vec<(u64, Rect)> = self
+            .subs
+            .iter()
+            .filter(|&(&id, _)| host_of(id, hosts) == peer)
+            .map(|(&id, &region)| (id, region))
+            .collect();
+        let entries: Vec<(u64, KvPlacement)> =
+            self.kv.iter().map(|(&k, p)| (k, p.clone())).collect();
+        for (id, region) in subs {
+            self.queue_service_push(id, |seq| WireMsg::SvcSubscribe {
+                object: id,
+                seq,
+                region,
+            });
+        }
+        for (key, p) in entries {
+            if host_of(p.owner, hosts) == peer {
+                let (object, value) = (p.owner, p.value);
+                self.queue_service_push(object, |seq| WireMsg::SvcKvStore {
+                    object,
+                    seq,
+                    key,
+                    value,
+                });
+            }
+            for &replica in &p.replicas {
+                if replica != p.owner && host_of(replica, hosts) == peer {
+                    let (value, entry_seq) = (p.value, p.entry_seq);
+                    self.queue_service_push(replica, |seq| WireMsg::SvcKvReplicate {
+                        object: replica,
+                        seq,
+                        key,
+                        value,
+                        entry_seq,
+                    });
+                }
+            }
+        }
+        self.flush_pushes()
+    }
+
+    /// Recomputes every KV entry's owning cell and replica set against
+    /// the authoritative tessellation after churn and migrates entries
+    /// whose layout changed: the value is re-stored at the new owner's
+    /// host, mirrored to the new replicas, and dropped from former
+    /// roles (handoff).  Owner ties break towards the lower id, the
+    /// exact rule of the single-process `ServiceEngine`.
+    pub(super) fn rebalance_kv(&mut self) -> Result<(), ClusterError> {
+        if self.kv.is_empty() && self.subs.is_empty() {
+            return Ok(());
+        }
+        if self.net.is_empty() {
+            // Mirror the service-engine rule: an emptied overlay drops
+            // all membership-derived state (topic sequences persist).
+            self.kv.clear();
+            self.subs.clear();
+            return Ok(());
+        }
+        let domain = self.net.config().domain;
+        let live: Vec<(u64, Point2)> = self
+            .net
+            .ids()
+            .map(|id| (id.0, self.net.coords(id).expect("live")))
+            .collect();
+        let mut moves: Vec<(u64, KvPlacement, Vec<u64>)> = Vec::new(); // (key, new placement, previous roles)
+        for (&key, placement) in &self.kv {
+            let kp = key_point(key, domain);
+            let new_owner = live
+                .iter()
+                .map(|&(id, c)| (c.distance2(kp), id))
+                .min_by(|a, b| a.partial_cmp(b).expect("finite distances"))
+                .expect("non-empty overlay")
+                .1;
+            let new_replicas = self.replicas_of(new_owner);
+            if new_owner != placement.owner || new_replicas != placement.replicas {
+                let previous = placement.roles().collect();
+                moves.push((
+                    key,
+                    KvPlacement {
+                        value: placement.value,
+                        owner: new_owner,
+                        entry_seq: placement.entry_seq,
+                        replicas: new_replicas,
+                    },
+                    previous,
+                ));
+            }
+        }
+        if moves.is_empty() {
+            return Ok(());
+        }
+        for (key, placement, previous) in moves {
+            self.queue_kv_layout(key, &placement, &previous);
+            self.kv.insert(key, placement);
+        }
+        self.flush_pushes()
+    }
+}

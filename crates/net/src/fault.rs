@@ -19,7 +19,7 @@
 //! the host's state from control-plane truth, so the same machinery also
 //! covers restarts that lost state.
 
-use crate::cluster::{Driver, HostNode, HostReport, DRIVER_PEER};
+use crate::cluster::{Driver, HostReport, LocalCluster};
 use crate::transport::{PeerId, Transport, TransportError};
 use crate::vnet::{VnetHub, VnetTransport};
 use rand::rngs::StdRng;
@@ -405,9 +405,8 @@ impl FaultPlan {
 /// every endpoint wrapped in a [`FaultTransport`] sharing one
 /// [`FaultCtl`] — the rig chaos runs and fault-mode benchmarks drive.
 pub struct FaultyCluster {
-    driver: Driver<FaultTransport<VnetTransport>>,
+    cluster: LocalCluster<FaultTransport<VnetTransport>>,
     ctl: FaultCtl,
-    handles: Vec<std::thread::JoinHandle<HostReport>>,
 }
 
 impl FaultyCluster {
@@ -416,31 +415,15 @@ impl FaultyCluster {
     pub fn start(hosts: u64, config: VoroNetConfig, link: LinkFaults, seed: u64) -> Self {
         let hub = VnetHub::new(voronet_sim::NetworkModel::ideal());
         let ctl = FaultCtl::new(link);
-        let driver_t = FaultTransport::new(hub.endpoint(DRIVER_PEER), ctl.clone(), seed);
-        let driver = Driver::new(driver_t, hosts, config);
-        let mut handles = Vec::new();
-        for peer in 1..=hosts {
-            let t = FaultTransport::new(hub.endpoint(peer), ctl.clone(), seed);
-            handles.push(std::thread::spawn(move || {
-                let mut node = HostNode::new(t, peer, hosts);
-                node.run().expect("vnet transport cannot fail");
-                HostReport {
-                    peer,
-                    stats: node.transport_stats(),
-                    ops_served: node.ops_served(),
-                }
-            }));
-        }
-        FaultyCluster {
-            driver,
-            ctl,
-            handles,
-        }
+        let cluster = LocalCluster::start_with(hosts, config, |peer| {
+            FaultTransport::new(hub.endpoint(peer), ctl.clone(), seed)
+        });
+        FaultyCluster { cluster, ctl }
     }
 
     /// The cluster's driver.
     pub fn driver(&mut self) -> &mut Driver<FaultTransport<VnetTransport>> {
-        &mut self.driver
+        self.cluster.driver()
     }
 
     /// The shared fault switchboard.
@@ -451,20 +434,16 @@ impl FaultyCluster {
     /// Heals every fault, shuts the hosts down and returns their final
     /// reports (a crashed host can't hear a shutdown, so the blackhole is
     /// always lifted first).
-    pub fn shutdown(mut self) -> Result<Vec<HostReport>, crate::cluster::ClusterError> {
+    pub fn shutdown(self) -> Result<Vec<HostReport>, crate::cluster::ClusterError> {
         self.ctl.heal_all();
-        self.driver.shutdown_hosts()?;
-        let mut reports = Vec::new();
-        for handle in self.handles {
-            reports.push(handle.join().expect("host thread panicked"));
-        }
-        Ok(reports)
+        self.cluster.shutdown()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::DRIVER_PEER;
     use crate::vnet::VnetHub;
     use voronet_sim::NetworkModel;
 

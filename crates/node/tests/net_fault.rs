@@ -4,7 +4,7 @@
 //! replica, and fail fast on ops that need the dead host.
 //!
 //! This is the in-process `crashed_owner_degrades_reads_and_failfasts_ops`
-//! scenario (`voronet-net/src/cluster.rs`) run against live
+//! scenario (`voronet-net/src/cluster/mod.rs`) run against live
 //! `voronet-node` children: the crash is a real SIGKILL, not a
 //! transport blackhole, so the failure detector's ping windows, the
 //! replica fetch frames and the `Unavailable` fail-fast path are

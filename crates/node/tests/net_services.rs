@@ -3,7 +3,7 @@
 //! over real loopback UDP.
 //!
 //! The scenario mirrors the in-process vnet test in
-//! `voronet-net/src/cluster.rs` (`service_plane_pubsub_and_kv_handoff`):
+//! `voronet-net/src/cluster/mod.rs` (`service_plane_pubsub_and_kv_handoff`):
 //! every object subscribes to the full domain, a publication's delivered
 //! set is pinned to the single-process oracle's flood matches, a KV
 //! entry round-trips through the owning host, and churn — a join landing

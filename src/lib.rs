@@ -58,7 +58,7 @@ pub use voronet_workloads as workloads;
 pub mod prelude {
     pub use voronet_api::{
         AsyncEngine, EngineKind, ErrorKind, Op, OpResult, Overlay, OverlayBuilder, ServiceOp,
-        ServiceResult, SyncEngine, ViewMaintenance, VoronetError,
+        ServiceResult, SyncEngine, VoronetError,
     };
     pub use voronet_core::{
         radius_query, range_query, FrozenView, JoinReport, LeaveReport, ObjectId, ObjectView,

@@ -11,7 +11,7 @@
 //! agree with both.  Checked here through the workspace's shrinking
 //! property harness (`voronet_testkit::check_cases`), plus a
 //! deterministic end-to-end pass over the `OpMix::mixed` presets on the
-//! sync engine comparing both maintenance policies element-wise.
+//! sync engine comparing batched against per-op application element-wise.
 
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -170,21 +170,16 @@ fn delta_patched_views_stay_bit_identical_to_fresh_freezes() {
     );
 }
 
-/// The engine-level contract across maintenance policies: the same
-/// `OpMix::mixed` script produces element-wise identical results whether
-/// the view is delta-patched or rebuilt at every barrier — and the
-/// incremental engine's economics show it actually patched and reused.
+/// The engine-level contract: the same `OpMix::mixed` script produces
+/// element-wise identical results whether it runs through the batched,
+/// delta-patched frozen read path or one op at a time over the live
+/// overlay — and the batched engine's economics show it actually patched
+/// and reused.
 #[test]
-fn mixed_batches_agree_across_maintenance_policies() {
+fn mixed_batches_agree_with_per_op_apply() {
     for read_pct in [99u32, 95, 80] {
-        let mut inc = OverlayBuilder::new(400)
-            .seed(61)
-            .build_sync()
-            .with_view_maintenance(ViewMaintenance::Incremental);
-        let mut rebuild = OverlayBuilder::new(400)
-            .seed(61)
-            .build_sync()
-            .with_view_maintenance(ViewMaintenance::RebuildPerBarrier);
+        let mut batched = OverlayBuilder::new(400).seed(61).build_sync();
+        let mut per_op = OverlayBuilder::new(400).seed(61).build_sync();
         let mut gen = OpBatchGenerator::new(
             Distribution::Uniform,
             u64::from(read_pct),
@@ -195,31 +190,32 @@ fn mixed_batches_agree_across_maintenance_policies() {
         for _ in 0..150 {
             let p = points.next_point();
             assert_eq!(
-                inc.insert(p).map(|r| r.id).ok(),
-                rebuild.insert(p).map(|r| r.id).ok()
+                batched.insert(p).map(|r| r.id).ok(),
+                per_op.insert(p).map(|r| r.id).ok()
             );
         }
         for batch in 0..6 {
-            let script = gen.batch(inc.len(), 200);
-            let ops = resolve_workload(&inc, &script);
-            let a = inc.apply_batch(&ops);
-            let b = rebuild.apply_batch(&ops);
+            let script = gen.batch(batched.len(), 200);
+            let ops = resolve_workload(&batched, &script);
+            let a = batched.apply_batch(&ops);
+            let b: Vec<OpResult> = ops.iter().map(|op| per_op.apply(op)).collect();
             assert_eq!(a, b, "mixed({read_pct}) batch {batch} diverged");
         }
-        assert_eq!(inc.stats(), rebuild.stats(), "mixed({read_pct}) stats");
-        let snap = inc.snapshot_stats();
+        assert_eq!(batched.stats(), per_op.stats(), "mixed({read_pct}) stats");
+        let snap = batched.snapshot_stats();
         assert!(
             snap.delta_patches > 0,
-            "mixed({read_pct}): incremental engine never patched: {snap}"
+            "mixed({read_pct}): the batched engine never patched: {snap}"
         );
         assert!(
             snap.full_rebuilds < snap.delta_patches,
             "mixed({read_pct}): patches must dominate rebuilds: {snap}"
         );
-        let base = rebuild.snapshot_stats();
+        let base = per_op.snapshot_stats();
         assert_eq!(
-            base.delta_patches, 0,
-            "mixed({read_pct}): rebuild-per-barrier must never patch: {base}"
+            base.delta_patches + base.full_rebuilds,
+            0,
+            "mixed({read_pct}): per-op application must never freeze: {base}"
         );
     }
 }
