@@ -114,7 +114,7 @@ impl Overlay for AsyncEngine {
         self.overlay.run_to_quiescence();
         match self.overlay.take_join_result(token) {
             Some(Ok(id)) => Ok(InsertOutcome { id }),
-            Some(Err(e)) => Err(e.into()),
+            Some(Err(e)) => Err(e),
             None => Err(VoronetError::with_context(
                 ErrorKind::OperationLost,
                 "join request lost before reaching the region owner",
@@ -159,7 +159,7 @@ impl Overlay for AsyncEngine {
     }
 
     fn snapshot(&self, id: ObjectId) -> Result<ObjectView, VoronetError> {
-        Ok(self.overlay.net().view(id)?)
+        self.overlay.net().view(id)
     }
 
     fn stats(&self) -> OverlayStats {

@@ -18,10 +18,8 @@
 //!   one);
 //! * [`OverlayBuilder`] — fluent construction: provisioned population,
 //!   seed, long-link count, `d_min` rule, network model, engine selection;
-//! * [`VoronetError`] — the unified error taxonomy (re-exported from
-//!   `voronet-core`), `From`-convertible from the legacy
-//!   [`JoinError`](voronet_core::JoinError) /
-//!   [`OverlayError`](voronet_core::OverlayError);
+//! * [`VoronetError`] — the one error taxonomy (re-exported from
+//!   `voronet-core`, whose concrete methods return it too);
 //! * [`resolve_workload`] — binds the index-named batch scripts of
 //!   `voronet-workloads` to a concrete engine.
 //!

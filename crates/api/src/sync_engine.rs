@@ -18,15 +18,16 @@
 //!
 //! # Epoch-based view maintenance
 //!
-//! The engine keeps a [`ViewGenerations`] pair (left-right/RCU style)
-//! alive across runs *and* across `apply_batch` calls instead of freezing
-//! per run.  At each read barrier the stale back generation is brought
-//! forward — delta-patched through the overlay's change log in
-//! O(affected neighbourhoods), or rebuilt when the log no longer covers
-//! it — and flipped to the front; when no write happened since the last
-//! run the front is reused for free (the epoch check is one integer
-//! compare).  Under mixed read/write traffic this keeps the ~5× frozen
-//! read path without paying an O(n) freeze at every write barrier.
+//! The engine keeps one [`FrozenView`] alive across runs *and* across
+//! `apply_batch` calls instead of freezing per run.  At each read barrier
+//! — under `&mut self`, before any worker is spawned, so no reader can
+//! see it mid-patch — the view is brought forward with
+//! [`FrozenView::refresh`]: delta-patched through the overlay's change log
+//! in O(affected neighbourhoods), or rebuilt when the log no longer covers
+//! it; when no write happened since the last run it is reused for free
+//! (the epoch check is one integer compare).  Under mixed read/write
+//! traffic this keeps the ~5× frozen read path without paying an O(n)
+//! freeze at every write barrier.
 //! Results are bit-identical to per-op execution — a patched view equals
 //! a fresh freeze, and both equal the live walk.
 
@@ -36,7 +37,7 @@ use crate::ops::{
 use crate::overlay::Overlay;
 use voronet_core::queries::{radius_query, radius_query_in, range_query, range_query_in};
 use voronet_core::snapshot::{
-    FrozenView, RouteScratch, SnapshotStats, TrafficAccumulator, ViewGenerations, ViewRefresh,
+    FrozenView, RouteScratch, SnapshotStats, TrafficAccumulator, ViewRefresh,
 };
 use voronet_core::{ObjectId, ObjectView, VoroNet, VoroNetConfig, VoronetError};
 use voronet_geom::Point2;
@@ -51,8 +52,8 @@ const FROZEN_MIN_RUN: usize = 32;
 /// frozen route saves a few µs over the sequential path — so the *first*
 /// freeze only pays for itself once enough reads have been seen relative
 /// to the overlay.  `population / 16` sits about 2× above the measured
-/// break-even on a 10k-node overlay.  Once the generations exist, keeping
-/// them current is O(affected neighbourhoods) per barrier, so every later
+/// break-even on a 10k-node overlay.  Once the view exists, keeping
+/// it current is O(affected neighbourhoods) per barrier, so every later
 /// read run uses them regardless of its length.
 fn frozen_run_threshold(population: usize) -> usize {
     FROZEN_MIN_RUN.max(population / 16)
@@ -73,10 +74,10 @@ pub struct SyncEngine {
     routes: RouteStats,
     scratch: RouteScratch,
     threads: usize,
-    /// Frozen view generations, created lazily at the first read run that
+    /// The frozen view, created lazily at the first read run that
     /// justifies a freeze and retained across batches from then on.
-    views: Option<ViewGenerations>,
-    /// Read-only ops seen so far while `views` is still unset — lets many
+    view: Option<FrozenView>,
+    /// Read-only ops seen so far while `view` is still unset — lets many
     /// short read runs (the mixed-workload shape) eventually justify the
     /// first freeze even though no single run crosses the threshold.
     reads_seen: usize,
@@ -102,7 +103,7 @@ impl SyncEngine {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            views: None,
+            view: None,
             reads_seen: 0,
             accs: Vec::new(),
         }
@@ -154,23 +155,23 @@ impl SyncEngine {
         match *op {
             Op::Route { from, target } => match view.route_to_point_in(from, target, scratch) {
                 Ok((owner, hops)) => OpResult::Routed(RouteOutcome { owner, hops }),
-                Err(e) => OpResult::Failed(e.into()),
+                Err(e) => OpResult::Failed(e),
             },
             Op::RouteBetween { from, to } => match view.route_between_in(from, to, scratch) {
                 Ok((owner, hops)) => OpResult::Routed(RouteOutcome { owner, hops }),
-                Err(e) => OpResult::Failed(e.into()),
+                Err(e) => OpResult::Failed(e),
             },
             Op::Range { from, query } => match range_query_in(net, from, query, scratch) {
                 Ok(r) => OpResult::Queried(r.into()),
-                Err(e) => OpResult::Failed(e.into()),
+                Err(e) => OpResult::Failed(e),
             },
             Op::Radius { from, query } => match radius_query_in(net, from, query, scratch) {
                 Ok(r) => OpResult::Queried(r.into()),
-                Err(e) => OpResult::Failed(e.into()),
+                Err(e) => OpResult::Failed(e),
             },
             Op::Snapshot { id } => match net.view(id) {
                 Ok(v) => OpResult::Snapshotted(Box::new(v)),
-                Err(e) => OpResult::Failed(e.into()),
+                Err(e) => OpResult::Failed(e),
             },
             Op::Insert { .. } | Op::Remove { .. } | Op::Service(_) => {
                 unreachable!("read runs contain only read-only ops")
@@ -178,28 +179,24 @@ impl SyncEngine {
         }
     }
 
-    /// Executes one maximal read-only run over the current front
-    /// [`FrozenView`] generation (created on first use, then kept current
-    /// by epoch-keyed advance), fanning large runs across the configured
+    /// Executes one maximal read-only run over the retained
+    /// [`FrozenView`] (created on first use, then kept current by
+    /// epoch-keyed refresh), fanning large runs across the configured
     /// worker threads, and appends the per-op results (in op order) to
     /// `results`.
     fn apply_read_run(&mut self, run: &[Op], results: &mut Vec<OpResult>) {
-        // Bring a generation up to the overlay's epoch and flip: free
-        // when no write happened since the last run, O(affected
-        // neighbourhoods) otherwise.
-        let refresh = match &mut self.views {
-            Some(views) => views.advance(&self.net),
+        // Bring the view up to the overlay's epoch: free when no write
+        // happened since the last run, O(affected neighbourhoods)
+        // otherwise.
+        let refresh = match &mut self.view {
+            Some(view) => view.refresh(&self.net),
             None => {
-                self.views = Some(ViewGenerations::new(&self.net));
+                self.view = Some(self.net.freeze());
                 ViewRefresh::Rebuilt
             }
         };
         self.net.record_view_refresh(&refresh);
-        let view = self
-            .views
-            .as_ref()
-            .expect("views initialised above")
-            .front();
+        let view = self.view.as_ref().expect("view initialised above");
         let start = results.len();
         let workers = if run.len() >= FROZEN_MIN_RUN {
             self.threads.min(run.len()).max(1)
@@ -297,9 +294,10 @@ impl Overlay for SyncEngine {
     }
 
     fn route(&mut self, from: ObjectId, target: Point2) -> Result<RouteOutcome, VoronetError> {
-        let (owner, hops) = self
-            .net
-            .route_to_point_into(from, target, &mut self.scratch.path)?;
+        let routed = self.net.route_to_point_in(from, target, &mut self.scratch);
+        self.net.apply_traffic(&self.scratch.delta);
+        self.scratch.delta.clear();
+        let (owner, hops) = routed?;
         self.routes.record(hops);
         Ok(RouteOutcome { owner, hops })
     }
@@ -313,7 +311,7 @@ impl Overlay for SyncEngine {
     }
 
     fn snapshot(&self, id: ObjectId) -> Result<ObjectView, VoronetError> {
-        Ok(self.net.view(id)?)
+        self.net.view(id)
     }
 
     fn stats(&self) -> OverlayStats {
@@ -335,9 +333,9 @@ impl Overlay for SyncEngine {
 
     /// Batched submission with the parallel read path: maximal read-only
     /// runs between write barriers execute over the retained
-    /// [`FrozenView`] generations (epoch-keyed, delta-patched at each
-    /// barrier), large runs fanned across the configured worker threads;
-    /// write ops apply sequentially.  The first freeze happens once the
+    /// [`FrozenView`] (epoch-keyed, delta-patched at each barrier), large
+    /// runs fanned across the configured worker threads; write ops apply
+    /// sequentially.  The first freeze happens once the
     /// cumulative read volume justifies it; from then on every read run —
     /// however short — uses the frozen path, since keeping a view current
     /// costs O(affected neighbourhoods), not O(n).  Results and traffic
@@ -354,7 +352,7 @@ impl Overlay for SyncEngine {
                 }
                 let run = &ops[i..j];
                 self.reads_seen = self.reads_seen.saturating_add(run.len());
-                if self.views.is_some() || self.reads_seen >= frozen_run_threshold(self.net.len()) {
+                if self.view.is_some() || self.reads_seen >= frozen_run_threshold(self.net.len()) {
                     self.apply_read_run(run, &mut results);
                 } else {
                     for op in run {

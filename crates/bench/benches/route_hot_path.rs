@@ -1,7 +1,8 @@
 //! The routing hot path over a pre-built 10,000-node overlay: greedy
-//! (`route_to_point_into`, the allocation-free caller-buffer form) and
-//! Algorithm 5 (`algorithm5_route`), measuring pure per-route cost with no
-//! overlay construction in the timed region.
+//! (`route_to_point_in` over a reused scratch plus `apply_traffic`, the
+//! allocation-free counted form) and Algorithm 5 (`algorithm5_route`),
+//! measuring pure per-route cost with no overlay construction in the timed
+//! region.
 //!
 //! Besides the Criterion console output, the bench records its measurements
 //! to `BENCH_routes.json` at the workspace root so successive runs can be
@@ -13,7 +14,8 @@ use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
 use std::time::Instant;
 use voronet_core::experiments::build_overlay;
-use voronet_core::{algorithm5_route, ObjectId, VoroNet, VoroNetConfig};
+use voronet_core::{algorithm5_route, ObjectId, RouteScratch, VoroNet, VoroNetConfig};
+use voronet_geom::Point2;
 use voronet_workloads::Distribution;
 
 const OVERLAY_SIZE: usize = 10_000;
@@ -37,26 +39,39 @@ fn sample_pairs(ids: &[ObjectId], n: usize, seed: u64) -> Vec<(ObjectId, ObjectI
     pairs
 }
 
+/// One counted greedy route over a reused scratch: the `&self` walk, then
+/// its message accounting applied to the overlay's counters.
+fn counted_route(
+    net: &mut VoroNet,
+    from: ObjectId,
+    target: Point2,
+    scratch: &mut RouteScratch,
+) -> (ObjectId, u32) {
+    let routed = net
+        .route_to_point_in(from, target, scratch)
+        .expect("route between live objects");
+    net.apply_traffic(&scratch.delta);
+    scratch.delta.clear();
+    routed
+}
+
 fn route_hot_path(c: &mut Criterion) {
     let (mut net, ids) = build();
     let pairs = sample_pairs(&ids, PAIRS, 42);
     let mut group = c.benchmark_group("route_hot_path");
     group.sample_size(10);
 
-    // Greedy walk through the caller-buffer path: after the first route the
-    // buffer has warmed up and every hop is a borrowed-view scan — no heap
+    // Greedy walk through the caller-scratch path: after the first route the
+    // buffers have warmed up and every hop is a borrowed-view scan — no heap
     // allocation in the loop.
-    let mut path: Vec<ObjectId> = Vec::with_capacity(64);
+    let mut scratch = RouteScratch::new();
     group.bench_function(BenchmarkId::new("greedy_into", OVERLAY_SIZE), |b| {
         let mut i = 0usize;
         b.iter(|| {
             let (a, t) = pairs[i % pairs.len()];
             i += 1;
             let target = net.coords(t).expect("pair endpoints are live");
-            black_box(
-                net.route_to_point_into(a, target, &mut path)
-                    .expect("route between live objects"),
-            )
+            black_box(counted_route(&mut net, a, target, &mut scratch))
         });
     });
 
@@ -88,12 +103,11 @@ fn quantile(samples: &mut [u64], q: f64) -> u64 {
 /// section of `BENCH_routes.json` (other benches own the other sections)
 /// so routing regressions are diffable without parsing console output.
 fn record_json(net: &mut VoroNet, pairs: &[(ObjectId, ObjectId)]) {
-    let mut path: Vec<ObjectId> = Vec::with_capacity(64);
+    let mut scratch = RouteScratch::new();
     // Warm-up (buffers + branch predictors), then measure.
     for &(a, t) in pairs {
         let target = net.coords(t).expect("live");
-        net.route_to_point_into(a, target, &mut path)
-            .expect("route");
+        counted_route(net, a, target, &mut scratch);
     }
 
     let mut greedy_ns_samples = Vec::with_capacity(pairs.len());
@@ -101,9 +115,7 @@ fn record_json(net: &mut VoroNet, pairs: &[(ObjectId, ObjectId)]) {
     for &(a, t) in pairs {
         let target = net.coords(t).expect("live");
         let start = Instant::now();
-        let (_, hops) = net
-            .route_to_point_into(a, target, &mut path)
-            .expect("route");
+        let (_, hops) = counted_route(net, a, target, &mut scratch);
         greedy_ns_samples.push(start.elapsed().as_nanos() as u64);
         greedy_hop_samples.push(hops as u64);
     }

@@ -15,8 +15,9 @@
 //! object count — a gossip-based estimator would plug in at the same place
 //! and only changes *when* adaptation triggers, not what it does.
 
+use crate::error::VoronetError;
 use crate::object::ObjectId;
-use crate::overlay::{OverlayError, VoroNet};
+use crate::overlay::VoroNet;
 
 /// Which objects refresh their long-range links after `N_max` grows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,7 +92,7 @@ pub fn needs_adaptation(net: &VoroNet, policy: &AdaptationPolicy) -> bool {
 pub fn adapt_nmax(
     net: &mut VoroNet,
     policy: &AdaptationPolicy,
-) -> Result<Option<AdaptationReport>, OverlayError> {
+) -> Result<Option<AdaptationReport>, VoronetError> {
     if !needs_adaptation(net, policy) {
         return Ok(None);
     }

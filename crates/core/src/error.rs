@@ -1,18 +1,13 @@
 //! The unified error taxonomy of the overlay API.
 //!
-//! Historically each operation family had its own error type:
-//! [`JoinError`] for insertions, [`OverlayError`] for everything that
-//! references an existing object, and `String` for invariant checks.  The
-//! backend-agnostic `Overlay` trait (crate `voronet-api`) needs one taxonomy
-//! covering every engine (including failure modes only the message-driven
-//! runtime has, such as an operation lost to the network), so this module
-//! defines [`VoronetError`] — a machine-matchable [`ErrorKind`] plus an
-//! optional human-readable context string — and `From` conversions from the
-//! legacy types, which remain in place so existing call sites keep
-//! compiling.
+//! Every fallible operation of the overlay — the concrete [`crate::VoroNet`]
+//! methods and the backend-agnostic `Overlay` trait (crate `voronet-api`)
+//! alike — returns one taxonomy covering every engine (including failure
+//! modes only the message-driven runtime has, such as an operation lost to
+//! the network): [`VoronetError`], a machine-matchable [`ErrorKind`] plus
+//! an optional human-readable context string.
 
 use crate::object::ObjectId;
-use crate::overlay::{JoinError, OverlayError};
 
 /// Machine-matchable classification of an overlay failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,10 +45,6 @@ pub enum ErrorKind {
 
 /// The single error type of the overlay API: what went wrong
 /// ([`ErrorKind`]) plus optional free-form context for diagnostics.
-///
-/// Constructed either directly or via `From` conversions from the legacy
-/// per-family error types ([`JoinError`], [`OverlayError`]), which both map
-/// losslessly onto [`ErrorKind`] variants.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VoronetError {
     kind: ErrorKind,
@@ -75,6 +66,11 @@ impl VoronetError {
             kind,
             context: Some(context.into()),
         }
+    }
+
+    /// An [`ErrorKind::UnknownObject`] naming `id`.
+    pub(crate) fn unknown(id: ObjectId) -> Self {
+        VoronetError::new(ErrorKind::UnknownObject(id))
     }
 
     /// An [`ErrorKind::InvariantViolation`] carrying its diagnostic.
@@ -140,44 +136,9 @@ impl std::fmt::Display for VoronetError {
 
 impl std::error::Error for VoronetError {}
 
-impl From<OverlayError> for VoronetError {
-    fn from(e: OverlayError) -> Self {
-        match e {
-            OverlayError::UnknownObject(o) => VoronetError::new(ErrorKind::UnknownObject(o)),
-        }
-    }
-}
-
-impl From<JoinError> for VoronetError {
-    fn from(e: JoinError) -> Self {
-        match e {
-            JoinError::DuplicatePosition(o) => VoronetError::new(ErrorKind::DuplicatePosition(o)),
-            JoinError::OutsideDomain => VoronetError::new(ErrorKind::OutsideDomain),
-            JoinError::NotFinite => VoronetError::new(ErrorKind::NotFinite),
-            JoinError::UnknownBootstrap(o) => VoronetError::new(ErrorKind::UnknownBootstrap(o)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn legacy_errors_convert_losslessly() {
-        let e: VoronetError = OverlayError::UnknownObject(ObjectId(4)).into();
-        assert_eq!(e.kind(), &ErrorKind::UnknownObject(ObjectId(4)));
-        assert!(e.context().is_none());
-
-        let e: VoronetError = JoinError::DuplicatePosition(ObjectId(7)).into();
-        assert_eq!(e.kind(), &ErrorKind::DuplicatePosition(ObjectId(7)));
-        let e: VoronetError = JoinError::OutsideDomain.into();
-        assert_eq!(e.kind(), &ErrorKind::OutsideDomain);
-        let e: VoronetError = JoinError::NotFinite.into();
-        assert_eq!(e.kind(), &ErrorKind::NotFinite);
-        let e: VoronetError = JoinError::UnknownBootstrap(ObjectId(9)).into();
-        assert_eq!(e.kind(), &ErrorKind::UnknownBootstrap(ObjectId(9)));
-    }
 
     #[test]
     fn display_includes_context() {
@@ -197,20 +158,5 @@ mod tests {
         assert!(e.to_string().contains("host 3 dead"));
         let e = VoronetError::new(ErrorKind::Degraded);
         assert!(e.to_string().contains("degraded"));
-    }
-
-    #[test]
-    fn question_mark_conversion_compiles() {
-        fn inner(fail: bool) -> Result<(), VoronetError> {
-            if fail {
-                Err(OverlayError::UnknownObject(ObjectId(1)))?;
-            }
-            Ok(())
-        }
-        assert!(inner(false).is_ok());
-        assert!(matches!(
-            inner(true).unwrap_err().kind(),
-            ErrorKind::UnknownObject(_)
-        ));
     }
 }

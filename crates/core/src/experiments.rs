@@ -13,6 +13,7 @@
 //!   number of long-range links per object.
 
 use crate::config::VoroNetConfig;
+use crate::error::ErrorKind;
 use crate::object::ObjectId;
 use crate::overlay::VoroNet;
 use voronet_stats::{IntHistogram, Series};
@@ -83,7 +84,7 @@ pub fn build_overlay(
         let p = generator.next_point();
         match net.insert(p) {
             Ok(report) => ids.push(report.id),
-            Err(crate::overlay::JoinError::DuplicatePosition(_)) => continue,
+            Err(e) if matches!(e.kind(), ErrorKind::DuplicatePosition(_)) => continue,
             Err(e) => panic!("unexpected join failure while building workload: {e}"),
         }
     }
@@ -129,7 +130,7 @@ pub fn route_length_growth(dist: Distribution, exp: GrowthExperiment) -> Series 
         let p = generator.next_point();
         match net.insert(p) {
             Ok(report) => ids.push(report.id),
-            Err(crate::overlay::JoinError::DuplicatePosition(_)) => continue,
+            Err(e) if matches!(e.kind(), ErrorKind::DuplicatePosition(_)) => continue,
             Err(e) => panic!("unexpected join failure: {e}"),
         }
         if ids.len() % exp.step == 0 && ids.len() >= 2 {

@@ -49,9 +49,7 @@ pub use config::{DminRule, VoroNetConfig};
 pub use dynamic::{adapt_nmax, AdaptationPolicy, AdaptationReport, RefreshStrategy};
 pub use error::{ErrorKind, VoronetError};
 pub use object::{BackLink, LinkIndex, LongLink, ObjectId, ObjectView, ViewRef};
-pub use overlay::{
-    InvariantAudit, JoinError, JoinReport, LeaveReport, OverlayError, RouteReport, VoroNet,
-};
+pub use overlay::{InvariantAudit, JoinReport, LeaveReport, RouteReport, VoroNet};
 pub use protocol::{algorithm5_route, Algorithm5Report, StopReason};
 pub use queries::{
     radius_query, radius_query_in, range_query, range_query_in, segment_query, AreaQueryReport,
@@ -62,6 +60,5 @@ pub use runtime::{
     ScenarioReport, WireTap, UNTRACKED,
 };
 pub use snapshot::{
-    FrozenView, RouteScratch, SnapshotStats, TrafficAccumulator, TrafficDelta, ViewGenerations,
-    ViewRefresh,
+    FrozenView, RouteScratch, SnapshotStats, TrafficAccumulator, TrafficDelta, ViewRefresh,
 };

@@ -28,7 +28,7 @@
 
 use crate::arena::{NodeArena, NodeIndex, NodeSlot};
 use crate::config::VoroNetConfig;
-use crate::error::VoronetError;
+use crate::error::{ErrorKind, VoronetError};
 use crate::object::{BackLink, LinkIndex, LongLink, ObjectId, ObjectView, ViewRef};
 use crate::snapshot::{
     ChangeLog, ChangeRecord, FrozenView, RouteScratch, SnapshotStats, TrafficAccumulator,
@@ -36,53 +36,9 @@ use crate::snapshot::{
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use voronet_geom::{InsertError, Point2, Triangulation, VertexId};
+use voronet_geom::{greedy_next, InsertError, Point2, Triangulation, VertexId};
 use voronet_sim::{MessageKind, RouteStats, TrafficStats};
 use voronet_stats::IntHistogram;
-
-/// Error returned by [`VoroNet::insert`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinError {
-    /// An object already occupies exactly this position.
-    DuplicatePosition(ObjectId),
-    /// The position lies outside the overlay's attribute domain.
-    OutsideDomain,
-    /// The position has a non-finite coordinate.
-    NotFinite,
-    /// The named bootstrap object does not exist.
-    UnknownBootstrap(ObjectId),
-}
-
-/// Error returned by operations that reference existing objects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OverlayError {
-    /// The object id is not (or no longer) part of the overlay.
-    UnknownObject(ObjectId),
-}
-
-impl std::fmt::Display for JoinError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            JoinError::DuplicatePosition(o) => {
-                write!(f, "an object ({o}) already occupies this position")
-            }
-            JoinError::OutsideDomain => write!(f, "position outside the attribute domain"),
-            JoinError::NotFinite => write!(f, "position has a non-finite coordinate"),
-            JoinError::UnknownBootstrap(o) => write!(f, "bootstrap object {o} is unknown"),
-        }
-    }
-}
-
-impl std::fmt::Display for OverlayError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            OverlayError::UnknownObject(o) => write!(f, "object {o} is not in the overlay"),
-        }
-    }
-}
-
-impl std::error::Error for JoinError {}
-impl std::error::Error for OverlayError {}
 
 /// Outcome of a greedy route (Section 3.2 / Algorithm 5).
 #[derive(Debug, Clone, PartialEq)]
@@ -130,9 +86,6 @@ pub struct VoroNet {
     next_id: u64,
     rng: StdRng,
     traffic: TrafficStats,
-    /// Reusable delta buffer backing the `&mut self` routing wrappers, so
-    /// they stay allocation-free after warm-up.
-    wrap_delta: TrafficDelta,
     /// Snapshot epoch: bumped once per topology mutation (insert, remove,
     /// long-link refresh, close-neighbour prune).
     epoch: u64,
@@ -155,7 +108,6 @@ impl VoroNet {
             next_id: 0,
             rng: StdRng::seed_from_u64(config.seed),
             traffic: TrafficStats::new(),
-            wrap_delta: TrafficDelta::new(),
             epoch: 0,
             changes: ChangeLog::default(),
             snap_stats: SnapshotStats::default(),
@@ -284,14 +236,14 @@ impl VoroNet {
         self.object_of_vertex(v)
     }
 
-    fn state(&self, id: ObjectId) -> Result<&NodeSlot, OverlayError> {
-        self.arena.get(id).ok_or(OverlayError::UnknownObject(id))
+    fn state(&self, id: ObjectId) -> Result<&NodeSlot, VoronetError> {
+        self.arena.get(id).ok_or_else(|| VoronetError::unknown(id))
     }
 
-    fn state_mut(&mut self, id: ObjectId) -> Result<&mut NodeSlot, OverlayError> {
+    fn state_mut(&mut self, id: ObjectId) -> Result<&mut NodeSlot, VoronetError> {
         self.arena
             .get_mut(id)
-            .ok_or(OverlayError::UnknownObject(id))
+            .ok_or_else(|| VoronetError::unknown(id))
     }
 
     /// Collects the Voronoi neighbours `vn(o)` into `out` (cleared first) —
@@ -300,7 +252,7 @@ impl VoroNet {
         &self,
         id: ObjectId,
         out: &mut Vec<ObjectId>,
-    ) -> Result<(), OverlayError> {
+    ) -> Result<(), VoronetError> {
         let vr = self.view_ref(id)?;
         out.clear();
         out.extend(vr.voronoi_neighbours());
@@ -308,28 +260,28 @@ impl VoroNet {
     }
 
     /// Voronoi neighbours `vn(o)`.
-    pub fn voronoi_neighbours(&self, id: ObjectId) -> Result<Vec<ObjectId>, OverlayError> {
+    pub fn voronoi_neighbours(&self, id: ObjectId) -> Result<Vec<ObjectId>, VoronetError> {
         Ok(self.view_ref(id)?.voronoi_neighbours().collect())
     }
 
     /// Close neighbours `cn(o)` (objects within `d_min`).
-    pub fn close_neighbours(&self, id: ObjectId) -> Result<Vec<ObjectId>, OverlayError> {
+    pub fn close_neighbours(&self, id: ObjectId) -> Result<Vec<ObjectId>, VoronetError> {
         Ok(self.state(id)?.close.iter().copied().collect())
     }
 
     /// Long-range links of an object, borrowed from its arena slot.
-    pub fn long_links(&self, id: ObjectId) -> Result<&[LongLink], OverlayError> {
+    pub fn long_links(&self, id: ObjectId) -> Result<&[LongLink], VoronetError> {
         Ok(&self.state(id)?.long)
     }
 
     /// Back-long-range pointers of an object, borrowed from its arena slot.
-    pub fn back_links(&self, id: ObjectId) -> Result<&[BackLink], OverlayError> {
+    pub fn back_links(&self, id: ObjectId) -> Result<&[BackLink], VoronetError> {
         Ok(&self.state(id)?.back_long)
     }
 
     /// Borrowed, zero-copy view of an object's state (Section 3.1) — the
     /// form every routing path consumes.
-    pub fn view_ref(&self, id: ObjectId) -> Result<ViewRef<'_>, OverlayError> {
+    pub fn view_ref(&self, id: ObjectId) -> Result<ViewRef<'_>, VoronetError> {
         let st = self.state(id)?;
         Ok(ViewRef {
             id,
@@ -346,7 +298,7 @@ impl VoroNet {
     /// The complete view an object maintains (Section 3.1), materialised as
     /// an owned [`ObjectView`].  Use [`VoroNet::view_ref`] unless the view
     /// crosses a serialization or runtime-message boundary.
-    pub fn view(&self, id: ObjectId) -> Result<ObjectView, OverlayError> {
+    pub fn view(&self, id: ObjectId) -> Result<ObjectView, VoronetError> {
         Ok(self.view_ref(id)?.to_view())
     }
 
@@ -384,71 +336,68 @@ impl VoroNet {
     // Greedy routing
     // ------------------------------------------------------------------
 
-    /// The greedy walk itself (Section 3.2), side-effect-free on `&self`:
-    /// forward to the neighbour closest to the target until no neighbour
-    /// improves, which happens exactly at the owner of the target's region.
-    /// The traversal goes to `path` (cleared first) and the per-hop
-    /// `RouteForward` accounting is appended to `delta` instead of being
-    /// applied; every `route_*` entry point funnels through here.
-    fn greedy_walk(
+    /// The greedy walk itself (Section 3.2), on `&self`: forward to the
+    /// neighbour closest to the target until no neighbour improves, which
+    /// happens exactly at the owner of the target's region.  Every
+    /// `route_*` entry point funnels through here.
+    ///
+    /// The walk computes into the caller's [`RouteScratch`] (`scratch.path`
+    /// cleared and refilled, the per-hop `RouteForward` accounting
+    /// *appended* to `scratch.delta`) and touches no overlay state, so any
+    /// number of routes can run concurrently over one shared overlay.
+    /// Apply the accumulated delta afterwards with
+    /// [`VoroNet::apply_traffic`] to get counters bit-identical to the
+    /// `&mut self` forms.  Allocation-free on warmed-up buffers.
+    ///
+    /// Each hop is two [`greedy_next`] scans carrying one incumbent:
+    /// Voronoi neighbours first, distances straight off the
+    /// triangulation's point array and only the winning vertex mapped to
+    /// its object through the vertex table (array reads only, no id
+    /// hashing for the common, pure-Delaunay hop), then close neighbours
+    /// and long links through id-keyed arena lookups.
+    pub fn route_to_point_in(
         &self,
         from: ObjectId,
         target: Point2,
-        path: &mut Vec<ObjectId>,
-        delta: &mut TrafficDelta,
-    ) -> Result<(ObjectId, u32), OverlayError> {
+        scratch: &mut RouteScratch,
+    ) -> Result<(ObjectId, u32), VoronetError> {
+        let RouteScratch { path, delta, .. } = scratch;
         path.clear();
         let mut cur_d = self.state(from)?.coords.distance2(target);
         let mut cur = from;
         path.push(cur);
         let mut hops = 0u32;
         loop {
-            let (best, best_d) = {
-                let vr = self.view_ref(cur).expect("current hop is live");
-                let mut best = cur;
-                let mut best_d = cur_d;
-                // Voronoi neighbours: distances straight off the
-                // triangulation's point array, the winning vertex mapped to
-                // its object through the vertex table — array reads only, no
-                // id hashing for the common (pure Delaunay) hop.
-                let mut best_vertex = None;
-                for v in self.tri.real_neighbors_iter(vr.vertex) {
-                    let d = self.tri.point(v).distance2(target);
-                    if d < best_d {
-                        best_vertex = Some(v);
-                        best_d = d;
-                    }
-                }
-                if let Some(v) = best_vertex {
-                    best = self
-                        .object_of_vertex(v)
-                        .expect("real vertices always map to live objects");
-                }
-                // Close neighbours and long links: id-keyed arena lookups.
-                for n in vr
-                    .close
-                    .iter()
-                    .copied()
-                    .chain(vr.long.iter().map(|l| l.neighbour))
-                {
-                    if n == cur {
-                        continue;
-                    }
-                    let d = self
-                        .arena
-                        .get(n)
-                        .expect("routing neighbours are live")
-                        .coords
-                        .distance2(target);
-                    if d < best_d {
-                        best = n;
-                        best_d = d;
-                    }
-                }
-                (best, best_d)
-            };
+            let slot = self.arena.get(cur).expect("current hop is live");
+            let (fan_best, fan_d) = greedy_next(
+                target,
+                (None, cur_d),
+                self.tri
+                    .real_neighbors_iter(slot.vertex)
+                    .map(|v| (Some(v), self.tri.point(v))),
+            );
+            let fan_best = fan_best.map_or(cur, |v| {
+                self.object_of_vertex(v)
+                    .expect("real vertices always map to live objects")
+            });
+            // A long link may point at its own object; skipping it saves
+            // the arena lookup, the rule would reject it anyway.
+            let links = slot
+                .close
+                .iter()
+                .copied()
+                .chain(slot.long.iter().map(|l| l.neighbour))
+                .filter(|&n| n != cur);
+            let (best, best_d) = greedy_next(
+                target,
+                (fan_best, fan_d),
+                links.map(|n| {
+                    let peer = self.arena.get(n).expect("routing neighbours are live");
+                    (n, peer.coords)
+                }),
+            );
             if best == cur {
-                break;
+                return Ok((cur, hops));
             }
             delta.push(cur, MessageKind::RouteForward);
             cur = best;
@@ -456,24 +405,6 @@ impl VoroNet {
             hops += 1;
             path.push(cur);
         }
-        Ok((cur, hops))
-    }
-
-    /// Greedy routing on `&self`: the walk computes into the caller's
-    /// [`RouteScratch`] (`scratch.path` cleared and refilled, the message
-    /// accounting *appended* to `scratch.delta`) and touches no overlay
-    /// state, so any number of routes can run concurrently over one shared
-    /// overlay.  Apply the accumulated delta afterwards with
-    /// [`VoroNet::apply_traffic`] to get counters bit-identical to the
-    /// `&mut self` forms.  Allocation-free on warmed-up buffers.
-    pub fn route_to_point_in(
-        &self,
-        from: ObjectId,
-        target: Point2,
-        scratch: &mut RouteScratch,
-    ) -> Result<(ObjectId, u32), OverlayError> {
-        let RouteScratch { path, delta, .. } = scratch;
-        self.greedy_walk(from, target, path, delta)
     }
 
     /// Greedy route between two existing objects on `&self`; see
@@ -483,27 +414,13 @@ impl VoroNet {
         from: ObjectId,
         to: ObjectId,
         scratch: &mut RouteScratch,
-    ) -> Result<(ObjectId, u32), OverlayError> {
-        let target = self.coords(to).ok_or(OverlayError::UnknownObject(to))?;
+    ) -> Result<(ObjectId, u32), VoronetError> {
+        let target = self.state(to)?.coords;
         let (owner, hops) = self.route_to_point_in(from, target, scratch)?;
         debug_assert_eq!(
             owner, to,
             "a route towards an existing object must terminate at that object"
         );
-        Ok((owner, hops))
-    }
-
-    /// Point query on `&self` (Algorithm 4, `HandlingQuery`): routes to the
-    /// owner and records the extra answer message in the scratch delta; see
-    /// [`VoroNet::route_to_point_in`].
-    pub fn handle_query_in(
-        &self,
-        from: ObjectId,
-        query: Point2,
-        scratch: &mut RouteScratch,
-    ) -> Result<(ObjectId, u32), OverlayError> {
-        let (owner, hops) = self.route_to_point_in(from, query, scratch)?;
-        scratch.delta.push(owner, MessageKind::QueryAnswer);
         Ok((owner, hops))
     }
 
@@ -565,40 +482,38 @@ impl VoroNet {
         self.snap_stats.absorb(refresh);
     }
 
-    /// Greedy routing from `from` towards an arbitrary target point
-    /// (Section 3.2) with a caller-provided path buffer: `path` is cleared
-    /// and filled with the traversal (source first, owner last), the
-    /// traffic is accounted inline.  On a warmed-up buffer the whole walk
-    /// performs **no heap allocation** (the property benchmarked by
-    /// `route_hot_path` and asserted by the counting-allocator test).
-    /// Returns `(owner, hops)`.
-    pub fn route_to_point_into(
+    /// The walk with its traffic accounted inline, for the `&mut self`
+    /// entry points: `scratch.delta` must be empty on entry and is empty
+    /// again on return, `scratch.path` holds the traversal.
+    fn route_counted(
         &mut self,
         from: ObjectId,
         target: Point2,
-        path: &mut Vec<ObjectId>,
-    ) -> Result<(ObjectId, u32), OverlayError> {
-        let mut delta = std::mem::take(&mut self.wrap_delta);
-        debug_assert!(delta.is_empty());
-        let result = self.greedy_walk(from, target, path, &mut delta);
-        self.apply_traffic(&delta);
-        delta.clear();
-        self.wrap_delta = delta;
-        result
+        scratch: &mut RouteScratch,
+    ) -> Result<(ObjectId, u32), VoronetError> {
+        debug_assert!(scratch.delta.is_empty());
+        let routed = self.route_to_point_in(from, target, scratch);
+        self.apply_traffic(&scratch.delta);
+        scratch.delta.clear();
+        routed
     }
 
     /// Greedy routing from `from` towards an arbitrary target point
-    /// (Section 3.2), allocating a fresh path.  Hot paths that route
-    /// repeatedly should prefer [`VoroNet::route_to_point_into`] (or the
-    /// `&self` [`VoroNet::route_to_point_in`]).
+    /// (Section 3.2), counted in [`VoroNet::traffic`] and reporting the
+    /// traversal.  Hot paths that route repeatedly should prefer the
+    /// `&self` [`VoroNet::route_to_point_in`] over a reused scratch.
     pub fn route_to_point(
         &mut self,
         from: ObjectId,
         target: Point2,
-    ) -> Result<RouteReport, OverlayError> {
-        let mut path = Vec::new();
-        let (owner, hops) = self.route_to_point_into(from, target, &mut path)?;
-        Ok(RouteReport { owner, hops, path })
+    ) -> Result<RouteReport, VoronetError> {
+        let mut scratch = RouteScratch::new();
+        let (owner, hops) = self.route_counted(from, target, &mut scratch)?;
+        Ok(RouteReport {
+            owner,
+            hops,
+            path: scratch.path,
+        })
     }
 
     /// Greedy route between two existing objects; the metric of Figures 6–8.
@@ -606,8 +521,8 @@ impl VoroNet {
         &mut self,
         from: ObjectId,
         to: ObjectId,
-    ) -> Result<RouteReport, OverlayError> {
-        let target = self.coords(to).ok_or(OverlayError::UnknownObject(to))?;
+    ) -> Result<RouteReport, VoronetError> {
+        let target = self.state(to)?.coords;
         let report = self.route_to_point(from, target)?;
         debug_assert_eq!(
             report.owner, to,
@@ -623,7 +538,7 @@ impl VoroNet {
         &mut self,
         from: ObjectId,
         query: Point2,
-    ) -> Result<RouteReport, OverlayError> {
+    ) -> Result<RouteReport, VoronetError> {
         let report = self.route_to_point(from, query)?;
         self.note(report.owner, MessageKind::QueryAnswer);
         Ok(report)
@@ -665,9 +580,9 @@ impl VoroNet {
         id: ObjectId,
         link: LinkIndex,
         target: Point2,
-    ) -> Result<u32, OverlayError> {
-        let report = self.route_to_point(id, target)?;
-        let neighbour = report.owner;
+        scratch: &mut RouteScratch,
+    ) -> Result<u32, VoronetError> {
+        let (neighbour, hops) = self.route_counted(id, target, scratch)?;
         self.arena.get_mut(id).expect("caller checked id").long[link] =
             LongLink { target, neighbour };
         // Register the back pointer even when the owner is the object itself:
@@ -685,7 +600,7 @@ impl VoroNet {
         // EstablishLongLink notification + back-link registration.
         self.note(id, MessageKind::LongLink);
         self.note(neighbour, MessageKind::LongLink);
-        Ok(report.hops)
+        Ok(hops)
     }
 
     // ------------------------------------------------------------------
@@ -695,7 +610,7 @@ impl VoroNet {
     /// Inserts an object, bootstrapping the join from a uniformly chosen
     /// existing object (any object "known" by the joining node, as the paper
     /// assumes).
-    pub fn insert(&mut self, p: Point2) -> Result<JoinReport, JoinError> {
+    pub fn insert(&mut self, p: Point2) -> Result<JoinReport, VoronetError> {
         let bootstrap = self.draw_bootstrap();
         self.insert_from(p, bootstrap)
     }
@@ -720,19 +635,15 @@ impl VoroNet {
         &mut self,
         p: Point2,
         bootstrap: Option<ObjectId>,
-    ) -> Result<JoinReport, JoinError> {
-        if let Some(b) = bootstrap {
-            if !self.contains(b) {
-                return Err(JoinError::UnknownBootstrap(b));
-            }
-        }
-
+    ) -> Result<JoinReport, VoronetError> {
         // --- 1. locate the region owner by greedy routing ----------------
+        // One scratch serves this route and the long-link routes below.
+        let mut scratch = RouteScratch::new();
         let routing_hops = match bootstrap {
             Some(b) => {
-                self.route_to_point(b, p)
-                    .map_err(|_| JoinError::UnknownBootstrap(b))?
-                    .hops
+                self.route_counted(b, p, &mut scratch)
+                    .map_err(|_| VoronetError::new(ErrorKind::UnknownBootstrap(b)))?
+                    .1
             }
             None => 0,
         };
@@ -744,10 +655,12 @@ impl VoroNet {
                 let existing = self
                     .object_of_vertex(v)
                     .expect("duplicate vertex belongs to a live object");
-                return Err(JoinError::DuplicatePosition(existing));
+                return Err(VoronetError::new(ErrorKind::DuplicatePosition(existing)));
             }
-            Err(InsertError::OutsideDomain) => return Err(JoinError::OutsideDomain),
-            Err(InsertError::NotFinite) => return Err(JoinError::NotFinite),
+            Err(InsertError::OutsideDomain) => {
+                return Err(VoronetError::new(ErrorKind::OutsideDomain))
+            }
+            Err(InsertError::NotFinite) => return Err(VoronetError::new(ErrorKind::NotFinite)),
         };
         let id = ObjectId(self.next_id);
         self.next_id += 1;
@@ -861,7 +774,7 @@ impl VoroNet {
             let target = self.choose_long_link_target(p);
             self.arena.get_mut(id).expect("just inserted").long[link].target = target;
             let hops = self
-                .establish_long_link(id, link, target)
+                .establish_long_link(id, link, target, &mut scratch)
                 .expect("the just-inserted object is live");
             long_link_hops += hops;
             messages += hops as u64 + 2;
@@ -888,11 +801,11 @@ impl VoroNet {
 
     /// Removes an object from the overlay, delegating its responsibilities
     /// to its Voronoi neighbours.
-    pub fn remove(&mut self, id: ObjectId) -> Result<LeaveReport, OverlayError> {
+    pub fn remove(&mut self, id: ObjectId) -> Result<LeaveReport, VoronetError> {
         let st = self
             .arena
             .remove(id)
-            .ok_or(OverlayError::UnknownObject(id))?;
+            .ok_or_else(|| VoronetError::unknown(id))?;
         let mut messages = 0u64;
 
         // Voronoi neighbours receive the recomputed boundaries.
@@ -1042,10 +955,7 @@ impl VoroNet {
     /// current configuration (`Choose-LRT` with the current `d_min`),
     /// returning the routing hops spent.  Used when `N_max` is re-estimated
     /// (the paper's dynamic-provisioning perspective).
-    pub fn refresh_long_links(&mut self, id: ObjectId) -> Result<u32, OverlayError> {
-        if !self.contains(id) {
-            return Err(OverlayError::UnknownObject(id));
-        }
+    pub fn refresh_long_links(&mut self, id: ObjectId) -> Result<u32, VoronetError> {
         let old_links = self.state(id)?.long.clone();
         // Unregister the existing back pointers.
         for (link, l) in old_links.iter().enumerate() {
@@ -1058,10 +968,11 @@ impl VoroNet {
         }
         let origin = self.state(id)?.coords;
         let mut hops = 0;
+        let mut scratch = RouteScratch::new();
         for link in 0..old_links.len() {
             let target = self.choose_long_link_target(origin);
             self.state_mut(id)?.long[link].target = target;
-            hops += self.establish_long_link(id, link, target)?;
+            hops += self.establish_long_link(id, link, target, &mut scratch)?;
         }
         // Only `id`'s own long links (part of its adjacency row) changed;
         // the back-pointer moves at old/new targets are not row state.
@@ -1256,7 +1167,7 @@ mod tests {
             let p = Point2::new(rng.random::<f64>(), rng.random::<f64>());
             match net.insert(p) {
                 Ok(r) => ids.push(r.id),
-                Err(JoinError::DuplicatePosition(_)) => continue,
+                Err(e) if matches!(e.kind(), ErrorKind::DuplicatePosition(_)) => continue,
                 Err(e) => panic!("unexpected join error: {e}"),
             }
         }
@@ -1288,21 +1199,22 @@ mod tests {
     fn insertion_errors() {
         let mut net = VoroNet::new(VoroNetConfig::new(10));
         let a = net.insert(Point2::new(0.25, 0.25)).unwrap().id;
+        let kind = |r: Result<JoinReport, VoronetError>| r.unwrap_err().kind().clone();
         assert_eq!(
-            net.insert(Point2::new(0.25, 0.25)),
-            Err(JoinError::DuplicatePosition(a))
+            kind(net.insert(Point2::new(0.25, 0.25))),
+            ErrorKind::DuplicatePosition(a)
         );
         assert_eq!(
-            net.insert(Point2::new(2.0, 0.0)),
-            Err(JoinError::OutsideDomain)
+            kind(net.insert(Point2::new(2.0, 0.0))),
+            ErrorKind::OutsideDomain
         );
         assert_eq!(
-            net.insert(Point2::new(f64::NAN, 0.0)),
-            Err(JoinError::NotFinite)
+            kind(net.insert(Point2::new(f64::NAN, 0.0))),
+            ErrorKind::NotFinite
         );
         assert_eq!(
-            net.insert_from(Point2::new(0.1, 0.1), Some(ObjectId(999))),
-            Err(JoinError::UnknownBootstrap(ObjectId(999)))
+            kind(net.insert_from(Point2::new(0.1, 0.1), Some(ObjectId(999)))),
+            ErrorKind::UnknownBootstrap(ObjectId(999))
         );
     }
 
@@ -1392,13 +1304,16 @@ mod tests {
     fn removal_errors() {
         let mut net = VoroNet::new(VoroNetConfig::new(10));
         assert_eq!(
-            net.remove(ObjectId(3)),
-            Err(OverlayError::UnknownObject(ObjectId(3)))
+            net.remove(ObjectId(3)).unwrap_err().kind(),
+            &ErrorKind::UnknownObject(ObjectId(3))
         );
         let id = net.insert(Point2::new(0.4, 0.4)).unwrap().id;
         net.remove(id).unwrap();
         assert!(net.is_empty());
-        assert_eq!(net.remove(id), Err(OverlayError::UnknownObject(id)));
+        assert_eq!(
+            net.remove(id).unwrap_err().kind(),
+            &ErrorKind::UnknownObject(id)
+        );
     }
 
     #[test]

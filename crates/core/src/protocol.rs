@@ -23,9 +23,10 @@
 //! stop-condition behaviour, the hop counts and the lemmas themselves can be
 //! tested directly against the plain greedy walk.
 
+use crate::error::VoronetError;
 use crate::object::ObjectId;
-use crate::overlay::{OverlayError, VoroNet};
-use voronet_geom::{distance_to_region, Point2};
+use crate::overlay::VoroNet;
+use voronet_geom::{distance_to_region, greedy_descent, greedy_next, Point2};
 use voronet_sim::{EventQueue, SimTime};
 
 /// Why the Algorithm 5 forwarding loop stopped.
@@ -68,9 +69,9 @@ pub fn algorithm5_route(
     net: &VoroNet,
     start: ObjectId,
     target: Point2,
-) -> Result<Algorithm5Report, OverlayError> {
+) -> Result<Algorithm5Report, VoronetError> {
     if !net.contains(start) {
-        return Err(OverlayError::UnknownObject(start));
+        return Err(VoronetError::unknown(start));
     }
     let dmin = net.dmin();
 
@@ -109,18 +110,13 @@ pub fn algorithm5_route(
         // Greedyneighbour(Target): forward to the routing neighbour closest
         // to the target, iterating the borrowed view (no per-hop
         // allocation).
-        let mut best = cur;
-        let mut best_d = d_cur;
-        for n in net.view_ref(cur)?.routing_neighbours() {
-            if n == cur {
-                continue;
-            }
-            let d = net.coords(n).expect("neighbours are live").distance(target);
-            if d < best_d {
-                best = n;
-                best_d = d;
-            }
-        }
+        let (best, _) = greedy_next(
+            target,
+            (cur, cur_coords.distance2(target)),
+            net.view_ref(cur)?
+                .routing_neighbours()
+                .map(|n| (n, net.coords(n).expect("neighbours are live"))),
+        );
         if best == cur {
             stopped_at = cur;
             stop_reason = StopReason::LocalMinimum;
@@ -146,37 +142,28 @@ pub fn algorithm5_route(
     })
 }
 
-fn resolve_owner_locally(
+/// Delaunay-walk to the true owner from a stopping point (the purely
+/// local resolution of Algorithm 5's fictive-object insertion); returns
+/// the owner and the Delaunay steps taken.
+pub(crate) fn resolve_owner_locally(
     net: &VoroNet,
     from: ObjectId,
     target: Point2,
-) -> Result<(ObjectId, u32), OverlayError> {
-    let mut cur = from;
-    let mut cur_d = net
-        .coords(cur)
-        .ok_or(OverlayError::UnknownObject(cur))?
-        .distance2(target);
-    let mut steps = 0u32;
-    loop {
-        let mut best = cur;
-        let mut best_d = cur_d;
-        for n in net.view_ref(cur)?.voronoi_neighbours() {
-            let d = net
-                .coords(n)
-                .expect("neighbours are live")
-                .distance2(target);
-            if d < best_d {
-                best = n;
-                best_d = d;
-            }
-        }
-        if best == cur {
-            return Ok((cur, steps));
-        }
-        cur = best;
-        cur_d = best_d;
-        steps += 1;
-    }
+) -> Result<(ObjectId, u32), VoronetError> {
+    let start = net
+        .coords(from)
+        .ok_or_else(|| VoronetError::unknown(from))?;
+    Ok(greedy_descent(
+        (from, start),
+        target,
+        |cur| {
+            net.view_ref(cur)
+                .expect("the walk stays on live objects")
+                .voronoi_neighbours()
+                .map(|n| (n, net.coords(n).expect("neighbours are live")))
+        },
+        |_, _| {},
+    ))
 }
 
 /// Executable check of Lemma 4: when the forwarding loop stops because of

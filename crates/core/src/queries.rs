@@ -8,8 +8,9 @@
 //! number of extra messages is proportional to the number of cells touched,
 //! not to the overlay size.
 
+use crate::error::VoronetError;
 use crate::object::ObjectId;
-use crate::overlay::{OverlayError, VoroNet};
+use crate::overlay::VoroNet;
 use crate::snapshot::RouteScratch;
 use voronet_geom::{voronoi_cell, Point2, Rect};
 use voronet_sim::MessageKind;
@@ -40,7 +41,7 @@ pub fn range_query(
     net: &mut VoroNet,
     from: ObjectId,
     query: RangeQuery,
-) -> Result<AreaQueryReport, OverlayError> {
+) -> Result<AreaQueryReport, VoronetError> {
     let mut scratch = RouteScratch::new();
     let report = range_query_in(net, from, query, &mut scratch)?;
     net.apply_traffic(&scratch.delta);
@@ -56,7 +57,7 @@ pub fn range_query_in(
     from: ObjectId,
     query: RangeQuery,
     scratch: &mut RouteScratch,
-) -> Result<AreaQueryReport, OverlayError> {
+) -> Result<AreaQueryReport, VoronetError> {
     area_query_in(
         net,
         from,
@@ -72,7 +73,7 @@ pub fn radius_query(
     net: &mut VoroNet,
     from: ObjectId,
     query: RadiusQuery,
-) -> Result<AreaQueryReport, OverlayError> {
+) -> Result<AreaQueryReport, VoronetError> {
     let mut scratch = RouteScratch::new();
     let report = radius_query_in(net, from, query, &mut scratch)?;
     net.apply_traffic(&scratch.delta);
@@ -85,7 +86,7 @@ pub fn radius_query_in(
     from: ObjectId,
     query: RadiusQuery,
     scratch: &mut RouteScratch,
-) -> Result<AreaQueryReport, OverlayError> {
+) -> Result<AreaQueryReport, VoronetError> {
     let r2 = query.radius * query.radius;
     area_query_in(
         net,
@@ -140,7 +141,7 @@ fn area_query_in(
     matches: impl Fn(Point2, bool) -> bool,
     cell_touches_area: impl Fn(&VoroNet, ObjectId) -> bool,
     scratch: &mut RouteScratch,
-) -> Result<AreaQueryReport, OverlayError> {
+) -> Result<AreaQueryReport, VoronetError> {
     let (owner, routing_hops) = net.route_to_point_in(from, anchor, scratch)?;
     let RouteScratch {
         delta,
@@ -211,7 +212,7 @@ pub fn segment_query(
     from: ObjectId,
     a: Point2,
     b: Point2,
-) -> Result<SegmentQueryReport, OverlayError> {
+) -> Result<SegmentQueryReport, VoronetError> {
     let route = net.route_to_point(from, a)?;
     let mut visited = std::collections::BTreeSet::new();
     let mut responsible = Vec::new();

@@ -49,12 +49,13 @@
 use crate::config::VoroNetConfig;
 use crate::error::{ErrorKind, VoronetError};
 use crate::object::{ObjectId, ObjectView};
-use crate::overlay::{JoinError, VoroNet};
+use crate::overlay::VoroNet;
+use crate::protocol::resolve_owner_locally;
 use crate::queries::{radius_query, range_query, AreaQueryReport};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::{BTreeSet, HashMap};
-use voronet_geom::{distance_to_region, Point2, Rect};
+use voronet_geom::{distance_to_region, greedy_next, Point2, Rect};
 use voronet_sim::{
     Delivered, DeliveryStats, MessageKind, NetworkModel, NodeId, RouteStats, Runtime, Scenario,
     ScenarioOp, SimTime, TrafficStats,
@@ -289,7 +290,7 @@ pub struct AsyncOverlay {
     pending_area: HashMap<OpToken, AreaQueryReport>,
     /// Outcomes of tracked join requests (id on success, the join error
     /// otherwise), keyed by token.
-    join_results: HashMap<OpToken, Result<ObjectId, JoinError>>,
+    join_results: HashMap<OpToken, Result<ObjectId, VoronetError>>,
     /// Next provisional sender id for a join request (counts down from
     /// [`JOINER`]).
     next_joiner: NodeId,
@@ -418,7 +419,7 @@ impl AsyncOverlay {
         for &p in points {
             match self.net.insert(p) {
                 Ok(r) => ids.push(r.id),
-                Err(JoinError::DuplicatePosition(_)) => continue,
+                Err(e) if matches!(e.kind(), ErrorKind::DuplicatePosition(_)) => continue,
                 Err(e) => panic!("warmup insertion failed: {e}"),
             }
         }
@@ -469,12 +470,12 @@ impl AsyncOverlay {
     }
 
     /// The outcome of the tracked join request `token`: the new object's
-    /// id, the [`JoinError`] that rejected it, or `None` when the join has
+    /// id, the [`VoronetError`] that rejected it, or `None` when the join has
     /// not completed (still in flight, or lost to the network).  Unlike
     /// routes and queries, the join protocol has no answer leg — the
     /// outcome is the overlay membership itself, recorded when
     /// `AddVoronoiRegion` executes at the region owner.
-    pub fn take_join_result(&mut self, token: OpToken) -> Option<Result<ObjectId, JoinError>> {
+    pub fn take_join_result(&mut self, token: OpToken) -> Option<Result<ObjectId, VoronetError>> {
         self.join_results.remove(&token)
     }
 
@@ -483,7 +484,7 @@ impl AsyncOverlay {
     /// notifications are sent, then the object withdraws.
     pub fn request_leave(&mut self, id: ObjectId) -> Result<(), VoronetError> {
         if !self.net.contains(id) {
-            return Err(VoronetError::new(ErrorKind::UnknownObject(id)));
+            return Err(VoronetError::unknown(id));
         }
         self.depart(id);
         Ok(())
@@ -498,7 +499,7 @@ impl AsyncOverlay {
         target: Point2,
     ) -> Result<OpToken, VoronetError> {
         if !self.net.contains(from) {
-            return Err(VoronetError::new(ErrorKind::UnknownObject(from)));
+            return Err(VoronetError::unknown(from));
         }
         let token = self.next_token;
         self.next_token += 1;
@@ -522,7 +523,7 @@ impl AsyncOverlay {
         rect: Rect,
     ) -> Result<OpToken, VoronetError> {
         if !self.net.contains(from) {
-            return Err(VoronetError::new(ErrorKind::UnknownObject(from)));
+            return Err(VoronetError::unknown(from));
         }
         let token = self.next_token;
         self.next_token += 1;
@@ -539,7 +540,7 @@ impl AsyncOverlay {
         query: RadiusQuery,
     ) -> Result<OpToken, VoronetError> {
         if !self.net.contains(from) {
-            return Err(VoronetError::new(ErrorKind::UnknownObject(from)));
+            return Err(VoronetError::unknown(from));
         }
         let token = self.next_token;
         self.next_token += 1;
@@ -668,7 +669,7 @@ impl AsyncOverlay {
         }
     }
 
-    fn record_join(&mut self, token: OpToken, outcome: Result<ObjectId, JoinError>) {
+    fn record_join(&mut self, token: OpToken, outcome: Result<ObjectId, VoronetError>) {
         if token != UNTRACKED {
             self.join_results.insert(token, outcome);
         }
@@ -758,11 +759,11 @@ impl AsyncOverlay {
         let Some(state) = self.nodes.get(&cur.0) else {
             return; // Replica disappeared between delivery and handling.
         };
-        let cur_coords = state.view.coords;
-        let cur_d = cur_coords.distance2(target);
+        let cur_d = state.view.coords.distance2(target);
 
         if self.mode == RoutingMode::Algorithm5 && self.algorithm5_stop(cur, target) {
-            let owner = self.resolve_owner_locally(cur, target);
+            let (owner, _) =
+                resolve_owner_locally(&self.net, cur, target).expect("stopped at a live object");
             self.complete_route(owner, target, origin, hops, purpose);
             return;
         }
@@ -770,19 +771,7 @@ impl AsyncOverlay {
         // Greedyneighbour(Target) over the cached routing table.  The table
         // is sorted and deduplicated at refresh time, so the choice is
         // deterministic — and the scan allocates nothing.
-        let state = self.nodes.get(&cur.0).expect("checked above");
-        let mut best = cur;
-        let mut best_d = cur_d;
-        for &(nb, coords) in &state.routing {
-            if nb == cur {
-                continue;
-            }
-            let d = coords.distance2(target);
-            if d < best_d {
-                best = nb;
-                best_d = d;
-            }
-        }
+        let (best, _) = greedy_next(target, (cur, cur_d), state.routing.iter().copied());
         if best == cur {
             self.complete_route(cur, target, origin, hops, purpose);
         } else {
@@ -813,38 +802,6 @@ impl AsyncOverlay {
         }
         let z = distance_to_region(self.net.triangulation(), vertex, target);
         z.distance(target) <= d_cur / 3.0
-    }
-
-    /// Delaunay-walk to the true owner from a stopping point (the purely
-    /// local resolution of Algorithm 5's fictive-object insertion).
-    fn resolve_owner_locally(&self, from: ObjectId, target: Point2) -> ObjectId {
-        let mut cur = from;
-        let mut cur_d = self.net.coords(cur).expect("live object").distance2(target);
-        loop {
-            let mut best = cur;
-            let mut best_d = cur_d;
-            for n in self
-                .net
-                .view_ref(cur)
-                .expect("live object")
-                .voronoi_neighbours()
-            {
-                let d = self
-                    .net
-                    .coords(n)
-                    .expect("live neighbour")
-                    .distance2(target);
-                if d < best_d {
-                    best = n;
-                    best_d = d;
-                }
-            }
-            if best == cur {
-                return cur;
-            }
-            cur = best;
-            cur_d = best_d;
-        }
     }
 
     fn complete_route(
@@ -888,7 +845,7 @@ impl AsyncOverlay {
     /// traffic.
     fn complete_area_query(
         &mut self,
-        report: Result<AreaQueryReport, crate::overlay::OverlayError>,
+        report: Result<AreaQueryReport, VoronetError>,
         owner: ObjectId,
         origin: NodeId,
         hops: u32,

@@ -36,29 +36,27 @@
 //! or the touched set approaches the population.  A patched view is
 //! **bit-identical** (ids, coordinates, adjacency in live scan order) to
 //! a from-scratch [`VoroNet::freeze`] at the same epoch.
-//! [`ViewGenerations`] wraps two views in a left-right/RCU-style scheme:
-//! readers keep serving the stable front generation while the writer
-//! patches the back one, flipping at the barrier, so readers never block.
 //! Routing over a `FrozenView` takes, hop for hop, exactly the decisions
-//! of [`crate::VoroNet::route_to_point_into`] on the overlay state of the
+//! of [`crate::VoroNet::route_to_point_in`] on the overlay state of the
 //! view's epoch: the adjacency lists preserve the live scan order
-//! (Voronoi fan order, then close neighbours, then long links) and
-//! distances are compared with the same strict-`<` rule, so owners, hop
-//! counts, paths and recorded messages are bit-identical.
+//! (Voronoi fan order, then close neighbours, then long links) and both
+//! walks pick the next hop with [`voronet_geom::greedy_next`], so owners,
+//! hop counts, paths and recorded messages are bit-identical.
 
 use crate::arena::NodeSlot;
+use crate::error::VoronetError;
 use crate::object::ObjectId;
-use crate::overlay::{OverlayError, VoroNet};
+use crate::overlay::VoroNet;
 use std::collections::VecDeque;
-use voronet_geom::Point2;
+use voronet_geom::{greedy_descent, Point2};
 use voronet_sim::{MessageKind, TrafficStats};
 
 /// The protocol messages a side-effect-free read operation would have
 /// sent, in emission order.
 ///
-/// Read operations (`route_to_point_in`, `handle_query_in`, the
-/// `*_query_in` floods) append to the delta instead of touching the
-/// overlay's counters; the caller replays it afterwards with
+/// Read operations (`route_to_point_in`, the `*_query_in` floods) append
+/// to the delta instead of touching the overlay's counters; the caller
+/// replays it afterwards with
 /// [`VoroNet::apply_traffic`].  Replaying produces exactly the counters
 /// the pre-split `&mut self` operations produced inline.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -567,36 +565,24 @@ impl FrozenView {
         from: ObjectId,
         target: Point2,
         scratch: &mut RouteScratch,
-    ) -> Result<(ObjectId, u32), OverlayError> {
-        scratch.path.clear();
-        let Some(mut cur) = self.dense_of(from) else {
-            return Err(OverlayError::UnknownObject(from));
+    ) -> Result<(ObjectId, u32), VoronetError> {
+        let RouteScratch { path, delta, .. } = scratch;
+        path.clear();
+        let Some(start) = self.dense_of(from) else {
+            return Err(VoronetError::unknown(from));
         };
-        scratch.path.push(from);
-        let mut cur_d = Point2::new(self.xs[cur as usize], self.ys[cur as usize]).distance2(target);
-        let mut hops = 0u32;
-        loop {
-            let mut best = cur;
-            let mut best_d = cur_d;
-            for &nb in self.neighbours_of(cur) {
-                let d = Point2::new(self.xs[nb as usize], self.ys[nb as usize]).distance2(target);
-                if d < best_d {
-                    best = nb;
-                    best_d = d;
-                }
-            }
-            if best == cur {
-                break;
-            }
-            scratch
-                .delta
-                .push(self.ids[cur as usize], MessageKind::RouteForward);
-            cur = best;
-            cur_d = best_d;
-            hops += 1;
-            scratch.path.push(self.ids[cur as usize]);
-        }
-        Ok((self.ids[cur as usize], hops))
+        path.push(from);
+        let at = |dense: u32| Point2::new(self.xs[dense as usize], self.ys[dense as usize]);
+        let (owner, hops) = greedy_descent(
+            (start, at(start)),
+            target,
+            |cur| self.neighbours_of(cur).iter().map(|&nb| (nb, at(nb))),
+            |cur, next| {
+                delta.push(self.ids[cur as usize], MessageKind::RouteForward);
+                path.push(self.ids[next as usize]);
+            },
+        );
+        Ok((self.ids[owner as usize], hops))
     }
 
     /// Greedy route between two objects live at freeze time; see
@@ -606,8 +592,10 @@ impl FrozenView {
         from: ObjectId,
         to: ObjectId,
         scratch: &mut RouteScratch,
-    ) -> Result<(ObjectId, u32), OverlayError> {
-        let target = self.coords_of(to).ok_or(OverlayError::UnknownObject(to))?;
+    ) -> Result<(ObjectId, u32), VoronetError> {
+        let target = self
+            .coords_of(to)
+            .ok_or_else(|| VoronetError::unknown(to))?;
         let (owner, hops) = self.route_to_point_in(from, target, scratch)?;
         debug_assert_eq!(
             owner, to,
@@ -714,9 +702,8 @@ impl ChangeLog {
     }
 }
 
-/// What [`FrozenView::refresh`] (or [`ViewGenerations::advance`]) did to
-/// bring a view up to date — feed it to
-/// [`VoroNet::record_view_refresh`] so snapshot economics show up in
+/// What [`FrozenView::refresh`] did to bring a view up to date — feed it
+/// to [`VoroNet::record_view_refresh`] so snapshot economics show up in
 /// [`VoroNet::snapshot_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ViewRefresh {
@@ -779,51 +766,6 @@ impl std::fmt::Display for SnapshotStats {
             "views: {} reused, {} patched ({} rows), {} rebuilt",
             self.reused, self.delta_patches, self.patched_nodes, self.full_rebuilds
         )
-    }
-}
-
-/// Double-buffered [`FrozenView`] generations, left-right/RCU style.
-///
-/// [`ViewGenerations::front`] is the stable generation read workers serve
-/// from; [`ViewGenerations::advance`] patches the *back* generation up to
-/// the overlay's current epoch and flips, so a batch executor's readers
-/// are never handed a view that is mid-patch.  Each generation refreshes
-/// from its own (older) epoch — the change log covers both because it
-/// retains a bounded window, and a generation that has fallen out of the
-/// window simply rebuilds.
-#[derive(Debug, Clone)]
-pub struct ViewGenerations {
-    gens: [FrozenView; 2],
-    front: usize,
-}
-
-impl ViewGenerations {
-    /// Freezes the overlay once and seeds both generations from it.
-    pub fn new(net: &VoroNet) -> Self {
-        let view = FrozenView::new(net);
-        ViewGenerations {
-            gens: [view.clone(), view],
-            front: 0,
-        }
-    }
-
-    /// The stable front generation.
-    pub fn front(&self) -> &FrozenView {
-        &self.gens[self.front]
-    }
-
-    /// Brings a generation up to the overlay's current epoch and makes it
-    /// the front: a no-op when the front is already current, otherwise
-    /// the back generation is delta-patched (or rebuilt) and the buffers
-    /// flip at this barrier.
-    pub fn advance(&mut self, net: &VoroNet) -> ViewRefresh {
-        if self.gens[self.front].epoch() == net.snapshot_epoch() {
-            return ViewRefresh::Current;
-        }
-        let back = 1 - self.front;
-        let refresh = self.gens[back].refresh(net);
-        self.front = back;
-        refresh
     }
 }
 
@@ -930,11 +872,11 @@ mod tests {
 
     #[test]
     fn frozen_routes_match_the_live_walk_bit_for_bit() {
-        let (mut net, ids) = build(400, 7);
+        let (net, ids) = build(400, 7);
         let view = FrozenView::new(&net);
         let mut rng = StdRng::seed_from_u64(99);
         let mut scratch = RouteScratch::new();
-        let mut live_path = Vec::new();
+        let mut live = RouteScratch::new();
         for i in 0..300 {
             let from = ids[rng.random_range(0..ids.len())];
             let target = if i % 3 == 0 {
@@ -944,19 +886,25 @@ mod tests {
             };
             scratch.delta.clear();
             let frozen = view.route_to_point_in(from, target, &mut scratch).unwrap();
-            let events = scratch.delta.len();
-            let live = net
-                .route_to_point_into(from, target, &mut live_path)
-                .unwrap();
-            assert_eq!(frozen, live, "owner/hops must agree");
-            assert_eq!(scratch.path, live_path, "paths must agree");
-            assert_eq!(events as u32, frozen.1, "one RouteForward per hop");
+            live.delta.clear();
+            let walked = net.route_to_point_in(from, target, &mut live).unwrap();
+            assert_eq!(frozen, walked, "owner/hops must agree");
+            assert_eq!(scratch.path, live.path, "paths must agree");
+            assert_eq!(scratch.delta, live.delta, "messages must agree");
+            assert_eq!(
+                live.delta.len() as u32,
+                frozen.1,
+                "one RouteForward per hop"
+            );
         }
         // Unknown sources error identically.
-        assert_eq!(
-            view.route_to_point_in(ObjectId(u64::MAX), Point2::new(0.5, 0.5), &mut scratch),
-            Err(OverlayError::UnknownObject(ObjectId(u64::MAX)))
-        );
+        let ghost = ObjectId(u64::MAX);
+        let target = Point2::new(0.5, 0.5);
+        let err = view
+            .route_to_point_in(ghost, target, &mut scratch)
+            .unwrap_err();
+        assert_eq!(err.kind(), &crate::ErrorKind::UnknownObject(ghost));
+        assert_eq!(Err(err), net.route_to_point_in(ghost, target, &mut live));
     }
 
     #[test]
@@ -989,17 +937,15 @@ mod tests {
             "wide id ranges must use the sparse index"
         );
         let mut scratch = RouteScratch::new();
-        let mut live_path = Vec::new();
+        let mut live = RouteScratch::new();
         for i in 0..100 {
             let from = ids[(i * 7) % ids.len()];
             let to = ids[(i * 13 + 1) % ids.len()];
             let frozen = view.route_between_in(from, to, &mut scratch).unwrap();
             let target = net.coords(to).unwrap();
-            let live = net
-                .route_to_point_into(from, target, &mut live_path)
-                .unwrap();
-            assert_eq!(frozen, live);
-            assert_eq!(scratch.path, live_path);
+            let walked = net.route_to_point_in(from, target, &mut live).unwrap();
+            assert_eq!(frozen, walked);
+            assert_eq!(scratch.path, live.path);
         }
         // An erroring route clears the stale path, like the live walk does.
         let _ = view.route_to_point_in(ObjectId(u64::MAX), Point2::new(0.1, 0.1), &mut scratch);
@@ -1054,17 +1000,15 @@ mod tests {
         refresh_stats.absorb(&view.refresh(&net));
         assert_eq!(refresh_stats.reused + refresh_stats.delta_patches, 1);
         let mut scratch = RouteScratch::new();
-        let mut live_path = Vec::new();
+        let mut live = RouteScratch::new();
         for i in 0..60 {
             let from = ids[(i * 11) % ids.len()];
             let to = ids[(i * 5 + 2) % ids.len()];
             let frozen = view.route_between_in(from, to, &mut scratch).unwrap();
             let target = net.coords(to).unwrap();
-            let live = net
-                .route_to_point_into(from, target, &mut live_path)
-                .unwrap();
-            assert_eq!(frozen, live);
-            assert_eq!(scratch.path, live_path);
+            let walked = net.route_to_point_in(from, target, &mut live).unwrap();
+            assert_eq!(frozen, walked);
+            assert_eq!(scratch.path, live.path);
         }
     }
 
@@ -1097,34 +1041,6 @@ mod tests {
             view.dead,
             view.len()
         );
-    }
-
-    #[test]
-    fn view_generations_reuse_patch_and_flip_at_barriers() {
-        let (mut net, ids) = build(80, 59);
-        let mut gens = ViewGenerations::new(&net);
-        let first_epoch = net.snapshot_epoch();
-        assert_eq!(gens.front().epoch(), first_epoch);
-        // No write: advancing is free and does not flip.
-        assert_eq!(gens.advance(&net), ViewRefresh::Current);
-
-        // A write barrier: the back generation is patched and becomes the
-        // front; the result matches a fresh freeze.
-        net.remove(ids[3]).unwrap();
-        let p = Point2::new(0.333, 0.777);
-        net.insert(p).unwrap();
-        match gens.advance(&net) {
-            ViewRefresh::Patched { records, .. } => assert_eq!(records, 2),
-            other => panic!("expected a patch, got {other:?}"),
-        }
-        assert_eq!(gens.front().epoch(), net.snapshot_epoch());
-        assert_eq!(*gens.front(), net.freeze());
-
-        // The *other* generation still holds the older epoch and catches
-        // up across a multi-barrier gap when its turn comes.
-        net.remove(ids[10]).unwrap();
-        assert!(matches!(gens.advance(&net), ViewRefresh::Patched { .. }));
-        assert_eq!(*gens.front(), net.freeze());
     }
 
     #[test]

@@ -202,7 +202,7 @@ mod tests {
             if is_hull(pts[vi]) {
                 continue;
             }
-            for n in tri.real_neighbors(v) {
+            for n in tri.real_neighbors_iter(v) {
                 let nj = ids.iter().position(|&x| x == n).unwrap();
                 if is_hull(pts[nj]) {
                     continue;

@@ -8,6 +8,8 @@
 //! geometry, implemented from scratch:
 //!
 //! * [`Point2`], [`Rect`], [`Polygon`] — elementary planar types;
+//! * [`greedy_next`], [`greedy_descent`] — the paper's one routing rule
+//!   (`Greedyneighbour`), which every greedy walk in the workspace calls;
 //! * [`predicates`] — exact orientation and in-circle tests (floating-point
 //!   filter with an exact expansion-arithmetic fallback), the robustness
 //!   mechanism standing in for the paper's Sugihara–Iri construction;
@@ -32,12 +34,14 @@
 #![warn(missing_docs)]
 
 pub mod expansion;
+mod greedy;
 pub mod hull;
 pub mod point;
 pub mod predicates;
 pub mod triangulation;
 pub mod voronoi;
 
+pub use greedy::{greedy_descent, greedy_next};
 pub use point::{Point2, Polygon, Rect};
 pub use predicates::{circumcenter, incircle, orient2d, Orientation};
 pub use triangulation::{InsertError, Locate, RemoveError, TriId, Triangulation, VertexId};

@@ -26,6 +26,7 @@
 //! [`crate::predicates`]; co-linear and co-circular inputs (the "calculation
 //! degeneracy" the paper delegates to Sugihara–Iri) are handled exactly.
 
+use crate::greedy::greedy_descent;
 use crate::point::{Point2, Rect};
 use crate::predicates::{incircle, orient2d, Orientation};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -378,27 +379,20 @@ impl Triangulation {
         if self.live_real_vertices == 0 {
             return None;
         }
-        let mut cur = self
+        let start = self
             .vertices()
             .next()
             .expect("live_real_vertices > 0 implies at least one real vertex");
-        let mut cur_d = self.points[cur as usize].distance2(p);
-        loop {
-            let mut best = cur;
-            let mut best_d = cur_d;
-            for nb in self.neighbors_iter(cur) {
-                let d = self.points[nb as usize].distance2(p);
-                if d < best_d {
-                    best = nb;
-                    best_d = d;
-                }
-            }
-            if best == cur {
-                return Some(cur);
-            }
-            cur = best;
-            cur_d = best_d;
-        }
+        let (nearest, _) = greedy_descent(
+            (start, self.points[start as usize]),
+            p,
+            |v| {
+                self.neighbors_iter(v)
+                    .map(|nb| (nb, self.points[nb as usize]))
+            },
+            |_, _| {},
+        );
+        Some(nearest)
     }
 
     // ------------------------------------------------------------------
@@ -406,10 +400,8 @@ impl Triangulation {
     // ------------------------------------------------------------------
     //
     // The iterator forms ([`Triangulation::neighbors_iter`],
-    // [`Triangulation::real_neighbors_iter`]) and the caller-buffer forms
-    // (`*_into`) are the hot-path API: they walk the triangle fan in place
-    // and never touch the heap.  The `Vec`-returning methods are thin
-    // wrappers kept for convenience and for cold callers.
+    // [`Triangulation::real_neighbors_iter`]) walk the triangle fan in
+    // place and never touch the heap.
 
     /// Allocation-free iterator over all Delaunay neighbours of `v`
     /// (possibly including sentinels), in counter-clockwise order around `v`
@@ -431,31 +423,6 @@ impl Triangulation {
     /// restricted to real vertices.
     pub fn real_neighbors_iter(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
         self.neighbors_iter(v).filter(|&u| !self.is_sentinel(u))
-    }
-
-    /// Collects all Delaunay neighbours of `v` into `out` (cleared first),
-    /// in the order of [`Triangulation::neighbors_iter`].
-    pub fn neighbors_into(&self, v: VertexId, out: &mut Vec<VertexId>) {
-        out.clear();
-        out.extend(self.neighbors_iter(v));
-    }
-
-    /// All Delaunay neighbours of `v` (possibly including sentinels), in
-    /// counter-clockwise order around `v` for interior vertices.
-    pub fn neighbors(&self, v: VertexId) -> Vec<VertexId> {
-        self.neighbors_iter(v).collect()
-    }
-
-    /// Collects the real Delaunay neighbours of `v` into `out` (cleared
-    /// first).
-    pub fn real_neighbors_into(&self, v: VertexId, out: &mut Vec<VertexId>) {
-        out.clear();
-        out.extend(self.real_neighbors_iter(v));
-    }
-
-    /// Delaunay neighbours of `v` restricted to real vertices.
-    pub fn real_neighbors(&self, v: VertexId) -> Vec<VertexId> {
-        self.real_neighbors_iter(v).collect()
     }
 
     /// Degree of `v` counting only real neighbours (the `|vn(o)|` statistic
@@ -485,45 +452,9 @@ impl Triangulation {
         }
     }
 
-    /// Ids of live triangles incident to `v` (counter-clockwise for interior
-    /// vertices).
-    pub fn incident_triangles(&self, v: VertexId) -> Vec<TriId> {
-        let mut out = Vec::with_capacity(8);
-        self.incident_triangles_into(v, &mut out);
-        out
-    }
-
     /// True when `a` and `b` are Delaunay neighbours.  Allocation-free.
     pub fn are_neighbors(&self, a: VertexId, b: VertexId) -> bool {
         self.neighbors_iter(a).any(|u| u == b)
-    }
-
-    /// Collects into `out` (cleared first) the vertices of the triangles
-    /// incident to `v` at distance 2 or less (neighbours and neighbours'
-    /// neighbours), excluding `v` itself and sentinels, sorted and deduped.
-    /// Used by the overlay to seed close-neighbour discovery (Lemma 1 of the
-    /// paper).
-    pub fn two_hop_real_neighborhood_into(&self, v: VertexId, out: &mut Vec<VertexId>) {
-        out.clear();
-        for n in self.real_neighbors_iter(v) {
-            out.push(n);
-            for m in self.real_neighbors_iter(n) {
-                if m != v {
-                    out.push(m);
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-    }
-
-    /// Vertices of the triangles incident to `v` at distance 2 or less
-    /// (neighbours and neighbours' neighbours), excluding `v` itself and
-    /// sentinels.
-    pub fn two_hop_real_neighborhood(&self, v: VertexId) -> Vec<VertexId> {
-        let mut out = Vec::new();
-        self.two_hop_real_neighborhood_into(v, &mut out);
-        out
     }
 
     // ------------------------------------------------------------------
@@ -675,7 +606,8 @@ impl Triangulation {
 
         // Ordered star: incident triangles counter-clockwise, the link
         // polygon and the outer neighbour across each link edge.
-        let star = self.incident_triangles(v);
+        let mut star = Vec::with_capacity(8);
+        self.incident_triangles_into(v, &mut star);
         debug_assert!(star.len() >= 3);
         let mut link: Vec<u32> = Vec::with_capacity(star.len());
         let mut outer: Vec<u32> = Vec::with_capacity(star.len());
@@ -1122,7 +1054,7 @@ mod tests {
         assert!(t.euler_check());
         t.validate().unwrap();
         assert_eq!(t.real_degree(v), 0);
-        assert_eq!(t.neighbors(v).len(), 4);
+        assert_eq!(t.neighbors_iter(v).count(), 4);
         assert_eq!(t.nearest_vertex(Point2::new(0.1, 0.9)), Some(v));
     }
 
@@ -1238,9 +1170,9 @@ mod tests {
             t.insert(p).unwrap();
         }
         for v in t.vertices().collect::<Vec<_>>() {
-            for n in t.real_neighbors(v) {
+            for n in t.real_neighbors_iter(v) {
                 assert!(
-                    t.real_neighbors(n).contains(&v),
+                    t.real_neighbors_iter(n).any(|back| back == v),
                     "neighbour relation must be symmetric"
                 );
             }
@@ -1351,7 +1283,7 @@ mod tests {
     }
 
     #[test]
-    fn neighbor_iter_matches_collected_forms_and_brute_force() {
+    fn neighbor_iter_matches_brute_force() {
         use std::collections::{BTreeMap, BTreeSet};
         let mut t = Triangulation::unit_square();
         for p in random_points(120, 91) {
@@ -1366,10 +1298,8 @@ mod tests {
                 oracle.entry(tri[i]).or_default().insert(tri[(i + 2) % 3]);
             }
         }
-        let mut buf = Vec::new();
-        // Real vertices and the four sentinels (open fans) must agree across
-        // the iterator, the `_into` and the `Vec` forms — and with the
-        // oracle, each neighbour emitted exactly once.  Real vertices are
+        // Real vertices and the four sentinels (open fans) must agree with
+        // the oracle, each neighbour emitted exactly once.  Real vertices are
         // always interior (closed fans), so the walk must reproduce the
         // mesh adjacency exactly; a sentinel's open fan yields one
         // neighbour per incident triangle, which under-reports the far end
@@ -1390,12 +1320,8 @@ mod tests {
                 );
             }
             assert_eq!(as_set.len(), collected.len(), "duplicate neighbour at {v}");
-            assert_eq!(collected, t.neighbors(v));
-            t.neighbors_into(v, &mut buf);
-            assert_eq!(collected, buf);
-            t.real_neighbors_into(v, &mut buf);
-            assert_eq!(buf, t.real_neighbors(v));
-            assert_eq!(t.real_degree(v), buf.len());
+            let real = collected.iter().filter(|&&n| !t.is_sentinel(n)).count();
+            assert_eq!(t.real_degree(v), real);
             for &n in &collected {
                 assert!(t.are_neighbors(v, n));
             }
@@ -1496,21 +1422,5 @@ mod tests {
                 });
             }
         });
-    }
-
-    #[test]
-    fn two_hop_neighborhood_contains_direct_neighbors() {
-        let mut t = Triangulation::unit_square();
-        for p in random_points(100, 31) {
-            t.insert(p).unwrap();
-        }
-        for v in t.vertices().take(20).collect::<Vec<_>>() {
-            let direct = t.real_neighbors(v);
-            let two_hop = t.two_hop_real_neighborhood(v);
-            for d in direct {
-                assert!(two_hop.contains(&d));
-            }
-            assert!(!two_hop.contains(&v));
-        }
     }
 }

@@ -46,8 +46,10 @@ impl VoronoiCell {
 /// `v`, in counter-clockwise order.  Degenerate (collinear) triangles —
 /// which can only involve sentinel corners — contribute no vertex.
 pub fn voronoi_cell(tri: &Triangulation, v: VertexId) -> VoronoiCell {
-    let mut cell = Vec::new();
-    for t in tri.incident_triangles(v) {
+    let mut star = Vec::with_capacity(8);
+    tri.incident_triangles_into(v, &mut star);
+    let mut cell = Vec::with_capacity(star.len());
+    for t in star {
         if let Some(ids) = tri.triangle_vertices(t) {
             let (a, b, c) = (tri.point(ids[0]), tri.point(ids[1]), tri.point(ids[2]));
             if let Some(cc) = circumcenter(a, b, c) {
@@ -73,9 +75,8 @@ pub fn distance_to_region(tri: &Triangulation, v: VertexId, p: Point2) -> Point2
     // every Delaunay neighbour of v.
     let d_self = site.distance2(p);
     let owned = tri
-        .neighbors(v)
-        .iter()
-        .all(|&n| tri.point(n).distance2(p) >= d_self);
+        .neighbors_iter(v)
+        .all(|n| tri.point(n).distance2(p) >= d_self);
     if owned {
         return site;
     }

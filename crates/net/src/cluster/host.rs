@@ -6,7 +6,7 @@ use crate::transport::{PeerId, Transport};
 use crate::wire::{IdList, WireMsg, WirePurpose, WireQuery};
 use std::collections::{BTreeSet, HashMap};
 use std::time::{Duration, Instant};
-use voronet_geom::{Point2, Polygon, Rect};
+use voronet_geom::{greedy_next, Point2, Polygon, Rect};
 use voronet_sim::TransportStats;
 
 const PROBE_RESEND: Duration = Duration::from_millis(150);
@@ -575,8 +575,9 @@ impl<T: Transport> HostNode<T> {
 
     /// The greedy walk over shipped routing tables: hops within this
     /// host advance locally; a hop to an object hosted elsewhere becomes
-    /// a [`WireMsg::RouteStep`] frame.  Mirrors
-    /// `core::runtime::AsyncOverlay::route_step` decision for decision.
+    /// a [`WireMsg::RouteStep`] frame.  Each decision is
+    /// [`greedy_next`] over the object's shipped `(id, coords)` table —
+    /// the same call `core::runtime::AsyncOverlay::route_step` makes.
     fn route_step(
         &mut self,
         at: u64,
@@ -592,22 +593,17 @@ impl<T: Transport> HostNode<T> {
                 return Ok(()); // stale routing entry: the driver will retry
             };
             let cur_d = state.coords.distance2(target);
-            let mut best = cur;
-            let mut best_d = cur_d;
-            for &(nb, coords) in &state.routing {
-                if nb == cur {
-                    continue;
-                }
-                let d = coords.distance2(target);
-                if d < best_d {
-                    best = nb;
-                    best_d = d;
-                }
-            }
+            // The table may list `cur` itself (a long link pointing home).
+            // The rule rejects it anyway; filtering it out keeps this short
+            // scan the compact loop it was before the kernel (without the
+            // filter LLVM unrolls it and `net.route_us` reads ~5 % worse).
+            let table = state.routing.iter().copied();
+            let (best, _) = greedy_next(target, (cur, cur_d), table.filter(|&(nb, _)| nb != cur));
             if best == cur {
                 return self.arrive(cur, origin, hops, purpose);
             }
-            hops += 1;
+            // `hops` may come straight off the wire: never overflow on it.
+            hops = hops.saturating_add(1);
             if host_of(best, self.hosts) == self.peer {
                 cur = best;
                 continue;

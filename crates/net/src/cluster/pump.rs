@@ -446,6 +446,7 @@ mod tests {
     use super::*;
     use crate::transport::TransportError;
     use crate::vnet::{VnetHub, VnetTransport};
+    use crate::wire::WirePurpose;
     use std::collections::VecDeque;
     use voronet_core::{RouteScratch, VoroNetConfig};
     use voronet_geom::{Point2, Rect};
@@ -847,6 +848,57 @@ mod tests {
         };
         assert_eq!(key(2, stats), Some(Completes::Stats(2)));
         assert_eq!(key(2, WireMsg::Ping { reply: true }), None);
+    }
+
+    #[test]
+    fn a_route_step_carrying_the_largest_hop_count_does_not_panic_a_host() {
+        // `hops` is decoded straight off the wire, so a frame may carry
+        // any value; counting the next hop on top of `u32::MAX` must
+        // saturate, not overflow (a panic in debug builds, a wrap to 0
+        // in release).
+        let mut driver = cluster();
+        let (at, to) = (
+            driver.net().id_at(2).unwrap(),
+            driver.net().id_at(17).unwrap(),
+        );
+        let expected = driver
+            .net()
+            .route_between_in(at, to, &mut RouteScratch::default())
+            .unwrap();
+        assert!(expected.1 > 0, "the step must arrive at a non-owner");
+        let token = u64::MAX - 1;
+        let mut frame = Vec::new();
+        WireMsg::RouteStep {
+            target: driver.net().coords(to).unwrap(),
+            origin: DRIVER_PEER,
+            hops: u32::MAX,
+            purpose: WirePurpose::Query { token },
+        }
+        .encode(at.0, at.0, &mut frame)
+        .unwrap();
+        driver.t.inner.send(host_of(at.0, HOSTS), &frame).unwrap();
+        driver.t.step_hosts().unwrap();
+
+        // The hosts walked it to the owner and answered the origin.
+        let mut buf = Vec::new();
+        assert!(driver.t.inner.recv_into(&mut buf).unwrap().is_some());
+        let (_, answer) = WireMsg::decode(&buf).unwrap();
+        assert_eq!(
+            answer,
+            WireMsg::AnswerOwner {
+                token,
+                owner: expected.0 .0,
+                hops: u32::MAX,
+            }
+        );
+        // And every host keeps serving.
+        assert_eq!(
+            driver.route_indices(2, 17).unwrap(),
+            OpOutcome::Route {
+                owner: expected.0 .0,
+                hops: expected.1
+            }
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@ use voronet_api::{
 };
 use voronet_core::queries::{radius_query_in, range_query_in};
 use voronet_core::snapshot::{FrozenView, RouteScratch, SnapshotStats, ViewRefresh};
-use voronet_core::{ObjectId, ObjectView, OverlayError, VoroNet, VoroNetConfig, VoronetError};
+use voronet_core::{ObjectId, ObjectView, VoroNet, VoroNetConfig, VoronetError};
 use voronet_geom::Point2;
 use voronet_sim::RouteStats;
 use voronet_workloads::{RadiusQuery, RangeQuery};
@@ -81,7 +81,7 @@ impl FrozenReplay {
     /// the configured fault to the outcome.
     fn frozen_route(
         &mut self,
-        walk: impl FnOnce(&FrozenView, &mut RouteScratch) -> Result<(ObjectId, u32), OverlayError>,
+        walk: impl FnOnce(&FrozenView, &mut RouteScratch) -> Result<(ObjectId, u32), VoronetError>,
     ) -> Result<RouteOutcome, VoronetError> {
         // Epoch-keyed maintenance: freeze once, then bring the retained
         // view forward through the change log at every read — exactly the
@@ -178,7 +178,7 @@ impl Overlay for FrozenReplay {
     }
 
     fn snapshot(&self, id: ObjectId) -> Result<ObjectView, VoronetError> {
-        Ok(self.net.view(id)?)
+        self.net.view(id)
     }
 
     fn stats(&self) -> OverlayStats {

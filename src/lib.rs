@@ -62,8 +62,7 @@ pub mod prelude {
     };
     pub use voronet_core::{
         radius_query, range_query, FrozenView, JoinReport, LeaveReport, ObjectId, ObjectView,
-        RouteReport, RouteScratch, SnapshotStats, ViewGenerations, ViewRefresh, VoroNet,
-        VoroNetConfig,
+        RouteReport, RouteScratch, SnapshotStats, ViewRefresh, VoroNet, VoroNetConfig,
     };
     pub use voronet_geom::{Point2, Rect, Triangulation};
     pub use voronet_services::{key_point, ServiceEngine};

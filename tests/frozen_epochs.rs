@@ -7,8 +7,7 @@
 //! `freeze()` — same ids in live scan order, same SoA coordinates, same
 //! adjacency rows — and every route walked over it returns the same
 //! `(owner, hops)` and the same per-node message counters as the live
-//! mutable walk.  The double-buffered [`ViewGenerations`] front must
-//! agree with both.  Checked here through the workspace's shrinking
+//! mutable walk.  Checked here through the workspace's shrinking
 //! property harness (`voronet_testkit::check_cases`), plus a
 //! deterministic end-to-end pass over the `OpMix::mixed` presets on the
 //! sync engine comparing batched against per-op application element-wise.
@@ -54,8 +53,7 @@ fn generate_steps(rng: &mut StdRng) -> Vec<Step> {
 
 /// Runs one script against two identically-seeded overlays — one served
 /// by live mutable walks, one by a continuously delta-patched
-/// [`FrozenView`] (and a [`ViewGenerations`] pair advanced at every
-/// read) — and checks bit-identity at every read barrier.
+/// [`FrozenView`] — and checks bit-identity at every read barrier.
 fn check_script(steps: &[Step]) -> Result<(), String> {
     let config = VoroNetConfig::new(256);
     let mut live = VoroNet::new(config);
@@ -69,7 +67,6 @@ fn check_script(steps: &[Step]) -> Result<(), String> {
     }
 
     let mut view: Option<FrozenView> = None;
-    let mut gens: Option<ViewGenerations> = None;
     let mut scratch = RouteScratch::new();
     for (i, step) in steps.iter().enumerate() {
         match *step {
@@ -123,14 +120,6 @@ fn check_script(steps: &[Step]) -> Result<(), String> {
                      (epoch {}, {} nodes)",
                     view.epoch(),
                     view.len()
-                );
-
-                // The double-buffered generations flip to an equal front.
-                let gens = gens.get_or_insert_with(|| ViewGenerations::new(&net));
-                gens.advance(&net);
-                tk_ensure!(
-                    *gens.front() == fresh,
-                    "step {i}: generation front diverged from a fresh freeze"
                 );
 
                 // Same walk, same accounting as the live engine.

@@ -1,10 +1,11 @@
 //! Counting-allocator proof of the zero-copy routing hot path: once the
 //! caller's buffers have warmed up, a greedy route over the arena-backed
 //! overlay performs **no heap allocation at all** — every hop is a scan of
-//! a borrowed [`voronet_core::ViewRef`].  The pin covers all three read
-//! operations routed through the reusable [`voronet_core::RouteScratch`]
-//! (`route_to_point_in`, `route_between_in`, `handle_query_in`) as well as
-//! the inline-accounting `route_to_point_into` wrapper.
+//! the overlay's own arrays.  The pin covers the counted form every engine
+//! uses for a single route (`route_to_point_in` over a reused
+//! [`voronet_core::RouteScratch`], then `apply_traffic`) as well as a run
+//! of `&self` reads (`route_to_point_in`, `route_between_in`, a point
+//! query's extra answer message) accumulating into one scratch.
 //!
 //! This file deliberately contains a single test: the counting allocator is
 //! process-global, and a concurrently running test would perturb the count.
@@ -58,13 +59,16 @@ fn greedy_routing_is_allocation_free_after_warmup() {
         .filter(|(a, b)| a != b)
         .collect();
 
-    let mut path: Vec<ObjectId> = Vec::new();
+    let mut scratch = voronet::core::RouteScratch::new();
 
-    // Warm-up: grows the path buffer to the longest route of the set.
+    // Warm-up: grows the path and delta buffers to the longest route of
+    // the set.
     let mut warm_hops = Vec::new();
     for &(a, b) in &pairs {
         let target = net.coords(b).unwrap();
-        let (owner, hops) = net.route_to_point_into(a, target, &mut path).unwrap();
+        let (owner, hops) = net.route_to_point_in(a, target, &mut scratch).unwrap();
+        net.apply_traffic(&scratch.delta);
+        scratch.delta.clear();
         assert_eq!(owner, b);
         warm_hops.push(hops);
     }
@@ -74,7 +78,9 @@ fn greedy_routing_is_allocation_free_after_warmup() {
     let mut total_hops = 0u64;
     for (&(a, b), &expected_hops) in pairs.iter().zip(&warm_hops) {
         let target = net.coords(b).unwrap();
-        let (owner, hops) = net.route_to_point_into(a, target, &mut path).unwrap();
+        let (owner, hops) = net.route_to_point_in(a, target, &mut scratch).unwrap();
+        net.apply_traffic(&scratch.delta);
+        scratch.delta.clear();
         assert_eq!(owner, b);
         assert_eq!(hops, expected_hops, "routing must be deterministic");
         total_hops += hops as u64;
@@ -90,16 +96,18 @@ fn greedy_routing_is_allocation_free_after_warmup() {
         pairs.len()
     );
 
-    // The `&self` scratch forms of all three read operations: routes to a
-    // point, routes between objects and point queries share one warmed
-    // RouteScratch and must not allocate either.  The delta buffer grows
-    // during warm-up and is cleared (capacity kept) between passes.
-    let mut scratch = voronet::core::RouteScratch::new();
+    // A run of `&self` reads accumulating into the one scratch: routes to
+    // a point, routes between objects and point queries (a route plus the
+    // answer message, Algorithm 4) must not allocate either.  The delta
+    // buffer grows during warm-up and is cleared (capacity kept) between
+    // passes.
+    let answer = voronet::sim::MessageKind::QueryAnswer;
     for &(a, b) in &pairs {
         let target = net.coords(b).unwrap();
         net.route_to_point_in(a, target, &mut scratch).unwrap();
         net.route_between_in(a, b, &mut scratch).unwrap();
-        net.handle_query_in(a, target, &mut scratch).unwrap();
+        let (owner, _) = net.route_to_point_in(a, target, &mut scratch).unwrap();
+        scratch.delta.push(owner, answer);
     }
     scratch.delta.clear();
 
@@ -110,7 +118,8 @@ fn greedy_routing_is_allocation_free_after_warmup() {
         assert_eq!((owner, hops), (b, expected_hops));
         let (owner, hops) = net.route_between_in(a, b, &mut scratch).unwrap();
         assert_eq!((owner, hops), (b, expected_hops));
-        let (owner, hops) = net.handle_query_in(a, target, &mut scratch).unwrap();
+        let (owner, hops) = net.route_to_point_in(a, target, &mut scratch).unwrap();
+        scratch.delta.push(owner, answer);
         assert_eq!((owner, hops), (b, expected_hops));
     }
     let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
