@@ -5,7 +5,7 @@ use crate::ops::{
     InsertOutcome, Op, OpResult, OverlayStats, QueryOutcome, RemoveOutcome, RouteOutcome,
 };
 use crate::overlay::Overlay;
-use voronet_core::runtime::{AsyncOverlay, OpToken, RoutingMode};
+use voronet_core::runtime::{AsyncOverlay, OpToken};
 use voronet_core::{ErrorKind, ObjectId, ObjectView, VoroNetConfig, VoronetError};
 use voronet_geom::Point2;
 use voronet_sim::NetworkModel;
@@ -25,9 +25,9 @@ use voronet_workloads::{RadiusQuery, RangeQuery};
 /// whole run is injected first and the runtime quiesces once, so all the
 /// routes are in flight concurrently and the batch completes in roughly
 /// the slowest route's end-to-end simulated latency instead of the sum of
-/// every route's latency chain — the protocol-time throughput lever the
-/// `batched_ops` bench quantifies.  (On the zero-latency ideal network
-/// there is nothing to pipeline and batching is host-cost-neutral.)
+/// every route's latency chain — the protocol-time throughput lever that
+/// `tests/api_conformance.rs` gates in ticks.  (On the zero-latency ideal
+/// network there is nothing to pipeline and batching is host-cost-neutral.)
 ///
 /// A tracked route or query completes for its issuer only when the answer
 /// message survives the trip back to the origin; joins complete when
@@ -46,17 +46,6 @@ impl AsyncEngine {
         }
     }
 
-    /// Selects the routing mode for subsequent routes.
-    pub fn with_routing_mode(mut self, mode: RoutingMode) -> Self {
-        self.overlay = self.overlay.with_routing_mode(mode);
-        self
-    }
-
-    /// Wraps an existing runtime overlay.
-    pub fn from_overlay(overlay: AsyncOverlay) -> Self {
-        AsyncEngine { overlay }
-    }
-
     /// Read access to the underlying runtime overlay.
     pub fn overlay(&self) -> &AsyncOverlay {
         &self.overlay
@@ -66,11 +55,6 @@ impl AsyncEngine {
     /// operations: scripted scenarios, replica inspection).
     pub fn overlay_mut(&mut self) -> &mut AsyncOverlay {
         &mut self.overlay
-    }
-
-    /// Unwraps the engine back into the runtime overlay.
-    pub fn into_overlay(self) -> AsyncOverlay {
-        self.overlay
     }
 
     fn collect_route(&mut self, token: OpToken) -> Result<RouteOutcome, VoronetError> {

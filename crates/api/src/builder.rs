@@ -3,7 +3,6 @@
 use crate::async_engine::AsyncEngine;
 use crate::overlay::Overlay;
 use crate::sync_engine::SyncEngine;
-use voronet_core::runtime::RoutingMode;
 use voronet_core::{DminRule, VoroNetConfig};
 use voronet_geom::Rect;
 use voronet_sim::NetworkModel;
@@ -46,7 +45,6 @@ pub struct OverlayBuilder {
     config: VoroNetConfig,
     network: NetworkModel,
     engine: EngineKind,
-    routing_mode: RoutingMode,
     worker_threads: Option<usize>,
 }
 
@@ -60,18 +58,6 @@ impl OverlayBuilder {
             config: VoroNetConfig::new(nmax),
             network: NetworkModel::ideal(),
             engine: EngineKind::Sync,
-            routing_mode: RoutingMode::default(),
-            worker_threads: None,
-        }
-    }
-
-    /// Starts a builder from an explicit configuration.
-    pub fn from_config(config: VoroNetConfig) -> Self {
-        OverlayBuilder {
-            config,
-            network: NetworkModel::ideal(),
-            engine: EngineKind::Sync,
-            routing_mode: RoutingMode::default(),
             worker_threads: None,
         }
     }
@@ -119,13 +105,6 @@ impl OverlayBuilder {
         self.engine(EngineKind::Async)
     }
 
-    /// Sets the routing mode (greedy or the paper's Algorithm 5) used by
-    /// the asynchronous engine.
-    pub fn routing_mode(mut self, mode: RoutingMode) -> Self {
-        self.routing_mode = mode;
-        self
-    }
-
     /// Sets the number of worker threads the synchronous engine uses for
     /// read-only batch runs (default: the machine's available
     /// parallelism).  Results are bit-identical at any setting; `1` forces
@@ -153,7 +132,7 @@ impl OverlayBuilder {
     /// Builds the asynchronous engine, regardless of the selected
     /// [`EngineKind`].
     pub fn build_async(&self) -> AsyncEngine {
-        AsyncEngine::new(self.config, self.network.clone()).with_routing_mode(self.routing_mode)
+        AsyncEngine::new(self.config, self.network.clone())
     }
 
     /// Builds the selected engine behind the backend-agnostic trait.

@@ -339,20 +339,4 @@ impl OpResult {
             _ => None,
         }
     }
-
-    /// The query outcome, when this is [`OpResult::Queried`].
-    pub fn as_queried(&self) -> Option<&QueryOutcome> {
-        match self {
-            OpResult::Queried(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The service result, when this is [`OpResult::Service`].
-    pub fn as_service(&self) -> Option<&ServiceResult> {
-        match self {
-            OpResult::Service(r) => Some(r),
-            _ => None,
-        }
-    }
 }

@@ -143,7 +143,7 @@ impl<'a> Fields<'a> {
 
 /// Parses one encoded operation line (as produced by [`encode_op`]).
 /// `line` is the 1-based line number used in error messages.
-pub fn parse_op(text: &str, line: usize) -> Result<Op, ReplayParseError> {
+fn parse_op(text: &str, line: usize) -> Result<Op, ReplayParseError> {
     let mut rest = text.split_whitespace();
     let verb = rest
         .next()

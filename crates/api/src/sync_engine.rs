@@ -67,8 +67,8 @@ fn frozen_run_threshold(population: usize) -> usize {
 /// batches additionally get the frozen-snapshot parallel read path (see the
 /// [module docs](self)).  The worker count defaults to the machine's
 /// available parallelism and can be pinned with
-/// [`SyncEngine::with_threads`] / [`SyncEngine::set_threads`]; results are
-/// bit-identical whatever the setting.
+/// [`SyncEngine::with_threads`]; results are bit-identical whatever the
+/// setting.
 pub struct SyncEngine {
     net: VoroNet,
     routes: RouteStats,
@@ -109,17 +109,12 @@ impl SyncEngine {
         }
     }
 
-    /// Sets the number of worker threads used for read-only batch runs
-    /// (builder form).  `1` forces single-threaded execution; results are
-    /// identical either way.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.set_threads(threads);
-        self
-    }
-
     /// Sets the number of worker threads used for read-only batch runs.
-    pub fn set_threads(&mut self, threads: usize) {
+    /// `1` forces single-threaded execution; results are identical either
+    /// way.
+    pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
+        self
     }
 
     /// The configured worker-thread count.
@@ -130,17 +125,6 @@ impl SyncEngine {
     /// Read access to the underlying overlay.
     pub fn net(&self) -> &VoroNet {
         &self.net
-    }
-
-    /// Mutable access to the underlying overlay (engine-specific
-    /// operations: dynamic `N_max`, invariant checks, experiments).
-    pub fn net_mut(&mut self) -> &mut VoroNet {
-        &mut self.net
-    }
-
-    /// Unwraps the engine back into the overlay.
-    pub fn into_net(self) -> VoroNet {
-        self.net
     }
 
     /// Executes one read-only operation against a frozen snapshot (routes)

@@ -6,32 +6,27 @@
 //! Latencies are wall-clock per driver op, including the retry/backoff
 //! machinery (`RetryPolicy::tight`), so the loss and crash columns show
 //! the real cost of retransmission and of the failure detector's
-//! fail-fast path, not just the happy-path frame exchange.  Results
-//! land in the `fault_modes` section of `BENCH_routes.json`; smoke mode
-//! (`VORONET_SMOKE=1`, CI) shrinks the sample counts and skips the
-//! JSON record.
+//! fail-fast path, not just the happy-path frame exchange.  Results are
+//! printed and the lossy-vs-healthy gate asserted; smoke mode
+//! (`VORONET_SMOKE=1`, CI) shrinks the sample counts.
 
 use criterion::{criterion_group, Criterion};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
-use std::path::Path;
 use std::time::{Duration, Instant};
 use voronet_core::VoroNetConfig;
 use voronet_net::{
     host_of, FaultyCluster, HostState, LinkFaults, Liveness, OpOutcome, RetryPolicy,
 };
-use voronet_workloads::{Distribution, PointGenerator};
+use voronet_stats::{tail_summary, TailSummary};
+use voronet_workloads::{smoke_budget, Distribution, PointGenerator};
 
 const SEED: u64 = 4242;
 const HOSTS: u64 = 3;
 
-fn smoke() -> bool {
-    std::env::var_os("VORONET_SMOKE").is_some_and(|v| v != "0")
-}
-
 fn overlay_size() -> usize {
-    if smoke() {
+    if smoke_budget() {
         24
     } else {
         64
@@ -39,7 +34,7 @@ fn overlay_size() -> usize {
 }
 
 fn samples() -> usize {
-    if smoke() {
+    if smoke_budget() {
         40
     } else {
         200
@@ -47,7 +42,7 @@ fn samples() -> usize {
 }
 
 fn kv_keys() -> usize {
-    if smoke() {
+    if smoke_budget() {
         32
     } else {
         96
@@ -57,22 +52,9 @@ fn kv_keys() -> usize {
 /// Per-mode measurement: op latency percentiles plus the realised
 /// success rate (crashed-host routes legitimately fail fast).
 struct ModeResult {
-    name: &'static str,
-    route_p50_us: f64,
-    route_p99_us: f64,
-    route_ok: usize,
-    get_p50_us: f64,
-    get_p99_us: f64,
-    get_ok: usize,
+    route: TailSummary,
+    get: TailSummary,
     degraded_reads: u64,
-}
-
-fn percentile(sorted_us: &[f64], q: f64) -> f64 {
-    if sorted_us.is_empty() {
-        return f64::NAN;
-    }
-    let idx = ((sorted_us.len() - 1) as f64 * q).round() as usize;
-    sorted_us[idx]
 }
 
 /// Builds a populated faulty cluster, optionally crashes one host
@@ -149,19 +131,11 @@ fn run_mode(name: &'static str, link: LinkFaults, crash: bool) -> ModeResult {
         }
     }
 
-    route_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    get_us.sort_by(|a, b| a.partial_cmp(b).unwrap());
     let result = ModeResult {
-        name,
-        route_p50_us: percentile(&route_us, 0.5),
-        route_p99_us: percentile(&route_us, 0.99),
-        route_ok: route_us.len(),
-        get_p50_us: percentile(&get_us, 0.5),
-        get_p99_us: percentile(&get_us, 0.99),
-        get_ok: get_us.len(),
+        route: tail_summary(&route_us).expect("every mode must serve some routes"),
+        get: tail_summary(&get_us).expect("every mode must serve some reads"),
         degraded_reads: cluster.driver().cluster_stats().degraded_reads,
     };
-    assert!(result.get_ok > 0, "every mode must serve some reads");
     cluster.ctl().heal_all();
     let _ = cluster.shutdown();
     result
@@ -173,23 +147,21 @@ fn fault_modes(c: &mut Criterion) {
         ("loss_10pct", LinkFaults::lossy(0.10), false),
         ("one_host_crashed", LinkFaults::default(), true),
     ];
-    let mut results = Vec::new();
-    for (name, link, crash) in modes {
+    let [healthy, lossy, _crashed] = modes.map(|(name, link, crash)| {
         let r = run_mode(name, link, crash);
         println!(
-            "fault_modes {}: route p50 {:.0}us p99 {:.0}us ({} ok), \
+            "fault_modes {name}: route p50 {:.0}us p99 {:.0}us ({} ok), \
              kv_get p50 {:.0}us p99 {:.0}us ({} ok, {} degraded)",
-            r.name,
-            r.route_p50_us,
-            r.route_p99_us,
-            r.route_ok,
-            r.get_p50_us,
-            r.get_p99_us,
-            r.get_ok,
+            r.route.p50,
+            r.route.p99,
+            r.route.count,
+            r.get.p50,
+            r.get.p99,
+            r.get.count,
             r.degraded_reads
         );
-        results.push(r);
-    }
+        r
+    });
 
     // Regression gate for the retry-stall fix: before fast retransmit
     // the driver sent each request once and waited out the full jittered
@@ -198,60 +170,22 @@ fn fault_modes(c: &mut Criterion) {
     // stay within 100× of healthy (smoke runs are looser — tiny sample
     // counts make the healthy median itself noisy — and an absolute
     // low-millisecond median always passes).
-    let healthy = results.iter().find(|r| r.name == "healthy").unwrap();
-    let lossy = results.iter().find(|r| r.name == "loss_10pct").unwrap();
-    let ratio = lossy.get_p50_us / healthy.get_p50_us;
-    let max_ratio = if smoke() { 400.0 } else { 100.0 };
+    let ratio = lossy.get.p50 / healthy.get.p50;
+    let max_ratio = if smoke_budget() { 400.0 } else { 100.0 };
     assert!(
-        ratio <= max_ratio || lossy.get_p50_us < 2_000.0,
+        ratio <= max_ratio || lossy.get.p50 < 2_000.0,
         "lossy kv_get p50 {:.1}µs is {ratio:.0}× the healthy {:.1}µs — \
          the fast-retransmit path regressed",
-        lossy.get_p50_us,
-        healthy.get_p50_us
+        lossy.get.p50,
+        healthy.get.p50
     );
 
     let mut group = c.benchmark_group("fault_modes");
     group.sample_size(10);
     group.bench_function("healthy_route_pass", |b| {
-        b.iter(|| black_box(run_mode("healthy", LinkFaults::default(), false).route_p50_us));
+        b.iter(|| black_box(run_mode("healthy", LinkFaults::default(), false).route.p50));
     });
     group.finish();
-
-    if smoke() {
-        println!("smoke mode: JSON record skipped");
-        return;
-    }
-    let mode_sections: Vec<String> = results
-        .iter()
-        .map(|r| {
-            format!(
-                "\"{}\": {{ \"route_p50_us\": {:.1}, \"route_p99_us\": {:.1}, \
-                 \"route_ok\": {}, \"kv_get_p50_us\": {:.1}, \"kv_get_p99_us\": {:.1}, \
-                 \"kv_get_ok\": {}, \"degraded_reads\": {} }}",
-                r.name,
-                r.route_p50_us,
-                r.route_p99_us,
-                r.route_ok,
-                r.get_p50_us,
-                r.get_p99_us,
-                r.get_ok,
-                r.degraded_reads
-            )
-        })
-        .collect();
-    let section = format!(
-        "{{ \"hosts\": {HOSTS}, \"overlay_size\": {}, \"samples_per_op\": {}, \
-         \"kv_keys\": {}, \"modes\": {{ {} }} }}",
-        overlay_size(),
-        samples(),
-        kv_keys(),
-        mode_sections.join(", ")
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_routes.json");
-    match voronet_bench::record::update_json_section(Path::new(out), "fault_modes", &section) {
-        Err(e) => eprintln!("could not write {out}: {e}"),
-        Ok(()) => println!("recorded fault_modes results to {out}"),
-    }
 }
 
 criterion_group!(benches, fault_modes);

@@ -1,38 +1,30 @@
-//! Service-layer operation costs over a pre-built overlay: region
-//! publish fan-out (resolution rides the area flood, so cost scales with
-//! the region's cell footprint) and coordinate-keyed KV put/get (one
-//! greedy route plus a map touch each).
+//! Region publish fan-out over a pre-built overlay: resolution rides the
+//! area flood, so cost scales with the region's cell footprint.
 //!
 //! A quarter of the population subscribes with small random regions,
 //! then publishes sweep three region sides — small (cell-sized), medium
-//! and large — timing ns/publish and the realised delivery fan-out.
-//! KV cost is measured as ns/op over a fill pass, an overwrite pass and
-//! a Zipf-skewed read pass.  Everything lands in the `services` section
-//! of `BENCH_routes.json`; smoke mode (`VORONET_SMOKE=1`, CI) shrinks
-//! the overlay and skips the JSON record.
+//! and large — printing ns/publish and the realised delivery fan-out.
+//! Smoke mode (`VORONET_SMOKE=1`, CI) shrinks the overlay.  The KV half
+//! of the service plane is timed by `benchmark/` (`services.kv_put_us`,
+//! `services.kv_get_us`, the `cluster_kv_2k` workload), not here.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
-use std::path::Path;
 use std::time::Instant;
 use voronet_api::{OpResult, Overlay, ServiceOp, ServiceResult, SyncEngine};
 use voronet_core::experiments::build_overlay;
 use voronet_core::VoroNetConfig;
 use voronet_geom::{Point2, Rect};
 use voronet_services::ServiceEngine;
-use voronet_workloads::Distribution;
+use voronet_workloads::{smoke_budget, Distribution};
 
 const SEED: u64 = 2007;
 const REGION_SIDES: [f64; 3] = [0.05, 0.2, 0.5];
 
-fn smoke() -> bool {
-    std::env::var_os("VORONET_SMOKE").is_some_and(|v| v != "0")
-}
-
 fn overlay_size() -> usize {
-    if smoke() {
+    if smoke_budget() {
         800
     } else {
         5_000
@@ -40,18 +32,10 @@ fn overlay_size() -> usize {
 }
 
 fn publishes() -> usize {
-    if smoke() {
+    if smoke_budget() {
         50
     } else {
         200
-    }
-}
-
-fn kv_keys() -> usize {
-    if smoke() {
-        1_000
-    } else {
-        8_192
     }
 }
 
@@ -112,91 +96,24 @@ fn run_publishes(engine: &mut ServiceEngine<SyncEngine>, side: f64) -> (f64, f64
     )
 }
 
-/// Times a KV pass over `kv_keys()` keys; `read` switches get vs put.
-/// Reads are Zipf-ish skewed (quadratic bias to low key indices).
-fn run_kv(engine: &mut ServiceEngine<SyncEngine>, pass: u64, read: bool) -> f64 {
-    let mut rng = StdRng::seed_from_u64(SEED ^ pass);
-    let keys = kv_keys();
-    let start = Instant::now();
-    for i in 0..keys {
-        let from = engine.id_at(i % engine.len()).expect("dense index");
-        let key = if read {
-            let r: f64 = rng.random();
-            (r * r * keys as f64) as u64
-        } else {
-            i as u64
-        };
-        let result = if read {
-            engine.exec_service(ServiceOp::KvGet { from, key })
-        } else {
-            engine.exec_service(ServiceOp::KvPut {
-                from,
-                key,
-                value: pass ^ key,
-            })
-        };
-        match result {
-            OpResult::Service(_) => {}
-            other => panic!("kv op failed: {other:?}"),
-        }
-    }
-    start.elapsed().as_nanos() as f64 / keys as f64
-}
-
 fn services_ops(c: &mut Criterion) {
     let mut engine = build_engine();
 
     let mut group = c.benchmark_group("services_ops");
     group.sample_size(10);
 
-    let mut publish_sections = Vec::new();
     for &side in &REGION_SIDES {
         let (ns, fanout, visited) = run_publishes(&mut engine, side);
         println!(
             "services_ops publish side {side}: {ns:.0} ns/publish, fan-out {fanout:.1}, \
              flood visited {visited:.1}"
         );
-        publish_sections.push(format!(
-            "\"{side}\": {{ \"ns_per_publish\": {ns:.1}, \"mean_fanout\": {fanout:.2}, \
-             \"mean_visited\": {visited:.2} }}"
-        ));
     }
-
-    let fill_ns = run_kv(&mut engine, 1, false);
-    let overwrite_ns = run_kv(&mut engine, 2, false);
-    let get_ns = run_kv(&mut engine, 3, true);
-    println!(
-        "services_ops kv: fill {fill_ns:.0} ns/put, overwrite {overwrite_ns:.0} ns/put, \
-         get {get_ns:.0} ns/get"
-    );
 
     group.bench_function(BenchmarkId::new("publish", "side_0.2"), |b| {
         b.iter(|| black_box(run_publishes(&mut engine, 0.2).0));
     });
-    group.bench_function(BenchmarkId::new("kv", "get"), |b| {
-        b.iter(|| black_box(run_kv(&mut engine, 4, true)));
-    });
     group.finish();
-
-    if smoke() {
-        println!("smoke mode: JSON record skipped");
-        return;
-    }
-    let section = format!(
-        "{{ \"overlay_size\": {}, \"subscribers\": {}, \"publishes_per_side\": {}, \
-         \"kv_keys\": {}, \"publish\": {{ {} }}, \"kv\": {{ \"fill_ns_per_put\": {fill_ns:.1}, \
-         \"overwrite_ns_per_put\": {overwrite_ns:.1}, \"get_ns_per_get\": {get_ns:.1} }} }}",
-        overlay_size(),
-        engine.service_state().subscriptions.len(),
-        publishes(),
-        kv_keys(),
-        publish_sections.join(", ")
-    );
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_routes.json");
-    match voronet_bench::record::update_json_section(Path::new(out), "services", &section) {
-        Err(e) => eprintln!("could not write {out}: {e}"),
-        Ok(()) => println!("recorded services results to {out}"),
-    }
 }
 
 criterion_group!(benches, services_ops);

@@ -22,58 +22,56 @@ struct Options {
     out_dir: PathBuf,
 }
 
-fn parse_args() -> Options {
+/// A flag's integer value: the next argument, parsed.
+fn int_value<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+) -> Result<T, String> {
+    args.next()
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| format!("{flag} requires an integer"))
+}
+
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
     let mut figures = Vec::new();
     let mut scale = ExperimentScale::quick();
+    let (mut objects, mut pairs, mut seed) = (None, None, None);
     let mut out_dir = PathBuf::from("results");
-    let mut args = std::env::args().skip(1).peekable();
+    let mut args = args.into_iter();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "fig5" | "fig6" | "fig7" | "fig8" | "ablations" | "all" => figures.push(arg),
             "--paper" => scale = ExperimentScale::paper(),
             "--quick" => scale = ExperimentScale::quick(),
             "--smoke" => scale = ExperimentScale::smoke(),
-            "--objects" => {
-                let n = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--objects requires an integer");
-                scale = scale.with_objects(n);
-            }
-            "--pairs" => {
-                let n = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--pairs requires an integer");
-                scale = scale.with_pairs(n);
-            }
+            "--objects" => objects = Some(int_value(&mut args, "--objects")?),
+            "--pairs" => pairs = Some(int_value(&mut args, "--pairs")?),
+            "--seed" => seed = Some(int_value(&mut args, "--seed")?),
             "--out" => {
-                out_dir = PathBuf::from(args.next().expect("--out requires a path"));
+                out_dir = PathBuf::from(args.next().ok_or("--out requires a path")?);
             }
-            "--seed" => {
-                scale.seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed requires an integer");
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: figures [fig5|fig6|fig7|fig8|ablations|all]* \
-                     [--paper|--quick|--smoke] [--objects N] [--pairs N] [--seed S] [--out DIR]"
-                );
-                std::process::exit(2);
-            }
+            other => return Err(format!("unknown argument: {other}")),
         }
+    }
+    // The preset first, the explicit overrides on top of it, whatever
+    // order they came in: `--seed 7 --paper` runs seed 7.
+    if let Some(n) = objects {
+        scale = scale.with_objects(n);
+    }
+    if let Some(n) = pairs {
+        scale = scale.with_pairs(n);
+    }
+    if let Some(s) = seed {
+        scale.seed = s;
     }
     if figures.is_empty() {
         figures.push("all".to_string());
     }
-    Options {
+    Ok(Options {
         figures,
         scale,
         out_dir,
-    }
+    })
 }
 
 fn wants(opts: &Options, name: &str) -> bool {
@@ -95,7 +93,14 @@ fn print_series(title: &str, series: &[Series]) {
 }
 
 fn main() {
-    let opts = parse_args();
+    let opts = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        eprintln!(
+            "usage: figures [fig5|fig6|fig7|fig8|ablations|all]* \
+             [--paper|--quick|--smoke] [--objects N] [--pairs N] [--seed S] [--out DIR]"
+        );
+        std::process::exit(2);
+    });
     let _ = fs::create_dir_all(&opts.out_dir);
     println!(
         "VoroNet figure harness: {} objects, {} route pairs, seed {}",
@@ -173,7 +178,7 @@ fn main() {
     }
 
     if wants(&opts, "ablations") {
-        println!("\nrunning ablations (not in the paper; see DESIGN.md)...");
+        println!("\nrunning ablations (not in the paper)...");
         let k = run_ablation_kleinberg(opts.scale);
         print_series("Ablation: VoroNet vs Kleinberg grid", &k);
         save(&opts, "ablation_kleinberg.csv", &series_to_csv(&k));
@@ -183,4 +188,40 @@ fn main() {
     }
 
     println!("\ndone.");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Options {
+        parse_args(line.split_whitespace().map(String::from)).expect("valid arguments")
+    }
+
+    #[test]
+    fn overrides_apply_on_top_of_the_preset_in_either_order() {
+        for line in [
+            "fig6 --seed 7 --objects 600 --pairs 50 --paper",
+            "fig6 --paper --seed 7 --objects 600 --pairs 50",
+        ] {
+            let opts = parse(line);
+            assert_eq!(opts.figures, ["fig6"], "{line}");
+            let s = opts.scale;
+            assert_eq!((s.objects, s.pairs, s.seed), (600, 50, 7), "{line}");
+            // What no flag overrode comes from the preset.
+            assert_eq!(s.samples, ExperimentScale::paper().samples, "{line}");
+        }
+    }
+
+    #[test]
+    fn defaults_and_errors() {
+        let opts = parse("");
+        assert_eq!(opts.figures, ["all"]);
+        assert_eq!(opts.scale.objects, ExperimentScale::quick().objects);
+        assert_eq!(opts.out_dir, PathBuf::from("results"));
+        let err = |line: &str| parse_args(line.split_whitespace().map(String::from)).err();
+        assert_eq!(err("--bogus").as_deref(), Some("unknown argument: --bogus"));
+        assert!(err("--objects many").is_some());
+        assert!(err("--out").is_some());
+    }
 }

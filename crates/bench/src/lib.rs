@@ -1,7 +1,8 @@
 //! # voronet-bench
 //!
 //! Benchmark harness regenerating every figure of the VoroNet evaluation
-//! (Section 5 of the paper) plus the ablations listed in DESIGN.md.
+//! (Section 5 of the paper) plus two ablations that are not in the paper
+//! (VoroNet against the Kleinberg grid, per-operation maintenance messages).
 //!
 //! The same figure runners back two entry points:
 //!
@@ -15,8 +16,6 @@
 //! `ExperimentScale::quick()`.
 
 #![warn(missing_docs)]
-
-pub mod record;
 
 use voronet_core::experiments::{
     build_overlay, long_link_sweep, mean_route_length, route_length_growth, GrowthExperiment,

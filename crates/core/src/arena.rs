@@ -211,12 +211,6 @@ impl NodeArena {
         &self.order
     }
 
-    /// Dense-order position of a live node (`None` otherwise); the inverse
-    /// of [`NodeArena::id_at`].
-    pub fn dense_pos_of(&self, id: ObjectId) -> Option<usize> {
-        self.get(id).map(|s| s.dense_pos as usize)
-    }
-
     /// Read access to a live node's slot.
     pub fn get(&self, id: ObjectId) -> Option<&NodeSlot> {
         let &idx = self.lookup.get(&id)?;
@@ -395,7 +389,7 @@ mod tests {
         for (pos, &id) in live.iter().enumerate() {
             assert!(arena.contains(id));
             assert_eq!(arena.get(id).unwrap().id(), id);
-            assert_eq!(arena.dense_pos_of(id), Some(pos));
+            assert_eq!(arena.get(id).unwrap().dense_pos as usize, pos);
             let index = arena.index_of(id).unwrap();
             assert_eq!(arena.get_at(index).unwrap().id(), id);
         }

@@ -75,7 +75,7 @@ pub struct AdaptationReport {
 
 /// Current population estimate used to decide whether to adapt.  Stands in
 /// for the paper's background estimation process.
-pub fn estimate_population(net: &VoroNet) -> usize {
+fn estimate_population(net: &VoroNet) -> usize {
     net.len()
 }
 

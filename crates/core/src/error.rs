@@ -87,12 +87,6 @@ impl VoronetError {
     pub fn context(&self) -> Option<&str> {
         self.context.as_deref()
     }
-
-    /// Returns `self` with `context` attached (replacing any existing one).
-    pub fn context_str(mut self, context: impl Into<String>) -> Self {
-        self.context = Some(context.into());
-        self
-    }
 }
 
 impl std::fmt::Display for ErrorKind {

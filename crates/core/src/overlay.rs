@@ -26,7 +26,7 @@
 //! at most a constant number of extra local steps at the end of a route — is
 //! folded into the plain greedy walk used here and documented in DESIGN.md.
 
-use crate::arena::{NodeArena, NodeIndex, NodeSlot};
+use crate::arena::{NodeArena, NodeSlot};
 use crate::config::VoroNetConfig;
 use crate::error::{ErrorKind, VoronetError};
 use crate::object::{BackLink, LinkIndex, LongLink, ObjectId, ObjectView, ViewRef};
@@ -171,12 +171,6 @@ impl VoroNet {
         &self.arena
     }
 
-    /// Generation-tagged arena index of a live object (`None` otherwise);
-    /// see [`NodeIndex`].
-    pub fn node_index(&self, id: ObjectId) -> Option<NodeIndex> {
-        self.arena.index_of(id)
-    }
-
     /// Protocol messages sent by a live object since construction (or the
     /// last [`VoroNet::reset_traffic`]); `None` for departed or unknown
     /// objects.  Read from [`VoroNet::traffic`] — the only per-node count.
@@ -272,11 +266,6 @@ impl VoroNet {
     /// Long-range links of an object, borrowed from its arena slot.
     pub fn long_links(&self, id: ObjectId) -> Result<&[LongLink], VoronetError> {
         Ok(&self.state(id)?.long)
-    }
-
-    /// Back-long-range pointers of an object, borrowed from its arena slot.
-    pub fn back_links(&self, id: ObjectId) -> Result<&[BackLink], VoronetError> {
-        Ok(&self.state(id)?.back_long)
     }
 
     /// Borrowed, zero-copy view of an object's state (Section 3.1) — the
@@ -563,7 +552,7 @@ impl VoroNet {
     /// Draws a long-link target for an object at `from` (Algorithm 3):
     /// radius `e^a` with `a` uniform in `[ln d_min, ln √2]`, uniform angle.
     /// The target may fall outside the domain.
-    pub fn choose_long_link_target(&mut self, from: Point2) -> Point2 {
+    fn choose_long_link_target(&mut self, from: Point2) -> Point2 {
         let lo = self.config.dmin().ln();
         let hi = self.config.max_link_radius().ln();
         let a = lo + self.rng.random::<f64>() * (hi - lo);

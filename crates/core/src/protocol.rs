@@ -181,7 +181,8 @@ pub(crate) fn resolve_owner_locally(
 /// is therefore not implied (and is empirically false), while the factor-1
 /// form checked here — which is all the correctness argument needs — holds.
 /// EXPERIMENTS.md records this discrepancy.
-pub fn lemma4_violations(net: &VoroNet, stopped_at: ObjectId, target: Point2) -> usize {
+#[cfg(test)]
+fn lemma4_violations(net: &VoroNet, stopped_at: ObjectId, target: Point2) -> usize {
     let Some(vertex) = net.vertex_of(stopped_at) else {
         return 0;
     };

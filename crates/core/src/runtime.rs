@@ -67,7 +67,7 @@ use voronet_workloads::{RadiusQuery, RangeQuery};
 /// so joiners are spread across partition components like any other host
 /// instead of all sharing one component.  Provisional ids never collide
 /// with object ids, which count up from zero.
-pub const JOINER: NodeId = NodeId::MAX;
+const JOINER: NodeId = NodeId::MAX;
 
 /// True when `node` is a provisional joiner id rather than a live object
 /// (useful when interpreting per-sender traffic).
@@ -325,7 +325,7 @@ impl AsyncOverlay {
     }
 
     /// Selects the routing mode for subsequent `RouteStep` handling.
-    pub fn with_routing_mode(mut self, mode: RoutingMode) -> Self {
+    fn with_routing_mode(mut self, mode: RoutingMode) -> Self {
         self.mode = mode;
         self
     }
@@ -336,12 +336,6 @@ impl AsyncOverlay {
     /// result bit-identical.
     pub fn set_wire_tap(&mut self, tap: Box<dyn WireTap>) {
         self.wire_tap = Some(tap);
-    }
-
-    /// Builder form of [`AsyncOverlay::set_wire_tap`].
-    pub fn with_wire_tap(mut self, tap: Box<dyn WireTap>) -> Self {
-        self.set_wire_tap(tap);
-        self
     }
 
     /// Sends one protocol message through the optional wire tap and into
@@ -562,7 +556,7 @@ impl AsyncOverlay {
     }
 
     /// Consumes the overlay into a report.
-    pub fn into_report(self, scenario: impl Into<String>) -> ScenarioReport {
+    fn into_report(self, scenario: impl Into<String>) -> ScenarioReport {
         ScenarioReport {
             scenario: scenario.into(),
             traffic: self.runtime.traffic().clone(),

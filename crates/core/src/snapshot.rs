@@ -529,7 +529,7 @@ impl FrozenView {
     /// Dense index of an object (`None` for ids dead or unknown at freeze
     /// time).
     #[inline]
-    pub fn dense_of(&self, id: ObjectId) -> Option<u32> {
+    fn dense_of(&self, id: ObjectId) -> Option<u32> {
         self.id_to_dense.get(id)
     }
 
@@ -540,7 +540,7 @@ impl FrozenView {
     }
 
     /// Coordinates of an object live at freeze time.
-    pub fn coords_of(&self, id: ObjectId) -> Option<Point2> {
+    fn coords_of(&self, id: ObjectId) -> Option<Point2> {
         let d = self.dense_of(id)? as usize;
         Some(Point2::new(self.xs[d], self.ys[d]))
     }

@@ -8,7 +8,7 @@
 //! and Fast Robust Geometric Predicates*, 1997).
 //!
 //! Only the handful of primitives needed by the predicates is implemented:
-//! error-free transformations ([`two_sum`], [`two_diff`], [`two_product`]),
+//! error-free transformations (`two_sum`, `two_diff`, `two_product`),
 //! expansion growth and addition, scaling by a scalar, full expansion
 //! products, and sign extraction.  The code favours clarity over raw speed:
 //! the exact path is only exercised on (near-)degenerate inputs, which are a
@@ -21,7 +21,7 @@ const SPLITTER: f64 = 134_217_729.0;
 /// Error-free transformation of a sum: returns `(hi, lo)` with
 /// `hi + lo == a + b` exactly and `hi = fl(a + b)`.
 #[inline]
-pub fn two_sum(a: f64, b: f64) -> (f64, f64) {
+fn two_sum(a: f64, b: f64) -> (f64, f64) {
     let hi = a + b;
     let bvirt = hi - a;
     let avirt = hi - bvirt;
@@ -32,7 +32,7 @@ pub fn two_sum(a: f64, b: f64) -> (f64, f64) {
 
 /// Error-free transformation of a sum when `|a| >= |b|` is known.
 #[inline]
-pub fn fast_two_sum(a: f64, b: f64) -> (f64, f64) {
+fn fast_two_sum(a: f64, b: f64) -> (f64, f64) {
     let hi = a + b;
     let bvirt = hi - a;
     (hi, b - bvirt)
@@ -41,7 +41,7 @@ pub fn fast_two_sum(a: f64, b: f64) -> (f64, f64) {
 /// Error-free transformation of a difference: `(hi, lo)` with
 /// `hi + lo == a - b` exactly.
 #[inline]
-pub fn two_diff(a: f64, b: f64) -> (f64, f64) {
+fn two_diff(a: f64, b: f64) -> (f64, f64) {
     let hi = a - b;
     let bvirt = a - hi;
     let avirt = hi + bvirt;
@@ -63,7 +63,7 @@ pub fn split(a: f64) -> (f64, f64) {
 /// Error-free transformation of a product: `(hi, lo)` with
 /// `hi + lo == a * b` exactly.
 #[inline]
-pub fn two_product(a: f64, b: f64) -> (f64, f64) {
+fn two_product(a: f64, b: f64) -> (f64, f64) {
     let hi = a * b;
     let (ahi, alo) = split(a);
     let (bhi, blo) = split(b);
@@ -103,7 +103,7 @@ impl Expansion {
 
     /// Builds an expansion from the error-free pair produced by
     /// [`two_sum`]/[`two_diff`]/[`two_product`] (`hi`, `lo`).
-    pub fn from_two(hi: f64, lo: f64) -> Self {
+    fn from_two(hi: f64, lo: f64) -> Self {
         let mut e = Expansion {
             components: Vec::with_capacity(2),
         };
@@ -175,7 +175,7 @@ impl Expansion {
     }
 
     /// Exact negation.
-    pub fn negate(&self) -> Expansion {
+    fn negate(&self) -> Expansion {
         Expansion {
             components: self.components.iter().map(|c| -c).collect(),
         }

@@ -49,7 +49,7 @@ pub fn convex_hull(points: &[Point2]) -> Vec<Point2> {
 /// is empty, or to `a`–`b` being a hull edge of a 2-point set.
 ///
 /// Complexity is O(n²) per edge — strictly a test oracle for small inputs.
-pub fn is_delaunay_edge_bruteforce(points: &[Point2], a: usize, b: usize) -> bool {
+fn is_delaunay_edge_bruteforce(points: &[Point2], a: usize, b: usize) -> bool {
     let n = points.len();
     if n == 2 {
         return true;

@@ -27,9 +27,6 @@ impl Point2 {
         Point2 { x, y }
     }
 
-    /// The origin `(0, 0)`.
-    pub const ORIGIN: Point2 = Point2 { x: 0.0, y: 0.0 };
-
     /// Squared Euclidean distance to `other`.
     ///
     /// Cheaper than [`Point2::distance`] and sufficient whenever only
@@ -82,12 +79,6 @@ impl Point2 {
     #[inline]
     pub fn norm2(&self) -> f64 {
         self.x * self.x + self.y * self.y
-    }
-
-    /// Euclidean norm.
-    #[inline]
-    pub fn norm(&self) -> f64 {
-        self.norm2().sqrt()
     }
 
     /// Midpoint of the segment `[self, other]`.
@@ -316,7 +307,7 @@ impl Polygon {
     }
 
     /// Signed area (positive for counter-clockwise orientation).
-    pub fn signed_area(&self) -> f64 {
+    fn signed_area(&self) -> f64 {
         let n = self.vertices.len();
         if n < 3 {
             return 0.0;
@@ -333,46 +324,6 @@ impl Polygon {
     /// Absolute area.
     pub fn area(&self) -> f64 {
         self.signed_area().abs()
-    }
-
-    /// Perimeter length.
-    pub fn perimeter(&self) -> f64 {
-        let n = self.vertices.len();
-        if n < 2 {
-            return 0.0;
-        }
-        (0..n)
-            .map(|i| self.vertices[i].distance(self.vertices[(i + 1) % n]))
-            .sum()
-    }
-
-    /// Centroid of the polygon (area-weighted). Returns the vertex average
-    /// for degenerate (zero-area) polygons.
-    pub fn centroid(&self) -> Point2 {
-        let n = self.vertices.len();
-        if n == 0 {
-            return Point2::ORIGIN;
-        }
-        let a = self.signed_area();
-        if a.abs() < 1e-300 {
-            let mut cx = 0.0;
-            let mut cy = 0.0;
-            for v in &self.vertices {
-                cx += v.x;
-                cy += v.y;
-            }
-            return Point2::new(cx / n as f64, cy / n as f64);
-        }
-        let mut cx = 0.0;
-        let mut cy = 0.0;
-        for i in 0..n {
-            let p = self.vertices[i];
-            let q = self.vertices[(i + 1) % n];
-            let w = p.cross(q);
-            cx += (p.x + q.x) * w;
-            cy += (p.y + q.y) * w;
-        }
-        Point2::new(cx / (6.0 * a), cy / (6.0 * a))
     }
 
     /// Point-in-polygon test (winding-free, ray casting). Boundary points may
@@ -472,7 +423,6 @@ mod tests {
         let b = Point2::new(3.0, 4.0);
         assert_eq!(a.distance(b), 5.0);
         assert_eq!(a.distance2(b), 25.0);
-        assert_eq!(b.norm(), 5.0);
     }
 
     #[test]
@@ -545,9 +495,6 @@ mod tests {
         ]);
         assert!((square.area() - 1.0).abs() < 1e-12);
         assert!((square.signed_area() - 1.0).abs() < 1e-12);
-        assert!((square.perimeter() - 4.0).abs() < 1e-12);
-        let c = square.centroid();
-        assert!((c.x - 0.5).abs() < 1e-12 && (c.y - 0.5).abs() < 1e-12);
     }
 
     #[test]

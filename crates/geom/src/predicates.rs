@@ -122,13 +122,6 @@ fn orient2d_exact(a: Point2, b: Point2, c: Point2) -> i32 {
     left.sub(&right).sign()
 }
 
-/// Raw signed value of the orientation determinant (non-robust). Exposed for
-/// distance computations and heuristics that do not need an exact sign.
-#[inline]
-pub fn orient2d_fast(a: Point2, b: Point2, c: Point2) -> f64 {
-    (a.x - c.x) * (b.y - c.y) - (a.y - c.y) * (b.x - c.x)
-}
-
 /// In-circle test for the circumcircle of the counter-clockwise triangle
 /// `(a, b, c)`.
 ///
@@ -215,20 +208,6 @@ pub fn circumcenter(a: Point2, b: Point2, c: Point2) -> Option<Point2> {
     let uy = (bax * c2 - cax * b2) / d;
     let center = Point2::new(a.x + ux, a.y + uy);
     center.is_finite().then_some(center)
-}
-
-/// Squared circumradius of the triangle `(a, b, c)`, or `None` when
-/// degenerate.
-pub fn circumradius2(a: Point2, b: Point2, c: Point2) -> Option<f64> {
-    circumcenter(a, b, c).map(|cc| cc.distance2(a))
-}
-
-/// True when `p` lies strictly inside the (counter-clockwise) triangle
-/// `(a, b, c)`; points on the boundary return `false`.
-pub fn point_strictly_in_triangle(a: Point2, b: Point2, c: Point2, p: Point2) -> bool {
-    orient2d(a, b, p).is_positive()
-        && orient2d(b, c, p).is_positive()
-        && orient2d(c, a, p).is_positive()
 }
 
 /// True when `p` lies inside or on the boundary of the (counter-clockwise)
@@ -355,7 +334,6 @@ mod tests {
         let rc = cc.distance(c);
         assert!((ra - rb).abs() < 1e-12);
         assert!((ra - rc).abs() < 1e-12);
-        assert!((circumradius2(a, b, c).unwrap() - ra * ra).abs() < 1e-12);
     }
 
     #[test]
@@ -373,8 +351,6 @@ mod tests {
         let c = Point2::new(0.0, 1.0);
         let edge_mid = Point2::new(0.5, 0.0);
         assert!(point_in_triangle(a, b, c, edge_mid));
-        assert!(!point_strictly_in_triangle(a, b, c, edge_mid));
-        assert!(point_strictly_in_triangle(a, b, c, Point2::new(0.2, 0.2)));
         assert!(!point_in_triangle(a, b, c, Point2::new(0.7, 0.7)));
     }
 

@@ -32,7 +32,7 @@ use crate::predicates::{incircle, orient2d, Orientation};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Sentinel value for "no triangle / no vertex".
-pub const NIL: u32 = u32::MAX;
+const NIL: u32 = u32::MAX;
 
 /// Number of sentinel vertices enclosing the domain.
 pub const SENTINEL_COUNT: u32 = 4;
@@ -229,13 +229,13 @@ impl Triangulation {
 
     /// True when `v` is one of the four sentinel vertices.
     #[inline]
-    pub fn is_sentinel(&self, v: VertexId) -> bool {
+    fn is_sentinel(&self, v: VertexId) -> bool {
         v < SENTINEL_COUNT
     }
 
     /// True when `v` refers to a live vertex (sentinel or real).
     #[inline]
-    pub fn contains_vertex(&self, v: VertexId) -> bool {
+    fn contains_vertex(&self, v: VertexId) -> bool {
         (v as usize) < self.vert_alive.len() && self.vert_alive[v as usize]
     }
 
@@ -258,12 +258,6 @@ impl Triangulation {
     /// touching sentinels).
     pub fn triangles(&self) -> impl Iterator<Item = [VertexId; 3]> + '_ {
         (0..self.tris.len()).filter_map(move |t| self.tri_alive[t].then_some(self.tris[t].v))
-    }
-
-    /// Iterator over live triangles whose three vertices are real objects.
-    pub fn real_triangles(&self) -> impl Iterator<Item = [VertexId; 3]> + '_ {
-        self.triangles()
-            .filter(move |t| t.iter().all(|&v| !self.is_sentinel(v)))
     }
 
     /// Number of live triangles (including sentinel triangles).

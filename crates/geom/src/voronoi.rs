@@ -35,7 +35,7 @@ impl VoronoiCell {
     }
 
     /// Area of the cell clipped to the given rectangle.
-    pub fn area_in(&self, rect: Rect) -> f64 {
+    fn area_in(&self, rect: Rect) -> f64 {
         self.clipped(rect).area()
     }
 }
@@ -101,18 +101,6 @@ pub fn distance_to_region(tri: &Triangulation, v: VertexId, p: Point2) -> Point2
         }
     }
     best
-}
-
-/// True when `p` belongs to the Voronoi region of `v` (ties included), i.e.
-/// no other live vertex is strictly closer to `p`.
-pub fn region_contains(tri: &Triangulation, v: VertexId, p: Point2) -> bool {
-    match tri.nearest_vertex(p) {
-        Some(owner) => {
-            tri.point(owner).distance2(p) >= tri.point(v).distance2(p) - f64::EPSILON
-                && tri.point(v).distance2(p) <= tri.point(owner).distance2(p) + f64::EPSILON
-        }
-        None => false,
-    }
 }
 
 /// Summary statistics of all Voronoi cells clipped to the domain; used by
@@ -226,17 +214,6 @@ mod tests {
                 let closest = t.point(t.nearest_vertex(z).unwrap()).distance2(z);
                 assert!(dz <= closest + 1e-9);
             }
-        }
-    }
-
-    #[test]
-    fn region_contains_matches_nearest_vertex() {
-        let (t, _) = build(60, 6);
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..200 {
-            let p = Point2::new(rng.random::<f64>(), rng.random::<f64>());
-            let owner = t.nearest_vertex(p).unwrap();
-            assert!(region_contains(&t, owner, p));
         }
     }
 

@@ -129,22 +129,6 @@ impl<T: Transport> HostNode<T> {
         self.deliveries
     }
 
-    /// Duplicate deliveries filtered by the per-topic ledger.
-    pub fn duplicate_deliveries(&self) -> u64 {
-        self.duplicates
-    }
-
-    /// KV entries currently stored here on behalf of hosted owners.
-    pub fn kv_entries(&self) -> usize {
-        self.kv.len()
-    }
-
-    /// Replica copies currently mirrored here on behalf of hosted
-    /// Voronoi neighbours of entry owners.
-    pub fn kv_replica_entries(&self) -> usize {
-        self.kv_replicas.len()
-    }
-
     /// Protocol operations served so far.
     pub fn ops_served(&self) -> u64 {
         self.ops_served

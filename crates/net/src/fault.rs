@@ -125,7 +125,7 @@ impl FaultCtl {
     }
 
     /// True while `peer` is crashed.
-    pub fn is_crashed(&self, peer: PeerId) -> bool {
+    fn is_crashed(&self, peer: PeerId) -> bool {
         self.lock().crashed.contains(&peer)
     }
 
@@ -137,11 +137,6 @@ impl FaultCtl {
     /// Heals any partition.
     pub fn heal(&self) {
         self.lock().partition = None;
-    }
-
-    /// Replaces the link-fault profile.
-    pub fn set_link(&self, link: LinkFaults) {
-        self.lock().link = link;
     }
 
     /// Restores a fault-free cluster: restarts every crashed peer, heals

@@ -22,11 +22,9 @@ use voronet_net::cluster::{Driver, OpOutcome, DRIVER_PEER};
 use voronet_net::tcp::TcpTransport;
 use voronet_net::transport::Transport;
 use voronet_net::udp::UdpTransport;
-use voronet_workloads::{Distribution, OpBatchGenerator, OpMix, PointGenerator, WorkloadOp};
-
-fn smoke() -> bool {
-    std::env::var("VORONET_SMOKE").is_ok_and(|v| v == "1")
-}
+use voronet_workloads::{
+    smoke_budget, Distribution, OpBatchGenerator, OpMix, PointGenerator, WorkloadOp,
+};
 
 struct Scale {
     hosts: u64,
@@ -35,7 +33,7 @@ struct Scale {
 }
 
 fn scale() -> Scale {
-    if smoke() {
+    if smoke_budget() {
         Scale {
             hosts: 3,
             objects: 40,

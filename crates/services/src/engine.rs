@@ -16,7 +16,7 @@
 //!   rounds).
 
 use crate::keys::{key_point, topic_key};
-use crate::state::{KvEntry, ServiceState, ServiceStats};
+use crate::state::{KvEntry, ServiceState};
 use voronet_api::{
     DeleteOutcome, GetOutcome, InsertOutcome, Op, OpResult, Overlay, OverlayStats, PublishOutcome,
     PutOutcome, QueryOutcome, RemoveOutcome, RouteOutcome, ServiceOp, ServiceResult,
@@ -50,27 +50,10 @@ impl<O: Overlay> ServiceEngine<O> {
         &self.inner
     }
 
-    /// The wrapped engine, mutably.  Bypassing the wrapper for churn
-    /// (`insert`/`remove`) skips the ownership handoff hooks — use the
-    /// wrapper's own methods unless that is exactly what a test wants.
-    pub fn inner_mut(&mut self) -> &mut O {
-        &mut self.inner
-    }
-
-    /// Unwraps the engine, discarding service state.
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
-
     /// The service layer's current state (subscriptions, topic sequence
     /// numbers, KV table, counters).
     pub fn service_state(&self) -> &ServiceState {
         &self.state
-    }
-
-    /// The cumulative service counters.
-    pub fn service_stats(&self) -> ServiceStats {
-        self.state.stats
     }
 
     /// Executes one service operation against the wrapped engine.
@@ -521,7 +504,7 @@ mod tests {
         };
         assert_eq!(p2.seq, 2);
 
-        let stats = net.service_stats();
+        let stats = net.service_state().stats;
         assert_eq!(stats.publishes, 2);
         assert_eq!(stats.deliveries, 2);
         assert_eq!(stats.duplicates, 0);
@@ -599,7 +582,7 @@ mod tests {
         };
         assert_eq!(got.value, None);
 
-        let stats = net.service_stats();
+        let stats = net.service_state().stats;
         assert_eq!((stats.kv_puts, stats.kv_gets, stats.kv_deletes), (2, 2, 1));
         assert_eq!(stats.kv_hits, 1);
     }
@@ -623,7 +606,7 @@ mod tests {
         let newcomer = net.insert(kp).unwrap().id;
         assert_ne!(put.owner, newcomer);
         assert_eq!(net.service_state().kv[&key].owner, newcomer);
-        assert!(net.service_stats().handoffs >= 1);
+        assert!(net.service_state().stats.handoffs >= 1);
         net.verify_invariants().unwrap();
 
         // And the value is still reachable.

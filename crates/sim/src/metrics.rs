@@ -248,12 +248,6 @@ impl TransportStats {
         Self::default()
     }
 
-    /// Frames lost for any reason (loss, partition, oversize, dead
-    /// letters): the quantity lossy-path tests bound from below.
-    pub fn dropped_total(&self) -> u64 {
-        self.dropped_loss + self.dropped_partition + self.oversized + self.dead_letters
-    }
-
     /// Merges another set of counters into this one (e.g. aggregating the
     /// per-host stats of a cluster).
     pub fn merge(&mut self, other: &TransportStats) {

@@ -149,7 +149,7 @@ impl NetworkModel {
     }
 
     /// The latency model in effect at instant `now`.
-    pub fn latency_at(&self, now: SimTime) -> LatencyModel {
+    fn latency_at(&self, now: SimTime) -> LatencyModel {
         self.latency_shifts
             .iter()
             .rev()

@@ -124,11 +124,6 @@ impl<M, C> Runtime<M, C> {
         self.live.len()
     }
 
-    /// True when `node` is currently live.
-    pub fn is_live(&self, node: NodeId) -> bool {
-        self.live.contains(&node)
-    }
-
     /// Registers `node` as live.  Returns false when it already was.
     pub fn spawn(&mut self, node: NodeId) -> bool {
         self.live.insert(node)
@@ -319,7 +314,6 @@ mod tests {
         assert_eq!(rt.population(), 0);
         assert!(rt.spawn(9));
         assert!(!rt.spawn(9));
-        assert!(rt.is_live(9));
         assert_eq!(rt.population(), 1);
         assert!(rt.kill(9));
         assert!(!rt.kill(9));

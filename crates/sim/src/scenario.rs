@@ -9,12 +9,11 @@
 //! seed.
 //!
 //! The [`ScenarioBuilder`] offers both single-event scripting ([`at`])
-//! and bulk helpers ([`churn`], [`route_burst`]) for the common
-//! "interleaved joins/leaves/routes under churn" workloads.
+//! and a bulk helper ([`churn`]) for the common "interleaved
+//! joins/leaves/routes under churn" workloads.
 //!
 //! [`at`]: ScenarioBuilder::at
 //! [`churn`]: ScenarioBuilder::churn
-//! [`route_burst`]: ScenarioBuilder::route_burst
 
 use crate::event::SimTime;
 use rand::rngs::StdRng;
@@ -170,14 +169,6 @@ impl ScenarioBuilder {
                 ScenarioOp::Route
             };
             self.scenario.events.push((t, op));
-        }
-        self
-    }
-
-    /// Schedules `count` route operations in one burst at `time`.
-    pub fn route_burst(mut self, time: SimTime, count: usize) -> Self {
-        for _ in 0..count {
-            self.scenario.events.push((time, ScenarioOp::Route));
         }
         self
     }

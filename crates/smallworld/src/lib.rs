@@ -34,7 +34,7 @@ pub struct GridPos {
 
 impl GridPos {
     /// Lattice (Manhattan) distance between two positions.
-    pub fn lattice_distance(&self, other: GridPos) -> u32 {
+    fn lattice_distance(&self, other: GridPos) -> u32 {
         self.row.abs_diff(other.row) + self.col.abs_diff(other.col)
     }
 }
@@ -155,13 +155,8 @@ impl KleinbergGrid {
         }
     }
 
-    /// Vertex id at a position.
-    pub fn vertex_at(&self, pos: GridPos) -> u32 {
-        pos.row * self.config.side + pos.col
-    }
-
     /// Grid neighbours (2 to 4 of them) of a vertex.
-    pub fn grid_neighbors(&self, v: u32) -> Vec<u32> {
+    fn grid_neighbors(&self, v: u32) -> Vec<u32> {
         let side = self.config.side;
         let pos = self.position(v);
         let mut out = Vec::with_capacity(4);
@@ -190,7 +185,7 @@ impl KleinbergGrid {
     /// Forwarding always strictly decreases the lattice distance (a grid
     /// neighbour towards the target always exists), so the route always
     /// terminates.
-    pub fn greedy_route(&self, src: u32, dst: u32) -> u32 {
+    fn greedy_route(&self, src: u32, dst: u32) -> u32 {
         let target = self.position(dst);
         let mut cur = src;
         let mut hops = 0;
@@ -380,11 +375,7 @@ mod tests {
     }
 
     #[test]
-    fn position_vertex_roundtrip() {
-        let g = KleinbergGrid::build(KleinbergConfig::navigable(9), 2);
-        for v in 0..g.len() as u32 {
-            assert_eq!(g.vertex_at(g.position(v)), v);
-        }
+    fn lattice_distance_is_manhattan() {
         assert_eq!(
             GridPos { row: 0, col: 0 }.lattice_distance(GridPos { row: 3, col: 4 }),
             7

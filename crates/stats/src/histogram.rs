@@ -29,7 +29,7 @@ impl IntHistogram {
     }
 
     /// Records `n` observations of `value`.
-    pub fn record_n(&mut self, value: u64, n: u64) {
+    fn record_n(&mut self, value: u64, n: u64) {
         if n == 0 {
             return;
         }
@@ -154,13 +154,8 @@ impl FixedHistogram {
         self.total
     }
 
-    /// Bin counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
     /// Lower edge of bin `i`.
-    pub fn bin_lo(&self, i: usize) -> f64 {
+    fn bin_lo(&self, i: usize) -> f64 {
         let width = (self.hi - self.lo) / self.bins.len() as f64;
         self.lo + width * i as f64
     }
@@ -234,7 +229,7 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.total(), 7);
-        assert_eq!(h.bins(), &[3, 1, 1, 2]);
+        assert_eq!(h.bins, [3, 1, 1, 2]);
         assert_eq!(h.bin_lo(2), 0.5);
         assert_eq!(h.rows().len(), 4);
     }

@@ -38,15 +38,6 @@ impl Series {
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
     }
-
-    /// Maps the y values through `f`, returning a new series with the same
-    /// label.
-    pub fn map_y(&self, f: impl Fn(f64) -> f64) -> Series {
-        Series {
-            label: self.label.clone(),
-            points: self.points.iter().map(|&(x, y)| (x, f(y))).collect(),
-        }
-    }
 }
 
 /// Renders a set of series as a long-format CSV table
@@ -105,15 +96,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn push_and_map() {
+    fn push_grows_the_series() {
         let mut s = Series::new("uniform");
         assert!(s.is_empty());
         s.push(1.0, 10.0);
         s.push(2.0, 20.0);
         assert_eq!(s.len(), 2);
-        let doubled = s.map_y(|y| 2.0 * y);
-        assert_eq!(doubled.points, vec![(1.0, 20.0), (2.0, 40.0)]);
-        assert_eq!(doubled.label, "uniform");
+        assert_eq!(s.points, vec![(1.0, 10.0), (2.0, 20.0)]);
+        assert_eq!(s.label, "uniform");
     }
 
     #[test]

@@ -2,13 +2,12 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Online mean/variance accumulator (Welford's algorithm), merged across
-/// threads by the bench harness.
+/// Online count/mean/min/max accumulator (Welford's running mean), merged
+/// across threads by the bench harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
 }
@@ -19,7 +18,6 @@ impl OnlineStats {
         OnlineStats {
             count: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -30,7 +28,6 @@ impl OnlineStats {
         self.count += 1;
         let delta = x - self.mean;
         self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -46,24 +43,6 @@ impl OnlineStats {
             0.0
         } else {
             self.mean
-        }
-    }
-
-    /// Population variance (0 when fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Sample standard deviation (0 when fewer than two observations).
-    pub fn stddev(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.count - 1) as f64).sqrt()
         }
     }
 
@@ -91,7 +70,6 @@ impl OnlineStats {
         let delta = other.mean - self.mean;
         let total = n1 + n2;
         self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
         self.count += other.count;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
@@ -196,10 +174,8 @@ mod tests {
         }
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
-        assert!(s.stddev() > 0.0);
     }
 
     #[test]
@@ -207,7 +183,6 @@ mod tests {
         let s = OnlineStats::new();
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
     }
@@ -230,7 +205,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.count(), all.count());
         assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
         assert_eq!(a.min(), all.min());
         assert_eq!(a.max(), all.max());
     }

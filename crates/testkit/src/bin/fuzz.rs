@@ -46,6 +46,7 @@ use voronet_testkit::{
     run_case, run_chaos, shrink_case, shrink_chaos, write_chaos_reproducer, write_reproducer,
     ChaosSpec, Fault, FuzzSpec,
 };
+use voronet_workloads::smoke_budget;
 
 struct Args {
     seed: u64,
@@ -66,7 +67,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         seed: 2007,
-        cases: if smoke() { 4 } else { 16 },
+        cases: if smoke_budget() { 4 } else { 16 },
         ops: None,
         warmup: 64,
         threads: 4,
@@ -126,10 +127,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn smoke() -> bool {
-    std::env::var("VORONET_SMOKE").is_ok_and(|v| v != "0" && !v.is_empty())
-}
-
 /// Dumps the first-round resolved op batch of a case (the id-level replay
 /// format of `voronet_api::replay`) for manual debugging.
 fn dump_resolved_ops(case: &voronet_testkit::FuzzCase, path: &PathBuf) -> std::io::Result<()> {
@@ -181,7 +178,7 @@ fn run_chaos_pass(args: &Args) -> ExitCode {
     if failures > 0 {
         return ExitCode::FAILURE;
     }
-    let cases = if smoke() { 3 } else { args.cases.max(8) } as u64;
+    let cases = if smoke_budget() { 3 } else { args.cases.max(8) } as u64;
     let started = std::time::Instant::now();
     for i in 0..cases {
         let spec = ChaosSpec::smoke(args.seed + i);
@@ -238,7 +235,7 @@ fn main() -> ExitCode {
     if args.codec {
         // Standalone wire-codec fuzzing (the CI `net-smoke` budget when
         // VORONET_SMOKE=1): panics with a shrunk frame on failure.
-        let cases = if smoke() { 256 } else { 2_048 } as u64;
+        let cases = if smoke_budget() { 256 } else { 2_048 } as u64;
         voronet_testkit::run_codec_pass(cases, args.seed);
         println!(
             "codec pass clean ({cases} cases per property from seed {})",

@@ -511,7 +511,7 @@ fn encode_step(step: &ChaosStep) -> String {
 
 /// Serializes a chaos case (optionally annotating the failure it
 /// triggers) in the testkit's `.ron` reproducer style.
-pub fn encode_chaos_case(case: &ChaosCase, failure: Option<&ChaosFailure>) -> String {
+fn encode_chaos_case(case: &ChaosCase, failure: Option<&ChaosFailure>) -> String {
     let mut out = String::new();
     out.push_str("// voronet-testkit chaos reproducer v1\n");
     if let Some(f) = failure {

@@ -102,12 +102,6 @@ impl FrozenReplay {
         self.routes.record(hops);
         Ok(self.sabotage(owner, hops))
     }
-
-    /// Drops the retained snapshot so the next read freezes from scratch
-    /// instead of delta-patching (used by tests).
-    pub fn invalidate(&mut self) {
-        self.view = None;
-    }
 }
 
 /// The [`Overlay`] implementation mirrors the per-op semantics of the

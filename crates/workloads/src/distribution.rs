@@ -246,15 +246,6 @@ impl PointGenerator {
     pub fn take_points(&mut self, n: usize) -> Vec<Point2> {
         (0..n).map(|_| self.next_point()).collect()
     }
-
-    /// A uniformly distributed point of the domain regardless of the object
-    /// distribution — used for query targets and long-link draws in tests.
-    pub fn uniform_point(&mut self) -> Point2 {
-        Point2::new(
-            self.domain.min.x + self.rng.random::<f64>() * self.domain.width(),
-            self.domain.min.y + self.rng.random::<f64>() * self.domain.height(),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -343,8 +334,6 @@ mod tests {
         for p in g.take_points(200) {
             assert!(domain.contains(p));
         }
-        let q = g.uniform_point();
-        assert!(domain.contains(q));
     }
 
     #[test]

@@ -133,16 +133,6 @@ impl Scenario {
             ScenarioKind::DegenerateGeometry => degenerate_geometry(&spec),
         }
     }
-
-    /// Total scripted route ops across all phases — the measured sample
-    /// count of a latency run.
-    pub fn route_count(&self) -> usize {
-        self.phases
-            .iter()
-            .flat_map(|p| &p.ops)
-            .filter(|op| matches!(op, WorkloadOp::Route { .. }))
-            .count()
-    }
 }
 
 /// A non-degenerate route pair below `pop` (`pop >= 2`).
@@ -374,6 +364,7 @@ mod tests {
         for kind in ScenarioKind::all() {
             let s = Scenario::build(&spec(kind));
             let mut pop = s.setup.len();
+            let mut routes = 0;
             for phase in &s.phases {
                 for op in &phase.ops {
                     match *op {
@@ -385,18 +376,14 @@ mod tests {
                         WorkloadOp::Route { from, to } => {
                             assert!(from < pop && to < pop, "{}", kind.name());
                             assert_ne!(from, to, "{}: self-route scripted", kind.name());
+                            routes += 1;
                         }
                         ref other => panic!("{}: unexpected op {other:?}", kind.name()),
                     }
                     assert!(pop >= 4, "{}: population underflow", kind.name());
                 }
             }
-            assert!(
-                s.route_count() >= 200,
-                "{}: only {} routes",
-                kind.name(),
-                s.route_count()
-            );
+            assert!(routes >= 200, "{}: only {routes} routes", kind.name());
         }
     }
 

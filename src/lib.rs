@@ -13,11 +13,11 @@
 //! | [`stats`] | histograms, regressions, series export |
 //! | [`workloads`] | object distributions, query generators, batched op scripts |
 //! | [`sim`] | discrete-event scheduler, per-node async runtime, network models, traffic accounting |
-//! | [`smallworld`] | Kleinberg grid baseline |
 //! | [`core`] | the VoroNet overlay itself, plus its message-driven execution |
 //! | [`api`] | the backend-agnostic [`Overlay`](api::Overlay) trait, batched ops, `OverlayBuilder`, unified errors |
 //! | [`services`] | geo-scoped services over any overlay: region pub/sub and coordinate-keyed KV |
 //! | [`net`] | the wire codec, pluggable transports (vnet/UDP/TCP) and the driver/host cluster behind `voronet-node` |
+//! | `voronet-smallworld` | Kleinberg grid baseline for the routing ablation (dev-only, not re-exported) |
 //! | `voronet-testkit` | differential oracle fuzzing of every engine, shrinking reproducers (dev-only, not re-exported) |
 //!
 //! Applications program against the [`api::Overlay`] trait and pick an
@@ -50,7 +50,6 @@ pub use voronet_geom as geom;
 pub use voronet_net as net;
 pub use voronet_services as services;
 pub use voronet_sim as sim;
-pub use voronet_smallworld as smallworld;
 pub use voronet_stats as stats;
 pub use voronet_workloads as workloads;
 

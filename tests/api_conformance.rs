@@ -335,6 +335,41 @@ fn parallel_batches_are_bit_identical_across_thread_counts() {
     }
 }
 
+/// The asynchronous engine's batching lever is *simulated* time, not host
+/// time: under link latency a batch of routes is in flight concurrently
+/// and quiesces in roughly the slowest route's end-to-end latency, while
+/// one-at-a-time submission pays every route's latency chain back to back
+/// on the simulated clock.  A tick-count gate — no wall clock involved.
+#[test]
+fn async_batches_pipeline_in_simulated_time() {
+    use voronet::sim::{LatencyModel, NetworkModel};
+    let mut net = OverlayBuilder::new(NMAX)
+        .seed(SEED)
+        .network(NetworkModel::new(
+            SEED,
+            LatencyModel::Uniform { min: 5, max: 50 },
+        ))
+        .build_async();
+    populate(&mut net, 400, 61);
+    let mut gen = OpBatchGenerator::new(Distribution::Uniform, 67, OpMix::routes_only());
+    let routes = resolve_workload(&net, &gen.batch(400, 64));
+    assert_eq!(routes.len(), 64);
+
+    let t0 = net.overlay().now();
+    let per_op: Vec<OpResult> = routes.iter().map(|op| net.apply(op)).collect();
+    let per_op_ticks = net.overlay().now() - t0;
+    let t0 = net.overlay().now();
+    let batched = net.apply_batch(&routes);
+    let batch_ticks = net.overlay().now() - t0;
+
+    assert!(per_op.iter().all(|r| r.as_routed().is_some()), "loss-free");
+    assert_eq!(batched, per_op, "batching must not change any result");
+    assert!(
+        batch_ticks * 4 < per_op_ticks,
+        "64 batched routes quiesced in {batch_ticks} ticks, one at a time in {per_op_ticks}"
+    );
+}
+
 /// Lossy networks surface real failures through the unified taxonomy
 /// instead of panicking or silently dropping operations.
 #[test]

@@ -134,7 +134,7 @@ fn check_script(script: &[Step]) -> Result<(), String> {
 
 #[test]
 fn kv_get_returns_last_put_under_churn() {
-    let cases = if std::env::var("VORONET_SMOKE").is_ok_and(|v| v == "1") {
+    let cases = if voronet::workloads::smoke_budget() {
         24
     } else {
         64
