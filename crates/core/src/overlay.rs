@@ -452,6 +452,16 @@ impl VoroNet {
         &self.changes
     }
 
+    /// The objects whose view (routing neighbours, Voronoi neighbours or
+    /// cell) may differ from what it was at snapshot epoch `epoch`: every
+    /// journalled mutation's neighbourhood plus each joiner, with repeats
+    /// and since-departed ids left in.  `None` when the journal no longer
+    /// reaches back to `epoch`; empty at the current epoch.
+    pub fn touched_since(&self, epoch: u64) -> Option<impl Iterator<Item = ObjectId> + '_> {
+        let records = self.changes.range(epoch, self.epoch)?;
+        Some(records.flat_map(ChangeRecord::touched))
+    }
+
     /// Bumps the snapshot epoch and journals the mutation's dirty set.
     fn log_change(&mut self, rec: ChangeRecord) {
         self.epoch += 1;

@@ -662,6 +662,16 @@ impl ChangeRecord {
             | ChangeRecord::Mutate { dirty } => dirty,
         }
     }
+
+    /// Every object whose view the mutation may have changed: the dirty
+    /// set plus, for a join, the joiner itself.
+    pub(crate) fn touched(&self) -> impl Iterator<Item = ObjectId> + '_ {
+        let joined = match *self {
+            ChangeRecord::Insert { id, .. } => Some(id),
+            _ => None,
+        };
+        self.dirty().iter().copied().chain(joined)
+    }
 }
 
 /// Bounded journal of overlay mutations, indexed by snapshot epoch:
@@ -692,7 +702,7 @@ impl ChangeLog {
 
     /// The records moving an overlay from epoch `from` to epoch `to`, or
     /// `None` when the window no longer reaches back to `from`.
-    fn range(&self, from: u64, to: u64) -> Option<impl Iterator<Item = &ChangeRecord>> {
+    pub(crate) fn range(&self, from: u64, to: u64) -> Option<impl Iterator<Item = &ChangeRecord>> {
         let lo = from.checked_sub(self.base)? as usize;
         let hi = to.checked_sub(self.base)? as usize;
         if hi > self.records.len() || lo > hi {
@@ -1073,6 +1083,124 @@ mod tests {
             }
             assert_eq!(view.refresh(&net), ViewRefresh::Rebuilt);
             assert_eq!(view, net.freeze());
+        }
+    }
+
+    #[test]
+    fn touched_since_is_the_union_of_the_journalled_dirty_sets() {
+        let (mut net, ids) = build(60, 67);
+        let start = net.snapshot_epoch();
+        let touched = |net: &VoroNet, epoch| {
+            net.touched_since(epoch)
+                .map(|ids| ids.collect::<std::collections::BTreeSet<_>>())
+        };
+        assert_eq!(touched(&net, start), Some(Default::default()));
+        assert_eq!(touched(&net, start + 1), None, "an epoch not reached yet");
+
+        let joined = net.insert(Point2::new(0.31, 0.64)).unwrap().id;
+        net.remove(ids[7]).unwrap();
+        net.refresh_long_links(ids[9]).unwrap();
+        let log = net.change_log();
+        let mut union: std::collections::BTreeSet<ObjectId> = log
+            .range(start, net.snapshot_epoch())
+            .unwrap()
+            .flat_map(|rec| rec.dirty().iter().copied())
+            .collect();
+        // A join's own record names its neighbourhood, not the joiner.
+        union.insert(joined);
+        assert_eq!(touched(&net, start), Some(union));
+        // A later cursor sees only the later records.
+        assert_eq!(
+            touched(&net, net.snapshot_epoch() - 1),
+            Some([ids[9]].into_iter().collect())
+        );
+
+        // The window slides: `CAP` records back is covered, one more is not.
+        for _ in 0..ChangeLog::CAP - 3 {
+            net.refresh_long_links(ids[0]).unwrap();
+        }
+        assert_eq!(net.snapshot_epoch(), start + ChangeLog::CAP as u64);
+        assert!(net.touched_since(start).is_some());
+        net.refresh_long_links(ids[0]).unwrap();
+        assert!(net.touched_since(start).is_none());
+        assert!(net.touched_since(start + 1).is_some());
+    }
+
+    /// What a view consumer (the cluster driver) ships for one object.
+    type Shippable = (Vec<ObjectId>, Vec<ObjectId>, Vec<Point2>);
+
+    fn shippable(net: &VoroNet) -> std::collections::BTreeMap<ObjectId, Shippable> {
+        net.ids()
+            .map(|id| {
+                let view = net.view(id).unwrap();
+                let vertex = net.vertex_of(id).expect("live object");
+                let cell = voronet_geom::voronoi_cell(net.triangulation(), vertex);
+                let routing = view.routing_neighbours();
+                (
+                    id,
+                    (routing, view.voronoi_neighbours, cell.polygon.vertices),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_changed_view_is_in_the_touched_set() {
+        // The contract `touched_since` is consumed under: whatever a
+        // mutation changes about an object's shippable view — in fan order
+        // and to the last bit of a cell vertex — that object is named.
+        for seed in [71, 73, 79] {
+            let (mut net, mut ids) = build(90, seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xC0DE);
+            let mut changed_total = 0usize;
+            for step in 0..260 {
+                let before = shippable(&net);
+                let epoch = net.snapshot_epoch();
+                match rng.random_range(0..10u32) {
+                    0..=3 => {
+                        // Half the joins land beside an existing object, so
+                        // close links form and later prunes have work.
+                        let near = net.coords(ids[rng.random_range(0..ids.len())]).unwrap();
+                        let p = if rng.random::<bool>() {
+                            Point2::new(rng.random::<f64>(), rng.random::<f64>())
+                        } else {
+                            Point2::new(
+                                (near.x + 1e-3 * rng.random::<f64>()).min(1.0),
+                                (near.y + 1e-3 * rng.random::<f64>()).min(1.0),
+                            )
+                        };
+                        if let Ok(r) = net.insert(p) {
+                            ids.push(r.id);
+                        }
+                    }
+                    4..=6 => {
+                        let victim = rng.random_range(0..ids.len());
+                        net.remove(ids.swap_remove(victim)).unwrap();
+                    }
+                    7..=8 => {
+                        let id = ids[rng.random_range(0..ids.len())];
+                        net.refresh_long_links(id).unwrap();
+                    }
+                    _ => {
+                        net.set_nmax(net.config().nmax * 2);
+                        net.prune_close_neighbours();
+                    }
+                }
+                let touched: std::collections::BTreeSet<ObjectId> = net
+                    .touched_since(epoch)
+                    .expect("one record back is always covered")
+                    .collect();
+                for (id, view) in shippable(&net) {
+                    if before.get(&id) != Some(&view) {
+                        changed_total += 1;
+                        assert!(
+                            touched.contains(&id),
+                            "seed {seed} step {step}: {id}'s view changed untouched"
+                        );
+                    }
+                }
+            }
+            assert!(changed_total > 500, "the script must move views");
         }
     }
 

@@ -3,14 +3,14 @@
 //! queries, stats) — each one "queue entries, pump, read the replies".
 
 use super::liveness::{FailureDetector, HostState, Liveness};
-use super::pump::{Completes, Ladder, PendingTable, RetryPolicy};
+use super::pump::{Completes, Ladder, PendingTable, RetryPolicy, SYNC_DEADLINE};
 use super::services::KvPlacement;
 use super::{host_of, ClusterError, ClusterStats, HostReport, OpOutcome, DRIVER_PEER};
 use crate::transport::{PeerId, Transport};
 use crate::wire::{EntryList, IdList, PointList, WireMsg};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 use voronet_core::{VoroNet, VoroNetConfig};
 use voronet_geom::{voronoi_cell, Point2, Rect};
@@ -20,11 +20,11 @@ use voronet_workloads::{RadiusQuery, RangeQuery, WorkloadOp};
 /// What was last shipped to a host for one object; views are re-pushed
 /// only when this differs from the freshly materialised state.
 #[derive(Debug, Clone, PartialEq)]
-struct ShippedView {
-    coords: Point2,
-    routing: Vec<(u64, Point2)>,
-    vn: Vec<u64>,
-    cell: Vec<Point2>,
+pub(super) struct ShippedView {
+    pub(super) coords: Point2,
+    pub(super) routing: Vec<(u64, Point2)>,
+    pub(super) vn: Vec<u64>,
+    pub(super) cell: Vec<Point2>,
 }
 
 /// The cluster controller: authoritative tessellation + view
@@ -34,18 +34,28 @@ pub struct Driver<T: Transport> {
     pub(super) t: T,
     pub(super) hosts: u64,
     pub(super) net: VoroNet,
-    shipped: HashMap<u64, ShippedView>,
+    pub(super) shipped: HashMap<u64, ShippedView>,
     seqs: HashMap<u64, u64>,
+    /// The overlay epoch up to which every host holds every view and every
+    /// KV entry sits where the owner rule puts it; `None` while that is
+    /// not known (a write is propagating, or one failed), which makes the
+    /// next write reconsider every live object and every key.
+    pub(super) synced: Option<u64>,
     pub(super) next_token: u64,
     /// Scratch frame: ops are encoded into it, the pump receives into it.
     pub(super) buf: Vec<u8>,
     pub(super) table: PendingTable,
-    pub(super) subs: HashMap<u64, Rect>,
+    /// Subscriptions by object and entries by key, ordered: pushes made
+    /// by iterating them come out the same on every run.
+    pub(super) subs: BTreeMap<u64, Rect>,
     pub(super) topic_seqs: HashMap<[u64; 4], u64>,
-    pub(super) kv: HashMap<u64, KvPlacement>,
+    pub(super) kv: BTreeMap<u64, KvPlacement>,
     pub(super) svc_seqs: HashMap<u64, u64>,
     pub(super) kv_seq: u64,
     pub(super) policy: RetryPolicy,
+    /// How long a push barrier waits for its acks ([`SYNC_DEADLINE`];
+    /// the scripted tests shorten it to run a barrier out).
+    pub(super) barrier_deadline: Duration,
     pub(super) jitter_rng: StdRng,
     pub(super) detector: FailureDetector,
     /// Fault counters; [`Self::cluster_stats`] adds the detector's part.
@@ -63,16 +73,18 @@ impl<T: Transport> Driver<T> {
             net: VoroNet::new(config),
             shipped: HashMap::new(),
             seqs: HashMap::new(),
+            synced: Some(0),
             next_token: 1,
             buf: Vec::new(),
             table: PendingTable::default(),
-            subs: HashMap::new(),
+            subs: BTreeMap::new(),
             topic_seqs: HashMap::new(),
-            kv: HashMap::new(),
+            kv: BTreeMap::new(),
             svc_seqs: HashMap::new(),
             kv_seq: 0,
             jitter_rng: StdRng::seed_from_u64(policy.seed),
             policy,
+            barrier_deadline: SYNC_DEADLINE,
             detector: FailureDetector::new(hosts, Instant::now()),
             stats: ClusterStats::default(),
         }
@@ -191,7 +203,7 @@ impl<T: Transport> Driver<T> {
     }
 
     /// Materialises the current shippable state of one live object.
-    fn current_view(&self, id: u64) -> ShippedView {
+    pub(super) fn current_view(&self, id: u64) -> ShippedView {
         let oid = voronet_core::ObjectId(id);
         let view = self.net.view(oid).expect("live object");
         let neighbours = view.routing_neighbours().into_iter();
@@ -219,24 +231,38 @@ impl<T: Transport> Driver<T> {
             build(seq),
             Completes::ViewAck(object, seq),
             "view acks",
-            self.policy.pushes(),
+            self.policy.pushes(self.barrier_deadline),
         );
     }
 
     /// Pushes view diffs (and the given evictions) to the hosts and
-    /// blocks until every push is acked.
-    pub(super) fn sync_views(&mut self, evicted: &[u64]) -> Result<(), ClusterError> {
+    /// blocks until every push is acked.  The views compared with what was
+    /// shipped are the `touched` objects' (live, ascending), or every live
+    /// object's when `None`.  A failed barrier forgets what it queued, so
+    /// a view that may not have arrived never compares as shipped.
+    #[inline(never)]
+    fn sync_views(&mut self, evicted: &[u64], touched: Option<&[u64]>) -> Result<(), ClusterError> {
         for &object in evicted {
             self.shipped.remove(&object);
             self.queue_view_push(object, |seq| WireMsg::Evict { object, seq });
         }
-        let live: Vec<u64> = self.net.ids().map(|id| id.0).collect();
+        let everyone: Vec<u64>;
+        let candidates = match touched {
+            Some(touched) => touched,
+            None => {
+                everyone = self.net.ids().map(|id| id.0).collect();
+                &everyone
+            }
+        };
         let (mut routing, mut vn, mut cell) = (Vec::new(), Vec::new(), Vec::new());
-        for object in live {
+        let mut pushed = Vec::new();
+        for &object in candidates {
             let current = self.current_view(object);
+            self.stats.view_builds += 1;
             if self.shipped.get(&object) == Some(&current) {
                 continue;
             }
+            self.stats.view_pushes += 1;
             self.queue_view_push(object, |seq| WireMsg::ViewUpdate {
                 object,
                 seq,
@@ -246,16 +272,60 @@ impl<T: Transport> Driver<T> {
                 cell: PointList::build(&mut cell, &current.cell),
             });
             self.shipped.insert(object, current);
+            pushed.push(object);
         }
-        self.flush_pushes()
+        let barrier = self.flush_pushes();
+        if barrier.is_err() {
+            for object in pushed {
+                self.shipped.remove(&object);
+            }
+        }
+        barrier
+    }
+
+    /// Carries the overlay mutation just made to the hosts: the changed
+    /// views, then the KV entries whose placement moved.  Both look only
+    /// at the objects the overlay's journal names since the last write
+    /// that got through — and at everyone when there is no such write to
+    /// start from or the journal no longer reaches it.
+    fn propagate(&mut self, evicted: &[u64]) -> Result<(), ClusterError> {
+        let touched = self.synced.take().and_then(|epoch| {
+            let mut touched: Vec<u64> = self
+                .net
+                .touched_since(epoch)?
+                .filter(|&id| self.net.contains(id))
+                .map(|id| id.0)
+                .collect();
+            touched.sort_unstable();
+            touched.dedup();
+            Some(touched)
+        });
+        self.sync_views(evicted, touched.as_deref())?;
+        self.rebalance_kv(touched.as_deref())?;
+        self.synced = Some(self.net.snapshot_epoch());
+        Ok(())
     }
 
     /// Regenerates hosts that came back from the dead before the next
-    /// operation touches them: re-ships their view snapshots (and evicts
-    /// stale ones), then replays their service state from driver control
-    /// state.  Monotonic push sequences make the replay idempotent for a
-    /// host that kept its state and restorative for one that lost it.
+    /// operation touches them.  Every operation starts here, so the check
+    /// inlines to one load and the work stays out of line.
+    #[inline]
     pub(super) fn service_revivals(&mut self) -> Result<(), ClusterError> {
+        if self.detector.revived.is_empty() {
+            return Ok(());
+        }
+        self.regenerate_revived()
+    }
+
+    /// Re-ships each revived host's view snapshots (and evicts stale
+    /// ones), then replays its service state from driver control state.
+    /// Monotonic push sequences make the replay idempotent for a host that
+    /// kept its state and restorative for one that lost it.
+    #[cold]
+    #[inline(never)]
+    fn regenerate_revived(&mut self) -> Result<(), ClusterError> {
+        // A failure below leaves the hosts' state unknown.
+        let synced = self.synced.take();
         while let Some(peer) = self.detector.revived.pop() {
             let hosts = self.hosts;
             // Forget what was shipped to the revived host so sync_views
@@ -263,7 +333,7 @@ impl<T: Transport> Driver<T> {
             // objects whose eviction it may have missed.
             self.shipped
                 .retain(|&object, _| host_of(object, hosts) != peer);
-            let stale: Vec<u64> = self
+            let mut stale: Vec<u64> = self
                 .seqs
                 .keys()
                 .copied()
@@ -272,9 +342,11 @@ impl<T: Transport> Driver<T> {
                         && self.net.coords(voronet_core::ObjectId(object)).is_none()
                 })
                 .collect();
-            self.sync_views(&stale)?;
+            stale.sort_unstable();
+            self.sync_views(&stale, None)?;
             self.replay_services(peer)?;
         }
+        self.synced = synced;
         Ok(())
     }
 
@@ -296,8 +368,7 @@ impl<T: Transport> Driver<T> {
         let Ok(report) = self.net.insert(position) else {
             return Ok(None);
         };
-        self.sync_views(&[])?;
-        self.rebalance_kv()?;
+        self.propagate(&[])?;
         Ok(Some(report.id.0))
     }
 
@@ -311,11 +382,10 @@ impl<T: Transport> Driver<T> {
         if self.net.remove(id).is_err() {
             return Ok(None);
         }
-        self.sync_views(&[id.0])?;
-        // The evicted host dropped the departed object's service state
-        // with it; the driver's control state follows.
+        // The evicted host drops the departed object's service state with
+        // it; the driver's control state follows.
         self.subs.remove(&id.0);
-        self.rebalance_kv()?;
+        self.propagate(&[id.0])?;
         Ok(Some(id.0))
     }
 

@@ -15,12 +15,12 @@ const PROBE_MAX_ATTEMPTS: u32 = 40;
 /// One hosted object's shipped snapshot: everything a host needs to
 /// route through it and evaluate flood predicates at it.
 #[derive(Debug, Clone)]
-struct Hosted {
+pub(super) struct Hosted {
     seq: u64,
-    coords: Point2,
-    routing: Vec<(u64, Point2)>,
-    vn: Vec<u64>,
-    cell: Vec<Point2>,
+    pub(super) coords: Point2,
+    pub(super) routing: Vec<(u64, Point2)>,
+    pub(super) vn: Vec<u64>,
+    pub(super) cell: Vec<Point2>,
 }
 
 impl Hosted {
@@ -82,12 +82,12 @@ pub struct HostNode<T: Transport> {
     t: T,
     peer: PeerId,
     hosts: u64,
-    objects: HashMap<u64, Hosted>,
+    pub(super) objects: HashMap<u64, Hosted>,
     floods: HashMap<u64, Flood>,
     subs: HashMap<u64, Rect>,
     seen: HashMap<(u64, [u64; 4]), u64>,
-    kv: HashMap<(u64, u64), u64>,
-    kv_replicas: HashMap<(u64, u64), (u64, u64)>,
+    pub(super) kv: HashMap<(u64, u64), u64>,
+    pub(super) kv_replicas: HashMap<(u64, u64), (u64, u64)>,
     svc_applied: HashMap<u64, u64>,
     kv_applied: HashMap<(u64, u64), u64>,
     deliveries: u64,

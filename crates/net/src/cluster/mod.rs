@@ -5,8 +5,9 @@
 //!
 //! * The **driver** (peer 0) owns the authoritative [`VoroNet`]
 //!   tessellation — the control plane.  Membership changes execute there;
-//!   after each one the driver diffs every live object's materialised
-//!   view against what was last shipped and pushes [`WireMsg::ViewUpdate`]
+//!   after each one the driver materialises the view of every object the
+//!   overlay's change journal names ([`VoroNet::touched_since`]), diffs it
+//!   against what was last shipped and pushes [`WireMsg::ViewUpdate`]
 //!   frames (routing table, Voronoi neighbours, cell polygon) to the
 //!   hosts, waiting for acks.  This is the same refresh-boundary model as
 //!   `core::runtime`: hosts route **purely from shipped snapshots**.
@@ -73,7 +74,11 @@ mod driver;
 mod host;
 mod liveness;
 mod pump;
+#[cfg(test)]
+mod scripted;
 mod services;
+#[cfg(test)]
+mod write_path;
 
 pub use driver::{Driver, PipelinedRoute};
 pub use host::HostNode;
@@ -163,6 +168,12 @@ pub struct ClusterStats {
     pub revivals: u64,
     /// View/service pushes dropped because their target was dead.
     pub skipped_pushes: u64,
+    /// Object views materialised to compare with what was last shipped:
+    /// the journal's touched set per write, every live object when a
+    /// write must resynchronise from scratch.
+    pub view_builds: u64,
+    /// Of those, the views that differed and were pushed to their host.
+    pub view_pushes: u64,
     /// Request frames re-sent by the fast-retransmit timer *within* an
     /// attempt window (not counted as retries — the attempt ladder never
     /// advanced).

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 /// Budget of a push barrier: a view or service push is resent until
 /// acked, its host dies, or this long has passed.
-const SYNC_DEADLINE: Duration = Duration::from_secs(60);
+pub(super) const SYNC_DEADLINE: Duration = Duration::from_secs(60);
 /// Pushes are resent on the policy's cadence clamped to this range, so a
 /// zeroed knob cannot flood a barrier's worth of frames and a slow one
 /// cannot stall it.
@@ -92,12 +92,12 @@ impl RetryPolicy {
     }
 
     /// The ladder of a push: resent until acked, however many attempt
-    /// windows that takes, within the barrier deadline.
-    pub(super) fn pushes(&self) -> Ladder {
+    /// windows that takes, within the barrier `deadline`.
+    pub(super) fn pushes(&self, deadline: Duration) -> Ladder {
         Ladder {
             max_attempts: u32::MAX,
             resend: self.resend.clamp(PUSH_RESEND_MIN, PUSH_RESEND_MAX),
-            budget: SYNC_DEADLINE,
+            budget: deadline,
         }
     }
 }
@@ -441,16 +441,13 @@ impl<T: Transport> Driver<T> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::host::HostNode;
+    use super::super::scripted::{scripted, Scripted, HOSTS};
     use super::super::{host_of, HostState, Liveness, OpOutcome};
     use super::*;
-    use crate::transport::TransportError;
-    use crate::vnet::{VnetHub, VnetTransport};
     use crate::wire::WirePurpose;
-    use std::collections::VecDeque;
     use voronet_core::{RouteScratch, VoroNetConfig};
     use voronet_geom::{Point2, Rect};
-    use voronet_sim::{NetworkModel, TransportStats};
+    use voronet_sim::TransportStats;
     use voronet_workloads::{Distribution, PointGenerator};
 
     const MS: Duration = Duration::from_millis(1);
@@ -507,7 +504,7 @@ mod tests {
         // A push climbs the same ladder but never runs out of attempts:
         // only the barrier deadline ends it.
         let policy = RetryPolicy::tight();
-        let mut push = entry(t0, policy.pushes());
+        let mut push = entry(t0, policy.pushes(SYNC_DEADLINE));
         assert_eq!(push.ladder.resend, 2 * MS, "clamped up from 250 µs");
         assert_eq!(push.due(t0 + 2 * MS), Due::Resend);
         (push.attempt, push.attempt_started) = (1_000_000, t0 + 59_900 * MS);
@@ -524,137 +521,9 @@ mod tests {
         assert_eq!(zeroed.requests().max_attempts, policy.attempts);
     }
 
-    const HOSTS: u64 = 3;
-
-    /// What the scripted transport does to the frames passing through it.
-    #[derive(Default)]
-    struct Script {
-        /// Each predicate drops the next frame the driver sends that it
-        /// matches, once.
-        drop_sent: Vec<fn(&WireMsg<'_>) -> bool>,
-        /// The same for frames arriving at the driver.
-        drop_received: Vec<fn(&WireMsg<'_>) -> bool>,
-        /// A host that hears nothing from the driver from now on.
-        muted: Option<PeerId>,
-        /// Frames handed to the driver ahead of real traffic.
-        inject: VecDeque<(PeerId, Vec<u8>)>,
-    }
-
-    impl Script {
-        fn drops(rules: &mut Vec<fn(&WireMsg<'_>) -> bool>, frame: &[u8]) -> bool {
-            let Ok((_, msg)) = WireMsg::decode(frame) else {
-                return false;
-            };
-            match rules.iter().position(|rule| rule(&msg)) {
-                Some(hit) => {
-                    rules.remove(hit);
-                    true
-                }
-                None => false,
-            }
-        }
-    }
-
-    /// The driver's endpoint of a single-threaded cluster: whenever the
-    /// driver's mailbox is empty it steps the real hosts inline until
-    /// none has a frame left, so every answer is there by the next
-    /// receive and only the script decides what goes missing.
-    struct Scripted {
-        inner: VnetTransport,
-        hosts: Vec<HostNode<VnetTransport>>,
-        step_buf: Vec<u8>,
-        script: Script,
-    }
-
-    impl Scripted {
-        /// Steps every host until a full round handles no frame.
-        fn step_hosts(&mut self) -> Result<bool, TransportError> {
-            let mut any = false;
-            loop {
-                let mut progressed = false;
-                for host in &mut self.hosts {
-                    while host
-                        .step(&mut self.step_buf)
-                        .map_err(|e| TransportError::Io(std::io::Error::other(e.to_string())))?
-                    {
-                        progressed = true;
-                    }
-                }
-                if !progressed {
-                    return Ok(any);
-                }
-                any = true;
-            }
-        }
-    }
-
-    impl Transport for Scripted {
-        fn local_peer(&self) -> PeerId {
-            self.inner.local_peer()
-        }
-
-        fn register(&mut self, peer: PeerId, addr: &str) -> Result<(), TransportError> {
-            self.inner.register(peer, addr)
-        }
-
-        fn send(&mut self, to: PeerId, frame: &[u8]) -> Result<(), TransportError> {
-            if self.script.muted == Some(to) || Script::drops(&mut self.script.drop_sent, frame) {
-                return Ok(());
-            }
-            self.inner.send(to, frame)
-        }
-
-        fn poll(&mut self) -> Result<(), TransportError> {
-            self.step_hosts().map(drop)
-        }
-
-        fn recv_into(&mut self, buf: &mut Vec<u8>) -> Result<Option<PeerId>, TransportError> {
-            if let Some((from, frame)) = self.script.inject.pop_front() {
-                buf.clear();
-                buf.extend_from_slice(&frame);
-                return Ok(Some(from));
-            }
-            loop {
-                match self.inner.recv_into(buf)? {
-                    Some(_) if Script::drops(&mut self.script.drop_received, buf) => {}
-                    Some(from) => return Ok(Some(from)),
-                    None if self.step_hosts()? => {}
-                    None => return Ok(None),
-                }
-            }
-        }
-
-        fn stats(&self) -> TransportStats {
-            self.inner.stats()
-        }
-    }
-
-    /// A populated three-host scripted cluster whose timers cannot fire
-    /// by themselves: attempt windows of 10 s, no pings for an hour.
+    /// The scripted cluster, populated.
     fn cluster() -> Driver<Scripted> {
-        let hub = VnetHub::new(NetworkModel::ideal());
-        let t = Scripted {
-            inner: hub.endpoint(DRIVER_PEER),
-            hosts: (1..=HOSTS)
-                .map(|peer| HostNode::new(hub.endpoint(peer), peer, HOSTS))
-                .collect(),
-            step_buf: Vec::new(),
-            script: Script::default(),
-        };
-        let mut driver = Driver::new(t, HOSTS, VoroNetConfig::new(512).with_seed(3));
-        driver.set_retry_policy(RetryPolicy {
-            base: Duration::from_secs(10),
-            max_timeout: Duration::from_secs(10),
-            attempts: 3,
-            budget: Duration::from_secs(60),
-            jitter: 0.0,
-            resend: MS,
-            ..RetryPolicy::default()
-        });
-        driver.set_liveness(Liveness {
-            ping_interval: Duration::from_secs(3600),
-            ..Liveness::default()
-        });
+        let mut driver = scripted(VoroNetConfig::new(512).with_seed(3));
         for p in PointGenerator::new(Distribution::Uniform, 5).take_points(24) {
             driver.insert(p).unwrap();
         }

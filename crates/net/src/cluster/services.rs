@@ -19,10 +19,10 @@ use voronet_workloads::RangeQuery;
 /// used to validate replica freshness on degraded reads.
 #[derive(Debug, Clone, PartialEq)]
 pub(super) struct KvPlacement {
-    value: u64,
-    owner: u64,
-    entry_seq: u64,
-    replicas: Vec<u64>,
+    pub(super) value: u64,
+    pub(super) owner: u64,
+    pub(super) entry_seq: u64,
+    pub(super) replicas: Vec<u64>,
 }
 
 impl KvPlacement {
@@ -44,7 +44,7 @@ impl<T: Transport> Driver<T> {
             build(seq),
             Completes::SvcAck(object, seq),
             "service push acks",
-            self.policy.pushes(),
+            self.policy.pushes(self.barrier_deadline),
         );
     }
 
@@ -97,15 +97,11 @@ impl<T: Transport> Driver<T> {
         let seq = self.topic_seqs.entry(topic).or_insert(0);
         *seq += 1;
         let topic_seq = *seq;
-        let mut subscribers: Vec<u64> = self
+        let (delivered, missed): (Vec<u64>, Vec<u64>) = self
             .subs
             .iter()
             .filter(|(_, sub_region)| sub_region.intersects(&region))
             .map(|(&id, _)| id)
-            .collect();
-        subscribers.sort_unstable();
-        let (delivered, missed): (Vec<u64>, Vec<u64>) = subscribers
-            .into_iter()
             .partition(|id| matches.binary_search(id).is_ok());
         for &id in &delivered {
             self.queue_service_push(id, |seq| WireMsg::SvcDeliver {
@@ -370,7 +366,8 @@ impl<T: Transport> Driver<T> {
     }
 
     /// Replays a revived host's service state — subscriptions, owned KV
-    /// entries and replica copies — from driver control state.
+    /// entries and replica copies — from driver control state, ascending
+    /// by object and by key.
     pub(super) fn replay_services(&mut self, peer: PeerId) -> Result<(), ClusterError> {
         let hosts = self.hosts;
         let subs: Vec<(u64, Rect)> = self
@@ -414,13 +411,19 @@ impl<T: Transport> Driver<T> {
         self.flush_pushes()
     }
 
-    /// Recomputes every KV entry's owning cell and replica set against
-    /// the authoritative tessellation after churn and migrates entries
-    /// whose layout changed: the value is re-stored at the new owner's
-    /// host, mirrored to the new replicas, and dropped from former
-    /// roles (handoff).  Owner ties break towards the lower id, the
-    /// exact rule of the single-process `ServiceEngine`.
-    pub(super) fn rebalance_kv(&mut self) -> Result<(), ClusterError> {
+    /// Re-places KV entries against the authoritative tessellation after
+    /// churn and migrates those whose layout changed: the value is
+    /// re-stored at the new owner's host, mirrored to the new replicas,
+    /// and dropped from former roles (handoff).  The rule is the
+    /// single-process `ServiceEngine`'s — owner = min `(distance², id)`
+    /// over live objects, replicas = its Voronoi neighbours — and it is
+    /// run for the entries whose answer can differ from the one held: all
+    /// of them when `touched` is `None`, otherwise those whose owner
+    /// departed, is touched (only then can its neighbours have changed),
+    /// or is beaten under that order by a touched object (a joiner is
+    /// one; nothing else can newly be the minimum).
+    #[inline(never)]
+    pub(super) fn rebalance_kv(&mut self, touched: Option<&[u64]>) -> Result<(), ClusterError> {
         if self.kv.is_empty() && self.subs.is_empty() {
             return Ok(());
         }
@@ -432,20 +435,23 @@ impl<T: Transport> Driver<T> {
             return Ok(());
         }
         let domain = self.net.config().domain;
-        let live: Vec<(u64, Point2)> = self
-            .net
-            .ids()
-            .map(|id| (id.0, self.net.coords(id).expect("live")))
-            .collect();
+        let coords_of = |id: u64| self.net.coords(voronet_core::ObjectId(id));
+        let rivals: Option<Vec<(u64, Point2)>> = touched.and_then(|ids| {
+            let placed = |&id| Some((id, coords_of(id)?));
+            ids.iter().map(placed).collect()
+        });
         let mut moves: Vec<(u64, KvPlacement, Vec<u64>)> = Vec::new(); // (key, new placement, previous roles)
         for (&key, placement) in &self.kv {
             let kp = key_point(key, domain);
-            let new_owner = live
-                .iter()
-                .map(|&(id, c)| (c.distance2(kp), id))
-                .min_by(|a, b| a.partial_cmp(b).expect("finite distances"))
-                .expect("non-empty overlay")
-                .1;
+            if let (Some(rivals), Some(at)) = (&rivals, coords_of(placement.owner)) {
+                let held = (at.distance2(kp), placement.owner);
+                let settled =
+                    |&(id, c): &(u64, Point2)| id != held.1 && (c.distance2(kp), id) > held;
+                if rivals.iter().all(settled) {
+                    continue;
+                }
+            }
+            let new_owner = self.local_owner_of(kp).expect("non-empty overlay");
             let new_replicas = self.replicas_of(new_owner);
             if new_owner != placement.owner || new_replicas != placement.replicas {
                 let previous = placement.roles().collect();

@@ -308,9 +308,10 @@ fn drive_workload<T: Transport>(driver: &mut Driver<T>, args: &Args) -> Result<T
             );
         }
     }
+    let cluster = driver.cluster_stats();
     println!(
         "[drive] workload done: inserts={} removes={} routes={} (avg hops {:.2}) \
-         queries={} (matches={} visited={}) skipped={}",
+         queries={} (matches={} visited={}) skipped={} | views built={} pushed={}",
         tally.inserts,
         tally.removes,
         tally.routes,
@@ -319,6 +320,8 @@ fn drive_workload<T: Transport>(driver: &mut Driver<T>, args: &Args) -> Result<T
         tally.matches,
         tally.visited,
         tally.skipped,
+        cluster.view_builds,
+        cluster.view_pushes,
     );
     if args.services {
         println!(
