@@ -95,6 +95,10 @@ pub struct VoroNet {
     /// Snapshot-maintenance economics reported by view owners (see
     /// [`VoroNet::record_view_refresh`]).
     snap_stats: SnapshotStats,
+    /// Route buffers of [`VoroNet::insert_from`] and
+    /// [`VoroNet::route_to_point`], kept so a join's two routes run on warmed
+    /// buffers (see [`VoroNet::with_scratch`]).
+    scratch: RouteScratch,
 }
 
 impl VoroNet {
@@ -111,6 +115,7 @@ impl VoroNet {
             epoch: 0,
             changes: ChangeLog::default(),
             snap_stats: SnapshotStats::default(),
+            scratch: RouteScratch::new(),
         }
     }
 
@@ -497,6 +502,17 @@ impl VoroNet {
         routed
     }
 
+    /// Runs `f` with the overlay's own route scratch, taken out for the
+    /// call and put back with its capacity and an empty path — so a clone of
+    /// the overlay starts with an empty scratch.
+    fn with_scratch<R>(&mut self, f: impl FnOnce(&mut Self, &mut RouteScratch) -> R) -> R {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let out = f(self, &mut scratch);
+        scratch.path.clear();
+        self.scratch = scratch;
+        out
+    }
+
     /// Greedy routing from `from` towards an arbitrary target point
     /// (Section 3.2), counted in [`VoroNet::traffic`] and reporting the
     /// traversal.  Hot paths that route repeatedly should prefer the
@@ -506,12 +522,13 @@ impl VoroNet {
         from: ObjectId,
         target: Point2,
     ) -> Result<RouteReport, VoronetError> {
-        let mut scratch = RouteScratch::new();
-        let (owner, hops) = self.route_counted(from, target, &mut scratch)?;
-        Ok(RouteReport {
-            owner,
-            hops,
-            path: scratch.path,
+        self.with_scratch(|net, scratch| {
+            let (owner, hops) = net.route_counted(from, target, scratch)?;
+            Ok(RouteReport {
+                owner,
+                hops,
+                path: scratch.path.clone(),
+            })
         })
     }
 
@@ -635,20 +652,37 @@ impl VoroNet {
         p: Point2,
         bootstrap: Option<ObjectId>,
     ) -> Result<JoinReport, VoronetError> {
+        self.with_scratch(|net, scratch| net.join(p, bootstrap, scratch))
+    }
+
+    /// Algorithm 1; `scratch` serves the join route and the long-link
+    /// routes.
+    fn join(
+        &mut self,
+        p: Point2,
+        bootstrap: Option<ObjectId>,
+        scratch: &mut RouteScratch,
+    ) -> Result<JoinReport, VoronetError> {
         // --- 1. locate the region owner by greedy routing ----------------
-        // One scratch serves this route and the long-link routes below.
-        let mut scratch = RouteScratch::new();
-        let routing_hops = match bootstrap {
-            Some(b) => {
-                self.route_counted(b, p, &mut scratch)
-                    .map_err(|_| VoronetError::new(ErrorKind::UnknownBootstrap(b)))?
-                    .1
-            }
-            None => 0,
-        };
+        let routed = bootstrap
+            .map(|b| {
+                self.route_counted(b, p, scratch)
+                    .map_err(|_| VoronetError::new(ErrorKind::UnknownBootstrap(b)))
+            })
+            .transpose()?;
+        let routing_hops = routed.map_or(0, |(_, hops)| hops);
 
         // --- 2. AddVoronoiRegion -----------------------------------------
-        let vertex = match self.tri.insert(p) {
+        // The route ended at the owner of `p`'s region, so `p` lies in or
+        // next to that owner's Delaunay fan: point location starts there
+        // instead of walking O(√n) triangles from wherever the previous
+        // join happened.  The start only shortens the walk — the located
+        // triangle, hence the resulting triangulation, is the same.
+        let inserted = match routed.and_then(|(owner, _)| self.vertex_of(owner)) {
+            Some(near) => self.tri.insert_near(p, near),
+            None => self.tri.insert(p),
+        };
+        let vertex = match inserted {
             Ok(v) => v,
             Err(InsertError::Duplicate(v)) => {
                 let existing = self
@@ -735,6 +769,11 @@ impl VoroNet {
         for &u in &vn {
             let u_state = self.arena.get_mut(u).expect("neighbour is live");
             let u_coords = u_state.coords;
+            // Rebuilt at its exact size rather than `retain`ed in place: a
+            // list is typically one link in the four slots its first push
+            // reserved, and this is where it is trimmed (~60 bytes per
+            // object; `shrink_to_fit` after a `retain` recovers only half,
+            // the shrunk blocks fragment the heap).
             let mut kept = Vec::with_capacity(u_state.back_long.len());
             for bl in u_state.back_long.drain(..) {
                 if bl.target.distance2(p) < bl.target.distance2(u_coords) {
@@ -773,7 +812,7 @@ impl VoroNet {
             let target = self.choose_long_link_target(p);
             self.arena.get_mut(id).expect("just inserted").long[link].target = target;
             let hops = self
-                .establish_long_link(id, link, target, &mut scratch)
+                .establish_long_link(id, link, target, scratch)
                 .expect("the just-inserted object is live");
             long_link_hops += hops;
             messages += hops as u64 + 2;
@@ -1154,6 +1193,7 @@ mod tests {
     use crate::config::VoroNetConfig;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
+    use voronet_workloads::{Distribution, PointGenerator};
 
     fn build_random(n: usize, k: usize, seed: u64) -> (VoroNet, Vec<ObjectId>) {
         let cfg = VoroNetConfig::new(n.max(2))
@@ -1215,6 +1255,86 @@ mod tests {
             kind(net.insert_from(Point2::new(0.1, 0.1), Some(ObjectId(999)))),
             ErrorKind::UnknownBootstrap(ObjectId(999))
         );
+    }
+
+    /// The bootstrap decides where the region insertion starts its walk,
+    /// and nothing else: from every object of a 300-object overlay the same
+    /// join yields the same id, the same view of the joiner (fan order
+    /// included), the same views around it and the same audit — and the
+    /// same errors, `DuplicatePosition` naming the same object.
+    #[test]
+    fn a_join_does_not_depend_on_its_bootstrap() {
+        let (net, ids) = build_random(300, 2, 5);
+        let p = Point2::new(0.4321, 0.567);
+        let taken = net.coords(ids[17]).unwrap();
+        let kind = |r: Result<JoinReport, VoronetError>| r.unwrap_err().kind().clone();
+        let mut reference = None;
+        for &b in &ids {
+            let mut joined = net.clone();
+            assert_eq!(
+                kind(joined.insert_from(taken, Some(b))),
+                ErrorKind::DuplicatePosition(ids[17])
+            );
+            assert_eq!(
+                kind(joined.insert_from(Point2::new(0.5, -0.5), Some(b))),
+                ErrorKind::OutsideDomain
+            );
+            assert_eq!(
+                kind(joined.insert_from(Point2::new(0.5, f64::INFINITY), Some(b))),
+                ErrorKind::NotFinite
+            );
+            let id = joined.insert_from(p, Some(b)).unwrap().id;
+            let views: Vec<ObjectView> = std::iter::once(id)
+                .chain(joined.voronoi_neighbours(id).unwrap())
+                .map(|o| joined.view(o).unwrap())
+                .collect();
+            let outcome = (id, views, joined.audit_invariants(true).unwrap());
+            assert_eq!(reference.get_or_insert_with(|| outcome.clone()), &outcome);
+        }
+    }
+
+    /// `Triangulation::locate_steps` after each of `n` joins of `dist`
+    /// points: the join's region insertion is the only walk a join makes.
+    fn steps_while_joining(dist: Distribution, n: usize) -> Vec<u64> {
+        let mut net = VoroNet::new(VoroNetConfig::new(n).with_seed(7));
+        let mut points = PointGenerator::new(dist, 2007);
+        (0..n)
+            .map(|_| {
+                let _ = net.insert(points.next_point());
+                net.triangulation().locate_steps()
+            })
+            .collect()
+    }
+
+    fn steps_per_join(steps: &[u64], from: usize, to: usize) -> f64 {
+        (steps[to - 1] - steps[from - 1]) as f64 / (to - from) as f64
+    }
+
+    /// A join locates its point once: the route finds the owner and the
+    /// region insertion walks on from there — a few triangles, where a walk
+    /// from wherever the previous join happened crosses ~60 at this size.
+    #[test]
+    fn join_locates_once() {
+        let steps = steps_while_joining(Distribution::Uniform, 3_000);
+        let late = steps_per_join(&steps, 2_000, 3_000);
+        assert!(late <= 6.0, "{late:.2} triangles walked per join");
+    }
+
+    /// The release-size case (CI's net smoke step runs it): the walk does
+    /// not grow with the population, uniform or skewed.
+    #[test]
+    #[ignore = "release-size: cargo test --release -p voronet-core -- --ignored join_locates_once"]
+    fn join_locates_once_from_2k_to_50k() {
+        for dist in [Distribution::Uniform, Distribution::PowerLaw { alpha: 5.0 }] {
+            let steps = steps_while_joining(dist, 50_000);
+            let small = steps_per_join(&steps, 2_000, 5_000);
+            let large = steps_per_join(&steps, 45_000, 50_000);
+            println!("{dist:?}: {small:.2} triangles per join at 2k-5k, {large:.2} at 45k-50k");
+            assert!(
+                large <= 1.25 * small,
+                "{dist:?}: {large:.2} triangles per join at 50k against {small:.2} at 2k-5k"
+            );
+        }
     }
 
     #[test]

@@ -127,9 +127,9 @@ impl std::error::Error for RemoveError {}
 ///
 /// The structure is `Sync`: point location ([`Triangulation::locate`],
 /// [`Triangulation::nearest_vertex`]) and every neighbourhood query take
-/// `&self` and keep their walk state (the last-touched-triangle hint and
-/// the walk-tiebreak RNG) in relaxed atomics, so concurrent readers are
-/// sound.  Under contention the hint/RNG updates may interleave, which only
+/// `&self` and keep their walk state (the last-touched-triangle hint, the
+/// walk-tiebreak RNG and the step count) in relaxed atomics, so concurrent
+/// readers are sound.  Under contention the hint/RNG updates may interleave, which only
 /// perturbs *which* walk a reader takes — never the located triangle or the
 /// nearest vertex it returns.
 pub struct Triangulation {
@@ -145,6 +145,9 @@ pub struct Triangulation {
     epoch: u64,
     hint: AtomicU32,
     rng: AtomicU64,
+    /// Triangles visited by point-location walks, see
+    /// [`Triangulation::locate_steps`].
+    steps: AtomicU64,
     domain: Rect,
     live_real_vertices: usize,
 }
@@ -163,6 +166,7 @@ impl Clone for Triangulation {
             epoch: self.epoch,
             hint: AtomicU32::new(self.hint.load(Ordering::Relaxed)),
             rng: AtomicU64::new(self.rng.load(Ordering::Relaxed)),
+            steps: AtomicU64::new(self.locate_steps()),
             domain: self.domain,
             live_real_vertices: self.live_real_vertices,
         }
@@ -201,6 +205,7 @@ impl Triangulation {
             epoch: 0,
             hint: AtomicU32::new(0),
             rng: AtomicU64::new(0x9E37_79B9_7F4A_7C15),
+            steps: AtomicU64::new(0),
             domain,
             live_real_vertices: 0,
         }
@@ -299,21 +304,55 @@ impl Triangulation {
             .expect("triangulation always has at least two live triangles") as u32
     }
 
+    /// The triangle a walk seeded at vertex `near` starts from: one incident
+    /// to `near` (its `vert_tri` entry), or the last-touched triangle when
+    /// `near` is not a live vertex.
+    fn triangle_near(&self, near: VertexId) -> TriId {
+        match self.vert_tri.get(near as usize) {
+            Some(&t) if t != NIL && self.vert_alive[near as usize] => {
+                debug_assert!(self.tri_alive[t as usize]);
+                t
+            }
+            _ => self.any_live_triangle(),
+        }
+    }
+
     /// Locates `p` in the triangulation by a stochastic walk from the last
     /// touched triangle.
     pub fn locate(&self, p: Point2) -> Locate {
+        self.locate_from(p, self.any_live_triangle())
+    }
+
+    /// Triangles visited by every point-location walk so far (cumulative;
+    /// a statistic — concurrent readers may lose a count, like the walk
+    /// hint they share).  The difference across a call is that call's walk
+    /// length: O(√n) from a cold start, a handful from a neighbouring
+    /// vertex.
+    pub fn locate_steps(&self) -> u64 {
+        self.steps.load(Ordering::Relaxed)
+    }
+
+    /// The walk itself: from the live triangle `start`, cross any edge that
+    /// has `p` strictly on its far side until none does.  Which triangle it
+    /// ends in does not depend on `start` (containment is unique, up to the
+    /// two triangles sharing an edge `p` lies on); only its length does.
+    fn locate_from(&self, p: Point2, start: TriId) -> Locate {
         if !p.is_finite() {
             return Locate::Outside;
         }
-        let mut cur = self.any_live_triangle();
+        let mut cur = start;
         // A walk in a Delaunay triangulation with randomised edge order
         // terminates with probability 1; the bound below is a defensive cap
         // that is never hit in practice.
-        let cap = 8 * (self.tris.len() + 16);
-        for _ in 0..cap {
+        let cap = 8 * (self.tris.len() as u64 + 16);
+        let mut steps = 0u64;
+        let located = 'walk: loop {
+            if steps == cap {
+                break None;
+            }
+            steps += 1;
             let t = &self.tris[cur as usize];
             let r = (self.next_rand() % 3) as usize;
-            let mut moved = false;
             for k in 0..3 {
                 let i = (r + k) % 3;
                 let a = self.points[t.v[(i + 1) % 3] as usize];
@@ -321,34 +360,40 @@ impl Triangulation {
                 if orient2d(a, b, p).is_negative() {
                     let nb = t.n[i];
                     if nb == NIL {
-                        return Locate::Outside;
+                        break 'walk Some(Locate::Outside);
                     }
                     cur = nb;
-                    moved = true;
-                    break;
+                    continue 'walk;
                 }
-            }
-            if moved {
-                continue;
             }
             // p is inside or on the boundary of `cur`.
             self.hint.store(cur, Ordering::Relaxed);
             for i in 0..3 {
                 let vp = self.points[t.v[i] as usize];
                 if vp.x == p.x && vp.y == p.y {
-                    return Locate::OnVertex(t.v[i]);
+                    break 'walk Some(Locate::OnVertex(t.v[i]));
                 }
             }
             for i in 0..3 {
                 let a = self.points[t.v[(i + 1) % 3] as usize];
                 let b = self.points[t.v[(i + 2) % 3] as usize];
                 if orient2d(a, b, p).is_zero() {
-                    return Locate::OnEdge(cur, i as u8);
+                    break 'walk Some(Locate::OnEdge(cur, i as u8));
                 }
             }
-            return Locate::Inside(cur);
-        }
-        // Defensive fallback: exhaustive scan (should be unreachable).
+            break Some(Locate::Inside(cur));
+        };
+        self.steps.store(
+            self.steps.load(Ordering::Relaxed) + steps,
+            Ordering::Relaxed,
+        );
+        located.unwrap_or_else(|| self.locate_exhaustive(p))
+    }
+
+    /// Defensive fallback of the walk: exhaustive scan (should be
+    /// unreachable).
+    #[cold]
+    fn locate_exhaustive(&self, p: Point2) -> Locate {
         for (ti, tri) in self.tris.iter().enumerate() {
             if !self.tri_alive[ti] {
                 continue;
@@ -489,18 +534,38 @@ impl Triangulation {
         self.free_tris.push(t);
     }
 
-    /// Inserts a point of the domain and returns its vertex id.
+    /// Inserts a point of the domain and returns its vertex id, locating it
+    /// by a walk from the last touched triangle.
     pub fn insert(&mut self, p: Point2) -> Result<VertexId, InsertError> {
+        self.insert_from(p, self.any_live_triangle())
+    }
+
+    /// [`Triangulation::insert`] with the walk started at a triangle
+    /// incident to `near` — a handful of steps instead of O(√n) when `near`
+    /// is close to `p` (the overlay passes the owner of `p`'s region, which
+    /// the join route has just found).  The start never changes the
+    /// outcome: the same vertex id or the same error, and the same
+    /// triangulation.  A `near` that is not a live vertex falls back to the
+    /// last touched triangle.
+    pub fn insert_near(&mut self, p: Point2, near: VertexId) -> Result<VertexId, InsertError> {
+        self.insert_from(p, self.triangle_near(near))
+    }
+
+    fn insert_from(&mut self, p: Point2, start: TriId) -> Result<VertexId, InsertError> {
         if !p.is_finite() {
             return Err(InsertError::NotFinite);
         }
         if !self.domain.contains(p) {
             return Err(InsertError::OutsideDomain);
         }
-        let seed = match self.locate(p) {
+        let seed = match self.locate_from(p, start) {
             Locate::OnVertex(v) => return Err(InsertError::Duplicate(v)),
             Locate::Outside => return Err(InsertError::OutsideDomain),
-            Locate::Inside(t) | Locate::OnEdge(t, _) => t,
+            Locate::Inside(t) => t,
+            // The walk may end in either triangle sharing the edge; growing
+            // the cavity from the lower id keeps triangle numbering, and
+            // with it fan order, independent of where the walk came from.
+            Locate::OnEdge(t, i) => t.min(self.tris[t as usize].n[i as usize]),
         };
 
         // --- conflict region (cavity) -----------------------------------

@@ -9,6 +9,7 @@ use super::{host_of, ClusterError, OpOutcome};
 use crate::transport::{PeerId, Transport};
 use crate::wire::WireMsg;
 use std::collections::BTreeSet;
+use voronet_core::VoroNet;
 use voronet_geom::{Point2, Rect};
 use voronet_services::{key_point, topic_key};
 use voronet_workloads::RangeQuery;
@@ -30,6 +31,30 @@ impl KvPlacement {
     fn roles(&self) -> impl Iterator<Item = u64> + '_ {
         std::iter::once(self.owner).chain(self.replicas.iter().copied())
     }
+}
+
+/// The owning object of a point per the authoritative tessellation (min
+/// squared distance, ties to the lower id — the `rebalance_kv` rule), by
+/// descent rather than a pass over the population: the greedy descent
+/// ends at *a* nearest object, and the objects tied with it at exactly that
+/// distance lie on one empty circle around `target`, so they are joined by
+/// Delaunay edges and a flood over equidistant Voronoi neighbours collects
+/// them all.
+fn local_owner_of(net: &VoroNet, target: Point2) -> Option<u64> {
+    let nearest = net.owner_of(target)?;
+    let d2 = |id| net.coords(id).expect("live").distance2(target);
+    let least = d2(nearest);
+    let mut tied = vec![nearest];
+    let mut flooded = 0;
+    while let Some(&at) = tied.get(flooded) {
+        flooded += 1;
+        for n in net.view_ref(at).expect("live").voronoi_neighbours() {
+            if d2(n) == least && !tied.contains(&n) {
+                tied.push(n);
+            }
+        }
+    }
+    tied.iter().map(|id| id.0).min()
 }
 
 impl<T: Transport> Driver<T> {
@@ -133,17 +158,6 @@ impl<T: Transport> Driver<T> {
         replicas
     }
 
-    /// The owning object of a point per the authoritative tessellation
-    /// (min squared distance, ties to the lower id — the `rebalance_kv`
-    /// rule).
-    fn local_owner_of(&self, target: Point2) -> Option<u64> {
-        self.net
-            .ids()
-            .map(|id| (self.net.coords(id).expect("live").distance2(target), id.0))
-            .min_by(|a, b| a.partial_cmp(b).expect("finite distances"))
-            .map(|(_, id)| id)
-    }
-
     /// Locates the owner of a point: the distributed greedy route
     /// decides on the healthy path; when any host is suspected or dead
     /// (or the route fails), the authoritative tessellation decides
@@ -161,9 +175,9 @@ impl<T: Transport> Driver<T> {
         };
         match routed {
             Ok(OpOutcome::Route { owner, .. }) => Ok(owner),
-            Ok(_) | Err(ClusterError::Timeout(_) | ClusterError::Unavailable(_)) => self
-                .local_owner_of(target)
-                .ok_or(ClusterError::Unavailable("kv owner")),
+            Ok(_) | Err(ClusterError::Timeout(_) | ClusterError::Unavailable(_)) => {
+                local_owner_of(&self.net, target).ok_or(ClusterError::Unavailable("kv owner"))
+            }
             Err(e) => Err(e),
         }
     }
@@ -451,7 +465,7 @@ impl<T: Transport> Driver<T> {
                     continue;
                 }
             }
-            let new_owner = self.local_owner_of(kp).expect("non-empty overlay");
+            let new_owner = local_owner_of(&self.net, kp).expect("non-empty overlay");
             let new_replicas = self.replicas_of(new_owner);
             if new_owner != placement.owner || new_replicas != placement.replicas {
                 let previous = placement.roles().collect();
@@ -475,5 +489,70 @@ impl<T: Transport> Driver<T> {
             self.kv.insert(key, placement);
         }
         self.flush_pushes()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::local_owner_of;
+    use voronet_core::{VoroNet, VoroNetConfig};
+    use voronet_geom::Point2;
+    use voronet_workloads::{Distribution, PointGenerator};
+
+    /// The rule as a pass over the population — what `local_owner_of`
+    /// must answer.
+    fn linear_owner_of(net: &VoroNet, target: Point2) -> Option<u64> {
+        net.ids()
+            .map(|id| (net.coords(id).expect("live").distance2(target), id.0))
+            .min_by(|a, b| a.partial_cmp(b).expect("finite distances"))
+            .map(|(_, id)| id)
+    }
+
+    #[test]
+    fn owner_by_descent_matches_the_linear_rule_on_random_keys() {
+        let mut net = VoroNet::new(VoroNetConfig::new(2_000).with_seed(7));
+        assert_eq!(local_owner_of(&net, Point2::new(0.5, 0.5)), None);
+        for p in PointGenerator::new(Distribution::Uniform, 2007).take_points(2_000) {
+            net.insert(p).unwrap();
+        }
+        for target in PointGenerator::new(Distribution::Uniform, 23).take_points(2_000) {
+            assert_eq!(
+                local_owner_of(&net, target),
+                linear_owner_of(&net, target),
+                "{target:?}"
+            );
+        }
+    }
+
+    /// A 5 × 5 lattice queried at cell corners (four objects tied, joined
+    /// through whichever diagonal the triangulation chose) and edge
+    /// midpoints (two tied): ties are the common case and the lowest id
+    /// wins whatever object the descent happens to stop at.  Ids are made
+    /// to disagree with lattice order by inserting in a scrambled order.
+    #[test]
+    fn owner_by_descent_breaks_ties_like_the_linear_rule() {
+        let mut net = VoroNet::new(VoroNetConfig::new(25).with_seed(3));
+        // Eighths are exact in binary, so tied distances compare equal.
+        let at = |i: usize| (i + 2) as f64 / 8.0;
+        for k in 0..25 {
+            let cell = (k * 7) % 25;
+            net.insert(Point2::new(at(cell % 5), at(cell / 5))).unwrap();
+        }
+        let (mut tied_queries, mut descent_stopped_elsewhere) = (0, 0);
+        for twice_y in 0..=8 {
+            for twice_x in 0..=8 {
+                // Every half step of the lattice: objects, edge midpoints
+                // and cell centres (the corners of the Voronoi cells).
+                let target =
+                    Point2::new(at(0) + twice_x as f64 / 16.0, at(0) + twice_y as f64 / 16.0);
+                let expected = linear_owner_of(&net, target);
+                assert_eq!(local_owner_of(&net, target), expected, "{target:?}");
+                tied_queries += usize::from(twice_x % 2 == 1 || twice_y % 2 == 1);
+                descent_stopped_elsewhere +=
+                    usize::from(net.owner_of(target).map(|id| id.0) != expected);
+            }
+        }
+        assert_eq!(tied_queries, 56);
+        assert!(descent_stopped_elsewhere > 0, "the flood must be exercised");
     }
 }

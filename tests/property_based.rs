@@ -73,6 +73,161 @@ fn triangulation_valid_after_lattice_insertions() {
     );
 }
 
+/// Where a seeded insertion starts its walk: next to the point, as the
+/// overlay does, or somewhere adversarial.
+#[derive(Debug, Clone, Copy)]
+enum Start {
+    Nearest,
+    Farthest,
+    Sentinel,
+    SentinelAdjacent,
+    /// The id freed most recently: dead until an insertion recycles it,
+    /// then live and wherever that insertion put it.
+    Removed,
+    NotAVertex,
+}
+
+const STARTS: [Start; 6] = [
+    Start::Nearest,
+    Start::Farthest,
+    Start::Sentinel,
+    Start::SentinelAdjacent,
+    Start::Removed,
+    Start::NotAVertex,
+];
+
+impl Start {
+    fn pick(self, tri: &Triangulation, p: Point2, removed: Option<u32>) -> u32 {
+        let by_distance = |v: &u32| tri.point(*v).distance2(p);
+        match self {
+            Start::Nearest => tri.nearest_vertex(p),
+            Start::Farthest => tri
+                .vertices()
+                .max_by(|a, b| by_distance(a).total_cmp(&by_distance(b))),
+            Start::Sentinel => Some(2),
+            Start::SentinelAdjacent => tri.real_neighbors_iter(0).next(),
+            Start::Removed => removed,
+            Start::NotAVertex => None,
+        }
+        .unwrap_or(u32::MAX)
+    }
+}
+
+/// Feeds one sequence to two triangulations — `insert(p)` on one,
+/// `insert_near(p, start)` on the other, every third step also removing an
+/// earlier vertex from both so the vertex-to-triangle hints are exercised
+/// after ear clipping and flips — and holds them to the same answer at
+/// every step and the same mesh, triangle for triangle and fan for fan.
+fn seeded_insertion_agrees(points: &[Point2], start: Start) -> Result<(), String> {
+    let mut plain = Triangulation::unit_square();
+    let mut seeded = Triangulation::unit_square();
+    let mut live: Vec<u32> = Vec::new();
+    let mut removed = None;
+    for (step, &p) in points.iter().enumerate() {
+        let near = start.pick(&seeded, p, removed);
+        let expected = plain.insert(p);
+        tk_ensure_eq!(
+            seeded.insert_near(p, near),
+            expected,
+            "step {step}: {p} from {start:?} (vertex {near})"
+        );
+        live.extend(expected.ok());
+        if step % 3 == 2 && !live.is_empty() {
+            let v = live.swap_remove((step * 7) % live.len());
+            tk_ensure_eq!(seeded.remove(v), plain.remove(v), "step {step}: remove {v}");
+            removed = Some(v);
+        }
+        tk_ensure!(
+            plain.triangles().eq(seeded.triangles()),
+            "step {step}: triangles differ after {p} from {start:?} (vertex {near})"
+        );
+        for v in plain.vertices() {
+            tk_ensure!(
+                plain.neighbors_iter(v).eq(seeded.neighbors_iter(v)),
+                "step {step}: fan of {v} differs after {p} from {start:?}"
+            );
+        }
+    }
+    tk_ensure_eq!(seeded.len(), live.len(), "size");
+    tk_ensure!(seeded.validate().is_ok(), "{:?}", seeded.validate());
+    Ok(())
+}
+
+/// `insert_near` only shortens the walk: whatever vertex it starts from —
+/// the nearest, the farthest, a sentinel, a dead or recycled id, no vertex
+/// at all — it returns what `insert` returns and builds the same mesh, on
+/// random points and on the degenerate families (duplicates, collinear
+/// rows, exact grids and rings, points exactly on an existing edge).
+#[test]
+fn seeded_insertion_does_not_depend_on_the_start() {
+    for start in STARTS {
+        check_cases(
+            "seeded-insertion-floats",
+            CASES,
+            0x5EED,
+            |rng| float_points(rng, 60),
+            |pts| seeded_insertion_agrees(pts, start),
+        );
+        check_cases(
+            "seeded-insertion-lattice",
+            CASES,
+            0x1A77,
+            |rng| lattice_points(rng, 60),
+            |pts| seeded_insertion_agrees(pts, start),
+        );
+        let families = [
+            Distribution::Grid {
+                side: 8,
+                jitter: 0.0,
+            },
+            Distribution::Ring { jitter: 0.0 },
+        ];
+        for family in families {
+            for seed in 0..4 {
+                let pts = PointGenerator::new(family, seed).take_points(120);
+                seeded_insertion_agrees(&pts, start)
+                    .unwrap_or_else(|e| panic!("{family:?} seed {seed}: {e}"));
+            }
+        }
+        // A collinear row filled in from its ends inwards, so every later
+        // point lies exactly on an existing edge (or on a vertex: the
+        // repeats), then the same across it.
+        let sixteenths = [0, 16, 8, 4, 12, 8, 2, 6, 10, 14, 1, 15, 7, 9, 0];
+        let row = sixteenths.map(|k| Point2::new(k as f64 / 16.0, 0.5));
+        let column = sixteenths.map(|k| Point2::new(0.5, k as f64 / 16.0));
+        let cross: Vec<Point2> = row.into_iter().chain(column).collect();
+        seeded_insertion_agrees(&cross, start).unwrap_or_else(|e| panic!("collinear rows: {e}"));
+        // A square, then points exactly on its sides, on its diagonals
+        // (one of which is an edge, whichever way the square was split) and
+        // on the edges those insertions create.
+        let on_edges = [
+            (0.25, 0.25),
+            (0.75, 0.25),
+            (0.75, 0.75),
+            (0.25, 0.75),
+            (0.5, 0.25),
+            (0.5, 0.5),
+            (0.375, 0.375),
+            (0.625, 0.375),
+            (0.75, 0.5),
+            (0.5, 0.375),
+            (0.625, 0.625),
+        ]
+        .map(|(x, y)| Point2::new(x, y));
+        seeded_insertion_agrees(&on_edges, start).unwrap_or_else(|e| panic!("on edges: {e}"));
+    }
+    // Rejections are decided before the walk, so the start cannot matter.
+    let mut tri = Triangulation::unit_square();
+    let v = tri.insert(Point2::new(0.5, 0.5)).unwrap();
+    for near in [v, 0, u32::MAX] {
+        for p in [Point2::new(f64::NAN, 0.5), Point2::new(1.5, 0.5)] {
+            let expected = tri.clone().insert(p);
+            assert!(expected.is_err());
+            assert_eq!(tri.insert_near(p, near), expected, "{p} from {near}");
+        }
+    }
+}
+
 /// Inserting then removing every point returns the triangulation to its
 /// empty state, whatever the order.
 #[test]

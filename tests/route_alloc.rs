@@ -5,7 +5,9 @@
 //! uses for a single route (`route_to_point_in` over a reused
 //! [`voronet_core::RouteScratch`], then `apply_traffic`) as well as a run
 //! of `&self` reads (`route_to_point_in`, `route_between_in`, a point
-//! query's extra answer message) accumulating into one scratch.
+//! query's extra answer message) accumulating into one scratch, and the
+//! route inside a join (`insert_from`'s route to the owner), which runs on
+//! the overlay's own kept scratch.
 //!
 //! This file deliberately contains a single test: the counting allocator is
 //! process-global, and a concurrently running test would perturb the count.
@@ -142,4 +144,34 @@ fn greedy_routing_is_allocation_free_after_warmup() {
         allocated, 0,
         "replaying a delta over warmed counters must not touch the heap"
     );
+
+    // A join on a warmed overlay routes on the overlay's kept scratch: how
+    // far the join route travels does not change what the join allocates.
+    // Two clones make the same join — same state, same long-link draw — one
+    // from a far bootstrap, one from the owner itself (a zero-hop route);
+    // everything but the join route is identical, so any difference in the
+    // count is that route's.  A clone starts with an empty scratch, so each
+    // first warms it with the far route.
+    let far = net.owner_of(Point2::new(0.0, 0.0)).unwrap();
+    let mut routed_hops = 0;
+    for target in PointGenerator::new(Distribution::Uniform, 29).take_points(8) {
+        let near = net.owner_of(target).unwrap();
+        let [from_far, from_near] = [far, near].map(|bootstrap| {
+            let mut joined = net.clone();
+            joined.route_to_point(far, target).unwrap();
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let report = joined.insert_from(target, Some(bootstrap)).unwrap();
+            (ALLOCATIONS.load(Ordering::Relaxed) - before, report)
+        });
+        assert_eq!(from_near.1.routing_hops, 0);
+        assert_eq!(from_far.1.id, from_near.1.id);
+        assert_eq!(from_far.1.long_link_hops, from_near.1.long_link_hops);
+        assert_eq!(
+            from_far.0, from_near.0,
+            "a join's {}-hop route must not touch the heap",
+            from_far.1.routing_hops
+        );
+        routed_hops += from_far.1.routing_hops;
+    }
+    assert!(routed_hops > 50, "the joins must exercise real routes");
 }
