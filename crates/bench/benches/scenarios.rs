@@ -10,12 +10,14 @@
 //! - **frozen** — the epoch-refreshed parallel read path
 //!   (`FrozenView::route_between_in`, refreshed on writes so routes pay
 //!   only the frozen walk);
-//! - **cluster** — the socketed driver + hosts deployment, routes
-//!   pipelined through `Driver::route_indices_pipelined`, plus one
-//!   lossy-link run of the hotspot scenario.
+//! - **cluster** — the driver + hosts deployment on `InlineCluster`
+//!   (one thread, the vnet hub's virtual clock), routes pipelined
+//!   through `Driver::route_indices_pipelined`, plus one lossy-link run
+//!   of the hotspot scenario.
 //!
-//! Per engine and scenario the route latency p50/p99 (µs), the hop
-//! median and — for the cluster — retry/fast-resend/degraded-read
+//! Per engine and scenario the route latency p50/p99 (wall-clock µs in
+//! process, virtual µs on the cluster — the time its timers waited), the
+//! hop median and — for the cluster — retry/fast-resend/degraded-read
 //! counters are printed, and the SLOs are *asserted* at every size:
 //! bounded p99/p50 tail ratios and absolute sanity ceilings.  Smoke mode
 //! (`VORONET_SMOKE=1`, the CI `scenario-smoke` gate) shrinks the sizes.
@@ -26,7 +28,11 @@ use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
 use std::time::Instant;
 use voronet_core::{FrozenView, RouteScratch, VoroNet, VoroNetConfig};
-use voronet_net::{ClusterStats, FaultyCluster, LinkFaults, Liveness, RetryPolicy};
+use voronet_net::{
+    ClusterStats, FaultCtl, FaultTransport, InlineCluster, LinkFaults, Liveness, RetryPolicy,
+    VnetHub, VnetTransport,
+};
+use voronet_sim::NetworkModel;
 use voronet_stats::{tail_summary, TailSummary};
 use voronet_workloads::{smoke_budget, Scenario, ScenarioKind, ScenarioSpec, WorkloadOp};
 
@@ -146,17 +152,19 @@ fn run_in_process(sc: &Scenario, frozen: bool) -> EngineRun {
     summarize(engine, lat, hops, 0, None)
 }
 
-/// Replays the scenario against the socketed cluster.  Consecutive
+/// Replays the scenario against the in-process cluster.  Consecutive
 /// routes travel as one pipelined batch so a single slow operation
 /// cannot head-of-line-block the stream — exactly the production shape
-/// the suite is meant to measure.
+/// the suite is meant to measure.  Latencies are virtual: what the
+/// cluster's timers waited, zero for a route nothing delayed.
 fn run_cluster(sc: &Scenario, engine: &'static str, link: LinkFaults) -> EngineRun {
-    let mut cluster = FaultyCluster::start(
-        HOSTS,
-        VoroNetConfig::new(512).with_seed(SEED),
-        link,
-        SEED ^ engine.len() as u64,
-    );
+    let hub = VnetHub::new(NetworkModel::ideal());
+    let ctl = FaultCtl::new(link);
+    let seed = SEED ^ engine.len() as u64;
+    let config = VoroNetConfig::new(512).with_seed(SEED);
+    let mut cluster = InlineCluster::start_with(HOSTS, config, |peer| {
+        FaultTransport::new(hub.endpoint(peer), ctl.clone(), seed)
+    });
     cluster.driver().set_retry_policy(RetryPolicy::tight());
     cluster.driver().set_liveness(Liveness::tight());
     for &p in &sc.setup {
@@ -165,7 +173,7 @@ fn run_cluster(sc: &Scenario, engine: &'static str, link: LinkFaults) -> EngineR
     let (mut lat, mut hops) = (Vec::new(), Vec::new());
     let mut lost = 0usize;
     let mut batch: Vec<(usize, usize)> = Vec::new();
-    let flush = |cluster: &mut FaultyCluster,
+    let flush = |cluster: &mut InlineCluster<FaultTransport<VnetTransport>>,
                  batch: &mut Vec<(usize, usize)>,
                  lat: &mut Vec<f64>,
                  hops: &mut Vec<f64>,
@@ -204,7 +212,6 @@ fn run_cluster(sc: &Scenario, engine: &'static str, link: LinkFaults) -> EngineR
     }
     flush(&mut cluster, &mut batch, &mut lat, &mut hops, &mut lost);
     let counters = cluster.driver().cluster_stats();
-    let _ = cluster.shutdown();
     summarize(engine, lat, hops, lost, Some(counters))
 }
 
@@ -280,8 +287,13 @@ fn scenarios(c: &mut Criterion) {
             ));
         }
         for run in &runs {
+            let clock = if run.counters.is_some() {
+                "virtual"
+            } else {
+                "wall"
+            };
             println!(
-                "scenarios {}/{}: route p50 {:.1}us p99 {:.1}us, \
+                "scenarios {}/{}: route p50 {:.1}us p99 {:.1}us ({clock} clock), \
                  hops p50 {:.1} ({} ok, {} lost)",
                 kind.name(),
                 run.engine,

@@ -11,7 +11,7 @@ use crate::wire::{EntryList, IdList, PointList, WireMsg};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, HashMap};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use voronet_core::{VoroNet, VoroNetConfig};
 use voronet_geom::{voronoi_cell, Point2, Rect};
 use voronet_sim::TransportStats;
@@ -67,6 +67,7 @@ impl<T: Transport> Driver<T> {
     /// registered by the caller) controlling `hosts` host peers.
     pub fn new(transport: T, hosts: u64, config: VoroNetConfig) -> Self {
         let policy = RetryPolicy::default();
+        let detector = FailureDetector::new(hosts, transport.now());
         Driver {
             t: transport,
             hosts,
@@ -85,7 +86,7 @@ impl<T: Transport> Driver<T> {
             jitter_rng: StdRng::seed_from_u64(policy.seed),
             policy,
             barrier_deadline: SYNC_DEADLINE,
-            detector: FailureDetector::new(hosts, Instant::now()),
+            detector,
             stats: ClusterStats::default(),
         }
     }
@@ -580,7 +581,7 @@ pub struct PipelinedRoute {
     /// `Some((owner, hops))` when the route answered within its budget;
     /// `None` when it timed out or its origin host was dead.
     pub owner_hops: Option<(u64, u32)>,
-    /// Wall-clock time from issuing the operation to its completion (or
-    /// abandonment).
+    /// Time from issuing the operation to its completion (or
+    /// abandonment), on the transport's clock.
     pub latency: Duration,
 }

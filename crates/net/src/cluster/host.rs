@@ -4,7 +4,7 @@
 use super::{host_of, ClusterError};
 use crate::transport::{PeerId, Transport};
 use crate::wire::{IdList, WireMsg, WirePurpose, WireQuery};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::{Duration, Instant};
 use voronet_geom::{greedy_next, Point2, Polygon, Rect};
 use voronet_sim::TransportStats;
@@ -73,17 +73,19 @@ struct Flood {
     visited: BTreeSet<u64>,
     matches: Vec<u64>,
     frontier: Vec<u64>,
-    outstanding: HashMap<u64, ProbeState>,
+    outstanding: BTreeMap<u64, ProbeState>,
 }
 
 /// One object-hosting peer: applies view pushes, forwards greedy route
 /// steps, evaluates and coordinates floods, answers the driver.
 pub struct HostNode<T: Transport> {
-    t: T,
+    pub(super) t: T,
     peer: PeerId,
     hosts: u64,
     pub(super) objects: HashMap<u64, Hosted>,
-    floods: HashMap<u64, Flood>,
+    /// Floods and their probes by token and object, ordered: a
+    /// retransmission round sends in the same order on every run.
+    floods: BTreeMap<u64, Flood>,
     subs: HashMap<u64, Rect>,
     seen: HashMap<(u64, [u64; 4]), u64>,
     pub(super) kv: HashMap<(u64, u64), u64>,
@@ -105,7 +107,7 @@ impl<T: Transport> HostNode<T> {
             peer,
             hosts,
             objects: HashMap::new(),
-            floods: HashMap::new(),
+            floods: BTreeMap::new(),
             subs: HashMap::new(),
             seen: HashMap::new(),
             kv: HashMap::new(),
@@ -144,18 +146,6 @@ impl<T: Transport> HostNode<T> {
         self.shutdown
     }
 
-    /// Serves until shutdown: the loop of the `voronet-node` binary and
-    /// of in-process cluster threads.
-    pub fn run(&mut self) -> Result<(), ClusterError> {
-        let mut buf = Vec::new();
-        while !self.shutdown {
-            if !self.step(&mut buf)? {
-                self.t.poll()?;
-            }
-        }
-        Ok(())
-    }
-
     /// Handles at most one pending frame plus flood retransmissions;
     /// returns whether a frame was processed.
     pub fn step(&mut self, buf: &mut Vec<u8>) -> Result<bool, ClusterError> {
@@ -172,15 +162,19 @@ impl<T: Transport> HostNode<T> {
     /// Retransmits unanswered flood probes and finishes floods whose
     /// probes exhausted their attempts.
     fn tick(&mut self) -> Result<(), ClusterError> {
+        if self.floods.is_empty() {
+            return Ok(());
+        }
+        let now = self.t.now();
         let tokens: Vec<u64> = self.floods.keys().copied().collect();
         for token in tokens {
             let mut resend: Vec<u64> = Vec::new();
             let mut abandon: Vec<u64> = Vec::new();
             if let Some(flood) = self.floods.get_mut(&token) {
                 for (&object, probe) in flood.outstanding.iter_mut() {
-                    if probe.sent_at.elapsed() > PROBE_RESEND {
+                    if now.duration_since(probe.sent_at) > PROBE_RESEND {
                         probe.attempts += 1;
-                        probe.sent_at = Instant::now();
+                        probe.sent_at = now;
                         if probe.attempts > PROBE_MAX_ATTEMPTS {
                             abandon.push(object);
                         } else {
@@ -657,7 +651,7 @@ impl<T: Transport> HostNode<T> {
                 visited,
                 matches: Vec::new(),
                 frontier: vec![owner],
-                outstanding: HashMap::new(),
+                outstanding: BTreeMap::new(),
             },
         );
         self.pump_flood(token)
@@ -683,10 +677,11 @@ impl<T: Transport> HostNode<T> {
                 }
                 None => {
                     let query = flood.query;
+                    let sent_at = self.t.now();
                     flood.outstanding.insert(
                         object,
                         ProbeState {
-                            sent_at: Instant::now(),
+                            sent_at,
                             attempts: 0,
                         },
                     );

@@ -31,8 +31,8 @@ pub struct RetryPolicy {
     pub max_timeout: Duration,
     /// Maximum number of attempts per operation.
     pub attempts: u32,
-    /// Wall-clock budget of the whole operation across attempts: once
-    /// exceeded the operation fails even if attempts remain.
+    /// Budget of the whole operation across attempts, on the transport's
+    /// clock: once exceeded the operation fails even if attempts remain.
     pub budget: Duration,
     /// Jitter amplitude: each attempt's timeout is scaled by a factor
     /// drawn uniformly from `1 ± jitter/2` (`0.0` disables jitter).
@@ -192,10 +192,10 @@ impl PendingOp {
     }
 }
 
-/// Spin-then-sleep waiter of the pump's idle turns: the first ones only
-/// yield (sub-millisecond answers stay fast), then it sleeps with
-/// exponential growth up to `ceiling`, so a lossy wait doesn't burn a
-/// core.  A received frame zeroes `idle`.
+/// Spin-then-sleep schedule of the pump's idle turns: the first ones
+/// only yield (sub-millisecond answers stay fast), then the wait grows
+/// exponentially up to `ceiling`, so a lossy wait doesn't burn a core.
+/// A received frame zeroes `idle`.
 #[derive(Debug, Default)]
 struct Backoff {
     idle: u32,
@@ -207,14 +207,14 @@ const BACKOFF_SLEEP_FLOOR: Duration = Duration::from_micros(50);
 const BACKOFF_SLEEP_CEIL: Duration = Duration::from_millis(1);
 
 impl Backoff {
-    fn wait(&mut self) {
-        match self.idle.checked_sub(BACKOFF_SPINS) {
-            None => std::thread::yield_now(),
-            Some(sleeps) => {
-                std::thread::sleep((BACKOFF_SLEEP_FLOOR * (1 << sleeps.min(8))).min(self.ceiling))
-            }
-        }
+    /// The next idle turn's wait for [`Transport::idle`]; zero yields.
+    fn next(&mut self) -> Duration {
+        let wait = match self.idle.checked_sub(BACKOFF_SPINS) {
+            None => Duration::ZERO,
+            Some(sleeps) => (BACKOFF_SLEEP_FLOOR * (1 << sleeps.min(8))).min(self.ceiling),
+        };
         self.idle = self.idle.saturating_add(1);
+        wait
     }
 }
 
@@ -252,7 +252,7 @@ impl<T: Transport> Driver<T> {
             .expect("requests are tiny and views of a bounded-degree node fit one frame");
         let start = self.table.frames.len();
         self.table.frames.extend_from_slice(&self.buf);
-        let now = Instant::now();
+        let now = self.t.now();
         self.table.ops.push(PendingOp {
             peer,
             frame: start..self.table.frames.len(),
@@ -302,7 +302,7 @@ impl<T: Transport> Driver<T> {
             while self.table.inflight.len() < window && self.table.next < self.table.ops.len() {
                 let idx = self.table.next;
                 self.table.next += 1;
-                let now = Instant::now();
+                let now = self.t.now();
                 let op = &mut self.table.ops[idx];
                 op.issued = now;
                 if self.detector.is_dead(op.peer) {
@@ -324,7 +324,8 @@ impl<T: Transport> Driver<T> {
     /// received frame completes the in-flight entry it answers, if any.
     /// With nothing to receive the turn is spent on upkeep: ping the hosts
     /// whose window elapsed, fail the entries whose host is dead, act on
-    /// every other entry's timers, poll the transport and back off.
+    /// every other entry's timers, poll the transport and idle for the
+    /// backoff's wait.
     pub(super) fn round(&mut self, on_done: OnDone<'_>) -> Result<bool, ClusterError> {
         if let Some((from, now)) = self.recv_noted()? {
             self.table.backoff.idle = 0;
@@ -344,7 +345,7 @@ impl<T: Transport> Driver<T> {
             }
             return Ok(true);
         }
-        let now = Instant::now();
+        let now = self.t.now();
         for peer in self.detector.due_pings(now) {
             WireMsg::Ping { reply: false }
                 .encode(DRIVER_PEER, peer, &mut self.buf)
@@ -384,7 +385,8 @@ impl<T: Transport> Driver<T> {
             }
         }
         self.t.poll()?;
-        self.table.backoff.wait();
+        let wait = self.table.backoff.next();
+        self.t.idle(wait);
         Ok(false)
     }
 
@@ -394,7 +396,7 @@ impl<T: Transport> Driver<T> {
         let Some(from) = self.t.recv_into(&mut self.buf)? else {
             return Ok(None);
         };
-        let now = Instant::now();
+        let now = self.t.now();
         self.detector.heard(from, now);
         Ok(Some((from, now)))
     }
@@ -583,7 +585,8 @@ mod tests {
     #[test]
     fn a_dropped_ack_resends_the_push_and_the_host_applies_it_once() {
         let mut driver = cluster();
-        let served = |d: &Driver<Scripted>| d.t.hosts.iter().map(|h| h.ops_served()).sum::<u64>();
+        let served =
+            |d: &Driver<Scripted>| d.t.inner.hosts.iter().map(|h| h.ops_served()).sum::<u64>();
         let before = served(&driver);
         driver
             .t
@@ -746,7 +749,7 @@ mod tests {
         .encode(at.0, at.0, &mut frame)
         .unwrap();
         driver.t.inner.send(host_of(at.0, HOSTS), &frame).unwrap();
-        driver.t.step_hosts().unwrap();
+        driver.t.inner.step_hosts().unwrap();
 
         // The hosts walked it to the owner and answered the origin.
         let mut buf = Vec::new();

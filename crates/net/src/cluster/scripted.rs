@@ -1,11 +1,10 @@
-//! Test fixture: a whole cluster on one thread.  The driver's transport
-//! steps the real hosts inline whenever the driver's mailbox is empty, so
-//! every answer is there by the next receive, nothing depends on a
-//! scheduler, and only the [`Script`] decides what goes missing.
+//! Test fixture: the inline cluster with a [`Script`] between the driver
+//! and its endpoint, so only the script decides what goes missing.
 
 use super::driver::Driver;
 use super::host::HostNode;
-use super::{Liveness, RetryPolicy, DRIVER_PEER};
+use super::inline::InlineTransport;
+use super::{HostState, Liveness, RetryPolicy};
 use crate::transport::{PeerId, Transport, TransportError};
 use crate::vnet::{VnetHub, VnetTransport};
 use crate::wire::WireMsg;
@@ -58,46 +57,24 @@ impl Script {
     }
 }
 
-/// The driver's endpoint of the single-threaded cluster, holding the
-/// hosts it steps.
+/// The driver's endpoint of the scripted cluster: the inline cluster's,
+/// behind the script.
 pub(super) struct Scripted {
     hub: VnetHub,
-    pub(super) inner: VnetTransport,
-    pub(super) hosts: Vec<HostNode<VnetTransport>>,
-    step_buf: Vec<u8>,
+    pub(super) inner: InlineTransport<VnetTransport>,
     pub(super) script: Script,
 }
 
 impl Scripted {
-    /// Steps every host until a full round handles no frame.
-    pub(super) fn step_hosts(&mut self) -> Result<bool, TransportError> {
-        let mut any = false;
-        loop {
-            let mut progressed = false;
-            for host in &mut self.hosts {
-                while host
-                    .step(&mut self.step_buf)
-                    .map_err(|e| TransportError::Io(std::io::Error::other(e.to_string())))?
-                {
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                return Ok(any);
-            }
-            any = true;
-        }
-    }
-
     /// Replaces `peer` by an amnesiac host on a fresh endpoint, as a
     /// crash and restart would.
     fn restart(&mut self, peer: PeerId) {
         let at = (peer - 1) as usize;
         // The old endpoint closes the peer's mailbox as it drops, so it
         // must go before the new one opens.
-        drop(self.hosts.remove(at));
+        drop(self.inner.hosts.remove(at));
         let fresh = HostNode::new(self.hub.endpoint(peer), peer, HOSTS);
-        self.hosts.insert(at, fresh);
+        self.inner.hosts.insert(at, fresh);
     }
 }
 
@@ -121,7 +98,7 @@ impl Transport for Scripted {
     }
 
     fn poll(&mut self) -> Result<(), TransportError> {
-        self.step_hosts().map(drop)
+        self.inner.poll()
     }
 
     fn recv_into(&mut self, buf: &mut Vec<u8>) -> Result<Option<PeerId>, TransportError> {
@@ -133,9 +110,7 @@ impl Transport for Scripted {
         loop {
             match self.inner.recv_into(buf)? {
                 Some(_) if Script::drops(&mut self.script.drop_received, buf) => {}
-                Some(from) => return Ok(Some(from)),
-                None if self.step_hosts()? => {}
-                None => return Ok(None),
+                received => return Ok(received),
             }
         }
     }
@@ -143,19 +118,23 @@ impl Transport for Scripted {
     fn stats(&self) -> TransportStats {
         self.inner.stats()
     }
+
+    fn now(&self) -> Instant {
+        self.inner.now()
+    }
+
+    fn idle(&mut self, wait: Duration) {
+        self.inner.idle(wait)
+    }
 }
 
-/// An empty three-host scripted cluster whose timers cannot fire by
-/// themselves: attempt windows of 10 s, no pings for an hour.
+/// An empty three-host scripted cluster.  Time moves only while a frame
+/// is missing, and even then no attempt window closes short of 10 s.
 pub(super) fn scripted(config: VoroNetConfig) -> Driver<Scripted> {
     let hub = VnetHub::new(NetworkModel::ideal());
     let t = Scripted {
-        inner: hub.endpoint(DRIVER_PEER),
-        hosts: (1..=HOSTS)
-            .map(|peer| HostNode::new(hub.endpoint(peer), peer, HOSTS))
-            .collect(),
+        inner: InlineTransport::new(HOSTS, |peer| hub.endpoint(peer)),
         hub,
-        step_buf: Vec::new(),
         script: Script::default(),
     };
     let mut driver = Driver::new(t, HOSTS, config);
@@ -168,38 +147,49 @@ pub(super) fn scripted(config: VoroNetConfig) -> Driver<Scripted> {
         resend: Duration::from_millis(1),
         ..RetryPolicy::default()
     });
-    driver.set_liveness(Liveness {
-        ping_interval: Duration::from_secs(3600),
-        ..Liveness::default()
-    });
+    driver.set_liveness(Liveness::tight());
     driver
 }
 
-/// Crashes `peer` as the failure detector sees it, without waiting: the
-/// host misses ping windows (fabricated instants) until it is declared
-/// dead, while the others keep answering.  Pushes to it are dropped from
-/// here on.
-pub(super) fn kill(driver: &mut Driver<Scripted>, peer: PeerId) {
-    let Liveness {
-        dead_after,
-        ping_interval,
-        ..
-    } = driver.detector.knobs;
-    let mut now = Instant::now();
-    for _ in 0..=dead_after {
-        now += ping_interval;
-        driver.detector.due_pings(now);
-        for other in (1..=HOSTS).filter(|&p| p != peer) {
-            driver.detector.heard(other, now);
-        }
+/// Heartbeats until the detector reads `state` for `peer`, within
+/// `windows` tight ping windows of the driver's clock.
+pub(super) fn heartbeat_until<T: Transport>(
+    driver: &mut Driver<T>,
+    peer: PeerId,
+    state: HostState,
+    windows: u32,
+) {
+    let (t0, bound) = (driver.t.now(), Liveness::tight().ping_interval * windows);
+    while driver.host_state(peer) != state {
+        let waited = driver.t.now() - t0;
+        assert!(
+            waited <= bound,
+            "host {peer} not {state:?} after {waited:?}"
+        );
+        driver.heartbeat().unwrap();
     }
-    assert!(driver.detector.is_dead(peer));
 }
 
-/// Restarts a [`kill`]ed host with empty state and lets the detector
-/// hear from it, so the next operation regenerates it.
+/// Crashes `peer`: the driver's frames stop reaching it, and heartbeats
+/// run until the detector declares it dead — `dead_after` missed windows
+/// after the first unanswered ping.  Pushes to it are dropped from here
+/// on.
+pub(super) fn kill(driver: &mut Driver<Scripted>, peer: PeerId) {
+    driver.t.script.muted = Some(peer);
+    heartbeat_until(
+        driver,
+        peer,
+        HostState::Dead,
+        Liveness::tight().dead_after + 2,
+    );
+}
+
+/// Restarts a [`kill`]ed host with empty state and heartbeats until the
+/// detector hears from it, so the next operation regenerates it.
 pub(super) fn revive(driver: &mut Driver<Scripted>, peer: PeerId) {
+    driver.t.script.muted = None;
     driver.t.restart(peer);
-    driver.detector.heard(peer, Instant::now());
-    assert_eq!(driver.detector.revived, vec![peer]);
+    let revivals = driver.cluster_stats().revivals;
+    heartbeat_until(driver, peer, HostState::Alive, 2);
+    assert_eq!(driver.cluster_stats().revivals, revivals + 1);
 }

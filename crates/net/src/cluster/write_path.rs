@@ -53,7 +53,7 @@ fn assert_in_sync(driver: &Driver<Scripted>, step: usize) {
         );
     }
     // Every host the driver pushes to holds exactly its share of both.
-    for (peer, host) in (1..).zip(&driver.t.hosts) {
+    for (peer, host) in (1..).zip(&driver.t.inner.hosts) {
         if driver.host_state(peer) == HostState::Dead {
             continue;
         }

@@ -6,9 +6,9 @@
 //! according to a shared [`FaultCtl`] switchboard plus a per-endpoint
 //! seeded RNG, so the same seed produces the same injected faults over
 //! the deterministic vnet *and* over loopback UDP/TCP.  A [`FaultPlan`]
-//! is a replayable schedule of [`FaultEvent`]s keyed by operation index;
-//! [`FaultyCluster`] stands up a whole in-process cluster with every
-//! endpoint wrapped, ready for chaos runs and fault-mode benchmarks.
+//! is a replayable schedule of [`FaultEvent`]s keyed by operation index.
+//! An [`InlineCluster`](crate::cluster::InlineCluster) started over
+//! wrapped vnet endpoints is the rig chaos runs drive.
 //!
 //! Crash semantics are **crash-stop with amnesia-free restart**: a
 //! crashed peer's endpoint blackholes every frame in both directions
@@ -19,15 +19,13 @@
 //! the host's state from control-plane truth, so the same machinery also
 //! covers restarts that lost state.
 
-use crate::cluster::{Driver, HostReport, LocalCluster};
 use crate::transport::{PeerId, Transport, TransportError};
-use crate::vnet::{VnetHub, VnetTransport};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::{Arc, Mutex};
-use voronet_core::VoroNetConfig;
+use std::time::{Duration, Instant};
 use voronet_sim::TransportStats;
 
 /// Per-link fault probabilities applied to every frame a wrapped
@@ -210,11 +208,6 @@ impl<T: Transport> FaultTransport<T> {
         self.fstats
     }
 
-    /// The shared switchboard.
-    pub fn ctl(&self) -> &FaultCtl {
-        &self.ctl
-    }
-
     /// Ages held-back frames by one send slot and releases the ripe ones
     /// into the inner transport.
     fn flush_held(&mut self) -> Result<(), TransportError> {
@@ -309,6 +302,14 @@ impl<T: Transport> Transport for FaultTransport<T> {
         stats.merge(&self.extra);
         stats
     }
+
+    fn now(&self) -> Instant {
+        self.inner.now()
+    }
+
+    fn idle(&mut self, wait: Duration) {
+        self.inner.idle(wait)
+    }
 }
 
 /// A replayable fault schedule: which [`FaultEvent`] fires before which
@@ -325,15 +326,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// A plan with no scheduled events.
-    pub fn quiet(seed: u64, link: LinkFaults) -> Self {
-        FaultPlan {
-            seed,
-            link,
-            events: Vec::new(),
-        }
-    }
-
     /// Generates a deterministic schedule over `ops` operations against
     /// `hosts` host peers: at most one host is down at any moment, the
     /// driver (peer 0) never crashes, and every fault is lifted by the
@@ -380,58 +372,6 @@ impl FaultPlan {
             link: LinkFaults::default(),
             events,
         }
-    }
-
-    /// Applies every event scheduled at operation index `at` to `ctl`,
-    /// returning how many fired.
-    pub fn fire(&self, at: usize, ctl: &FaultCtl) -> usize {
-        let mut fired = 0;
-        for &(idx, event) in &self.events {
-            if idx == at {
-                ctl.apply(event);
-                fired += 1;
-            }
-        }
-        fired
-    }
-}
-
-/// An in-process cluster (driver + host threads over one vnet hub) with
-/// every endpoint wrapped in a [`FaultTransport`] sharing one
-/// [`FaultCtl`] — the rig chaos runs and fault-mode benchmarks drive.
-pub struct FaultyCluster {
-    cluster: LocalCluster<FaultTransport<VnetTransport>>,
-    ctl: FaultCtl,
-}
-
-impl FaultyCluster {
-    /// Starts `hosts` host threads over an ideal vnet hub with the given
-    /// link-fault profile; `seed` drives every endpoint's fault rolls.
-    pub fn start(hosts: u64, config: VoroNetConfig, link: LinkFaults, seed: u64) -> Self {
-        let hub = VnetHub::new(voronet_sim::NetworkModel::ideal());
-        let ctl = FaultCtl::new(link);
-        let cluster = LocalCluster::start_with(hosts, config, |peer| {
-            FaultTransport::new(hub.endpoint(peer), ctl.clone(), seed)
-        });
-        FaultyCluster { cluster, ctl }
-    }
-
-    /// The cluster's driver.
-    pub fn driver(&mut self) -> &mut Driver<FaultTransport<VnetTransport>> {
-        self.cluster.driver()
-    }
-
-    /// The shared fault switchboard.
-    pub fn ctl(&self) -> &FaultCtl {
-        &self.ctl
-    }
-
-    /// Heals every fault, shuts the hosts down and returns their final
-    /// reports (a crashed host can't hear a shutdown, so the blackhole is
-    /// always lifted first).
-    pub fn shutdown(self) -> Result<Vec<HostReport>, crate::cluster::ClusterError> {
-        self.ctl.heal_all();
-        self.cluster.shutdown()
     }
 }
 
@@ -544,8 +484,8 @@ mod tests {
         // Replaying the schedule leaves no fault standing and never
         // crashes two hosts at once (nor the driver).
         let ctl = FaultCtl::new(LinkFaults::default());
-        for at in 0..=300 {
-            p1.fire(at, &ctl);
+        for &(_, event) in &p1.events {
+            ctl.apply(event);
             let state = ctl.lock();
             assert!(state.crashed.len() <= 1, "at most one host down");
             assert!(!state.crashed.contains(&DRIVER_PEER));

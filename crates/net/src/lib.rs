@@ -20,7 +20,9 @@
 //! * [`tap`] — [`tap::CodecTap`] round-trips the simulated runtime's
 //!   messages through the codec, proving transparency.
 //! * [`cluster`] — a driver + hosts deployment speaking the wire protocol
-//!   over any transport, conformant with the single-process engines.
+//!   over any transport, conformant with the single-process engines;
+//!   [`InlineCluster`] runs a whole one on one thread and, over vnet, on
+//!   one virtual clock.
 //! * [`fault`] — seeded deterministic fault injection
 //!   ([`fault::FaultTransport`] wraps any transport; [`fault::FaultPlan`]
 //!   schedules crashes, restarts and partitions) for chaos testing.
@@ -41,12 +43,10 @@ pub mod vnet;
 pub mod wire;
 
 pub use cluster::{
-    host_of, ClusterError, ClusterStats, Driver, HostNode, HostReport, HostState, Liveness,
-    LocalCluster, OpOutcome, PipelinedRoute, RetryPolicy, DRIVER_PEER,
+    host_of, ClusterError, ClusterStats, Driver, HostNode, HostReport, HostState, InlineCluster,
+    InlineTransport, Liveness, OpOutcome, PipelinedRoute, RetryPolicy, DRIVER_PEER,
 };
-pub use fault::{
-    FaultCtl, FaultEvent, FaultPlan, FaultStats, FaultTransport, FaultyCluster, LinkFaults,
-};
+pub use fault::{FaultCtl, FaultEvent, FaultPlan, FaultStats, FaultTransport, LinkFaults};
 pub use frame::{DecodeError, FrameHeader, HEADER_LEN, MAGIC, MAX_FRAME_LEN, WIRE_VERSION};
 pub use tap::CodecTap;
 pub use tcp::TcpTransport;

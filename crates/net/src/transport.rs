@@ -13,13 +13,18 @@
 //! * **Addressing** — peers are dense `u64` ids; [`Transport::register`]
 //!   binds an id to a transport-specific address string before any send.
 //! * **Non-blocking** — `recv_into` never blocks; [`Transport::poll`]
-//!   makes background progress (pump sockets, advance the vnet clock) and
+//!   makes background progress (pump sockets, release held frames) and
 //!   may yield the CPU briefly when idle.
+//! * **Time** — every timer above the transport reads
+//!   [`Transport::now`] and waits through [`Transport::idle`]: the wall
+//!   clock and a yield or sleep by default, the hub's virtual clock on
+//!   vnet, where only an idle turn moves time.
 //! * **Accounting** — every drop, dead letter, decode failure and
 //!   reconnect is counted in [`TransportStats`], so lossy-path tests
 //!   assert on counters instead of silence.
 
 use std::fmt;
+use std::time::{Duration, Instant};
 use voronet_sim::TransportStats;
 
 /// Identifier of a transport peer (a process hosting overlay objects; the
@@ -96,4 +101,21 @@ pub trait Transport {
 
     /// This endpoint's transport-level counters.
     fn stats(&self) -> TransportStats;
+
+    /// The time this endpoint's timers read: the wall clock unless the
+    /// transport keeps its own.  A wrapper must forward it.
+    fn now(&self) -> Instant {
+        Instant::now()
+    }
+
+    /// Spends one idle turn of a waiting loop: a yield when `wait` is
+    /// zero, otherwise a sleep of `wait`.  A transport with its own clock
+    /// advances it instead.  A wrapper must forward it.
+    fn idle(&mut self, wait: Duration) {
+        if wait.is_zero() {
+            std::thread::yield_now();
+        } else {
+            std::thread::sleep(wait);
+        }
+    }
 }

@@ -9,9 +9,13 @@
 //! tick per submission).  `recv_into` drains frames in
 //! `(delivery time, submission sequence)` order, so a single-threaded
 //! session is bit-deterministic per seed: same sends → same drops, same
-//! ordering, same [`TransportStats`].  Endpoints are `Send` (the hub is a
-//! mutex-shared switch), so a multi-threaded demo can reuse them; only
-//! single-threaded use carries the determinism guarantee.
+//! ordering, same [`TransportStats`].
+//!
+//! The hub also carries the one clock every endpoint's [`Transport::now`]
+//! reads.  It stands still until an endpoint spends an idle turn
+//! ([`Transport::idle`]), which moves it by the requested wait — or by
+//! one microsecond for a yield — and sleeps nowhere, so on a hub a
+//! resend, an attempt window or a ping window is a count of idle turns.
 //!
 //! Frames addressed to a peer with no open endpoint are dead letters —
 //! counted, never delivered, like the simulator's departed-node handling.
@@ -21,7 +25,11 @@ use crate::transport::{PeerId, Transport, TransportError};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 use voronet_sim::{Delivery, NetworkModel, SimTime, TransportStats};
+
+/// How far the hub clock moves when an idle turn asks only to yield.
+const YIELD_STEP: Duration = Duration::from_micros(1);
 
 /// One frame waiting in a peer's mailbox, ordered by
 /// `(delivery time, submission sequence)`.
@@ -62,6 +70,9 @@ struct HubInner {
     mailboxes: HashMap<PeerId, BinaryHeap<Reverse<InFlight>>>,
     /// Peers with an open endpoint; frames to anyone else dead-letter.
     open: HashMap<PeerId, TransportStats>,
+    /// The clock endpoints read: `epoch` plus the idle time spent so far.
+    epoch: Instant,
+    idled: Duration,
 }
 
 /// The shared switch of one virtual network.  Create endpoints with
@@ -82,6 +93,8 @@ impl VnetHub {
                 seq: 0,
                 mailboxes: HashMap::new(),
                 open: HashMap::new(),
+                epoch: Instant::now(),
+                idled: Duration::ZERO,
             })),
         }
     }
@@ -174,8 +187,6 @@ impl Transport for VnetTransport {
 
     fn poll(&mut self) -> Result<(), TransportError> {
         // Delivery order is already fixed at send time; nothing to pump.
-        // Yield so co-scheduled endpoint threads can make progress.
-        std::thread::yield_now();
         Ok(())
     }
 
@@ -199,6 +210,16 @@ impl Transport for VnetTransport {
     fn stats(&self) -> TransportStats {
         let inner = self.hub.lock().expect("hub poisoned");
         inner.open.get(&self.peer).copied().unwrap_or_default()
+    }
+
+    fn now(&self) -> Instant {
+        let inner = self.hub.lock().expect("hub poisoned");
+        inner.epoch + inner.idled
+    }
+
+    fn idle(&mut self, wait: Duration) {
+        let step = if wait.is_zero() { YIELD_STEP } else { wait };
+        self.hub.lock().expect("hub poisoned").idled += step;
     }
 }
 
@@ -287,6 +308,32 @@ mod tests {
             (0..20u8).flat_map(|t| [t, 100 + t]).collect::<Vec<_>>(),
             "uniform latency in [1, 50] must reorder at least once"
         );
+    }
+
+    #[test]
+    fn the_hub_clock_moves_only_through_idle_turns() {
+        use crate::fault::{FaultCtl, FaultTransport, LinkFaults};
+        let hub = VnetHub::new(NetworkModel::ideal());
+        let mut a = hub.endpoint(1);
+        let ctl = FaultCtl::new(LinkFaults::default());
+        let mut b = FaultTransport::new(hub.endpoint(2), ctl, 7);
+        let t0 = a.now();
+        a.send(2, &frame(0)).unwrap();
+        a.poll().unwrap();
+        let mut buf = Vec::new();
+        assert_eq!(b.recv_into(&mut buf).unwrap(), Some(1));
+        assert_eq!(b.recv_into(&mut buf).unwrap(), None);
+        assert_eq!(
+            (a.now(), b.now()),
+            (t0, t0),
+            "traffic leaves the clock alone"
+        );
+        assert_eq!((a.stats().frames_sent, b.stats().frames_delivered), (1, 1));
+        // One clock for every endpoint, read and moved through the wrapper.
+        a.idle(Duration::from_millis(3));
+        assert_eq!(b.now() - t0, Duration::from_millis(3));
+        b.idle(Duration::ZERO);
+        assert_eq!(a.now() - t0, Duration::from_millis(3) + YIELD_STEP);
     }
 
     #[test]

@@ -17,18 +17,19 @@
 //! `drive` joins as the controller: it builds the overlay, replays a
 //! churn-heavy Zipf-skewed workload ([`OpMix::churn_zipf`]) against the
 //! live cluster, then gathers every host's counters.  `demo` runs the
-//! same show single-process over the deterministic vnet transport — the
-//! in-memory twin of a socket deployment.  `--services` (drive/demo)
-//! switches the workload to the geo-scoped service mix
-//! ([`OpMix::services`]): region pub/sub deliveries and coordinate-keyed
-//! KV traffic ride the same cluster, with entries migrating between
-//! hosts as churn moves the owning Voronoi cells.
+//! same show in one process on one thread, over the deterministic vnet
+//! transport and its virtual clock — the in-memory twin of a socket
+//! deployment, identical run to run but for its ops/s rate.
+//! `--services` (drive/demo) switches the workload to the geo-scoped
+//! service mix ([`OpMix::services`]): region pub/sub deliveries and
+//! coordinate-keyed KV traffic ride the same cluster, with entries
+//! migrating between hosts as churn moves the owning Voronoi cells.
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use voronet_core::snapshot::{FrozenView, RouteScratch, SnapshotStats, ViewRefresh};
 use voronet_core::VoroNetConfig;
-use voronet_net::cluster::{Driver, HostNode, HostReport, LocalCluster, OpOutcome, DRIVER_PEER};
+use voronet_net::cluster::{Driver, HostNode, HostReport, InlineCluster, OpOutcome, DRIVER_PEER};
 use voronet_net::tcp::TcpTransport;
 use voronet_net::transport::Transport;
 use voronet_net::udp::UdpTransport;
@@ -365,18 +366,20 @@ fn run_demo(args: &Args) -> Result<(), String> {
         NetworkModel::ideal()
     };
     println!(
-        "[demo] in-process cluster: {} hosts over vnet (loss {:.0}%)",
+        "[demo] in-process cluster: {} hosts over vnet (loss {:.0}%), one thread, virtual clock",
         args.hosts,
         args.loss * 100.0
     );
-    let mut cluster = LocalCluster::start(
+    let mut cluster = InlineCluster::start(
         args.hosts,
         VoroNetConfig::new(args.nmax).with_seed(args.seed),
         network,
     );
-    drive_workload(cluster.driver(), args)?;
-    let reports = cluster.shutdown().map_err(|e| e.to_string())?;
+    let driver = cluster.driver();
+    drive_workload(driver, args)?;
+    let reports = driver.collect_stats().map_err(|e| e.to_string())?;
     print_reports(&reports);
+    println!("[demo] driver endpoint | {}", driver.transport_stats());
     Ok(())
 }
 

@@ -15,8 +15,10 @@
 //! replays every committed chaos reproducer under `tests/chaos/` (a
 //! reproducer that fails its audit fails the run), then executes seeded
 //! crash/partition timelines against the fault-injected cluster; a
-//! failing timeline is ddmin-shrunk and written to `tests/chaos/`.  The
-//! CI `chaos-smoke` step runs it under `VORONET_SMOKE=1`.
+//! failing timeline is ddmin-shrunk and written to `tests/chaos/`.  Each
+//! case prints its counters and nothing timed (the wall time goes to
+//! stderr), so two runs print the same stdout; the CI `chaos-smoke` step
+//! runs it twice under `VORONET_SMOKE=1` and diffs them.
 //!
 //! `--codec` runs the standalone wire-codec property pass
 //! ([`voronet_testkit::run_codec_pass`]) instead of differential
@@ -44,7 +46,7 @@ use std::process::ExitCode;
 use voronet_testkit::{
     generate_case, generate_chaos, list_reproducers, read_chaos_reproducer, read_reproducer,
     run_case, run_chaos, shrink_case, shrink_chaos, write_chaos_reproducer, write_reproducer,
-    ChaosSpec, Fault, FuzzSpec,
+    ChaosReport, ChaosSpec, Fault, FuzzSpec,
 };
 use voronet_workloads::smoke_budget;
 
@@ -156,13 +158,9 @@ fn run_chaos_pass(args: &Args) -> ExitCode {
             }
             Ok(case) => match run_chaos(&case) {
                 Ok(report) => println!(
-                    "chaos replay {} … clean ({} ops, {} faults, {} degraded reads, \
-                     {} fail-fasts)",
+                    "chaos replay {} … clean ({})",
                     path.display(),
-                    report.ops_run,
-                    report.faults_fired,
-                    report.degraded_reads,
-                    report.fail_fast
+                    summary(&report)
                 ),
                 Err(f) => {
                     eprintln!(
@@ -184,14 +182,7 @@ fn run_chaos_pass(args: &Args) -> ExitCode {
         let spec = ChaosSpec::smoke(args.seed + i);
         let case = generate_chaos(&spec);
         match run_chaos(&case) {
-            Ok(report) => println!(
-                "chaos seed {} … clean ({} ops, {} faults, {} degraded reads, {} fail-fasts)",
-                spec.seed,
-                report.ops_run,
-                report.faults_fired,
-                report.degraded_reads,
-                report.fail_fast
-            ),
+            Ok(report) => println!("chaos seed {} … clean ({})", spec.seed, summary(&report)),
             Err(failure) => {
                 eprintln!("chaos seed {}: FAILURE {failure}", spec.seed);
                 eprintln!("chaos seed {}: shrinking …", spec.seed);
@@ -216,11 +207,25 @@ fn run_chaos_pass(args: &Args) -> ExitCode {
             }
         }
     }
-    println!(
-        "chaos: {cases} cases, no failure ({:.1?})",
-        started.elapsed()
-    );
+    println!("chaos: {cases} cases, no failure");
+    eprintln!("chaos: wall time {:.1?}", started.elapsed());
     ExitCode::SUCCESS
+}
+
+/// One chaos run's line: counters only, so two runs of the pass print
+/// the same text (CI diffs them).
+fn summary(r: &ChaosReport) -> String {
+    format!(
+        "{} ops, {} faults, {} degraded reads, {} fail-fasts, {} retries, {} fast resends, \
+         {} suspicions",
+        r.ops_run,
+        r.faults_fired,
+        r.stats.degraded_reads,
+        r.stats.fail_fast,
+        r.stats.retries,
+        r.stats.fast_resends,
+        r.stats.suspicions
+    )
 }
 
 fn main() -> ExitCode {

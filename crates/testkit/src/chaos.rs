@@ -3,19 +3,19 @@
 //!
 //! A [`ChaosCase`] is a single replayable timeline mixing workload ops
 //! with [`FaultEvent`]s (crash-stop, restart, partition, heal) plus a
-//! link-fault profile, executed against a
-//! [`FaultyCluster`] whose every endpoint is wrapped in a seeded
-//! [`FaultTransport`](voronet_net::FaultTransport) — the same seed
-//! replays the same faults bit-for-bit.  [`run_chaos`] drives the
-//! timeline and audits three safety properties:
+//! link-fault profile, executed against an [`InlineCluster`] whose every
+//! endpoint is wrapped in a seeded [`FaultTransport`] — one thread, one
+//! virtual clock, so the same case replays bit-for-bit: same faults,
+//! same counters.  [`run_chaos`] drives the timeline and audits three
+//! safety properties:
 //!
 //! 1. **No acked write lost** — a KV read never returns a value that
 //!    contradicts the model of acknowledged puts/deletes (degraded
 //!    replica reads included; an op whose ack was lost moves its key to
 //!    "unknown", where any answer is accepted).
 //! 2. **No livelock** — every driver op completes (successfully or by
-//!    failing fast) within a wall-clock bound; retry budgets must hold
-//!    under crashes and partitions.
+//!    failing fast) within a bound on the cluster's clock; retry budgets
+//!    must hold under crashes and partitions.
 //! 3. **Ledger consistency** — after healing every fault, all hosts
 //!    return to `Alive`, every acked value reads back on the healthy
 //!    path, every death was matched by a revival, and the transport
@@ -31,18 +31,25 @@ use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use voronet_core::VoroNetConfig;
 use voronet_net::{
-    ClusterError, FaultEvent, FaultPlan, FaultyCluster, HostState, LinkFaults, Liveness, OpOutcome,
-    RetryPolicy,
+    ClusterError, ClusterStats, FaultCtl, FaultEvent, FaultPlan, FaultStats, FaultTransport,
+    HostState, InlineCluster, LinkFaults, Liveness, OpOutcome, RetryPolicy, Transport, VnetHub,
 };
+use voronet_sim::{NetworkModel, TransportStats};
 use voronet_workloads::{Distribution, OpBatchGenerator, OpMix, PointGenerator, WorkloadOp};
 
-/// Wall-clock bound on a single driver op under chaos: far above any
-/// healthy latency, far below a livelock (tight retry budgets are ~3 s;
-/// a flood abandoning probes to a dead host adds ~6 s).
+/// Bound on a single driver op under chaos, on the cluster's clock: far
+/// above any healthy latency, far below a livelock (tight retry budgets
+/// are ~3 s; a flood abandoning probes to a dead host adds ~6 s).
 const OP_BOUND: Duration = Duration::from_secs(30);
+
+/// Heartbeats after healing within which every host must be alive again.
+/// Each is one idle turn of the cluster's clock (≥ 125 µs once a quiet
+/// stretch is past its yields), so this spans some two hundred of the
+/// 60 ms ping windows a revival needs one or two of.
+const HEAL_ROUNDS: usize = 100_000;
 
 /// Knobs of chaos-case generation (what [`generate_chaos`] consumes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,17 +185,20 @@ enum Known {
     Unknown,
 }
 
-/// Outcome of a clean chaos run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Outcome of a clean chaos run: everything a replay of the same case
+/// must reproduce exactly.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChaosReport {
     /// Workload ops executed.
     pub ops_run: usize,
     /// Fault events fired.
     pub faults_fired: usize,
-    /// Reads the driver served through replicas.
-    pub degraded_reads: u64,
-    /// Ops that failed fast on a dead host.
-    pub fail_fast: u64,
+    /// The driver's liveness states and fault counters.
+    pub stats: ClusterStats,
+    /// The driver endpoint's transport counters.
+    pub transport: TransportStats,
+    /// Injected faults per endpoint: the driver's, then each host's.
+    pub faults: Vec<FaultStats>,
 }
 
 /// A violated chaos property, locating the offending step.
@@ -226,12 +236,12 @@ fn acceptable(e: &ClusterError) -> bool {
 /// Executes a chaos timeline and audits the three safety properties
 /// (see the module docs).  `Err` carries the first violation.
 pub fn run_chaos(case: &ChaosCase) -> Result<ChaosReport, ChaosFailure> {
-    let mut cluster = FaultyCluster::start(
-        case.hosts,
-        VoroNetConfig::new(case.nmax).with_seed(case.seed),
-        case.link,
-        case.seed,
-    );
+    let hub = VnetHub::new(NetworkModel::ideal());
+    let ctl = FaultCtl::new(case.link);
+    let config = VoroNetConfig::new(case.nmax).with_seed(case.seed);
+    let mut cluster = InlineCluster::start_with(case.hosts, config, |peer| {
+        FaultTransport::new(hub.endpoint(peer), ctl.clone(), case.seed)
+    });
     cluster.driver().set_retry_policy(RetryPolicy::tight());
     cluster.driver().set_liveness(Liveness::tight());
 
@@ -242,155 +252,85 @@ pub fn run_chaos(case: &ChaosCase) -> Result<ChaosReport, ChaosFailure> {
     for (i, step) in case.steps.iter().enumerate() {
         let op = match step {
             ChaosStep::Fault(event) => {
-                cluster.ctl().apply(*event);
+                ctl.apply(*event);
                 faults_fired += 1;
                 continue;
             }
             ChaosStep::Op(op) => op,
         };
-        let driver = cluster.driver();
-        let pop = driver.population();
-        let at = |index: usize| index % pop.max(1);
-        let started = Instant::now();
-        let result: Result<(), ChaosFailure> = match *op {
-            WorkloadOp::Insert { position } => match driver.insert(position) {
-                Ok(_) => Ok(()),
-                Err(e) if acceptable(&e) => Ok(()),
-                Err(e) => Err(fail(Some(i), format!("insert errored: {e}"))),
-            },
-            WorkloadOp::Remove { index } if pop > 4 => match driver.remove_index(at(index)) {
-                Ok(_) => Ok(()),
-                Err(e) if acceptable(&e) => Ok(()),
-                Err(e) => Err(fail(Some(i), format!("remove errored: {e}"))),
-            },
-            WorkloadOp::Remove { .. } => Ok(()), // keep a routable population
-            WorkloadOp::Route { from, to } if pop > 0 => {
-                match driver.route_indices(at(from), at(to)) {
-                    Ok(_) => Ok(()),
-                    Err(e) if acceptable(&e) => Ok(()),
-                    Err(e) => Err(fail(Some(i), format!("route errored: {e}"))),
-                }
-            }
-            WorkloadOp::Range { from, query } if pop > 0 => {
-                match driver.range_query(at(from), query) {
-                    Ok(_) => Ok(()),
-                    Err(e) if acceptable(&e) => Ok(()),
-                    Err(e) => Err(fail(Some(i), format!("range errored: {e}"))),
-                }
-            }
-            WorkloadOp::Radius { from, query } if pop > 0 => {
-                match driver.radius_query(at(from), query) {
-                    Ok(_) => Ok(()),
-                    Err(e) if acceptable(&e) => Ok(()),
-                    Err(e) => Err(fail(Some(i), format!("radius errored: {e}"))),
-                }
-            }
-            WorkloadOp::Subscribe { index, region } if pop > 0 => {
-                match driver.subscribe(at(index), region) {
-                    Ok(_) => Ok(()),
-                    Err(e) if acceptable(&e) => Ok(()),
-                    Err(e) => Err(fail(Some(i), format!("subscribe errored: {e}"))),
-                }
-            }
-            WorkloadOp::Unsubscribe { index } if pop > 0 => match driver.unsubscribe(at(index)) {
-                Ok(_) => Ok(()),
-                Err(e) if acceptable(&e) => Ok(()),
-                Err(e) => Err(fail(Some(i), format!("unsubscribe errored: {e}"))),
-            },
-            WorkloadOp::Publish {
-                from,
-                region,
-                payload,
-            } if pop > 0 => match driver.publish(at(from), region, payload) {
-                Ok(_) => Ok(()),
-                Err(e) if acceptable(&e) => Ok(()),
-                Err(e) => Err(fail(Some(i), format!("publish errored: {e}"))),
-            },
-            WorkloadOp::KvPut { from, key, value } if pop > 0 => {
-                match driver.kv_put(at(from), key, value) {
-                    Ok(OpOutcome::KvStored { .. }) => {
-                        model.insert(key, Known::Value(value));
-                        Ok(())
-                    }
-                    Ok(other) => Err(fail(Some(i), format!("kv_put answered {other:?}"))),
-                    Err(e) if acceptable(&e) => {
-                        // The ack never arrived: old or new value may
-                        // have landed.
-                        model.insert(key, Known::Unknown);
-                        Ok(())
-                    }
-                    Err(e) => Err(fail(Some(i), format!("kv_put errored: {e}"))),
-                }
-            }
-            WorkloadOp::KvGet { from, key } if pop > 0 => match driver.kv_get(at(from), key) {
-                Ok(OpOutcome::KvFetched { value, .. }) => {
-                    let known = model.get(&key).copied().unwrap_or(Known::Absent);
-                    match known {
-                        Known::Value(v) if value != Some(v) => Err(fail(
-                            Some(i),
-                            format!("acked write lost: key {key} holds {v}, read {value:?}"),
-                        )),
-                        Known::Absent if value.is_some() => Err(fail(
-                            Some(i),
-                            format!("phantom value: key {key} was never acked, read {value:?}"),
-                        )),
-                        _ => Ok(()),
-                    }
-                }
-                Ok(other) => Err(fail(Some(i), format!("kv_get answered {other:?}"))),
-                Err(e) if acceptable(&e) => Ok(()),
-                Err(e) => Err(fail(Some(i), format!("kv_get errored: {e}"))),
-            },
-            WorkloadOp::KvDelete { from, key } if pop > 0 => {
-                match driver.kv_delete(at(from), key) {
-                    Ok(_) => {
-                        model.insert(key, Known::Absent);
-                        Ok(())
-                    }
-                    Err(e) if acceptable(&e) => {
-                        model.insert(key, Known::Unknown);
-                        Ok(())
-                    }
-                    Err(e) => Err(fail(Some(i), format!("kv_delete errored: {e}"))),
-                }
-            }
-            // Snapshot has no cluster equivalent; empty-population ops
-            // have nothing to address.
-            _ => Ok(()),
+        ops_run += 1;
+        // Keep a routable population; an empty one has nothing to address.
+        let pop = cluster.driver().population();
+        let skip = match op {
+            WorkloadOp::Insert { .. } => false,
+            WorkloadOp::Remove { .. } => pop <= 4,
+            _ => pop == 0,
         };
-        result?;
-        let elapsed = started.elapsed();
+        if skip {
+            continue;
+        }
+        let started = cluster.now();
+        let outcome = match cluster.driver().apply(op) {
+            Ok(outcome) => Some(outcome),
+            Err(e) if acceptable(&e) => None,
+            Err(e) => return Err(fail(Some(i), format!("{op:?} errored: {e}"))),
+        };
+        match (op, outcome) {
+            (&WorkloadOp::KvPut { key, value, .. }, Some(OpOutcome::KvStored { .. })) => {
+                model.insert(key, Known::Value(value));
+            }
+            // The ack never arrived: old or new value may have landed.
+            (&WorkloadOp::KvPut { key, .. } | &WorkloadOp::KvDelete { key, .. }, None) => {
+                model.insert(key, Known::Unknown);
+            }
+            (&WorkloadOp::KvDelete { key, .. }, Some(_)) => {
+                model.insert(key, Known::Absent);
+            }
+            (&WorkloadOp::KvGet { key, .. }, Some(OpOutcome::KvFetched { value, .. })) => {
+                match model.get(&key).copied().unwrap_or(Known::Absent) {
+                    Known::Value(v) if value != Some(v) => {
+                        let lost = format!("acked write lost: key {key} holds {v}, read {value:?}");
+                        return Err(fail(Some(i), lost));
+                    }
+                    Known::Absent if value.is_some() => {
+                        let phantom =
+                            format!("phantom value: key {key} was never acked, read {value:?}");
+                        return Err(fail(Some(i), phantom));
+                    }
+                    _ => {}
+                }
+            }
+            (WorkloadOp::KvPut { .. } | WorkloadOp::KvGet { .. }, Some(other)) => {
+                return Err(fail(Some(i), format!("{op:?} answered {other:?}")));
+            }
+            _ => {}
+        }
+        let elapsed = cluster.now() - started;
         if elapsed > OP_BOUND {
             return Err(fail(
                 Some(i),
                 format!("livelock: {op:?} took {elapsed:?} (bound {OP_BOUND:?})"),
             ));
         }
-        ops_run += 1;
     }
 
-    // End-of-run audit: heal everything, wait for every host to be seen
-    // alive again, then every acked value must read back healthily.
-    cluster.ctl().heal_all();
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
+    // End-of-run audit: heal everything, heartbeat until every host is
+    // seen alive again, then every acked value must read back healthily.
+    ctl.heal_all();
+    let mut rounds = 0;
+    while (1..=case.hosts).any(|p| cluster.driver().host_state(p) != HostState::Alive) {
+        if rounds == HEAL_ROUNDS {
+            let states: Vec<_> = cluster.driver().cluster_stats().hosts;
+            return Err(fail(
+                None,
+                format!("hosts not alive {HEAL_ROUNDS} heartbeats after heal_all: {states:?}"),
+            ));
+        }
         cluster
             .driver()
             .heartbeat()
             .map_err(|e| fail(None, format!("heartbeat errored: {e}")))?;
-        let all_alive =
-            (1..=case.hosts).all(|p| cluster.driver().host_state(p) == HostState::Alive);
-        if all_alive {
-            break;
-        }
-        if Instant::now() > deadline {
-            let states: Vec<_> = cluster.driver().cluster_stats().hosts;
-            return Err(fail(
-                None,
-                format!("hosts never revived after heal_all: {states:?}"),
-            ));
-        }
-        std::thread::sleep(Duration::from_millis(2));
+        rounds += 1;
     }
     let pop = cluster.driver().population();
     for (&key, &known) in &model {
@@ -420,16 +360,14 @@ pub fn run_chaos(case: &ChaosCase) -> Result<ChaosReport, ChaosFailure> {
             ),
         ));
     }
-    let reports = cluster
-        .shutdown()
-        .map_err(|e| fail(None, format!("shutdown errored: {e}")))?;
-    for r in &reports {
-        if r.stats.decode_errors > 0 || r.stats.oversized > 0 {
+    for (peer, t) in cluster.endpoints().enumerate().skip(1) {
+        let stats = t.stats();
+        if stats.decode_errors > 0 || stats.oversized > 0 {
             return Err(fail(
                 None,
                 format!(
-                    "host {} transport corruption: {} decode errors, {} oversized",
-                    r.peer, r.stats.decode_errors, r.stats.oversized
+                    "host {peer} transport corruption: {} decode errors, {} oversized",
+                    stats.decode_errors, stats.oversized
                 ),
             ));
         }
@@ -437,8 +375,12 @@ pub fn run_chaos(case: &ChaosCase) -> Result<ChaosReport, ChaosFailure> {
     Ok(ChaosReport {
         ops_run,
         faults_fired,
-        degraded_reads: stats.degraded_reads,
-        fail_fast: stats.fail_fast,
+        stats,
+        transport: cluster.driver().transport_stats(),
+        faults: cluster
+            .endpoints()
+            .map(FaultTransport::fault_stats)
+            .collect(),
     })
 }
 
@@ -709,5 +651,23 @@ mod tests {
         .unwrap_or_else(|f| panic!("chaos audit failed: {f}"));
         assert!(report.ops_run > 0);
         assert!(report.faults_fired > 0, "the schedule must inject faults");
+    }
+
+    #[test]
+    fn chaos_runs_replay_bit_for_bit() {
+        // The committed reproducer and a generated odd seed, whose lossy
+        // link rolls on every frame: a second run of either reproduces
+        // every counter of the first.
+        let committed = include_str!("../../../tests/chaos/chaos-seed11-148steps.ron");
+        let lossy = generate_chaos(&ChaosSpec::smoke(2009));
+        assert_ne!(lossy.link, LinkFaults::default());
+        for case in [parse_chaos_case(committed).unwrap(), lossy] {
+            let first = run_chaos(&case).unwrap_or_else(|f| panic!("chaos audit failed: {f}"));
+            assert!(
+                first.faults.iter().any(|f| f.crash_dropped > 0),
+                "{first:?}"
+            );
+            assert_eq!(run_chaos(&case).unwrap(), first, "seed {}", case.seed);
+        }
     }
 }
