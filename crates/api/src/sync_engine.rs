@@ -41,7 +41,6 @@ use voronet_core::snapshot::{
 };
 use voronet_core::{ObjectId, ObjectView, VoroNet, VoroNetConfig, VoronetError};
 use voronet_geom::Point2;
-use voronet_sim::RouteStats;
 use voronet_workloads::{RadiusQuery, RangeQuery};
 
 /// Read-only runs shorter than this execute single-threaded (thread
@@ -71,7 +70,10 @@ fn frozen_run_threshold(population: usize) -> usize {
 /// setting.
 pub struct SyncEngine {
     net: VoroNet,
-    routes: RouteStats,
+    /// Routes completed, and the sum of their hop counts: all
+    /// [`Overlay::stats`] reports of them, kept in O(1).
+    routes: u64,
+    route_hops: u64,
     scratch: RouteScratch,
     threads: usize,
     /// The frozen view, created lazily at the first read run that
@@ -98,7 +100,8 @@ impl SyncEngine {
     pub fn from_net(net: VoroNet) -> Self {
         SyncEngine {
             net,
-            routes: RouteStats::new(),
+            routes: 0,
+            route_hops: 0,
             scratch: RouteScratch::new(),
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -236,9 +239,14 @@ impl SyncEngine {
         // frozen path bypasses `Overlay::route`.
         for r in &results[start..] {
             if let OpResult::Routed(route) = r {
-                self.routes.record(route.hops);
+                self.record_route(route.hops);
             }
         }
+    }
+
+    fn record_route(&mut self, hops: u32) {
+        self.routes += 1;
+        self.route_hops += u64::from(hops);
     }
 }
 
@@ -282,7 +290,7 @@ impl Overlay for SyncEngine {
         self.net.apply_traffic(&self.scratch.delta);
         self.scratch.delta.clear();
         let (owner, hops) = routed?;
-        self.routes.record(hops);
+        self.record_route(hops);
         Ok(RouteOutcome { owner, hops })
     }
 
@@ -302,11 +310,13 @@ impl Overlay for SyncEngine {
         OverlayStats {
             population: self.net.len(),
             messages: self.net.traffic().total(),
-            routes_completed: self.routes.count() as u64,
-            mean_route_hops: if self.routes.count() == 0 {
+            routes_completed: self.routes,
+            // Both sums are exact integers below 2^53, so this is the mean
+            // a float sum over every recorded route would give, to the bit.
+            mean_route_hops: if self.routes == 0 {
                 0.0
             } else {
-                self.routes.mean()
+                self.route_hops as f64 / self.routes as f64
             },
         }
     }
@@ -354,5 +364,64 @@ impl Overlay for SyncEngine {
 
     fn snapshot_stats(&self) -> SnapshotStats {
         self.net.snapshot_stats()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::builder::OverlayBuilder;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    use voronet_sim::RouteStats;
+
+    /// The engine keeps a count and a hop sum, not a sample per route; its
+    /// stats must equal, to the bit, the mean a `RouteStats` over every
+    /// route would give — single routes, frozen batch routes and failed
+    /// routes (which count nowhere) interleaved with writes.
+    #[test]
+    fn route_stats_equal_the_per_sample_formula() {
+        let mut engine = OverlayBuilder::new(400).seed(3).build_sync();
+        let mut rng = StdRng::seed_from_u64(0x5747);
+        let point = |rng: &mut StdRng| Point2::new(rng.random::<f64>(), rng.random::<f64>());
+        for _ in 0..300 {
+            engine.insert(point(&mut rng)).unwrap();
+        }
+        let mut samples = RouteStats::new();
+        let mut routes = 0;
+        while routes < 10_000 {
+            let from = engine.id_at(rng.random_range(0..engine.len())).unwrap();
+            match rng.random_range(0u32..10) {
+                0 => {
+                    let id = engine.insert(point(&mut rng)).unwrap().id;
+                    engine.remove(id).unwrap();
+                }
+                1 => {
+                    let gone = ObjectId(u64::MAX);
+                    assert!(engine.route(gone, point(&mut rng)).is_err());
+                }
+                2..=5 => {
+                    let r = engine.route(from, point(&mut rng)).unwrap();
+                    samples.record(r.hops);
+                    routes += 1;
+                }
+                _ => {
+                    let ops: Vec<Op> = (0..64)
+                        .map(|_| Op::Route {
+                            from: engine.id_at(rng.random_range(0..engine.len())).unwrap(),
+                            target: point(&mut rng),
+                        })
+                        .collect();
+                    for r in engine.apply_batch(&ops) {
+                        samples.record(r.as_routed().unwrap().hops);
+                        routes += 1;
+                    }
+                }
+            }
+            let stats = engine.stats();
+            assert_eq!(stats.routes_completed, samples.count() as u64);
+            assert_eq!(stats.mean_route_hops.to_bits(), samples.mean().to_bits());
+        }
+        assert!(engine.view.is_some(), "the frozen batch path must have run");
     }
 }

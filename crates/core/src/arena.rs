@@ -1,22 +1,30 @@
-//! Dense, generation-indexed storage of per-node protocol state.
+//! Dense, generation-indexed storage of per-node protocol state, and the
+//! routing rows the live greedy walk reads.
 //!
 //! Every live object of a [`crate::VoroNet`] owns one [`NodeSlot`] in a
 //! [`NodeArena`]: its attribute coordinates, its triangulation vertex, the
-//! close-neighbour set `cn(o)`, the long-range links `LRn(o)` and the
-//! back-long-range pointers `BLRn(o)`.  (Per-node message counts are not
-//! here: they live once, in the overlay's `TrafficStats`, indexed by object
-//! id.)  The arena replaces the former `HashMap<ObjectId, ObjectState>`:
+//! close-neighbour set `cn(o)` (a sorted `Vec`), the long-range links
+//! `LRn(o)` and the back-long-range pointers `BLRn(o)`.  (Per-node message
+//! counts are not here: they live once, in the overlay's `TrafficStats`,
+//! indexed by object id.)  The arena:
 //!
-//! * slots live in one flat `Vec` (slab-style, recycled through a free
+//! * keeps slots in one flat `Vec` (slab-style, recycled through a free
 //!   list), so iterating all nodes is a linear scan and a slot access from a
 //!   [`NodeIndex`] is two array reads; a slot access from an [`ObjectId`]
 //!   goes through a hash map with a one-multiply hasher (`IdHasher`);
-//! * each slot carries a *generation* that is bumped on recycling, so a
+//! * tags each slot with a *generation* that is bumped on recycling, so a
 //!   stale [`NodeIndex`] held across a departure can never alias the node
 //!   that reused the slot;
-//! * a dense id list maintains the overlay's O(1) uniform-sampling order
-//!   (swap-remove on departure, exactly the order the pre-arena
-//!   implementation used, so seeded runs replay bit-for-bit).
+//! * maintains a dense id list, the overlay's O(1) uniform-sampling order
+//!   (swap-remove on departure, so seeded runs replay bit-for-bit).
+//!
+//! Routing does not read the arena.  The overlay keeps a second,
+//! derived structure beside it, `RoutingRows`: one row per triangulation
+//! vertex listing the object's greedy candidates `vn ∪ cn ∪ LRn` as
+//! vertex ids, in the walk's scan order, so a hop is one row read plus
+//! point reads from the triangulation — no id hashing, no fan walk.  The
+//! join and leave code rewrites the rows of exactly the objects its change
+//! record names dirty.
 //!
 //! The arena is shared between the synchronous overlay and the asynchronous
 //! runtime ([`crate::runtime::AsyncOverlay`]): both read the same slots, the
@@ -24,7 +32,7 @@
 //! refreshes a replica at a `NeighborUpdate` boundary.
 
 use crate::object::{BackLink, LongLink, ObjectId};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use voronet_geom::{Point2, VertexId};
 
@@ -62,8 +70,9 @@ pub struct NodeSlot {
     pub(crate) vertex: VertexId,
     /// Attribute coordinates (immutable for the lifetime of the object).
     pub(crate) coords: Point2,
-    /// Close neighbours: objects within `d_min` (symmetric relation).
-    pub(crate) close: BTreeSet<ObjectId>,
+    /// Close neighbours: objects within `d_min` (symmetric relation),
+    /// ascending.
+    pub(crate) close: Vec<ObjectId>,
     /// Long-range links (length = `config.long_links` once established).
     pub(crate) long: Vec<LongLink>,
     /// Back-long-range pointers: links of other objects whose target falls
@@ -79,11 +88,30 @@ impl NodeSlot {
             id,
             vertex,
             coords,
-            close: BTreeSet::new(),
+            close: Vec::new(),
             long: Vec::new(),
             back_long: Vec::new(),
             dense_pos: 0,
         }
+    }
+
+    /// Adds `id` to the close set (no-op when present).
+    pub(crate) fn add_close(&mut self, id: ObjectId) {
+        if let Err(pos) = self.close.binary_search(&id) {
+            self.close.insert(pos, id);
+        }
+    }
+
+    /// Drops `id` from the close set (no-op when absent).
+    pub(crate) fn remove_close(&mut self, id: ObjectId) {
+        if let Ok(pos) = self.close.binary_search(&id) {
+            self.close.remove(pos);
+        }
+    }
+
+    /// True when `id` is a close neighbour.
+    pub(crate) fn is_close(&self, id: ObjectId) -> bool {
+        self.close.binary_search(&id).is_ok()
     }
 
     /// The object this slot belongs to.
@@ -101,8 +129,8 @@ impl NodeSlot {
         self.vertex
     }
 
-    /// Close neighbours `cn(o)`.
-    pub fn close(&self) -> &BTreeSet<ObjectId> {
+    /// Close neighbours `cn(o)`, ascending.
+    pub fn close(&self) -> &[ObjectId] {
         &self.close
     }
 
@@ -289,6 +317,179 @@ impl NodeArena {
                 .dense_pos = pos as u32;
         }
         Some(slot)
+    }
+}
+
+/// Where one vertex's row sits in the pool: `len` entries from `start`,
+/// the first `fan` of them its Voronoi fan, in a footprint of `cap`
+/// entries (those past `len` are slack).
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: u32,
+    len: u32,
+    cap: u32,
+    fan: u32,
+}
+
+/// The part of a routing row a rewrite replaces; the other part is kept.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Part {
+    /// The Voronoi fan, which only the tessellation changes.
+    Fan,
+    /// The close neighbours, then the long links, which only the object's
+    /// own slot changes.
+    Tail,
+}
+
+/// The live walk's routing rows, one per triangulation vertex, pooled in
+/// one `Vec` (see the [module docs](self)).
+///
+/// A row is its fan followed by its tail, and a rewrite replaces one of the
+/// two: a departure re-knits its neighbours' fans without touching their
+/// links, so their rows are redrawn without one id lookup.  A row is
+/// rewritten in place when it fits its footprint.  One that outgrows it
+/// moves to the end of the pool with one slot of slack, and its old
+/// footprint turns dead.  When the pool is full and at least an eighth of
+/// it is dead, it is compacted to exact row sizes first, so it grows only
+/// when it is mostly live.  A clone is compacted too.
+#[derive(Debug, Default)]
+pub(crate) struct RoutingRows {
+    spans: Vec<Span>,
+    pool: Vec<VertexId>,
+    /// Pool entries outside every footprint.
+    dead: usize,
+    /// The buffer a row is assembled in, kept for its capacity.
+    buf: Vec<VertexId>,
+}
+
+impl RoutingRows {
+    fn span(&self, v: VertexId) -> Span {
+        self.spans.get(v as usize).copied().unwrap_or_default()
+    }
+
+    /// The row of `v` (empty for a vertex no object holds).
+    #[inline]
+    pub(crate) fn of(&self, v: VertexId) -> &[VertexId] {
+        let s = self.span(v);
+        &self.pool[s.start as usize..(s.start + s.len) as usize]
+    }
+
+    /// The row of `v` split into its fan and its tail.
+    pub(crate) fn parts(&self, v: VertexId) -> (&[VertexId], &[VertexId]) {
+        self.of(v).split_at(self.span(v).fan as usize)
+    }
+
+    /// Replaces `part` of the row of `v` with what `fill` appends to an
+    /// empty buffer.
+    pub(crate) fn rewrite(
+        &mut self,
+        v: VertexId,
+        part: Part,
+        fill: impl FnOnce(&mut Vec<VertexId>),
+    ) {
+        let mut row = std::mem::take(&mut self.buf);
+        row.clear();
+        let (fan, tail) = self.parts(v);
+        let fan = match part {
+            Part::Fan => {
+                fill(&mut row);
+                let fan = row.len();
+                row.extend_from_slice(tail);
+                fan
+            }
+            Part::Tail => {
+                row.extend_from_slice(fan);
+                fill(&mut row);
+                fan.len()
+            }
+        };
+        self.store(v as usize, &row, fan as u32);
+        self.buf = row;
+    }
+
+    /// Empties the row of `v`, whose object left.
+    pub(crate) fn clear(&mut self, v: VertexId) {
+        if let Some(s) = self.spans.get_mut(v as usize) {
+            self.dead += s.cap as usize;
+            *s = Span::default();
+        }
+    }
+
+    fn store(&mut self, v: usize, row: &[VertexId], fan: u32) {
+        if v >= self.spans.len() {
+            self.spans.resize(v + 1, Span::default());
+        }
+        let old = self.spans[v];
+        let len = row.len() as u32;
+        if len <= old.cap {
+            let start = old.start as usize;
+            self.pool[start..start + row.len()].copy_from_slice(row);
+            self.spans[v] = Span { len, fan, ..old };
+            return;
+        }
+        self.dead += old.cap as usize;
+        self.spans[v] = Span::default();
+        let cap = len + 1;
+        if self.pool.len() + cap as usize > self.pool.capacity() && self.dead * 8 >= self.pool.len()
+        {
+            self.compact();
+        }
+        let start = self.pool.len() as u32;
+        self.pool.extend_from_slice(row);
+        self.pool.push(VertexId::MAX);
+        self.spans[v] = Span {
+            start,
+            len,
+            cap,
+            fan,
+        };
+    }
+
+    /// Copies every row, in vertex order, into a pool of the same capacity
+    /// and trims each footprint to its row.
+    fn compact(&mut self) {
+        let mut pool = Vec::with_capacity(self.pool.capacity());
+        self.spans = self.compacted_spans(&mut pool);
+        self.pool = pool;
+        self.dead = 0;
+    }
+
+    /// The spans of every row copied, in vertex order, to the end of
+    /// `pool`, each footprint trimmed to its row.
+    fn compacted_spans(&self, pool: &mut Vec<VertexId>) -> Vec<Span> {
+        self.spans
+            .iter()
+            .map(|s| {
+                let start = pool.len() as u32;
+                pool.extend_from_slice(&self.pool[s.start as usize..(s.start + s.len) as usize]);
+                Span {
+                    start,
+                    cap: s.len,
+                    ..*s
+                }
+            })
+            .collect()
+    }
+
+    /// Vertices with a non-empty row.
+    pub(crate) fn non_empty(&self) -> impl Iterator<Item = VertexId> + '_ {
+        (0..self.spans.len() as VertexId).filter(|&v| self.spans[v as usize].len > 0)
+    }
+}
+
+impl Clone for RoutingRows {
+    /// The copy is compacted: a plain copy of a pool that had just filled
+    /// would compact at its first moved row, and a benchmark or a test
+    /// that mutates clones would pay that O(pool) pass every time.
+    fn clone(&self) -> Self {
+        let mut pool = Vec::with_capacity(self.pool.len() - self.dead);
+        let spans = self.compacted_spans(&mut pool);
+        RoutingRows {
+            spans,
+            pool,
+            dead: 0,
+            buf: Vec::new(),
+        }
     }
 }
 

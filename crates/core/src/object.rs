@@ -1,7 +1,6 @@
 //! Object identifiers, per-object protocol state and view descriptions.
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use voronet_geom::{Point2, Triangulation, VertexId};
 
 /// Stable application-level identifier of a published object.
@@ -51,18 +50,21 @@ pub struct BackLink {
 ///
 /// A `ViewRef` borrows straight out of the overlay's
 /// [`crate::arena::NodeArena`] and the shared tessellation: the close
-/// neighbours, long links and back links are references into the node's
-/// slot, and the Voronoi neighbours are produced lazily by walking the
-/// Delaunay fan.  Routing ([`crate::VoroNet::route_to_point`], the
-/// Algorithm 5 loop) iterates a `ViewRef` and allocates nothing; build an
-/// owned [`ObjectView`] (via [`ViewRef::to_view`]) only at a serialization
-/// or runtime-message boundary.
+/// neighbours (an ascending slice), long links and back links are
+/// references into the node's slot, and the Voronoi neighbours are
+/// produced lazily by walking the Delaunay fan.  It is the object-level
+/// reading of the view — the Algorithm 5 loop, the range-query floods and
+/// the runtime's replicas iterate it without allocating.  Greedy routing
+/// ([`crate::VoroNet::route_to_point_in`]) does not: it reads the same
+/// neighbours from the overlay's vertex-keyed routing rows, which never
+/// walk the fan.  Build an owned [`ObjectView`] (via [`ViewRef::to_view`])
+/// only at a serialization or runtime-message boundary.
 #[derive(Debug, Clone, Copy)]
 pub struct ViewRef<'a> {
     pub(crate) id: ObjectId,
     pub(crate) coords: Point2,
     pub(crate) vertex: VertexId,
-    pub(crate) close: &'a BTreeSet<ObjectId>,
+    pub(crate) close: &'a [ObjectId],
     pub(crate) long: &'a [LongLink],
     pub(crate) back_long: &'a [BackLink],
     pub(crate) tri: &'a Triangulation,
@@ -89,8 +91,8 @@ impl<'a> ViewRef<'a> {
             .filter_map(move |v| vertex_obj.get(v as usize).copied().flatten())
     }
 
-    /// Close neighbours `cn(o)`.
-    pub fn close_neighbours(&self) -> &'a BTreeSet<ObjectId> {
+    /// Close neighbours `cn(o)`, ascending.
+    pub fn close_neighbours(&self) -> &'a [ObjectId] {
         self.close
     }
 
@@ -130,7 +132,7 @@ impl<'a> ViewRef<'a> {
             id: self.id,
             coords: self.coords,
             voronoi_neighbours: self.voronoi_neighbours().collect(),
-            close_neighbours: self.close.iter().copied().collect(),
+            close_neighbours: self.close.to_vec(),
             long_links: self.long.to_vec(),
             back_long_links: self.back_long.to_vec(),
         }

@@ -26,7 +26,7 @@
 //! at most a constant number of extra local steps at the end of a route — is
 //! folded into the plain greedy walk used here and documented in DESIGN.md.
 
-use crate::arena::{NodeArena, NodeSlot};
+use crate::arena::{NodeArena, NodeSlot, Part, RoutingRows};
 use crate::config::VoroNetConfig;
 use crate::error::{ErrorKind, VoronetError};
 use crate::object::{BackLink, LinkIndex, LongLink, ObjectId, ObjectView, ViewRef};
@@ -36,7 +36,7 @@ use crate::snapshot::{
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use voronet_geom::{greedy_next, InsertError, Point2, Triangulation, VertexId};
+use voronet_geom::{greedy_descent, InsertError, Point2, Triangulation, VertexId};
 use voronet_sim::{MessageKind, RouteStats, TrafficStats};
 use voronet_stats::IntHistogram;
 
@@ -83,6 +83,13 @@ pub struct VoroNet {
     /// All per-node protocol state, slab-allocated (see [`NodeArena`]).
     arena: NodeArena,
     vertex_obj: Vec<Option<ObjectId>>,
+    /// Each object's greedy candidates, keyed by its vertex: what the live
+    /// walk reads (see [`VoroNet::route_to_point_in`]).
+    rows: RoutingRows,
+    /// The objects whose rows a mutation rewrites, de-duplicated.  Kept
+    /// for its capacity: a fresh `Vec` per join left the heap holes that
+    /// cost ~100 B per object on a 50k power-law build.
+    stale: Vec<ObjectId>,
     next_id: u64,
     rng: StdRng,
     traffic: TrafficStats,
@@ -109,6 +116,8 @@ impl VoroNet {
             tri: Triangulation::new(config.domain),
             arena: NodeArena::new(),
             vertex_obj: Vec::new(),
+            rows: RoutingRows::default(),
+            stale: Vec::new(),
             next_id: 0,
             rng: StdRng::seed_from_u64(config.seed),
             traffic: TrafficStats::new(),
@@ -265,7 +274,7 @@ impl VoroNet {
 
     /// Close neighbours `cn(o)` (objects within `d_min`).
     pub fn close_neighbours(&self, id: ObjectId) -> Result<Vec<ObjectId>, VoronetError> {
-        Ok(self.state(id)?.close.iter().copied().collect())
+        Ok(self.state(id)?.close.clone())
     }
 
     /// Long-range links of an object, borrowed from its arena slot.
@@ -327,6 +336,44 @@ impl VoroNet {
     }
 
     // ------------------------------------------------------------------
+    // Routing rows
+    // ------------------------------------------------------------------
+
+    /// Redraws the fan part of the routing rows of `vertices` from the
+    /// tessellation; their tails are kept.
+    fn rewrite_fans(&mut self, vertices: impl IntoIterator<Item = VertexId>) {
+        let tri = &self.tri;
+        for v in vertices {
+            self.rows
+                .rewrite(v, Part::Fan, |row| row.extend(tri.real_neighbors_iter(v)));
+        }
+    }
+
+    /// Rewrites the tail part of the routing row of `id` from its slot (a
+    /// departed `id` is skipped); the fan is kept.
+    fn rewrite_tail(&mut self, id: ObjectId) {
+        let Some(slot) = self.arena.get(id) else {
+            return;
+        };
+        let arena = &self.arena;
+        self.rows
+            .rewrite(slot.vertex, Part::Tail, |row| fill_tail(arena, slot, row));
+    }
+
+    /// [`VoroNet::rewrite_tail`] for each of `ids`, once.
+    fn rewrite_tails(&mut self, ids: impl IntoIterator<Item = ObjectId>) {
+        let mut stale = std::mem::take(&mut self.stale);
+        stale.clear();
+        stale.extend(ids);
+        stale.sort_unstable();
+        stale.dedup();
+        for &id in &stale {
+            self.rewrite_tail(id);
+        }
+        self.stale = stale;
+    }
+
+    // ------------------------------------------------------------------
     // Greedy routing
     // ------------------------------------------------------------------
 
@@ -343,12 +390,14 @@ impl VoroNet {
     /// [`VoroNet::apply_traffic`] to get counters bit-identical to the
     /// `&mut self` forms.  Allocation-free on warmed-up buffers.
     ///
-    /// Each hop is two [`greedy_next`] scans carrying one incumbent:
-    /// Voronoi neighbours first, distances straight off the
-    /// triangulation's point array and only the winning vertex mapped to
-    /// its object through the vertex table (array reads only, no id
-    /// hashing for the common, pure-Delaunay hop), then close neighbours
-    /// and long links through id-keyed arena lookups.
+    /// The walk runs in vertex space: one [`greedy_descent`] whose hop
+    /// scans the object's routing row — its Voronoi fan, then its close
+    /// neighbours, then its long links, as vertex ids — against the
+    /// triangulation's point array.  A hop reads one row and a few points;
+    /// nothing is hashed and no triangle is walked, and only the objects
+    /// the path and the accounting name are looked up in the vertex
+    /// table.  Joins and departures keep the rows current (see
+    /// [`VoroNet::audit_invariants`]).
     pub fn route_to_point_in(
         &self,
         from: ObjectId,
@@ -357,48 +406,21 @@ impl VoroNet {
     ) -> Result<(ObjectId, u32), VoronetError> {
         let RouteScratch { path, delta, .. } = scratch;
         path.clear();
-        let mut cur_d = self.state(from)?.coords.distance2(target);
-        let mut cur = from;
-        path.push(cur);
-        let mut hops = 0u32;
-        loop {
-            let slot = self.arena.get(cur).expect("current hop is live");
-            let (fan_best, fan_d) = greedy_next(
-                target,
-                (None, cur_d),
-                self.tri
-                    .real_neighbors_iter(slot.vertex)
-                    .map(|v| (Some(v), self.tri.point(v))),
-            );
-            let fan_best = fan_best.map_or(cur, |v| {
-                self.object_of_vertex(v)
-                    .expect("real vertices always map to live objects")
-            });
-            // A long link may point at its own object; skipping it saves
-            // the arena lookup, the rule would reject it anyway.
-            let links = slot
-                .close
-                .iter()
-                .copied()
-                .chain(slot.long.iter().map(|l| l.neighbour))
-                .filter(|&n| n != cur);
-            let (best, best_d) = greedy_next(
-                target,
-                (fan_best, fan_d),
-                links.map(|n| {
-                    let peer = self.arena.get(n).expect("routing neighbours are live");
-                    (n, peer.coords)
-                }),
-            );
-            if best == cur {
-                return Ok((cur, hops));
-            }
-            delta.push(cur, MessageKind::RouteForward);
-            cur = best;
-            cur_d = best_d;
-            hops += 1;
-            path.push(cur);
-        }
+        let start = self.state(from)?.vertex;
+        path.push(from);
+        let object = |v: VertexId| {
+            self.vertex_obj[v as usize].expect("routing rows name live objects' vertices")
+        };
+        let (owner, hops) = greedy_descent(
+            (start, self.tri.point(start)),
+            target,
+            |v| self.rows.of(v).iter().map(|&u| (u, self.tri.point(u))),
+            |cur, next| {
+                delta.push(object(cur), MessageKind::RouteForward);
+                path.push(object(next));
+            },
+        );
+        Ok((object(owner), hops))
     }
 
     /// Greedy route between two existing objects on `&self`; see
@@ -601,6 +623,8 @@ impl VoroNet {
         let (neighbour, hops) = self.route_counted(id, target, scratch)?;
         self.arena.get_mut(id).expect("caller checked id").long[link] =
             LongLink { target, neighbour };
+        // The next link's route starts here and scans this one.
+        self.rewrite_tail(id);
         // Register the back pointer even when the owner is the object itself:
         // a later join stealing the target's region must be able to find and
         // take over the link through the usual back-long-range handover.
@@ -707,10 +731,10 @@ impl VoroNet {
         self.arena.insert(NodeSlot::new(id, vertex, p));
         let mut messages = routing_hops as u64;
 
-        let vn: Vec<ObjectId> = self
-            .tri
-            .real_neighbors_iter(vertex)
-            .filter_map(|v| self.object_of_vertex(v))
+        let fan: Vec<VertexId> = self.tri.real_neighbors_iter(vertex).collect();
+        let vn: Vec<ObjectId> = fan
+            .iter()
+            .filter_map(|&v| self.object_of_vertex(v))
             .collect();
         // The owner sends every (old and new) neighbour its updated region.
         for &n in &vn {
@@ -748,13 +772,11 @@ impl VoroNet {
                 self.arena
                     .get_mut(cand)
                     .expect("candidate is live")
-                    .close
-                    .insert(id);
+                    .add_close(id);
                 self.arena
                     .get_mut(id)
                     .expect("just inserted")
-                    .close
-                    .insert(cand);
+                    .add_close(cand);
                 // p declares itself to its new close neighbour.
                 self.note(id, MessageKind::CloseNeighbourExchange);
                 messages += 1;
@@ -798,6 +820,13 @@ impl VoroNet {
             self.note(id, MessageKind::LongLink);
             messages += 1;
         }
+
+        // The long-link routes below start at the joiner and cross the fans
+        // it re-knit, so every row this join changed is rewritten first:
+        // the joiner's and its neighbours' fans, then the links of the
+        // joiner and of everyone `dirty` names past its neighbours.
+        self.rewrite_fans(fan.iter().copied().chain([vertex]));
+        self.rewrite_tails(dirty[vn.len()..].iter().copied().chain([id]));
 
         // --- 5. long links (Algorithm 3 + Algorithm 2) ---------------------
         let mut long_link_hops = 0u32;
@@ -847,10 +876,10 @@ impl VoroNet {
         let mut messages = 0u64;
 
         // Voronoi neighbours receive the recomputed boundaries.
-        let vn: Vec<ObjectId> = self
-            .tri
-            .real_neighbors_iter(st.vertex)
-            .filter_map(|v| self.object_of_vertex(v))
+        let fan: Vec<VertexId> = self.tri.real_neighbors_iter(st.vertex).collect();
+        let vn: Vec<ObjectId> = fan
+            .iter()
+            .filter_map(|&v| self.object_of_vertex(v))
             .filter(|&o| o != id)
             .collect();
         for n in &vn {
@@ -868,7 +897,7 @@ impl VoroNet {
         // Close neighbours are told about the departure.
         for &cn in &st.close {
             if let Some(other) = self.arena.get_mut(cn) {
-                other.close.remove(&id);
+                other.remove_close(id);
                 self.traffic.record(id.0, MessageKind::Departure);
                 messages += 1;
             }
@@ -896,16 +925,15 @@ impl VoroNet {
             if bl.source == id {
                 continue;
             }
-            let new_owner = vn
+            let new_owner = fan
                 .iter()
                 .copied()
                 .min_by(|&a, &b| {
-                    let da = self.arena.get(a).expect("neighbour is live").coords;
-                    let db = self.arena.get(b).expect("neighbour is live").coords;
-                    da.distance2(bl.target)
-                        .partial_cmp(&db.distance2(bl.target))
+                    let da = self.tri.point(a).distance2(bl.target);
+                    da.partial_cmp(&self.tri.point(b).distance2(bl.target))
                         .expect("distances are finite")
                 })
+                .and_then(|v| self.object_of_vertex(v))
                 .or_else(|| self.arena.ids().find(|&o| o != id));
             let Some(new_owner) = new_owner else { continue };
             if let Some(src) = self.arena.get_mut(bl.source) {
@@ -929,6 +957,9 @@ impl VoroNet {
             .remove(st.vertex)
             .expect("object vertices are always removable");
         self.vertex_obj[st.vertex as usize] = None;
+        self.rows.clear(st.vertex);
+        self.rewrite_fans(fan);
+        self.rewrite_tails(dirty[vn.len()..].iter().copied());
 
         self.log_change(ChangeRecord::Remove { id, dirty });
 
@@ -975,15 +1006,16 @@ impl VoroNet {
         }
         for &(a, b) in &to_drop {
             if let Some(sa) = self.arena.get_mut(a) {
-                sa.close.remove(&b);
+                sa.remove_close(b);
             }
             if let Some(sb) = self.arena.get_mut(b) {
-                sb.close.remove(&a);
+                sb.remove_close(a);
             }
             self.note(a, MessageKind::CloseNeighbourExchange);
         }
         if !to_drop.is_empty() {
-            let dirty = to_drop.iter().flat_map(|&(a, b)| [a, b]).collect();
+            let dirty: Vec<ObjectId> = to_drop.iter().flat_map(|&(a, b)| [a, b]).collect();
+            self.rewrite_tails(dirty.iter().copied());
             self.log_change(ChangeRecord::Mutate { dirty });
         }
         to_drop.len()
@@ -1029,7 +1061,10 @@ impl VoroNet {
     ///   pairs at distance ≤ `d_min` (checked exhaustively when
     ///   `exhaustive` is set — O(n²));
     /// * every long-range link points to the object owning its target;
-    /// * back-long-range pointers mirror the forward links exactly.
+    /// * back-long-range pointers mirror the forward links exactly;
+    /// * every object's routing row equals, order included, the row rebuilt
+    ///   from the tessellation, its close set and its long links, and no
+    ///   vertex without an object has a row.
     ///
     /// Violations are reported as [`VoronetError`] with kind
     /// [`crate::ErrorKind::InvariantViolation`]; the diagnostic is in the
@@ -1050,6 +1085,7 @@ impl VoroNet {
 
     fn check_invariants_impl(&self, exhaustive: bool) -> Result<InvariantAudit, String> {
         let mut audit = InvariantAudit::default();
+        let (mut fan, mut tail) = (Vec::new(), Vec::new());
         for st in self.arena.iter() {
             let id = st.id;
             audit.nodes += 1;
@@ -1068,13 +1104,16 @@ impl VoroNet {
                     self.config.long_links
                 ));
             }
+            if !st.close.is_sorted_by(|a, b| a < b) {
+                return Err(format!("close set of {id} is not strictly ascending"));
+            }
             for cn in &st.close {
                 audit.close_links += 1;
                 let other = self
                     .arena
                     .get(*cn)
                     .ok_or_else(|| format!("{id} has dead close neighbour {cn}"))?;
-                if !other.close.contains(&id) {
+                if !other.is_close(id) {
                     return Err(format!("close relation {id} ↔ {cn} is not symmetric"));
                 }
                 if st.coords.distance(other.coords) > self.config.dmin() + 1e-12 {
@@ -1135,6 +1174,25 @@ impl VoroNet {
                     ));
                 }
             }
+            fan.clear();
+            fan.extend(self.tri.real_neighbors_iter(st.vertex));
+            tail.clear();
+            fill_tail(&self.arena, st, &mut tail);
+            let stored = self.rows.parts(st.vertex);
+            if stored != (&fan[..], &tail[..]) {
+                return Err(format!(
+                    "routing row of {id} is stale: {stored:?}, rebuilt {:?}",
+                    (&fan, &tail)
+                ));
+            }
+            audit.rows += 1;
+        }
+        if let Some(v) = self
+            .rows
+            .non_empty()
+            .find(|&v| self.object_of_vertex(v).is_none())
+        {
+            return Err(format!("vertex {v} holds no object but has a routing row"));
         }
         if exhaustive {
             let all: Vec<&NodeSlot> = self.arena.iter().collect();
@@ -1143,7 +1201,7 @@ impl VoroNet {
                     let (a, sa) = (all[i].id, all[i]);
                     let (b, sb) = (all[j].id, all[j]);
                     let within = sa.coords.distance(sb.coords) <= self.config.dmin();
-                    let recorded = sa.close.contains(&b);
+                    let recorded = sa.is_close(b);
                     audit.pairs += 1;
                     if within != recorded {
                         return Err(format!(
@@ -1155,6 +1213,22 @@ impl VoroNet {
         }
         Ok(audit)
     }
+}
+
+/// Appends the tail of `slot`'s routing row to `row`, as vertex ids in the
+/// live walk's scan order: the close neighbours (ascending ids), then the
+/// long links, skipping those that point back at the object itself.  The
+/// row's head is the Voronoi fan, as [`Triangulation::real_neighbors_iter`]
+/// yields it.
+fn fill_tail(arena: &NodeArena, slot: &NodeSlot, row: &mut Vec<VertexId>) {
+    let vertex = |n: ObjectId| arena.get(n).expect("routing neighbours are live").vertex;
+    row.extend(slot.close.iter().map(|&n| vertex(n)));
+    row.extend(
+        slot.long
+            .iter()
+            .filter(|l| l.neighbour != slot.id)
+            .map(|l| vertex(l.neighbour)),
+    );
 }
 
 /// How much work an invariant audit performed (see
@@ -1172,6 +1246,9 @@ pub struct InvariantAudit {
     pub long_links: usize,
     /// Back-long-range pointers verified against their forward link.
     pub back_links: usize,
+    /// Routing rows rebuilt from the tessellation, the close set and the
+    /// long links and found equal, order included, to the stored row.
+    pub rows: usize,
     /// Object pairs tested by the exhaustive O(n²) close-set
     /// reconstruction (0 when `exhaustive` was not requested).
     pub pairs: usize,
@@ -1335,6 +1412,47 @@ mod tests {
                 "{dist:?}: {large:.2} triangles per join at 50k against {small:.2} at 2k-5k"
             );
         }
+    }
+
+    /// The paper-scale gate (CI's net smoke step runs it): after a 50 000
+    /// object `PowerLaw{5}` build and 20 000 joins and departures, every
+    /// routing row equals its rebuild, and on 2 000 pairs the live walk
+    /// takes the frozen walk's path hop for hop.
+    #[test]
+    #[ignore = "release-size: cargo test --release -p voronet-core -- --ignored rows_hold_at_paper_scale"]
+    fn rows_hold_at_paper_scale() {
+        let n = 50_000;
+        let mut net = VoroNet::new(VoroNetConfig::new(n).with_seed(2007));
+        let mut points = PointGenerator::new(Distribution::PowerLaw { alpha: 5.0 }, 2007);
+        let mut live = Vec::with_capacity(n);
+        while live.len() < n {
+            live.extend(net.insert(points.next_point()).map(|r| r.id));
+        }
+        let mut rng = StdRng::seed_from_u64(11);
+        for _ in 0..20_000 {
+            if rng.random::<bool>() {
+                live.extend(net.insert(points.next_point()).map(|r| r.id));
+            } else {
+                let id = live.swap_remove(rng.random_range(0..live.len()));
+                net.remove(id).unwrap();
+            }
+        }
+        let audit = net.audit_invariants(false).unwrap();
+        assert_eq!((audit.nodes, audit.rows), (net.len(), net.len()));
+
+        let view = net.freeze();
+        let (mut walked, mut frozen) = (RouteScratch::new(), RouteScratch::new());
+        let mut hops = 0;
+        for _ in 0..2_000 {
+            let a = live[rng.random_range(0..live.len())];
+            let b = live[rng.random_range(0..live.len())];
+            let outcome = net.route_between_in(a, b, &mut walked).unwrap();
+            assert_eq!(outcome, view.route_between_in(a, b, &mut frozen).unwrap());
+            assert_eq!(walked.path, frozen.path, "{a} to {b}");
+            hops += outcome.1;
+        }
+        assert_eq!(walked.delta, frozen.delta);
+        println!("{} rows audited, {hops} hops walked alike", audit.rows);
     }
 
     #[test]

@@ -927,7 +927,7 @@ impl AsyncOverlay {
         let mut affected: BTreeSet<ObjectId> = BTreeSet::new();
         if let Ok(vr) = self.net.view_ref(id) {
             affected.extend(vr.voronoi_neighbours());
-            affected.extend(vr.close_neighbours().iter().copied());
+            affected.extend(vr.close_neighbours());
             affected.extend(vr.long_links().iter().map(|l| l.neighbour));
             affected.extend(vr.back_long_links().iter().map(|b| b.source));
         }

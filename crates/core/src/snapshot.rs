@@ -441,9 +441,7 @@ impl FrozenView {
                     dirty.insert(o);
                 }
             }
-            for &c in slot.close() {
-                dirty.insert(c);
-            }
+            dirty.extend(slot.close());
             for bl in slot.back_long() {
                 dirty.insert(bl.source);
             }
@@ -606,10 +604,12 @@ impl FrozenView {
 }
 
 /// Appends `slot`'s routing adjacency row to `out`, in exactly the live
-/// walk's scan order: Voronoi fan first, then close neighbours (BTreeSet
-/// order), then long links — with the node itself skipped, as the live
-/// path's `n == cur` test does.  Shared by the full freeze and the
-/// per-row patch path so both emit identical rows.
+/// walk's scan order: Voronoi fan first, then close neighbours (ascending
+/// ids), then long links — with links back to the node itself skipped, as
+/// the overlay's routing rows skip them.  Shared by the full freeze and
+/// the per-row patch path so both emit identical rows.  Derived from the
+/// tessellation and the slot, not copied from the overlay's rows, so
+/// every frozen route cross-checks them.
 fn push_row(net: &VoroNet, slot: &NodeSlot, index: &IdIndex, out: &mut Vec<u32>) {
     let id = slot.id();
     for v in net.triangulation().real_neighbors_iter(slot.vertex()) {

@@ -213,12 +213,14 @@ fn audit_fleet(fleet: &mut Fleet, round: usize, report: &mut RunReport) -> Resul
         let audit = net
             .audit_invariants(exhaustive)
             .map_err(|e| fail("audit:invariants", format!("{name}: {e}")))?;
-        if audit.nodes != ids.len() {
+        if audit.nodes != ids.len() || audit.rows != audit.nodes {
             return Err(fail(
                 "audit:invariants",
                 format!(
-                    "{name}: invariant audit visited {} nodes of a population of {}",
+                    "{name}: invariant audit visited {} nodes and compared {} routing rows \
+                     for a population of {}",
                     audit.nodes,
+                    audit.rows,
                     ids.len()
                 ),
             ));

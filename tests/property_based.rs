@@ -446,3 +446,139 @@ fn greedy_routing_terminates_at_owner() {
         },
     );
 }
+
+/// One overlay mutation of the routing-row property; indices pick a point
+/// of the pool or a live object, modulo their count.
+#[derive(Debug, Clone, Copy)]
+enum Mutation {
+    Insert(usize),
+    Remove(usize),
+    RefreshLongLinks(usize),
+    /// Doubles `N_max`, then drops the close pairs beyond the new `d_min`.
+    Prune,
+    /// One `adapt_nmax` round that always triggers.
+    Adapt,
+}
+
+fn mutations(rng: &mut StdRng) -> Vec<Mutation> {
+    (0..rng.random_range(1..90usize))
+        .map(|_| {
+            let pick = rng.random_range(0..usize::MAX);
+            match rng.random_range(0..40u32) {
+                0..=19 => Mutation::Insert(pick),
+                20..=29 => Mutation::Remove(pick),
+                30..=34 => Mutation::RefreshLongLinks(pick),
+                35..=37 => Mutation::Prune,
+                _ => Mutation::Adapt,
+            }
+        })
+        .collect()
+}
+
+/// Applies `ops` to an overlay built from `points`, auditing after every
+/// op: the audit rebuilds every object's routing row and must have
+/// compared one per live object.
+fn rows_stay_current(ops: &[Mutation], points: &[Point2]) -> Result<(), String> {
+    use voronet_core::{adapt_nmax, AdaptationPolicy, DminRule, RefreshStrategy};
+    // `d_min = 1/√(π·8)` ≈ 0.2 at first, so close sets are large, and every
+    // prune shrinks it by √2.
+    let cfg = VoroNetConfig::new(8)
+        .with_dmin_rule(DminRule::Analysis)
+        .with_long_links(2)
+        .with_seed(13);
+    let mut net = VoroNet::new(cfg);
+    let mut live: Vec<ObjectId> = Vec::new();
+    let adapt = AdaptationPolicy {
+        trigger_fraction: 0.0,
+        growth_factor: 2,
+        strategy: RefreshStrategy::DenseOnly {
+            max_close_neighbours: 2,
+        },
+    };
+    for (step, &op) in ops.iter().enumerate() {
+        let failed = |e: VoronetError| format!("step {step} {op:?}: {e}");
+        match op {
+            Mutation::Insert(i) => {
+                if let Ok(r) = net.insert(points[i % points.len()]) {
+                    live.push(r.id);
+                }
+            }
+            Mutation::Remove(i) if !live.is_empty() => {
+                let id = live.swap_remove(i % live.len());
+                net.remove(id).map_err(failed)?;
+            }
+            Mutation::RefreshLongLinks(i) if !live.is_empty() => {
+                net.refresh_long_links(live[i % live.len()])
+                    .map_err(failed)?;
+            }
+            Mutation::Prune => {
+                net.set_nmax(net.config().nmax * 2);
+                net.prune_close_neighbours();
+            }
+            Mutation::Adapt => {
+                adapt_nmax(&mut net, &adapt).map_err(failed)?;
+            }
+            Mutation::Remove(_) | Mutation::RefreshLongLinks(_) => {}
+        }
+        let audit = net.audit_invariants(true).map_err(failed)?;
+        tk_ensure_eq!(
+            audit.rows,
+            net.len(),
+            "rows compared after step {step} {op:?}"
+        );
+        tk_ensure_eq!(
+            audit.nodes,
+            net.len(),
+            "nodes visited after step {step} {op:?}"
+        );
+    }
+    Ok(())
+}
+
+/// The live walk reads routing rows that join, leave, close-set pruning
+/// and long-link refreshes keep current; after any sequence of them every
+/// row equals the one rebuilt from the tessellation, the close set and the
+/// long links, order included — on uniform points, on power-law points
+/// and on the committed reproducers' collinear points.
+#[test]
+fn routing_rows_stay_current_under_any_mutation_sequence() {
+    let reproducers = [
+        "repro-seed5009-4ops",
+        "repro-seed5009-5ops",
+        "repro-seed2011-6ops",
+    ];
+    let mut collinear: Vec<Point2> = Vec::new();
+    for name in reproducers {
+        let path = format!(
+            "{}/tests/reproducers/{name}.ron",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let case = voronet_testkit::parse_case(&text).unwrap_or_else(|e| panic!("{path}: {e}"));
+        collinear.extend(case.script.iter().filter_map(|op| match op {
+            voronet_workloads::WorkloadOp::Insert { position } => Some(*position),
+            _ => None,
+        }));
+    }
+    assert!(collinear.len() >= 12);
+    let pools = [
+        (
+            "uniform",
+            PointGenerator::new(Distribution::Uniform, 41).take_points(48),
+        ),
+        (
+            "power-law",
+            PointGenerator::new(Distribution::PowerLaw { alpha: 5.0 }, 43).take_points(48),
+        ),
+        ("collinear", collinear),
+    ];
+    for (seed, (name, points)) in (0x2055u64..).zip(pools) {
+        check_cases(
+            &format!("routing-rows-stay-current-{name}"),
+            CASES,
+            seed,
+            mutations,
+            |ops| rows_stay_current(ops, &points),
+        );
+    }
+}
