@@ -45,7 +45,6 @@ pub struct OverlayBuilder {
     config: VoroNetConfig,
     network: NetworkModel,
     engine: EngineKind,
-    worker_threads: Option<usize>,
 }
 
 impl OverlayBuilder {
@@ -58,7 +57,6 @@ impl OverlayBuilder {
             config: VoroNetConfig::new(nmax),
             network: NetworkModel::ideal(),
             engine: EngineKind::Sync,
-            worker_threads: None,
         }
     }
 
@@ -105,12 +103,9 @@ impl OverlayBuilder {
         self.engine(EngineKind::Async)
     }
 
-    /// Sets the number of worker threads the synchronous engine uses for
-    /// read-only batch runs (default: the machine's available
-    /// parallelism).  Results are bit-identical at any setting; `1` forces
-    /// single-threaded execution.  The asynchronous engine ignores this.
-    pub fn worker_threads(mut self, threads: usize) -> Self {
-        self.worker_threads = Some(threads.max(1));
+    /// Accepted and ignored: both engines run on the calling thread.
+    /// Kept because the benchmark calls it.
+    pub fn worker_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -122,11 +117,7 @@ impl OverlayBuilder {
     /// Builds the synchronous engine, regardless of the selected
     /// [`EngineKind`].
     pub fn build_sync(&self) -> SyncEngine {
-        let engine = SyncEngine::new(self.config);
-        match self.worker_threads {
-            Some(n) => engine.with_threads(n),
-            None => engine,
-        }
+        SyncEngine::new(self.config)
     }
 
     /// Builds the asynchronous engine, regardless of the selected

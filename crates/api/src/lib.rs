@@ -13,9 +13,9 @@
 //!   query / snapshot / stats), dyn-compatible so callers hold a
 //!   `Box<dyn Overlay>`;
 //! * [`Op`] / [`OpResult`] — typed batched operations:
-//!   [`Overlay::apply_batch`] is the throughput lever (buffer reuse on the
-//!   sync engine, shared quiescence rounds for route runs on the async
-//!   one);
+//!   [`Overlay::apply_batch`] is the throughput lever (one reused route
+//!   scratch on the sync engine, shared quiescence rounds for route runs
+//!   on the async one);
 //! * [`OverlayBuilder`] — fluent construction: provisioned population,
 //!   seed, long-link count, `d_min` rule, network model, engine selection;
 //! * [`VoronetError`] — the one error taxonomy (re-exported from

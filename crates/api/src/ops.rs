@@ -269,27 +269,6 @@ pub enum Op {
     Service(ServiceOp),
 }
 
-impl Op {
-    /// True for operations that never mutate overlay structure (routes,
-    /// area queries, snapshots).  Engines use this to split a batch into
-    /// maximal read-only runs between write barriers: every op of a run
-    /// sees the overlay state left by the last write, so a run can execute
-    /// out of order — or in parallel — without changing any result.
-    pub fn is_read_only(&self) -> bool {
-        match self {
-            Op::Route { .. }
-            | Op::RouteBetween { .. }
-            | Op::Range { .. }
-            | Op::Radius { .. }
-            | Op::Snapshot { .. } => true,
-            // Service ops mutate service-layer state (sequence numbers,
-            // KV entries, delivery accounting) even when the underlying
-            // traversal is a read, so they order like writes.
-            Op::Insert { .. } | Op::Remove { .. } | Op::Service(_) => false,
-        }
-    }
-}
-
 /// The result of one [`Op`], at the same batch index.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OpResult {

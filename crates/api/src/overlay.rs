@@ -90,11 +90,12 @@ pub trait Overlay {
     /// Aggregate engine counters.
     fn stats(&self) -> OverlayStats;
 
-    /// Snapshot-maintenance economics: how the engine kept its frozen
-    /// read views current (reused / delta-patched / rebuilt).  These
-    /// describe the execution strategy, not the protocol, so they live
-    /// outside [`Overlay::stats`] — engines with different view policies
-    /// still agree on protocol counters.  Engines without frozen views
+    /// Snapshot-maintenance economics: how an engine that serves reads
+    /// from a frozen view kept it current (reused / delta-patched /
+    /// rebuilt).  These describe the execution strategy, not the protocol,
+    /// so they live outside [`Overlay::stats`] — engines with different
+    /// view policies still agree on protocol counters.  Engines that walk
+    /// the live overlay, [`SyncEngine`](crate::SyncEngine) among them,
     /// report the all-zero default.
     fn snapshot_stats(&self) -> SnapshotStats {
         SnapshotStats::default()

@@ -7,7 +7,7 @@
 //!
 //! - **sync** — the live greedy walk over the mutable overlay
 //!   (`VoroNet::route_between_in`);
-//! - **frozen** — the epoch-refreshed parallel read path
+//! - **frozen** — an epoch-refreshed `FrozenView`
 //!   (`FrozenView::route_between_in`, refreshed on writes so routes pay
 //!   only the frozen walk);
 //! - **cluster** — the driver + hosts deployment on `InlineCluster`
@@ -103,7 +103,7 @@ fn summarize(
 }
 
 /// Replays the scenario in process: against the live synchronous walk,
-/// or (`frozen`) against the frozen parallel read path, where writes
+/// or (`frozen`) against an epoch-refreshed `FrozenView`, where writes
 /// mutate the live overlay and the next route refreshes the view (the
 /// epoch discipline), so routes pay only the frozen walk.
 fn run_in_process(sc: &Scenario, frozen: bool) -> EngineRun {

@@ -59,6 +59,4 @@ pub use runtime::{
     run_scenario, AsyncOverlay, OpToken, ProtocolMsg, RoutePurpose, RoutingMode, ScenarioCounters,
     ScenarioReport, WireTap, UNTRACKED,
 };
-pub use snapshot::{
-    FrozenView, RouteScratch, SnapshotStats, TrafficAccumulator, TrafficDelta, ViewRefresh,
-};
+pub use snapshot::{FrozenView, RouteScratch, SnapshotStats, TrafficDelta, ViewRefresh};

@@ -30,10 +30,7 @@ use crate::arena::{NodeArena, NodeSlot, Part, RoutingRows};
 use crate::config::VoroNetConfig;
 use crate::error::{ErrorKind, VoronetError};
 use crate::object::{BackLink, LinkIndex, LongLink, ObjectId, ObjectView, ViewRef};
-use crate::snapshot::{
-    ChangeLog, ChangeRecord, FrozenView, RouteScratch, SnapshotStats, TrafficAccumulator,
-    TrafficDelta, ViewRefresh,
-};
+use crate::snapshot::{ChangeLog, ChangeRecord, FrozenView, RouteScratch, TrafficDelta};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use voronet_geom::{greedy_descent, InsertError, Point2, Triangulation, VertexId};
@@ -99,9 +96,6 @@ pub struct VoroNet {
     /// Journal of recent mutations, enabling [`FrozenView::refresh`] to
     /// delta-patch instead of rebuilding.
     changes: ChangeLog,
-    /// Snapshot-maintenance economics reported by view owners (see
-    /// [`VoroNet::record_view_refresh`]).
-    snap_stats: SnapshotStats,
     /// Route buffers of [`VoroNet::insert_from`] and
     /// [`VoroNet::route_to_point`], kept so a join's two routes run on warmed
     /// buffers (see [`VoroNet::with_scratch`]).
@@ -123,7 +117,6 @@ impl VoroNet {
             traffic: TrafficStats::new(),
             epoch: 0,
             changes: ChangeLog::default(),
-            snap_stats: SnapshotStats::default(),
             scratch: RouteScratch::new(),
         }
     }
@@ -408,19 +401,21 @@ impl VoroNet {
         path.clear();
         let start = self.state(from)?.vertex;
         path.push(from);
-        let object = |v: VertexId| {
-            self.vertex_obj[v as usize].expect("routing rows name live objects' vertices")
-        };
-        let (owner, hops) = greedy_descent(
+        // The object the walk is at: each hop's sender is the previous
+        // hop's receiver, so a hop looks up one object, not two.
+        let mut at = from;
+        let (_, hops) = greedy_descent(
             (start, self.tri.point(start)),
             target,
             |v| self.rows.of(v).iter().map(|&u| (u, self.tri.point(u))),
-            |cur, next| {
-                delta.push(object(cur), MessageKind::RouteForward);
-                path.push(object(next));
+            |_, next| {
+                delta.push(at, MessageKind::RouteForward);
+                at = self.vertex_obj[next as usize]
+                    .expect("routing rows name live objects' vertices");
+                path.push(at);
             },
         );
-        Ok((object(owner), hops))
+        Ok((at, hops))
     }
 
     /// Greedy route between two existing objects on `&self`; see
@@ -449,20 +444,11 @@ impl VoroNet {
         }
     }
 
-    /// Applies a [`TrafficAccumulator`] (aggregated against `view`, which
-    /// must have been frozen from this overlay) in one pass over its
-    /// distinct senders, and leaves it empty for the next run.  The
-    /// counters end up identical to replaying every constituent delta
-    /// through [`VoroNet::apply_traffic`].
-    pub fn apply_accumulated_traffic(&mut self, view: &FrozenView, acc: &mut TrafficAccumulator) {
-        acc.apply_to(&mut self.traffic, view);
-    }
-
     /// Freezes the current routing topology into a [`FrozenView`] — the
-    /// SoA/CSR snapshot behind the parallel read path, stamped with the
-    /// current snapshot epoch.  After later mutations the view can be
-    /// brought forward in O(affected neighbourhoods) with
-    /// [`FrozenView::refresh`] instead of re-freezing.
+    /// reference SoA/CSR snapshot, stamped with the current snapshot
+    /// epoch.  After later mutations the view can be brought forward in
+    /// O(affected neighbourhoods) with [`FrozenView::refresh`] instead of
+    /// re-freezing.
     pub fn freeze(&self) -> FrozenView {
         FrozenView::new(self)
     }
@@ -493,19 +479,6 @@ impl VoroNet {
     fn log_change(&mut self, rec: ChangeRecord) {
         self.epoch += 1;
         self.changes.push(rec);
-    }
-
-    /// Snapshot-maintenance economics accumulated so far (reuse / patch /
-    /// rebuild tallies reported by view owners).
-    pub fn snapshot_stats(&self) -> SnapshotStats {
-        self.snap_stats
-    }
-
-    /// Folds a view-refresh outcome into [`VoroNet::snapshot_stats`].
-    /// Called by whoever maintains a [`FrozenView`] over this overlay
-    /// (batch engines, replay oracles, the node binary).
-    pub fn record_view_refresh(&mut self, refresh: &ViewRefresh) {
-        self.snap_stats.absorb(refresh);
     }
 
     /// The walk with its traffic accounted inline, for the `&mut self`

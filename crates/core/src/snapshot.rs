@@ -1,10 +1,9 @@
-//! Frozen, read-optimised snapshots of the routing state — the parallel
-//! read path.
+//! The reference snapshot of the routing state, and the change journal.
 //!
-//! The overlay's hot read operations (greedy routes, point queries, area
+//! The overlay's read operations (greedy routes, point queries, area
 //! queries) never change routing state; the only side effect they have is
-//! *message accounting*.  This module splits that accounting out so the
-//! whole read path runs on `&self`:
+//! *message accounting*.  This module splits that accounting out so every
+//! read runs on `&self`:
 //!
 //! * [`TrafficDelta`] — the messages a read operation *would* send,
 //!   recorded instead of applied.  A caller replays the delta onto the
@@ -14,34 +13,39 @@
 //! * [`RouteScratch`] — the caller-owned buffers (path, delta, flood
 //!   work-lists) every `_in`-suffixed read operation computes into, so a
 //!   warmed-up scratch makes routes and point queries allocation-free.
-//! * [`FrozenView`] — an immutable structure-of-arrays snapshot of the
-//!   routing topology: coordinates in flat `xs`/`ys` arrays and the full
-//!   routing adjacency (Voronoi + close + long neighbours) flattened into
-//!   one CSR offset/index pair.  A greedy hop over a `FrozenView` is pure
-//!   contiguous array reads — no hashing, no triangle-fan walking — and
-//!   `FrozenView` is `Sync`, so one snapshot serves any number of threads.
-//! * [`TrafficAccumulator`] — dense per-node aggregation of many
-//!   [`TrafficDelta`]s, applied in one pass over the distinct senders
-//!   ([`crate::VoroNet::apply_accumulated_traffic`]) and reused from one
-//!   read run to the next.
+//!
+//! Every engine routes over the overlay's live routing rows
+//! ([`crate::VoroNet::route_to_point_in`]).  Beside them this module keeps
+//! a second, independently derived representation of the same topology:
+//!
+//! * [`FrozenView`] — an immutable structure-of-arrays snapshot: ids and
+//!   coordinates in flat arrays and the full routing adjacency (Voronoi +
+//!   close + long neighbours) flattened into one pooled row per node.  Its
+//!   rows are rebuilt from the tessellation and the node slots, not copied
+//!   from the live rows, so a route over a `FrozenView` that agrees with
+//!   the live walk cross-checks the rows' maintenance.  The testkit's
+//!   differential oracle and the benchmark's probes use it that way.
+//! * [`ChangeLog`] — the per-mutation record of which Voronoi
+//!   neighbourhoods an insert, remove or link change touched.  It is what
+//!   makes [`crate::VoroNet::touched_since`] (and so a cluster's view
+//!   pushes) O(changed).
 //!
 //! A `FrozenView` describes the overlay state at one **snapshot epoch**
 //! ([`crate::VoroNet::snapshot_epoch`], bumped on every topology
 //! mutation).  It does not have to be thrown away when the overlay moves
-//! on: [`FrozenView::refresh`] replays the overlay's [`ChangeLog`] — the
-//! per-mutation record of which Voronoi neighbourhoods an insert/remove
-//! actually touched — and patches the SoA arrays and the CSR adjacency in
-//! O(affected neighbourhoods) instead of rebuilding in O(n), falling back
-//! to a full rebuild only when the log window no longer covers the view
-//! or the touched set approaches the population.  A patched view is
-//! **bit-identical** (ids, coordinates, adjacency in live scan order) to
-//! a from-scratch [`VoroNet::freeze`] at the same epoch.
-//! Routing over a `FrozenView` takes, hop for hop, exactly the decisions
-//! of [`crate::VoroNet::route_to_point_in`] on the overlay state of the
-//! view's epoch: the adjacency lists preserve the live scan order
-//! (Voronoi fan order, then close neighbours, then long links) and both
-//! walks pick the next hop with [`voronet_geom::greedy_next`], so owners,
-//! hop counts, paths and recorded messages are bit-identical.
+//! on: [`FrozenView::refresh`] replays the [`ChangeLog`] and patches the
+//! SoA arrays and the pooled adjacency in O(affected neighbourhoods)
+//! instead of rebuilding in O(n), falling back to a full rebuild only when
+//! the log window no longer covers the view or the touched set approaches
+//! the population.  A patched view is **bit-identical** (ids, coordinates,
+//! adjacency in live scan order) to a from-scratch [`VoroNet::freeze`] at
+//! the same epoch.  Routing over a `FrozenView` takes, hop for hop,
+//! exactly the decisions of [`crate::VoroNet::route_to_point_in`] on the
+//! overlay state of the view's epoch: the adjacency lists preserve the
+//! live scan order (Voronoi fan order, then close neighbours, then long
+//! links) and both walks pick the next hop with
+//! [`voronet_geom::greedy_next`], so owners, hop counts, paths and
+//! recorded messages are bit-identical.
 
 use crate::arena::NodeSlot;
 use crate::error::VoronetError;
@@ -49,7 +53,7 @@ use crate::object::ObjectId;
 use crate::overlay::VoroNet;
 use std::collections::VecDeque;
 use voronet_geom::{greedy_descent, Point2};
-use voronet_sim::{MessageKind, TrafficStats};
+use voronet_sim::MessageKind;
 
 /// The protocol messages a side-effect-free read operation would have
 /// sent, in emission order.
@@ -107,8 +111,7 @@ impl TrafficDelta {
 ///
 /// The read operations **clear** `path` (it describes the last route) but
 /// **append** to `delta`, so one scratch can accumulate the accounting of
-/// a whole run of operations before a single
-/// [`VoroNet::apply_traffic`] / [`VoroNet::apply_accumulated_traffic`]
+/// a whole run of operations before a single [`VoroNet::apply_traffic`]
 /// call; clear the delta when the events have been applied.
 #[derive(Debug, Clone, Default)]
 pub struct RouteScratch {
@@ -712,9 +715,8 @@ impl ChangeLog {
     }
 }
 
-/// What [`FrozenView::refresh`] did to bring a view up to date — feed it
-/// to [`VoroNet::record_view_refresh`] so snapshot economics show up in
-/// [`VoroNet::snapshot_stats`].
+/// What [`FrozenView::refresh`] did to bring a view up to date — a view
+/// owner folds it into its [`SnapshotStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ViewRefresh {
     /// The view already described the current epoch; nothing was done.
@@ -759,14 +761,6 @@ impl SnapshotStats {
             }
         }
     }
-
-    /// Merges another tally into this one.
-    pub fn merge(&mut self, other: &SnapshotStats) {
-        self.reused += other.reused;
-        self.full_rebuilds += other.full_rebuilds;
-        self.delta_patches += other.delta_patches;
-        self.patched_nodes += other.patched_nodes;
-    }
 }
 
 impl std::fmt::Display for SnapshotStats {
@@ -776,69 +770,6 @@ impl std::fmt::Display for SnapshotStats {
             "views: {} reused, {} patched ({} rows), {} rebuilt",
             self.reused, self.delta_patches, self.patched_nodes, self.full_rebuilds
         )
-    }
-}
-
-/// Dense aggregation of many [`TrafficDelta`]s against one
-/// [`FrozenView`], applied in a single pass with
-/// [`VoroNet::apply_accumulated_traffic`].
-///
-/// Message accounting is two independent aggregations (per kind and per
-/// sender — see [`TrafficStats::add_kind`] /
-/// [`TrafficStats::add_sender`]), so the accumulator keeps a fixed
-/// per-kind array plus a per-node count vector indexed by the view's dense
-/// order, and remembers which entries it touched.  Applying it visits only
-/// those and zeroes them on the way, so one accumulator serves every read
-/// run of an engine without being re-zeroed in O(population); it grows by
-/// itself when a later view is larger.  Parallel batch executors give each
-/// worker its own accumulator and apply them one after the other.
-#[derive(Debug, Clone, Default)]
-pub struct TrafficAccumulator {
-    kind_counts: [u64; MessageKind::ALL.len()],
-    node_counts: Vec<u32>,
-    touched: Vec<u32>,
-}
-
-impl TrafficAccumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds a delta in.  Every sender must be a node of `view` (read
-    /// operations only record live senders), and everything absorbed since
-    /// the last application must have been resolved against the same view.
-    pub fn absorb(&mut self, view: &FrozenView, delta: &TrafficDelta) {
-        if self.node_counts.len() < view.len() {
-            self.node_counts.resize(view.len(), 0);
-        }
-        for &(id, kind) in delta.events() {
-            self.kind_counts[kind.index()] += 1;
-            let dense = view
-                .dense_of(id)
-                .expect("read-path senders are live in the frozen view")
-                as usize;
-            if self.node_counts[dense] == 0 {
-                self.touched.push(dense as u32);
-            }
-            self.node_counts[dense] += 1;
-        }
-    }
-
-    /// Total messages accumulated.
-    pub fn total(&self) -> u64 {
-        self.kind_counts.iter().sum()
-    }
-
-    /// Moves the accumulated counts into `traffic`, leaving `self` empty.
-    pub(crate) fn apply_to(&mut self, traffic: &mut TrafficStats, view: &FrozenView) {
-        for (kind, n) in MessageKind::ALL.into_iter().zip(&mut self.kind_counts) {
-            traffic.add_kind(kind, std::mem::take(n));
-        }
-        for dense in self.touched.drain(..) {
-            let n = std::mem::take(&mut self.node_counts[dense as usize]);
-            traffic.add_sender(view.id_at(dense).0, u64::from(n));
-        }
     }
 }
 
@@ -1217,15 +1148,13 @@ mod tests {
             nodes: 3,
             records: 1,
         });
-        let mut merged = SnapshotStats::default();
-        merged.merge(&stats);
-        merged.absorb(&ViewRefresh::Current);
-        assert_eq!(merged.reused, 2);
-        assert_eq!(merged.full_rebuilds, 1);
-        assert_eq!(merged.delta_patches, 2);
-        assert_eq!(merged.patched_nodes, 10);
+        stats.absorb(&ViewRefresh::Current);
+        assert_eq!(stats.reused, 2);
+        assert_eq!(stats.full_rebuilds, 1);
+        assert_eq!(stats.delta_patches, 2);
+        assert_eq!(stats.patched_nodes, 10);
         assert_eq!(
-            merged.to_string(),
+            stats.to_string(),
             "views: 2 reused, 2 patched (10 rows), 1 rebuilt"
         );
     }
@@ -1259,58 +1188,5 @@ mod tests {
         for &id in &ids {
             assert_eq!(inline.sent_by(id), deferred.sent_by(id));
         }
-    }
-
-    #[test]
-    fn accumulated_application_matches_verbatim_replay() {
-        let (net, ids) = build(150, 17);
-        let view = FrozenView::new(&net);
-        let mut verbatim = net.clone();
-        let mut accumulated = net.clone();
-        let mut rng = StdRng::seed_from_u64(19);
-
-        let mut scratch_a = RouteScratch::new();
-        let mut scratch_b = RouteScratch::new();
-        let mut acc_a = TrafficAccumulator::new();
-        let mut acc_b = TrafficAccumulator::new();
-        for i in 0..120 {
-            let from = ids[rng.random_range(0..ids.len())];
-            let to = ids[rng.random_range(0..ids.len())];
-            let (scratch, acc) = if i % 2 == 0 {
-                (&mut scratch_a, &mut acc_a)
-            } else {
-                (&mut scratch_b, &mut acc_b)
-            };
-            scratch.delta.clear();
-            view.route_between_in(from, to, scratch).unwrap();
-            verbatim.apply_traffic(&scratch.delta);
-            acc.absorb(&view, &scratch.delta);
-        }
-        // One accumulator per worker, applied one after the other.
-        let absorbed = acc_a.total() + acc_b.total();
-        accumulated.apply_accumulated_traffic(&view, &mut acc_a);
-        accumulated.apply_accumulated_traffic(&view, &mut acc_b);
-
-        assert_eq!(verbatim.traffic(), accumulated.traffic());
-        assert_eq!(verbatim.traffic().total(), net.traffic().total() + absorbed);
-        for &id in &ids {
-            assert_eq!(verbatim.sent_by(id), accumulated.sent_by(id));
-        }
-
-        // Application empties the accumulator, so it can serve the next run:
-        // applying it again changes nothing, and a second run through the
-        // same accumulator still matches the verbatim replay.
-        assert_eq!(acc_a.total(), 0);
-        accumulated.apply_accumulated_traffic(&view, &mut acc_a);
-        assert_eq!(verbatim.traffic(), accumulated.traffic());
-        for i in 0..40 {
-            scratch_a.delta.clear();
-            view.route_between_in(ids[i], ids[ids.len() - 1 - i], &mut scratch_a)
-                .unwrap();
-            verbatim.apply_traffic(&scratch_a.delta);
-            acc_a.absorb(&view, &scratch_a.delta);
-        }
-        accumulated.apply_accumulated_traffic(&view, &mut acc_a);
-        assert_eq!(verbatim.traffic(), accumulated.traffic());
     }
 }

@@ -27,7 +27,7 @@
 
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
-use voronet_core::snapshot::{FrozenView, RouteScratch, SnapshotStats, ViewRefresh};
+use voronet_core::snapshot::RouteScratch;
 use voronet_core::VoroNetConfig;
 use voronet_net::cluster::{Driver, HostNode, HostReport, InlineCluster, OpOutcome, DRIVER_PEER};
 use voronet_net::tcp::TcpTransport;
@@ -259,13 +259,10 @@ fn drive_workload<T: Transport>(driver: &mut Driver<T>, args: &Args) -> Result<T
     let mut tally = Tally::default();
     let progress_every = (args.ops / 10).max(1);
     let started = Instant::now();
-    // The driver keeps an epoch-patched frozen view of its authoritative
-    // overlay and cross-checks every distributed route answer against the
-    // local frozen walk — a free end-to-end audit of both the cluster
-    // protocol and the delta-maintenance path under real churn.
-    let mut view: Option<FrozenView> = None;
+    // The driver cross-checks every distributed route answer against the
+    // greedy walk over its own authoritative overlay — a free end-to-end
+    // audit of the cluster protocol and the views it ships under churn.
     let mut scratch = RouteScratch::new();
-    let mut snap = SnapshotStats::default();
     let mut verified = 0u64;
     let mut mismatched = 0u64;
     for (i, op) in batch.iter().enumerate() {
@@ -278,21 +275,8 @@ fn drive_workload<T: Transport>(driver: &mut Driver<T>, args: &Args) -> Result<T
                 let from_id = net.id_at(from % n).expect("index below len");
                 let to_id = net.id_at(to % n).expect("index below len");
                 let target = net.coords(to_id).expect("live object");
-                let refresh = match view.as_mut() {
-                    None => {
-                        view = Some(net.freeze());
-                        ViewRefresh::Rebuilt
-                    }
-                    Some(v) => v.refresh(net),
-                };
-                snap.absorb(&refresh);
                 scratch.delta.clear();
-                let frozen = view.as_ref().expect("just built").route_to_point_in(
-                    from_id,
-                    target,
-                    &mut scratch,
-                );
-                match frozen {
+                match net.route_to_point_in(from_id, target, &mut scratch) {
                     Ok((o, h)) if o.0 == *owner && h == *hops => verified += 1,
                     _ => mismatched += 1,
                 }
@@ -300,7 +284,7 @@ fn drive_workload<T: Transport>(driver: &mut Driver<T>, args: &Args) -> Result<T
         }
         if (i + 1) % progress_every == 0 {
             println!(
-                "[drive] {}/{} ops, population {}, {:.1} ops/s | {} | {snap}",
+                "[drive] {}/{} ops, population {}, {:.1} ops/s | {}",
                 i + 1,
                 batch.len(),
                 driver.population(),
@@ -338,8 +322,8 @@ fn drive_workload<T: Transport>(driver: &mut Driver<T>, args: &Args) -> Result<T
         );
     }
     println!(
-        "[drive] frozen cross-check: {verified} routes verified against the delta-patched \
-         view, {mismatched} mismatched | {snap}"
+        "[drive] cross-check: {verified} routes verified against the driver's own walk, \
+         {mismatched} mismatched"
     );
     Ok(tally)
 }

@@ -1,7 +1,7 @@
 //! `voronet-node demo` end to end: the whole cluster in one process, on
 //! one thread and the hub's virtual clock, over a vnet that loses one
 //! frame in ten — so two runs print the same report but for the ops/s
-//! rate, and the frozen cross-check agrees with every distributed route.
+//! rate, and the driver's own walk agrees with every distributed route.
 
 use std::process::Command;
 
@@ -34,8 +34,8 @@ fn lossy_demo_repeats_and_cross_checks_clean() {
     let first = demo();
     assert!(first.contains(" ops/s "), "progress lines carry a rate");
     assert!(
-        first.contains("view, 0 mismatched"),
-        "frozen cross-check disagreed:\n{first}"
+        first.contains("own walk, 0 mismatched"),
+        "cross-check disagreed:\n{first}"
     );
     assert!(!first.contains(" 0 routes verified"), "{first}");
     assert_eq!(first, demo(), "two demo runs diverged");

@@ -11,9 +11,8 @@
 //! * [`Op::Insert`] / [`Op::Remove`] — forwarded, then followed by the
 //!   churn hooks that keep KV ownership and replica sets correct;
 //! * everything else — forwarded in maximal runs via the inner engine's
-//!   `apply_batch`, preserving its batching tricks (the sync engine's
-//!   parallel frozen read path, the async engine's shared quiescence
-//!   rounds).
+//!   `apply_batch`, preserving its batching tricks (the async engine's
+//!   shared quiescence rounds).
 
 use crate::keys::{key_point, topic_key};
 use crate::state::{KvEntry, ServiceState};

@@ -126,27 +126,9 @@ impl TrafficStats {
     /// Records one message of the given kind sent by `from`.
     #[inline]
     pub fn record(&mut self, from: NodeId, kind: MessageKind) {
-        self.add_kind(kind, 1);
+        self.per_kind[kind.index()] += 1;
+        self.total += 1;
         self.bump_sender(from, 1);
-    }
-
-    /// Bulk-records `n` messages of one kind (the per-kind and total
-    /// counters only).  Together with [`TrafficStats::add_sender`] this
-    /// decomposes [`TrafficStats::record`] for batched appliers that
-    /// aggregate per-kind and per-sender counts independently: `record(f,
-    /// k)` ≡ `add_kind(k, 1); add_sender(f, 1)`.
-    pub fn add_kind(&mut self, kind: MessageKind, n: u64) {
-        self.per_kind[kind.index()] += n;
-        self.total += n;
-    }
-
-    /// Bulk-records `n` messages sent by one node (the per-sender counter
-    /// only); see [`TrafficStats::add_kind`].  `n == 0` records nothing —
-    /// in particular it does not make `node` a sender.
-    pub fn add_sender(&mut self, node: NodeId, n: u64) {
-        if n != 0 {
-            self.bump_sender(node, n);
-        }
     }
 
     /// Total number of messages recorded.
@@ -374,28 +356,26 @@ mod tests {
     }
 
     #[test]
-    fn bulk_adds_decompose_record_exactly() {
-        // `record(f, k)` must equal `add_kind(k, 1) + add_sender(f, 1)`,
-        // and a zero-count add must not make its node a sender, so batch
-        // appliers replaying aggregated counts reproduce identical stats.
-        let mut inline = TrafficStats::new();
-        inline.record(4, MessageKind::RouteForward);
-        inline.record(4, MessageKind::RouteForward);
-        inline.record(9, MessageKind::Other);
+    fn equality_ignores_how_kinds_and_senders_were_paired() {
+        // The per-kind and per-sender counts are independent tallies: the
+        // same multiset of kinds and of senders compares equal whichever
+        // sender each kind was recorded with, and in whatever order.
+        let mut a = TrafficStats::new();
+        a.record(4, MessageKind::RouteForward);
+        a.record(4, MessageKind::RouteForward);
+        a.record(9, MessageKind::Other);
 
-        let mut bulk = TrafficStats::new();
-        bulk.add_kind(MessageKind::RouteForward, 2);
-        bulk.add_kind(MessageKind::Other, 1);
-        bulk.add_kind(MessageKind::Departure, 0);
-        bulk.add_sender(4, 2);
-        bulk.add_sender(9, 1);
-        bulk.add_sender(77, 0); // must not count as a sender
-        bulk.add_sender(NodeId::MAX, 0);
+        let mut b = TrafficStats::new();
+        b.record(9, MessageKind::RouteForward);
+        b.record(4, MessageKind::Other);
+        b.record(4, MessageKind::RouteForward);
 
-        assert_eq!(inline, bulk);
-        assert_eq!(bulk.total(), 3);
-        assert_eq!(bulk.sent_by(77), 0);
-        assert_eq!(bulk.mean_per_sender(), inline.mean_per_sender());
+        assert_eq!(a, b);
+        assert_eq!(b.total(), 3);
+        assert_eq!(b.sent_by(77), 0);
+        assert_eq!(b.mean_per_sender(), a.mean_per_sender());
+        b.record(9, MessageKind::Other);
+        assert_ne!(a, b);
     }
 
     #[test]

@@ -24,21 +24,6 @@ impl Reference {
         self.total += 1;
     }
 
-    fn add_kind(&mut self, kind: MessageKind, n: u64) {
-        if n == 0 {
-            return;
-        }
-        *self.per_kind.entry(kind).or_insert(0) += n;
-        self.total += n;
-    }
-
-    fn add_sender(&mut self, node: NodeId, n: u64) {
-        if n == 0 {
-            return;
-        }
-        *self.per_node_sent.entry(node).or_insert(0) += n;
-    }
-
     fn count(&self, kind: MessageKind) -> u64 {
         self.per_kind.get(&kind).copied().unwrap_or(0)
     }
@@ -76,8 +61,6 @@ impl Reference {
 #[derive(Debug, Clone)]
 enum Op {
     Record(NodeId, MessageKind),
-    AddKind(MessageKind, u64),
-    AddSender(NodeId, u64),
     /// Merge in counters built from these records.
     Merge(Vec<(NodeId, MessageKind)>),
     Reserve(NodeId),
@@ -107,9 +90,7 @@ fn draw_ops(rng: &mut StdRng) -> Vec<Op> {
     let len = rng.random_range(1..80usize);
     (0..len)
         .map(|_| match rng.random_range(0..40u32) {
-            0..=17 => Op::Record(draw_id(rng), draw_kind(rng)),
-            18..=23 => Op::AddKind(draw_kind(rng), rng.random_range(0..4u64)),
-            24..=31 => Op::AddSender(draw_id(rng), rng.random_range(0..4u64)),
+            0..=31 => Op::Record(draw_id(rng), draw_kind(rng)),
             32..=34 => {
                 let n = rng.random_range(0..6usize);
                 Op::Merge((0..n).map(|_| (draw_id(rng), draw_kind(rng))).collect())
@@ -126,14 +107,6 @@ fn apply(op: &Op, stats: &mut TrafficStats, model: &mut Reference) {
         &Op::Record(from, kind) => {
             stats.record(from, kind);
             model.record(from, kind);
-        }
-        &Op::AddKind(kind, n) => {
-            stats.add_kind(kind, n);
-            model.add_kind(kind, n);
-        }
-        &Op::AddSender(node, n) => {
-            stats.add_sender(node, n);
-            model.add_sender(node, n);
         }
         Op::Merge(records) => {
             let (mut other, mut other_model) = (TrafficStats::new(), Reference::default());
@@ -182,7 +155,7 @@ fn array_store_matches_the_btreemap_reference() {
             let mut probes: Vec<NodeId> = vec![0, 41, 59, 141, 4_999, NodeId::MAX - 6];
             for op in ops {
                 match op {
-                    Op::Record(id, _) | Op::AddSender(id, _) => probes.push(*id),
+                    Op::Record(id, _) => probes.push(*id),
                     Op::Merge(records) => probes.extend(records.iter().map(|r| r.0)),
                     _ => {}
                 }
@@ -209,34 +182,51 @@ fn array_store_matches_the_btreemap_reference() {
             );
             tk_ensure_eq!(b == a, model_a == model_b, "equality is symmetric");
 
-            // Rebuilt from the final counts alone, highest id first, with
-            // zero-count adds sprinkled in: always equal, since neither the
-            // table's extent nor a zero entry is observable.
+            // Rebuilt from the final counts alone, one `record` per message,
+            // highest id first and each sender paired with whichever kind
+            // comes next, with the table stretched past small ids: always
+            // equal, since neither the pairing, the table's extent nor a
+            // zero entry is observable.
+            let senders = model_a
+                .per_node_sent
+                .iter()
+                .rev()
+                .flat_map(|(&node, &c)| std::iter::repeat_n(node, c as usize));
+            let kinds = MessageKind::ALL
+                .into_iter()
+                .flat_map(|kind| std::iter::repeat_n(kind, model_a.count(kind) as usize));
             let mut rebuilt = TrafficStats::new();
-            for (&node, &c) in model_a.per_node_sent.iter().rev() {
-                rebuilt.add_sender(node, c);
-                rebuilt.add_sender(node.wrapping_add(1), 0);
-            }
-            for kind in MessageKind::ALL {
-                rebuilt.add_kind(kind, model_a.count(kind));
+            for (node, kind) in senders.zip(kinds) {
+                rebuilt.record(node, kind);
+                if node < 1_000 {
+                    rebuilt.reserve_senders(node + 2);
+                }
             }
             agree(&rebuilt, &model_a, &probes)?;
             tk_ensure!(rebuilt == a, "rebuilt counters differ");
             tk_ensure!(a == rebuilt, "rebuilt counters differ (mirrored)");
 
-            // One more message anywhere breaks equality.
-            for node in [0, 650, NodeId::MAX - 3] {
+            // One more message anywhere breaks equality, and two extra
+            // messages that differ only in their sender, or only in their
+            // kind, tell the counters apart.
+            let plus = |node: NodeId, kind: MessageKind| {
                 let mut more = rebuilt.clone();
-                more.add_sender(node, 1);
-                tk_ensure!(more != a, "extra sender count at {node} unnoticed");
-                tk_ensure!(
-                    a != more,
-                    "extra sender count at {node} unnoticed (mirrored)"
-                );
+                more.record(node, kind);
+                more
+            };
+            for node in [0, 650, NodeId::MAX - 3] {
+                let more = plus(node, MessageKind::Other);
+                tk_ensure!(more != a, "extra message from {node} unnoticed");
+                tk_ensure!(a != more, "extra message from {node} unnoticed (mirrored)");
             }
-            let mut more = rebuilt.clone();
-            more.add_kind(MessageKind::Other, 1);
-            tk_ensure!(more != a, "extra kind count unnoticed");
+            tk_ensure!(
+                plus(0, MessageKind::Other) != plus(650, MessageKind::Other),
+                "an extra message's sender unnoticed"
+            );
+            tk_ensure!(
+                plus(0, MessageKind::Other) != plus(0, MessageKind::QueryAnswer),
+                "an extra message's kind unnoticed"
+            );
             Ok(())
         },
     );
@@ -246,7 +236,9 @@ fn array_store_matches_the_btreemap_reference() {
 fn max_sender_ties_resolve_to_the_highest_id() {
     let mut t = TrafficStats::new();
     for node in [3, 9, NodeId::MAX - 2, 200_000] {
-        t.add_sender(node, 5);
+        for _ in 0..5 {
+            t.record(node, MessageKind::Other);
+        }
     }
     assert_eq!(t.max_sender(), Some((NodeId::MAX - 2, 5)));
     let mut dense = TrafficStats::new();

@@ -2,8 +2,8 @@
 //! reproducers.
 //!
 //! ```text
-//! fuzz [--seed S] [--cases N] [--ops N] [--warmup N] [--threads N]
-//!      [--services] [--out DIR] [--replay FILE]... [--no-replay-dir]
+//! fuzz [--seed S] [--cases N] [--ops N] [--warmup N] [--services]
+//!      [--out DIR] [--replay FILE]... [--no-replay-dir]
 //!      [--dump-ops FILE] [--demo-fault] [--codec] [--chaos]
 //! ```
 //!
@@ -55,7 +55,6 @@ struct Args {
     cases: usize,
     ops: Option<usize>,
     warmup: usize,
-    threads: usize,
     out: PathBuf,
     replay: Vec<PathBuf>,
     replay_dir: bool,
@@ -72,7 +71,6 @@ fn parse_args() -> Result<Args, String> {
         cases: if smoke_budget() { 4 } else { 16 },
         ops: None,
         warmup: 64,
-        threads: 4,
         out: PathBuf::from("tests/reproducers"),
         replay: Vec::new(),
         replay_dir: true,
@@ -102,11 +100,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--warmup: {e}"))?
             }
-            "--threads" => {
-                args.threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?
-            }
             "--out" => args.out = PathBuf::from(value("--out")?),
             "--replay" => args.replay.push(PathBuf::from(value("--replay")?)),
             "--no-replay-dir" => args.replay_dir = false,
@@ -117,8 +110,8 @@ fn parse_args() -> Result<Args, String> {
             "--services" => args.services = true,
             "--help" | "-h" => {
                 println!(
-                    "fuzz [--seed S] [--cases N] [--ops N] [--warmup N] [--threads N] \
-                     [--services] [--out DIR] [--replay FILE]... [--no-replay-dir] \
+                    "fuzz [--seed S] [--cases N] [--ops N] [--warmup N] [--services] \
+                     [--out DIR] [--replay FILE]... [--no-replay-dir] \
                      [--dump-ops FILE] [--demo-fault] [--codec] [--chaos]"
                 );
                 std::process::exit(0);
@@ -306,7 +299,6 @@ fn main() -> ExitCode {
         // The acceptance case: one deep 10k-op script on the base seed.
         let deep = FuzzSpec {
             warmup: args.warmup.max(100),
-            threads: args.threads,
             services: args.services,
             ..FuzzSpec::deep(args.seed)
         };
@@ -319,7 +311,6 @@ fn main() -> ExitCode {
     for i in 1..args.cases as u64 {
         let mut spec = FuzzSpec::smoke(args.seed + i);
         spec.warmup = args.warmup.min(48);
-        spec.threads = args.threads;
         spec.services = args.services;
         if let Some(ops) = args.ops {
             spec.ops = ops.min(600);

@@ -2,14 +2,16 @@
 //! injection.
 //!
 //! [`FrozenReplay`] drives its own [`VoroNet`] through the same op
-//! sequence as the engines, but serves every read through a [`FrozenView`]
-//! kept current by **epoch-keyed delta refresh** ([`FrozenView::refresh`])
-//! — the maintenance path `SyncEngine::apply_batch` relies on, here
-//! exercised at *every* read so each write barrier's patch is covered by
-//! the differential oracle (a faithful run freezes from scratch exactly
-//! once and patches thereafter).  Traffic deltas are replayed onto the
-//! overlay after each read, which must reproduce the live engines'
-//! counters bit for bit.
+//! sequence as the engines, but serves every route through a
+//! [`FrozenView`] kept current by **epoch-keyed delta refresh**
+//! ([`FrozenView::refresh`]), exercised at *every* read so each write
+//! barrier's patch is covered by the differential oracle (a faithful run
+//! freezes from scratch exactly once and patches thereafter).  The view
+//! derives its rows from the tessellation on its own, so agreeing with
+//! the live walk cross-checks the overlay's routing rows as well.  Traffic
+//! deltas are replayed onto the overlay after each read, which must
+//! reproduce the live engines' counters bit for bit.  The replay tallies
+//! its refreshes and reports them through [`Overlay::snapshot_stats`].
 //!
 //! [`Fault`] deliberately corrupts this execution (never the shared
 //! production code): the harness's self-test injects a wrong hop count
@@ -47,6 +49,8 @@ pub struct FrozenReplay {
     routes: RouteStats,
     scratch: RouteScratch,
     view: Option<FrozenView>,
+    /// How `view` was kept current, refresh by refresh.
+    views: SnapshotStats,
     fault: Fault,
 }
 
@@ -58,6 +62,7 @@ impl FrozenReplay {
             routes: RouteStats::new(),
             scratch: RouteScratch::new(),
             view: None,
+            views: SnapshotStats::default(),
             fault,
         }
     }
@@ -76,16 +81,14 @@ impl FrozenReplay {
     }
 
     /// Runs one frozen-view walk (`FrozenView::route_to_point_in` or
-    /// `FrozenView::route_between_in` — the exact helpers the parallel
-    /// sync engine's read runs call), replays the accounting and applies
+    /// `FrozenView::route_between_in`), replays the accounting and applies
     /// the configured fault to the outcome.
     fn frozen_route(
         &mut self,
         walk: impl FnOnce(&FrozenView, &mut RouteScratch) -> Result<(ObjectId, u32), VoronetError>,
     ) -> Result<RouteOutcome, VoronetError> {
         // Epoch-keyed maintenance: freeze once, then bring the retained
-        // view forward through the change log at every read — exactly the
-        // delta path the production engine depends on, so the oracle
+        // view forward through the change log at every read, so the oracle
         // exercises patching after every interleaved write.
         let refresh = match self.view.as_mut() {
             None => {
@@ -94,7 +97,7 @@ impl FrozenReplay {
             }
             Some(view) => view.refresh(&self.net),
         };
-        self.net.record_view_refresh(&refresh);
+        self.views.absorb(&refresh);
         let view = self.view.as_ref().expect("just built");
         self.scratch.delta.clear();
         let (owner, hops) = walk(view, &mut self.scratch)?;
@@ -192,7 +195,7 @@ impl Overlay for FrozenReplay {
     /// a script with interleaved writes shows exactly one full rebuild
     /// (the first read) and a delta patch per read-after-write barrier.
     fn snapshot_stats(&self) -> SnapshotStats {
-        self.net.snapshot_stats()
+        self.views
     }
 
     fn verify_invariants(&self) -> Result<(), VoronetError> {

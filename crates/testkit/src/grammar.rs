@@ -7,10 +7,10 @@
 //! Generation reuses [`OpBatchGenerator`]/[`OpMix`] as the grammar
 //! backbone: the script opens with a warm-up burst of inserts, then
 //! alternates weighted segments — read-heavy serving, churn bursts,
-//! read-only stretches (which exercise the frozen parallel path), a
-//! balanced mix that includes snapshots, and service segments (region
-//! pub/sub and coordinate-keyed KV traffic, occasionally with a
-//! Zipf-skewed hot-topic palette) — while the lossy profile layers
+//! read-only stretches (long runs of reads over one epoch), a balanced
+//! mix that includes snapshots, and service segments (region pub/sub and
+//! coordinate-keyed KV traffic, occasionally with a Zipf-skewed hot-topic
+//! palette) — while the lossy profile layers
 //! network events on top: iid loss, latency shifts and partition windows.
 //! Service segments are always part of the rotation; [`FuzzSpec::services`]
 //! biases generation towards them for service-focused fuzzing.
@@ -31,8 +31,6 @@ pub struct FuzzSpec {
     pub ops: usize,
     /// Provisioned overlay capacity (`N_max`).
     pub nmax: usize,
-    /// Worker threads of the parallel sync engine under test.
-    pub threads: usize,
     /// Whether to attach a lossy network profile (adds the lossy async
     /// companion run).
     pub lossy: bool,
@@ -50,7 +48,6 @@ impl FuzzSpec {
             warmup: 24,
             ops: 220,
             nmax: 400,
-            threads: 4,
             lossy: seed % 2 == 1,
             services: false,
         }
@@ -63,7 +60,6 @@ impl FuzzSpec {
             warmup: 120,
             ops: 10_000,
             nmax: 4_000,
-            threads: 4,
             lossy: true,
             services: false,
         }
@@ -74,7 +70,7 @@ impl FuzzSpec {
 /// form (resolved to a [`NetworkModel`] at execution time).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NetProfile {
-    /// No companion run: only the four deterministic executions.
+    /// No companion run: only the three deterministic executions.
     Ideal,
     /// A lossy, latency-shifting, occasionally partitioned network.
     Lossy {
@@ -134,8 +130,6 @@ pub struct FuzzCase {
     pub seed: u64,
     /// Provisioned overlay capacity.
     pub nmax: usize,
-    /// Worker threads of the parallel sync engine.
-    pub threads: usize,
     /// Ops per resolution round (scripts resolve participant indices
     /// against live state once per round, so later rounds can address
     /// objects inserted by earlier ones).
@@ -271,7 +265,6 @@ pub fn generate_case(spec: &FuzzSpec) -> FuzzCase {
     FuzzCase {
         seed: spec.seed,
         nmax: spec.nmax,
-        threads: spec.threads.max(1),
         round: 64,
         net,
         script,

@@ -1,21 +1,20 @@
-//! The differential harness: one script, five executions, zero tolerated
+//! The differential harness: one script, four executions, zero tolerated
 //! disagreement.
 //!
 //! [`run_case`] replays a [`FuzzCase`] simultaneously against
 //!
-//! 1. **sync/1** — the live `VoroNet` walk, one op at a time (the
-//!    reference execution);
-//! 2. **sync/N** — `SyncEngine::apply_batch` with `threads` workers
-//!    (frozen-snapshot parallel read runs between write barriers);
-//! 3. **async** — the message-driven `AsyncOverlay` runtime on a
+//! 1. **sync** — `SyncEngine`, the live `VoroNet` walk over the overlay's
+//!    routing rows, one op at a time (the reference execution);
+//! 2. **async** — the message-driven `AsyncOverlay` runtime on a
 //!    loss-free network;
-//! 4. **frozen** — every read served through a
-//!    [`FrozenView`](voronet_core::FrozenView) rebuilt at
-//!    each write barrier ([`crate::frozen::FrozenReplay`]);
+//! 3. **frozen** — every route served through a
+//!    [`FrozenView`](voronet_core::FrozenView) delta-patched at each read
+//!    ([`crate::frozen::FrozenReplay`]), whose rows are derived apart from
+//!    the live ones;
 //!
-//! checking every [`OpResult`] element-wise across all four and against
+//! checking every [`OpResult`] element-wise across all three and against
 //! the O(n²) [`OracleModel`].  When the case carries a lossy
-//! [`NetProfile`], a fifth async execution runs under loss, latency
+//! [`NetProfile`], a fourth async execution runs under loss, latency
 //! shifts and partition windows — its results legitimately diverge, so it
 //! is checked for *sanity* instead: only `OperationLost`/`UnknownObject`
 //! failures, structural invariants intact after every round.
@@ -43,7 +42,7 @@ pub struct Divergence {
     /// Index into the *resolved* op stream at which the disagreement
     /// surfaced (`None` for audit-point divergences).
     pub op_index: Option<usize>,
-    /// Short machine-matchable label ("result:sync/N", "oracle", …).
+    /// Short machine-matchable label ("result:frozen", "oracle", …).
     pub kind: String,
     /// Full human-readable diagnostic.
     pub detail: String,
@@ -75,8 +74,7 @@ pub struct RunReport {
 }
 
 struct Fleet {
-    sync1: ServiceEngine<SyncEngine>,
-    syncn: ServiceEngine<SyncEngine>,
+    sync: ServiceEngine<SyncEngine>,
     asynchronous: ServiceEngine<AsyncEngine>,
     frozen: ServiceEngine<FrozenReplay>,
     lossy: Option<ServiceEngine<AsyncEngine>>,
@@ -91,8 +89,7 @@ impl Fleet {
         // that churn ops trigger.
         let config = VoroNetConfig::new(case.nmax).with_seed(case.seed);
         Fleet {
-            sync1: ServiceEngine::new(SyncEngine::new(config).with_threads(1)),
-            syncn: ServiceEngine::new(SyncEngine::new(config).with_threads(case.threads)),
+            sync: ServiceEngine::new(SyncEngine::new(config)),
             asynchronous: ServiceEngine::new(AsyncEngine::new(config, NetworkModel::ideal())),
             frozen: ServiceEngine::new(FrozenReplay::new(config, fault)),
             lossy: match case.net {
@@ -121,7 +118,7 @@ fn result_divergence(
                 op_index: Some(base + i),
                 kind: format!("result:{engine}"),
                 detail: format!(
-                    "op {:?} diverges on {engine}: reference (sync/1) {want:?}, {engine} {got:?}",
+                    "op {:?} diverges on {engine}: reference (sync) {want:?}, {engine} {got:?}",
                     ops[i]
                 ),
             });
@@ -138,23 +135,21 @@ fn audit_fleet(fleet: &mut Fleet, round: usize, report: &mut RunReport) -> Resul
     };
 
     // Populations and dense orders agree everywhere.
-    let ids = fleet.sync1.ids();
+    let ids = fleet.sync.ids();
     for (name, other) in [
-        ("sync/N", fleet.syncn.ids()),
         ("async", fleet.asynchronous.ids()),
         ("frozen", fleet.frozen.inner().net().ids().collect()),
     ] {
         if other != ids {
             return Err(fail(
                 "audit:population",
-                format!("dense id order diverges on {name}: sync/1 {ids:?}, {name} {other:?}"),
+                format!("dense id order diverges on {name}: sync {ids:?}, {name} {other:?}"),
             ));
         }
     }
     for &id in &ids {
-        let c = fleet.sync1.coords(id);
+        let c = fleet.sync.coords(id);
         for (name, other) in [
-            ("sync/N", fleet.syncn.coords(id)),
             ("async", fleet.asynchronous.coords(id)),
             ("frozen", fleet.frozen.inner().net().coords(id)),
         ] {
@@ -168,37 +163,27 @@ fn audit_fleet(fleet: &mut Fleet, round: usize, report: &mut RunReport) -> Resul
     }
     fleet
         .oracle
-        .check_population("sync/1", &ids, |id| fleet.sync1.coords(id))
+        .check_population("sync", &ids, |id| fleet.sync.coords(id))
         .map_err(|e| fail("audit:oracle", e))?;
 
-    // Aggregate stats and per-node sent counters across the three
+    // Aggregate stats and per-node sent counters across the two
     // deterministic sync-semantics executions.
-    let stats = fleet.sync1.stats();
-    for (name, other) in [
-        ("sync/N", fleet.syncn.stats()),
-        ("frozen", fleet.frozen.stats()),
-    ] {
-        if other != stats {
-            return Err(fail(
-                "audit:stats",
-                format!("aggregate stats diverge on {name}: sync/1 {stats:?}, {name} {other:?}"),
-            ));
-        }
+    let stats = fleet.sync.stats();
+    let other = fleet.frozen.stats();
+    if other != stats {
+        return Err(fail(
+            "audit:stats",
+            format!("aggregate stats diverge on frozen: sync {stats:?}, frozen {other:?}"),
+        ));
     }
     for &id in &ids {
-        let sent = fleet.sync1.inner().net().sent_by(id);
-        for (name, other) in [
-            ("sync/N", fleet.syncn.inner().net().sent_by(id)),
-            ("frozen", fleet.frozen.inner().net().sent_by(id)),
-        ] {
-            if other != sent {
-                return Err(fail(
-                    "audit:traffic",
-                    format!(
-                        "per-node sent counter of {id} diverges on {name}: {sent:?} vs {other:?}"
-                    ),
-                ));
-            }
+        let sent = fleet.sync.inner().net().sent_by(id);
+        let other = fleet.frozen.inner().net().sent_by(id);
+        if other != sent {
+            return Err(fail(
+                "audit:traffic",
+                format!("per-node sent counter of {id} diverges on frozen: {sent:?} vs {other:?}"),
+            ));
         }
     }
 
@@ -206,7 +191,7 @@ fn audit_fleet(fleet: &mut Fleet, round: usize, report: &mut RunReport) -> Resul
     // O(n²) close-set reconstruction runs while it is cheap.
     let exhaustive = ids.len() <= 128;
     for (name, net) in [
-        ("sync/1", fleet.sync1.inner().net()),
+        ("sync", fleet.sync.inner().net()),
         ("async", fleet.asynchronous.inner().overlay().net()),
         ("frozen", fleet.frozen.inner().net()),
     ] {
@@ -230,29 +215,28 @@ fn audit_fleet(fleet: &mut Fleet, round: usize, report: &mut RunReport) -> Resul
 
     // Service-layer state — subscriptions, topic sequence numbers, the
     // delivery ledger, the KV table with its placements, and the service
-    // counters — agrees bit for bit across the four deterministic
+    // counters — agrees bit for bit across the three deterministic
     // executions and matches the oracle's naive model.
-    let service = fleet.sync1.service_state();
+    let service = fleet.sync.service_state();
     for (name, other) in [
-        ("sync/N", fleet.syncn.service_state()),
         ("async", fleet.asynchronous.service_state()),
         ("frozen", fleet.frozen.service_state()),
     ] {
         if other != service {
             return Err(fail(
                 "audit:services",
-                format!("service state diverges on {name}: sync/1 {service:?}, {name} {other:?}"),
+                format!("service state diverges on {name}: sync {service:?}, {name} {other:?}"),
             ));
         }
     }
     fleet
         .oracle
-        .check_service_state("sync/1", service)
+        .check_service_state("sync", service)
         .map_err(|e| fail("audit:services", e))?;
 
     // Brute-force Delaunay cross-check while the population is small.
     if ids.len() <= 96 {
-        let net = fleet.sync1.inner().net();
+        let net = fleet.sync.inner().net();
         let targets: Vec<Point2> = (0..6)
             .map(|i| {
                 let t = f64::from(i) / 6.0;
@@ -325,14 +309,10 @@ pub fn run_case(case: &FuzzCase, fault: Fault) -> Result<RunReport, Divergence> 
     for (round, chunk) in case.script.chunks(round_len).enumerate() {
         // Resolve participant indices against live state once per round,
         // so this round's ops can address objects earlier rounds created.
-        let ops = resolve_workload(&fleet.sync1, chunk);
+        let ops = resolve_workload(&fleet.sync, chunk);
         let base = report.ops_run;
 
-        let reference: Vec<OpResult> = ops.iter().map(|op| fleet.sync1.apply(op)).collect();
-        let batched = fleet.syncn.apply_batch(&ops);
-        if let Some(d) = result_divergence("sync/N", base, &ops, &reference, &batched) {
-            return Err(d);
-        }
+        let reference: Vec<OpResult> = ops.iter().map(|op| fleet.sync.apply(op)).collect();
         let asynchronous = fleet.asynchronous.apply_batch(&ops);
         if let Some(d) = result_divergence("async", base, &ops, &reference, &asynchronous) {
             return Err(d);
@@ -359,7 +339,7 @@ pub fn run_case(case: &FuzzCase, fault: Fault) -> Result<RunReport, Divergence> 
         report.rounds = round + 1;
         audit_fleet(&mut fleet, round, &mut report)?;
     }
-    report.population = fleet.sync1.len();
+    report.population = fleet.sync.len();
     Ok(report)
 }
 

@@ -3,10 +3,10 @@
 //! The differential oracle testkit: model-based fuzzing of every VoroNet
 //! execution engine, with shrinking, replayable reproducers.
 //!
-//! The workspace carries four implementations of the same protocol
-//! semantics — the live [`VoroNet`](voronet_core::VoroNet) walk, the
-//! [`FrozenView`](voronet_core::FrozenView) CSR snapshot, the threaded
-//! `SyncEngine::apply_batch` read path and the message-driven
+//! The workspace carries three implementations of the same protocol
+//! semantics — the live [`VoroNet`](voronet_core::VoroNet) walk over its
+//! routing rows, the [`FrozenView`](voronet_core::FrozenView) snapshot
+//! with independently derived rows, and the message-driven
 //! [`AsyncOverlay`](voronet_core::runtime::AsyncOverlay) runtime.  This
 //! crate pins them to each other and to a naive O(n²) reference model:
 //!
@@ -16,7 +16,7 @@
 //!   from a weighted op grammar (built on
 //!   [`OpMix`](voronet_workloads::OpMix)), including network-event
 //!   profiles (loss, latency shifts, partition windows);
-//! * [`harness`] — [`harness::run_case`], the five-way
+//! * [`harness`] — [`harness::run_case`], the four-way
 //!   differential executor;
 //! * [`frozen`] — the frozen-snapshot execution plus deliberate
 //!   [`frozen::Fault`] injection for self-testing the checker;

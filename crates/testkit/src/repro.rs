@@ -14,7 +14,6 @@
 //! (
 //!     seed: 2027,
 //!     nmax: 400,
-//!     threads: 4,
 //!     round: 64,
 //!     network: Lossy(seed: 9, loss: 0.1, lat: (1, 9), shift: None, partition: Some((60, 120, 2))),
 //!     script: [
@@ -130,7 +129,6 @@ pub fn encode_case(case: &FuzzCase, divergence: Option<&Divergence>) -> String {
     let _ = writeln!(out, "(");
     let _ = writeln!(out, "    seed: {},", case.seed);
     let _ = writeln!(out, "    nmax: {},", case.nmax);
-    let _ = writeln!(out, "    threads: {},", case.threads);
     let _ = writeln!(out, "    round: {},", case.round);
     let _ = writeln!(out, "    network: {},", encode_net(&case.net));
     let _ = writeln!(out, "    script: [");
@@ -479,9 +477,6 @@ pub fn parse_case(text: &str) -> Result<FuzzCase, ReproError> {
     p.key("nmax")?;
     let nmax = p.usize()?;
     p.punct(',')?;
-    p.key("threads")?;
-    let threads = p.usize()?;
-    p.punct(',')?;
     p.key("round")?;
     let round = p.usize()?;
     p.punct(',')?;
@@ -518,7 +513,6 @@ pub fn parse_case(text: &str) -> Result<FuzzCase, ReproError> {
     Ok(FuzzCase {
         seed,
         nmax,
-        threads,
         round,
         net,
         script,

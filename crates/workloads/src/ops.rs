@@ -177,9 +177,7 @@ impl OpMix {
     }
 
     /// Reads only: 90% routes, 10% area queries, no churn.  Batches drawn
-    /// from this mix contain no write barrier, so an engine with a
-    /// parallel read path executes the whole batch as one frozen-snapshot
-    /// run.
+    /// from this mix contain no write barrier.
     pub fn read_only() -> Self {
         OpMix {
             route: 0.90,
@@ -193,8 +191,7 @@ impl OpMix {
     /// the ops are routes, the rest is churn split evenly between inserts
     /// and removals.  `mixed(99)`, `mixed(95)` and `mixed(80)` are the
     /// canonical 99:1 / 95:5 / 80:20 traffic shapes used to measure how
-    /// well an epoch-patched frozen read path holds up once writers start
-    /// bumping the snapshot epoch between read runs.  Composable with
+    /// reads hold up once writers interleave with them.  Composable with
     /// [`OpBatchGenerator::with_zipf_destinations`] for skewed read
     /// traffic.  `read_pct` is clamped to `0..=100`.
     pub fn mixed(read_pct: u32) -> Self {

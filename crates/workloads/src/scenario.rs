@@ -3,9 +3,9 @@
 //! Every bench before this module drew uniform random pairs; real
 //! deployments don't.  Each scenario here scripts a recognisable
 //! production pathology as a plain [`WorkloadOp`] stream, so the same
-//! generated traffic can be replayed against the sync walk, the frozen
-//! parallel read path and the socketed cluster and their latency tails
-//! compared honestly:
+//! generated traffic can be replayed against the sync walk, a frozen
+//! view and the socketed cluster and their latency tails compared
+//! honestly:
 //!
 //! - [`ScenarioKind::ZipfHotspot`] — web-shaped destination skew: route
 //!   targets drawn Zipf(α = 1.1) over population rank, so a handful of

@@ -244,97 +244,6 @@ fn batched_workloads_agree_across_engines() {
     assert_eq!(sync_net.len(), async_net.len());
 }
 
-/// The parallel read path is invisible: a mixed insert/route/range/radius
-/// batch produces element-wise identical `OpResult`s, identical aggregate
-/// stats and identical per-node sent counters at 1, 2, 4 and 8 worker
-/// threads — and all of them match the pre-parallel sequential engine
-/// (per-op `apply` with inline accounting).
-#[test]
-fn parallel_batches_are_bit_identical_across_thread_counts() {
-    let build_engine = || {
-        let mut engine = OverlayBuilder::new(NMAX).seed(SEED).build_sync();
-        populate(&mut engine, 300, 83);
-        engine
-    };
-
-    // Two batches: a read-heavy generated one (frequent write barriers,
-    // short read runs that stay on the per-op path) and a hand-stretched
-    // mixed one whose long read stretches — routes, range/radius queries
-    // and snapshots — cross the frozen-view threshold between insert and
-    // remove barriers, so both executor paths are exercised.
-    let mut gen = OpBatchGenerator::new(Distribution::Uniform, 89, OpMix::read_heavy());
-    let script: Vec<WorkloadOp> = gen.batch(300, 400);
-    let mut read_gen = OpBatchGenerator::new(Distribution::Uniform, 97, OpMix::read_only());
-    let read_script: Vec<WorkloadOp> = read_gen.batch(300, 300);
-
-    let mut reference = build_engine();
-    let pre_ids = reference.ids();
-    let ops = resolve_workload(&reference, &script);
-    let read_ops = {
-        let reads = resolve_workload(&reference, &read_script);
-        let mut points = PointGenerator::new(Distribution::Uniform, 101);
-        let mut stretched = Vec::with_capacity(reads.len() + 16);
-        for (i, chunk) in reads.chunks(60).enumerate() {
-            stretched.push(Op::Insert {
-                position: points.next_point(),
-            });
-            stretched.extend_from_slice(chunk);
-            stretched.push(Op::Snapshot {
-                id: pre_ids[(i * 13) % pre_ids.len()],
-            });
-            // A departure barrier; later reads referencing the departed
-            // object must fail identically on every path.
-            stretched.push(Op::Remove {
-                id: pre_ids[(i * 29 + 7) % pre_ids.len()],
-            });
-        }
-        stretched
-    };
-
-    // Reference: the pre-parallel sequential path, one op at a time.
-    let mut ref_results: Vec<OpResult> = ops.iter().map(|op| reference.apply(op)).collect();
-    ref_results.extend(read_ops.iter().map(|op| reference.apply(op)));
-    let ref_stats = reference.stats();
-    let ref_sent: Vec<_> = reference
-        .ids()
-        .into_iter()
-        .map(|id| (id, reference.net().sent_by(id)))
-        .collect();
-
-    for threads in [1usize, 2, 4, 8] {
-        let mut engine = build_engine().with_threads(threads);
-        assert_eq!(engine.threads(), threads);
-        let mut results = engine.apply_batch(&ops);
-        results.extend(engine.apply_batch(&read_ops));
-        assert_eq!(results.len(), ref_results.len());
-        for (i, (got, want)) in results.iter().zip(&ref_results).enumerate() {
-            assert_eq!(
-                got,
-                want,
-                "op {i} ({:?}) differs at {threads} thread(s)",
-                if i < ops.len() {
-                    &ops[i]
-                } else {
-                    &read_ops[i - ops.len()]
-                }
-            );
-        }
-        assert_eq!(
-            engine.stats(),
-            ref_stats,
-            "aggregate stats must be identical at {threads} thread(s)"
-        );
-        for &(id, sent) in &ref_sent {
-            assert_eq!(
-                engine.net().sent_by(id),
-                sent,
-                "per-node sent counter of {id} differs at {threads} thread(s)"
-            );
-        }
-        engine.verify_invariants().unwrap();
-    }
-}
-
 /// The asynchronous engine's batching lever is *simulated* time, not host
 /// time: under link latency a batch of routes is in flight concurrently
 /// and quiesces in roughly the slowest route's end-to-end latency, while

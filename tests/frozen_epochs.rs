@@ -8,13 +8,10 @@
 //! adjacency rows — and every route walked over it returns the same
 //! `(owner, hops)` and the same per-node message counters as the live
 //! mutable walk.  Checked here through the workspace's shrinking
-//! property harness (`voronet_testkit::check_cases`), plus a
-//! deterministic end-to-end pass over the `OpMix::mixed` presets on the
-//! sync engine comparing batched against per-op application element-wise.
+//! property harness (`voronet_testkit::check_cases`).
 
 use rand::rngs::StdRng;
 use rand::RngExt;
-use voronet::api::{resolve_workload, Overlay, OverlayBuilder};
 use voronet::prelude::*;
 use voronet_testkit::{check_cases, tk_ensure, tk_ensure_eq};
 
@@ -96,14 +93,10 @@ fn check_script(steps: &[Step]) -> Result<(), String> {
                     .map_err(|e| format!("step {i}: live route failed: {e}"))?;
 
                 // Retained view: freeze once, then delta-patch forward.
-                let (refresh, view) = match view.as_mut() {
-                    None => {
-                        view = Some(net.freeze());
-                        (ViewRefresh::Rebuilt, view.as_mut().expect("just built"))
-                    }
-                    Some(v) => (v.refresh(&net), v),
-                };
-                net.record_view_refresh(&refresh);
+                if let Some(v) = view.as_mut() {
+                    v.refresh(&net);
+                }
+                let view = view.get_or_insert_with(|| net.freeze());
                 tk_ensure_eq!(
                     view.epoch(),
                     net.snapshot_epoch(),
@@ -157,54 +150,4 @@ fn delta_patched_views_stay_bit_identical_to_fresh_freezes() {
         generate_steps,
         |steps: &Vec<Step>| check_script(steps),
     );
-}
-
-/// The engine-level contract: the same `OpMix::mixed` script produces
-/// element-wise identical results whether it runs through the batched,
-/// delta-patched frozen read path or one op at a time over the live
-/// overlay — and the batched engine's economics show it actually patched
-/// and reused.
-#[test]
-fn mixed_batches_agree_with_per_op_apply() {
-    for read_pct in [99u32, 95, 80] {
-        let mut batched = OverlayBuilder::new(400).seed(61).build_sync();
-        let mut per_op = OverlayBuilder::new(400).seed(61).build_sync();
-        let mut gen = OpBatchGenerator::new(
-            Distribution::Uniform,
-            u64::from(read_pct),
-            OpMix::mixed(read_pct),
-        )
-        .with_zipf_destinations(0.9);
-        let mut points = PointGenerator::new(Distribution::Uniform, 71);
-        for _ in 0..150 {
-            let p = points.next_point();
-            assert_eq!(
-                batched.insert(p).map(|r| r.id).ok(),
-                per_op.insert(p).map(|r| r.id).ok()
-            );
-        }
-        for batch in 0..6 {
-            let script = gen.batch(batched.len(), 200);
-            let ops = resolve_workload(&batched, &script);
-            let a = batched.apply_batch(&ops);
-            let b: Vec<OpResult> = ops.iter().map(|op| per_op.apply(op)).collect();
-            assert_eq!(a, b, "mixed({read_pct}) batch {batch} diverged");
-        }
-        assert_eq!(batched.stats(), per_op.stats(), "mixed({read_pct}) stats");
-        let snap = batched.snapshot_stats();
-        assert!(
-            snap.delta_patches > 0,
-            "mixed({read_pct}): the batched engine never patched: {snap}"
-        );
-        assert!(
-            snap.full_rebuilds < snap.delta_patches,
-            "mixed({read_pct}): patches must dominate rebuilds: {snap}"
-        );
-        let base = per_op.snapshot_stats();
-        assert_eq!(
-            base.delta_patches + base.full_rebuilds,
-            0,
-            "mixed({read_pct}): per-op application must never freeze: {base}"
-        );
-    }
 }

@@ -2,7 +2,7 @@
 //!
 //! The full budget lives in the `fuzz` CLI (`crates/testkit/src/bin`),
 //! run by the CI `fuzz-smoke` step; this suite keeps a small always-on
-//! slice in `cargo test`: a handful of seeded cases through the five-way
+//! slice in `cargo test`: a handful of seeded cases through the four-way
 //! differential harness, the detect→shrink→reproduce self-test with the
 //! deliberately planted frozen-route fault, and replay of every
 //! reproducer file committed under `tests/reproducers/`.
