@@ -24,7 +24,10 @@
 //! vertex ids, in the walk's scan order, so a hop is one row read plus
 //! point reads from the triangulation — no id hashing, no fan walk.  The
 //! join and leave code rewrites the rows of exactly the objects its change
-//! record names dirty.
+//! record names dirty.  As the overlay grows it renumbers the triangulation
+//! along a Hilbert curve (`Triangulation::renumber`) and the rows move
+//! with it, so an object's row sits next to its Voronoi neighbours' and a
+//! greedy hop reads memory the previous hop has just brought into cache.
 //!
 //! The arena is shared between the synchronous overlay and the asynchronous
 //! runtime ([`crate::runtime::AsyncOverlay`]): both read the same slots, the
@@ -34,6 +37,7 @@
 use crate::object::{BackLink, LongLink, ObjectId};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use voronet_geom::triangulation::apply_renumbering;
 use voronet_geom::{Point2, VertexId};
 
 /// Generation-tagged handle of a node slot in a [`NodeArena`].
@@ -265,6 +269,11 @@ impl NodeArena {
         self.entries.iter().filter_map(|e| e.node.as_ref())
     }
 
+    /// Mutable form of [`NodeArena::iter`].
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut NodeSlot> + '_ {
+        self.entries.iter_mut().filter_map(|e| e.node.as_mut())
+    }
+
     /// Inserts a node, returning its generation-tagged index.
     ///
     /// # Panics
@@ -351,7 +360,9 @@ pub(crate) enum Part {
 /// moves to the end of the pool with one slot of slack, and its old
 /// footprint turns dead.  When the pool is full and at least an eighth of
 /// it is dead, it is compacted to exact row sizes first, so it grows only
-/// when it is mostly live.  A clone is compacted too.
+/// when it is mostly live.  A clone is compacted too.  A renumbering lays
+/// the pool out afresh in the new vertex order, so rows sit in the order
+/// of the Hilbert curve until joins append moved rows at the end.
 #[derive(Debug, Default)]
 pub(crate) struct RoutingRows {
     spans: Vec<Span>,
@@ -469,6 +480,38 @@ impl RoutingRows {
                 }
             })
             .collect()
+    }
+
+    /// Moves every row to its vertex's new id under `map` (see
+    /// `Triangulation::renumber`) and rewrites its entries.  The pool is
+    /// laid out afresh in the new vertex order, each footprint with the one
+    /// slot of slack a moved row gets, so a fan that grows by one is
+    /// rewritten in place.  Spans and pool keep their buffers: the new
+    /// layout is assembled on the side and copied back.
+    pub(crate) fn renumber(&mut self, map: &[VertexId]) {
+        // Each span first moves to its new id, still pointing into the old
+        // pool.
+        self.spans.resize(map.len(), Span::default());
+        apply_renumbering(&mut self.spans, map);
+        let mut pool = Vec::with_capacity(self.spans.iter().map(|s| s.len as usize + 1).sum());
+        for s in &mut self.spans {
+            if s.len == 0 {
+                *s = Span::default();
+                continue;
+            }
+            let start = pool.len() as u32;
+            let row = &self.pool[s.start as usize..(s.start + s.len) as usize];
+            pool.extend(row.iter().map(|&u| map[u as usize]));
+            pool.push(VertexId::MAX);
+            *s = Span {
+                start,
+                cap: s.len + 1,
+                ..*s
+            };
+        }
+        self.pool.clear();
+        self.pool.extend_from_slice(&pool);
+        self.dead = 0;
     }
 
     /// Vertices with a non-empty row.

@@ -33,6 +33,7 @@ use crate::object::{BackLink, LinkIndex, LongLink, ObjectId, ObjectView, ViewRef
 use crate::snapshot::{ChangeLog, ChangeRecord, FrozenView, RouteScratch, TrafficDelta};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use voronet_geom::triangulation::SENTINEL_COUNT;
 use voronet_geom::{greedy_descent, InsertError, Point2, Triangulation, VertexId};
 use voronet_sim::{MessageKind, RouteStats, TrafficStats};
 use voronet_stats::IntHistogram;
@@ -100,7 +101,20 @@ pub struct VoroNet {
     /// [`VoroNet::route_to_point`], kept so a join's two routes run on warmed
     /// buffers (see [`VoroNet::with_scratch`]).
     scratch: RouteScratch,
+    /// Joins since the vertices were last renumbered (see `renumber`).
+    joins_since_renumber: usize,
 }
+
+/// The overlay renumbers its vertices along the Hilbert curve once the
+/// joins since the last renumbering reach `1 / RENUMBER_FRACTION` of the
+/// live count.  Only joins count: a join takes a fresh or recycled vertex
+/// id anywhere in space, while a departure only leaves a hole.  Growth by
+/// factors of 9/8 keeps the total work at ~9 vertex moves per object.
+const RENUMBER_FRACTION: usize = 8;
+
+/// No renumbering below this many objects, where the rows fit in L2 cache
+/// whatever their order.
+const RENUMBER_FLOOR: usize = 4_096;
 
 impl VoroNet {
     /// Creates an empty overlay.
@@ -118,6 +132,7 @@ impl VoroNet {
             epoch: 0,
             changes: ChangeLog::default(),
             scratch: RouteScratch::new(),
+            joins_since_renumber: 0,
         }
     }
 
@@ -826,6 +841,12 @@ impl VoroNet {
             y: p.y,
             dirty,
         });
+        self.joins_since_renumber += 1;
+        if self.len() >= RENUMBER_FLOOR
+            && self.joins_since_renumber * RENUMBER_FRACTION >= self.len()
+        {
+            self.renumber();
+        }
 
         Ok(JoinReport {
             id,
@@ -833,6 +854,30 @@ impl VoroNet {
             long_link_hops,
             messages,
         })
+    }
+
+    /// Renumbers the triangulation's vertices along its Hilbert curve (see
+    /// [`Triangulation::renumber`]) and moves the vertex-keyed state with
+    /// them: the vertex → object table, each slot's vertex and the routing
+    /// rows.  A greedy hop then reads rows and points stored next to the
+    /// previous hop's.
+    ///
+    /// It changes no view, so it neither bumps the snapshot epoch nor
+    /// journals anything: rows keep their scan order (fans start at the
+    /// same triangle, tails follow object ids), hence every tie-break,
+    /// route, report and message count is what it would have been.
+    fn renumber(&mut self) {
+        let map = self.tri.renumber();
+        let mut vertex_obj = std::mem::take(&mut self.vertex_obj);
+        vertex_obj.clear();
+        vertex_obj.resize(SENTINEL_COUNT as usize + self.tri.len(), None);
+        for slot in self.arena.iter_mut() {
+            slot.vertex = map[slot.vertex as usize];
+            vertex_obj[slot.vertex as usize] = Some(slot.id);
+        }
+        self.vertex_obj = vertex_obj;
+        self.rows.renumber(&map);
+        self.joins_since_renumber = 0;
     }
 
     // ------------------------------------------------------------------
@@ -855,11 +900,10 @@ impl VoroNet {
             .filter_map(|&v| self.object_of_vertex(v))
             .filter(|&o| o != id)
             .collect();
-        for n in &vn {
+        for _ in 0..vn.len() {
             self.traffic.record(id.0, MessageKind::VoronoiUpdate);
-            messages += 1;
-            let _ = n;
         }
+        messages += vn.len() as u64;
         // Change-log dirty set: the Voronoi fan re-knits among vn, close
         // links drop on the close neighbours, and delegated long links
         // retarget at their sources (collected below).  Back-long-pointer
@@ -1240,7 +1284,8 @@ impl std::fmt::Debug for VoroNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::VoroNetConfig;
+    use crate::config::{DminRule, VoroNetConfig};
+    use crate::snapshot::ViewRefresh;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
     use voronet_workloads::{Distribution, PointGenerator};
@@ -1426,6 +1471,266 @@ mod tests {
         }
         assert_eq!(walked.delta, frozen.delta);
         println!("{} rows audited, {hops} hops walked alike", audit.rows);
+    }
+
+    /// The median of `|u − v|` over every fan entry `u` of every object's
+    /// routing row, `v` the object's own vertex: how far apart in memory a
+    /// Voronoi hop's two rows sit.
+    fn median_fan_gap(net: &VoroNet) -> u32 {
+        let mut gaps: Vec<u32> = net
+            .arena
+            .iter()
+            .flat_map(|s| {
+                net.rows
+                    .parts(s.vertex)
+                    .0
+                    .iter()
+                    .map(|&u| u.abs_diff(s.vertex))
+            })
+            .collect();
+        let mid = gaps.len() / 2;
+        *gaps.select_nth_unstable(mid).1
+    }
+
+    /// The layout gate (CI's net smoke step runs it), a count rather than a
+    /// timing: after a 50 000-object build, uniform and `PowerLaw{5}`, a
+    /// Voronoi hop's two rows are at most 1 % of the population apart in
+    /// the median, and fewer than an eighth of the objects joined since the
+    /// last renumbering.  In insertion order the median gap is about a
+    /// third of the population.
+    #[test]
+    #[ignore = "release-size: cargo test --release -p voronet-core -- --ignored vertex_ids_follow_the_curve"]
+    fn vertex_ids_follow_the_curve_at_paper_scale() {
+        let n = 50_000;
+        for dist in [Distribution::Uniform, Distribution::PowerLaw { alpha: 5.0 }] {
+            let mut net = VoroNet::new(VoroNetConfig::new(n).with_seed(2007));
+            let mut points = PointGenerator::new(dist, 2007);
+            while net.len() < n {
+                let _ = net.insert(points.next_point());
+            }
+            let gap = median_fan_gap(&net);
+            println!(
+                "{dist:?}: median fan gap {gap}, {} joins since the last renumbering",
+                net.joins_since_renumber
+            );
+            assert!(gap as usize * 100 <= n, "{dist:?}: median fan gap {gap}");
+            assert!(net.joins_since_renumber * RENUMBER_FRACTION < net.len());
+        }
+    }
+
+    /// Past the floor the overlay renumbers as it grows, and the audit
+    /// holds across it.
+    #[test]
+    fn growth_past_the_floor_renumbers() {
+        let (net, _) = build_random(RENUMBER_FLOOR + 600, 1, 3);
+        assert!(net.joins_since_renumber < 600);
+        assert!(median_fan_gap(&net) < 200, "{}", median_fan_gap(&net));
+        net.check_invariants(false).unwrap();
+        net.triangulation().validate().unwrap();
+    }
+
+    /// One step of [`renumbering_changes_no_result`]; indices pick a point
+    /// of the pool, a live object or a tie target, modulo their count.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        Join(usize),
+        Leave(usize),
+        Route(usize, usize),
+        Query(usize, usize),
+        RefreshLinks(usize),
+        Prune,
+        /// Renumbers the second overlay only.
+        Renumber,
+    }
+
+    fn steps(rng: &mut StdRng, len: usize) -> Vec<Step> {
+        (0..len)
+            .map(|_| {
+                let (i, j) = (
+                    rng.random_range(0..usize::MAX),
+                    rng.random_range(0..usize::MAX),
+                );
+                match rng.random_range(0..40u32) {
+                    0..=15 => Step::Join(i),
+                    16..=21 => Step::Leave(i),
+                    22..=26 => Step::Route(i, j),
+                    27..=31 => Step::Query(i, j),
+                    32..=33 => Step::RefreshLinks(i),
+                    34 => Step::Prune,
+                    _ => Step::Renumber,
+                }
+            })
+            .collect()
+    }
+
+    /// The point pools of [`renumbering_changes_no_result`]: uniform
+    /// floats, and the degenerate families of the triangulation's property
+    /// tests — duplicates on a coarse lattice, an exact grid, an exact ring,
+    /// collinear rows filled in from their ends, and points exactly on
+    /// existing edges.
+    fn degenerate_pools() -> Vec<(&'static str, Vec<Point2>)> {
+        let mut rng = StdRng::seed_from_u64(0x9001);
+        let lattice = (0..100)
+            .map(|_| {
+                let mut k = || rng.random_range(0..16u32) as f64 / 16.0;
+                Point2::new(k(), k())
+            })
+            .collect();
+        let sixteenths = [0, 16, 8, 4, 12, 8, 2, 6, 10, 14, 1, 15, 7, 9, 0];
+        let collinear = sixteenths
+            .map(|k| Point2::new(k as f64 / 16.0, 0.5))
+            .into_iter()
+            .chain(sixteenths.map(|k| Point2::new(0.5, k as f64 / 16.0)))
+            .collect();
+        let on_edges = [
+            (0.25, 0.25),
+            (0.75, 0.25),
+            (0.75, 0.75),
+            (0.25, 0.75),
+            (0.5, 0.25),
+            (0.5, 0.5),
+            (0.375, 0.375),
+            (0.625, 0.375),
+            (0.75, 0.5),
+            (0.5, 0.375),
+            (0.625, 0.625),
+        ]
+        .map(|(x, y)| Point2::new(x, y))
+        .to_vec();
+        let grid = Distribution::Grid {
+            side: 8,
+            jitter: 0.0,
+        };
+        let ring = Distribution::Ring { jitter: 0.0 };
+        vec![
+            (
+                "uniform",
+                PointGenerator::new(Distribution::Uniform, 7).take_points(100),
+            ),
+            ("lattice", lattice),
+            ("grid", PointGenerator::new(grid, 7).take_points(100)),
+            ("ring", PointGenerator::new(ring, 7).take_points(100)),
+            ("collinear", collinear),
+            ("on-edges", on_edges),
+        ]
+    }
+
+    /// Applies one step to `net`, updating `live` from its outcome, and
+    /// returns that outcome printed (`{:?}` prints every `f64` exactly).
+    fn apply(
+        net: &mut VoroNet,
+        step: Step,
+        pool: &[Point2],
+        targets: &[Point2],
+        live: &mut Vec<ObjectId>,
+    ) -> String {
+        let pick = |i: usize| live[i % live.len()];
+        match step {
+            Step::Join(i) => {
+                let joined = net.insert(pool[i % pool.len()]);
+                live.extend(joined.as_ref().map(|r| r.id));
+                format!("{joined:?}")
+            }
+            Step::Renumber => unreachable!("the caller renumbers"),
+            Step::Prune => {
+                net.set_nmax(net.config().nmax * 2);
+                format!("{}", net.prune_close_neighbours())
+            }
+            _ if live.is_empty() => String::new(),
+            Step::Leave(i) => format!("{:?}", net.remove(live.swap_remove(i % live.len()))),
+            Step::Route(i, j) => format!("{:?}", net.route_between(pick(i), pick(j))),
+            Step::Query(i, t) => format!(
+                "{:?}",
+                net.handle_query(pick(i), targets[t % targets.len()])
+            ),
+            Step::RefreshLinks(i) => format!("{:?}", net.refresh_long_links(pick(i))),
+        }
+    }
+
+    /// Renumbering changes no result.  Two overlays take the same steps;
+    /// the second is also renumbered at random points.  After every step
+    /// they agree on its report, on `traffic()`, on `touched_since`, on
+    /// `owner_of` at tie targets (lattice points and midpoints, often
+    /// equidistant from several objects) and on a view; after every
+    /// renumbering the audit and `Triangulation::validate` pass, and a
+    /// `FrozenView` taken just before it refreshes after a join exactly as
+    /// the twin's view does (`Patched`, bar small populations) and routes
+    /// like the overlay.
+    #[test]
+    fn renumbering_changes_no_result() {
+        let mut patched = 0;
+        for (name, pool) in degenerate_pools() {
+            let targets: Vec<Point2> = pool
+                .windows(2)
+                .map(|w| w[0].midpoint(w[1]))
+                .chain((0..64).map(|k| Point2::new((k % 8) as f64 / 8.0, (k / 8) as f64 / 8.0)))
+                .collect();
+            for seed in 0..6 {
+                let case = format!("{name} seed {seed}");
+                let mut rng = StdRng::seed_from_u64(seed);
+                // `d_min` ≈ 0.14, so close sets are large and tie often.
+                let cfg = VoroNetConfig::new(16)
+                    .with_dmin_rule(DminRule::Analysis)
+                    .with_long_links(2)
+                    .with_seed(seed);
+                let (mut plain, mut renumbered) = (VoroNet::new(cfg), VoroNet::new(cfg));
+                let (mut live, mut live_too) = (Vec::new(), Vec::new());
+                let mut renumbers = 0;
+                for (k, step) in steps(&mut rng, 160).into_iter().enumerate() {
+                    let at = format!("{case}, step {k} {step:?}");
+                    if let Step::Renumber = step {
+                        let (mut view, mut twin_view) = (renumbered.freeze(), plain.freeze());
+                        renumbered.renumber();
+                        renumbers += 1;
+                        assert_eq!(
+                            renumbered.audit_invariants(true),
+                            plain.audit_invariants(true),
+                            "{at}"
+                        );
+                        renumbered.triangulation().validate().unwrap();
+                        // One join later, the view taken before the
+                        // renumbering refreshes as its twin does, and
+                        // routes like the overlay.
+                        let p = Point2::new(rng.random(), rng.random());
+                        let (mut joined, mut twin) = (renumbered.clone(), plain.clone());
+                        assert_eq!(joined.insert(p), twin.insert(p), "{at}");
+                        let refresh = view.refresh(&joined);
+                        assert_eq!(refresh, twin_view.refresh(&twin), "{at}");
+                        patched += usize::from(matches!(refresh, ViewRefresh::Patched { .. }));
+                        let (mut a, mut b) = (RouteScratch::new(), RouteScratch::new());
+                        for w in joined.ids().collect::<Vec<_>>().windows(2) {
+                            let walked = joined.route_between_in(w[0], w[1], &mut a);
+                            assert_eq!(walked, view.route_between_in(w[0], w[1], &mut b));
+                            assert_eq!(a.path, b.path, "{at}");
+                        }
+                        continue;
+                    }
+                    let expected = apply(&mut plain, step, &pool, &targets, &mut live);
+                    let got = apply(&mut renumbered, step, &pool, &targets, &mut live_too);
+                    assert_eq!(got, expected, "{at}");
+                    assert_eq!(live_too, live, "{at}");
+                    assert_eq!(renumbered.traffic(), plain.traffic(), "{at}");
+                    let since = |net: &VoroNet| {
+                        let epoch = net.snapshot_epoch().saturating_sub(3);
+                        net.touched_since(epoch).map(Iterator::collect::<Vec<_>>)
+                    };
+                    assert_eq!(since(&renumbered), since(&plain), "{at}");
+                    for t in (0..4).map(|_| targets[rng.random_range(0..targets.len())]) {
+                        assert_eq!(renumbered.owner_of(t), plain.owner_of(t), "{at}: {t}");
+                    }
+                    if let Some(&id) = live.get(k % live.len().max(1)) {
+                        assert_eq!(renumbered.view(id), plain.view(id), "{at}");
+                    }
+                }
+                assert!(renumbers > 0, "{case}");
+                assert_eq!(
+                    renumbered.audit_invariants(true),
+                    plain.audit_invariants(true),
+                    "{case}"
+                );
+            }
+        }
+        assert!(patched >= 100, "only {patched} refreshes patched");
     }
 
     #[test]

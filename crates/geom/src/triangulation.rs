@@ -67,6 +67,78 @@ impl Triangle {
     }
 }
 
+/// Cells per side of the grid [`Triangulation::renumber`] lays its Hilbert
+/// curve over: 2¹⁶, so a key fits in 32 bits and two points share a cell
+/// only when they are within 1/65 536 of the domain's side.
+const HILBERT_SIDE: f64 = 65_536.0;
+
+/// Four levels of the Hilbert curve, as a table.  The index is the
+/// orientation of the current square (bit 1: x and y swapped, bit 0: both
+/// flipped) above four bits of x and four of y; the entry is the cell's
+/// eight bits of curve position above the orientation of the sub-square it
+/// ends in.  Level by level, the two upper quadrants keep the square's
+/// orientation, the lower-left one is mirrored about the main diagonal and
+/// the lower-right one about the other, so the curve leaves each quadrant
+/// where the next one starts.
+const HILBERT_STEP: [u16; 1024] = {
+    let mut table = [0; 1024];
+    let mut i = 0;
+    while i < 1024 {
+        let (mut orientation, mut digits) = (i >> 8, 0);
+        let mut level = 4;
+        while level > 0 {
+            level -= 1;
+            let flip = orientation & 1;
+            let (mut rx, mut ry) = ((i >> (4 + level) & 1) ^ flip, (i >> level & 1) ^ flip);
+            if orientation >> 1 == 1 {
+                (rx, ry) = (ry, rx);
+            }
+            digits = digits << 2 | ((3 * rx) ^ ry);
+            if ry == 0 {
+                orientation ^= 2 | rx;
+            }
+        }
+        table[i] = (digits << 2 | orientation) as u16;
+        i += 1;
+    }
+    table
+};
+
+/// Position of grid cell `(x, y)` along the Hilbert curve over the
+/// 2¹⁶ × 2¹⁶ grid: four table steps, from the top bits down.
+fn hilbert_key(x: u32, y: u32) -> u32 {
+    let (mut key, mut orientation) = (0, 0);
+    for shift in [12, 8, 4, 0] {
+        let cell = (x >> shift & 15) << 4 | (y >> shift & 15);
+        let step = u32::from(HILBERT_STEP[(orientation << 8 | cell) as usize]);
+        key = key << 8 | step >> 2;
+        orientation = step & 3;
+    }
+    key
+}
+
+/// Moves `items[old]` to `items[map[old]]` for every old id of a `map`
+/// returned by [`Triangulation::renumber`] and drops the entries of dead
+/// ids: afterwards `items` is indexed by the new ids.  `items` holds one
+/// entry per old id (`map.len()`); its allocation is kept.
+///
+/// # Panics
+/// Panics if `items` and `map` differ in length.
+pub fn apply_renumbering<T: Copy>(items: &mut Vec<T>, map: &[VertexId]) {
+    assert_eq!(items.len(), map.len(), "one entry per old vertex id");
+    let Some(&first) = items.first() else { return };
+    // Scattered into a copy and copied back: independent writes, where
+    // following the permutation's cycles in place waits on every load.
+    let mut renumbered = vec![first; map.iter().filter(|&&v| v != NIL).count()];
+    for (&item, &new) in items.iter().zip(map) {
+        if new != NIL {
+            renumbered[new as usize] = item;
+        }
+    }
+    items.truncate(renumbered.len());
+    items.copy_from_slice(&renumbered);
+}
+
 /// Result of locating a point in the triangulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Locate {
@@ -411,17 +483,21 @@ impl Triangulation {
     /// The live vertex nearest to `p`, found by greedy descent over the
     /// Delaunay graph (the "Voronoi region owner" of `p`).
     ///
+    /// The descent starts where [`Triangulation::locate`] does: at the
+    /// first real vertex of the last-touched triangle (the lowest live id
+    /// if it has none).  That start is named by position, not by id, so a
+    /// [`Triangulation::renumber`] cannot move it, nor which of several
+    /// equally near vertices the descent ends at.
+    ///
     /// Returns `None` when the triangulation holds no real vertex.  For a
     /// point of the domain the result is always a real vertex because the
     /// sentinels are farther from the domain than any real object can be.
     pub fn nearest_vertex(&self, p: Point2) -> Option<VertexId> {
-        if self.live_real_vertices == 0 {
-            return None;
-        }
-        let start = self
-            .vertices()
-            .next()
-            .expect("live_real_vertices > 0 implies at least one real vertex");
+        let hinted = self.tris[self.any_live_triangle() as usize].v;
+        let start = hinted
+            .into_iter()
+            .find(|&v| !self.is_sentinel(v))
+            .or_else(|| self.vertices().next())?;
         let (nearest, _) = greedy_descent(
             (start, self.points[start as usize]),
             p,
@@ -919,6 +995,65 @@ impl Triangulation {
         self.vert_tri[b as usize] = t1;
         self.vert_tri[d as usize] = t2;
         self.vert_tri[c as usize] = t2;
+    }
+
+    // ------------------------------------------------------------------
+    // Renumbering
+    // ------------------------------------------------------------------
+
+    /// Renumbers the live real vertices in the order a Hilbert curve over
+    /// the domain visits their points, so that vertices close in space get
+    /// close ids and every array indexed by vertex id is read in the order
+    /// a walk meets it (the BRIO idea of Amenta, Choi & Rote, SoCG 2003).
+    /// Returns the map from old id to new id, `u32::MAX` for an id that was
+    /// not live.
+    ///
+    /// Equal curve keys go in old-id order.  The four sentinels keep ids
+    /// 0–3, dead ids are dropped, so the ids afterwards are exactly
+    /// `0..SENTINEL_COUNT + len()` and the next insertion takes a fresh
+    /// one.  Only vertex labels change: triangle ids, neighbour links, the
+    /// triangle each fan walk starts from and the walk hint stay as they
+    /// are, so every later location, insertion, removal and neighbour scan
+    /// makes the same decisions, in the same order, on relabelled vertices.
+    pub fn renumber(&mut self) -> Vec<VertexId> {
+        let Rect { min, max } = self.domain;
+        let cell = |lo: f64, hi: f64, c: f64| {
+            let unit = if hi > lo { (c - lo) / (hi - lo) } else { 0.0 };
+            (unit * HILBERT_SIDE).clamp(0.0, HILBERT_SIDE - 1.0) as u32
+        };
+        // Key in the high half, old id in the low half: one sort orders by
+        // curve position with ties to the lower old id.  The stable sort
+        // finds the long runs the last renumbering left in id order.
+        let mut order: Vec<u64> = self
+            .vertices()
+            .map(|v| {
+                let p = self.points[v as usize];
+                let key = hilbert_key(cell(min.x, max.x, p.x), cell(min.y, max.y, p.y));
+                u64::from(key) << 32 | u64::from(v)
+            })
+            .collect();
+        order.sort();
+        let mut map = vec![NIL; self.points.len()];
+        for s in 0..SENTINEL_COUNT {
+            map[s as usize] = s;
+        }
+        for (new, &k) in (SENTINEL_COUNT..).zip(&order) {
+            map[k as u32 as usize] = new;
+        }
+        let ids = SENTINEL_COUNT as usize + order.len();
+        drop(order);
+
+        apply_renumbering(&mut self.points, &map);
+        apply_renumbering(&mut self.vert_tri, &map);
+        self.vert_alive.truncate(ids);
+        self.vert_alive.fill(true);
+        self.free_verts.clear();
+        for (tri, &alive) in self.tris.iter_mut().zip(&self.tri_alive) {
+            if alive {
+                tri.v = tri.v.map(|v| map[v as usize]);
+            }
+        }
+        map
     }
 
     // ------------------------------------------------------------------
@@ -1444,6 +1579,123 @@ mod tests {
             assert!(t.euler_check());
         }
         assert_eq!(t.len(), 40);
+    }
+
+    #[test]
+    fn hilbert_keys_walk_the_grid_one_cell_at_a_time() {
+        // The curve's first 4⁶ cells fill the 64 × 64 corner square, each
+        // once, each a side-neighbour of the one before.
+        let mut by_key = vec![None; 64 * 64];
+        for x in 0..64 {
+            for y in 0..64 {
+                let key = hilbert_key(x, y) as usize;
+                assert!(by_key[key].replace((x, y)).is_none(), "key {key} twice");
+            }
+        }
+        let path: Vec<(u32, u32)> = by_key.into_iter().map(Option::unwrap).collect();
+        for w in path.windows(2) {
+            let ((ax, ay), (bx, by)) = (w[0], w[1]);
+            assert_eq!(ax.abs_diff(bx) + ay.abs_diff(by), 1, "{:?}", w);
+        }
+        assert_eq!(
+            hilbert_key(65_535, 0),
+            u32::MAX,
+            "the curve ends in the other corner"
+        );
+    }
+
+    /// `v`'s new id under a renumbering map (sentinels map to themselves).
+    fn relabel(map: &[VertexId], v: VertexId) -> VertexId {
+        map[v as usize]
+    }
+
+    /// Renumbering relabels and does nothing else: on random points with
+    /// holes left by removals and on a co-circular grid, every triangle,
+    /// fan and point is the old one relabelled, ids follow the curve, and
+    /// the two triangulations go on making the same decisions — the same
+    /// insertions (the renumbered one takes fresh ids, the other recycles),
+    /// removals and nearest vertices, ties included.
+    #[test]
+    fn renumbering_only_relabels() {
+        let grid: Vec<Point2> = (0..144)
+            .map(|k| Point2::new((k % 12) as f64 / 16.0, (k / 12) as f64 / 16.0))
+            .collect();
+        for pts in [random_points(400, 17), grid] {
+            let mut plain = Triangulation::unit_square();
+            let ids: Vec<_> = pts.iter().map(|&p| plain.insert(p).unwrap()).collect();
+            for &v in ids.iter().step_by(5) {
+                plain.remove(v).unwrap();
+            }
+            let mut renumbered = plain.clone();
+            let mut map = renumbered.renumber();
+            renumbered.validate().unwrap();
+            assert!(renumbered.euler_check());
+            assert_eq!(&map[..4], &[0, 1, 2, 3]);
+            let mut new_ids: Vec<_> = plain.vertices().map(|v| relabel(&map, v)).collect();
+            new_ids.sort_unstable();
+            assert!(new_ids
+                .iter()
+                .copied()
+                .eq(SENTINEL_COUNT..SENTINEL_COUNT + plain.len() as u32));
+            assert!(renumbered
+                .vertices()
+                .eq(SENTINEL_COUNT..SENTINEL_COUNT + plain.len() as u32));
+            for (v, &new) in map.iter().enumerate() {
+                assert_eq!(new == NIL, !plain.contains_vertex(v as u32), "vertex {v}");
+            }
+            let keys: Vec<u32> = renumbered
+                .vertices()
+                .map(|v| {
+                    let p = renumbered.point(v);
+                    let cell = |c: f64| (c * HILBERT_SIDE).min(HILBERT_SIDE - 1.0) as u32;
+                    hilbert_key(cell(p.x), cell(p.y))
+                })
+                .collect();
+            assert!(keys.is_sorted(), "ids follow the curve");
+
+            let mut rng = StdRng::seed_from_u64(5);
+            let mut live: Vec<VertexId> = plain.vertices().collect();
+            for step in 0..300 {
+                assert!(plain
+                    .triangles()
+                    .map(|t| t.map(|v| relabel(&map, v)))
+                    .eq(renumbered.triangles()));
+                for &v in &live {
+                    assert_eq!(plain.point(v), renumbered.point(relabel(&map, v)));
+                    assert!(plain
+                        .neighbors_iter(v)
+                        .map(|u| relabel(&map, u))
+                        .eq(renumbered.neighbors_iter(relabel(&map, v))));
+                }
+                // A lattice target, often equidistant from several points.
+                let q = Point2::new(
+                    rng.random_range(0..32u32) as f64 / 32.0,
+                    rng.random_range(0..32u32) as f64 / 32.0,
+                );
+                let nearest = plain.nearest_vertex(q).unwrap();
+                assert_eq!(renumbered.nearest_vertex(q), Some(relabel(&map, nearest)));
+                if step % 3 == 0 {
+                    let v = live.swap_remove(rng.random_range(0..live.len()));
+                    plain.remove(v).unwrap();
+                    renumbered.remove(relabel(&map, v)).unwrap();
+                } else {
+                    let old = plain.insert(q);
+                    let new = renumbered.insert(q);
+                    match (old, new) {
+                        (Ok(o), Ok(n)) => {
+                            map.resize(map.len().max(o as usize + 1), NIL);
+                            map[o as usize] = n;
+                            live.push(o);
+                        }
+                        (Err(InsertError::Duplicate(o)), Err(InsertError::Duplicate(n))) => {
+                            assert_eq!(relabel(&map, o), n)
+                        }
+                        other => panic!("step {step}: {other:?}"),
+                    }
+                }
+            }
+            renumbered.validate().unwrap();
+        }
     }
 
     #[test]
