@@ -112,10 +112,6 @@ pub struct VoroNet {
 /// factors of 9/8 keeps the total work at ~9 vertex moves per object.
 const RENUMBER_FRACTION: usize = 8;
 
-/// No renumbering below this many objects, where the rows fit in L2 cache
-/// whatever their order.
-const RENUMBER_FLOOR: usize = 4_096;
-
 impl VoroNet {
     /// Creates an empty overlay.
     pub fn new(config: VoroNetConfig) -> Self {
@@ -842,9 +838,7 @@ impl VoroNet {
             dirty,
         });
         self.joins_since_renumber += 1;
-        if self.len() >= RENUMBER_FLOOR
-            && self.joins_since_renumber * RENUMBER_FRACTION >= self.len()
-        {
+        if self.joins_since_renumber * RENUMBER_FRACTION >= self.len() {
             self.renumber();
         }
 
@@ -1518,13 +1512,13 @@ mod tests {
         }
     }
 
-    /// Past the floor the overlay renumbers as it grows, and the audit
-    /// holds across it.
+    /// The overlay renumbers as it grows, from its first join on, and the
+    /// audit holds across it.
     #[test]
-    fn growth_past_the_floor_renumbers() {
-        let (net, _) = build_random(RENUMBER_FLOOR + 600, 1, 3);
-        assert!(net.joins_since_renumber < 600);
-        assert!(median_fan_gap(&net) < 200, "{}", median_fan_gap(&net));
+    fn growth_renumbers() {
+        let (net, _) = build_random(1_000, 1, 3);
+        assert!(net.joins_since_renumber * RENUMBER_FRACTION < net.len());
+        assert!(median_fan_gap(&net) <= 20, "{}", median_fan_gap(&net));
         net.check_invariants(false).unwrap();
         net.triangulation().validate().unwrap();
     }

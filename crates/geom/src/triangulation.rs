@@ -202,8 +202,10 @@ impl std::error::Error for RemoveError {}
 /// `&self` and keep their walk state (the last-touched-triangle hint, the
 /// walk-tiebreak RNG and the step count) in relaxed atomics, so concurrent
 /// readers are sound.  Under contention the hint/RNG updates may interleave, which only
-/// perturbs *which* walk a reader takes — never the located triangle or the
-/// nearest vertex it returns.
+/// perturbs *which* walk a reader takes: never the nearest vertex it
+/// returns (equally near vertices go to the least coordinates), and the
+/// located triangle only when `p` lies on an edge, between the two
+/// triangles sharing it.
 pub struct Triangulation {
     points: Vec<Point2>,
     vert_tri: Vec<u32>,
@@ -483,11 +485,13 @@ impl Triangulation {
     /// The live vertex nearest to `p`, found by greedy descent over the
     /// Delaunay graph (the "Voronoi region owner" of `p`).
     ///
-    /// The descent starts where [`Triangulation::locate`] does: at the
-    /// first real vertex of the last-touched triangle (the lowest live id
-    /// if it has none).  That start is named by position, not by id, so a
-    /// [`Triangulation::renumber`] cannot move it, nor which of several
-    /// equally near vertices the descent ends at.
+    /// When several vertices are equally near, the answer is the one with
+    /// the least coordinates ([`Point2::lex_cmp`]): a function of the
+    /// points alone, so neither the walk hint that earlier reads left nor
+    /// a [`Triangulation::renumber`] can change it.  The descent starts
+    /// where [`Triangulation::locate`] does, at the first real vertex of
+    /// the last-touched triangle (the lowest live id if it has none),
+    /// which only shortens the walk.
     ///
     /// Returns `None` when the triangulation holds no real vertex.  For a
     /// point of the domain the result is always a real vertex because the
@@ -507,7 +511,36 @@ impl Triangulation {
             },
             |_, _| {},
         );
-        Some(nearest)
+        Some(self.least_of_equally_near(nearest, p))
+    }
+
+    /// Among the vertices exactly as near to `p` as `nearest` (a nearest
+    /// vertex), the one with the least coordinates.  They lie on one empty
+    /// circle around `p`, whose consecutive points are Delaunay neighbours,
+    /// so a flood over equally near neighbours from `nearest` finds them
+    /// all; coordinates are unique, so the choice is too.
+    fn least_of_equally_near(&self, nearest: VertexId, p: Point2) -> VertexId {
+        let least = self.points[nearest as usize].distance2(p);
+        let equally_near = |v: VertexId| {
+            self.neighbors_iter(v)
+                .filter(move |&u| self.points[u as usize].distance2(p) == least)
+        };
+        if equally_near(nearest).next().is_none() {
+            return nearest;
+        }
+        let mut tied = vec![nearest];
+        let mut flooded = 0;
+        while let Some(&at) = tied.get(flooded) {
+            flooded += 1;
+            for u in equally_near(at) {
+                if !tied.contains(&u) {
+                    tied.push(u);
+                }
+            }
+        }
+        tied.into_iter()
+            .min_by(|&a, &b| self.points[a as usize].lex_cmp(&self.points[b as usize]))
+            .expect("`nearest` is tied with itself")
     }
 
     // ------------------------------------------------------------------
@@ -1706,13 +1739,24 @@ mod tests {
         fn assert_sync<T: Sync>() {}
         assert_sync::<Triangulation>();
 
+        // Random points and a 12 × 12 lattice; the lattice targets between
+        // lattice points are equidistant from two or four of them, so the
+        // expected owner is the brute-force one with the least coordinates.
         let mut t = Triangulation::unit_square();
-        let pts = random_points(300, 61);
+        let lattice = (0..144).map(|k| Point2::new((k % 12) as f64 / 16.0, (k / 12) as f64 / 16.0));
+        let pts: Vec<Point2> = random_points(300, 61).into_iter().chain(lattice).collect();
         let ids: Vec<_> = pts.iter().map(|&p| t.insert(p).unwrap()).collect();
-        let queries = random_points(400, 62);
+        let ties =
+            (0..24 * 24).map(|k| Point2::new((k % 24) as f64 / 32.0, (k / 24) as f64 / 32.0));
+        let queries: Vec<Point2> = random_points(400, 62).into_iter().chain(ties).collect();
         let expected: Vec<VertexId> = queries
             .iter()
-            .map(|&q| t.nearest_vertex(q).unwrap())
+            .map(|&q| {
+                let key = |v: VertexId| (t.point(v).distance2(q), t.point(v).x, t.point(v).y);
+                *ids.iter()
+                    .min_by(|&&a, &&b| key(a).partial_cmp(&key(b)).unwrap())
+                    .unwrap()
+            })
             .collect();
         std::thread::scope(|s| {
             for worker in 0..4 {
@@ -1721,8 +1765,12 @@ mod tests {
                 let expected = &expected;
                 let ids = &ids;
                 s.spawn(move || {
-                    for (i, &q) in queries.iter().enumerate() {
-                        assert_eq!(t.nearest_vertex(q), Some(expected[i]));
+                    // Each worker starts at its own offset, so the walk
+                    // hints the others leave differ from query to query.
+                    for k in 0..queries.len() {
+                        let i = (k + worker * 97) % queries.len();
+                        let q = queries[i];
+                        assert_eq!(t.nearest_vertex(q), Some(expected[i]), "{q}");
                         match t.locate(q) {
                             Locate::Inside(_) | Locate::OnEdge(_, _) | Locate::OnVertex(_) => {}
                             Locate::Outside => panic!("interior point located outside"),
