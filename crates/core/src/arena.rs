@@ -1,331 +1,338 @@
-//! Dense, generation-indexed storage of per-node protocol state, and the
+//! Per-object protocol state, stored by triangulation vertex, and the
 //! routing rows the live greedy walk reads.
 //!
-//! Every live object of a [`crate::VoroNet`] owns one [`NodeSlot`] in a
-//! [`NodeArena`]: its attribute coordinates, its triangulation vertex, the
-//! close-neighbour set `cn(o)` (a sorted `Vec`), the long-range links
-//! `LRn(o)` and the back-long-range pointers `BLRn(o)`.  (Per-node message
-//! counts are not here: they live once, in the overlay's `TrafficStats`,
-//! indexed by object id.)  The arena:
+//! An object is its triangulation vertex: vertex ids are dense and recycled,
+//! so the overlay keeps each piece of per-object state as a column indexed
+//! by `VertexId`, parallel to `Triangulation::points` ([`Objects`]):
 //!
-//! * keeps slots in one flat `Vec` (slab-style, recycled through a free
-//!   list), so iterating all nodes is a linear scan and a slot access from a
-//!   [`NodeIndex`] is two array reads; a slot access from an [`ObjectId`]
-//!   goes through a hash map with a one-multiply hasher (`IdHasher`);
-//! * tags each slot with a *generation* that is bumped on recycling, so a
-//!   stale [`NodeIndex`] held across a departure can never alias the node
-//!   that reused the slot;
-//! * maintains a dense id list, the overlay's O(1) uniform-sampling order
-//!   (swap-remove on departure, so seeded runs replay bit-for-bit).
+//! * the object id of each vertex;
+//! * the long-range links `LRn(o)`, `k` per vertex;
+//! * for each long link, its *back position*: where its [`BackLink`] sits in
+//!   the neighbour's `BLRn` list;
+//! * the back-long-range lists `BLRn(o)`;
+//! * the position in the dense sampling order.
 //!
-//! Routing does not read the arena.  The overlay keeps a second,
-//! derived structure beside it, `RoutingRows`: one row per triangulation
-//! vertex listing the object's greedy candidates `vn ∪ cn ∪ LRn` as
-//! vertex ids, in the walk's scan order, so a hop is one row read plus
-//! point reads from the triangulation — no id hashing, no fan walk.  The
-//! join and leave code rewrites the rows of exactly the objects its change
-//! record names dirty.  As the overlay grows it renumbers the triangulation
-//! along a Hilbert curve (`Triangulation::renumber`) and the rows move
-//! with it, so an object's row sits next to its Voronoi neighbours' and a
-//! greedy hop reads memory the previous hop has just brought into cache.
+//! Coordinates are `Triangulation::point`, and the close set `cn(o)` is a
+//! segment of the object's routing row, so neither is stored twice.  An
+//! [`ObjectId`] enters from outside only through the public API; it maps
+//! to its vertex through a dense table indexed by id (ids are allocated
+//! monotonically, and the overlay's traffic counters already keep 8 bytes
+//! per id issued).  When the triangulation renumbers its vertices along
+//! the Hilbert curve every column moves with it, so an object's state sits
+//! next to its Voronoi neighbours' and a write touches a few nearby cache
+//! lines.  (Per-node message counts are not here: they live once, in the
+//! overlay's `TrafficStats`, indexed by object id.)
 //!
-//! The arena is shared between the synchronous overlay and the asynchronous
-//! runtime ([`crate::runtime::AsyncOverlay`]): both read the same slots, the
-//! former through [`crate::object::ViewRef`] borrows, the latter when it
-//! refreshes a replica at a `NeighborUpdate` boundary.
+//! Back positions make a departure O(1) in the size of its neighbours'
+//! lists.  `Choose-LRT` (Algorithm 3) draws targets up to √2 away, so on a
+//! skewed population about half of all long-link targets fall outside the
+//! unit square and are owned by a few hull objects, thousands of back links
+//! each.  Unregistering a link swap-removes its entry by position and fixes
+//! the one entry that moved, instead of scanning the hub's list.
+//!
+//! The routing rows, [`RoutingRows`], hold one row per vertex listing the
+//! object's greedy candidates `vn ∪ cn ∪ LRn` as vertex ids, in the walk's
+//! scan order: the Voronoi fan, then the close set (ascending object ids),
+//! then the long links other than those back to the object itself.  A hop
+//! is one row read plus point reads from the triangulation — no id lookup,
+//! no fan walk.  Joins and departures patch exactly the rows whose entries
+//! they change.
 
-use crate::object::{BackLink, LongLink, ObjectId};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use crate::object::{BackLink, LinkIndex, LongLink, ObjectId};
 use voronet_geom::triangulation::apply_renumbering;
 use voronet_geom::{Point2, VertexId};
 
-/// Generation-tagged handle of a node slot in a [`NodeArena`].
-///
-/// A `NodeIndex` stays valid for exactly as long as the node it was taken
-/// for is live: after the node departs, the slot's generation moves on and
-/// the index resolves to `None` (never to a different node).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct NodeIndex {
-    idx: u32,
-    generation: u32,
-}
+/// The object column's entry for a vertex no object holds.
+const NO_OBJECT: ObjectId = ObjectId(u64::MAX);
 
-impl NodeIndex {
-    /// Position of the slot in the arena's backing storage.
-    pub fn slot(&self) -> usize {
-        self.idx as usize
-    }
+/// The vertex table's entry for an id that is not live.
+const NO_VERTEX: VertexId = VertexId::MAX;
 
-    /// Generation of the slot this index was taken at.
-    pub fn generation(&self) -> u32 {
-        self.generation
-    }
-}
-
-/// Per-node protocol state owned by the arena (Section 3.1 of the paper,
-/// minus the Voronoi neighbours, which are derived from the shared
-/// tessellation).
-#[derive(Debug, Clone)]
-pub struct NodeSlot {
-    /// The object this slot belongs to.
-    pub(crate) id: ObjectId,
-    /// Triangulation vertex currently representing the object.
-    pub(crate) vertex: VertexId,
-    /// Attribute coordinates (immutable for the lifetime of the object).
-    pub(crate) coords: Point2,
-    /// Close neighbours: objects within `d_min` (symmetric relation),
-    /// ascending.
-    pub(crate) close: Vec<ObjectId>,
-    /// Long-range links (length = `config.long_links` once established).
-    pub(crate) long: Vec<LongLink>,
-    /// Back-long-range pointers: links of other objects whose target falls
-    /// in this object's region.
-    pub(crate) back_long: Vec<BackLink>,
-    /// Position in the dense sampling order.
-    dense_pos: u32,
-}
-
-impl NodeSlot {
-    pub(crate) fn new(id: ObjectId, vertex: VertexId, coords: Point2) -> Self {
-        NodeSlot {
-            id,
-            vertex,
-            coords,
-            close: Vec::new(),
-            long: Vec::new(),
-            back_long: Vec::new(),
-            dense_pos: 0,
-        }
-    }
-
-    /// Adds `id` to the close set (no-op when present).
-    pub(crate) fn add_close(&mut self, id: ObjectId) {
-        if let Err(pos) = self.close.binary_search(&id) {
-            self.close.insert(pos, id);
-        }
-    }
-
-    /// Drops `id` from the close set (no-op when absent).
-    pub(crate) fn remove_close(&mut self, id: ObjectId) {
-        if let Ok(pos) = self.close.binary_search(&id) {
-            self.close.remove(pos);
-        }
-    }
-
-    /// True when `id` is a close neighbour.
-    pub(crate) fn is_close(&self, id: ObjectId) -> bool {
-        self.close.binary_search(&id).is_ok()
-    }
-
-    /// The object this slot belongs to.
-    pub fn id(&self) -> ObjectId {
-        self.id
-    }
-
-    /// Attribute coordinates of the object.
-    pub fn coords(&self) -> Point2 {
-        self.coords
-    }
-
-    /// Triangulation vertex currently representing the object.
-    pub fn vertex(&self) -> VertexId {
-        self.vertex
-    }
-
-    /// Close neighbours `cn(o)`, ascending.
-    pub fn close(&self) -> &[ObjectId] {
-        &self.close
-    }
-
-    /// Long-range links `LRn(o)`.
-    pub fn long(&self) -> &[LongLink] {
-        &self.long
-    }
-
-    /// Back-long-range pointers `BLRn(o)`.
-    pub fn back_long(&self) -> &[BackLink] {
-        &self.back_long
-    }
-}
-
-/// Hasher of the `ObjectId → slot` map: one multiply by the 64-bit golden
-/// ratio, with the product's high half folded into its low half so both
-/// projections the table uses (low bits pick the bucket, top seven bits tag
-/// the entry) are spread even when the live ids are strided.
-///
-/// Dropping SipHash's collision resistance is safe here because object ids
-/// are allocated by the overlay itself (monotonically, from zero) and never
-/// taken from a peer or the wire, and nothing iterates the map, so its order
-/// cannot leak into results.
-#[derive(Debug, Clone, Copy, Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("an ObjectId hashes as a single u64");
-    }
-
-    #[inline]
-    fn write_u64(&mut self, id: u64) {
-        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0 ^ (self.0 >> 32)
-    }
-}
-
-#[derive(Debug, Clone)]
-struct Entry {
-    generation: u32,
-    node: Option<NodeSlot>,
-}
-
-/// Slab-style arena of per-node protocol state with an `ObjectId → index`
-/// map and a dense sampling order.  See the [module docs](self).
+/// Per-object protocol state in columns keyed by vertex (see the
+/// [module docs](self)), plus the dense sampling order and the id → vertex
+/// table.
 #[derive(Debug, Clone, Default)]
-pub struct NodeArena {
-    entries: Vec<Entry>,
-    free: Vec<u32>,
-    lookup: HashMap<ObjectId, u32, BuildHasherDefault<IdHasher>>,
-    /// Dense list of live ids: push on join, swap-remove on departure.
+pub(crate) struct Objects {
+    /// Long links per object.
+    k: usize,
+    /// Vertex → the object it represents (`NO_OBJECT` for sentinels and
+    /// free vertices).
+    id: Vec<ObjectId>,
+    /// Vertex → its `k` long links.
+    long: Vec<LongLink>,
+    /// Vertex → for each of its `k` long links, the index of the link's
+    /// back pointer in the neighbour's `back` list.
+    back_pos: Vec<u32>,
+    /// Vertex → its back-long-range pointers `BLRn(o)`.
+    back: Vec<Vec<BackLink>>,
+    /// Vertex → its position in `order`.
+    dense_pos: Vec<u32>,
+    /// Live ids: push on join, swap-remove on departure, so seeded runs
+    /// replay bit-for-bit.
     order: Vec<ObjectId>,
+    /// Object id → vertex (`NO_VERTEX` once departed).
+    vertex: Vec<VertexId>,
 }
 
-impl NodeArena {
-    /// Creates an empty arena.
-    pub fn new() -> Self {
-        Self::default()
+impl Objects {
+    /// Empty columns for objects with `k` long links each.
+    pub(crate) fn new(k: usize) -> Self {
+        Objects {
+            k,
+            ..Self::default()
+        }
     }
 
-    /// Number of live nodes.
-    pub fn len(&self) -> usize {
+    /// Number of live objects.
+    pub(crate) fn len(&self) -> usize {
         self.order.len()
     }
 
-    /// True when the arena holds no node.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-
-    /// True when `id` is a live node.
-    pub fn contains(&self, id: ObjectId) -> bool {
-        self.lookup.contains_key(&id)
-    }
-
-    /// The generation-tagged index of a live node (`None` otherwise).
-    pub fn index_of(&self, id: ObjectId) -> Option<NodeIndex> {
-        let &idx = self.lookup.get(&id)?;
-        Some(NodeIndex {
-            idx,
-            generation: self.entries[idx as usize].generation,
-        })
-    }
-
-    /// The `pos`-th live node in dense sampling order (`pos < len()`).  The
-    /// order is deterministic for a given operation sequence but changes on
-    /// removals (swap-remove).
-    pub fn id_at(&self, pos: usize) -> Option<ObjectId> {
-        self.order.get(pos).copied()
-    }
-
-    /// Iterator over live ids in dense sampling order.
-    pub fn ids(&self) -> impl Iterator<Item = ObjectId> + '_ {
+    /// Live ids in dense sampling order.
+    pub(crate) fn ids(&self) -> impl Iterator<Item = ObjectId> + '_ {
         self.order.iter().copied()
     }
 
-    /// The dense sampling order as a slice — the order a
-    /// [`crate::FrozenView`] mirrors, exposed so snapshot maintenance can
-    /// assert its patched dense order stayed in lockstep.
-    pub fn order(&self) -> &[ObjectId] {
-        &self.order
+    /// The `pos`-th live id in dense sampling order.
+    pub(crate) fn id_at(&self, pos: usize) -> Option<ObjectId> {
+        self.order.get(pos).copied()
     }
 
-    /// Read access to a live node's slot.
-    pub fn get(&self, id: ObjectId) -> Option<&NodeSlot> {
-        let &idx = self.lookup.get(&id)?;
-        self.entries[idx as usize].node.as_ref()
+    /// The vertices holding an object, ascending.
+    pub(crate) fn vertices(&self) -> impl Iterator<Item = VertexId> + '_ {
+        (0..self.id.len() as VertexId).filter(|&v| self.id[v as usize] != NO_OBJECT)
     }
 
-    /// Read access through a generation-tagged index: `None` when the node
-    /// departed (even if the slot was since recycled).
-    pub fn get_at(&self, index: NodeIndex) -> Option<&NodeSlot> {
-        let entry = self.entries.get(index.slot())?;
-        if entry.generation != index.generation {
-            return None;
-        }
-        entry.node.as_ref()
+    /// The vertex of a live object.
+    #[inline]
+    pub(crate) fn vertex_of(&self, id: ObjectId) -> Option<VertexId> {
+        let v = *self.vertex.get(usize::try_from(id.0).ok()?)?;
+        (v != NO_VERTEX).then_some(v)
     }
 
-    pub(crate) fn get_mut(&mut self, id: ObjectId) -> Option<&mut NodeSlot> {
-        let &idx = self.lookup.get(&id)?;
-        self.entries[idx as usize].node.as_mut()
+    /// The object a vertex represents (`None` for sentinels and free
+    /// vertices).
+    #[inline]
+    pub(crate) fn object_at(&self, v: VertexId) -> Option<ObjectId> {
+        let o = *self.id.get(v as usize)?;
+        (o != NO_OBJECT).then_some(o)
     }
 
-    /// Iterator over all live slots, in slot (allocation) order.
-    pub fn iter(&self) -> impl Iterator<Item = &NodeSlot> + '_ {
-        self.entries.iter().filter_map(|e| e.node.as_ref())
+    /// The object of a vertex known to hold one.
+    #[inline]
+    pub(crate) fn object(&self, v: VertexId) -> ObjectId {
+        let o = self.id[v as usize];
+        debug_assert_ne!(o, NO_OBJECT, "vertex {v} holds no object");
+        o
     }
 
-    /// Mutable form of [`NodeArena::iter`].
-    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut NodeSlot> + '_ {
-        self.entries.iter_mut().filter_map(|e| e.node.as_mut())
+    /// The long links of the object at `v`.
+    pub(crate) fn long(&self, v: VertexId) -> &[LongLink] {
+        let at = v as usize * self.k;
+        &self.long[at..at + self.k]
     }
 
-    /// Inserts a node, returning its generation-tagged index.
-    ///
-    /// # Panics
-    /// Panics if `slot.id` is already live (object ids are never reused).
-    pub(crate) fn insert(&mut self, mut slot: NodeSlot) -> NodeIndex {
-        let id = slot.id;
-        slot.dense_pos = self.order.len() as u32;
-        self.order.push(id);
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                let entry = &mut self.entries[idx as usize];
-                debug_assert!(entry.node.is_none());
-                entry.node = Some(slot);
-                idx
-            }
-            None => {
-                self.entries.push(Entry {
-                    generation: 0,
-                    node: Some(slot),
-                });
-                (self.entries.len() - 1) as u32
-            }
+    /// Sets the target of link `link` of the object at `v`.
+    pub(crate) fn set_target(&mut self, v: VertexId, link: LinkIndex, target: Point2) {
+        self.long[v as usize * self.k + link].target = target;
+    }
+
+    /// Sets the neighbour of link `link` of the object at `v`.
+    pub(crate) fn set_neighbour(&mut self, v: VertexId, link: LinkIndex, neighbour: ObjectId) {
+        self.long[v as usize * self.k + link].neighbour = neighbour;
+    }
+
+    /// The vertices of the links of the object at `v` that enter its
+    /// routing row: those not pointing back at the object itself.
+    pub(crate) fn row_links(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
+        let me = self.object(v);
+        self.long(v)
+            .iter()
+            .filter(move |l| l.neighbour != me)
+            .map(move |l| {
+                self.vertex_of(l.neighbour)
+                    .expect("long links name live objects")
+            })
+    }
+
+    /// How many entries of the row of `v` are long links.
+    pub(crate) fn row_link_count(&self, v: VertexId) -> usize {
+        let me = self.object(v);
+        self.long(v).iter().filter(|l| l.neighbour != me).count()
+    }
+
+    /// The back-long-range pointers held by the object at `v`.
+    pub(crate) fn back(&self, v: VertexId) -> &[BackLink] {
+        &self.back[v as usize]
+    }
+
+    /// Where link `link` of the object at `v` sits in its neighbour's list.
+    pub(crate) fn back_pos(&self, v: VertexId, link: LinkIndex) -> usize {
+        self.back_pos[v as usize * self.k + link] as usize
+    }
+
+    /// Records that `bl` now sits at index `pos` of its holder's list.
+    fn place(&mut self, bl: &BackLink, pos: usize) {
+        let source = self
+            .vertex_of(bl.source)
+            .expect("back links name live sources");
+        self.back_pos[source as usize * self.k + bl.link] = pos as u32;
+    }
+
+    /// Enters object `id` at vertex `v` with `k` links to itself aimed at
+    /// `p`, last in the dense order.
+    pub(crate) fn add(&mut self, id: ObjectId, v: VertexId, p: Point2) {
+        let (v, k) = (v as usize, self.k);
+        let self_link = LongLink {
+            target: p,
+            neighbour: id,
         };
-        let previous = self.lookup.insert(id, idx);
-        assert!(previous.is_none(), "object ids are never reused");
-        NodeIndex {
-            idx,
-            generation: self.entries[idx as usize].generation,
+        if self.id.len() <= v {
+            self.id.resize(v + 1, NO_OBJECT);
+            self.long.resize((v + 1) * k, self_link);
+            self.back_pos.resize((v + 1) * k, 0);
+            self.back.resize_with(v + 1, Vec::new);
+            self.dense_pos.resize(v + 1, 0);
+        }
+        debug_assert!(self.back[v].is_empty(), "a free vertex holds no back link");
+        self.id[v] = id;
+        self.long[v * k..(v + 1) * k].fill(self_link);
+        self.dense_pos[v] = self.order.len() as u32;
+        self.order.push(id);
+        let slot = usize::try_from(id.0).expect("object ids index memory");
+        if self.vertex.len() <= slot {
+            self.vertex.resize(slot + 1, NO_VERTEX);
+        }
+        self.vertex[slot] = v as VertexId;
+    }
+
+    /// Takes the object at `v` out of the dense order (swap-remove).  Its
+    /// columns stay readable until [`Objects::forget`].
+    pub(crate) fn unlist(&mut self, v: VertexId) {
+        let pos = self.dense_pos[v as usize] as usize;
+        self.order.swap_remove(pos);
+        if let Some(&moved) = self.order.get(pos) {
+            let moved = self
+                .vertex_of(moved)
+                .expect("dense order holds live objects");
+            self.dense_pos[moved as usize] = pos as u32;
         }
     }
 
-    /// Removes a node, returning its state.  The slot's generation is bumped
-    /// so outstanding [`NodeIndex`] handles go stale, and the dense order is
-    /// patched by swap-remove.
-    pub(crate) fn remove(&mut self, id: ObjectId) -> Option<NodeSlot> {
-        let idx = self.lookup.remove(&id)?;
-        let entry = &mut self.entries[idx as usize];
-        let slot = entry.node.take().expect("lookup entries are live");
-        entry.generation = entry.generation.wrapping_add(1);
-        self.free.push(idx);
-        let pos = slot.dense_pos as usize;
-        self.order.swap_remove(pos);
-        if pos < self.order.len() {
-            let moved = self.order[pos];
-            let moved_idx = self.lookup[&moved] as usize;
-            self.entries[moved_idx]
-                .node
-                .as_mut()
-                .expect("dense order only holds live nodes")
-                .dense_pos = pos as u32;
+    /// Frees vertex `v`, whose object departed.
+    pub(crate) fn forget(&mut self, v: VertexId) {
+        let id = std::mem::replace(&mut self.id[v as usize], NO_OBJECT);
+        self.vertex[id.0 as usize] = NO_VERTEX;
+    }
+
+    /// Appends `bl` to the list of the object at `at`, and records its
+    /// position with the link's source.
+    pub(crate) fn push_back(&mut self, at: VertexId, bl: BackLink) {
+        let list = &mut self.back[at as usize];
+        list.push(bl);
+        let pos = list.len() - 1;
+        self.place(&bl, pos);
+    }
+
+    /// Removes the back pointer of link `link` of the object at `v` from
+    /// the list of the object at `at`, its neighbour, in O(1): a
+    /// swap-remove at the recorded position, then the entry that moved
+    /// into the hole records its new position.  (That entry may be another
+    /// link of the same object.)
+    pub(crate) fn unregister(&mut self, v: VertexId, link: LinkIndex, at: VertexId) {
+        let pos = self.back_pos(v, link);
+        let gone = self.back[at as usize].swap_remove(pos);
+        debug_assert_eq!(
+            (self.vertex_of(gone.source), gone.link),
+            (Some(v), link),
+            "back position of link {link} at vertex {v} is stale"
+        );
+        if let Some(&moved) = self.back[at as usize].get(pos) {
+            self.place(&moved, pos);
         }
-        Some(slot)
+    }
+
+    /// Moves every back pointer at `v` for which `moves` holds to `taken`,
+    /// by swap-removes, then trims the list to its exact size (a list is
+    /// typically one link in the four slots its first push reserved; a
+    /// plain copy keeps the positions).
+    pub(crate) fn hand_over(
+        &mut self,
+        v: VertexId,
+        mut moves: impl FnMut(&BackLink) -> bool,
+        taken: &mut Vec<BackLink>,
+    ) {
+        let mut list = std::mem::take(&mut self.back[v as usize]);
+        let mut i = 0;
+        while i < list.len() {
+            if moves(&list[i]) {
+                taken.push(list.swap_remove(i));
+                if let Some(moved) = list.get(i) {
+                    self.place(moved, i);
+                }
+            } else {
+                i += 1;
+            }
+        }
+        if list.capacity() != list.len() {
+            list = list.to_vec();
+        }
+        self.back[v as usize] = list;
+    }
+
+    /// Takes the whole list of the object at `v`, which is departing.
+    pub(crate) fn take_back(&mut self, v: VertexId) -> Vec<BackLink> {
+        std::mem::take(&mut self.back[v as usize])
+    }
+
+    /// Moves every column to the new vertex ids of `map` (see
+    /// `Triangulation::renumber`).  Back positions index lists, not
+    /// vertices, so they move unchanged.
+    pub(crate) fn renumber(&mut self, map: &[VertexId]) {
+        let (n, k) = (map.len(), self.k);
+        self.id.resize(n, NO_OBJECT);
+        apply_renumbering(&mut self.id, map);
+        self.dense_pos.resize(n, 0);
+        apply_renumbering(&mut self.dense_pos, map);
+        // `k` entries per vertex: the map widened to one entry each.
+        let wide: Vec<VertexId> = map
+            .iter()
+            .flat_map(|&v| {
+                (0..k as VertexId).map(move |j| match v {
+                    NO_VERTEX => NO_VERTEX,
+                    v => v * k as VertexId + j,
+                })
+            })
+            .collect();
+        let filler = LongLink {
+            target: Point2::new(0.0, 0.0),
+            neighbour: NO_OBJECT,
+        };
+        self.long.resize(n * k, filler);
+        apply_renumbering(&mut self.long, &wide);
+        self.back_pos.resize(n * k, 0);
+        apply_renumbering(&mut self.back_pos, &wide);
+        drop(wide);
+        // The lists are not `Copy`: follow the permutation's cycles with
+        // swaps, so no list is copied.  Free vertices hold empty lists,
+        // which end up past the live ids and are dropped.
+        self.back.resize_with(n, Vec::new);
+        let mut dest = map.to_vec();
+        for i in 0..n {
+            loop {
+                let j = dest[i];
+                if j == NO_VERTEX || j as usize == i {
+                    break;
+                }
+                self.back.swap(i, j as usize);
+                dest.swap(i, j as usize);
+            }
+        }
+        self.back.truncate(self.id.len());
+        for &o in &self.order {
+            let v = &mut self.vertex[o.0 as usize];
+            *v = map[*v as usize];
+        }
     }
 }
 
@@ -340,22 +347,12 @@ struct Span {
     fan: u32,
 }
 
-/// The part of a routing row a rewrite replaces; the other part is kept.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Part {
-    /// The Voronoi fan, which only the tessellation changes.
-    Fan,
-    /// The close neighbours, then the long links, which only the object's
-    /// own slot changes.
-    Tail,
-}
-
 /// The live walk's routing rows, one per triangulation vertex, pooled in
 /// one `Vec` (see the [module docs](self)).
 ///
-/// A row is its fan followed by its tail, and a rewrite replaces one of the
-/// two: a departure re-knits its neighbours' fans without touching their
-/// links, so their rows are redrawn without one id lookup.  A row is
+/// A row is its fan followed by its tail, the close set then the long
+/// links.  A departure re-knits its neighbours' fans without touching
+/// their tails; a close pair or a long link patches one tail.  A row is
 /// rewritten in place when it fits its footprint.  One that outgrows it
 /// moves to the end of the pool with one slot of slack, and its old
 /// footprint turns dead.  When the pool is full and at least an eighth of
@@ -390,31 +387,35 @@ impl RoutingRows {
         self.of(v).split_at(self.span(v).fan as usize)
     }
 
-    /// Replaces `part` of the row of `v` with what `fill` appends to an
-    /// empty buffer.
-    pub(crate) fn rewrite(
+    /// Replaces the fan of the row of `v` with what `fill` appends to an
+    /// empty buffer; the tail is kept.
+    pub(crate) fn rewrite_fan(&mut self, v: VertexId, fill: impl FnOnce(&mut Vec<VertexId>)) {
+        let mut row = std::mem::take(&mut self.buf);
+        row.clear();
+        fill(&mut row);
+        let fan = row.len() as u32;
+        row.extend_from_slice(self.parts(v).1);
+        self.store(v as usize, &row, fan);
+        self.buf = row;
+    }
+
+    /// Replaces `remove` entries of the tail of `v`, from tail index `at`,
+    /// with `insert`; the fan is kept.
+    pub(crate) fn splice_tail(
         &mut self,
         v: VertexId,
-        part: Part,
-        fill: impl FnOnce(&mut Vec<VertexId>),
+        at: usize,
+        remove: usize,
+        insert: impl IntoIterator<Item = VertexId>,
     ) {
         let mut row = std::mem::take(&mut self.buf);
         row.clear();
         let (fan, tail) = self.parts(v);
-        let fan = match part {
-            Part::Fan => {
-                fill(&mut row);
-                let fan = row.len();
-                row.extend_from_slice(tail);
-                fan
-            }
-            Part::Tail => {
-                row.extend_from_slice(fan);
-                fill(&mut row);
-                fan.len()
-            }
-        };
-        self.store(v as usize, &row, fan as u32);
+        row.extend_from_slice(fan);
+        row.extend_from_slice(&tail[..at]);
+        row.extend(insert);
+        row.extend_from_slice(&tail[at + remove..]);
+        self.store(v as usize, &row, fan.len() as u32);
         self.buf = row;
     }
 
@@ -541,67 +542,59 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
-    use std::collections::HashSet;
-    use std::hash::BuildHasher;
 
-    fn slot(id: u64) -> NodeSlot {
-        NodeSlot::new(
-            ObjectId(id),
-            id as VertexId + 4,
-            Point2::new(id as f64 * 0.01, 0.5),
-        )
+    fn link_from(id: u64) -> BackLink {
+        BackLink {
+            source: ObjectId(id),
+            link: 0,
+            target: Point2::new(0.5, id as f64 * 0.01),
+        }
+    }
+
+    /// Object `i` at vertex `i + 4`, one link each.
+    fn objects(n: u64) -> Objects {
+        let mut objects = Objects::new(1);
+        for i in 0..n {
+            let p = Point2::new(i as f64 * 0.01, 0.5);
+            objects.add(ObjectId(i), i as VertexId + 4, p);
+        }
+        objects
+    }
+
+    fn remove(objects: &mut Objects, id: u64) {
+        let v = objects.vertex_of(ObjectId(id)).unwrap();
+        objects.unlist(v);
+        objects.forget(v);
     }
 
     #[test]
     fn insert_lookup_remove_roundtrip() {
-        let mut arena = NodeArena::new();
-        assert!(arena.is_empty());
-        let ia = arena.insert(slot(0));
-        let ib = arena.insert(slot(1));
-        assert_eq!(arena.len(), 2);
-        assert!(arena.contains(ObjectId(0)));
-        assert_eq!(arena.get(ObjectId(1)).unwrap().vertex(), 5);
-        assert_eq!(arena.get_at(ia).unwrap().id(), ObjectId(0));
-        assert_eq!(arena.index_of(ObjectId(1)), Some(ib));
-
-        let removed = arena.remove(ObjectId(0)).unwrap();
-        assert_eq!(removed.id(), ObjectId(0));
-        assert!(!arena.contains(ObjectId(0)));
-        assert!(arena.remove(ObjectId(0)).is_none());
-        assert_eq!(arena.len(), 1);
-    }
-
-    #[test]
-    fn stale_indices_never_alias_recycled_slots() {
-        let mut arena = NodeArena::new();
-        let ia = arena.insert(slot(0));
-        arena.remove(ObjectId(0)).unwrap();
-        assert!(arena.get_at(ia).is_none(), "index must die with its node");
-        // The freed slot is recycled by the next insertion...
-        let ib = arena.insert(slot(7));
-        assert_eq!(ib.slot(), ia.slot());
-        assert_ne!(ib.generation(), ia.generation());
-        // ...and the stale index still resolves to nothing.
-        assert!(arena.get_at(ia).is_none());
-        assert_eq!(arena.get_at(ib).unwrap().id(), ObjectId(7));
+        let mut objects = objects(2);
+        assert_eq!(objects.len(), 2);
+        assert_eq!(objects.vertex_of(ObjectId(1)), Some(5));
+        assert_eq!(objects.object_at(4), Some(ObjectId(0)));
+        assert_eq!(objects.object_at(0), None, "sentinels hold no object");
+        assert_eq!(objects.long(5)[0].neighbour, ObjectId(1));
+        remove(&mut objects, 0);
+        assert_eq!(objects.vertex_of(ObjectId(0)), None);
+        assert_eq!(objects.object_at(4), None);
+        assert_eq!(objects.vertex_of(ObjectId(99)), None);
+        assert_eq!(objects.vertex_of(ObjectId(u64::MAX)), None);
+        assert_eq!(objects.len(), 1);
     }
 
     #[test]
     fn dense_order_swap_removes_like_a_vec() {
-        let mut arena = NodeArena::new();
-        for i in 0..5 {
-            arena.insert(slot(i));
-        }
-        // Mirror of the expected order bookkeeping.
+        let mut objects = objects(5);
         let mut mirror: Vec<u64> = (0..5).collect();
         for &victim in &[1u64, 4, 0] {
             let pos = mirror.iter().position(|&x| x == victim).unwrap();
             mirror.swap_remove(pos);
-            arena.remove(ObjectId(victim)).unwrap();
-            let got: Vec<u64> = arena.ids().map(|o| o.0).collect();
+            remove(&mut objects, victim);
+            let got: Vec<u64> = objects.ids().map(|o| o.0).collect();
             assert_eq!(got, mirror);
             for (pos, &id) in mirror.iter().enumerate() {
-                assert_eq!(arena.id_at(pos), Some(ObjectId(id)));
+                assert_eq!(objects.id_at(pos), Some(ObjectId(id)));
             }
         }
     }
@@ -609,78 +602,98 @@ mod tests {
     #[test]
     fn lookups_survive_churn_far_past_the_live_population() {
         // Ids are never reused, so under churn the id range outgrows the
-        // population without bound; here it ends ≥ 64× wider.
+        // population without bound; here it ends ≥ 64× wider, while the
+        // vertices are recycled.
         const LIVE: u64 = 96;
-        let mut arena = NodeArena::new();
-        let mut next = 0u64;
-        while next < LIVE {
-            arena.insert(slot(next));
-            next += 1;
-        }
-        // Victims are drawn at random, so the survivors end up scattered
-        // over the id range rather than contiguous.
+        let mut objects = objects(LIVE);
+        let mut next = LIVE;
         let mut rng = StdRng::seed_from_u64(0xA4E7A);
         while next < LIVE * 64 + 1000 {
-            let victim = arena.id_at(rng.random_range(0..arena.len())).unwrap();
-            arena.remove(victim).unwrap();
-            arena.insert(slot(next));
+            let victim = objects.id_at(rng.random_range(0..objects.len())).unwrap();
+            let v = objects.vertex_of(victim).unwrap();
+            objects.unlist(v);
+            objects.forget(v);
+            objects.add(ObjectId(next), v, Point2::new(0.5, 0.5));
             next += 1;
         }
-        assert_eq!(arena.len() as u64, LIVE);
-        let live: Vec<ObjectId> = arena.ids().collect();
-        let span = live.iter().map(|id| id.0).max().unwrap() + 1;
-        assert!(span >= 64 * LIVE);
+        let live: Vec<ObjectId> = objects.ids().collect();
+        assert_eq!(live.len() as u64, LIVE);
+        assert!(live.iter().map(|id| id.0).max().unwrap() + 1 >= 64 * LIVE);
         for (pos, &id) in live.iter().enumerate() {
-            assert!(arena.contains(id));
-            assert_eq!(arena.get(id).unwrap().id(), id);
-            assert_eq!(arena.get(id).unwrap().dense_pos as usize, pos);
-            let index = arena.index_of(id).unwrap();
-            assert_eq!(arena.get_at(index).unwrap().id(), id);
+            let v = objects.vertex_of(id).unwrap();
+            assert_eq!(objects.object_at(v), Some(id));
+            assert_eq!(objects.dense_pos[v as usize] as usize, pos);
         }
         for raw in 0..next + 10 {
             let id = ObjectId(raw);
-            assert_eq!(arena.contains(id), live.contains(&id), "{id:?}");
-            assert_eq!(arena.get(id).is_some(), live.contains(&id), "{id:?}");
+            assert_eq!(
+                objects.vertex_of(id).is_some(),
+                live.contains(&id),
+                "{id:?}"
+            );
         }
     }
 
+    /// Both links of 40 objects registered at one hub, then unregistered
+    /// in random order: after each removal every other link's recorded
+    /// position still names that link's entry — including when the entry
+    /// that moved is the same object's other link.
     #[test]
-    fn id_hasher_spreads_dense_and_strided_ids() {
-        // The table reads two projections of a hash: the low bits select the
-        // bucket and the top seven bits tag the entry.  Both must take at
-        // least half of their possible values over the id sets the overlay
-        // produces — a fresh population (dense ids) and a churned one
-        // (survivors strided across a wide range) — so a bad multiplier or
-        // fold fails here rather than in a wall-clock gate.
-        fn hash(id: u64) -> u64 {
-            BuildHasherDefault::<IdHasher>::default().hash_one(ObjectId(id))
+    fn back_positions_follow_swap_removes() {
+        let mut objects = Objects::new(2);
+        for i in 0..40u64 {
+            objects.add(ObjectId(i), i as VertexId + 4, Point2::new(0.5, 0.5));
         }
-        let dense: Vec<u64> = (0..65_536).collect();
-        let mut id_sets = vec![("dense", dense)];
-        for stride in [2u64, 3, 64, 1000, 1 << 10, 1 << 16, 1 << 20] {
-            let ids = (0..65_536).map(|i| 1_000_000 + i * stride).collect();
-            id_sets.push(("strided", ids));
+        let hub = 4;
+        for i in 0..40u64 {
+            for link in 0..2 {
+                objects.push_back(
+                    hub,
+                    BackLink {
+                        link,
+                        ..link_from(i)
+                    },
+                );
+            }
         }
-        for (name, ids) in id_sets {
-            let low: HashSet<u64> = ids.iter().map(|&id| hash(id) & 0xFFFF).collect();
-            let top: HashSet<u64> = ids.iter().map(|&id| hash(id) >> 57).collect();
-            let step = ids[1] - ids[0];
-            assert!(low.len() >= 32_768, "{name} step {step}: {} low", low.len());
-            assert!(top.len() >= 64, "{name} step {step}: {} top", top.len());
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut linked: Vec<(VertexId, LinkIndex)> =
+            (4..44).flat_map(|v| [(v, 0), (v, 1)]).collect();
+        while !linked.is_empty() {
+            let (v, link) = linked.swap_remove(rng.random_range(0..linked.len()));
+            objects.unregister(v, link, hub);
+            assert_eq!(objects.back(hub).len(), linked.len());
+            for &(v, link) in &linked {
+                let bl = objects.back(hub)[objects.back_pos(v, link)];
+                assert_eq!((bl.source, bl.link), (objects.object(v), link));
+            }
         }
     }
 
+    /// A renumbering moves every column with its vertex and keeps each
+    /// list's order, so back positions stay valid.
     #[test]
-    fn iter_visits_every_live_slot_once() {
-        let mut arena = NodeArena::new();
-        for i in 0..10 {
-            arena.insert(slot(i));
+    fn renumbering_moves_every_column() {
+        let mut objects = objects(6);
+        objects.push_back(9, link_from(0));
+        objects.push_back(9, link_from(3));
+        objects.push_back(7, link_from(5));
+        remove(&mut objects, 2);
+        // Sentinels stay; vertex 6 (object 2) is free; the rest reverse.
+        let map = [0, 1, 2, 3, 8, 7, VertexId::MAX, 6, 5, 4];
+        objects.renumber(&map);
+        for id in [0u64, 1, 3, 4, 5] {
+            let v = objects.vertex_of(ObjectId(id)).unwrap();
+            assert_eq!(v, map[id as usize + 4]);
+            assert_eq!(objects.object(v), ObjectId(id));
+            assert_eq!(objects.long(v)[0].neighbour, ObjectId(id));
         }
-        for i in (0..10).step_by(2) {
-            arena.remove(ObjectId(i)).unwrap();
-        }
-        let mut seen: Vec<u64> = arena.iter().map(|s| s.id().0).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, vec![1, 3, 5, 7, 9]);
+        let sources: Vec<u64> = objects.back(map[9]).iter().map(|b| b.source.0).collect();
+        assert_eq!(sources, [0, 3]);
+        assert_eq!(objects.back(map[7]).len(), 1);
+        let three = objects.vertex_of(ObjectId(3)).unwrap();
+        assert_eq!(objects.back_pos(three, 0), 1);
+        let order: Vec<u64> = objects.ids().map(|o| o.0).collect();
+        assert_eq!(order, [0, 1, 5, 3, 4]);
     }
 }

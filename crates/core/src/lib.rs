@@ -32,7 +32,7 @@
 
 #![warn(missing_docs)]
 
-pub mod arena;
+mod arena;
 pub mod config;
 pub mod dynamic;
 pub mod error;
@@ -44,7 +44,6 @@ pub mod queries;
 pub mod runtime;
 pub mod snapshot;
 
-pub use arena::{NodeArena, NodeIndex, NodeSlot};
 pub use config::{DminRule, VoroNetConfig};
 pub use dynamic::{adapt_nmax, AdaptationPolicy, AdaptationReport, RefreshStrategy};
 pub use error::{ErrorKind, VoronetError};

@@ -1,5 +1,6 @@
 //! Object identifiers, per-object protocol state and view descriptions.
 
+use crate::arena::Objects;
 use serde::{Deserialize, Serialize};
 use voronet_geom::{Point2, Triangulation, VertexId};
 
@@ -48,27 +49,28 @@ pub struct BackLink {
 /// Borrowed, zero-copy view of an object's protocol state — the hot-path
 /// counterpart of [`ObjectView`].
 ///
-/// A `ViewRef` borrows straight out of the overlay's
-/// [`crate::arena::NodeArena`] and the shared tessellation: the close
-/// neighbours (an ascending slice), long links and back links are
-/// references into the node's slot, and the Voronoi neighbours are
-/// produced lazily by walking the Delaunay fan.  It is the object-level
-/// reading of the view — the Algorithm 5 loop, the range-query floods and
-/// the runtime's replicas iterate it without allocating.  Greedy routing
-/// ([`crate::VoroNet::route_to_point_in`]) does not: it reads the same
-/// neighbours from the overlay's vertex-keyed routing rows, which never
-/// walk the fan.  Build an owned [`ObjectView`] (via [`ViewRef::to_view`])
-/// only at a serialization or runtime-message boundary.
+/// A `ViewRef` borrows straight out of the overlay's stores, each of which
+/// holds its fact once: the long links and back links are slices of the
+/// object's columns (keyed by its triangulation vertex), the close
+/// neighbours are read from the close segment of its routing row, and the
+/// Voronoi neighbours are produced lazily by walking the Delaunay fan;
+/// vertices become object ids through the vertex → object column.  It is
+/// the object-level reading of the view — the Algorithm 5 loop, the
+/// range-query floods and the runtime's replicas iterate it without
+/// allocating.  Greedy routing ([`crate::VoroNet::route_to_point_in`])
+/// does not: it scans the routing rows as vertex ids and never walks the
+/// fan.  Build an owned [`ObjectView`] (via [`ViewRef::to_view`]) only at a
+/// serialization or runtime-message boundary.
 #[derive(Debug, Clone, Copy)]
 pub struct ViewRef<'a> {
     pub(crate) id: ObjectId,
-    pub(crate) coords: Point2,
     pub(crate) vertex: VertexId,
-    pub(crate) close: &'a [ObjectId],
+    /// The close neighbours' vertices, in ascending object-id order.
+    pub(crate) close: &'a [VertexId],
     pub(crate) long: &'a [LongLink],
     pub(crate) back_long: &'a [BackLink],
     pub(crate) tri: &'a Triangulation,
-    pub(crate) vertex_obj: &'a [Option<ObjectId>],
+    pub(crate) objects: &'a Objects,
 }
 
 impl<'a> ViewRef<'a> {
@@ -79,21 +81,22 @@ impl<'a> ViewRef<'a> {
 
     /// Its attribute coordinates.
     pub fn coords(&self) -> Point2 {
-        self.coords
+        self.tri.point(self.vertex)
     }
 
     /// Voronoi neighbours `vn(o)`, derived lazily from the shared
     /// tessellation (no allocation).
     pub fn voronoi_neighbours(&self) -> impl Iterator<Item = ObjectId> + 'a {
-        let vertex_obj = self.vertex_obj;
+        let objects = self.objects;
         self.tri
             .real_neighbors_iter(self.vertex)
-            .filter_map(move |v| vertex_obj.get(v as usize).copied().flatten())
+            .map(move |v| objects.object(v))
     }
 
-    /// Close neighbours `cn(o)`, ascending.
-    pub fn close_neighbours(&self) -> &'a [ObjectId] {
-        self.close
+    /// Close neighbours `cn(o)`, ascending (no allocation).
+    pub fn close_neighbours(&self) -> impl Iterator<Item = ObjectId> + 'a {
+        let objects = self.objects;
+        self.close.iter().map(move |&v| objects.object(v))
     }
 
     /// Long-range links `LRn(o)`.
@@ -112,7 +115,7 @@ impl<'a> ViewRef<'a> {
     /// deduplicated — greedy minimisation is insensitive to both.
     pub fn routing_neighbours(&self) -> impl Iterator<Item = ObjectId> + 'a {
         self.voronoi_neighbours()
-            .chain(self.close.iter().copied())
+            .chain(self.close_neighbours())
             .chain(self.long.iter().map(|l| l.neighbour))
     }
 
@@ -130,9 +133,9 @@ impl<'a> ViewRef<'a> {
     pub fn to_view(&self) -> ObjectView {
         ObjectView {
             id: self.id,
-            coords: self.coords,
+            coords: self.coords(),
             voronoi_neighbours: self.voronoi_neighbours().collect(),
-            close_neighbours: self.close.to_vec(),
+            close_neighbours: self.close_neighbours().collect(),
             long_links: self.long.to_vec(),
             back_long_links: self.back_long.to_vec(),
         }

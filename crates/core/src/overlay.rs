@@ -26,14 +26,13 @@
 //! at most a constant number of extra local steps at the end of a route — is
 //! folded into the plain greedy walk used here and documented in DESIGN.md.
 
-use crate::arena::{NodeArena, NodeSlot, Part, RoutingRows};
+use crate::arena::{Objects, RoutingRows};
 use crate::config::VoroNetConfig;
 use crate::error::{ErrorKind, VoronetError};
 use crate::object::{BackLink, LinkIndex, LongLink, ObjectId, ObjectView, ViewRef};
 use crate::snapshot::{ChangeLog, ChangeRecord, FrozenView, RouteScratch, TrafficDelta};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use voronet_geom::triangulation::SENTINEL_COUNT;
 use voronet_geom::{greedy_descent, InsertError, Point2, Triangulation, VertexId};
 use voronet_sim::{MessageKind, RouteStats, TrafficStats};
 use voronet_stats::IntHistogram;
@@ -78,16 +77,14 @@ pub struct LeaveReport {
 pub struct VoroNet {
     config: VoroNetConfig,
     tri: Triangulation,
-    /// All per-node protocol state, slab-allocated (see [`NodeArena`]).
-    arena: NodeArena,
-    vertex_obj: Vec<Option<ObjectId>>,
+    /// Per-object state in columns keyed by vertex (see [`Objects`]).
+    objects: Objects,
     /// Each object's greedy candidates, keyed by its vertex: what the live
-    /// walk reads (see [`VoroNet::route_to_point_in`]).
+    /// walk reads (see [`VoroNet::route_to_point_in`]), and the only store
+    /// of the close sets.
     rows: RoutingRows,
-    /// The objects whose rows a mutation rewrites, de-duplicated.  Kept
-    /// for its capacity: a fresh `Vec` per join left the heap holes that
-    /// cost ~100 B per object on a 50k power-law build.
-    stale: Vec<ObjectId>,
+    /// Buffers of a join or a departure, kept for their capacity.
+    work: WriteScratch,
     next_id: u64,
     rng: StdRng,
     traffic: TrafficStats,
@@ -112,16 +109,36 @@ pub struct VoroNet {
 /// factors of 9/8 keeps the total work at ~9 vertex moves per object.
 const RENUMBER_FRACTION: usize = 8;
 
+/// The working buffers of [`VoroNet::insert`] and [`VoroNet::remove`]:
+/// taken out for the call and put back empty, so they keep their capacity
+/// and a clone of the overlay copies nothing.
+#[derive(Debug, Clone, Default)]
+struct WriteScratch {
+    /// The joiner's or the departing object's Voronoi fan.
+    fan: Vec<VertexId>,
+    /// Close-set candidates of a join; the close set of a departure.
+    near: Vec<VertexId>,
+    /// Back links handed over to a joiner.
+    taken: Vec<BackLink>,
+}
+
+impl WriteScratch {
+    fn clear(&mut self) {
+        self.fan.clear();
+        self.near.clear();
+        self.taken.clear();
+    }
+}
+
 impl VoroNet {
     /// Creates an empty overlay.
     pub fn new(config: VoroNetConfig) -> Self {
         VoroNet {
             config,
             tri: Triangulation::new(config.domain),
-            arena: NodeArena::new(),
-            vertex_obj: Vec::new(),
+            objects: Objects::new(config.long_links),
             rows: RoutingRows::default(),
-            stale: Vec::new(),
+            work: WriteScratch::default(),
             next_id: 0,
             rng: StdRng::seed_from_u64(config.seed),
             traffic: TrafficStats::new(),
@@ -144,27 +161,27 @@ impl VoroNet {
 
     /// Number of live objects.
     pub fn len(&self) -> usize {
-        self.arena.len()
+        self.objects.len()
     }
 
     /// True when the overlay holds no object.
     pub fn is_empty(&self) -> bool {
-        self.arena.is_empty()
+        self.len() == 0
     }
 
     /// True when `id` is a live object.
     pub fn contains(&self, id: ObjectId) -> bool {
-        self.arena.contains(id)
+        self.objects.vertex_of(id).is_some()
     }
 
     /// Coordinates of a live object.
     pub fn coords(&self, id: ObjectId) -> Option<Point2> {
-        self.arena.get(id).map(|s| s.coords)
+        self.objects.vertex_of(id).map(|v| self.tri.point(v))
     }
 
     /// Iterator over live object ids (dense sampling order).
     pub fn ids(&self) -> impl Iterator<Item = ObjectId> + '_ {
-        self.arena.ids()
+        self.objects.ids()
     }
 
     /// The id the next successful insertion will be assigned.  Ids are
@@ -181,12 +198,7 @@ impl VoroNet {
     /// The order is deterministic for a given operation sequence but
     /// changes on removals (swap-remove).
     pub fn id_at(&self, idx: usize) -> Option<ObjectId> {
-        self.arena.id_at(idx)
-    }
-
-    /// Read access to the arena holding all per-node protocol state.
-    pub fn arena(&self) -> &NodeArena {
-        &self.arena
+        self.objects.id_at(idx)
     }
 
     /// Protocol messages sent by a live object since construction (or the
@@ -215,7 +227,7 @@ impl VoroNet {
 
     /// Triangulation vertex currently representing an object.
     pub fn vertex_of(&self, id: ObjectId) -> Option<VertexId> {
-        self.arena.get(id).map(|s| s.vertex)
+        self.objects.vertex_of(id)
     }
 
     /// Records a protocol message emitted by an extension built on top of
@@ -225,10 +237,10 @@ impl VoroNet {
     }
 
     /// Records a message sent by a live object.  (A departing object's last
-    /// messages, emitted after its arena slot is gone, go through
+    /// messages, emitted once it has left the dense order, go through
     /// [`TrafficStats::record`] directly.)
     fn note(&mut self, from: ObjectId, kind: MessageKind) {
-        debug_assert!(self.arena.contains(from), "note() requires a live sender");
+        debug_assert!(self.contains(from), "note() requires a live sender");
         self.traffic.record(from.0, kind);
     }
 
@@ -236,26 +248,20 @@ impl VoroNet {
     // Views
     // ------------------------------------------------------------------
 
-    fn object_of_vertex(&self, v: VertexId) -> Option<ObjectId> {
-        self.vertex_obj.get(v as usize).copied().flatten()
-    }
-
-    /// The live object represented by a triangulation vertex (`None` for
-    /// sentinels and recycled vertices).  The inverse of
-    /// [`VoroNet::vertex_of`]; used by [`FrozenView`] to flatten the
-    /// Voronoi adjacency.
-    pub fn object_at_vertex(&self, v: VertexId) -> Option<ObjectId> {
-        self.object_of_vertex(v)
-    }
-
-    fn state(&self, id: ObjectId) -> Result<&NodeSlot, VoronetError> {
-        self.arena.get(id).ok_or_else(|| VoronetError::unknown(id))
-    }
-
-    fn state_mut(&mut self, id: ObjectId) -> Result<&mut NodeSlot, VoronetError> {
-        self.arena
-            .get_mut(id)
+    /// The vertex of a live object, the one way an [`ObjectId`] from
+    /// outside enters the overlay.
+    fn vertex(&self, id: ObjectId) -> Result<VertexId, VoronetError> {
+        self.objects
+            .vertex_of(id)
             .ok_or_else(|| VoronetError::unknown(id))
+    }
+
+    /// The close set of the object at `v`, as vertices in ascending
+    /// object-id order: the segment of its row between the fan and the
+    /// long links.
+    fn close(&self, v: VertexId) -> &[VertexId] {
+        let tail = self.rows.parts(v).1;
+        &tail[..tail.len() - self.objects.row_link_count(v)]
     }
 
     /// Collects the Voronoi neighbours `vn(o)` into `out` (cleared first) —
@@ -278,27 +284,26 @@ impl VoroNet {
 
     /// Close neighbours `cn(o)` (objects within `d_min`).
     pub fn close_neighbours(&self, id: ObjectId) -> Result<Vec<ObjectId>, VoronetError> {
-        Ok(self.state(id)?.close.clone())
+        Ok(self.view_ref(id)?.close_neighbours().collect())
     }
 
-    /// Long-range links of an object, borrowed from its arena slot.
+    /// Long-range links of an object, borrowed from the link column.
     pub fn long_links(&self, id: ObjectId) -> Result<&[LongLink], VoronetError> {
-        Ok(&self.state(id)?.long)
+        Ok(self.objects.long(self.vertex(id)?))
     }
 
     /// Borrowed, zero-copy view of an object's state (Section 3.1) — the
     /// form every routing path consumes.
     pub fn view_ref(&self, id: ObjectId) -> Result<ViewRef<'_>, VoronetError> {
-        let st = self.state(id)?;
+        let vertex = self.vertex(id)?;
         Ok(ViewRef {
             id,
-            coords: st.coords,
-            vertex: st.vertex,
-            close: &st.close,
-            long: &st.long,
-            back_long: &st.back_long,
+            vertex,
+            close: self.close(vertex),
+            long: self.objects.long(vertex),
+            back_long: self.objects.back(vertex),
             tri: &self.tri,
-            vertex_obj: &self.vertex_obj,
+            objects: &self.objects,
         })
     }
 
@@ -314,15 +319,15 @@ impl VoroNet {
     pub fn owner_of(&self, p: Point2) -> Option<ObjectId> {
         self.tri
             .nearest_vertex(p)
-            .and_then(|v| self.object_of_vertex(v))
+            .and_then(|v| self.objects.object_at(v))
     }
 
     /// Histogram of Voronoi out-degrees `|vn(o)|` over all objects — the
     /// quantity plotted in Figure 5.
     pub fn degree_histogram(&self) -> IntHistogram {
         let mut h = IntHistogram::new();
-        for st in self.arena.iter() {
-            h.record(self.tri.real_degree(st.vertex) as u64);
+        for v in self.objects.vertices() {
+            h.record(self.tri.real_degree(v) as u64);
         }
         h
     }
@@ -331,7 +336,7 @@ impl VoroNet {
     /// memory claim of Section 4.1.
     pub fn view_size_histogram(&self) -> IntHistogram {
         let mut h = IntHistogram::new();
-        for id in self.arena.ids() {
+        for id in self.objects.ids() {
             if let Ok(v) = self.view_ref(id) {
                 h.record(v.size() as u64);
             }
@@ -349,32 +354,42 @@ impl VoroNet {
         let tri = &self.tri;
         for v in vertices {
             self.rows
-                .rewrite(v, Part::Fan, |row| row.extend(tri.real_neighbors_iter(v)));
+                .rewrite_fan(v, |row| row.extend(tri.real_neighbors_iter(v)));
         }
     }
 
-    /// Rewrites the tail part of the routing row of `id` from its slot (a
-    /// departed `id` is skipped); the fan is kept.
-    fn rewrite_tail(&mut self, id: ObjectId) {
-        let Some(slot) = self.arena.get(id) else {
-            return;
-        };
-        let arena = &self.arena;
+    /// Enters `u` into the close set of the object at `v`, at its place in
+    /// object-id order.
+    fn add_close(&mut self, v: VertexId, u: VertexId) {
+        let id = self.objects.object(u);
+        let at = self
+            .close(v)
+            .partition_point(|&w| self.objects.object(w) < id);
+        self.rows.splice_tail(v, at, 0, [u]);
+    }
+
+    /// Takes `u` out of the close set of the object at `v`.
+    fn remove_close(&mut self, v: VertexId, u: VertexId) {
+        let at = self
+            .close(v)
+            .iter()
+            .position(|&w| w == u)
+            .expect("close sets are symmetric");
+        self.rows.splice_tail(v, at, 1, []);
+    }
+
+    /// Points link `link` of the object at `v` at the object at `to`, and
+    /// patches the one row entry the link owns: a link back to the object
+    /// itself has none.
+    fn retarget(&mut self, v: VertexId, link: LinkIndex, to: VertexId) {
+        let me = self.objects.object(v);
+        let links = self.objects.long(v);
+        let before = links[..link].iter().filter(|l| l.neighbour != me).count();
+        let was_in_row = links[link].neighbour != me;
+        let at = self.close(v).len() + before;
         self.rows
-            .rewrite(slot.vertex, Part::Tail, |row| fill_tail(arena, slot, row));
-    }
-
-    /// [`VoroNet::rewrite_tail`] for each of `ids`, once.
-    fn rewrite_tails(&mut self, ids: impl IntoIterator<Item = ObjectId>) {
-        let mut stale = std::mem::take(&mut self.stale);
-        stale.clear();
-        stale.extend(ids);
-        stale.sort_unstable();
-        stale.dedup();
-        for &id in &stale {
-            self.rewrite_tail(id);
-        }
-        self.stale = stale;
+            .splice_tail(v, at, usize::from(was_in_row), (to != v).then_some(to));
+        self.objects.set_neighbour(v, link, self.objects.object(to));
     }
 
     // ------------------------------------------------------------------
@@ -399,8 +414,8 @@ impl VoroNet {
     /// neighbours, then its long links, as vertex ids — against the
     /// triangulation's point array.  A hop reads one row and a few points;
     /// nothing is hashed and no triangle is walked, and only the objects
-    /// the path and the accounting name are looked up in the vertex
-    /// table.  Joins and departures keep the rows current (see
+    /// the path and the accounting name are read from the vertex → object
+    /// column.  Joins and departures keep the rows current (see
     /// [`VoroNet::audit_invariants`]).
     pub fn route_to_point_in(
         &self,
@@ -410,7 +425,7 @@ impl VoroNet {
     ) -> Result<(ObjectId, u32), VoronetError> {
         let RouteScratch { path, delta, .. } = scratch;
         path.clear();
-        let start = self.state(from)?.vertex;
+        let start = self.vertex(from)?;
         path.push(from);
         // The object the walk is at: each hop's sender is the previous
         // hop's receiver, so a hop looks up one object, not two.
@@ -421,8 +436,7 @@ impl VoroNet {
             |v| self.rows.of(v).iter().map(|&u| (u, self.tri.point(u))),
             |_, next| {
                 delta.push(at, MessageKind::RouteForward);
-                at = self.vertex_obj[next as usize]
-                    .expect("routing rows name live objects' vertices");
+                at = self.objects.object(next);
                 path.push(at);
             },
         );
@@ -437,7 +451,7 @@ impl VoroNet {
         to: ObjectId,
         scratch: &mut RouteScratch,
     ) -> Result<(ObjectId, u32), VoronetError> {
-        let target = self.state(to)?.coords;
+        let target = self.tri.point(self.vertex(to)?);
         let (owner, hops) = self.route_to_point_in(from, target, scratch)?;
         debug_assert_eq!(
             owner, to,
@@ -544,7 +558,7 @@ impl VoroNet {
         from: ObjectId,
         to: ObjectId,
     ) -> Result<RouteReport, VoronetError> {
-        let target = self.state(to)?.coords;
+        let target = self.tri.point(self.vertex(to)?);
         let report = self.route_to_point(from, target)?;
         debug_assert_eq!(
             report.owner, to,
@@ -594,37 +608,39 @@ impl VoroNet {
         Point2::new(from.x + r * theta.cos(), from.y + r * theta.sin())
     }
 
-    /// Establishes long link `link` of object `id` towards `target`
-    /// (Algorithm 2, `SearchLongLink` / `EstablishLongLink`).  Returns the
-    /// number of routing hops spent.
+    /// Aims long link `link` of the object at `v` at `target` and
+    /// establishes it (Algorithm 2, `SearchLongLink` /
+    /// `EstablishLongLink`).  Returns the number of routing hops spent.
     fn establish_long_link(
         &mut self,
-        id: ObjectId,
+        v: VertexId,
         link: LinkIndex,
         target: Point2,
         scratch: &mut RouteScratch,
-    ) -> Result<u32, VoronetError> {
-        let (neighbour, hops) = self.route_counted(id, target, scratch)?;
-        self.arena.get_mut(id).expect("caller checked id").long[link] =
-            LongLink { target, neighbour };
+    ) -> u32 {
+        let id = self.objects.object(v);
+        self.objects.set_target(v, link, target);
+        let (neighbour, hops) = self
+            .route_counted(id, target, scratch)
+            .expect("the linking object is live");
+        let owner = self.vertex_of(neighbour).expect("route owner is live");
         // The next link's route starts here and scans this one.
-        self.rewrite_tail(id);
+        self.retarget(v, link, owner);
         // Register the back pointer even when the owner is the object itself:
         // a later join stealing the target's region must be able to find and
         // take over the link through the usual back-long-range handover.
-        self.arena
-            .get_mut(neighbour)
-            .expect("route owner is live")
-            .back_long
-            .push(BackLink {
+        self.objects.push_back(
+            owner,
+            BackLink {
                 source: id,
                 link,
                 target,
-            });
+            },
+        );
         // EstablishLongLink notification + back-link registration.
         self.note(id, MessageKind::LongLink);
         self.note(neighbour, MessageKind::LongLink);
-        Ok(hops)
+        hops
     }
 
     // ------------------------------------------------------------------
@@ -646,10 +662,10 @@ impl VoroNet {
     /// `None` when the overlay is empty (the first object needs no
     /// bootstrap).
     pub fn draw_bootstrap(&mut self) -> Option<ObjectId> {
-        if self.arena.is_empty() {
+        if self.is_empty() {
             None
         } else {
-            self.arena.id_at(self.rng.random_range(0..self.arena.len()))
+            self.objects.id_at(self.rng.random_range(0..self.len()))
         }
     }
 
@@ -693,9 +709,7 @@ impl VoroNet {
         let vertex = match inserted {
             Ok(v) => v,
             Err(InsertError::Duplicate(v)) => {
-                let existing = self
-                    .object_of_vertex(v)
-                    .expect("duplicate vertex belongs to a live object");
+                let existing = self.objects.object(v);
                 return Err(VoronetError::new(ErrorKind::DuplicatePosition(existing)));
             }
             Err(InsertError::OutsideDomain) => {
@@ -708,125 +722,81 @@ impl VoroNet {
         // Every id handed out so far indexes the sender table, so recording
         // a message from a live object never allocates.
         self.traffic.reserve_senders(self.next_id);
-        if self.vertex_obj.len() <= vertex as usize {
-            self.vertex_obj.resize(vertex as usize + 1, None);
-        }
-        self.vertex_obj[vertex as usize] = Some(id);
-        self.arena.insert(NodeSlot::new(id, vertex, p));
+        self.objects.add(id, vertex, p);
         let mut messages = routing_hops as u64;
+        let mut work = std::mem::take(&mut self.work);
 
-        let fan: Vec<VertexId> = self.tri.real_neighbors_iter(vertex).collect();
-        let vn: Vec<ObjectId> = fan
-            .iter()
-            .filter_map(|&v| self.object_of_vertex(v))
-            .collect();
-        // The owner sends every (old and new) neighbour its updated region.
-        for &n in &vn {
-            self.note(n, MessageKind::VoronoiUpdate);
-            messages += 1;
-        }
+        work.fan.extend(self.tri.real_neighbors_iter(vertex));
         // Change-log dirty set: every node whose routing adjacency this
         // join touches.  The Delaunay fan changes are confined to the new
         // vertex's Voronoi neighbours; close links and back-long handover
         // add the nodes collected below.
-        let mut dirty: Vec<ObjectId> = vn.clone();
-
-        // --- 3. close neighbours (Lemma 1) --------------------------------
-        let dmin = self.config.dmin();
-        let mut candidates: Vec<ObjectId> = vn.clone();
-        for &n in &vn {
-            candidates.extend(self.arena.get(n).expect("neighbour is live").close.iter());
-            // Each Voronoi neighbour reports its candidate list.
-            self.note(n, MessageKind::CloseNeighbourExchange);
+        let mut dirty: Vec<ObjectId> = work.fan.iter().map(|&u| self.objects.object(u)).collect();
+        // The owner sends every (old and new) neighbour its updated region.
+        for &n in &dirty {
+            self.note(n, MessageKind::VoronoiUpdate);
             messages += 1;
         }
-        candidates.sort_unstable();
-        candidates.dedup();
-        for cand in candidates {
-            if cand == id {
-                continue;
-            }
-            let d = self
-                .arena
-                .get(cand)
-                .expect("candidate is live")
-                .coords
-                .distance(p);
-            if d <= dmin {
-                self.arena
-                    .get_mut(cand)
-                    .expect("candidate is live")
-                    .add_close(id);
-                self.arena
-                    .get_mut(id)
-                    .expect("just inserted")
-                    .add_close(cand);
+
+        // --- 3. close neighbours (Lemma 1) --------------------------------
+        // Each Voronoi neighbour reports itself and its close set; every
+        // candidate within `d_min` and the joiner enter each other's close
+        // set, in ascending id order.
+        let dmin = self.config.dmin();
+        work.near.extend_from_slice(&work.fan);
+        for &u in &work.fan {
+            work.near.extend_from_slice(self.close(u));
+            self.note(self.objects.object(u), MessageKind::CloseNeighbourExchange);
+            messages += 1;
+        }
+        work.near.sort_unstable_by_key(|&u| self.objects.object(u));
+        work.near.dedup();
+        for &u in &work.near {
+            if self.tri.point(u).distance(p) <= dmin {
+                self.add_close(u, vertex);
+                self.add_close(vertex, u);
                 // p declares itself to its new close neighbour.
                 self.note(id, MessageKind::CloseNeighbourExchange);
                 messages += 1;
-                dirty.push(cand);
+                dirty.push(self.objects.object(u));
             }
         }
 
         // --- 4. back-long-range handover -----------------------------------
         // Every Voronoi neighbour u hands over the back links whose target is
         // now closer to p than to u (i.e. whose target p now owns).
-        let mut taken: Vec<BackLink> = Vec::new();
-        for &u in &vn {
-            let u_state = self.arena.get_mut(u).expect("neighbour is live");
-            let u_coords = u_state.coords;
-            // Rebuilt at its exact size rather than `retain`ed in place: a
-            // list is typically one link in the four slots its first push
-            // reserved, and this is where it is trimmed (~60 bytes per
-            // object; `shrink_to_fit` after a `retain` recovers only half,
-            // the shrunk blocks fragment the heap).
-            let mut kept = Vec::with_capacity(u_state.back_long.len());
-            for bl in u_state.back_long.drain(..) {
-                if bl.target.distance2(p) < bl.target.distance2(u_coords) {
-                    taken.push(bl);
-                } else {
-                    kept.push(bl);
-                }
-            }
-            u_state.back_long = kept;
+        for &u in &work.fan {
+            let pu = self.tri.point(u);
+            self.objects.hand_over(
+                u,
+                |bl| bl.target.distance2(p) < bl.target.distance2(pu),
+                &mut work.taken,
+            );
         }
-        for bl in taken {
+        for &bl in &work.taken {
             // Notify the link source of its new long-range neighbour.
-            if let Some(src) = self.arena.get_mut(bl.source) {
-                src.long[bl.link].neighbour = id;
-                dirty.push(bl.source);
-            }
-            self.arena
-                .get_mut(id)
-                .expect("just inserted")
-                .back_long
-                .push(bl);
+            let source = self
+                .objects
+                .vertex_of(bl.source)
+                .expect("back links name live sources");
+            self.retarget(source, bl.link, vertex);
+            dirty.push(bl.source);
+            self.objects.push_back(vertex, bl);
             self.note(id, MessageKind::LongLink);
             messages += 1;
         }
 
         // The long-link routes below start at the joiner and cross the fans
-        // it re-knit, so every row this join changed is rewritten first:
-        // the joiner's and its neighbours' fans, then the links of the
-        // joiner and of everyone `dirty` names past its neighbours.
-        self.rewrite_fans(fan.iter().copied().chain([vertex]));
-        self.rewrite_tails(dirty[vn.len()..].iter().copied().chain([id]));
+        // it re-knit, so those are redrawn first; the tails are patched.
+        self.rewrite_fans(work.fan.iter().copied().chain([vertex]));
+        work.clear();
+        self.work = work;
 
         // --- 5. long links (Algorithm 3 + Algorithm 2) ---------------------
         let mut long_link_hops = 0u32;
-        self.arena.get_mut(id).expect("just inserted").long = vec![
-            LongLink {
-                target: p,
-                neighbour: id,
-            };
-            self.config.long_links
-        ];
         for link in 0..self.config.long_links {
             let target = self.choose_long_link_target(p);
-            self.arena.get_mut(id).expect("just inserted").long[link].target = target;
-            let hops = self
-                .establish_long_link(id, link, target, scratch)
-                .expect("the just-inserted object is live");
+            let hops = self.establish_long_link(vertex, link, target, scratch);
             long_link_hops += hops;
             messages += hops as u64 + 2;
         }
@@ -852,9 +822,9 @@ impl VoroNet {
 
     /// Renumbers the triangulation's vertices along its Hilbert curve (see
     /// [`Triangulation::renumber`]) and moves the vertex-keyed state with
-    /// them: the vertex → object table, each slot's vertex and the routing
-    /// rows.  A greedy hop then reads rows and points stored next to the
-    /// previous hop's.
+    /// them: every object column and the routing rows.  A greedy hop then
+    /// reads rows and points stored next to the previous hop's, and a write
+    /// patches the state of neighbours stored next to each other.
     ///
     /// It changes no view, so it neither bumps the snapshot epoch nor
     /// journals anything: rows keep their scan order (fans start at the
@@ -862,14 +832,7 @@ impl VoroNet {
     /// route, report and message count is what it would have been.
     fn renumber(&mut self) {
         let map = self.tri.renumber();
-        let mut vertex_obj = std::mem::take(&mut self.vertex_obj);
-        vertex_obj.clear();
-        vertex_obj.resize(SENTINEL_COUNT as usize + self.tri.len(), None);
-        for slot in self.arena.iter_mut() {
-            slot.vertex = map[slot.vertex as usize];
-            vertex_obj[slot.vertex as usize] = Some(slot.id);
-        }
-        self.vertex_obj = vertex_obj;
+        self.objects.renumber(&map);
         self.rows.renumber(&map);
         self.joins_since_renumber = 0;
     }
@@ -881,62 +844,59 @@ impl VoroNet {
     /// Removes an object from the overlay, delegating its responsibilities
     /// to its Voronoi neighbours.
     pub fn remove(&mut self, id: ObjectId) -> Result<LeaveReport, VoronetError> {
-        let st = self
-            .arena
-            .remove(id)
-            .ok_or_else(|| VoronetError::unknown(id))?;
+        let v = self.vertex(id)?;
+        self.objects.unlist(v);
         let mut messages = 0u64;
+        let mut work = std::mem::take(&mut self.work);
 
         // Voronoi neighbours receive the recomputed boundaries.
-        let fan: Vec<VertexId> = self.tri.real_neighbors_iter(st.vertex).collect();
-        let vn: Vec<ObjectId> = fan
-            .iter()
-            .filter_map(|&v| self.object_of_vertex(v))
-            .filter(|&o| o != id)
-            .collect();
-        for _ in 0..vn.len() {
+        work.fan.extend(self.tri.real_neighbors_iter(v));
+        for _ in 0..work.fan.len() {
             self.traffic.record(id.0, MessageKind::VoronoiUpdate);
         }
-        messages += vn.len() as u64;
+        messages += work.fan.len() as u64;
         // Change-log dirty set: the Voronoi fan re-knits among vn, close
         // links drop on the close neighbours, and delegated long links
         // retarget at their sources (collected below).  Back-long-pointer
         // moves alone don't enter any adjacency row.
-        let mut dirty: Vec<ObjectId> = vn.clone();
-        dirty.extend(st.close.iter().copied());
+        work.near.extend_from_slice(self.close(v));
+        let mut dirty: Vec<ObjectId> = (work.fan.iter().chain(&work.near))
+            .map(|&u| self.objects.object(u))
+            .collect();
 
         // Close neighbours are told about the departure.
-        for &cn in &st.close {
-            if let Some(other) = self.arena.get_mut(cn) {
-                other.remove_close(id);
-                self.traffic.record(id.0, MessageKind::Departure);
-                messages += 1;
-            }
+        for &u in &work.near {
+            self.remove_close(u, v);
+            self.traffic.record(id.0, MessageKind::Departure);
+            messages += 1;
         }
 
-        // Forward long links: unregister our back pointers at their targets.
-        for (link, l) in st.long.iter().enumerate() {
-            if l.neighbour == id {
+        // Forward long links: unregister our back pointers at their targets,
+        // each in O(1) at the position the link recorded.
+        for link in 0..self.config.long_links {
+            let neighbour = self.objects.long(v)[link].neighbour;
+            if neighbour == id {
                 continue;
             }
-            if let Some(other) = self.arena.get_mut(l.neighbour) {
-                other
-                    .back_long
-                    .retain(|bl| !(bl.source == id && bl.link == link));
-                self.traffic.record(id.0, MessageKind::LongLink);
-                messages += 1;
-            }
+            let at = self
+                .objects
+                .vertex_of(neighbour)
+                .expect("long links name live objects");
+            self.objects.unregister(v, link, at);
+            self.traffic.record(id.0, MessageKind::LongLink);
+            messages += 1;
         }
 
         // Back-long-range delegation: each link whose target we owned is
         // handed to the Voronoi neighbour now owning the target (the
         // neighbour closest to the target point).
         let mut delegated = 0usize;
-        for bl in &st.back_long {
+        for bl in self.objects.take_back(v) {
             if bl.source == id {
                 continue;
             }
-            let new_owner = fan
+            let new_owner = work
+                .fan
                 .iter()
                 .copied()
                 .min_by(|&a, &b| {
@@ -944,33 +904,30 @@ impl VoroNet {
                     da.partial_cmp(&self.tri.point(b).distance2(bl.target))
                         .expect("distances are finite")
                 })
-                .and_then(|v| self.object_of_vertex(v))
-                .or_else(|| self.arena.ids().find(|&o| o != id));
+                .or_else(|| self.objects.ids().next().and_then(|o| self.vertex_of(o)));
             let Some(new_owner) = new_owner else { continue };
-            if let Some(src) = self.arena.get_mut(bl.source) {
-                src.long[bl.link].neighbour = new_owner;
-                dirty.push(bl.source);
-            }
-            self.arena
-                .get_mut(new_owner)
-                .expect("delegation target is live")
-                .back_long
-                .push(*bl);
+            let source = self
+                .objects
+                .vertex_of(bl.source)
+                .expect("back links name live sources");
+            self.retarget(source, bl.link, new_owner);
+            dirty.push(bl.source);
+            self.objects.push_back(new_owner, bl);
             delegated += 1;
             self.traffic.record(id.0, MessageKind::LongLink);
-            self.note(new_owner, MessageKind::LongLink);
+            self.note(self.objects.object(new_owner), MessageKind::LongLink);
             messages += 2;
         }
 
-        // Finally drop the Voronoi region and the vertex cross-reference
-        // (the arena removal above already patched the dense order).
+        // Finally drop the Voronoi region and free the vertex.
         self.tri
-            .remove(st.vertex)
+            .remove(v)
             .expect("object vertices are always removable");
-        self.vertex_obj[st.vertex as usize] = None;
-        self.rows.clear(st.vertex);
-        self.rewrite_fans(fan);
-        self.rewrite_tails(dirty[vn.len()..].iter().copied());
+        self.rows.clear(v);
+        self.objects.forget(v);
+        self.rewrite_fans(work.fan.iter().copied());
+        work.clear();
+        self.work = work;
 
         self.log_change(ChangeRecord::Remove { id, dirty });
 
@@ -1003,30 +960,29 @@ impl VoroNet {
     /// them leaves exactly the pairs within the new radius.
     pub fn prune_close_neighbours(&mut self) -> usize {
         let dmin = self.config.dmin();
-        let mut to_drop: Vec<(ObjectId, ObjectId)> = Vec::new();
-        for st in self.arena.iter() {
-            let id = st.id;
-            for &cn in &st.close {
-                if cn > id {
-                    let other = self.arena.get(cn).expect("close neighbours are live");
-                    if st.coords.distance(other.coords) > dmin {
-                        to_drop.push((id, cn));
-                    }
+        let mut to_drop: Vec<(VertexId, VertexId)> = Vec::new();
+        for a in self.objects.ids() {
+            let va = self
+                .vertex_of(a)
+                .expect("the dense order holds live objects");
+            for &vb in self.close(va) {
+                if self.objects.object(vb) > a
+                    && self.tri.point(va).distance(self.tri.point(vb)) > dmin
+                {
+                    to_drop.push((va, vb));
                 }
             }
         }
-        for &(a, b) in &to_drop {
-            if let Some(sa) = self.arena.get_mut(a) {
-                sa.remove_close(b);
-            }
-            if let Some(sb) = self.arena.get_mut(b) {
-                sb.remove_close(a);
-            }
-            self.note(a, MessageKind::CloseNeighbourExchange);
+        for &(va, vb) in &to_drop {
+            self.remove_close(va, vb);
+            self.remove_close(vb, va);
+            self.note(self.objects.object(va), MessageKind::CloseNeighbourExchange);
         }
         if !to_drop.is_empty() {
-            let dirty: Vec<ObjectId> = to_drop.iter().flat_map(|&(a, b)| [a, b]).collect();
-            self.rewrite_tails(dirty.iter().copied());
+            let dirty: Vec<ObjectId> = (to_drop.iter())
+                .flat_map(|&(va, vb)| [va, vb])
+                .map(|v| self.objects.object(v))
+                .collect();
             self.log_change(ChangeRecord::Mutate { dirty });
         }
         to_drop.len()
@@ -1037,24 +993,28 @@ impl VoroNet {
     /// returning the routing hops spent.  Used when `N_max` is re-estimated
     /// (the paper's dynamic-provisioning perspective).
     pub fn refresh_long_links(&mut self, id: ObjectId) -> Result<u32, VoronetError> {
-        let old_links = self.state(id)?.long.clone();
-        // Unregister the existing back pointers.
-        for (link, l) in old_links.iter().enumerate() {
-            if let Some(other) = self.arena.get_mut(l.neighbour) {
-                other
-                    .back_long
-                    .retain(|bl| !(bl.source == id && bl.link == link));
-            }
+        let v = self.vertex(id)?;
+        // Unregister the existing back pointers.  The links themselves stay
+        // in the row until each is re-established, so the routes below scan
+        // the links not yet redrawn.
+        for link in 0..self.config.long_links {
+            let neighbour = self.objects.long(v)[link].neighbour;
+            let at = self
+                .objects
+                .vertex_of(neighbour)
+                .expect("long links name live objects");
+            self.objects.unregister(v, link, at);
             self.note(id, MessageKind::LongLink);
         }
-        let origin = self.state(id)?.coords;
-        let mut hops = 0;
-        let mut scratch = RouteScratch::new();
-        for link in 0..old_links.len() {
-            let target = self.choose_long_link_target(origin);
-            self.state_mut(id)?.long[link].target = target;
-            hops += self.establish_long_link(id, link, target, &mut scratch)?;
-        }
+        let origin = self.tri.point(v);
+        let hops = self.with_scratch(|net, scratch| {
+            (0..net.config.long_links)
+                .map(|link| {
+                    let target = net.choose_long_link_target(origin);
+                    net.establish_long_link(v, link, target, scratch)
+                })
+                .sum()
+        });
         // Only `id`'s own long links (part of its adjacency row) changed;
         // the back-pointer moves at old/new targets are not row state.
         self.log_change(ChangeRecord::Mutate { dirty: vec![id] });
@@ -1068,14 +1028,15 @@ impl VoroNet {
     /// Verifies the structural invariants of the overlay:
     ///
     /// * object/vertex cross-references are consistent;
-    /// * the close-neighbour relation is symmetric and contains exactly the
-    ///   pairs at distance ≤ `d_min` (checked exhaustively when
-    ///   `exhaustive` is set — O(n²));
-    /// * every long-range link points to the object owning its target;
-    /// * back-long-range pointers mirror the forward links exactly;
     /// * every object's routing row equals, order included, the row rebuilt
-    ///   from the tessellation, its close set and its long links, and no
-    ///   vertex without an object has a row.
+    ///   from the tessellation, the close set recomputed from the points
+    ///   (the objects within `d_min`, ascending ids — found on a grid, or
+    ///   against every object when `exhaustive` is set, O(n²)) and its long
+    ///   links, and no vertex without an object has a row;
+    /// * every long-range link points to the object owning its target, and
+    ///   its recorded back position holds its back pointer;
+    /// * every back-long-range pointer mirrors a forward link recording
+    ///   its position.
     ///
     /// Violations are reported as [`VoronetError`] with kind
     /// [`crate::ErrorKind::InvariantViolation`]; the diagnostic is in the
@@ -1096,100 +1057,70 @@ impl VoroNet {
 
     fn check_invariants_impl(&self, exhaustive: bool) -> Result<InvariantAudit, String> {
         let mut audit = InvariantAudit::default();
+        let dmin = self.config.dmin();
+        // One cell holding every object makes the referee exhaustive.
+        let side = if exhaustive { f64::INFINITY } else { dmin };
+        let grid = CloseGrid::new(&self.tri, self.objects.vertices(), side);
         let (mut fan, mut tail) = (Vec::new(), Vec::new());
-        for st in self.arena.iter() {
-            let id = st.id;
+        for id in self.objects.ids() {
             audit.nodes += 1;
-            match self.object_of_vertex(st.vertex) {
-                Some(o) if o == id => {}
-                other => {
-                    return Err(format!(
-                        "vertex map for {id} is inconsistent (found {other:?})"
-                    ))
-                }
-            }
-            if st.long.len() != self.config.long_links {
-                return Err(format!(
-                    "{id} has {} long links, expected {}",
-                    st.long.len(),
-                    self.config.long_links
-                ));
-            }
-            if !st.close.is_sorted_by(|a, b| a < b) {
-                return Err(format!("close set of {id} is not strictly ascending"));
-            }
-            for cn in &st.close {
-                audit.close_links += 1;
-                let other = self
-                    .arena
-                    .get(*cn)
-                    .ok_or_else(|| format!("{id} has dead close neighbour {cn}"))?;
-                if !other.is_close(id) {
-                    return Err(format!("close relation {id} ↔ {cn} is not symmetric"));
-                }
-                if st.coords.distance(other.coords) > self.config.dmin() + 1e-12 {
-                    return Err(format!("close neighbour {cn} of {id} is beyond d_min"));
-                }
-            }
-            for (link, l) in st.long.iter().enumerate() {
+            let v = self
+                .objects
+                .vertex_of(id)
+                .filter(|&v| self.objects.object_at(v) == Some(id));
+            let v = v.ok_or_else(|| format!("vertex map for {id} is inconsistent"))?;
+            for (link, l) in self.objects.long(v).iter().enumerate() {
                 audit.long_links += 1;
-                if !self.arena.contains(l.neighbour) {
-                    return Err(format!("{id} long link {link} points to a dead object"));
-                }
+                let at = self
+                    .objects
+                    .vertex_of(l.neighbour)
+                    .ok_or_else(|| format!("{id} long link {link} points to a dead object"))?;
                 let owner = self
-                    .owner_of(l.target)
+                    .tri
+                    .nearest_vertex(l.target)
                     .ok_or_else(|| "owner query on a non-empty overlay failed".to_string())?;
-                let d_owner = self
-                    .arena
-                    .get(owner)
-                    .expect("owner is live")
-                    .coords
-                    .distance2(l.target);
-                let d_link = self
-                    .arena
-                    .get(l.neighbour)
-                    .expect("checked live above")
-                    .coords
-                    .distance2(l.target);
-                if d_link > d_owner + 1e-12 {
+                let d_owner = self.tri.point(owner).distance2(l.target);
+                if self.tri.point(at).distance2(l.target) > d_owner + 1e-12 {
                     return Err(format!(
                         "{id} long link {link} points to {} but {} owns the target",
-                        l.neighbour, owner
+                        l.neighbour,
+                        self.objects.object(owner)
                     ));
                 }
-                if l.neighbour != id {
-                    let mirrored = self
-                        .arena
-                        .get(l.neighbour)
-                        .expect("checked live above")
-                        .back_long
-                        .iter()
-                        .any(|bl| bl.source == id && bl.link == link);
-                    if !mirrored {
+                let pos = self.objects.back_pos(v, link);
+                match self.objects.back(at).get(pos) {
+                    Some(bl) if bl.source == id && bl.link == link => {}
+                    _ => {
                         return Err(format!(
-                            "{id} long link {link} has no back pointer at {}",
-                            l.neighbour
-                        ));
+                            "{id} long link {link} has no back pointer at {pos}"
+                        ))
                     }
                 }
             }
-            for bl in &st.back_long {
+            for (pos, bl) in self.objects.back(v).iter().enumerate() {
                 audit.back_links += 1;
-                let src = self.arena.get(bl.source).ok_or_else(|| {
-                    format!("{id} has a back link from dead object {}", bl.source)
-                })?;
-                if src.long[bl.link].neighbour != id {
+                let mirrored = self.objects.vertex_of(bl.source).is_some_and(|source| {
+                    self.objects.long(source)[bl.link].neighbour == id
+                        && self.objects.back_pos(source, bl.link) == pos
+                });
+                if !mirrored {
                     return Err(format!(
-                        "back link at {id} does not match forward link of {}",
-                        bl.source
+                        "back link {pos} at {id} does not mirror link {} of {}",
+                        bl.link, bl.source
                     ));
                 }
             }
+            // The row against its rebuild: the fan from the tessellation,
+            // the close set recomputed from the points, the link column.
             fan.clear();
-            fan.extend(self.tri.real_neighbors_iter(st.vertex));
+            fan.extend(self.tri.real_neighbors_iter(v));
             tail.clear();
-            fill_tail(&self.arena, st, &mut tail);
-            let stored = self.rows.parts(st.vertex);
+            let tested = grid.close_to(&self.tri, v, dmin, &mut tail);
+            audit.pairs += if exhaustive { tested } else { 0 };
+            audit.close_links += tail.len();
+            tail.sort_unstable_by_key(|&u| self.objects.object(u));
+            tail.extend(self.objects.row_links(v));
+            let stored = self.rows.parts(v);
             if stored != (&fan[..], &tail[..]) {
                 return Err(format!(
                     "routing row of {id} is stale: {stored:?}, rebuilt {:?}",
@@ -1198,48 +1129,70 @@ impl VoroNet {
             }
             audit.rows += 1;
         }
+        if self.objects.vertices().count() != audit.nodes {
+            return Err("the vertex → object column names departed objects".to_string());
+        }
         if let Some(v) = self
             .rows
             .non_empty()
-            .find(|&v| self.object_of_vertex(v).is_none())
+            .find(|&v| self.objects.object_at(v).is_none())
         {
             return Err(format!("vertex {v} holds no object but has a routing row"));
-        }
-        if exhaustive {
-            let all: Vec<&NodeSlot> = self.arena.iter().collect();
-            for i in 0..all.len() {
-                for j in (i + 1)..all.len() {
-                    let (a, sa) = (all[i].id, all[i]);
-                    let (b, sb) = (all[j].id, all[j]);
-                    let within = sa.coords.distance(sb.coords) <= self.config.dmin();
-                    let recorded = sa.is_close(b);
-                    audit.pairs += 1;
-                    if within != recorded {
-                        return Err(format!(
-                            "close-neighbour set wrong for pair {a}/{b}: within={within}, recorded={recorded}"
-                        ));
-                    }
-                }
-            }
         }
         Ok(audit)
     }
 }
 
-/// Appends the tail of `slot`'s routing row to `row`, as vertex ids in the
-/// live walk's scan order: the close neighbours (ascending ids), then the
-/// long links, skipping those that point back at the object itself.  The
-/// row's head is the Voronoi fan, as [`Triangulation::real_neighbors_iter`]
-/// yields it.
-fn fill_tail(arena: &NodeArena, slot: &NodeSlot, row: &mut Vec<VertexId>) {
-    let vertex = |n: ObjectId| arena.get(n).expect("routing neighbours are live").vertex;
-    row.extend(slot.close.iter().map(|&n| vertex(n)));
-    row.extend(
-        slot.long
-            .iter()
-            .filter(|l| l.neighbour != slot.id)
-            .map(|l| vertex(l.neighbour)),
-    );
+/// The audit's referee for close sets: every object's vertex bucketed by
+/// the grid cell holding its point, cells of side `d_min`, so the objects
+/// within `d_min` of a point lie in its cell and the eight around it.
+/// Built from the points alone, it recomputes each close set in
+/// O(|cn| + log n) without reading the rows it checks.
+struct CloseGrid {
+    side: f64,
+    /// `(cell, vertex)`, sorted: a column of three cells is one run.
+    cells: Vec<((i64, i64), VertexId)>,
+}
+
+impl CloseGrid {
+    fn new(tri: &Triangulation, vertices: impl Iterator<Item = VertexId>, side: f64) -> Self {
+        // A hair wider than `d_min`, so rounding never puts two points
+        // within `d_min` of each other two cells apart.
+        let mut grid = CloseGrid {
+            side: side * (1.0 + 1e-6),
+            cells: Vec::new(),
+        };
+        grid.cells = vertices.map(|v| (grid.cell(tri.point(v)), v)).collect();
+        grid.cells.sort_unstable();
+        grid
+    }
+
+    fn cell(&self, p: Point2) -> (i64, i64) {
+        let at = |c: f64| (c / self.side).floor() as i64;
+        (at(p.x), at(p.y))
+    }
+
+    /// Appends every vertex other than `v` whose point lies within `dmin`
+    /// of `v`'s, in no particular order; returns how many it tested.
+    fn close_to(
+        &self,
+        tri: &Triangulation,
+        v: VertexId,
+        dmin: f64,
+        out: &mut Vec<VertexId>,
+    ) -> usize {
+        let p = tri.point(v);
+        let (cx, cy) = self.cell(p);
+        let mut tested = 0;
+        for x in cx - 1..=cx + 1 {
+            let lo = self.cells.partition_point(|&(c, _)| c < (x, cy - 1));
+            let hi = self.cells.partition_point(|&(c, _)| c <= (x, cy + 1));
+            tested += hi - lo;
+            let near = self.cells[lo..hi].iter().map(|&(_, u)| u);
+            out.extend(near.filter(|&u| u != v && tri.point(u).distance(p) <= dmin));
+        }
+        tested
+    }
 }
 
 /// How much work an invariant audit performed (see
@@ -1250,17 +1203,18 @@ fn fill_tail(arena: &NodeArena, slot: &NodeSlot, row: &mut Vec<VertexId>) {
 pub struct InvariantAudit {
     /// Live nodes visited (vertex map + view-size checks).
     pub nodes: usize,
-    /// Close-neighbour links verified (symmetry + `d_min` distance).
+    /// Close-neighbour links recomputed from the points and found in the
+    /// rows.
     pub close_links: usize,
     /// Long-range links verified (liveness, target ownership, back
     /// pointer).
     pub long_links: usize,
     /// Back-long-range pointers verified against their forward link.
     pub back_links: usize,
-    /// Routing rows rebuilt from the tessellation, the close set and the
+    /// Routing rows rebuilt from the tessellation, the points and the
     /// long links and found equal, order included, to the stored row.
     pub rows: usize,
-    /// Object pairs tested by the exhaustive O(n²) close-set
+    /// Ordered object pairs tested by the exhaustive O(n²) close-set
     /// reconstruction (0 when `exhaustive` was not requested).
     pub pairs: usize,
 }
@@ -1268,7 +1222,7 @@ pub struct InvariantAudit {
 impl std::fmt::Debug for VoroNet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("VoroNet")
-            .field("objects", &self.arena.len())
+            .field("objects", &self.len())
             .field("nmax", &self.config.nmax)
             .field("long_links", &self.config.long_links)
             .finish()
@@ -1427,9 +1381,12 @@ mod tests {
     }
 
     /// The paper-scale gate (CI's net smoke step runs it): after a 50 000
-    /// object `PowerLaw{5}` build and 20 000 joins and departures, every
-    /// routing row equals its rebuild, and on 2 000 pairs the live walk
-    /// takes the frozen walk's path hop for hop.
+    /// object `PowerLaw{5}` build, one hull object holds thousands of back
+    /// links (`Choose-LRT` aims about half of all links outside the unit
+    /// square); after 20 000 joins and departures every routing row equals
+    /// its rebuild, every long link still has exactly one back pointer, and
+    /// on 2 000 pairs the live walk takes the frozen walk's path hop for
+    /// hop.
     #[test]
     #[ignore = "release-size: cargo test --release -p voronet-core -- --ignored rows_hold_at_paper_scale"]
     fn rows_hold_at_paper_scale() {
@@ -1440,6 +1397,12 @@ mod tests {
         while live.len() < n {
             live.extend(net.insert(points.next_point()).map(|r| r.id));
         }
+        let hub = (net.objects.vertices())
+            .map(|v| net.objects.back(v).len())
+            .max()
+            .unwrap();
+        println!("largest back-link list after the build: {hub} links");
+        assert!(hub >= 5_000, "largest back-link list {hub}");
         let mut rng = StdRng::seed_from_u64(11);
         for _ in 0..20_000 {
             if rng.random::<bool>() {
@@ -1451,6 +1414,12 @@ mod tests {
         }
         let audit = net.audit_invariants(false).unwrap();
         assert_eq!((audit.nodes, audit.rows), (net.len(), net.len()));
+        assert_eq!(audit.long_links, net.len() * net.config().long_links);
+        assert_eq!(audit.back_links, audit.long_links);
+        println!(
+            "{} back links for {} live long links after the churn",
+            audit.back_links, audit.long_links
+        );
 
         let view = net.freeze();
         let (mut walked, mut frozen) = (RouteScratch::new(), RouteScratch::new());
@@ -1471,16 +1440,8 @@ mod tests {
     /// routing row, `v` the object's own vertex: how far apart in memory a
     /// Voronoi hop's two rows sit.
     fn median_fan_gap(net: &VoroNet) -> u32 {
-        let mut gaps: Vec<u32> = net
-            .arena
-            .iter()
-            .flat_map(|s| {
-                net.rows
-                    .parts(s.vertex)
-                    .0
-                    .iter()
-                    .map(|&u| u.abs_diff(s.vertex))
-            })
+        let mut gaps: Vec<u32> = (net.objects.vertices())
+            .flat_map(|v| net.rows.parts(v).0.iter().map(move |&u| u.abs_diff(v)))
             .collect();
         let mid = gaps.len() / 2;
         *gaps.select_nth_unstable(mid).1

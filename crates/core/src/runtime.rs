@@ -12,9 +12,9 @@
 //!
 //! ## What is distributed and what is shared
 //!
-//! The authoritative per-node state lives once, in the
-//! [`crate::arena::NodeArena`] shared with the synchronous overlay; replicas
-//! read through it only at *refresh boundaries* (spawn and
+//! The authoritative per-node state lives once, in the vertex-keyed
+//! columns and routing rows of the [`crate::VoroNet`] shared with the
+//! synchronous overlay; replicas read through it only at *refresh boundaries* (spawn and
 //! [`ProtocolMsg::NeighborUpdate`] delivery), where the borrowed
 //! [`crate::ViewRef`] is materialised into the owned [`ObjectView`] snapshot
 //! that a real deployment would have received in the message body.  Routing
@@ -200,7 +200,7 @@ pub enum RoutingMode {
 }
 
 /// Per-node replica state: what this object knows locally — the snapshot it
-/// captured from the shared arena the last time a refresh reached it.
+/// captured from the shared overlay the last time a refresh reached it.
 #[derive(Debug, Clone)]
 struct NodeState {
     /// Owned view snapshot (the `NeighborUpdate` message payload).
@@ -935,7 +935,7 @@ impl AsyncOverlay {
         affected.into_iter().collect()
     }
 
-    /// Reads through the shared arena at a refresh boundary: materialises
+    /// Reads through the shared overlay at a refresh boundary: materialises
     /// the borrowed [`crate::ViewRef`] of `id` into the owned snapshot a
     /// `NeighborUpdate` message carries, and flattens its routing
     /// neighbours (with their immutable coordinates) into the replica's

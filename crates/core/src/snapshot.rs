@@ -47,9 +47,8 @@
 //! [`voronet_geom::greedy_next`], so owners, hop counts, paths and
 //! recorded messages are bit-identical.
 
-use crate::arena::NodeSlot;
 use crate::error::VoronetError;
-use crate::object::ObjectId;
+use crate::object::{ObjectId, ViewRef};
 use crate::overlay::VoroNet;
 use std::collections::VecDeque;
 use voronet_geom::{greedy_descent, Point2};
@@ -307,15 +306,15 @@ impl FrozenView {
     /// brings it forward after overlay mutations.
     pub fn new(net: &VoroNet) -> Self {
         let n = net.len();
-        let arena = net.arena();
+        let view = |id| net.view_ref(id).expect("dense order holds live nodes");
         let mut ids = Vec::with_capacity(n);
         let mut xs = Vec::with_capacity(n);
         let mut ys = Vec::with_capacity(n);
         for id in net.ids() {
-            let slot = arena.get(id).expect("dense order holds live nodes");
+            let p = view(id).coords();
             ids.push(id);
-            xs.push(slot.coords().x);
-            ys.push(slot.coords().y);
+            xs.push(p.x);
+            ys.push(p.y);
         }
         let id_to_dense = IdIndex::build(&ids);
 
@@ -323,9 +322,8 @@ impl FrozenView {
         let mut adj_len = Vec::with_capacity(n);
         let mut adj = Vec::new();
         for &id in &ids {
-            let slot = arena.get(id).expect("dense order holds live nodes");
             let start = adj.len();
-            push_row(net, slot, &id_to_dense, &mut adj);
+            push_row(view(id), &id_to_dense, &mut adj);
             adj_start.push(start as u32);
             adj_len.push((adj.len() - start) as u32);
         }
@@ -352,7 +350,7 @@ impl FrozenView {
     /// When the overlay's [`ChangeLog`] still covers this view's epoch
     /// and the dirtied neighbourhoods are small against the population,
     /// the view is *patched*: membership changes are replayed onto the
-    /// SoA arrays (swap-remove, exactly like the arena's dense order) and
+    /// SoA arrays (swap-remove, exactly like the overlay's dense order) and
     /// only the adjacency rows of dirtied nodes are rebuilt, in
     /// O(affected neighbourhoods).  Otherwise the view is rebuilt from
     /// scratch.  Either way the result is bit-identical to
@@ -385,7 +383,7 @@ impl FrozenView {
             .expect("coverage checked above");
 
         // Pass 1: replay membership changes in log order.  Removes mirror
-        // the arena's swap-remove, so dense order tracks the live scan
+        // the overlay's swap-remove, so dense order tracks the live scan
         // order exactly; nodes swapped into a freed slot are remembered,
         // because every row that referenced their old dense index must be
         // rewritten even if the log never dirtied it.
@@ -432,20 +430,14 @@ impl FrozenView {
         // Pass 2: a swapped node's dense index changed, so every row that
         // scans it — its Voronoi fan, close neighbours, and the sources
         // of its back-long pointers (the mirror of long links *to* it) —
-        // is stale.  All of that is local state on the moved node's slot.
-        let arena = net.arena();
-        let tri = net.triangulation();
+        // is stale.  All of that is in the moved node's own view.
         for id in moved {
             // The node may itself have been removed by a later record.
-            let Some(slot) = arena.get(id) else { continue };
+            let Ok(view) = net.view_ref(id) else { continue };
             dirty.insert(id);
-            for v in tri.real_neighbors_iter(slot.vertex()) {
-                if let Some(o) = net.object_at_vertex(v) {
-                    dirty.insert(o);
-                }
-            }
-            dirty.extend(slot.close());
-            for bl in slot.back_long() {
+            dirty.extend(view.voronoi_neighbours());
+            dirty.extend(view.close_neighbours());
+            for bl in view.back_long_links() {
                 dirty.insert(bl.source);
             }
         }
@@ -463,9 +455,9 @@ impl FrozenView {
             let Some(dense) = self.id_to_dense.get(id) else {
                 continue;
             };
-            let slot = arena.get(id).expect("view membership matches the net");
+            let view = net.view_ref(id).expect("view membership matches the net");
             row.clear();
-            push_row(net, slot, &self.id_to_dense, &mut row);
+            push_row(view, &self.id_to_dense, &mut row);
             self.replace_row(dense as usize, &row);
             patched += 1;
         }
@@ -473,10 +465,9 @@ impl FrozenView {
         self.id_to_dense.maybe_demote(self.ids.len());
         self.maybe_compact();
         self.epoch = target;
-        debug_assert_eq!(
-            self.ids,
-            net.arena().order(),
-            "patched dense order must equal the arena's live scan order"
+        debug_assert!(
+            self.ids.iter().copied().eq(net.ids()),
+            "patched dense order must equal the overlay's live scan order"
         );
         ViewRefresh::Patched {
             nodes: patched,
@@ -606,30 +597,19 @@ impl FrozenView {
     }
 }
 
-/// Appends `slot`'s routing adjacency row to `out`, in exactly the live
-/// walk's scan order: Voronoi fan first, then close neighbours (ascending
-/// ids), then long links — with links back to the node itself skipped, as
-/// the overlay's routing rows skip them.  Shared by the full freeze and
-/// the per-row patch path so both emit identical rows.  Derived from the
-/// tessellation and the slot, not copied from the overlay's rows, so
-/// every frozen route cross-checks them.
-fn push_row(net: &VoroNet, slot: &NodeSlot, index: &IdIndex, out: &mut Vec<u32>) {
-    let id = slot.id();
-    for v in net.triangulation().real_neighbors_iter(slot.vertex()) {
-        let o = net
-            .object_at_vertex(v)
-            .expect("real vertices always map to live objects");
-        out.push(index.get(o).expect("neighbours are live"));
-    }
-    for n in slot
-        .close()
-        .iter()
-        .copied()
-        .chain(slot.long().iter().map(|l| l.neighbour))
-    {
-        if n != id {
-            out.push(index.get(n).expect("neighbours are live"));
-        }
+/// Appends the routing adjacency row of `view`'s object to `out`, in
+/// exactly the live walk's scan order: Voronoi fan first, then close
+/// neighbours (ascending ids), then long links — with links back to the
+/// node itself skipped, as the overlay's routing rows skip them.  Shared by
+/// the full freeze and the per-row patch path so both emit identical rows.
+/// The fan is walked on the tessellation and the links read from their
+/// column, not copied from the overlay's rows, so every frozen route
+/// cross-checks them (the close sets, stored only in the rows, have the
+/// audit's grid recomputation as their referee).
+fn push_row(view: ViewRef<'_>, index: &IdIndex, out: &mut Vec<u32>) {
+    let id = view.id();
+    for n in view.routing_neighbours().filter(|&n| n != id) {
+        out.push(index.get(n).expect("neighbours are live"));
     }
 }
 
@@ -637,7 +617,7 @@ fn push_row(net: &VoroNet, slot: &NodeSlot, index: &IdIndex, out: &mut Vec<u32>)
 /// effect plus the set of nodes whose adjacency rows it dirtied.
 ///
 /// Insert records carry the coordinates captured at mutation time — the
-/// object may be gone from the arena by the time a view replays the log.
+/// object may be gone from the overlay by the time a view replays the log.
 /// The `dirty` lists name every node whose Voronoi fan, close set or long
 /// links changed; back-long pointers are not part of any adjacency row,
 /// so retargeting them alone dirties only the *source* of the link.

@@ -87,7 +87,7 @@ fn assert_in_sync(driver: &Driver<Scripted>, step: usize) {
     }
 }
 
-/// A seeded write script: joins, departures by index (the arena's
+/// A seeded write script: joins, departures by index (the overlay's
 /// swap-remove reorders the survivors), KV puts and deletes over a small
 /// key space, subscriptions — with host 2 declared dead a third of the
 /// way in and back, amnesiac, at the half.  `after_write` sees the

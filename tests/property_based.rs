@@ -538,8 +538,9 @@ fn rows_stay_current(ops: &[Mutation], points: &[Point2]) -> Result<(), String> 
 /// The live walk reads routing rows that join, leave, close-set pruning
 /// and long-link refreshes keep current; after any sequence of them every
 /// row equals the one rebuilt from the tessellation, the close set and the
-/// long links, order included — on uniform points, on power-law points
-/// and on the committed reproducers' collinear points.
+/// long links, order included — on uniform points, on power-law points,
+/// on the committed reproducers' collinear points and on points crowded
+/// into one corner, whose few hull objects hold most back links.
 #[test]
 fn routing_rows_stay_current_under_any_mutation_sequence() {
     let reproducers = [
@@ -561,6 +562,16 @@ fn routing_rows_stay_current_under_any_mutation_sequence() {
         }));
     }
     assert!(collinear.len() >= 12);
+    // Every point inside [0, 0.02]²: almost every long-link target falls
+    // outside the square, on two or three hull objects, so each departure,
+    // refresh, prune and adaptation swap-removes from a hub's back links —
+    // with two links per object, often moving the departing object's own
+    // other link.
+    let corner: Vec<Point2> = PointGenerator::new(Distribution::Uniform, 47)
+        .take_points(48)
+        .into_iter()
+        .map(|p| Point2::new(p.x * 0.02, p.y * 0.02))
+        .collect();
     let pools = [
         (
             "uniform",
@@ -571,6 +582,7 @@ fn routing_rows_stay_current_under_any_mutation_sequence() {
             PointGenerator::new(Distribution::PowerLaw { alpha: 5.0 }, 43).take_points(48),
         ),
         ("collinear", collinear),
+        ("corner", corner),
     ];
     for (seed, (name, points)) in (0x2055u64..).zip(pools) {
         check_cases(
