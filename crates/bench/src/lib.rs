@@ -4,15 +4,14 @@
 //! (Section 5 of the paper) plus two ablations that are not in the paper
 //! (VoroNet against the Kleinberg grid, per-operation maintenance messages).
 //!
-//! The same figure runners back two entry points:
-//!
-//! * the `figures` binary (`cargo run -p voronet-bench --release --bin
-//!   figures -- all`), which prints the series and writes CSV files;
-//! * the Criterion benches (`cargo bench`), which time representative
-//!   slices of each experiment at a fixed small scale.
+//! The figure runners back the `figures` binary (`cargo run -p
+//! voronet-bench --release --bin figures -- all`), which prints the series
+//! and writes CSV files.  The paper judges the overlay by counts (hops,
+//! out-degree, messages), and so do these runners: nothing here is timed.
+//! Timings live in the `benchmark/` package alone.
 //!
 //! Scale is a parameter everywhere: the paper's 300 000-object runs are the
-//! `ExperimentScale::paper()` preset, CI and the default bench output use
+//! `ExperimentScale::paper()` preset, the binary's default is
 //! `ExperimentScale::quick()`.
 
 #![warn(missing_docs)]
@@ -65,7 +64,7 @@ impl ExperimentScale {
         }
     }
 
-    /// A tiny scale for smoke tests and Criterion micro-runs.
+    /// A tiny scale for smoke tests.
     pub fn smoke() -> Self {
         ExperimentScale {
             objects: 2_000,

@@ -4,42 +4,53 @@
 //! order and count of protocol messages, not wall-clock latency.  The
 //! scheduler delivers events in `(time, sequence)` order, which makes every
 //! run bit-for-bit reproducible for a given seed and insertion order.
-//!
-//! Every scheduled event is identified by an [`EventHandle`]; a pending
-//! event can be [cancelled](EventQueue::cancel) (timeouts that were met) or
-//! [rescheduled](EventQueue::reschedule) (retries, keep-alives) without
-//! perturbing the delivery order of unrelated events — cancellation uses
-//! lazy deletion, so the heap order of the surviving events is untouched.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 
 /// Logical simulation time (abstract units; the overlay uses "one hop = one
 /// unit" by default).
 pub type SimTime = u64;
 
-/// Identifier of a scheduled (and not yet delivered) event.
-///
-/// Handles are unique across the lifetime of a queue: a handle is never
-/// reused, so a stale handle simply fails to cancel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventHandle(u64);
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct EventKey {
+/// One pending event, ordered by its unique `(time, seq)` key alone.
+#[derive(Debug, Clone)]
+struct Entry<E> {
     time: SimTime,
     seq: u64,
+    event: E,
+}
+
+impl<E> Entry<E> {
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
+    }
+}
+
+impl<E> PartialEq for Entry<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<E> Eq for Entry<E> {}
+
+impl<E> PartialOrd for Entry<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Entry<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
 }
 
 /// A deterministic event queue: events scheduled at the same time are
 /// delivered in scheduling order.
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<(Reverse<EventKey>, usize)>,
-    slots: Vec<Option<E>>,
-    /// Slot index of every pending (not delivered, not cancelled) event.
-    by_handle: HashMap<u64, usize>,
-    free: Vec<usize>,
+    heap: BinaryHeap<Reverse<Entry<E>>>,
     now: SimTime,
     seq: u64,
     delivered: u64,
@@ -56,9 +67,6 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            slots: Vec::new(),
-            by_handle: HashMap::new(),
-            free: Vec::new(),
             now: 0,
             seq: 0,
             delivered: 0,
@@ -77,107 +85,34 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.by_handle.len()
+        self.heap.len()
     }
 
     /// True when no event is pending.
     pub fn is_empty(&self) -> bool {
-        self.by_handle.is_empty()
+        self.heap.is_empty()
     }
 
     /// Schedules `event` to fire `delay` units after the current time.
-    pub fn schedule(&mut self, delay: SimTime, event: E) -> EventHandle {
+    pub fn schedule(&mut self, delay: SimTime, event: E) {
         self.schedule_at(self.now.saturating_add(delay), event)
     }
 
     /// Schedules `event` at an absolute time (clamped to the present so time
     /// never goes backwards).
-    pub fn schedule_at(&mut self, time: SimTime, event: E) -> EventHandle {
+    pub fn schedule_at(&mut self, time: SimTime, event: E) {
         let time = time.max(self.now);
-        let key = EventKey {
-            time,
-            seq: self.seq,
-        };
+        let seq = self.seq;
         self.seq += 1;
-        let slot = match self.free.pop() {
-            Some(i) => {
-                self.slots[i] = Some(event);
-                i
-            }
-            None => {
-                self.slots.push(Some(event));
-                self.slots.len() - 1
-            }
-        };
-        self.by_handle.insert(key.seq, slot);
-        self.heap.push((Reverse(key), slot));
-        EventHandle(key.seq)
-    }
-
-    /// Cancels a pending event, returning its payload.  Returns `None` when
-    /// the event was already delivered, cancelled or rescheduled.
-    ///
-    /// Cancellation is lazy: the heap entry is skipped (and its slot
-    /// recycled) when its delivery time comes, so cancelling never perturbs
-    /// the relative order of the surviving events.  When tombstones come to
-    /// outnumber the pending events (more than half the heap), the heap is
-    /// compacted in one linear pass, bounding its size at twice the number
-    /// of pending events — a cancel-heavy workload (timeouts that were met,
-    /// retries that were superseded) can no longer grow it without bound.
-    pub fn cancel(&mut self, handle: EventHandle) -> Option<E> {
-        let slot = self.by_handle.remove(&handle.0)?;
-        // The slot stays reserved until the stale heap entry is popped;
-        // freeing it now could hand it to a new event that the stale entry
-        // would then deliver early.
-        let event = self.slots[slot].take();
-        if self.heap.len() >= 32 && self.heap.len() > 2 * self.by_handle.len() {
-            self.compact();
-        }
-        event
-    }
-
-    /// Drops every tombstoned heap entry, freeing its slot.  Survivor order
-    /// is untouched: heap keys are unique `(time, seq)` pairs, so rebuilding
-    /// the heap from the surviving entries reproduces the exact delivery
-    /// order.
-    fn compact(&mut self) {
-        let mut live = Vec::with_capacity(self.by_handle.len());
-        for (key, slot) in self.heap.drain() {
-            if self.slots[slot].is_some() {
-                live.push((key, slot));
-            } else {
-                self.free.push(slot);
-            }
-        }
-        self.heap = BinaryHeap::from(live);
-    }
-
-    /// Cancels a pending event and schedules its payload again `delay` units
-    /// after the current time, returning the new handle.  Returns `None`
-    /// (and schedules nothing) when the event was no longer pending.
-    pub fn reschedule(&mut self, handle: EventHandle, delay: SimTime) -> Option<EventHandle> {
-        let event = self.cancel(handle)?;
-        Some(self.schedule(delay, event))
+        self.heap.push(Reverse(Entry { time, seq, event }));
     }
 
     /// Pops the next event, advancing the clock to its delivery time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some((Reverse(key), slot)) = self.heap.pop() {
-            match self.slots[slot].take() {
-                Some(ev) => {
-                    self.now = key.time;
-                    self.delivered += 1;
-                    self.by_handle.remove(&key.seq);
-                    self.free.push(slot);
-                    return Some((key.time, ev));
-                }
-                None => {
-                    // Cancelled event: recycle the slot and keep looking.
-                    self.free.push(slot);
-                }
-            }
-        }
-        None
+        let Reverse(Entry { time, event, .. }) = self.heap.pop()?;
+        self.now = time;
+        self.delivered += 1;
+        Some((time, event))
     }
 
     /// Runs the queue to exhaustion, calling `handler` for every event.  The
@@ -234,20 +169,6 @@ mod tests {
         let (t, e) = q.pop().unwrap();
         assert_eq!(e, "early");
         assert_eq!(t, 10, "events scheduled in the past fire immediately");
-    }
-
-    #[test]
-    fn slots_are_recycled() {
-        let mut q = EventQueue::new();
-        for round in 0..100 {
-            for i in 0..10 {
-                q.schedule(i, round * 10 + i);
-            }
-            while q.pop().is_some() {}
-        }
-        // Internal storage stays bounded by the maximum number of
-        // simultaneously pending events.
-        assert!(q.slots.len() <= 10);
     }
 
     #[test]
@@ -308,191 +229,5 @@ mod tests {
             seen.push(e);
         }
         assert_eq!(seen, (0..100).collect::<Vec<_>>());
-    }
-
-    // ------------------------------------------------------------------
-    // Cancel / reschedule
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn cancel_removes_exactly_one_event() {
-        let mut q = EventQueue::new();
-        let _a = q.schedule(1, "a");
-        let b = q.schedule(2, "b");
-        let _c = q.schedule(3, "c");
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.cancel(b), Some("b"));
-        assert_eq!(q.len(), 2);
-        // Double-cancel is a no-op.
-        assert_eq!(q.cancel(b), None);
-        let delivered: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(delivered, vec!["a", "c"]);
-        assert_eq!(q.delivered(), 2, "cancelled events are not delivered");
-    }
-
-    #[test]
-    fn cancel_after_delivery_returns_none() {
-        let mut q = EventQueue::new();
-        let h = q.schedule(0, "x");
-        assert_eq!(q.pop(), Some((0, "x")));
-        assert_eq!(q.cancel(h), None);
-    }
-
-    #[test]
-    fn cancel_does_not_perturb_order_of_survivors() {
-        let build = |cancel_some: bool| {
-            let mut q = EventQueue::new();
-            let mut handles = Vec::new();
-            for i in 0..50u64 {
-                handles.push(q.schedule(i % 5, i));
-            }
-            if cancel_some {
-                for (i, &h) in handles.iter().enumerate() {
-                    if i % 3 == 0 {
-                        assert!(q.cancel(h).is_some());
-                    }
-                }
-            }
-            let mut order = Vec::new();
-            while let Some((t, e)) = q.pop() {
-                order.push((t, e));
-            }
-            order
-        };
-        let with_cancels = build(true);
-        let without: Vec<_> = build(false)
-            .into_iter()
-            .filter(|&(_, e)| e % 3 != 0)
-            .collect();
-        assert_eq!(
-            with_cancels, without,
-            "cancelling must be equivalent to the events never having fired"
-        );
-    }
-
-    #[test]
-    fn reschedule_moves_an_event_later() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(1, "a");
-        q.schedule(2, "b");
-        let a2 = q.reschedule(a, 5).expect("a is pending");
-        // The original handle is dead, the new one is live.
-        assert_eq!(q.cancel(a), None);
-        let delivered: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(delivered, vec![(2, "b"), (5, "a")]);
-        // After delivery the rescheduled handle is dead too.
-        let mut q2: EventQueue<&str> = EventQueue::new();
-        assert_eq!(q2.reschedule(a2, 1), None);
-    }
-
-    #[test]
-    fn reschedule_ties_go_to_the_back_of_the_time_slot() {
-        let mut q = EventQueue::new();
-        let a = q.schedule(3, "a");
-        q.schedule(3, "b");
-        // Rescheduling "a" to the same delivery time demotes it behind "b"
-        // (it becomes the youngest event of the slot) — deterministically.
-        q.reschedule(a, 3).unwrap();
-        let delivered: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(delivered, vec!["b", "a"]);
-    }
-
-    #[test]
-    fn cancellation_tombstones_are_compacted() {
-        // A cancel-heavy workload (schedule many, cancel almost all, never
-        // pop) must not grow the heap without bound: tombstones are
-        // compacted away once they exceed half the heap.
-        let mut q = EventQueue::new();
-        let mut keep = Vec::new();
-        for round in 0..100u64 {
-            let handles: Vec<_> = (0..100u64)
-                .map(|i| q.schedule(i % 7, round * 100 + i))
-                .collect();
-            for (i, h) in handles.into_iter().enumerate() {
-                if i == 0 {
-                    keep.push(h);
-                } else {
-                    assert!(q.cancel(h).is_some());
-                }
-            }
-        }
-        assert_eq!(q.len(), 100, "one survivor per round");
-        assert!(
-            q.heap.len() <= 2 * q.len(),
-            "heap must stay within 2x the pending events, got {} for {}",
-            q.heap.len(),
-            q.len()
-        );
-        assert!(
-            q.slots.len() <= 2 * q.len() + 100,
-            "cancelled slots must be recycled eagerly, got {}",
-            q.slots.len()
-        );
-        // Compaction must not perturb delivery: survivors arrive in
-        // (time, scheduling) order with their payloads intact.
-        let delivered: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-        assert_eq!(delivered.len(), 100);
-        let mut expected: Vec<(SimTime, u64)> = (0..100u64).map(|round| (0, round * 100)).collect();
-        expected.sort_by_key(|&(t, payload)| (t, payload));
-        assert_eq!(delivered, expected);
-    }
-
-    #[test]
-    fn compaction_is_equivalent_to_events_never_having_fired() {
-        // Scaled-up variant of `cancel_does_not_perturb_order_of_survivors`
-        // that cancels enough events (80% of 500) to trigger compaction
-        // several times over.
-        let build = |cancel_some: bool| {
-            let mut q = EventQueue::new();
-            let mut handles = Vec::new();
-            for i in 0..500u64 {
-                handles.push(q.schedule(i % 11, i));
-            }
-            if cancel_some {
-                for (i, &h) in handles.iter().enumerate() {
-                    if i % 5 != 0 {
-                        assert!(q.cancel(h).is_some());
-                    }
-                }
-                assert!(
-                    q.heap.len() <= 2 * q.len(),
-                    "compaction must have bounded the heap ({} entries for {} pending)",
-                    q.heap.len(),
-                    q.len()
-                );
-            }
-            let mut order = Vec::new();
-            while let Some((t, e)) = q.pop() {
-                order.push((t, e));
-            }
-            order
-        };
-        let with_cancels = build(true);
-        let without: Vec<_> = build(false)
-            .into_iter()
-            .filter(|&(_, e)| e % 5 == 0)
-            .collect();
-        assert_eq!(
-            with_cancels, without,
-            "compacted cancellation must be equivalent to the events never having fired"
-        );
-    }
-
-    #[test]
-    fn slots_recycled_after_cancellations() {
-        let mut q = EventQueue::new();
-        for _ in 0..100 {
-            let hs: Vec<_> = (0..10).map(|i| q.schedule(i, i)).collect();
-            for h in hs {
-                q.cancel(h);
-            }
-            assert!(q.pop().is_none());
-            assert!(q.is_empty());
-        }
-        assert!(
-            q.slots.len() <= 10,
-            "cancelled slots must be recycled (got {})",
-            q.slots.len()
-        );
     }
 }

@@ -8,8 +8,8 @@
 //! crate provides the equivalent substrate and extends it into a real
 //! per-node asynchronous runtime:
 //!
-//! * [`EventQueue`] — deterministic discrete-event scheduler with
-//!   cancel/reschedule support;
+//! * [`EventQueue`] — deterministic discrete-event scheduler, delivering
+//!   in `(time, scheduling order)`;
 //! * [`Runtime`] — per-node message-passing runtime: live-node registry,
 //!   typed envelopes, control events, delivery accounting;
 //! * [`NetworkModel`] — pluggable network conditions (fixed/uniform/
@@ -28,7 +28,7 @@ pub mod network;
 pub mod runtime;
 pub mod scenario;
 
-pub use event::{EventHandle, EventQueue, SimTime};
+pub use event::{EventQueue, SimTime};
 pub use metrics::{MessageKind, NodeId, RouteStats, TrafficStats, TransportStats};
 pub use network::{Delivery, LatencyModel, NetworkModel, PartitionWindow};
 pub use runtime::{Delivered, DeliveryStats, Envelope, Runtime};

@@ -1,8 +1,9 @@
 //! Properties of the heavy-traffic scenario suite (`voronet_workloads::scenario`).
 //!
 //! The scenario generators script production-shaped pathologies as plain
-//! op streams; these tests replay them against the live overlay and pin
-//! the behaviour the bench suite relies on:
+//! op streams; these tests replay them against the live overlay and the
+//! inline cluster and gate on counts and the cluster's virtual clock,
+//! never on wall time:
 //!
 //! - a flash crowd into one Voronoi cell drives the population past the
 //!   provisioned `N_max` and triggers exactly the adaptation rounds the
@@ -10,14 +11,25 @@
 //!   the burst;
 //! - every scripted route still terminates at its target, and greedy
 //!   point location agrees with the O(n²) nearest-scan oracle even while
-//!   the crowd is packing one cell.
+//!   the crowd is packing one cell;
+//! - every scenario kind, replayed through the pipelined cluster driver,
+//!   answers every route with the live walk's owner and hop count, and a
+//!   10 %-loss hotspot run recovers every lost frame by fast resend,
+//!   within one attempt window of virtual time, the same way on every run.
+//!   `VORONET_SMOKE` shrinks these replays.
 
 use rand::RngExt;
 use voronet_core::dynamic::{adapt_nmax, needs_adaptation, AdaptationPolicy};
-use voronet_core::{RouteScratch, VoroNet, VoroNetConfig};
+use voronet_core::{ObjectId, RouteScratch, VoroNet, VoroNetConfig};
 use voronet_geom::Point2;
+use voronet_net::{
+    ClusterStats, FaultCtl, FaultTransport, InlineCluster, LinkFaults, Liveness, RetryPolicy,
+    VnetHub, VnetTransport,
+};
+use voronet_sim::NetworkModel;
+use voronet_stats::tail_summary;
 use voronet_testkit::{check_cases, tk_ensure, tk_ensure_eq};
-use voronet_workloads::{Scenario, ScenarioKind, ScenarioSpec, WorkloadOp};
+use voronet_workloads::{smoke_budget, Scenario, ScenarioKind, ScenarioSpec, WorkloadOp};
 
 /// O(n) nearest-object scan — the oracle the greedy walk must agree
 /// with (scanning per query makes the whole check the O(n²) oracle).
@@ -189,4 +201,209 @@ fn mass_churn_replay_keeps_the_overlay_consistent() {
             Ok(())
         },
     );
+}
+
+const REPLAY_SEED: u64 = 0x5CE7A;
+const HOSTS: u64 = 3;
+const PIPELINE_WINDOW: usize = 8;
+
+/// `(population, ops)` of the live-walk and of the cluster replays.
+fn replay_sizes() -> ((usize, usize), (usize, usize)) {
+    if smoke_budget() {
+        ((48, 64), (24, 40))
+    } else {
+        ((256, 400), (64, 120))
+    }
+}
+
+/// The live walk from the `from`-th towards the `to`-th object, both
+/// taken modulo the population, as the cluster driver indexes them:
+/// `(destination, owner, hops)`.
+fn live_route(
+    net: &VoroNet,
+    from: usize,
+    to: usize,
+    scratch: &mut RouteScratch,
+) -> (ObjectId, ObjectId, u32) {
+    let n = net.len();
+    let a = net.id_at(from % n).expect("index below len");
+    let b = net.id_at(to % n).expect("index below len");
+    let (owner, hops) = net.route_between_in(a, b, scratch).expect("route");
+    (b, owner, hops)
+}
+
+/// Replays `sc` on the live overlay; every route must end at its
+/// destination object.  Returns the most hops any route took.
+fn live_walk_hop_max(sc: &Scenario) -> u32 {
+    let mut net = VoroNet::new(VoroNetConfig::new(512).with_seed(REPLAY_SEED));
+    for &p in &sc.setup {
+        let _ = net.insert(p);
+    }
+    let mut scratch = RouteScratch::default();
+    let mut hop_max = 0;
+    for op in sc.phases.iter().flat_map(|p| &p.ops) {
+        match *op {
+            WorkloadOp::Insert { position } => {
+                let _ = net.insert(position);
+            }
+            WorkloadOp::Remove { index } => {
+                let id = net.id_at(index % net.len()).expect("index below len");
+                let _ = net.remove(id);
+            }
+            WorkloadOp::Route { from, to } => {
+                let (destination, owner, hops) = live_route(&net, from, to, &mut scratch);
+                assert_eq!(
+                    owner, destination,
+                    "route {from}->{to} must end at its destination"
+                );
+                hop_max = hop_max.max(hops);
+            }
+            ref other => panic!("unexpected op {other:?}"),
+        }
+    }
+    hop_max
+}
+
+/// One cluster replay: every route's virtual latency, in stream order,
+/// and the driver's counters at the end.
+#[derive(Debug, PartialEq)]
+struct ClusterRun {
+    latency_us: Vec<f64>,
+    stats: ClusterStats,
+}
+
+impl ClusterRun {
+    fn p99_us(&self) -> f64 {
+        tail_summary(&self.latency_us)
+            .expect("routes completed")
+            .p99
+    }
+}
+
+/// Replays `sc` against an inline cluster whose every link suffers
+/// `link`.  Consecutive routes travel as one pipelined batch; before a
+/// batch goes out, the driver's own overlay routes each pair, and every
+/// answer must carry that owner and hop count: no route may be lost.
+fn cluster_replay(sc: &Scenario, link: LinkFaults) -> ClusterRun {
+    type Cluster = InlineCluster<FaultTransport<VnetTransport>>;
+    let hub = VnetHub::new(NetworkModel::ideal());
+    let ctl = FaultCtl::new(link);
+    let config = VoroNetConfig::new(512).with_seed(REPLAY_SEED);
+    let mut cluster = InlineCluster::start_with(HOSTS, config, |peer| {
+        FaultTransport::new(hub.endpoint(peer), ctl.clone(), REPLAY_SEED)
+    });
+    cluster.driver().set_retry_policy(RetryPolicy::tight());
+    cluster.driver().set_liveness(Liveness::tight());
+    for &p in &sc.setup {
+        cluster.driver().insert(p).expect("setup insert");
+    }
+    let mut latency_us = Vec::new();
+    let mut batch: Vec<(usize, usize)> = Vec::new();
+    let mut flush = |cluster: &mut Cluster, batch: &mut Vec<(usize, usize)>| {
+        if batch.is_empty() {
+            return;
+        }
+        let net = cluster.driver().net();
+        let mut scratch = RouteScratch::default();
+        let expected: Vec<_> = batch
+            .iter()
+            .map(|&(from, to)| {
+                let (_, owner, hops) = live_route(net, from, to, &mut scratch);
+                Some((owner.0, hops))
+            })
+            .collect();
+        let results = cluster
+            .driver()
+            .route_indices_pipelined(batch, PIPELINE_WINDOW)
+            .expect("pipelined batch");
+        for ((r, want), &(from, to)) in results.iter().zip(&expected).zip(batch.iter()) {
+            assert_eq!(
+                r.owner_hops, *want,
+                "route {from}->{to}: (owner, hops) must equal the live walk's, and no route may be lost"
+            );
+            latency_us.push(r.latency.as_secs_f64() * 1e6);
+        }
+        batch.clear();
+    };
+    for op in sc.phases.iter().flat_map(|p| &p.ops) {
+        match *op {
+            WorkloadOp::Route { from, to } => batch.push((from, to)),
+            WorkloadOp::Insert { position } => {
+                flush(&mut cluster, &mut batch);
+                cluster.driver().insert(position).expect("insert");
+            }
+            WorkloadOp::Remove { index } => {
+                flush(&mut cluster, &mut batch);
+                cluster.driver().remove_index(index).expect("remove");
+            }
+            ref other => panic!("unexpected op {other:?}"),
+        }
+    }
+    flush(&mut cluster, &mut batch);
+    ClusterRun {
+        latency_us,
+        stats: cluster.driver().cluster_stats(),
+    }
+}
+
+/// Every scenario kind, replayed on the live walk and through the
+/// pipelined cluster driver on an ideal hub: routes end where the live
+/// walk ends, hop for hop, and nothing retries or waits.  The hotspot
+/// stream is replayed once more with 10 % frame loss on every link: the
+/// loss must be exercised (fast resends), recovered inside the first
+/// attempt window (no retry, and a virtual p99 below one attempt
+/// timeout — the retry stall this gate was written for sat at ~107 ms),
+/// and replayed identically by a second run.
+#[test]
+fn scenario_replays_match_the_live_walk_on_the_virtual_clock() {
+    let ((population, ops), (cluster_population, cluster_ops)) = replay_sizes();
+    for kind in ScenarioKind::all() {
+        let name = kind.name();
+        let scenario = Scenario::build(&ScenarioSpec::new(kind, REPLAY_SEED, population, ops));
+        let hop_max = live_walk_hop_max(&scenario);
+        println!("{name}: live walk hop max {hop_max}");
+
+        let scenario = Scenario::build(&ScenarioSpec::new(
+            kind,
+            REPLAY_SEED,
+            cluster_population,
+            cluster_ops,
+        ));
+        let ideal = cluster_replay(&scenario, LinkFaults::default());
+        assert_eq!(
+            (ideal.stats.retries, ideal.stats.fast_resends),
+            (0, 0),
+            "{name}: an ideal hub needs no resend: {:?}",
+            ideal.stats
+        );
+        assert_eq!(
+            ideal.p99_us(),
+            0.0,
+            "{name}: nothing may wait on an ideal hub"
+        );
+
+        if kind == ScenarioKind::ZipfHotspot {
+            let lossy = cluster_replay(&scenario, LinkFaults::lossy(0.10));
+            let (p99, s) = (lossy.p99_us(), &lossy.stats);
+            println!(
+                "{name}/lossy: virtual p99 {p99:.1}us, retries {}, fast resends {}",
+                s.retries, s.fast_resends
+            );
+            assert_eq!(
+                s.retries, 0,
+                "{name}/lossy: an attempt window closed: {s:?}"
+            );
+            assert!(s.fast_resends > 0, "{name}/lossy: no frame was lost: {s:?}");
+            let window_us = RetryPolicy::tight().base.as_secs_f64() * 1e6;
+            assert!(
+                p99 < window_us,
+                "{name}/lossy: virtual p99 {p99:.1}us waited out an attempt window ({window_us:.0}us)"
+            );
+            assert_eq!(
+                lossy,
+                cluster_replay(&scenario, LinkFaults::lossy(0.10)),
+                "{name}/lossy: a second run must replay identically"
+            );
+        }
+    }
 }
