@@ -4,20 +4,21 @@
 //! stable client surface over every protocol engine.
 //!
 //! The paper defines a single protocol — join, leave, greedy/long-link
-//! routing, range queries — but the workspace grew two execution engines
-//! for it: the synchronous [`VoroNet`](voronet_core::VoroNet) fast path
-//! and the message-driven [`AsyncOverlay`](voronet_core::runtime)
-//! runtime.  This crate makes them interchangeable:
+//! routing, range queries — and the workspace executes it two ways: the
+//! synchronous [`VoroNet`](voronet_core::VoroNet) fast path
+//! ([`SyncEngine`]) and, at the message level, `voronet-net`'s
+//! `InlineCluster` — a driver and hosts exchanging wire frames.  This
+//! crate makes them interchangeable:
 //!
 //! * [`Overlay`] — the engine-agnostic trait (insert / remove / route /
 //!   query / snapshot / stats), dyn-compatible so callers hold a
 //!   `Box<dyn Overlay>`;
 //! * [`Op`] / [`OpResult`] — typed batched operations:
 //!   [`Overlay::apply_batch`] is the throughput lever (one reused route
-//!   scratch on the sync engine, shared quiescence rounds for route runs
-//!   on the async one);
+//!   scratch on the sync engine, one shared pump for each run of routes on
+//!   the cluster);
 //! * [`OverlayBuilder`] — fluent construction: provisioned population,
-//!   seed, long-link count, `d_min` rule, network model, engine selection;
+//!   seed, long-link count, `d_min` rule, attribute domain;
 //! * [`VoronetError`] — the one error taxonomy (re-exported from
 //!   `voronet-core`, whose concrete methods return it too);
 //! * [`resolve_workload`] — binds the index-named batch scripts of
@@ -44,16 +45,13 @@
 
 #![warn(missing_docs)]
 
-pub mod async_engine;
 pub mod builder;
 pub mod ops;
 pub mod overlay;
-pub mod replay;
 pub mod sync_engine;
 pub mod workload;
 
-pub use async_engine::AsyncEngine;
-pub use builder::{EngineKind, OverlayBuilder};
+pub use builder::OverlayBuilder;
 pub use ops::{
     DeleteOutcome, GetOutcome, InsertOutcome, Op, OpResult, OverlayStats, PublishOutcome,
     PutOutcome, QueryOutcome, RemoveOutcome, RouteOutcome, ServiceOp, ServiceResult,

@@ -5,8 +5,8 @@
 //! produces exactly one [`OpResult`] at the same index, so submitters can
 //! correlate without bookkeeping.  Batching is the throughput lever of the
 //! API: engines amortise per-operation overhead (buffer reuse on the
-//! synchronous engine, one quiescence round for a whole run of routes on
-//! the asynchronous one) without changing operation semantics.
+//! synchronous engine, one shared pump for a whole run of routes on the
+//! cluster) without changing operation semantics.
 
 use voronet_core::queries::AreaQueryReport;
 use voronet_core::{ObjectId, ObjectView, VoronetError};

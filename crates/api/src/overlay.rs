@@ -20,11 +20,13 @@ use voronet_workloads::{RadiusQuery, RangeQuery};
 ///
 /// The trait is dyn-compatible: workloads, benches and tests hold a
 /// `Box<dyn Overlay>` and never name an engine.  Implementations exist for
-/// the synchronous [`SyncEngine`](crate::SyncEngine) and the message-driven
-/// [`AsyncEngine`](crate::AsyncEngine); any future engine (sharded,
-/// multi-threaded, remote) plugs in by implementing this trait.
+/// the synchronous [`SyncEngine`](crate::SyncEngine) and for
+/// `voronet-net`'s `InlineCluster`, which runs the protocol at the message
+/// level (a driver and hosts exchanging wire frames, lossy or not); the
+/// service layer's `ServiceEngine` wraps either.  Any future engine
+/// (sharded, multi-threaded, remote) plugs in by implementing this trait.
 pub trait Overlay {
-    /// Short engine identifier ("sync", "async", …) for reports and test
+    /// Short engine identifier ("sync", "cluster", …) for reports and test
     /// labels.
     fn engine_name(&self) -> &'static str;
 
@@ -145,9 +147,9 @@ pub trait Overlay {
 
     /// Applies a batch of operations, returning one result per operation at
     /// the same index.  The default implementation applies them in order;
-    /// engines override it to amortise work across the batch (the
-    /// asynchronous engine lets a run of consecutive routes share one
-    /// quiescence round).
+    /// engines override it to amortise work across the batch (the cluster
+    /// pumps a run of consecutive routes together, so their waits under
+    /// loss overlap).
     fn apply_batch(&mut self, ops: &[Op]) -> Vec<OpResult> {
         ops.iter().map(|op| self.apply(op)).collect()
     }

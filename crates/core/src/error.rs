@@ -3,7 +3,7 @@
 //! Every fallible operation of the overlay — the concrete [`crate::VoroNet`]
 //! methods and the backend-agnostic `Overlay` trait (crate `voronet-api`)
 //! alike — returns one taxonomy covering every engine (including failure
-//! modes only the message-driven runtime has, such as an operation lost to
+//! modes only the message-level cluster has, such as an operation lost to
 //! the network): [`VoronetError`], a machine-matchable [`ErrorKind`] plus
 //! an optional human-readable context string.
 
@@ -23,8 +23,9 @@ pub enum ErrorKind {
     NotFinite,
     /// The named bootstrap object does not exist.
     UnknownBootstrap(ObjectId),
-    /// A message-driven operation never completed: its protocol messages
-    /// were lost to the network (loss, partition, dead letters).
+    /// A message-level operation never completed: its protocol messages
+    /// were lost to the network (loss, partition, dead letters) until its
+    /// retry budget ran out.
     OperationLost,
     /// A structural invariant of the overlay does not hold (the context
     /// carries the diagnostic).

@@ -15,9 +15,11 @@
 //! * [`queries`] — range and radius queries (the paper's perspectives);
 //! * [`experiments`] — drivers that regenerate each figure of the paper's
 //!   evaluation;
-//! * [`runtime`] — the protocol executing message-by-message over the
-//!   asynchronous per-node runtime of `voronet-sim`: scripted churn under
-//!   latency, loss and partitions ([`AsyncOverlay`], [`run_scenario`]).
+//! * [`protocol`] — the paper's Algorithm 5 forwarding loop, with its stop
+//!   condition and the Lemma 4 check.
+//!
+//! The protocol at the message level — hosts exchanging wire frames over
+//! a transport — is `voronet-net`'s cluster.
 //!
 //! ```
 //! use voronet_core::{VoroNet, VoroNetConfig};
@@ -41,7 +43,6 @@ pub mod object;
 pub mod overlay;
 pub mod protocol;
 pub mod queries;
-pub mod runtime;
 pub mod snapshot;
 
 pub use config::{DminRule, VoroNetConfig};
@@ -53,9 +54,5 @@ pub use protocol::{algorithm5_route, Algorithm5Report, StopReason};
 pub use queries::{
     radius_query, radius_query_in, range_query, range_query_in, segment_query, AreaQueryReport,
     SegmentQueryReport,
-};
-pub use runtime::{
-    run_scenario, AsyncOverlay, OpToken, ProtocolMsg, RoutePurpose, RoutingMode, ScenarioCounters,
-    ScenarioReport, WireTap, UNTRACKED,
 };
 pub use snapshot::{FrozenView, RouteScratch, SnapshotStats, TrafficDelta, ViewRefresh};

@@ -55,12 +55,11 @@ pub struct BackLink {
 /// neighbours are read from the close segment of its routing row, and the
 /// Voronoi neighbours are produced lazily by walking the Delaunay fan;
 /// vertices become object ids through the vertex → object column.  It is
-/// the object-level reading of the view — the Algorithm 5 loop, the
-/// range-query floods and the runtime's replicas iterate it without
-/// allocating.  Greedy routing ([`crate::VoroNet::route_to_point_in`])
+/// the object-level reading of the view — the Algorithm 5 loop and the
+/// range-query floods iterate it without allocating.  Greedy routing ([`crate::VoroNet::route_to_point_in`])
 /// does not: it scans the routing rows as vertex ids and never walks the
 /// fan.  Build an owned [`ObjectView`] (via [`ViewRef::to_view`]) only at a
-/// serialization or runtime-message boundary.
+/// serialization or message boundary.
 #[derive(Debug, Clone, Copy)]
 pub struct ViewRef<'a> {
     pub(crate) id: ObjectId,
@@ -128,8 +127,8 @@ impl<'a> ViewRef<'a> {
             + self.back_long.len()
     }
 
-    /// Materialises an owned [`ObjectView`] — the serialization / runtime
-    /// message boundary.
+    /// Materialises an owned [`ObjectView`] — the serialization / message
+    /// boundary.
     pub fn to_view(&self) -> ObjectView {
         ObjectView {
             id: self.id,

@@ -309,7 +309,7 @@ impl VoroNet {
 
     /// The complete view an object maintains (Section 3.1), materialised as
     /// an owned [`ObjectView`].  Use [`VoroNet::view_ref`] unless the view
-    /// crosses a serialization or runtime-message boundary.
+    /// crosses a serialization or message boundary.
     pub fn view(&self, id: ObjectId) -> Result<ObjectView, VoronetError> {
         Ok(self.view_ref(id)?.to_view())
     }
@@ -656,12 +656,9 @@ impl VoroNet {
     }
 
     /// Draws a uniformly random live object from the overlay's own RNG — the
-    /// bootstrap choice [`VoroNet::insert`] makes.  Exposed so message-driven
-    /// drivers can make the *same* draw at injection time and stay
-    /// bit-for-bit aligned with the synchronous insertion sequence.  Returns
-    /// `None` when the overlay is empty (the first object needs no
-    /// bootstrap).
-    pub fn draw_bootstrap(&mut self) -> Option<ObjectId> {
+    /// bootstrap choice [`VoroNet::insert`] makes.  Returns `None` when the
+    /// overlay is empty (the first object needs no bootstrap).
+    fn draw_bootstrap(&mut self) -> Option<ObjectId> {
         if self.is_empty() {
             None
         } else {

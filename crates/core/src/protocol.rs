@@ -1,5 +1,4 @@
-//! Faithful, message-driven execution of the paper's routing framework
-//! (Algorithm 5) on top of the discrete-event scheduler of `voronet-sim`.
+//! Faithful execution of the paper's routing framework (Algorithm 5).
 //!
 //! [`VoroNet::route_to_point`] uses the plain greedy walk, which is what the
 //! evaluation figures measure.  The paper's algorithms (`AddObject`,
@@ -18,16 +17,15 @@
 //! proves the stop condition makes that local resolution correct; Lemma 5
 //! bounds the number of forwarding steps by `O(log² N_max)`.
 //!
-//! This module reproduces that exact loop — each forwarding step is a
-//! `Spawn(Route, …)` message scheduled on an [`EventQueue`] — so the
-//! stop-condition behaviour, the hop counts and the lemmas themselves can be
-//! tested directly against the plain greedy walk.
+//! This module reproduces that exact loop — each forwarding step is one
+//! `Spawn(Route, …)` message — so the stop-condition behaviour, the hop
+//! counts and the lemmas themselves can be tested directly against the
+//! plain greedy walk.
 
 use crate::error::VoronetError;
 use crate::object::ObjectId;
 use crate::overlay::VoroNet;
 use voronet_geom::{distance_to_region, greedy_descent, greedy_next, Point2};
-use voronet_sim::{EventQueue, SimTime};
 
 /// Why the Algorithm 5 forwarding loop stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,13 +56,9 @@ pub struct Algorithm5Report {
     pub local_steps: u32,
     /// The owner of the target's region.
     pub owner: ObjectId,
-    /// Logical completion time on the event queue (one unit per forwarding
-    /// hop).
-    pub completion_time: SimTime,
 }
 
-/// Runs the Algorithm 5 forwarding loop from `start` towards `target`,
-/// driving one event per forwarding step through a fresh [`EventQueue`].
+/// Runs the Algorithm 5 forwarding loop from `start` towards `target`.
 pub fn algorithm5_route(
     net: &VoroNet,
     start: ObjectId,
@@ -75,19 +69,9 @@ pub fn algorithm5_route(
     }
     let dmin = net.dmin();
 
-    struct Step {
-        at: ObjectId,
-    }
-
-    let mut queue: EventQueue<Step> = EventQueue::new();
-    queue.schedule(0, Step { at: start });
-
     let mut forwarding_hops = 0u32;
-    let mut stopped_at = start;
-    let mut stop_reason = StopReason::LocalMinimum;
-
-    while let Some((_, step)) = queue.pop() {
-        let cur = step.at;
+    let mut cur = start;
+    let (stopped_at, stop_reason) = loop {
         let cur_coords = net.coords(cur).expect("routed objects are live");
         let d_cur = cur_coords.distance(target);
 
@@ -97,14 +81,10 @@ pub fn algorithm5_route(
         let d_z = z.distance(target);
 
         if d_cur <= dmin {
-            stopped_at = cur;
-            stop_reason = StopReason::CloseCondition;
-            break;
+            break (cur, StopReason::CloseCondition);
         }
         if d_z <= d_cur / 3.0 {
-            stopped_at = cur;
-            stop_reason = StopReason::RegionCondition;
-            break;
+            break (cur, StopReason::RegionCondition);
         }
 
         // Greedyneighbour(Target): forward to the routing neighbour closest
@@ -118,13 +98,11 @@ pub fn algorithm5_route(
                 .map(|n| (n, net.coords(n).expect("neighbours are live"))),
         );
         if best == cur {
-            stopped_at = cur;
-            stop_reason = StopReason::LocalMinimum;
-            break;
+            break (cur, StopReason::LocalMinimum);
         }
         forwarding_hops += 1;
-        queue.schedule(1, Step { at: best });
-    }
+        cur = best;
+    };
 
     // Local resolution: from the stopping object, the owner of the target is
     // reached by walking the Delaunay graph (in the paper this is subsumed by
@@ -138,7 +116,6 @@ pub fn algorithm5_route(
         forwarding_hops,
         local_steps,
         owner,
-        completion_time: queue.now(),
     })
 }
 
@@ -180,7 +157,8 @@ pub(crate) fn resolve_owner_locally(
 /// the stop condition via the triangle inequality; the factor-2 conclusion
 /// is therefore not implied (and is empirically false), while the factor-1
 /// form checked here — which is all the correctness argument needs — holds.
-/// EXPERIMENTS.md records this discrepancy.
+/// `crates/README.md` ("Lemma 4 and the Fig. 7 slope") records this
+/// discrepancy.
 #[cfg(test)]
 fn lemma4_violations(net: &VoroNet, stopped_at: ObjectId, target: Point2) -> usize {
     let Some(vertex) = net.vertex_of(stopped_at) else {
@@ -227,7 +205,6 @@ mod tests {
             let expected = net.owner_of(target).unwrap();
             let report = algorithm5_route(&net, from, target).unwrap();
             assert_eq!(report.owner, expected);
-            assert_eq!(report.completion_time, report.forwarding_hops as u64);
         }
     }
 

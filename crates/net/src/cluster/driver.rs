@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
-use voronet_core::{VoroNet, VoroNetConfig};
+use voronet_core::{ObjectId, VoroNet, VoroNetConfig, VoronetError};
 use voronet_geom::{voronoi_cell, Point2, Rect};
 use voronet_sim::TransportStats;
 use voronet_workloads::{RadiusQuery, RangeQuery, WorkloadOp};
@@ -205,7 +205,7 @@ impl<T: Transport> Driver<T> {
 
     /// Materialises the current shippable state of one live object.
     pub(super) fn current_view(&self, id: u64) -> ShippedView {
-        let oid = voronet_core::ObjectId(id);
+        let oid = ObjectId(id);
         let view = self.net.view(oid).expect("live object");
         let neighbours = view.routing_neighbours().into_iter();
         let cell = self.net.vertex_of(oid);
@@ -339,8 +339,7 @@ impl<T: Transport> Driver<T> {
                 .keys()
                 .copied()
                 .filter(|&object| {
-                    host_of(object, hosts) == peer
-                        && self.net.coords(voronet_core::ObjectId(object)).is_none()
+                    host_of(object, hosts) == peer && self.net.coords(ObjectId(object)).is_none()
                 })
                 .collect();
             stale.sort_unstable();
@@ -365,29 +364,46 @@ impl<T: Transport> Driver<T> {
     /// every affected view.  `Ok(None)` when the overlay rejects the
     /// position (duplicate).
     pub fn insert(&mut self, position: Point2) -> Result<Option<u64>, ClusterError> {
+        Ok(self.join(position)?.ok().map(|id| id.0))
+    }
+
+    /// [`Self::insert`] keeping the overlay's own rejection: the inner
+    /// error is what [`VoroNet::insert`] returned.
+    pub(super) fn join(
+        &mut self,
+        position: Point2,
+    ) -> Result<Result<ObjectId, VoronetError>, ClusterError> {
         self.service_revivals()?;
-        let Ok(report) = self.net.insert(position) else {
-            return Ok(None);
+        let report = match self.net.insert(position) {
+            Ok(report) => report,
+            Err(rejected) => return Ok(Err(rejected)),
         };
         self.propagate(&[])?;
-        Ok(Some(report.id.0))
+        Ok(Ok(report.id))
     }
 
     /// Removes the `index`-th live object (modulo the population) and
     /// synchronises the survivors' views.  `Ok(None)` when the overlay
     /// refuses the departure (population floor).
     pub fn remove_index(&mut self, index: usize) -> Result<Option<u64>, ClusterError> {
-        let Some(id) = self.origin(index)?.map(voronet_core::ObjectId) else {
+        let Some(id) = self.origin(index)?.map(ObjectId) else {
             return Ok(None);
         };
-        if self.net.remove(id).is_err() {
-            return Ok(None);
+        Ok(self.leave(id)?.ok().map(|()| id.0))
+    }
+
+    /// Removes `id` and synchronises the survivors' views; the inner error
+    /// is what [`VoroNet::remove`] returned.  Expects revived hosts to be
+    /// serviced already.
+    pub(super) fn leave(&mut self, id: ObjectId) -> Result<Result<(), VoronetError>, ClusterError> {
+        if let Err(refused) = self.net.remove(id) {
+            return Ok(Err(refused));
         }
         // The evicted host drops the departed object's service state with
         // it; the driver's control state follows.
         self.subs.remove(&id.0);
         self.propagate(&[id.0])?;
-        Ok(Some(id.0))
+        Ok(Ok(()))
     }
 
     /// Queues the route from the `from`-th live object towards the
@@ -397,6 +413,11 @@ impl<T: Transport> Driver<T> {
         let from_object = self.net.id_at(from % n).expect("index below len").0;
         let to_id = self.net.id_at(to % n).expect("index below len");
         let target = self.net.coords(to_id).expect("live object");
+        self.queue_route_to(from_object, target);
+    }
+
+    /// Queues the route from `from_object` towards `target`.
+    pub(super) fn queue_route_to(&mut self, from_object: u64, target: Point2) {
         let route = |token| WireMsg::RouteReq {
             token,
             from_object,
@@ -415,6 +436,17 @@ impl<T: Transport> Driver<T> {
         self.service_revivals()?;
         self.queue_route(from, to);
         self.pump_one("route", routed)
+    }
+
+    /// Routes from `from_object` towards `target`: `(owner, hops)`.
+    /// Expects revived hosts to be serviced already.
+    pub(super) fn route_from(
+        &mut self,
+        from_object: u64,
+        target: Point2,
+    ) -> Result<(u64, u32), ClusterError> {
+        self.queue_route_to(from_object, target);
+        self.pump_one("route", owner_hops)
     }
 
     /// Routes a batch of `(from, to)` index pairs with up to `window`
@@ -447,17 +479,28 @@ impl<T: Transport> Driver<T> {
         for &(from, to) in pairs {
             self.queue_route(from, to);
         }
-        self.pump(window, &mut |slot, done, latency| {
-            let owner_hops = match done.ok().and_then(routed) {
-                Some(OpOutcome::Route { owner, hops }) => Some((owner, hops)),
-                _ => None,
-            };
+        self.pump_routes(window, |slot, verdict, latency| {
             results[slot] = PipelinedRoute {
-                owner_hops,
+                owner_hops: verdict.ok(),
                 latency,
             };
         })?;
         Ok(results)
+    }
+
+    /// Pumps the queued routes with up to `window` in flight, handing each
+    /// one's `(owner, hops)` or failure to `on_route` by queue position,
+    /// with the time spent on it.
+    pub(super) fn pump_routes(
+        &mut self,
+        window: usize,
+        mut on_route: impl FnMut(usize, Result<(u64, u32), ClusterError>, Duration),
+    ) -> Result<(), ClusterError> {
+        self.pump(window, &mut |slot, done, latency| {
+            let verdict =
+                done.and_then(|msg| owner_hops(msg).ok_or(ClusterError::Timeout("route")));
+            on_route(slot, verdict, latency);
+        })
     }
 
     /// Executes a distributed rectangular range query issued by the
@@ -470,6 +513,16 @@ impl<T: Transport> Driver<T> {
         let Some(from_object) = self.origin(from)? else {
             return Ok(OpOutcome::Skipped);
         };
+        self.range_from(from_object, query)
+    }
+
+    /// [`Self::range_query`] issued by `from_object`.  Expects revived
+    /// hosts to be serviced already.
+    pub(super) fn range_from(
+        &mut self,
+        from_object: u64,
+        query: RangeQuery,
+    ) -> Result<OpOutcome, ClusterError> {
         self.query(from_object, "range query", |token| WireMsg::AreaReq {
             token,
             from_object,
@@ -487,6 +540,16 @@ impl<T: Transport> Driver<T> {
         let Some(from_object) = self.origin(from)? else {
             return Ok(OpOutcome::Skipped);
         };
+        self.radius_from(from_object, query)
+    }
+
+    /// [`Self::radius_query`] issued by `from_object`.  Expects revived
+    /// hosts to be serviced already.
+    pub(super) fn radius_from(
+        &mut self,
+        from_object: u64,
+        query: RadiusQuery,
+    ) -> Result<OpOutcome, ClusterError> {
         self.query(from_object, "radius query", |token| WireMsg::RadiusReq {
             token,
             from_object,
@@ -554,6 +617,14 @@ impl<T: Transport> Driver<T> {
             }
         }
         Ok(())
+    }
+}
+
+/// The `(owner, hops)` a route's answer frame carries.
+fn owner_hops(msg: &WireMsg<'_>) -> Option<(u64, u32)> {
+    match *msg {
+        WireMsg::AnswerOwner { owner, hops, .. } => Some((owner, hops)),
+        _ => None,
     }
 }
 

@@ -332,8 +332,7 @@ impl<T: Transport> HostNode<T> {
                 hops,
                 purpose,
             } => {
-                // The destination object travels in the frame header,
-                // exactly as in the simulated runtime's envelopes.
+                // The destination object travels in the frame header.
                 if self.objects.contains_key(&header.to) {
                     self.ops_served += 1;
                     self.route_step(header.to, target, origin, hops, purpose)?;
@@ -497,7 +496,7 @@ impl<T: Transport> HostNode<T> {
                 )?;
             }
             WireMsg::Shutdown => self.shutdown = true,
-            // Driver-bound or simulated-runtime-only messages: not ours.
+            // Driver-bound messages: not ours.
             WireMsg::ViewAck { .. }
             | WireMsg::EvictAck { .. }
             | WireMsg::AnswerOwner { .. }
@@ -505,11 +504,7 @@ impl<T: Transport> HostNode<T> {
             | WireMsg::StatsReply { .. }
             | WireMsg::SvcKvValue { .. }
             | WireMsg::SvcKvReplicaValue { .. }
-            | WireMsg::SvcAck { .. }
-            | WireMsg::Join { .. }
-            | WireMsg::NeighborUpdate
-            | WireMsg::Leave
-            | WireMsg::Answer { .. } => {}
+            | WireMsg::SvcAck { .. } => {}
         }
         Ok(())
     }
@@ -555,7 +550,7 @@ impl<T: Transport> HostNode<T> {
     /// host advance locally; a hop to an object hosted elsewhere becomes
     /// a [`WireMsg::RouteStep`] frame.  Each decision is
     /// [`greedy_next`] over the object's shipped `(id, coords)` table —
-    /// the same call `core::runtime::AsyncOverlay::route_step` makes.
+    /// the kernel `VoroNet`'s own walk runs.
     fn route_step(
         &mut self,
         at: u64,

@@ -12,7 +12,7 @@ use super::DRIVER_PEER;
 use crate::transport::{PeerId, Transport, TransportError};
 use crate::vnet::{VnetHub, VnetTransport};
 use std::time::{Duration, Instant};
-use voronet_core::VoroNetConfig;
+use voronet_core::{VoroNet, VoroNetConfig};
 use voronet_sim::{NetworkModel, TransportStats};
 
 /// The driver's endpoint of an [`InlineCluster`], holding the hosts it
@@ -109,7 +109,11 @@ impl<T: Transport> Transport for InlineTransport<T> {
 /// every endpoint a [`FaultTransport`](crate::fault::FaultTransport), the
 /// rig chaos runs drive.
 pub struct InlineCluster<T: Transport = VnetTransport> {
-    driver: Driver<InlineTransport<T>>,
+    pub(super) driver: Driver<InlineTransport<T>>,
+    /// Routes completed through the [`Overlay`](voronet_services::Overlay)
+    /// surface, and the sum of their hop counts.
+    pub(super) routes: u64,
+    pub(super) route_hops: u64,
 }
 
 impl InlineCluster {
@@ -132,12 +136,19 @@ impl<T: Transport> InlineCluster<T> {
         let t = InlineTransport::new(hosts, endpoint);
         InlineCluster {
             driver: Driver::new(t, hosts, config),
+            routes: 0,
+            route_hops: 0,
         }
     }
 
     /// The cluster's driver.
     pub fn driver(&mut self) -> &mut Driver<InlineTransport<T>> {
         &mut self.driver
+    }
+
+    /// The driver's authoritative overlay.
+    pub fn net(&self) -> &VoroNet {
+        self.driver.net()
     }
 
     /// The cluster's clock, as its endpoints read it.

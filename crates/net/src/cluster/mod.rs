@@ -12,8 +12,8 @@
 //!   overlay's change journal names ([`VoroNet::touched_since`]), diffs it
 //!   against what was last shipped and pushes [`WireMsg::ViewUpdate`]
 //!   frames (routing table, Voronoi neighbours, cell polygon) to the
-//!   hosts, waiting for acks.  This is the same refresh-boundary model as
-//!   `core::runtime`: hosts route **purely from shipped snapshots**.
+//!   hosts, waiting for acks.  Hosts route **purely from shipped
+//!   snapshots**.
 //! * Each **host** (peers `1..=K`) holds the objects with
 //!   `host_of(id) = 1 + id mod K` — the data plane.  Greedy routing
 //!   ([`WireMsg::RouteStep`]) and area-query flooding
@@ -42,7 +42,13 @@
 //! wire* when churn moves the owning cell — a [`WireMsg::SvcKvFetch`]
 //! always reads from whatever host currently owns the key's coordinates.
 //! Driver-side control state mirrors the single-process
-//! `ServiceEngine` semantics, so the simulated and deployed paths agree.
+//! `ServiceEngine` semantics, so the in-process and deployed paths agree.
+//!
+//! ## As an engine
+//!
+//! An [`InlineCluster`] implements `voronet_api::Overlay` (keyed by object
+//! id, like every other engine), so the differential oracle fleet and the
+//! API conformance suite run it beside the synchronous engine.
 //!
 //! ## Loss and fault tolerance
 //!
@@ -79,6 +85,7 @@ mod driver;
 mod host;
 mod inline;
 mod liveness;
+mod overlay;
 mod pump;
 #[cfg(test)]
 mod scripted;

@@ -1,9 +1,9 @@
 //! Wire protocol and pluggable transports: the deployable face of the
 //! VoroNet overlay (Beaumont, Kermarrec, Marchal, Rivière — IPDPS'07).
 //!
-//! Everything below `core` speaks [`ProtocolMsg`](voronet_core::ProtocolMsg)
-//! values through a simulated scheduler.  This crate gives those messages a
-//! concrete byte representation and moves them over real sockets:
+//! `core` holds the overlay as one authoritative data structure.  This
+//! crate runs the protocol at the message level: hosts exchanging byte
+//! frames over a transport, in-process or over real sockets:
 //!
 //! * [`frame`] — the versioned frame header, decode errors and the
 //!   bounds-checked reader every payload parser is built on.
@@ -17,12 +17,10 @@
 //!   same order, same stats.
 //! * [`udp`] / [`tcp`] — real loopback/LAN transports over std sockets
 //!   (one frame per datagram; length-delimited streams with reconnect).
-//! * [`tap`] — [`tap::CodecTap`] round-trips the simulated runtime's
-//!   messages through the codec, proving transparency.
 //! * [`cluster`] — a driver + hosts deployment speaking the wire protocol
 //!   over any transport, conformant with the single-process engines;
 //!   [`InlineCluster`] runs a whole one on one thread and, over vnet, on
-//!   one virtual clock.
+//!   one virtual clock, and is an `Overlay` engine of its own.
 //! * [`fault`] — seeded deterministic fault injection
 //!   ([`fault::FaultTransport`] wraps any transport; [`fault::FaultPlan`]
 //!   schedules crashes, restarts and partitions) for chaos testing.
@@ -35,7 +33,6 @@
 pub mod cluster;
 pub mod fault;
 pub mod frame;
-pub mod tap;
 pub mod tcp;
 pub mod transport;
 pub mod udp;
@@ -48,7 +45,6 @@ pub use cluster::{
 };
 pub use fault::{FaultCtl, FaultEvent, FaultPlan, FaultStats, FaultTransport, LinkFaults};
 pub use frame::{DecodeError, FrameHeader, HEADER_LEN, MAGIC, MAX_FRAME_LEN, WIRE_VERSION};
-pub use tap::CodecTap;
 pub use tcp::TcpTransport;
 pub use transport::{PeerId, Transport, TransportError};
 pub use udp::UdpTransport;

@@ -1,10 +1,10 @@
-//! The deterministic in-memory transport: today's simulated network
+//! The deterministic in-memory transport: a simulated network
 //! ([`NetworkModel`]) behind the [`Transport`] trait.
 //!
 //! A [`VnetHub`] is a shared switch all endpoints of one virtual network
-//! hang off.  `send` consults the hub's `NetworkModel` exactly like the
-//! discrete-event simulator does — partitions first, then one latency
-//! draw, then the loss coin, in that fixed RNG order — and a surviving
+//! hang off.  `send` consults the hub's `NetworkModel` — partitions
+//! first, then one latency draw, then the loss coin, in that fixed RNG
+//! order — and a surviving
 //! frame is timestamped `now + delay` in the hub's virtual clock (one
 //! tick per submission).  `recv_into` drains frames in
 //! `(delivery time, submission sequence)` order, so a single-threaded
@@ -18,7 +18,7 @@
 //! resend, an attempt window or a ping window is a count of idle turns.
 //!
 //! Frames addressed to a peer with no open endpoint are dead letters —
-//! counted, never delivered, like the simulator's departed-node handling.
+//! counted, never delivered.
 
 use crate::frame::MAX_FRAME_LEN;
 use crate::transport::{PeerId, Transport, TransportError};
@@ -62,7 +62,7 @@ impl Ord for InFlight {
 struct HubInner {
     network: NetworkModel,
     /// Virtual clock: one tick per submission, so latency draws shape the
-    /// delivery order exactly as they shape the simulator's event order.
+    /// delivery order.
     now: SimTime,
     /// Submission sequence breaking delivery-time ties deterministically.
     seq: u64,

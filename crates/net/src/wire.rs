@@ -1,15 +1,13 @@
 //! Payload codec: every message the overlay exchanges, as a compact
 //! little-endian binary layout behind the [`crate::frame`] header.
 //!
-//! [`WireMsg`] covers two families sharing one kind-byte space:
-//!
-//! * the **protocol mirror** — one variant per [`ProtocolMsg`] of the
-//!   asynchronous runtime (`Join`/`RouteStep`/`NeighborUpdate`/`Leave`/
-//!   `Ping`/`Answer`), so the simulated path can round-trip its traffic
-//!   through the real codec (see [`crate::tap::CodecTap`]);
-//! * the **cluster protocol** — the control- and data-plane messages of a
-//!   deployed overlay (`ViewUpdate`/`RouteReq`/`FloodProbe`/… — see
-//!   [`crate::cluster`]).
+//! [`WireMsg`] holds the control- and data-plane messages of a deployed
+//! overlay (`ViewUpdate`/`RouteReq`/`RouteStep`/`FloodProbe`/… — see
+//! [`crate::cluster`]), each under its own kind byte.  Kind bytes 1, 3, 4
+//! and 6 belonged to messages nothing sends any more (a join request, a
+//! neighbourhood-change notice, a departure notice and a bare route
+//! answer); they decode as [`DecodeError::UnknownKind`] and are never
+//! reused.
 //!
 //! Decode is **zero-copy**: list-valued fields ([`EntryList`],
 //! [`IdList`], [`PointList`]) borrow the frame buffer and parse items
@@ -21,10 +19,8 @@ use crate::frame::{
     put_f64, put_u32, put_u64, DecodeError, FrameHeader, WireReader, HEADER_LEN, MAX_PAYLOAD_LEN,
 };
 use std::fmt;
-use voronet_core::{ProtocolMsg, RoutePurpose};
 use voronet_geom::{Point2, Rect};
 use voronet_sim::TransportStats;
-use voronet_workloads::RadiusQuery;
 
 /// Encoding failed (the only possible reason: the payload exceeds the
 /// frame budget).
@@ -185,8 +181,7 @@ wire_list!(
     |buf, &id| put_u64(buf, id)
 );
 
-/// Why a [`WireMsg::RouteStep`] is travelling (mirror of
-/// [`RoutePurpose`]).
+/// Why a [`WireMsg::RouteStep`] is travelling.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WirePurpose {
     /// Locate the region owner for a joining object.
@@ -243,13 +238,6 @@ pub enum WireMsg<'a> {
     /// Transport-level preamble identifying the sending peer (TCP sends
     /// it first on every new connection; header `from` carries the id).
     Hello,
-    /// Join request from a not-yet-joined object to its bootstrap node.
-    Join {
-        /// Position the new object wants to publish.
-        position: Point2,
-        /// Result-correlation token.
-        token: u64,
-    },
     /// One greedy forwarding step.
     RouteStep {
         /// Point the route converges towards.
@@ -261,21 +249,10 @@ pub enum WireMsg<'a> {
         /// What to do on arrival.
         purpose: WirePurpose,
     },
-    /// "Your neighbourhood changed — refresh your view."
-    NeighborUpdate,
-    /// Departure notification.
-    Leave,
     /// Liveness probe.
     Ping {
         /// True on the echo leg.
         reply: bool,
-    },
-    /// Route answer delivered back to the origin.
-    Answer {
-        /// Hop count of the completed route.
-        hops: u32,
-        /// Result-correlation token.
-        token: u64,
     },
     /// Installs / refreshes one hosted object's view on its host: the
     /// object's coordinates, its flattened routing table, its Voronoi
@@ -512,13 +489,10 @@ pub enum WireMsg<'a> {
     Shutdown,
 }
 
+// Kind bytes 1, 3, 4 and 6 are retired (see the module docs).
 const KIND_HELLO: u8 = 0;
-const KIND_JOIN: u8 = 1;
 const KIND_ROUTE_STEP: u8 = 2;
-const KIND_NEIGHBOR_UPDATE: u8 = 3;
-const KIND_LEAVE: u8 = 4;
 const KIND_PING: u8 = 5;
-const KIND_ANSWER: u8 = 6;
 const KIND_VIEW_UPDATE: u8 = 7;
 const KIND_VIEW_ACK: u8 = 8;
 const KIND_EVICT: u8 = 9;
@@ -576,12 +550,8 @@ impl<'a> WireMsg<'a> {
     pub fn kind(&self) -> u8 {
         match self {
             WireMsg::Hello => KIND_HELLO,
-            WireMsg::Join { .. } => KIND_JOIN,
             WireMsg::RouteStep { .. } => KIND_ROUTE_STEP,
-            WireMsg::NeighborUpdate => KIND_NEIGHBOR_UPDATE,
-            WireMsg::Leave => KIND_LEAVE,
             WireMsg::Ping { .. } => KIND_PING,
-            WireMsg::Answer { .. } => KIND_ANSWER,
             WireMsg::ViewUpdate { .. } => KIND_VIEW_UPDATE,
             WireMsg::ViewAck { .. } => KIND_VIEW_ACK,
             WireMsg::Evict { .. } => KIND_EVICT,
@@ -621,12 +591,7 @@ impl<'a> WireMsg<'a> {
         }
         .encode_into(buf);
         match *self {
-            WireMsg::Hello | WireMsg::NeighborUpdate | WireMsg::Leave => {}
-            WireMsg::StatsReq | WireMsg::Shutdown => {}
-            WireMsg::Join { position, token } => {
-                put_point(buf, position);
-                put_u64(buf, token);
-            }
+            WireMsg::Hello | WireMsg::StatsReq | WireMsg::Shutdown => {}
             WireMsg::RouteStep {
                 target,
                 origin,
@@ -664,10 +629,6 @@ impl<'a> WireMsg<'a> {
                 }
             }
             WireMsg::Ping { reply } => buf.push(reply as u8),
-            WireMsg::Answer { hops, token } => {
-                put_u32(buf, hops);
-                put_u64(buf, token);
-            }
             WireMsg::ViewUpdate {
                 object,
                 seq,
@@ -893,10 +854,6 @@ impl<'a> WireMsg<'a> {
         let mut r = WireReader::new(payload);
         let msg = match header.kind {
             KIND_HELLO => WireMsg::Hello,
-            KIND_JOIN => WireMsg::Join {
-                position: read_point(&mut r)?,
-                token: r.u64()?,
-            },
             KIND_ROUTE_STEP => {
                 let target = read_point(&mut r)?;
                 let origin = r.u64()?;
@@ -930,8 +887,6 @@ impl<'a> WireMsg<'a> {
                     purpose,
                 }
             }
-            KIND_NEIGHBOR_UPDATE => WireMsg::NeighborUpdate,
-            KIND_LEAVE => WireMsg::Leave,
             KIND_PING => WireMsg::Ping {
                 reply: match r.u8()? {
                     0 => false,
@@ -943,10 +898,6 @@ impl<'a> WireMsg<'a> {
                         })
                     }
                 },
-            },
-            KIND_ANSWER => WireMsg::Answer {
-                hops: r.u32()?,
-                token: r.u64()?,
             },
             KIND_VIEW_UPDATE => WireMsg::ViewUpdate {
                 object: r.u64()?,
@@ -1140,77 +1091,6 @@ impl<'a> WireMsg<'a> {
     }
 }
 
-impl From<ProtocolMsg> for WireMsg<'static> {
-    fn from(msg: ProtocolMsg) -> Self {
-        match msg {
-            ProtocolMsg::Join { position, token } => WireMsg::Join { position, token },
-            ProtocolMsg::RouteStep {
-                target,
-                origin,
-                hops,
-                purpose,
-            } => WireMsg::RouteStep {
-                target,
-                origin,
-                hops,
-                purpose: match purpose {
-                    RoutePurpose::Join { position, token } => WirePurpose::Join { position, token },
-                    RoutePurpose::Query { token } => WirePurpose::Query { token },
-                    RoutePurpose::AreaQuery { rect, token } => WirePurpose::Area { rect, token },
-                    RoutePurpose::RadiusQuery { query, token } => WirePurpose::Radius {
-                        center: query.center,
-                        radius: query.radius,
-                        token,
-                    },
-                },
-            },
-            ProtocolMsg::NeighborUpdate => WireMsg::NeighborUpdate,
-            ProtocolMsg::Leave => WireMsg::Leave,
-            ProtocolMsg::Ping { reply } => WireMsg::Ping { reply },
-            ProtocolMsg::Answer { hops, token } => WireMsg::Answer { hops, token },
-        }
-    }
-}
-
-impl<'a> WireMsg<'a> {
-    /// Converts a protocol-mirror variant back into the runtime's
-    /// [`ProtocolMsg`]; `None` for cluster-protocol messages the runtime
-    /// never exchanges.
-    pub fn to_protocol(&self) -> Option<ProtocolMsg> {
-        Some(match *self {
-            WireMsg::Join { position, token } => ProtocolMsg::Join { position, token },
-            WireMsg::RouteStep {
-                target,
-                origin,
-                hops,
-                purpose,
-            } => ProtocolMsg::RouteStep {
-                target,
-                origin,
-                hops,
-                purpose: match purpose {
-                    WirePurpose::Join { position, token } => RoutePurpose::Join { position, token },
-                    WirePurpose::Query { token } => RoutePurpose::Query { token },
-                    WirePurpose::Area { rect, token } => RoutePurpose::AreaQuery { rect, token },
-                    WirePurpose::Radius {
-                        center,
-                        radius,
-                        token,
-                    } => RoutePurpose::RadiusQuery {
-                        query: RadiusQuery { center, radius },
-                        token,
-                    },
-                },
-            },
-            WireMsg::NeighborUpdate => ProtocolMsg::NeighborUpdate,
-            WireMsg::Leave => ProtocolMsg::Leave,
-            WireMsg::Ping { reply } => ProtocolMsg::Ping { reply },
-            WireMsg::Answer { hops, token } => ProtocolMsg::Answer { hops, token },
-            _ => return None,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1250,10 +1130,6 @@ mod tests {
         let rect = Rect::new(Point2::new(0.1, 0.2), Point2::new(0.6, 0.7));
         let msgs: Vec<WireMsg<'_>> = vec![
             WireMsg::Hello,
-            WireMsg::Join {
-                position: Point2::new(0.3, 0.4),
-                token: 77,
-            },
             WireMsg::RouteStep {
                 target: Point2::new(0.9, 0.1),
                 origin: u64::MAX - 5,
@@ -1285,11 +1161,8 @@ mod tests {
                     token: 9,
                 },
             },
-            WireMsg::NeighborUpdate,
-            WireMsg::Leave,
             WireMsg::Ping { reply: true },
             WireMsg::Ping { reply: false },
-            WireMsg::Answer { hops: 9, token: 3 },
             WireMsg::ViewUpdate {
                 object: 17,
                 seq: 4,
@@ -1445,9 +1318,10 @@ mod tests {
     #[test]
     fn truncation_yields_typed_errors() {
         let mut buf = Vec::new();
-        WireMsg::Join {
-            position: Point2::new(0.5, 0.5),
+        WireMsg::RouteReq {
             token: 1,
+            from_object: 2,
+            target: Point2::new(0.5, 0.5),
         }
         .encode(3, 4, &mut buf)
         .unwrap();
@@ -1484,33 +1358,15 @@ mod tests {
     }
 
     #[test]
-    fn protocol_messages_map_through_the_wire_enum() {
-        let msgs = [
-            ProtocolMsg::Join {
-                position: Point2::new(0.1, 0.2),
-                token: 3,
-            },
-            ProtocolMsg::RouteStep {
-                target: Point2::new(0.5, 0.5),
-                origin: 7,
-                hops: 2,
-                purpose: RoutePurpose::RadiusQuery {
-                    query: RadiusQuery {
-                        center: Point2::new(0.5, 0.5),
-                        radius: 0.25,
-                    },
-                    token: 8,
-                },
-            },
-            ProtocolMsg::NeighborUpdate,
-            ProtocolMsg::Leave,
-            ProtocolMsg::Ping { reply: false },
-            ProtocolMsg::Answer { hops: 4, token: 9 },
-        ];
-        for msg in msgs {
-            let wire: WireMsg<'static> = msg.into();
-            assert_eq!(wire.to_protocol(), Some(msg));
+    fn retired_kind_bytes_stay_unknown() {
+        for retired in [1u8, 3, 4, 6] {
+            let mut buf = Vec::new();
+            WireMsg::Shutdown.encode(0, 1, &mut buf).unwrap();
+            buf[3] = retired;
+            assert_eq!(
+                WireMsg::decode(&buf),
+                Err(DecodeError::UnknownKind(retired))
+            );
         }
-        assert_eq!(WireMsg::Hello.to_protocol(), None);
     }
 }

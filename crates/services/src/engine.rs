@@ -11,8 +11,8 @@
 //! * [`Op::Insert`] / [`Op::Remove`] — forwarded, then followed by the
 //!   churn hooks that keep KV ownership and replica sets correct;
 //! * everything else — forwarded in maximal runs via the inner engine's
-//!   `apply_batch`, preserving its batching tricks (the async engine's
-//!   shared quiescence rounds).
+//!   `apply_batch`, preserving its batching tricks (the cluster's shared
+//!   pump for a run of routes).
 
 use crate::keys::{key_point, topic_key};
 use crate::state::{KvEntry, ServiceState};

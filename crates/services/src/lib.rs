@@ -58,3 +58,8 @@ pub use state::{KvEntry, ServiceState, ServiceStats};
 // Service ops and results are part of the API surface; re-export for
 // callers that only depend on this crate.
 pub use voronet_api::{Overlay, ServiceOp, ServiceResult};
+
+/// The overlay API this crate layers over, for crates that reach it through
+/// this one (`voronet-net` implements [`Overlay`] for its in-process
+/// cluster without a manifest edge of its own).
+pub use voronet_api as api;

@@ -56,10 +56,9 @@ impl MessageKind {
 /// counter in an array indexed by [`MessageKind::index`], the sender's
 /// counter in a table indexed by [`NodeId`], and the running total.  Node
 /// ids are expected to be allocated densely from zero (the overlay's object
-/// ids are), so the table is as large as the id range; the few senders far
-/// outside it — the provisional joiner ids counting down from
-/// `NodeId::MAX`, one per join — are kept in an ordered spill instead of
-/// stretching the table.  Which store holds a count is not observable: two
+/// ids are), so the table is as large as the id range; a sender far
+/// outside it is kept in an ordered spill instead of stretching the
+/// table.  Which store holds a count is not observable: two
 /// values are equal when every kind and every sender count agree.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TrafficStats {

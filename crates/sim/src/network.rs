@@ -1,17 +1,20 @@
-//! Pluggable network conditions for the per-node runtime.
+//! Pluggable network conditions for simulated transports.
 //!
 //! The paper's evaluation assumes an ideal message-passing substrate (every
 //! message arrives, in one logical hop).  Real deployments of an object
 //! overlay see none of that: latency varies per link, messages are lost, and
 //! the network occasionally partitions.  A [`NetworkModel`] decides, for
-//! every message the runtime sends, whether it is delivered and after which
-//! delay — deterministically for a given seed and send order, so that every
-//! scenario run is bit-for-bit reproducible.
+//! every message a simulated transport sends, whether it is delivered and
+//! after which delay — deterministically for a given seed and send order,
+//! so that every run is bit-for-bit reproducible.
 
-use crate::event::SimTime;
 use crate::metrics::NodeId;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+
+/// Logical simulation time (abstract units: `voronet-net`'s vnet hub
+/// counts one per submitted frame).
+pub type SimTime = u64;
 
 /// Per-message latency distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -177,7 +180,7 @@ impl NetworkModel {
 
     /// Decides the fate of a message from `from` to `to` submitted at `now`.
     ///
-    /// Consumes randomness in submission order, which the runtime keeps
+    /// Consumes randomness in submission order, which the caller keeps
     /// deterministic.
     pub fn delivery(&mut self, from: NodeId, to: NodeId, now: SimTime) -> Delivery {
         if self.partitions.iter().any(|w| w.severs(from, to, now)) {

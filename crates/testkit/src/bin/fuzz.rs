@@ -20,6 +20,11 @@
 //! stderr), so two runs print the same stdout; the CI `chaos-smoke` step
 //! runs it twice under `VORONET_SMOKE=1` and diffs them.
 //!
+//! `--dump-ops FILE` writes each generated case's resolved op stream to
+//! `FILE` before running it, one `{op:?}` per line (the file ends up
+//! holding the last case's ops) — a debugging aid, not a replay format:
+//! reproducers are the `.ron` files.
+//!
 //! `--codec` runs the standalone wire-codec property pass
 //! ([`voronet_testkit::run_codec_pass`]) instead of differential
 //! fuzzing — round-trip canonicality, truncation/corruption totality —
@@ -122,17 +127,17 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Dumps the first-round resolved op batch of a case (the id-level replay
-/// format of `voronet_api::replay`) for manual debugging.
+/// Dumps a case's resolved op stream, one `{op:?}` per line, for manual
+/// debugging (replay the case itself from its reproducer file).
 fn dump_resolved_ops(case: &voronet_testkit::FuzzCase, path: &PathBuf) -> std::io::Result<()> {
+    use std::fmt::Write;
     use voronet_api::{resolve_workload, Overlay, OverlayBuilder};
     let mut engine = OverlayBuilder::new(case.nmax).seed(case.seed).build_sync();
     let mut text = String::new();
     for chunk in case.script.chunks(case.round.max(1)) {
-        let ops = resolve_workload(&engine, chunk);
-        text.push_str(&voronet_api::replay::encode_batch(&ops));
-        for op in &ops {
-            engine.apply(op);
+        for op in resolve_workload(&engine, chunk) {
+            writeln!(text, "{op:?}").expect("writing to a String cannot fail");
+            engine.apply(&op);
         }
     }
     std::fs::write(path, text)

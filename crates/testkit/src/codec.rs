@@ -86,28 +86,18 @@ pub fn random_frame(rng: &mut StdRng) -> Vec<u8> {
     let mut s1 = Vec::new();
     let mut s2 = Vec::new();
     let mut s3 = Vec::new();
-    let msg = match rng.random_range(0..32u32) {
+    let msg = match rng.random_range(0..28u32) {
         0 => WireMsg::Hello,
-        1 => WireMsg::Join {
-            position: point(rng),
-            token: rng.random(),
-        },
-        2 => WireMsg::RouteStep {
+        1 => WireMsg::RouteStep {
             target: point(rng),
             origin: rng.random(),
             hops: rng.random(),
             purpose: purpose(rng),
         },
-        3 => WireMsg::NeighborUpdate,
-        4 => WireMsg::Leave,
-        5 => WireMsg::Ping {
+        2 => WireMsg::Ping {
             reply: rng.random(),
         },
-        6 => WireMsg::Answer {
-            hops: rng.random(),
-            token: rng.random(),
-        },
-        7 => {
+        3 => {
             let entries: Vec<(u64, Point2)> = (0..rng.random_range(0..24usize))
                 .map(|_| (rng.random(), point(rng)))
                 .collect();
@@ -124,40 +114,40 @@ pub fn random_frame(rng: &mut StdRng) -> Vec<u8> {
                 cell: PointList::build(&mut s3, &cell),
             }
         }
-        8 => WireMsg::ViewAck {
+        4 => WireMsg::ViewAck {
             object: rng.random(),
             seq: rng.random(),
         },
-        9 => WireMsg::Evict {
+        5 => WireMsg::Evict {
             object: rng.random(),
             seq: rng.random(),
         },
-        10 => WireMsg::EvictAck {
+        6 => WireMsg::EvictAck {
             object: rng.random(),
             seq: rng.random(),
         },
-        11 => WireMsg::RouteReq {
+        7 => WireMsg::RouteReq {
             token: rng.random(),
             from_object: rng.random(),
             target: point(rng),
         },
-        12 => WireMsg::AreaReq {
+        8 => WireMsg::AreaReq {
             token: rng.random(),
             from_object: rng.random(),
             rect: rect(rng),
         },
-        13 => WireMsg::RadiusReq {
+        9 => WireMsg::RadiusReq {
             token: rng.random(),
             from_object: rng.random(),
             center: point(rng),
             radius: rng.random(),
         },
-        14 => WireMsg::AnswerOwner {
+        10 => WireMsg::AnswerOwner {
             token: rng.random(),
             owner: rng.random(),
             hops: rng.random(),
         },
-        15 => {
+        11 => {
             let matches = ids(rng, 256);
             WireMsg::AnswerMatches {
                 token: rng.random(),
@@ -166,7 +156,7 @@ pub fn random_frame(rng: &mut StdRng) -> Vec<u8> {
                 matches: IdList::build(&mut s1, &matches),
             }
         }
-        16 => WireMsg::FloodProbe {
+        12 => WireMsg::FloodProbe {
             token: rng.random(),
             object: rng.random(),
             query: if rng.random() {
@@ -178,7 +168,7 @@ pub fn random_frame(rng: &mut StdRng) -> Vec<u8> {
                 }
             },
         },
-        17 => {
+        13 => {
             let neighbours = ids(rng, 24);
             WireMsg::FloodReply {
                 token: rng.random(),
@@ -188,45 +178,45 @@ pub fn random_frame(rng: &mut StdRng) -> Vec<u8> {
                 neighbours: IdList::build(&mut s1, &neighbours),
             }
         }
-        18 => WireMsg::StatsReq,
-        19 => WireMsg::StatsReply {
+        14 => WireMsg::StatsReq,
+        15 => WireMsg::StatsReply {
             stats: stats(rng),
             ops_served: rng.random(),
         },
-        20 => WireMsg::Shutdown,
-        21 => WireMsg::SvcSubscribe {
+        16 => WireMsg::Shutdown,
+        17 => WireMsg::SvcSubscribe {
             object: rng.random(),
             seq: rng.random(),
             region: rect(rng),
         },
-        22 => WireMsg::SvcUnsubscribe {
+        18 => WireMsg::SvcUnsubscribe {
             object: rng.random(),
             seq: rng.random(),
         },
-        23 => WireMsg::SvcDeliver {
+        19 => WireMsg::SvcDeliver {
             object: rng.random(),
             seq: rng.random(),
             topic: [rng.random(), rng.random(), rng.random(), rng.random()],
             topic_seq: rng.random(),
             payload: rng.random(),
         },
-        24 => WireMsg::SvcKvStore {
+        20 => WireMsg::SvcKvStore {
             object: rng.random(),
             seq: rng.random(),
             key: rng.random(),
             value: rng.random(),
         },
-        25 => WireMsg::SvcKvDrop {
+        21 => WireMsg::SvcKvDrop {
             object: rng.random(),
             seq: rng.random(),
             key: rng.random(),
         },
-        26 => WireMsg::SvcKvFetch {
+        22 => WireMsg::SvcKvFetch {
             token: rng.random(),
             object: rng.random(),
             key: rng.random(),
         },
-        27 => WireMsg::SvcKvValue {
+        23 => WireMsg::SvcKvValue {
             token: rng.random(),
             value: if rng.random() {
                 Some(rng.random())
@@ -234,18 +224,18 @@ pub fn random_frame(rng: &mut StdRng) -> Vec<u8> {
                 None
             },
         },
-        28 => WireMsg::SvcAck {
+        24 => WireMsg::SvcAck {
             object: rng.random(),
             seq: rng.random(),
         },
-        29 => WireMsg::SvcKvReplicate {
+        25 => WireMsg::SvcKvReplicate {
             object: rng.random(),
             seq: rng.random(),
             key: rng.random(),
             value: rng.random(),
             entry_seq: rng.random(),
         },
-        30 => WireMsg::SvcKvFetchReplica {
+        26 => WireMsg::SvcKvFetchReplica {
             token: rng.random(),
             object: rng.random(),
             key: rng.random(),

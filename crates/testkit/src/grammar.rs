@@ -31,7 +31,7 @@ pub struct FuzzSpec {
     pub ops: usize,
     /// Provisioned overlay capacity (`N_max`).
     pub nmax: usize,
-    /// Whether to attach a lossy network profile (adds the lossy async
+    /// Whether to attach a lossy network profile (adds the lossy cluster
     /// companion run).
     pub lossy: bool,
     /// Bias generation towards service segments (pub/sub + KV).  Service

@@ -1,12 +1,13 @@
-//! The differential harness: one script, four executions, zero tolerated
-//! disagreement.
+//! The differential harness: one script, three executions plus a lossy
+//! companion, zero tolerated disagreement.
 //!
 //! [`run_case`] replays a [`FuzzCase`] simultaneously against
 //!
 //! 1. **sync** — `SyncEngine`, the live `VoroNet` walk over the overlay's
 //!    routing rows, one op at a time (the reference execution);
-//! 2. **async** — the message-driven `AsyncOverlay` runtime on a
-//!    loss-free network;
+//! 2. **cluster** — `voronet-net`'s `InlineCluster` on an ideal hub: a
+//!    driver and three hosts exchanging wire frames, every route and area
+//!    query walked host to host over the views the driver shipped;
 //! 3. **frozen** — every route served through a
 //!    [`FrozenView`](voronet_core::FrozenView) delta-patched at each read
 //!    ([`crate::frozen::FrozenReplay`]), whose rows are derived apart from
@@ -14,10 +15,15 @@
 //!
 //! checking every [`OpResult`] element-wise across all three and against
 //! the O(n²) [`OracleModel`].  When the case carries a lossy
-//! [`NetProfile`], a fourth async execution runs under loss, latency
-//! shifts and partition windows — its results legitimately diverge, so it
-//! is checked for *sanity* instead: only `OperationLost`/`UnknownObject`
-//! failures, structural invariants intact after every round.
+//! [`NetProfile`], a fourth execution — a cluster on a hub with that
+//! profile's loss, latency shifts and partition windows — runs beside
+//! them.  The cluster resends what the network loses, but an op can still
+//! run out of its retry budget (`OperationLost`) or meet a host the
+//! failure detector declared dead (`Unavailable`), and its population then
+//! lags the script, so it is checked for *sanity* instead: only those
+//! failures (plus the unknown-object and duplicate-position errors a
+//! lagging population causes), structural invariants intact after every
+//! round.
 //!
 //! Audit points close every resolution round: populations, dense orders,
 //! coordinates, aggregate stats, per-node sent counters and invariant
@@ -29,11 +35,21 @@
 use crate::frozen::{Fault, FrozenReplay};
 use crate::grammar::{FuzzCase, NetProfile};
 use crate::oracle::OracleModel;
-use voronet_api::{resolve_workload, AsyncEngine, Op, OpResult, Overlay, SyncEngine};
+use std::time::Duration;
+use voronet_api::{resolve_workload, Op, OpResult, Overlay, SyncEngine};
 use voronet_core::{ErrorKind, VoroNetConfig};
 use voronet_geom::Point2;
+use voronet_net::{InlineCluster, RetryPolicy};
 use voronet_services::ServiceEngine;
 use voronet_sim::NetworkModel;
+
+/// Hosts of every cluster in the fleet.
+const HOSTS: u64 = 3;
+/// Time budget of one op on the lossy cluster: 40 resends on the default
+/// 25 ms cadence.  The default 30 s budget makes each op the network keeps
+/// losing wait out 30 000 idle turns of the pump, and the 10k-op smoke
+/// case then spends ~30 s of wall time on the ~200 ops it loses.
+const LOSSY_BUDGET: Duration = Duration::from_secs(1);
 
 /// A disagreement between executions (or between an execution and the
 /// oracle): what the fuzzer hunts and the shrinker preserves.
@@ -75,9 +91,9 @@ pub struct RunReport {
 
 struct Fleet {
     sync: ServiceEngine<SyncEngine>,
-    asynchronous: ServiceEngine<AsyncEngine>,
+    cluster: ServiceEngine<InlineCluster>,
     frozen: ServiceEngine<FrozenReplay>,
-    lossy: Option<ServiceEngine<AsyncEngine>>,
+    lossy: Option<ServiceEngine<InlineCluster>>,
     oracle: OracleModel,
 }
 
@@ -90,14 +106,18 @@ impl Fleet {
         let config = VoroNetConfig::new(case.nmax).with_seed(case.seed);
         Fleet {
             sync: ServiceEngine::new(SyncEngine::new(config)),
-            asynchronous: ServiceEngine::new(AsyncEngine::new(config, NetworkModel::ideal())),
+            cluster: ServiceEngine::new(InlineCluster::start(HOSTS, config, NetworkModel::ideal())),
             frozen: ServiceEngine::new(FrozenReplay::new(config, fault)),
             lossy: match case.net {
                 NetProfile::Ideal => None,
-                lossy => Some(ServiceEngine::new(AsyncEngine::new(
-                    config,
-                    lossy.network(),
-                ))),
+                lossy => Some(ServiceEngine::new({
+                    let mut cluster = InlineCluster::start(HOSTS, config, lossy.network());
+                    cluster.driver().set_retry_policy(RetryPolicy {
+                        budget: LOSSY_BUDGET,
+                        ..RetryPolicy::default()
+                    });
+                    cluster
+                })),
             },
             oracle: OracleModel::new(&config),
         }
@@ -137,7 +157,7 @@ fn audit_fleet(fleet: &mut Fleet, round: usize, report: &mut RunReport) -> Resul
     // Populations and dense orders agree everywhere.
     let ids = fleet.sync.ids();
     for (name, other) in [
-        ("async", fleet.asynchronous.ids()),
+        ("cluster", fleet.cluster.ids()),
         ("frozen", fleet.frozen.inner().net().ids().collect()),
     ] {
         if other != ids {
@@ -150,7 +170,7 @@ fn audit_fleet(fleet: &mut Fleet, round: usize, report: &mut RunReport) -> Resul
     for &id in &ids {
         let c = fleet.sync.coords(id);
         for (name, other) in [
-            ("async", fleet.asynchronous.coords(id)),
+            ("cluster", fleet.cluster.coords(id)),
             ("frozen", fleet.frozen.inner().net().coords(id)),
         ] {
             if other != c {
@@ -192,7 +212,7 @@ fn audit_fleet(fleet: &mut Fleet, round: usize, report: &mut RunReport) -> Resul
     let exhaustive = ids.len() <= 128;
     for (name, net) in [
         ("sync", fleet.sync.inner().net()),
-        ("async", fleet.asynchronous.inner().overlay().net()),
+        ("cluster", fleet.cluster.inner().net()),
         ("frozen", fleet.frozen.inner().net()),
     ] {
         let audit = net
@@ -219,7 +239,7 @@ fn audit_fleet(fleet: &mut Fleet, round: usize, report: &mut RunReport) -> Resul
     // executions and matches the oracle's naive model.
     let service = fleet.sync.service_state();
     for (name, other) in [
-        ("async", fleet.asynchronous.service_state()),
+        ("cluster", fleet.cluster.service_state()),
         ("frozen", fleet.frozen.service_state()),
     ] {
         if other != service {
@@ -255,7 +275,7 @@ fn audit_fleet(fleet: &mut Fleet, round: usize, report: &mut RunReport) -> Resul
 }
 
 fn check_lossy(
-    lossy: &mut ServiceEngine<AsyncEngine>,
+    lossy: &mut ServiceEngine<InlineCluster>,
     base: usize,
     ops: &[Op],
     report: &mut RunReport,
@@ -264,7 +284,10 @@ fn check_lossy(
     for (i, result) in results.iter().enumerate() {
         if let OpResult::Failed(e) = result {
             match e.kind() {
-                ErrorKind::OperationLost => report.lossy_lost += 1,
+                // An exhausted retry ladder, or a host the failure
+                // detector declared dead failing fast: the cluster's own
+                // failure modes under loss.
+                ErrorKind::OperationLost | ErrorKind::Unavailable => report.lossy_lost += 1,
                 // The lossy overlay's population legitimately lags the
                 // script (lost joins), so later ops may reference objects
                 // it never admitted or kept — and an insert the reference
@@ -313,8 +336,8 @@ pub fn run_case(case: &FuzzCase, fault: Fault) -> Result<RunReport, Divergence> 
         let base = report.ops_run;
 
         let reference: Vec<OpResult> = ops.iter().map(|op| fleet.sync.apply(op)).collect();
-        let asynchronous = fleet.asynchronous.apply_batch(&ops);
-        if let Some(d) = result_divergence("async", base, &ops, &reference, &asynchronous) {
+        let cluster = fleet.cluster.apply_batch(&ops);
+        if let Some(d) = result_divergence("cluster", base, &ops, &reference, &cluster) {
             return Err(d);
         }
         let frozen: Vec<OpResult> = ops.iter().map(|op| fleet.frozen.apply(op)).collect();

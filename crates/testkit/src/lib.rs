@@ -3,12 +3,13 @@
 //! The differential oracle testkit: model-based fuzzing of every VoroNet
 //! execution engine, with shrinking, replayable reproducers.
 //!
-//! The workspace carries three implementations of the same protocol
+//! The workspace carries three executions of the same protocol
 //! semantics — the live [`VoroNet`](voronet_core::VoroNet) walk over its
 //! routing rows, the [`FrozenView`](voronet_core::FrozenView) snapshot
-//! with independently derived rows, and the message-driven
-//! [`AsyncOverlay`](voronet_core::runtime::AsyncOverlay) runtime.  This
-//! crate pins them to each other and to a naive O(n²) reference model:
+//! with independently derived rows, and the message-level
+//! [`InlineCluster`](voronet_net::InlineCluster), whose hosts route over
+//! the views the driver ships them.  This crate pins them to each other
+//! and to a naive O(n²) reference model:
 //!
 //! * [`oracle`] — the brute-force [`oracle::OracleModel`]
 //!   that predicts every op result from first principles;
@@ -16,8 +17,8 @@
 //!   from a weighted op grammar (built on
 //!   [`OpMix`](voronet_workloads::OpMix)), including network-event
 //!   profiles (loss, latency shifts, partition windows);
-//! * [`harness`] — [`harness::run_case`], the four-way
-//!   differential executor;
+//! * [`harness`] — [`harness::run_case`], the differential executor over
+//!   sync, cluster and frozen (plus a lossy cluster);
 //! * [`frozen`] — the frozen-snapshot execution plus deliberate
 //!   [`frozen::Fault`] injection for self-testing the checker;
 //! * [`shrink`] — ddmin-style script minimisation of diverging cases;

@@ -6,8 +6,9 @@
 //! jittered grids, rings of co-circular points) and query generators
 //! (random object pairs, range and radius queries).
 //!
-//! All generators are seeded and deterministic so every figure of
-//! EXPERIMENTS.md can be regenerated bit-for-bit.
+//! All generators are seeded and deterministic so every figure the
+//! `figures` binary writes (and every reading `crates/README.md` records
+//! from it) can be regenerated bit-for-bit.
 
 #![warn(missing_docs)]
 

@@ -1,7 +1,7 @@
 //! One workload, every engine: the same batched program runs unchanged on
-//! the synchronous fast path and on the message-driven asynchronous
-//! runtime — including a lossy network where operations can genuinely
-//! fail.
+//! the synchronous fast path and on the message-level cluster (a driver
+//! and three hosts exchanging wire frames on one thread) — including a
+//! lossy network, where frames are lost and the cluster resends them.
 //!
 //! ```text
 //! cargo run --release --example engines
@@ -9,7 +9,7 @@
 
 use voronet::prelude::*;
 use voronet::sim::{LatencyModel, NetworkModel};
-use voronet_api::resolve_workload;
+use voronet_api::{resolve_workload, RouteOutcome};
 
 const NMAX: usize = 2_000;
 const WARMUP: usize = 600;
@@ -42,12 +42,11 @@ fn run(label: &str, mut net: Box<dyn Overlay>) {
         .filter(|r| {
             matches!(
                 r.err().map(VoronetError::kind),
-                Some(ErrorKind::OperationLost)
+                Some(ErrorKind::OperationLost | ErrorKind::Unavailable)
             )
         })
         .count();
-    let routed: Vec<&voronet_api::RouteOutcome> =
-        results.iter().filter_map(OpResult::as_routed).collect();
+    let routed: Vec<&RouteOutcome> = results.iter().filter_map(OpResult::as_routed).collect();
     let mean_hops = if routed.is_empty() {
         0.0
     } else {
@@ -72,7 +71,7 @@ fn run(label: &str, mut net: Box<dyn Overlay>) {
         mean_hops
     );
     println!(
-        "  engine     {} messages total, {} routes completed overall",
+        "  engine     {} messages (sync) or frames (cluster), {} routes completed overall",
         stats.messages, stats.routes_completed
     );
     net.verify_invariants()
@@ -82,29 +81,25 @@ fn run(label: &str, mut net: Box<dyn Overlay>) {
 fn main() {
     println!("the same {BATCH}-op read-heavy batch, submitted through `Box<dyn Overlay>`\n");
 
-    let builder = OverlayBuilder::new(NMAX).seed(2006);
+    let config = OverlayBuilder::new(NMAX).seed(2006).config();
+    let lossy = NetworkModel::new(
+        2006,
+        LatencyModel::Skewed {
+            min: 1,
+            max: 40,
+            alpha: 1.3,
+        },
+    )
+    .with_loss(0.20);
 
-    run("sync engine", builder.clone().build());
+    run("sync engine", Box::new(SyncEngine::new(config)));
     run(
-        "async engine (ideal network)",
-        builder.clone().engine(EngineKind::Async).build(),
+        "cluster, 3 hosts (ideal network)",
+        Box::new(InlineCluster::start(3, config, NetworkModel::ideal())),
     );
     run(
-        "async engine (heavy-tailed latency, 20% loss)",
-        builder
-            .engine(EngineKind::Async)
-            .network(
-                NetworkModel::new(
-                    2006,
-                    LatencyModel::Skewed {
-                        min: 1,
-                        max: 40,
-                        alpha: 1.3,
-                    },
-                )
-                .with_loss(0.20),
-            )
-            .build(),
+        "cluster, 3 hosts (heavy-tailed latency, 20% loss)",
+        Box::new(InlineCluster::start(3, config, lossy)),
     );
 
     println!("\nNo engine type appears in `run` — that is the point.");

@@ -10,9 +10,9 @@ use voronet::prelude::*;
 
 fn main() {
     // An overlay provisioned for up to 10 000 objects, one long link each,
-    // built on the synchronous engine.  Swapping in the message-driven
-    // engine is `.engine(EngineKind::Async).build()` — same trait, same
-    // program (see the `engines` example).
+    // built on the synchronous engine.  Swapping in the message-level
+    // cluster is `InlineCluster::start(3, builder.config(), network)` —
+    // same trait, same program (see the `engines` example).
     let mut net = OverlayBuilder::new(10_000).seed(42).build_sync();
 
     // Publish 2 000 objects drawn uniformly from the attribute space.  In a

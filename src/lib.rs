@@ -12,31 +12,26 @@
 //! | [`geom`] | robust predicates, incremental Delaunay/Voronoi |
 //! | [`stats`] | histograms, regressions, series export |
 //! | [`workloads`] | object distributions, query generators, batched op scripts |
-//! | [`sim`] | discrete-event scheduler, per-node async runtime, network models, traffic accounting |
-//! | [`core`] | the VoroNet overlay itself, plus its message-driven execution |
+//! | [`sim`] | traffic accounting and deterministic network models |
+//! | [`core`] | the VoroNet overlay itself, plus the paper's Algorithm 5 |
 //! | [`api`] | the backend-agnostic [`Overlay`](api::Overlay) trait, batched ops, `OverlayBuilder`, unified errors |
 //! | [`services`] | geo-scoped services over any overlay: region pub/sub and coordinate-keyed KV |
-//! | [`net`] | the wire codec, pluggable transports (vnet/UDP/TCP) and the driver/host cluster behind `voronet-node` |
+//! | [`net`] | the wire codec, pluggable transports (vnet/UDP/TCP) and the driver/host cluster behind `voronet-node`, which is also the message-level `Overlay` engine |
 //! | `voronet-smallworld` | Kleinberg grid baseline for the routing ablation (dev-only, not re-exported) |
 //! | `voronet-testkit` | differential oracle fuzzing of every engine, shrinking reproducers (dev-only, not re-exported) |
 //!
 //! Applications program against the [`api::Overlay`] trait and pick an
-//! engine (synchronous fast path or the message-driven runtime) with the
-//! [`api::OverlayBuilder`]:
+//! engine: the synchronous fast path, or the message-level cluster
+//! ([`net::InlineCluster`]: a driver and hosts exchanging wire frames on
+//! one thread).  The program below runs unchanged on
+//! `Box::new(InlineCluster::start(3, builder.config(), NetworkModel::ideal()))`;
+//! `examples/engines.rs` runs one batch on both, and on a lossy cluster.
 //!
 //! ```
 //! use voronet::prelude::*;
 //!
-//! let mut net = OverlayBuilder::new(100).seed(1).build_sync();
-//! let a = net.insert(Point2::new(0.2, 0.2)).unwrap().id;
-//! let b = net.insert(Point2::new(0.9, 0.7)).unwrap().id;
-//! assert_eq!(net.route_between(a, b).unwrap().owner, b);
-//!
-//! // The same program runs unchanged on the asynchronous engine:
-//! let mut net: Box<dyn Overlay> = OverlayBuilder::new(100)
-//!     .seed(1)
-//!     .engine(EngineKind::Async)
-//!     .build();
+//! let builder = OverlayBuilder::new(100).seed(1);
+//! let mut net: Box<dyn Overlay> = Box::new(builder.build_sync());
 //! let a = net.insert(Point2::new(0.2, 0.2)).unwrap().id;
 //! let b = net.insert(Point2::new(0.9, 0.7)).unwrap().id;
 //! assert_eq!(net.route_between(a, b).unwrap().owner, b);
@@ -56,14 +51,15 @@ pub use voronet_workloads as workloads;
 /// Commonly used items, re-exported for `use voronet::prelude::*`.
 pub mod prelude {
     pub use voronet_api::{
-        AsyncEngine, EngineKind, ErrorKind, Op, OpResult, Overlay, OverlayBuilder, ServiceOp,
-        ServiceResult, SyncEngine, VoronetError,
+        ErrorKind, Op, OpResult, Overlay, OverlayBuilder, ServiceOp, ServiceResult, SyncEngine,
+        VoronetError,
     };
     pub use voronet_core::{
         radius_query, range_query, FrozenView, JoinReport, LeaveReport, ObjectId, ObjectView,
         RouteReport, RouteScratch, SnapshotStats, ViewRefresh, VoroNet, VoroNetConfig,
     };
     pub use voronet_geom::{Point2, Rect, Triangulation};
+    pub use voronet_net::InlineCluster;
     pub use voronet_services::{key_point, ServiceEngine};
     pub use voronet_stats::{IntHistogram, Series};
     pub use voronet_workloads::{
