@@ -10,13 +10,17 @@
 //! to the target (§3.2).  The rows are kept current by join and leave, so
 //! a batch needs no snapshot, no refresh at its write barriers and no
 //! second walk; [`Overlay::apply_batch`] is the trait's per-op default.
-//! The walk records its messages into a reused [`RouteScratch`] and the
-//! engine replays them onto the overlay's counters after each route, so
-//! routes are allocation-free once the scratch has warmed up.
+//!
+//! Routes and area queries run on one reused [`RouteScratch`]: the walk
+//! fills its path and adds its hop count to the scratch's per-kind
+//! message counts once, a flood adds its message count once, and the
+//! engine adds those counts to the overlay's after each operation.  Routes
+//! are allocation-free once the scratch has warmed up, and an area query
+//! allocates no work-list of its own.
 
 use crate::ops::{InsertOutcome, OverlayStats, QueryOutcome, RemoveOutcome, RouteOutcome};
 use crate::overlay::Overlay;
-use voronet_core::queries::{radius_query, range_query};
+use voronet_core::queries::{radius_query_in, range_query_in, AreaQueryReport};
 use voronet_core::snapshot::RouteScratch;
 use voronet_core::{ObjectId, ObjectView, VoroNet, VoroNetConfig, VoronetError};
 use voronet_geom::Point2;
@@ -63,6 +67,18 @@ impl SyncEngine {
     /// Read access to the underlying overlay.
     pub fn net(&self) -> &VoroNet {
         &self.net
+    }
+
+    /// Runs an area query on the engine's scratch and applies its message
+    /// counts, as [`Overlay::route`] does for a walk.
+    fn area_query(
+        &mut self,
+        query: impl FnOnce(&VoroNet, &mut RouteScratch) -> Result<AreaQueryReport, VoronetError>,
+    ) -> Result<QueryOutcome, VoronetError> {
+        let report = query(&self.net, &mut self.scratch);
+        self.net.apply_traffic(&self.scratch.delta);
+        self.scratch.delta.clear();
+        Ok(report?.into())
     }
 }
 
@@ -112,11 +128,11 @@ impl Overlay for SyncEngine {
     }
 
     fn range(&mut self, from: ObjectId, query: RangeQuery) -> Result<QueryOutcome, VoronetError> {
-        Ok(range_query(&mut self.net, from, query)?.into())
+        self.area_query(|net, scratch| range_query_in(net, from, query, scratch))
     }
 
     fn radius(&mut self, from: ObjectId, query: RadiusQuery) -> Result<QueryOutcome, VoronetError> {
-        Ok(radius_query(&mut self.net, from, query)?.into())
+        self.area_query(|net, scratch| radius_query_in(net, from, query, scratch))
     }
 
     fn snapshot(&self, id: ObjectId) -> Result<ObjectView, VoronetError> {

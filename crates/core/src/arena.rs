@@ -16,12 +16,12 @@
 //! segment of the object's routing row, so neither is stored twice.  An
 //! [`ObjectId`] enters from outside only through the public API; it maps
 //! to its vertex through a dense table indexed by id (ids are allocated
-//! monotonically, and the overlay's traffic counters already keep 8 bytes
-//! per id issued).  When the triangulation renumbers its vertices along
-//! the Hilbert curve every column moves with it, so an object's state sits
-//! next to its Voronoi neighbours' and a write touches a few nearby cache
-//! lines.  (Per-node message counts are not here: they live once, in the
-//! overlay's `TrafficStats`, indexed by object id.)
+//! monotonically, so the table holds 4 bytes per id ever issued).  When
+//! the triangulation renumbers its vertices along the Hilbert curve every
+//! column moves with it, so an object's state sits next to its Voronoi
+//! neighbours' and a write touches a few nearby cache lines.  No message
+//! count is kept per object: the overlay's `TrafficStats` counts messages
+//! per kind only.
 //!
 //! Back positions make a departure O(1) in the size of its neighbours'
 //! lists.  `Choose-LRT` (Algorithm 3) draws targets up to √2 away, so on a

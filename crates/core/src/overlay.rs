@@ -201,13 +201,6 @@ impl VoroNet {
         self.objects.id_at(idx)
     }
 
-    /// Protocol messages sent by a live object since construction (or the
-    /// last [`VoroNet::reset_traffic`]); `None` for departed or unknown
-    /// objects.  Read from [`VoroNet::traffic`] — the only per-node count.
-    pub fn sent_by(&self, id: ObjectId) -> Option<u64> {
-        self.contains(id).then(|| self.traffic.sent_by(id.0))
-    }
-
     /// Accumulated protocol traffic since construction (or the last
     /// [`VoroNet::reset_traffic`]).
     pub fn traffic(&self) -> &TrafficStats {
@@ -230,18 +223,11 @@ impl VoroNet {
         self.objects.vertex_of(id)
     }
 
-    /// Records a protocol message emitted by an extension built on top of
-    /// the overlay (e.g. the range-query flood of [`crate::queries`]).
-    pub fn record_message(&mut self, from: ObjectId, kind: MessageKind) {
-        self.note(from, kind);
-    }
-
-    /// Records a message sent by a live object.  (A departing object's last
-    /// messages, emitted once it has left the dense order, go through
-    /// [`TrafficStats::record`] directly.)
-    fn note(&mut self, from: ObjectId, kind: MessageKind) {
-        debug_assert!(self.contains(from), "note() requires a live sender");
-        self.traffic.record(from.0, kind);
+    /// Records `n` protocol messages of `kind` sent by a `&mut self`
+    /// query built on top of the overlay (the segment-query flood of
+    /// [`crate::queries`]).
+    pub(crate) fn record_messages(&mut self, kind: MessageKind, n: u64) {
+        self.traffic.add(kind, n);
     }
 
     // ------------------------------------------------------------------
@@ -402,21 +388,21 @@ impl VoroNet {
     /// `route_*` entry point funnels through here.
     ///
     /// The walk computes into the caller's [`RouteScratch`] (`scratch.path`
-    /// cleared and refilled, the per-hop `RouteForward` accounting
-    /// *appended* to `scratch.delta`) and touches no overlay state, so any
-    /// number of routes can run concurrently over one shared overlay.
-    /// Apply the accumulated delta afterwards with
-    /// [`VoroNet::apply_traffic`] to get counters bit-identical to the
-    /// `&mut self` forms.  Allocation-free on warmed-up buffers.
+    /// cleared and refilled with the objects traversed, and the hop count
+    /// *added* to `scratch.delta`'s `RouteForward` count once, when the
+    /// walk ends) and touches no overlay state, so any number of routes can
+    /// run concurrently over one shared overlay.  Apply the accumulated
+    /// delta afterwards with [`VoroNet::apply_traffic`] to get counters
+    /// bit-identical to the `&mut self` forms.  Allocation-free on
+    /// warmed-up buffers.
     ///
     /// The walk runs in vertex space: one [`greedy_descent`] whose hop
     /// scans the object's routing row — its Voronoi fan, then its close
     /// neighbours, then its long links, as vertex ids — against the
     /// triangulation's point array.  A hop reads one row and a few points;
     /// nothing is hashed and no triangle is walked, and only the objects
-    /// the path and the accounting name are read from the vertex → object
-    /// column.  Joins and departures keep the rows current (see
-    /// [`VoroNet::audit_invariants`]).
+    /// the path names are read from the vertex → object column.  Joins and
+    /// departures keep the rows current (see [`VoroNet::audit_invariants`]).
     pub fn route_to_point_in(
         &self,
         from: ObjectId,
@@ -427,20 +413,14 @@ impl VoroNet {
         path.clear();
         let start = self.vertex(from)?;
         path.push(from);
-        // The object the walk is at: each hop's sender is the previous
-        // hop's receiver, so a hop looks up one object, not two.
-        let mut at = from;
         let (_, hops) = greedy_descent(
             (start, self.tri.point(start)),
             target,
             |v| self.rows.of(v).iter().map(|&u| (u, self.tri.point(u))),
-            |_, next| {
-                delta.push(at, MessageKind::RouteForward);
-                at = self.objects.object(next);
-                path.push(at);
-            },
+            |_, next| path.push(self.objects.object(next)),
         );
-        Ok((at, hops))
+        delta.add(MessageKind::RouteForward, u64::from(hops));
+        Ok((*path.last().expect("the path starts at the source"), hops))
     }
 
     /// Greedy route between two existing objects on `&self`; see
@@ -460,13 +440,11 @@ impl VoroNet {
         Ok((owner, hops))
     }
 
-    /// Replays a [`TrafficDelta`] onto the overlay's counters: exactly the
-    /// per-kind and per-sender counts the events would have produced had
-    /// they been recorded inline.
+    /// Adds a [`TrafficDelta`]'s counts to the overlay's counters: exactly
+    /// the counts its messages would have produced had they been recorded
+    /// inline.
     pub fn apply_traffic(&mut self, delta: &TrafficDelta) {
-        for &(id, kind) in delta.events() {
-            self.traffic.record(id.0, kind);
-        }
+        self.traffic.merge(&delta.0);
     }
 
     /// Freezes the current routing topology into a [`FrozenView`] — the
@@ -576,7 +554,7 @@ impl VoroNet {
         query: Point2,
     ) -> Result<RouteReport, VoronetError> {
         let report = self.route_to_point(from, query)?;
-        self.note(report.owner, MessageKind::QueryAnswer);
+        self.traffic.record(MessageKind::QueryAnswer);
         Ok(report)
     }
 
@@ -638,8 +616,7 @@ impl VoroNet {
             },
         );
         // EstablishLongLink notification + back-link registration.
-        self.note(id, MessageKind::LongLink);
-        self.note(neighbour, MessageKind::LongLink);
+        self.traffic.add(MessageKind::LongLink, 2);
         hops
     }
 
@@ -716,9 +693,6 @@ impl VoroNet {
         };
         let id = ObjectId(self.next_id);
         self.next_id += 1;
-        // Every id handed out so far indexes the sender table, so recording
-        // a message from a live object never allocates.
-        self.traffic.reserve_senders(self.next_id);
         self.objects.add(id, vertex, p);
         let mut messages = routing_hops as u64;
         let mut work = std::mem::take(&mut self.work);
@@ -730,10 +704,9 @@ impl VoroNet {
         // add the nodes collected below.
         let mut dirty: Vec<ObjectId> = work.fan.iter().map(|&u| self.objects.object(u)).collect();
         // The owner sends every (old and new) neighbour its updated region.
-        for &n in &dirty {
-            self.note(n, MessageKind::VoronoiUpdate);
-            messages += 1;
-        }
+        self.traffic
+            .add(MessageKind::VoronoiUpdate, dirty.len() as u64);
+        messages += dirty.len() as u64;
 
         // --- 3. close neighbours (Lemma 1) --------------------------------
         // Each Voronoi neighbour reports itself and its close set; every
@@ -743,9 +716,11 @@ impl VoroNet {
         work.near.extend_from_slice(&work.fan);
         for &u in &work.fan {
             work.near.extend_from_slice(self.close(u));
-            self.note(self.objects.object(u), MessageKind::CloseNeighbourExchange);
-            messages += 1;
         }
+        let reports = work.fan.len() as u64;
+        self.traffic
+            .add(MessageKind::CloseNeighbourExchange, reports);
+        messages += reports;
         work.near.sort_unstable_by_key(|&u| self.objects.object(u));
         work.near.dedup();
         for &u in &work.near {
@@ -753,7 +728,7 @@ impl VoroNet {
                 self.add_close(u, vertex);
                 self.add_close(vertex, u);
                 // p declares itself to its new close neighbour.
-                self.note(id, MessageKind::CloseNeighbourExchange);
+                self.traffic.record(MessageKind::CloseNeighbourExchange);
                 messages += 1;
                 dirty.push(self.objects.object(u));
             }
@@ -779,7 +754,7 @@ impl VoroNet {
             self.retarget(source, bl.link, vertex);
             dirty.push(bl.source);
             self.objects.push_back(vertex, bl);
-            self.note(id, MessageKind::LongLink);
+            self.traffic.record(MessageKind::LongLink);
             messages += 1;
         }
 
@@ -848,9 +823,8 @@ impl VoroNet {
 
         // Voronoi neighbours receive the recomputed boundaries.
         work.fan.extend(self.tri.real_neighbors_iter(v));
-        for _ in 0..work.fan.len() {
-            self.traffic.record(id.0, MessageKind::VoronoiUpdate);
-        }
+        self.traffic
+            .add(MessageKind::VoronoiUpdate, work.fan.len() as u64);
         messages += work.fan.len() as u64;
         // Change-log dirty set: the Voronoi fan re-knits among vn, close
         // links drop on the close neighbours, and delegated long links
@@ -864,7 +838,7 @@ impl VoroNet {
         // Close neighbours are told about the departure.
         for &u in &work.near {
             self.remove_close(u, v);
-            self.traffic.record(id.0, MessageKind::Departure);
+            self.traffic.record(MessageKind::Departure);
             messages += 1;
         }
 
@@ -880,7 +854,7 @@ impl VoroNet {
                 .vertex_of(neighbour)
                 .expect("long links name live objects");
             self.objects.unregister(v, link, at);
-            self.traffic.record(id.0, MessageKind::LongLink);
+            self.traffic.record(MessageKind::LongLink);
             messages += 1;
         }
 
@@ -911,8 +885,7 @@ impl VoroNet {
             dirty.push(bl.source);
             self.objects.push_back(new_owner, bl);
             delegated += 1;
-            self.traffic.record(id.0, MessageKind::LongLink);
-            self.note(self.objects.object(new_owner), MessageKind::LongLink);
+            self.traffic.add(MessageKind::LongLink, 2);
             messages += 2;
         }
 
@@ -973,7 +946,7 @@ impl VoroNet {
         for &(va, vb) in &to_drop {
             self.remove_close(va, vb);
             self.remove_close(vb, va);
-            self.note(self.objects.object(va), MessageKind::CloseNeighbourExchange);
+            self.traffic.record(MessageKind::CloseNeighbourExchange);
         }
         if !to_drop.is_empty() {
             let dirty: Vec<ObjectId> = (to_drop.iter())
@@ -1001,7 +974,7 @@ impl VoroNet {
                 .vertex_of(neighbour)
                 .expect("long links name live objects");
             self.objects.unregister(v, link, at);
-            self.note(id, MessageKind::LongLink);
+            self.traffic.record(MessageKind::LongLink);
         }
         let origin = self.tri.point(v);
         let hops = self.with_scratch(|net, scratch| {
@@ -1908,43 +1881,41 @@ mod tests {
     }
 
     #[test]
-    fn reset_traffic_resets_the_per_object_counts_too() {
-        // Regression: per-object counts used to be mirrored in the arena
-        // slots, which `reset_traffic` did not clear, so `sent_by(id)` and
-        // `traffic().sent_by(id.0)` disagreed after a reset.
+    fn reset_traffic_clears_every_kind_and_counting_resumes() {
         let (mut net, ids) = build_random(60, 1, 67);
-        assert!(ids.iter().any(|&id| net.sent_by(id).unwrap() > 0));
-        let departed = ids[7];
-        net.remove(departed).unwrap();
+        for kind in [
+            MessageKind::RouteForward,
+            MessageKind::VoronoiUpdate,
+            MessageKind::CloseNeighbourExchange,
+            MessageKind::LongLink,
+        ] {
+            assert!(net.traffic().count(kind) > 0, "{kind:?} before reset");
+        }
+        net.remove(ids[7]).unwrap();
 
         net.reset_traffic();
         assert_eq!(net.traffic(), &TrafficStats::new());
-        for &id in &ids {
-            let expected = (id != departed).then_some(0);
-            assert_eq!(net.sent_by(id), expected, "{id:?} after reset");
+        for kind in MessageKind::ALL {
+            assert_eq!(net.traffic().count(kind), 0, "{kind:?} after reset");
         }
 
-        // Counting resumes from zero, in the one store both accessors read.
+        // Counting resumes from zero: a route of `h` hops is `h` forwards
+        // and nothing else.
         let report = net.route_between(ids[0], ids[1]).unwrap();
-        for &id in &ids {
-            let on_path = report.path[..report.hops as usize].contains(&id);
-            let expected = (id != departed).then_some(u64::from(on_path));
-            assert_eq!(net.sent_by(id), expected, "{id:?} after one route");
-            if id != departed {
-                assert_eq!(net.sent_by(id), Some(net.traffic().sent_by(id.0)));
-            }
-        }
+        let mut expected = TrafficStats::new();
+        expected.add(MessageKind::RouteForward, u64::from(report.hops));
+        assert_eq!(net.traffic(), &expected);
 
-        // A departing object's last messages still land in `traffic()`,
-        // although `sent_by` stops answering for it.
-        let leaving = ids[20];
-        let before = net.traffic().sent_by(leaving.0);
+        // A departure's messages all land in `traffic()`, as many as its
+        // report counts, and none of them is a forward.
         let total_before = net.traffic().total();
-        let leave = net.remove(leaving).unwrap();
+        let leave = net.remove(ids[20]).unwrap();
         assert!(leave.messages > 0);
         assert_eq!(net.traffic().total(), total_before + leave.messages);
-        assert!(net.traffic().sent_by(leaving.0) > before);
-        assert_eq!(net.sent_by(leaving), None);
+        assert_eq!(
+            net.traffic().count(MessageKind::RouteForward),
+            u64::from(report.hops)
+        );
     }
 
     #[test]

@@ -49,8 +49,8 @@ pub fn range_query(
 }
 
 /// The `&self` form of [`range_query`]: computes into a caller-owned
-/// [`RouteScratch`] (the accounting is appended to `scratch.delta` for the
-/// caller to apply) and never mutates the overlay, so concurrent readers
+/// [`RouteScratch`] (the message counts are added to `scratch.delta` for
+/// the caller to apply) and never mutates the overlay, so concurrent readers
 /// can share one `&VoroNet`.
 pub fn range_query_in(
     net: &VoroNet,
@@ -133,7 +133,7 @@ fn cell_intersects_disk(net: &VoroNet, id: ObjectId, query: RadiusQuery) -> bool
 
 /// Common flood skeleton shared by range and radius queries, side-effect
 /// free on `&self`: the walk and flood work-lists live in the scratch, the
-/// route and flood accounting is appended to `scratch.delta`.
+/// route's hops and the flood's messages are added to `scratch.delta`.
 fn area_query_in(
     net: &VoroNet,
     from: ObjectId,
@@ -169,11 +169,11 @@ fn area_query_in(
         for &n in neighbours.iter() {
             if visited.insert(n) {
                 flood_messages += 1;
-                delta.push(cur, MessageKind::Other);
                 frontier.push(n);
             }
         }
     }
+    delta.add(MessageKind::Other, flood_messages);
     results.sort_unstable();
     Ok(AreaQueryReport {
         matches: results,
@@ -181,10 +181,6 @@ fn area_query_in(
         flood_messages,
         visited: visited.len(),
     })
-}
-
-fn record_flood_message(net: &mut VoroNet, from: ObjectId) {
-    net.record_message(from, MessageKind::Other);
 }
 
 /// Result of a segment (one-attribute range) query.
@@ -229,11 +225,11 @@ pub fn segment_query(
         for &n in &neighbours {
             if visited.insert(n) {
                 flood_messages += 1;
-                record_flood_message(net, cur);
                 frontier.push(n);
             }
         }
     }
+    net.record_messages(MessageKind::Other, flood_messages);
     // Order along the segment so the caller can split or pipeline the query.
     let ab = b.sub(a);
     let len2 = ab.norm2().max(f64::MIN_POSITIVE);

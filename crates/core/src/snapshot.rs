@@ -6,10 +6,9 @@
 //! read runs on `&self`:
 //!
 //! * [`TrafficDelta`] — the messages a read operation *would* send,
-//!   recorded instead of applied.  A caller replays the delta onto the
+//!   counted per kind instead of applied.  A caller adds the delta to the
 //!   overlay afterwards ([`crate::VoroNet::apply_traffic`]) and ends up
-//!   with bit-identical [`voronet_sim::TrafficStats`] and per-node sent
-//!   counters.
+//!   with bit-identical [`voronet_sim::TrafficStats`].
 //! * [`RouteScratch`] — the caller-owned buffers (path, delta, flood
 //!   work-lists) every `_in`-suffixed read operation computes into, so a
 //!   warmed-up scratch makes routes and point queries allocation-free.
@@ -52,20 +51,20 @@ use crate::object::{ObjectId, ViewRef};
 use crate::overlay::VoroNet;
 use std::collections::VecDeque;
 use voronet_geom::{greedy_descent, Point2};
-use voronet_sim::MessageKind;
+use voronet_sim::{MessageKind, TrafficStats};
 
 /// The protocol messages a side-effect-free read operation would have
-/// sent, in emission order.
+/// sent, counted per [`MessageKind`].
 ///
-/// Read operations (`route_to_point_in`, the `*_query_in` floods) append
-/// to the delta instead of touching the overlay's counters; the caller
-/// replays it afterwards with
-/// [`VoroNet::apply_traffic`].  Replaying produces exactly the counters
-/// the pre-split `&mut self` operations produced inline.
+/// Read operations (`route_to_point_in`, the `*_query_in` floods) add
+/// their counts to the delta instead of touching the overlay's counters —
+/// a route adds its hop count once, a flood its message count once — and
+/// the caller applies it afterwards with [`VoroNet::apply_traffic`].
+/// Applying produces exactly the counters the `&mut self` operations
+/// produce inline.  A delta is a fixed array of counts: it never
+/// allocates.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TrafficDelta {
-    events: Vec<(ObjectId, MessageKind)>,
-}
+pub struct TrafficDelta(pub(crate) TrafficStats);
 
 impl TrafficDelta {
     /// Creates an empty delta.
@@ -73,30 +72,25 @@ impl TrafficDelta {
         Self::default()
     }
 
-    /// Records one message of `kind` sent by `from`.
+    /// Records `n` messages of `kind`.
     #[inline]
-    pub fn push(&mut self, from: ObjectId, kind: MessageKind) {
-        self.events.push((from, kind));
-    }
-
-    /// The recorded `(sender, kind)` events, in emission order.
-    pub fn events(&self) -> &[(ObjectId, MessageKind)] {
-        &self.events
+    pub fn add(&mut self, kind: MessageKind, n: u64) {
+        self.0.add(kind, n);
     }
 
     /// Number of recorded messages.
     pub fn len(&self) -> usize {
-        self.events.len()
+        self.0.total() as usize
     }
 
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
+        self.0.total() == 0
     }
 
-    /// Forgets all recorded events, keeping the buffer's capacity.
+    /// Forgets every recorded count.
     pub fn clear(&mut self) {
-        self.events.clear();
+        self.0.reset();
     }
 }
 
@@ -109,14 +103,15 @@ impl TrafficDelta {
 /// `tests/route_alloc.rs`).
 ///
 /// The read operations **clear** `path` (it describes the last route) but
-/// **append** to `delta`, so one scratch can accumulate the accounting of
-/// a whole run of operations before a single [`VoroNet::apply_traffic`]
-/// call; clear the delta when the events have been applied.
+/// **add** their counts to `delta`, so one scratch can total the accounting
+/// of a whole run of operations before a single
+/// [`VoroNet::apply_traffic`] call; clear the delta once it has been
+/// applied.
 #[derive(Debug, Clone, Default)]
 pub struct RouteScratch {
     /// Objects traversed by the last route (source first, owner last).
     pub path: Vec<ObjectId>,
-    /// Accounting of every read operation since the last clear.
+    /// Message counts of every read operation since the last clear.
     pub delta: TrafficDelta,
     pub(crate) visited: std::collections::HashSet<ObjectId>,
     pub(crate) frontier: Vec<ObjectId>,
@@ -569,11 +564,9 @@ impl FrozenView {
             (start, at(start)),
             target,
             |cur| self.neighbours_of(cur).iter().map(|&nb| (nb, at(nb))),
-            |cur, next| {
-                delta.push(self.ids[cur as usize], MessageKind::RouteForward);
-                path.push(self.ids[next as usize]);
-            },
+            |_, next| path.push(self.ids[next as usize]),
         );
+        delta.add(MessageKind::RouteForward, u64::from(hops));
         Ok((self.ids[owner as usize], hops))
     }
 
@@ -1165,8 +1158,5 @@ mod tests {
         deferred.apply_traffic(&scratch.delta);
 
         assert_eq!(inline.traffic(), deferred.traffic());
-        for &id in &ids {
-            assert_eq!(inline.sent_by(id), deferred.sent_by(id));
-        }
     }
 }

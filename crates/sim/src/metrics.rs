@@ -5,7 +5,6 @@
 //! message counts (the O(1) maintenance-cost claims of Section 4.2).
 
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifier of a simulated node (the physical host of an object).
@@ -52,82 +51,33 @@ impl MessageKind {
 
 /// Aggregated traffic counters for a simulation run.
 ///
-/// Recording a message is three stores and no search: the per-kind
-/// counter in an array indexed by [`MessageKind::index`], the sender's
-/// counter in a table indexed by [`NodeId`], and the running total.  Node
-/// ids are expected to be allocated densely from zero (the overlay's object
-/// ids are), so the table is as large as the id range; a sender far
-/// outside it is kept in an ordered spill instead of stretching the
-/// table.  Which store holds a count is not observable: two
-/// values are equal when every kind and every sender count agree.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// One counter per [`MessageKind`], in an array indexed by
+/// [`MessageKind::index`], and the running total: recording a message is
+/// two adds.  The paper's figures count messages per route and per
+/// operation, never per sender, so no sender is kept.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TrafficStats {
     per_kind: [u64; MessageKind::ALL.len()],
-    /// `per_node_sent[id]` for every id below the table's length.
-    per_node_sent: Vec<u64>,
-    /// Counts of the ids at or beyond the table's length (never zero).
-    spill: BTreeMap<NodeId, u64>,
     total: u64,
 }
 
-impl PartialEq for TrafficStats {
-    fn eq(&self, other: &Self) -> bool {
-        self.per_kind == other.per_kind && self.senders().eq(other.senders())
-    }
-}
-
-impl Eq for TrafficStats {}
-
 impl TrafficStats {
-    /// An id may exceed the table's length by at most this factor (plus a
-    /// small floor) and still extend the table; anything further goes to
-    /// the spill, so one stray id never allocates more than O(senders).
-    const MAX_SPREAD: u64 = 8;
-
     /// Creates empty counters.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Extends the per-sender table to cover every id below `ids`, so
-    /// recording a message from any of them is a plain array store that
-    /// never allocates.  Counts are unaffected.
-    pub fn reserve_senders(&mut self, ids: NodeId) {
-        let Ok(len) = usize::try_from(ids) else {
-            return;
-        };
-        if len <= self.per_node_sent.len() {
-            return;
-        }
-        self.per_node_sent.resize(len, 0);
-        if !self.spill.is_empty() {
-            let beyond = self.spill.split_off(&ids);
-            for (node, c) in std::mem::replace(&mut self.spill, beyond) {
-                self.per_node_sent[node as usize] = c;
-            }
-        }
+    /// Records `n` messages of the given kind.
+    #[inline]
+    pub fn add(&mut self, kind: MessageKind, n: u64) {
+        self.per_kind[kind.index()] += n;
+        self.total += n;
     }
 
-    /// Adds `n > 0` to the sender counter of `node`.
+    /// Records one message of the given kind.
     #[inline]
-    fn bump_sender(&mut self, node: NodeId, n: u64) {
-        let len = self.per_node_sent.len() as u64;
-        if node >= len && node <= len.saturating_mul(Self::MAX_SPREAD).saturating_add(64) {
-            self.reserve_senders(node + 1);
-        }
-        let slot = usize::try_from(node).ok();
-        match slot.and_then(|i| self.per_node_sent.get_mut(i)) {
-            Some(count) => *count += n,
-            None => *self.spill.entry(node).or_insert(0) += n,
-        }
-    }
-
-    /// Records one message of the given kind sent by `from`.
-    #[inline]
-    pub fn record(&mut self, from: NodeId, kind: MessageKind) {
-        self.per_kind[kind.index()] += 1;
-        self.total += 1;
-        self.bump_sender(from, 1);
+    pub fn record(&mut self, kind: MessageKind) {
+        self.add(kind, 1);
     }
 
     /// Total number of messages recorded.
@@ -140,59 +90,17 @@ impl TrafficStats {
         self.per_kind[kind.index()]
     }
 
-    /// Number of messages sent by a given node.
-    pub fn sent_by(&self, node: NodeId) -> u64 {
-        match usize::try_from(node)
-            .ok()
-            .and_then(|i| self.per_node_sent.get(i))
-        {
-            Some(&c) => c,
-            None => self.spill.get(&node).copied().unwrap_or(0),
-        }
-    }
-
-    /// Every node with a non-zero count, in ascending id order.
-    fn senders(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        let table = self.per_node_sent.iter().enumerate();
-        table
-            .filter(|&(_, &c)| c != 0)
-            .map(|(node, &c)| (node as NodeId, c))
-            .chain(self.spill.iter().map(|(&node, &c)| (node, c)))
-    }
-
-    /// The most loaded sender and its message count, if any traffic exists
-    /// (the highest id among equally loaded senders).
-    pub fn max_sender(&self) -> Option<(NodeId, u64)> {
-        self.senders().max_by_key(|&(_, c)| c)
-    }
-
-    /// Mean messages per sender (0 when no traffic).
-    pub fn mean_per_sender(&self) -> f64 {
-        match self.senders().count() {
-            0 => 0.0,
-            senders => self.total as f64 / senders as f64,
-        }
-    }
-
     /// Merges another set of counters into this one.
     pub fn merge(&mut self, other: &TrafficStats) {
         for (mine, theirs) in self.per_kind.iter_mut().zip(other.per_kind) {
             *mine += theirs;
         }
         self.total += other.total;
-        self.reserve_senders(other.per_node_sent.len() as NodeId);
-        for (node, c) in other.senders() {
-            self.bump_sender(node, c);
-        }
     }
 
-    /// Clears all counters (the sender table keeps its extent, so ids
-    /// reserved with [`TrafficStats::reserve_senders`] stay reserved).
+    /// Clears all counters.
     pub fn reset(&mut self) {
-        self.per_kind = Default::default();
-        self.per_node_sent.fill(0);
-        self.spill.clear();
-        self.total = 0;
+        *self = Self::default();
     }
 }
 
@@ -326,54 +234,47 @@ mod tests {
     #[test]
     fn traffic_counters() {
         let mut t = TrafficStats::new();
-        t.record(1, MessageKind::RouteForward);
-        t.record(1, MessageKind::RouteForward);
-        t.record(2, MessageKind::LongLink);
-        assert_eq!(t.total(), 3);
+        t.record(MessageKind::RouteForward);
+        t.record(MessageKind::RouteForward);
+        t.record(MessageKind::LongLink);
+        t.add(MessageKind::Other, 4);
+        t.add(MessageKind::Departure, 0);
+        assert_eq!(t.total(), 7);
         assert_eq!(t.count(MessageKind::RouteForward), 2);
+        assert_eq!(t.count(MessageKind::Other), 4);
         assert_eq!(t.count(MessageKind::Departure), 0);
-        assert_eq!(t.sent_by(1), 2);
-        assert_eq!(t.sent_by(99), 0);
-        assert_eq!(t.max_sender(), Some((1, 2)));
-        assert!((t.mean_per_sender() - 1.5).abs() < 1e-12);
     }
 
     #[test]
     fn traffic_merge_and_reset() {
         let mut a = TrafficStats::new();
-        a.record(1, MessageKind::VoronoiUpdate);
+        a.record(MessageKind::VoronoiUpdate);
         let mut b = TrafficStats::new();
-        b.record(1, MessageKind::VoronoiUpdate);
-        b.record(3, MessageKind::Departure);
+        b.record(MessageKind::VoronoiUpdate);
+        b.record(MessageKind::Departure);
         a.merge(&b);
         assert_eq!(a.total(), 3);
         assert_eq!(a.count(MessageKind::VoronoiUpdate), 2);
-        assert_eq!(a.sent_by(1), 2);
+        assert_eq!(a.count(MessageKind::Departure), 1);
         a.reset();
-        assert_eq!(a.total(), 0);
-        assert_eq!(a.max_sender(), None);
+        assert_eq!(a, TrafficStats::new());
     }
 
     #[test]
-    fn equality_ignores_how_kinds_and_senders_were_paired() {
-        // The per-kind and per-sender counts are independent tallies: the
-        // same multiset of kinds and of senders compares equal whichever
-        // sender each kind was recorded with, and in whatever order.
+    fn equality_compares_every_kind() {
+        // Equal totals are not enough: one message moved to another kind
+        // tells the counters apart, whatever order they were recorded in.
         let mut a = TrafficStats::new();
-        a.record(4, MessageKind::RouteForward);
-        a.record(4, MessageKind::RouteForward);
-        a.record(9, MessageKind::Other);
-
+        a.add(MessageKind::RouteForward, 2);
+        a.record(MessageKind::Other);
         let mut b = TrafficStats::new();
-        b.record(9, MessageKind::RouteForward);
-        b.record(4, MessageKind::Other);
-        b.record(4, MessageKind::RouteForward);
-
+        b.record(MessageKind::Other);
+        b.record(MessageKind::RouteForward);
+        b.record(MessageKind::RouteForward);
         assert_eq!(a, b);
-        assert_eq!(b.total(), 3);
-        assert_eq!(b.sent_by(77), 0);
-        assert_eq!(b.mean_per_sender(), a.mean_per_sender());
-        b.record(9, MessageKind::Other);
+        b.record(MessageKind::Other);
+        a.record(MessageKind::QueryAnswer);
+        assert_eq!(a.total(), b.total());
         assert_ne!(a, b);
     }
 

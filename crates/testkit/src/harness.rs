@@ -26,7 +26,7 @@
 //! round.
 //!
 //! Audit points close every resolution round: populations, dense orders,
-//! coordinates, aggregate stats, per-node sent counters and invariant
+//! coordinates, aggregate stats, per-kind traffic counts and invariant
 //! audits (with non-vacuity asserted via
 //! [`InvariantAudit`](voronet_core::InvariantAudit) counts), plus — while
 //! the population is small — the oracle's brute-force Delaunay
@@ -186,8 +186,8 @@ fn audit_fleet(fleet: &mut Fleet, round: usize, report: &mut RunReport) -> Resul
         .check_population("sync", &ids, |id| fleet.sync.coords(id))
         .map_err(|e| fail("audit:oracle", e))?;
 
-    // Aggregate stats and per-node sent counters across the two
-    // deterministic sync-semantics executions.
+    // Aggregate stats and per-kind traffic across the two deterministic
+    // sync-semantics executions.
     let stats = fleet.sync.stats();
     let other = fleet.frozen.stats();
     if other != stats {
@@ -196,15 +196,13 @@ fn audit_fleet(fleet: &mut Fleet, round: usize, report: &mut RunReport) -> Resul
             format!("aggregate stats diverge on frozen: sync {stats:?}, frozen {other:?}"),
         ));
     }
-    for &id in &ids {
-        let sent = fleet.sync.inner().net().sent_by(id);
-        let other = fleet.frozen.inner().net().sent_by(id);
-        if other != sent {
-            return Err(fail(
-                "audit:traffic",
-                format!("per-node sent counter of {id} diverges on frozen: {sent:?} vs {other:?}"),
-            ));
-        }
+    let sent = fleet.sync.inner().net().traffic();
+    let other = fleet.frozen.inner().net().traffic();
+    if other != sent {
+        return Err(fail(
+            "audit:traffic",
+            format!("per-kind traffic diverges on frozen: sync {sent:?}, frozen {other:?}"),
+        ));
     }
 
     // Structural invariants, with non-vacuous audits.  The exhaustive

@@ -6,7 +6,7 @@
 //! insert/remove/route sequences is **bit-identical** to a from-scratch
 //! `freeze()` — same ids in live scan order, same SoA coordinates, same
 //! adjacency rows — and every route walked over it returns the same
-//! `(owner, hops)` and the same per-node message counters as the live
+//! `(owner, hops)` and the same per-kind message counts as the live
 //! mutable walk.  Checked here through the workspace's shrinking
 //! property harness (`voronet_testkit::check_cases`).
 
@@ -128,16 +128,13 @@ fn check_script(steps: &[Step]) -> Result<(), String> {
     }
 
     // After the whole interleaving the two overlays agree on membership
-    // order and on every per-node sent counter (the frozen side's traffic
+    // order and on every kind's message count (the frozen side's traffic
     // was applied from read deltas).
     tk_ensure_eq!(live.len(), net.len(), "final population");
     for idx in 0..live.len() {
-        let a = live.id_at(idx);
-        let b = net.id_at(idx);
-        tk_ensure_eq!(a, b, "dense order at {idx}");
-        let id = a.expect("index below len");
-        tk_ensure_eq!(live.sent_by(id), net.sent_by(id), "sent counter of {id:?}");
+        tk_ensure_eq!(live.id_at(idx), net.id_at(idx), "dense order at {idx}");
     }
+    tk_ensure_eq!(live.traffic(), net.traffic(), "per-kind traffic");
     Ok(())
 }
 

@@ -594,3 +594,120 @@ fn routing_rows_stay_current_under_any_mutation_sequence() {
         );
     }
 }
+
+/// One step of the message-accounting property; indices pick a point of
+/// the pool or a live object, modulo their count.
+#[derive(Debug, Clone, Copy)]
+enum Traffic {
+    Join(usize),
+    Leave(usize),
+    Route(usize, usize),
+}
+
+fn traffic_steps(rng: &mut StdRng) -> Vec<Traffic> {
+    (0..rng.random_range(1..250usize))
+        .map(|_| {
+            let pick = rng.random_range(0..usize::MAX);
+            match rng.random_range(0..20u32) {
+                0..=10 => Traffic::Join(pick),
+                11..=13 => Traffic::Leave(pick),
+                _ => Traffic::Route(pick, rng.random_range(0..usize::MAX)),
+            }
+        })
+        .collect()
+}
+
+/// Runs `steps` on a bare overlay and, in lockstep, on a [`SyncEngine`]
+/// over an identical one, checking every op's traffic against its report:
+/// a join's or a leave's `messages` is exactly what it adds to
+/// `traffic().total()` (on both), and a route of `h` hops adds exactly `h`
+/// to `RouteForward` and to the total — through `route_between`, through
+/// `route_between_in` followed by `apply_traffic`, and through the
+/// engine's `route`.
+fn traffic_is_exact(steps: &[Traffic], points: &[Point2]) -> Result<(), String> {
+    use voronet::sim::{MessageKind, TrafficStats};
+    let cfg = VoroNetConfig::new(points.len()).with_seed(29);
+    let mut net = VoroNet::new(cfg);
+    let mut engine = SyncEngine::from_net(VoroNet::new(cfg));
+    let mut live: Vec<ObjectId> = Vec::new();
+    let mut scratch = RouteScratch::new();
+    let routed = |before: &TrafficStats, hops: u32| {
+        let mut after = before.clone();
+        after.add(MessageKind::RouteForward, u64::from(hops));
+        after
+    };
+    for (step, &op) in steps.iter().enumerate() {
+        let at = format!("step {step} {op:?}");
+        let (net_before, engine_before) = (net.traffic().clone(), engine.net().traffic().clone());
+        // A join's or a leave's reported message count, checked on both
+        // overlays below.
+        let reported = match op {
+            Traffic::Join(i) => {
+                let p = points[i % points.len()];
+                let (report, outcome) = (net.insert(p), engine.insert(p));
+                let Ok(report) = report else {
+                    tk_ensure!(outcome.is_err(), "{at}: only the engine joined");
+                    continue;
+                };
+                tk_ensure_eq!(outcome.map(|o| o.id), Ok(report.id), "{at}: joined id");
+                live.push(report.id);
+                report.messages
+            }
+            Traffic::Leave(i) if !live.is_empty() => {
+                let id = live.swap_remove(i % live.len());
+                engine.remove(id).map_err(|e| format!("{at}: {e}"))?;
+                net.remove(id).map_err(|e| format!("{at}: {e}"))?.messages
+            }
+            Traffic::Route(a, b) if !live.is_empty() => {
+                let (a, b) = (live[a % live.len()], live[b % live.len()]);
+                let hops = net
+                    .route_between(a, b)
+                    .map_err(|e| format!("{at}: {e}"))?
+                    .hops;
+                tk_ensure_eq!(net.traffic(), &routed(&net_before, hops), "{at}");
+
+                let before = net.traffic().clone();
+                let walked = net.route_between_in(a, b, &mut scratch);
+                tk_ensure_eq!(walked, Ok((b, hops)), "{at}: deferred walk");
+                tk_ensure_eq!(scratch.delta.len() as u64, u64::from(hops), "{at}: delta");
+                net.apply_traffic(&scratch.delta);
+                scratch.delta.clear();
+                tk_ensure_eq!(net.traffic(), &routed(&before, hops), "{at}: deferred");
+
+                let target = net.coords(b).expect("live");
+                let outcome = engine.route(a, target).map_err(|e| format!("{at}: {e}"))?;
+                tk_ensure_eq!((outcome.owner, outcome.hops), (b, hops), "{at}: engine");
+                let expected = routed(&engine_before, hops);
+                tk_ensure_eq!(engine.net().traffic(), &expected, "{at}: engine");
+                continue;
+            }
+            Traffic::Leave(_) | Traffic::Route(..) => continue,
+        };
+        for (side, before, now) in [
+            ("overlay", &net_before, net.traffic()),
+            ("engine", &engine_before, engine.net().traffic()),
+        ] {
+            let added = now.total() - before.total();
+            tk_ensure_eq!(added, reported, "{at}: messages on the {side}");
+        }
+    }
+    Ok(())
+}
+
+/// Message accounting is exact per op, on uniform and on `PowerLaw{5}`
+/// points, under joins, leaves and routes mixed.
+#[test]
+fn message_accounting_is_exact_per_op() {
+    for (seed, law) in
+        (0x7A1Fu64..).zip([Distribution::Uniform, Distribution::PowerLaw { alpha: 5.0 }])
+    {
+        let points = PointGenerator::new(law, seed).take_points(400);
+        check_cases(
+            &format!("message-accounting-{law:?}"),
+            CASES,
+            seed,
+            traffic_steps,
+            |steps| traffic_is_exact(steps, &points),
+        );
+    }
+}

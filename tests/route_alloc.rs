@@ -7,15 +7,20 @@
 //! of `&self` reads (`route_to_point_in`, `route_between_in`, a point
 //! query's extra answer message) accumulating into one scratch, and the
 //! route inside a join (`insert_from`'s route to the owner), which runs on
-//! the overlay's own kept scratch.
+//! the overlay's own kept scratch.  An area query through
+//! [`SyncEngine`] reuses the engine's scratch: it allocates exactly what
+//! the same flood allocates on a warmed scratch of its own (its match
+//! vector and the Voronoi cells it tests), and no work-list.
 //!
 //! This file deliberately contains a single test: the counting allocator is
 //! process-global, and a concurrently running test would perturb the count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use voronet::core::{radius_query_in, range_query_in};
 use voronet::prelude::*;
-use voronet_workloads::Distribution;
+use voronet::sim::MessageKind;
+use voronet_workloads::{Distribution, RadiusQuery, RangeQuery};
 
 struct CountingAllocator;
 
@@ -50,8 +55,7 @@ fn greedy_routing_is_allocation_free_after_warmup() {
     assert!(net.len() > 1_900);
 
     // A deterministic pair set: routing consumes no randomness, so replaying
-    // the same pairs touches exactly the same nodes (and therefore the same,
-    // already-materialised traffic-counter entries) as the warm-up pass.
+    // the same pairs walks exactly the same paths as the warm-up pass.
     let pairs: Vec<(ObjectId, ObjectId)> = (0..64)
         .map(|i| {
             let a = ids[(i * 31) % ids.len()];
@@ -61,10 +65,9 @@ fn greedy_routing_is_allocation_free_after_warmup() {
         .filter(|(a, b)| a != b)
         .collect();
 
-    let mut scratch = voronet::core::RouteScratch::new();
+    let mut scratch = RouteScratch::new();
 
-    // Warm-up: grows the path and delta buffers to the longest route of
-    // the set.
+    // Warm-up: grows the path buffer to the longest route of the set.
     let mut warm_hops = Vec::new();
     for &(a, b) in &pairs {
         let target = net.coords(b).unwrap();
@@ -100,18 +103,9 @@ fn greedy_routing_is_allocation_free_after_warmup() {
 
     // A run of `&self` reads accumulating into the one scratch: routes to
     // a point, routes between objects and point queries (a route plus the
-    // answer message, Algorithm 4) must not allocate either.  The delta
-    // buffer grows during warm-up and is cleared (capacity kept) between
-    // passes.
-    let answer = voronet::sim::MessageKind::QueryAnswer;
-    for &(a, b) in &pairs {
-        let target = net.coords(b).unwrap();
-        net.route_to_point_in(a, target, &mut scratch).unwrap();
-        net.route_between_in(a, b, &mut scratch).unwrap();
-        let (owner, _) = net.route_to_point_in(a, target, &mut scratch).unwrap();
-        scratch.delta.push(owner, answer);
-    }
-    scratch.delta.clear();
+    // answer message, Algorithm 4) must not allocate either: the delta is
+    // a fixed array of per-kind counts.
+    let answer = MessageKind::QueryAnswer;
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for (&(a, b), &expected_hops) in pairs.iter().zip(&warm_hops) {
@@ -121,13 +115,14 @@ fn greedy_routing_is_allocation_free_after_warmup() {
         let (owner, hops) = net.route_between_in(a, b, &mut scratch).unwrap();
         assert_eq!((owner, hops), (b, expected_hops));
         let (owner, hops) = net.route_to_point_in(a, target, &mut scratch).unwrap();
-        scratch.delta.push(owner, answer);
+        scratch.delta.add(answer, 1);
         assert_eq!((owner, hops), (b, expected_hops));
     }
     let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert!(
-        scratch.delta.len() as u64 >= 3 * total_hops,
-        "the scratch delta must have accumulated every recorded message"
+    assert_eq!(
+        scratch.delta.len() as u64,
+        3 * total_hops + pairs.len() as u64,
+        "the scratch delta must have counted every message"
     );
     assert_eq!(
         allocated, 0,
@@ -135,15 +130,78 @@ fn greedy_routing_is_allocation_free_after_warmup() {
          ({allocated} allocations)"
     );
 
-    // Applying the accumulated delta replays onto already-materialised
-    // counters: no allocation there either.
+    // Applying the accumulated delta adds its counts: no allocation there
+    // either.
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     net.apply_traffic(&scratch.delta);
     let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert_eq!(
-        allocated, 0,
-        "replaying a delta over warmed counters must not touch the heap"
-    );
+    assert_eq!(allocated, 0, "applying a delta must not touch the heap");
+    scratch.delta.clear();
+
+    // Area queries through the engine run on its scratch.  Once warmed up,
+    // each allocates exactly what the same flood allocates on a warmed
+    // scratch of its own — its match vector and the cells its boundary
+    // tests build — and fewer than the scratch-per-call wrappers, which
+    // grow a visited set and three work-lists every time.
+    let mut engine = SyncEngine::from_net(net.clone());
+    let queries: Vec<(ObjectId, Rect, Point2, f64)> = (0..16)
+        .map(|i| {
+            let c = net.coords(ids[(i * 53 + 5) % ids.len()]).unwrap();
+            let h = 0.04 + 0.01 * (i % 4) as f64;
+            let rect = Rect::new(Point2::new(c.x - h, c.y - h), Point2::new(c.x + h, c.y + h));
+            (ids[(i * 17 + 3) % ids.len()], rect, c, h)
+        })
+        .collect();
+    let range = |rect| RangeQuery { rect };
+    let disk = |center, radius| RadiusQuery { center, radius };
+    for &(from, rect, c, h) in &queries {
+        engine.range(from, range(rect)).unwrap();
+        engine.radius(from, disk(c, h)).unwrap();
+        range_query_in(engine.net(), from, range(rect), &mut scratch).unwrap();
+        radius_query_in(engine.net(), from, disk(c, h), &mut scratch).unwrap();
+    }
+    let count = |f: &mut dyn FnMut()| {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        f();
+        ALLOCATIONS.load(Ordering::Relaxed) - before
+    };
+    let mut matched = 0;
+    for &(from, rect, c, h) in &queries {
+        let traffic = engine.net().traffic().clone();
+        let mut outcome = None;
+        let by_engine = count(&mut || outcome = Some(engine.range(from, range(rect)).unwrap()));
+        let mut own = None;
+        let on_own_scratch = count(&mut || {
+            own = Some(range_query_in(engine.net(), from, range(rect), &mut scratch).unwrap())
+        });
+        let (outcome, own) = (outcome.unwrap(), own.unwrap());
+        assert_eq!(outcome.matches, own.matches);
+        assert_eq!(by_engine, on_own_scratch, "range {rect:?}");
+        let mut expected = traffic;
+        expected.add(MessageKind::RouteForward, u64::from(own.routing_hops));
+        expected.add(MessageKind::Other, own.flood_messages);
+        assert_eq!(engine.net().traffic(), &expected, "range {rect:?}");
+        let mut fresh_net = engine.net().clone();
+        let fresh = count(&mut || {
+            range_query(&mut fresh_net, from, range(rect)).unwrap();
+        });
+        assert!(fresh > by_engine, "range {rect:?}: {fresh} vs {by_engine}");
+        matched += outcome.matches.len();
+
+        let by_engine = count(&mut || {
+            engine.radius(from, disk(c, h)).unwrap();
+        });
+        let on_own_scratch = count(&mut || {
+            radius_query_in(engine.net(), from, disk(c, h), &mut scratch).unwrap();
+        });
+        assert_eq!(by_engine, on_own_scratch, "disk {c:?} {h}");
+        let fresh = count(&mut || {
+            radius_query(&mut fresh_net, from, disk(c, h)).unwrap();
+        });
+        assert!(fresh > by_engine, "disk {c:?} {h}: {fresh} vs {by_engine}");
+        scratch.delta.clear();
+    }
+    assert!(matched > 100, "the queries must flood real areas");
 
     // A join on a warmed overlay routes on the overlay's kept scratch: how
     // far the join route travels does not change what the join allocates.
