@@ -724,3 +724,129 @@ fn incorporate(flood: &mut Flood, object: u64, eligible: bool, is_match: bool, n
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::DRIVER_PEER;
+    use crate::vnet::{VnetHub, VnetTransport};
+    use voronet_sim::NetworkModel;
+
+    const HOSTS: u64 = 3;
+
+    /// Frames waiting at `endpoint`, decoded and handed to `keep`.
+    fn drain<R>(
+        endpoint: &mut VnetTransport,
+        mut keep: impl FnMut(WireMsg<'_>) -> Option<R>,
+    ) -> Vec<R> {
+        let (mut buf, mut kept) = (Vec::new(), Vec::new());
+        while endpoint.recv_into(&mut buf).unwrap().is_some() {
+            let (_, msg) = WireMsg::decode(&buf).unwrap();
+            kept.extend(keep(msg));
+        }
+        kept
+    }
+
+    fn probed(endpoint: &mut VnetTransport) -> Vec<u64> {
+        drain(endpoint, |msg| match msg {
+            WireMsg::FloodProbe { object, .. } => Some(object),
+            _ => None,
+        })
+    }
+
+    /// A copy of an area request whose flood is still in flight — the
+    /// driver resends every few tens of milliseconds — must leave the
+    /// flood alone: no probe goes out again and the objects it reached
+    /// stay visited.  The flood still answers, because its own probes
+    /// resend.
+    #[test]
+    fn a_resent_area_request_does_not_restart_its_flood() {
+        let hub = VnetHub::new(NetworkModel::ideal());
+        let mut driver = hub.endpoint(DRIVER_PEER);
+        let mut peers = [hub.endpoint(2), hub.endpoint(3)];
+        let mut host = HostNode::new(hub.endpoint(1), 1, HOSTS);
+        // Object 3 lives on host 1 and owns the centre of the queried
+        // rectangle; its Voronoi neighbours 4 and 5 live on hosts 2 and 3.
+        let square = |c: f64, h: f64| {
+            vec![
+                Point2::new(c - h, c - h),
+                Point2::new(c + h, c - h),
+                Point2::new(c + h, c + h),
+                Point2::new(c - h, c + h),
+            ]
+        };
+        host.objects.insert(
+            3,
+            Hosted {
+                seq: 1,
+                coords: Point2::new(0.5, 0.5),
+                routing: vec![(4, Point2::new(0.6, 0.5)), (5, Point2::new(0.4, 0.5))],
+                vn: vec![4, 5],
+                cell: square(0.5, 0.05),
+            },
+        );
+        let token = 77;
+        let request = |driver: &mut VnetTransport| {
+            let mut frame = Vec::new();
+            WireMsg::AreaReq {
+                token,
+                from_object: 3,
+                rect: Rect::new(Point2::new(0.4, 0.4), Point2::new(0.6, 0.6)),
+            }
+            .encode(DRIVER_PEER, 3, &mut frame)
+            .unwrap();
+            driver.send(1, &frame).unwrap();
+        };
+        let mut buf = Vec::new();
+        let mut settle = |host: &mut HostNode<VnetTransport>| while host.step(&mut buf).unwrap() {};
+
+        request(&mut driver);
+        settle(&mut host);
+        assert_eq!(
+            (probed(&mut peers[0]), probed(&mut peers[1])),
+            (vec![4], vec![5])
+        );
+        // Host 2 answers for object 4, whose cell touches the area and
+        // names object 7 (on host 2) as a new neighbour.
+        let mut frame = Vec::new();
+        let mut ids = Vec::new();
+        WireMsg::FloodReply {
+            token,
+            object: 4,
+            eligible: true,
+            is_match: true,
+            neighbours: IdList::build(&mut ids, &[3, 7]),
+        }
+        .encode(2, 1, &mut frame)
+        .unwrap();
+        peers[0].send(1, &frame).unwrap();
+        settle(&mut host);
+        assert_eq!(probed(&mut peers[0]), vec![7]);
+        let visited = |host: &HostNode<VnetTransport>| {
+            host.floods[&token]
+                .visited
+                .iter()
+                .copied()
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(visited(&host), [3, 4, 5, 7]);
+
+        request(&mut driver);
+        settle(&mut host);
+        assert_eq!(
+            (probed(&mut peers[0]), probed(&mut peers[1])),
+            (vec![], vec![]),
+            "a resent request re-sent the flood's probes"
+        );
+        assert_eq!(
+            visited(&host),
+            [3, 4, 5, 7],
+            "a resent request reset the flood"
+        );
+        assert_eq!(host.floods[&token].matches, [3, 4]);
+        assert!(
+            drain(&mut driver, |_| Some(())).is_empty(),
+            "the flood has not finished"
+        );
+    }
+}
