@@ -635,6 +635,11 @@ impl<T: Transport> HostNode<T> {
         owner: u64,
         query: WireQuery,
     ) -> Result<(), ClusterError> {
+        // A resent request for a flood still in flight changes nothing:
+        // the flood's own probes resend, and it answers when they are in.
+        if self.floods.contains_key(&token) {
+            return Ok(());
+        }
         let mut visited = BTreeSet::new();
         visited.insert(owner);
         self.floods.insert(
