@@ -14,9 +14,9 @@
 //!   query / snapshot / stats), dyn-compatible so callers hold a
 //!   `Box<dyn Overlay>`;
 //! * [`Op`] / [`OpResult`] — typed batched operations:
-//!   [`Overlay::apply_batch`] is the throughput lever (one reused route
-//!   scratch on the sync engine, one shared pump for each run of routes on
-//!   the cluster);
+//!   [`Overlay::apply_batch`] is the throughput lever (interleaved walks
+//!   for each run of routes on the sync engine, one shared pump for each
+//!   run of routes on the cluster);
 //! * [`OverlayBuilder`] — fluent construction: provisioned population,
 //!   seed, long-link count, `d_min` rule, attribute domain;
 //! * [`VoronetError`] — the one error taxonomy (re-exported from

@@ -146,10 +146,11 @@ pub trait Overlay {
     }
 
     /// Applies a batch of operations, returning one result per operation at
-    /// the same index.  The default implementation applies them in order;
-    /// engines override it to amortise work across the batch (the cluster
-    /// pumps a run of consecutive routes together, so their waits under
-    /// loss overlap).
+    /// the same index: exactly what applying them one at a time, in order,
+    /// returns.  The default implementation does that; engines override it
+    /// to amortise work across each run of consecutive routes (the sync
+    /// engine walks them interleaved, so their cache misses overlap; the
+    /// cluster pumps them together, so their waits under loss overlap).
     fn apply_batch(&mut self, ops: &[Op]) -> Vec<OpResult> {
         ops.iter().map(|op| self.apply(op)).collect()
     }

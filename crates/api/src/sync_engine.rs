@@ -4,25 +4,36 @@
 //! # One read path
 //!
 //! Every route — a single [`Overlay::route`] or one op of a batch — is the
-//! same greedy walk, [`VoroNet::route_to_point_in`], over the overlay's
-//! live routing rows: each hop scans the current object's view
-//! `vn ∪ cn ∪ LRn` (§3.1 of the paper) and forwards to the entry closest
-//! to the target (§3.2).  The rows are kept current by join and leave, so
-//! a batch needs no snapshot, no refresh at its write barriers and no
-//! second walk; [`Overlay::apply_batch`] is the trait's per-op default.
+//! greedy walk over the overlay's live routing rows: each hop scans the
+//! current object's view `vn ∪ cn ∪ LRn` (§3.1 of the paper) and forwards
+//! to the entry closest to the target (§3.2), by the one rule
+//! `voronet_geom::greedy_next`.  The rows are kept current by join and
+//! leave, so a batch needs no snapshot, no refresh at its write barriers
+//! and no second copy of the topology.
 //!
-//! Routes and area queries run on one reused [`RouteScratch`]: the walk
-//! fills its path and adds its hop count to the scratch's per-kind
-//! message counts once, a flood adds its message count once, and the
-//! engine adds those counts to the overlay's after each operation.  Routes
-//! are allocation-free once the scratch has warmed up, and an area query
-//! allocates no work-list of its own.
+//! A single route is [`VoroNet::route_to_point_in`], which also records
+//! the path.  [`Overlay::apply_batch`] hands each maximal run of
+//! consecutive `Route`/`RouteBetween` ops to [`VoroNet::route_batch_in`],
+//! which keeps eight independent walks in flight and steps them
+//! round-robin, so the cache misses of their row reads overlap; every
+//! other op goes through [`Overlay::apply`].  Each op's result, failure,
+//! counts and traffic are exactly those of the same op applied alone.
+//!
+//! Routes and area queries run on one reused [`RouteScratch`]: a walk
+//! adds its hop count to the scratch's per-kind message counts once (a run
+//! of batched walks adds all of theirs once), a flood adds its message
+//! count once, and the engine adds those counts to the overlay's after
+//! each operation or run.  Routes are allocation-free once the scratch has
+//! warmed up — a batch allocates its result vector and nothing else — and
+//! an area query allocates no work-list of its own.
 
-use crate::ops::{InsertOutcome, OverlayStats, QueryOutcome, RemoveOutcome, RouteOutcome};
+use crate::ops::{
+    InsertOutcome, Op, OpResult, OverlayStats, QueryOutcome, RemoveOutcome, RouteOutcome,
+};
 use crate::overlay::Overlay;
 use voronet_core::queries::{radius_query_in, range_query_in, AreaQueryReport};
 use voronet_core::snapshot::RouteScratch;
-use voronet_core::{ObjectId, ObjectView, VoroNet, VoroNetConfig, VoronetError};
+use voronet_core::{ErrorKind, ObjectId, ObjectView, VoroNet, VoroNetConfig, VoronetError};
 use voronet_geom::Point2;
 use voronet_workloads::{RadiusQuery, RangeQuery};
 
@@ -30,9 +41,10 @@ use voronet_workloads::{RadiusQuery, RangeQuery};
 /// inside one address space — the fast path used to reproduce the paper's
 /// figures.
 ///
-/// Single operations and batches alike route through the allocation-free
-/// scratch-buffer walk over the live routing rows (see the [module
-/// docs](self)).
+/// Single operations and batches alike route over the live routing rows
+/// on a reused scratch, batched routes as interleaved walks (see the
+/// [module docs](self)).
+#[derive(Clone)]
 pub struct SyncEngine {
     net: VoroNet,
     /// Routes completed, and the sum of their hop counts: all
@@ -40,6 +52,8 @@ pub struct SyncEngine {
     routes: u64,
     route_hops: u64,
     scratch: RouteScratch,
+    /// The `(from, target)` jobs of the run of routes a batch is walking.
+    jobs: Vec<(ObjectId, Point2)>,
 }
 
 impl SyncEngine {
@@ -55,6 +69,7 @@ impl SyncEngine {
             routes: 0,
             route_hops: 0,
             scratch: RouteScratch::new(),
+            jobs: Vec::new(),
         }
     }
 
@@ -79,6 +94,51 @@ impl SyncEngine {
         self.net.apply_traffic(&self.scratch.delta);
         self.scratch.delta.clear();
         Ok(report?.into())
+    }
+
+    /// Walks a run of `Route`/`RouteBetween` ops interleaved
+    /// ([`VoroNet::route_batch_in`]) and appends one result per op: the
+    /// result, counts and traffic the ops give one at a time.
+    fn route_run(&mut self, run: &[Op], results: &mut Vec<OpResult>) {
+        let first = results.len();
+        self.jobs.clear();
+        for op in run {
+            // An unknown `to` fails as `Overlay::route_between` fails it,
+            // before any walk; every walk gets a placeholder to fill.
+            let job = match *op {
+                Op::Route { from, target } => Ok((from, target)),
+                Op::RouteBetween { from, to } => self
+                    .net
+                    .coords(to)
+                    .map(|target| (from, target))
+                    .ok_or_else(|| VoronetError::new(ErrorKind::UnknownObject(to))),
+                _ => unreachable!("a run holds routes only"),
+            };
+            results.push(match job {
+                Ok((from, target)) => {
+                    self.jobs.push((from, target));
+                    OpResult::Routed(RouteOutcome {
+                        owner: from,
+                        hops: 0,
+                    })
+                }
+                Err(e) => OpResult::Failed(e),
+            });
+        }
+        let walks = self.net.route_batch_in(&self.jobs, &mut self.scratch);
+        let slots = results[first..].iter_mut().filter(|r| r.is_ok());
+        for (slot, walked) in slots.zip(walks) {
+            *slot = match walked {
+                Ok((owner, hops)) => {
+                    self.routes += 1;
+                    self.route_hops += u64::from(hops);
+                    OpResult::Routed(RouteOutcome { owner, hops })
+                }
+                Err(e) => OpResult::Failed(e),
+            };
+        }
+        self.net.apply_traffic(&self.scratch.delta);
+        self.scratch.delta.clear();
     }
 }
 
@@ -156,6 +216,27 @@ impl Overlay for SyncEngine {
 
     fn verify_invariants(&self) -> Result<(), VoronetError> {
         self.net.check_invariants(false)
+    }
+
+    /// Each maximal run of consecutive routes walks interleaved, through
+    /// [`VoroNet::route_batch_in`]; every other op goes through
+    /// [`Overlay::apply`].  Returns what the per-op loop returns (see the
+    /// [module docs](self)).
+    fn apply_batch(&mut self, ops: &[Op]) -> Vec<OpResult> {
+        let is_route = |op: &Op| matches!(op, Op::Route { .. } | Op::RouteBetween { .. });
+        let mut results = Vec::with_capacity(ops.len());
+        let mut rest = ops;
+        while let Some(op) = rest.first() {
+            let run = rest.iter().take_while(|op| is_route(op)).count();
+            if run == 0 {
+                results.push(self.apply(op));
+                rest = &rest[1..];
+            } else {
+                self.route_run(&rest[..run], &mut results);
+                rest = &rest[run..];
+            }
+        }
+        results
     }
 }
 

@@ -338,9 +338,10 @@ impl Objects {
 
 /// Where one vertex's row sits in the pool: `len` entries from `start`,
 /// the first `fan` of them its Voronoi fan, in a footprint of `cap`
-/// entries (those past `len` are slack).
+/// entries (those past `len` are slack).  [`RoutingRows::locate`] hands
+/// one out so a reader can fetch the row later with [`RoutingRows::row`].
 #[derive(Debug, Clone, Copy, Default)]
-struct Span {
+pub(crate) struct Span {
     start: u32,
     len: u32,
     cap: u32,
@@ -371,20 +372,29 @@ pub(crate) struct RoutingRows {
 }
 
 impl RoutingRows {
-    fn span(&self, v: VertexId) -> Span {
+    /// Where the row of `v` sits in the pool (an empty row for a vertex no
+    /// object holds).  Valid until the rows next change.
+    #[inline]
+    pub(crate) fn locate(&self, v: VertexId) -> Span {
         self.spans.get(v as usize).copied().unwrap_or_default()
+    }
+
+    /// The row a [`RoutingRows::locate`] found.
+    #[inline]
+    pub(crate) fn row(&self, s: Span) -> &[VertexId] {
+        &self.pool[s.start as usize..(s.start + s.len) as usize]
     }
 
     /// The row of `v` (empty for a vertex no object holds).
     #[inline]
     pub(crate) fn of(&self, v: VertexId) -> &[VertexId] {
-        let s = self.span(v);
-        &self.pool[s.start as usize..(s.start + s.len) as usize]
+        self.row(self.locate(v))
     }
 
     /// The row of `v` split into its fan and its tail.
     pub(crate) fn parts(&self, v: VertexId) -> (&[VertexId], &[VertexId]) {
-        self.of(v).split_at(self.span(v).fan as usize)
+        let s = self.locate(v);
+        self.row(s).split_at(s.fan as usize)
     }
 
     /// Replaces the fan of the row of `v` with what `fill` appends to an
@@ -473,7 +483,7 @@ impl RoutingRows {
             .iter()
             .map(|s| {
                 let start = pool.len() as u32;
-                pool.extend_from_slice(&self.pool[s.start as usize..(s.start + s.len) as usize]);
+                pool.extend_from_slice(self.row(*s));
                 Span {
                     start,
                     cap: s.len,

@@ -26,14 +26,14 @@
 //! at most a constant number of extra local steps at the end of a route — is
 //! folded into the plain greedy walk used here and documented in DESIGN.md.
 
-use crate::arena::{Objects, RoutingRows};
+use crate::arena::{Objects, RoutingRows, Span};
 use crate::config::VoroNetConfig;
 use crate::error::{ErrorKind, VoronetError};
 use crate::object::{BackLink, LinkIndex, LongLink, ObjectId, ObjectView, ViewRef};
 use crate::snapshot::{ChangeLog, ChangeRecord, FrozenView, RouteScratch, TrafficDelta};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use voronet_geom::{greedy_descent, InsertError, Point2, Triangulation, VertexId};
+use voronet_geom::{greedy_descent, greedy_next, InsertError, Point2, Triangulation, VertexId};
 use voronet_sim::{MessageKind, RouteStats, TrafficStats};
 use voronet_stats::IntHistogram;
 
@@ -108,6 +108,22 @@ pub struct VoroNet {
 /// id anywhere in space, while a departure only leaves a hole.  Growth by
 /// factors of 9/8 keeps the total work at ~9 vertex moves per object.
 const RENUMBER_FRACTION: usize = 8;
+
+/// Walks [`VoroNet::route_batch_in`] keeps in flight at once.
+const LANES: usize = 8;
+
+/// One walk in flight in [`VoroNet::route_batch_in`]: its job, where it
+/// stands, its squared distance to the target, its hops so far and where
+/// the row of its vertex sits.
+#[derive(Debug, Clone, Copy, Default)]
+struct Lane {
+    job: usize,
+    target: Point2,
+    at: VertexId,
+    d: f64,
+    hops: u32,
+    row: Span,
+}
 
 /// The working buffers of [`VoroNet::insert`] and [`VoroNet::remove`]:
 /// taken out for the call and put back empty, so they keep their capacity
@@ -385,7 +401,8 @@ impl VoroNet {
     /// The greedy walk itself (Section 3.2), on `&self`: forward to the
     /// neighbour closest to the target until no neighbour improves, which
     /// happens exactly at the owner of the target's region.  Every
-    /// `route_*` entry point funnels through here.
+    /// single-route entry point funnels through here;
+    /// [`VoroNet::route_batch_in`] walks many at once by the same rule.
     ///
     /// The walk computes into the caller's [`RouteScratch`] (`scratch.path`
     /// cleared and refilled with the objects traversed, and the hop count
@@ -438,6 +455,102 @@ impl VoroNet {
             "a route towards an existing object must terminate at that object"
         );
         Ok((owner, hops))
+    }
+
+    /// Greedy walks for a batch of `(from, target)` jobs, on `&self`: one
+    /// result per job, in job order, each exactly what
+    /// [`VoroNet::route_to_point_in`] returns for it.  The hop counts of
+    /// the whole batch are added to `scratch.delta`'s `RouteForward` count
+    /// once; a job whose source is not live fails with the single walk's
+    /// error and adds nothing.  `scratch.path` is left alone.
+    ///
+    /// The walks run interleaved: up to eight are in flight, and each
+    /// visit makes one hop of one walk, [`greedy_next`] over its row, then
+    /// passes to the next walk round-robin.  A walk locates its next row as
+    /// it moves, so that load is in flight while the other walks scan.  On
+    /// a population whose rows outgrow the cache the single walk waits on
+    /// one miss per load; the batch overlaps the misses of independent
+    /// walks.  Allocation-free on a warmed-up scratch.
+    pub fn route_batch_in<'s>(
+        &self,
+        jobs: &[(ObjectId, Point2)],
+        scratch: &'s mut RouteScratch,
+    ) -> impl ExactSizeIterator<Item = Result<(ObjectId, u32), VoronetError>> + 's {
+        let RouteScratch { routed, delta, .. } = scratch;
+        routed.clear();
+        routed.resize(jobs.len(), Ok((ObjectId(0), 0)));
+        let mut lanes = [Lane::default(); LANES];
+        let (mut live, mut taken, mut hops) = (0, 0, 0u64);
+        while live < LANES {
+            let Some(lane) = self.next_lane(jobs, &mut taken, routed) else {
+                break;
+            };
+            lanes[live] = lane;
+            live += 1;
+        }
+        let mut i = 0;
+        while live > 0 {
+            let lane = &mut lanes[i];
+            let row = self.rows.row(lane.row);
+            let (next, next_d) = greedy_next(
+                lane.target,
+                (lane.at, lane.d),
+                row.iter().map(|&u| (u, self.tri.point(u))),
+            );
+            if next != lane.at {
+                *lane = Lane {
+                    at: next,
+                    d: next_d,
+                    hops: lane.hops + 1,
+                    row: self.rows.locate(next),
+                    ..*lane
+                };
+                i += 1;
+            } else {
+                routed[lane.job] = Ok((self.objects.object(lane.at), lane.hops));
+                hops += u64::from(lane.hops);
+                if let Some(fresh) = self.next_lane(jobs, &mut taken, routed) {
+                    *lane = fresh;
+                    i += 1;
+                } else {
+                    live -= 1;
+                    lanes[i] = lanes[live];
+                }
+            }
+            if i >= live {
+                i = 0;
+            }
+        }
+        delta.add(MessageKind::RouteForward, hops);
+        routed.drain(..)
+    }
+
+    /// A walk for the first job from `*taken` on whose source is live;
+    /// each job passed over gets its error in `routed`.
+    fn next_lane(
+        &self,
+        jobs: &[(ObjectId, Point2)],
+        taken: &mut usize,
+        routed: &mut [Result<(ObjectId, u32), VoronetError>],
+    ) -> Option<Lane> {
+        while let Some(&(from, target)) = jobs.get(*taken) {
+            let job = *taken;
+            *taken += 1;
+            match self.vertex(from) {
+                Ok(at) => {
+                    return Some(Lane {
+                        job,
+                        target,
+                        at,
+                        d: self.tri.point(at).distance2(target),
+                        hops: 0,
+                        row: self.rows.locate(at),
+                    })
+                }
+                Err(e) => routed[job] = Err(e),
+            }
+        }
+        None
     }
 
     /// Adds a [`TrafficDelta`]'s counts to the overlay's counters: exactly
@@ -1404,6 +1517,85 @@ mod tests {
         }
         assert_eq!(walked.delta, frozen.delta);
         println!("{} rows audited, {hops} hops walked alike", audit.rows);
+    }
+
+    /// `count` jobs on `net`: a live source each, and a target that is a
+    /// live object's point, a point of `[-0.25, 1.25]²` or, one job in
+    /// fifty, `NaN`.
+    fn route_jobs(net: &VoroNet, count: usize, seed: u64) -> Vec<(ObjectId, Point2)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ids: Vec<ObjectId> = net.ids().collect();
+        (0..count)
+            .map(|_| {
+                let from = ids[rng.random_range(0..ids.len())];
+                let target = match rng.random_range(0..50u32) {
+                    0 => Point2::new(f64::NAN, 0.5),
+                    1..=24 => net.coords(ids[rng.random_range(0..ids.len())]).unwrap(),
+                    _ => Point2::new(rng.random_range(-0.25..1.25), rng.random_range(-0.25..1.25)),
+                };
+                (from, target)
+            })
+            .collect()
+    }
+
+    /// Walks `jobs` as one batch and one at a time: the same result per
+    /// job, in job order, and the same message counts.  Returns the hops.
+    fn batch_walks_like_single_walks(net: &VoroNet, jobs: &[(ObjectId, Point2)]) -> u64 {
+        let (mut batch, mut single) = (RouteScratch::new(), RouteScratch::new());
+        let batched: Vec<_> = net.route_batch_in(jobs, &mut batch).collect();
+        assert_eq!(batched.len(), jobs.len());
+        let mut hops = 0;
+        for (&(from, target), got) in jobs.iter().zip(&batched) {
+            let walked = net.route_to_point_in(from, target, &mut single);
+            assert_eq!(got, &walked, "{from} towards {target}");
+            hops += walked.map_or(0, |(_, h)| u64::from(h));
+        }
+        assert_eq!(batch.delta, single.delta);
+        hops
+    }
+
+    /// A batch of walks returns what the single walks return, job by job:
+    /// batches shorter and longer than the lanes, departed sources, `NaN`
+    /// and far targets, the empty batch.
+    #[test]
+    fn batched_walks_equal_single_walks() {
+        let (mut net, ids) = build_random(600, 2, 17);
+        for &gone in &ids[..40] {
+            net.remove(gone).unwrap();
+        }
+        let mut jobs = route_jobs(&net, 2_000, 5);
+        for (i, &gone) in ids[..40].iter().enumerate() {
+            jobs[i * 37].0 = gone;
+        }
+        let mut hops = 0;
+        let mut rest = &jobs[..];
+        for len in (0..).map(|i: usize| [0, 1, 3, LANES, LANES + 1, 97][i % 6]) {
+            if rest.is_empty() {
+                break;
+            }
+            let (batch, tail) = rest.split_at(len.min(rest.len()));
+            hops += batch_walks_like_single_walks(&net, batch);
+            rest = tail;
+        }
+        assert!(hops > 10_000, "{hops} hops");
+    }
+
+    /// The release-size case (CI's net smoke step runs it), a count and not
+    /// a timing: on 50 000 uniform and `PowerLaw{5}` objects, 20 000 walks
+    /// in one batch end where the single walks end, after as many hops.
+    #[test]
+    #[ignore = "release-size: cargo test --release -p voronet-core -- --ignored batched_walks_equal_single_walks_at_50k"]
+    fn batched_walks_equal_single_walks_at_50k() {
+        let n = 50_000;
+        for dist in [Distribution::Uniform, Distribution::PowerLaw { alpha: 5.0 }] {
+            let mut net = VoroNet::new(VoroNetConfig::new(n).with_seed(2007));
+            let mut points = PointGenerator::new(dist, 2007);
+            while net.len() < n {
+                let _ = net.insert(points.next_point());
+            }
+            let hops = batch_walks_like_single_walks(&net, &route_jobs(&net, 20_000, 2007));
+            println!("{dist:?}: 20 000 batched walks equal the single walks, {hops} hops");
+        }
     }
 
     /// The median of `|u − v|` over every fan entry `u` of every object's

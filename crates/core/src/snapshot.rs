@@ -96,8 +96,8 @@ impl TrafficDelta {
 
 /// Caller-owned working memory for the `&self` read path.
 ///
-/// Holds the route path buffer, the pending [`TrafficDelta`] and the
-/// work-lists of the area-query floods.  Reusing one scratch across calls
+/// Holds the route path buffer, the pending [`TrafficDelta`], the results
+/// of a batch of walks and the work-lists of the area-query floods.  Reusing one scratch across calls
 /// makes greedy routes and point queries allocation-free once the buffers
 /// have warmed up (pinned by the counting-allocator test in
 /// `tests/route_alloc.rs`).
@@ -113,6 +113,8 @@ pub struct RouteScratch {
     pub path: Vec<ObjectId>,
     /// Message counts of every read operation since the last clear.
     pub delta: TrafficDelta,
+    /// One result per job of the last [`VoroNet::route_batch_in`].
+    pub(crate) routed: Vec<Result<(ObjectId, u32), VoronetError>>,
     pub(crate) visited: std::collections::HashSet<ObjectId>,
     pub(crate) frontier: Vec<ObjectId>,
     pub(crate) neighbours: Vec<ObjectId>,

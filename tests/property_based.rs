@@ -15,6 +15,7 @@
 
 use rand::rngs::StdRng;
 use rand::RngExt;
+use std::cell::Cell;
 use voronet::prelude::*;
 use voronet_core::VoroNetConfig;
 use voronet_geom::hull::{convex_hull, delaunay_edges_bruteforce};
@@ -708,6 +709,240 @@ fn message_accounting_is_exact_per_op() {
             seed,
             traffic_steps,
             |steps| traffic_is_exact(steps, &points),
+        );
+    }
+}
+
+/// An object a batch route names; indices pick one modulo the count.
+#[derive(Debug, Clone, Copy)]
+enum Named {
+    Live(usize),
+    Departed(usize),
+    /// An id the overlay never issued.
+    Never,
+}
+
+/// Where a point route aims; indices pick modulo the count.
+#[derive(Debug, Clone, Copy)]
+enum Aim {
+    /// A live object's point.
+    Object(usize),
+    /// A point of the pool, live or not.
+    Pool(usize),
+    /// The midpoint of two pool points: on the lattice, an exact tie.
+    Between(usize, usize),
+    /// Anywhere in `[-1, 2]²`, mostly outside the unit square.
+    Outside(f64, f64),
+    NotANumber,
+}
+
+/// One op of the batch property.
+#[derive(Debug, Clone, Copy)]
+enum BatchStep {
+    Insert(usize),
+    Remove(usize),
+    Route(Named, Aim),
+    RouteBetween(Named, Named),
+    /// A route from an object to itself.
+    ToItself(usize),
+}
+
+/// Runs of routes, shorter and longer than the sync engine's eight lanes,
+/// broken by inserts and removes.
+fn batch_steps(rng: &mut StdRng) -> Vec<BatchStep> {
+    let pick = |rng: &mut StdRng| rng.random_range(0..usize::MAX);
+    let named = |rng: &mut StdRng| match rng.random_range(0..20u32) {
+        0 => Named::Departed(pick(rng)),
+        1 => Named::Never,
+        _ => Named::Live(pick(rng)),
+    };
+    let mut steps = Vec::new();
+    for _ in 0..rng.random_range(0..8usize) {
+        for _ in 0..rng.random_range(0..20usize) {
+            steps.push(match rng.random_range(0..20u32) {
+                0..=9 => {
+                    let from = named(rng);
+                    let aim = match rng.random_range(0..10u32) {
+                        0 => Aim::NotANumber,
+                        1..=2 => {
+                            Aim::Outside(rng.random_range(-1.0..2.0), rng.random_range(-1.0..2.0))
+                        }
+                        3..=4 => Aim::Pool(pick(rng)),
+                        5..=6 => Aim::Between(pick(rng), pick(rng)),
+                        _ => Aim::Object(pick(rng)),
+                    };
+                    BatchStep::Route(from, aim)
+                }
+                10..=18 => BatchStep::RouteBetween(named(rng), named(rng)),
+                _ => BatchStep::ToItself(pick(rng)),
+            });
+        }
+        for _ in 0..rng.random_range(0..3usize) {
+            steps.push(if rng.random::<bool>() {
+                BatchStep::Insert(pick(rng))
+            } else {
+                BatchStep::Remove(pick(rng))
+            });
+        }
+    }
+    steps
+}
+
+/// Resolves `steps` against `engine`'s population as a script would be:
+/// removals leave the mirror, so later ops can name what the batch removed.
+fn resolve_steps(
+    steps: &[BatchStep],
+    engine: &SyncEngine,
+    departed: &[ObjectId],
+    pool: &[Point2],
+) -> Vec<Op> {
+    let never = ObjectId(u64::MAX);
+    let mut live = engine.ids();
+    let mut departed = departed.to_vec();
+    let name = |n: Named, live: &[ObjectId], departed: &[ObjectId]| match n {
+        Named::Live(i) if !live.is_empty() => live[i % live.len()],
+        Named::Departed(i) if !departed.is_empty() => departed[i % departed.len()],
+        _ => never,
+    };
+    steps
+        .iter()
+        .map(|&step| match step {
+            BatchStep::Insert(i) => Op::Insert {
+                position: pool[i % pool.len()],
+            },
+            BatchStep::Remove(i) => {
+                let id = if live.is_empty() {
+                    never
+                } else {
+                    live.swap_remove(i % live.len())
+                };
+                departed.push(id);
+                Op::Remove { id }
+            }
+            BatchStep::Route(from, aim) => Op::Route {
+                from: name(from, &live, &departed),
+                target: match aim {
+                    Aim::Object(i) => engine
+                        .coords(name(Named::Live(i), &live, &departed))
+                        .unwrap_or(pool[i % pool.len()]),
+                    Aim::Pool(i) => pool[i % pool.len()],
+                    Aim::Between(i, j) => {
+                        let (a, b) = (pool[i % pool.len()], pool[j % pool.len()]);
+                        Point2::new((a.x + b.x) / 2.0, (a.y + b.y) / 2.0)
+                    }
+                    Aim::Outside(x, y) => Point2::new(x, y),
+                    Aim::NotANumber => Point2::new(f64::NAN, 0.5),
+                },
+            },
+            BatchStep::RouteBetween(from, to) => Op::RouteBetween {
+                from: name(from, &live, &departed),
+                to: name(to, &live, &departed),
+            },
+            BatchStep::ToItself(i) => {
+                let id = name(Named::Live(i), &live, &departed);
+                Op::RouteBetween { from: id, to: id }
+            }
+        })
+        .collect()
+}
+
+/// `apply_batch` on one clone of `base` against `apply` op by op on
+/// another: the same results, stats and per-kind message counts.  Returns
+/// the results.
+fn batch_equals_loop(ops: &[Op], base: &SyncEngine) -> Result<Vec<OpResult>, String> {
+    use voronet::sim::MessageKind;
+    let (mut batched, mut looped) = (base.clone(), base.clone());
+    let got = batched.apply_batch(ops);
+    let want: Vec<OpResult> = ops.iter().map(|op| looped.apply(op)).collect();
+    tk_ensure_eq!(got.len(), ops.len(), "one result per op");
+    for (i, (got, want)) in got.iter().zip(&want).enumerate() {
+        tk_ensure_eq!(got, want, "op {i} {:?}", ops[i]);
+    }
+    let (a, b) = (batched.stats(), looped.stats());
+    tk_ensure_eq!(
+        (a.population, a.messages, a.routes_completed),
+        (b.population, b.messages, b.routes_completed),
+        "stats"
+    );
+    tk_ensure_eq!(
+        a.mean_route_hops.to_bits(),
+        b.mean_route_hops.to_bits(),
+        "mean hops"
+    );
+    for kind in MessageKind::ALL {
+        let counts = |e: &SyncEngine| e.net().traffic().count(kind);
+        tk_ensure_eq!(counts(&batched), counts(&looped), "{kind:?} messages");
+    }
+    tk_ensure_eq!(batched.net().traffic(), looped.net().traffic(), "traffic");
+    Ok(want)
+}
+
+/// A batch returns what the same ops return one at a time: `apply_batch`
+/// walks each run of routes interleaved, and must keep every result at its
+/// index, every failure (unknown source, unknown destination) and every
+/// count.  On uniform, `PowerLaw{5}` and 5 × 5 lattice points, whose
+/// midpoints tie.
+#[test]
+fn a_batch_equals_the_per_op_loop() {
+    let lattice: Vec<Point2> = (0..25)
+        .map(|i| Point2::new(f64::from(i % 5) * 0.25, f64::from(i / 5) * 0.25))
+        .collect();
+    let pools = [
+        (
+            "uniform",
+            PointGenerator::new(Distribution::Uniform, 61).take_points(300),
+        ),
+        (
+            "power-law",
+            PointGenerator::new(Distribution::PowerLaw { alpha: 5.0 }, 67).take_points(300),
+        ),
+        ("lattice", lattice),
+    ];
+    for (seed, (name, pool)) in (0xBA7Cu64..).zip(pools) {
+        let mut base = SyncEngine::new(VoroNetConfig::new(pool.len()).with_seed(seed));
+        for &p in &pool[..pool.len() * 2 / 3] {
+            base.insert(p).unwrap();
+        }
+        let departed: Vec<ObjectId> = base.ids().into_iter().step_by(7).collect();
+        for &id in &departed {
+            base.remove(id).unwrap();
+        }
+        // Earlier routes, so the stats compared are sums, not first values.
+        let ids = base.ids();
+        for (&a, &b) in ids.iter().zip(ids.iter().rev()).take(10) {
+            base.route_between(a, b).unwrap();
+        }
+        let empty = base.clone().apply_batch(&[]);
+        assert!(empty.is_empty(), "{name}: an empty batch returns nothing");
+        // What the cases reached: routes walked, routes failed, the
+        // longest run of routes.
+        let (walked, failed, longest) = (Cell::new(0), Cell::new(0), Cell::new(0));
+        check_cases(
+            &format!("a-batch-equals-the-per-op-loop-{name}"),
+            CASES,
+            seed,
+            batch_steps,
+            |steps| {
+                let ops = resolve_steps(steps, &base, &departed, &pool);
+                let results = batch_equals_loop(&ops, &base)?;
+                let mut run = 0;
+                for (op, result) in ops.iter().zip(&results) {
+                    if !matches!(op, Op::Route { .. } | Op::RouteBetween { .. }) {
+                        run = 0;
+                        continue;
+                    }
+                    run += 1;
+                    longest.set(longest.get().max(run));
+                    let count = if result.is_ok() { &walked } else { &failed };
+                    count.set(count.get() + 1);
+                }
+                Ok(())
+            },
+        );
+        let (walked, failed, longest) = (walked.get(), failed.get(), longest.get());
+        assert!(
+            walked > 1_000 && failed > 50 && longest > 16,
+            "{name}: {walked} routes, {failed} failed, longest run {longest}"
         );
     }
 }

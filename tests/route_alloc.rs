@@ -10,7 +10,9 @@
 //! the overlay's own kept scratch.  An area query through
 //! [`SyncEngine`] reuses the engine's scratch: it allocates exactly what
 //! the same flood allocates on a warmed scratch of its own (its match
-//! vector and the Voronoi cells it tests), and no work-list.
+//! vector and the Voronoi cells it tests), and no work-list.  A batch of
+//! routes through [`SyncEngine::apply_batch`] allocates its result vector
+//! and nothing else.
 //!
 //! This file deliberately contains a single test: the counting allocator is
 //! process-global, and a concurrently running test would perturb the count.
@@ -137,6 +139,36 @@ fn greedy_routing_is_allocation_free_after_warmup() {
     let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(allocated, 0, "applying a delta must not touch the heap");
     scratch.delta.clear();
+
+    // A batch of routes through the engine walks them interleaved on its
+    // scratch: once warmed up, the batch allocates its result vector and
+    // nothing else.
+    let mut engine = SyncEngine::from_net(net.clone());
+    let routes: Vec<Op> = pairs
+        .iter()
+        .cycle()
+        .take(256)
+        .enumerate()
+        .map(|(i, &(from, to))| match i % 2 {
+            0 => Op::RouteBetween { from, to },
+            _ => Op::Route {
+                from,
+                target: net.coords(to).unwrap(),
+            },
+        })
+        .collect();
+    let warm = engine.apply_batch(&routes);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let batched = engine.apply_batch(&routes);
+    let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(batched, warm);
+    assert!(batched.iter().all(|r| r.as_routed().is_some()));
+    assert_eq!(
+        allocated,
+        1,
+        "a warmed batch of {} routes must allocate only its results",
+        routes.len()
+    );
 
     // Area queries through the engine run on its scratch.  Once warmed up,
     // each allocates exactly what the same flood allocates on a warmed
