@@ -115,10 +115,10 @@ impl SyncEngine {
                 _ => unreachable!("a run holds routes only"),
             };
             results.push(match job {
-                Ok((from, target)) => {
-                    self.jobs.push((from, target));
+                Ok(job) => {
+                    self.jobs.push(job);
                     OpResult::Routed(RouteOutcome {
-                        owner: from,
+                        owner: job.0,
                         hops: 0,
                     })
                 }
