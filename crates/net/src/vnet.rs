@@ -349,6 +349,57 @@ mod tests {
         assert_eq!(a.stats().frames_sent, 2);
     }
 
+    /// A restarted peer opens a fresh endpoint while the crashed one may
+    /// still be alive; the old one dropping later must not close the new
+    /// one's mailbox.
+    #[test]
+    fn dropping_a_stale_endpoint_leaves_the_reopened_mailbox() {
+        let hub = VnetHub::new(NetworkModel::ideal());
+        let mut a = hub.endpoint(1);
+        let stale = hub.endpoint(2);
+        let mut fresh = hub.endpoint(2);
+        drop(stale);
+        a.send(2, &frame(0)).unwrap();
+        let mut buf = Vec::new();
+        assert_eq!(fresh.recv_into(&mut buf).unwrap(), Some(1));
+        assert_eq!(buf, frame(0));
+        assert_eq!(a.stats().dead_letters, 0);
+    }
+
+    /// Every frame sent ends in exactly one counter once the mailboxes are
+    /// drained, however endpoints close and re-open: a frame stranded in a
+    /// closing mailbox is a dead letter of its sender, and a closed
+    /// endpoint's counters stay in the hub's total.
+    #[test]
+    fn the_ledger_balances_across_close_and_reopen() {
+        let hub = VnetHub::new(NetworkModel::ideal());
+        let mut a = hub.endpoint(1);
+        let mut b = hub.endpoint(2);
+        a.send(2, &frame(0)).unwrap();
+        a.send(2, &frame(1)).unwrap();
+        let mut buf = Vec::new();
+        assert_eq!(b.recv_into(&mut buf).unwrap(), Some(1));
+        drop(b); // frame 1 is still queued
+        a.send(2, &frame(2)).unwrap();
+        assert_eq!(a.stats().dead_letters, 2, "{:?}", a.stats());
+
+        let mut c = hub.endpoint(3);
+        c.send(1, &frame(3)).unwrap();
+        drop(c);
+        let _c = hub.endpoint(3);
+        assert_eq!(a.recv_into(&mut buf).unwrap(), Some(3));
+        let total = hub.total_stats();
+        assert_eq!(total.frames_sent, 4, "{total:?}");
+        assert_eq!(
+            total.frames_sent,
+            total.frames_delivered
+                + total.dropped_loss
+                + total.dropped_partition
+                + total.dead_letters,
+            "{total:?}"
+        );
+    }
+
     #[test]
     fn oversized_frames_are_rejected_and_counted() {
         let hub = VnetHub::new(NetworkModel::ideal());
