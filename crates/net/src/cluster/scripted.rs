@@ -69,12 +69,11 @@ impl Scripted {
     /// Replaces `peer` by an amnesiac host on a fresh endpoint, as a
     /// crash and restart would.
     fn restart(&mut self, peer: PeerId) {
-        let at = (peer - 1) as usize;
-        // The old endpoint closes the peer's mailbox as it drops, so it
-        // must go before the new one opens.
-        drop(self.inner.hosts.remove(at));
+        // The fresh endpoint takes the peer's mailbox over (what was
+        // queued for the crashed host dead-letters); the old one, dropped
+        // after it, closes only itself.
         let fresh = HostNode::new(self.hub.endpoint(peer), peer, HOSTS);
-        self.inner.hosts.insert(at, fresh);
+        self.inner.hosts[(peer - 1) as usize] = fresh;
     }
 }
 

@@ -17,19 +17,37 @@
 //! one microsecond for a yield — and sleeps nowhere, so on a hub a
 //! resend, an attempt window or a ping window is a count of idle turns.
 //!
+//! Open endpoints live in a small table — counters, and the mailbox while
+//! the endpoint is the newest opening of its peer — searched by a scan:
+//! a hub holds a driver and a handful of hosts, and its keys are
+//! endpoints the process opened itself, so nothing is hashed.  A sent
+//! frame is copied into a buffer an earlier receive gave back, and
+//! `recv_into` swaps that buffer into the caller's, keeping the caller's
+//! old one for a later send; so a warmed exchange allocates nothing.  The
+//! hub keeps at most `SPARE_FRAMES` (64) such buffers: a full view sync
+//! leaves thousands of frames behind, and keeping them all would only
+//! grow the process.
+//!
 //! Frames addressed to a peer with no open endpoint are dead letters —
-//! counted, never delivered.
+//! counted, never delivered.  So are frames still queued when their
+//! endpoint closes or its peer re-opens; each counts against its sender.
+//! A closed endpoint's counters stay in [`VnetHub::total_stats`], so once
+//! every mailbox is drained the hub's ledger balances: `frames_sent` is
+//! `frames_delivered + dropped_loss + dropped_partition + dead_letters`.
 
 use crate::frame::MAX_FRAME_LEN;
 use crate::transport::{PeerId, Transport, TransportError};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use voronet_sim::{Delivery, NetworkModel, SimTime, TransportStats};
 
 /// How far the hub clock moves when an idle turn asks only to yield.
 const YIELD_STEP: Duration = Duration::from_micros(1);
+
+/// Most frame buffers the hub keeps for later sends.
+const SPARE_FRAMES: usize = 64;
 
 /// One frame waiting in a peer's mailbox, ordered by
 /// `(delivery time, submission sequence)`.
@@ -38,6 +56,8 @@ struct InFlight {
     at: SimTime,
     seq: u64,
     from: PeerId,
+    /// The sending endpoint's opening, charged if the frame dead-letters.
+    sender: u64,
     frame: Vec<u8>,
 }
 
@@ -58,6 +78,21 @@ impl Ord for InFlight {
     }
 }
 
+type Mailbox = BinaryHeap<Reverse<InFlight>>;
+
+/// One open endpoint of the hub.
+#[derive(Debug)]
+struct Endpoint {
+    peer: PeerId,
+    /// Which opening of the hub this is: the endpoint's own key, as a
+    /// peer id may be opened again while an older endpoint lives.
+    opening: u64,
+    stats: TransportStats,
+    /// Frames in flight to the peer; `None` once a later opening of the
+    /// same peer took its frames over.
+    mailbox: Option<Mailbox>,
+}
+
 #[derive(Debug)]
 struct HubInner {
     network: NetworkModel,
@@ -66,13 +101,58 @@ struct HubInner {
     now: SimTime,
     /// Submission sequence breaking delivery-time ties deterministically.
     seq: u64,
-    /// Per-destination mailboxes of frames in flight.
-    mailboxes: HashMap<PeerId, BinaryHeap<Reverse<InFlight>>>,
-    /// Peers with an open endpoint; frames to anyone else dead-letter.
-    open: HashMap<PeerId, TransportStats>,
+    /// Every open endpoint; frames to a peer without a mailbox here
+    /// dead-letter.
+    endpoints: Vec<Endpoint>,
+    /// Endpoints opened so far.
+    openings: u64,
+    /// The summed counters of every closed endpoint.
+    closed: TransportStats,
+    /// Buffers of delivered frames, for later sends.
+    spare: Vec<Vec<u8>>,
     /// The clock endpoints read: `epoch` plus the idle time spent so far.
     epoch: Instant,
     idled: Duration,
+}
+
+impl HubInner {
+    /// Where the endpoint of `opening` sits in the table.
+    fn index(&self, opening: u64) -> usize {
+        self.endpoints
+            .iter()
+            .position(|e| e.opening == opening)
+            .expect("a live endpoint is in the table")
+    }
+
+    /// Counts the frames of a mailbox that closes as dead letters of
+    /// their senders, open or closed, and keeps their buffers.
+    fn strand(&mut self, mailbox: Mailbox) {
+        for Reverse(in_flight) in mailbox {
+            let sender = self
+                .endpoints
+                .iter_mut()
+                .find(|e| e.opening == in_flight.sender);
+            match sender {
+                Some(e) => e.stats.dead_letters += 1,
+                None => self.closed.dead_letters += 1,
+            }
+            self.recycle(in_flight.frame);
+        }
+    }
+
+    fn recycle(&mut self, buf: Vec<u8>) {
+        if self.spare.len() < SPARE_FRAMES {
+            self.spare.push(buf);
+        }
+    }
+}
+
+/// The mailbox frames to `peer` go to, if it has an open endpoint.
+fn mailbox_of(endpoints: &mut [Endpoint], peer: PeerId) -> Option<&mut Mailbox> {
+    endpoints
+        .iter_mut()
+        .filter(|e| e.peer == peer)
+        .find_map(|e| e.mailbox.as_mut())
 }
 
 /// The shared switch of one virtual network.  Create endpoints with
@@ -91,32 +171,51 @@ impl VnetHub {
                 network,
                 now: 0,
                 seq: 0,
-                mailboxes: HashMap::new(),
-                open: HashMap::new(),
+                endpoints: Vec::new(),
+                openings: 0,
+                closed: TransportStats::new(),
+                spare: Vec::new(),
                 epoch: Instant::now(),
                 idled: Duration::ZERO,
             })),
         }
     }
 
-    /// Opens the endpoint of `peer` on this hub.  Re-opening a peer id
-    /// resets its mailbox and counters.
+    /// Opens the endpoint of `peer` on this hub, with counters of its own.
+    /// Re-opening a peer id moves its mailbox to the new endpoint, empty:
+    /// frames queued for the old one dead-letter, and the old one receives
+    /// nothing more.
     pub fn endpoint(&self, peer: PeerId) -> VnetTransport {
         let mut inner = self.inner.lock().expect("hub poisoned");
-        inner.open.insert(peer, TransportStats::new());
-        inner.mailboxes.insert(peer, BinaryHeap::new());
+        let older = inner
+            .endpoints
+            .iter_mut()
+            .filter(|e| e.peer == peer)
+            .find_map(|e| e.mailbox.take());
+        if let Some(mailbox) = older {
+            inner.strand(mailbox);
+        }
+        inner.openings += 1;
+        let opening = inner.openings;
+        inner.endpoints.push(Endpoint {
+            peer,
+            opening,
+            stats: TransportStats::new(),
+            mailbox: Some(BinaryHeap::new()),
+        });
         VnetTransport {
             hub: self.inner.clone(),
             peer,
+            opening,
         }
     }
 
     /// Aggregated counters over every endpoint ever opened on this hub.
     pub fn total_stats(&self) -> TransportStats {
         let inner = self.inner.lock().expect("hub poisoned");
-        let mut total = TransportStats::new();
-        for stats in inner.open.values() {
-            total.merge(stats);
+        let mut total = inner.closed;
+        for e in &inner.endpoints {
+            total.merge(&e.stats);
         }
         total
     }
@@ -127,14 +226,20 @@ impl VnetHub {
 pub struct VnetTransport {
     hub: Arc<Mutex<HubInner>>,
     peer: PeerId,
+    opening: u64,
 }
 
 impl Drop for VnetTransport {
     fn drop(&mut self) {
         if let Ok(mut inner) = self.hub.lock() {
-            // Keep the stats entry (for `total_stats`) but close the
-            // mailbox: the peer no longer receives.
-            inner.mailboxes.remove(&self.peer);
+            // Close this opening only: a newer endpoint of the same peer
+            // keeps its mailbox.  The counters stay in the hub's total.
+            let at = inner.index(self.opening);
+            let closed = inner.endpoints.swap_remove(at);
+            inner.closed.merge(&closed.stats);
+            if let Some(mailbox) = closed.mailbox {
+                inner.strand(mailbox);
+            }
         }
     }
 }
@@ -152,7 +257,8 @@ impl Transport for VnetTransport {
     fn send(&mut self, to: PeerId, frame: &[u8]) -> Result<(), TransportError> {
         let mut inner = self.hub.lock().expect("hub poisoned");
         let inner = &mut *inner;
-        let stats = inner.open.entry(self.peer).or_default();
+        let at = inner.index(self.opening);
+        let stats = &mut inner.endpoints[at].stats;
         if frame.len() > MAX_FRAME_LEN {
             stats.oversized += 1;
             return Err(TransportError::Oversized { len: frame.len() });
@@ -161,25 +267,23 @@ impl Transport for VnetTransport {
         inner.now += 1;
         let now = inner.now;
         match inner.network.delivery(self.peer, to, now) {
-            Delivery::DroppedLoss => {
-                inner.open.entry(self.peer).or_default().dropped_loss += 1;
-            }
-            Delivery::DroppedPartition => {
-                inner.open.entry(self.peer).or_default().dropped_partition += 1;
-            }
-            Delivery::Deliver { delay } => match inner.mailboxes.get_mut(&to) {
+            Delivery::DroppedLoss => inner.endpoints[at].stats.dropped_loss += 1,
+            Delivery::DroppedPartition => inner.endpoints[at].stats.dropped_partition += 1,
+            Delivery::Deliver { delay } => match mailbox_of(&mut inner.endpoints, to) {
                 Some(mailbox) => {
+                    let mut buf = inner.spare.pop().unwrap_or_default();
+                    buf.clear();
+                    buf.extend_from_slice(frame);
                     inner.seq += 1;
                     mailbox.push(Reverse(InFlight {
                         at: now + delay,
                         seq: inner.seq,
                         from: self.peer,
-                        frame: frame.to_vec(),
+                        sender: self.opening,
+                        frame: buf,
                     }));
                 }
-                None => {
-                    inner.open.entry(self.peer).or_default().dead_letters += 1;
-                }
+                None => inner.endpoints[at].stats.dead_letters += 1,
             },
         }
         Ok(())
@@ -190,26 +294,25 @@ impl Transport for VnetTransport {
         Ok(())
     }
 
+    /// Hands over the frame's own buffer and keeps `buf`'s previous one
+    /// for a later send.
     fn recv_into(&mut self, buf: &mut Vec<u8>) -> Result<Option<PeerId>, TransportError> {
         let mut inner = self.hub.lock().expect("hub poisoned");
-        let inner = &mut *inner;
-        let Some(mailbox) = inner.mailboxes.get_mut(&self.peer) else {
+        let at = inner.index(self.opening);
+        let endpoint = &mut inner.endpoints[at];
+        let Some(Reverse(mut in_flight)) = endpoint.mailbox.as_mut().and_then(BinaryHeap::pop)
+        else {
             return Ok(None);
         };
-        match mailbox.pop() {
-            Some(Reverse(in_flight)) => {
-                buf.clear();
-                buf.extend_from_slice(&in_flight.frame);
-                inner.open.entry(self.peer).or_default().frames_delivered += 1;
-                Ok(Some(in_flight.from))
-            }
-            None => Ok(None),
-        }
+        endpoint.stats.frames_delivered += 1;
+        std::mem::swap(buf, &mut in_flight.frame);
+        inner.recycle(in_flight.frame);
+        Ok(Some(in_flight.from))
     }
 
     fn stats(&self) -> TransportStats {
         let inner = self.hub.lock().expect("hub poisoned");
-        inner.open.get(&self.peer).copied().unwrap_or_default()
+        inner.endpoints[inner.index(self.opening)].stats
     }
 
     fn now(&self) -> Instant {
