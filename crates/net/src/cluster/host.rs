@@ -96,6 +96,10 @@ pub struct HostNode<T: Transport> {
     duplicates: u64,
     ops_served: u64,
     shutdown: bool,
+    /// Every frame this host sends is encoded here, and the id lists
+    /// they carry are built in `ids`: both keep their allocations.
+    out: Vec<u8>,
+    ids: Vec<u8>,
 }
 
 impl<T: Transport> HostNode<T> {
@@ -118,6 +122,8 @@ impl<T: Transport> HostNode<T> {
             duplicates: 0,
             ops_served: 0,
             shutdown: false,
+            out: Vec::new(),
+            ids: Vec::new(),
         }
     }
 
@@ -208,15 +214,14 @@ impl<T: Transport> HostNode<T> {
         query: WireQuery,
     ) -> Result<(), ClusterError> {
         let peer = host_of(object, self.hosts);
-        let mut frame = Vec::new();
         WireMsg::FloodProbe {
             token,
             object,
             query,
         }
-        .encode(self.peer, object, &mut frame)
+        .encode(self.peer, object, &mut self.out)
         .expect("probe is tiny");
-        self.t.send(peer, &frame)?;
+        self.t.send(peer, &self.out)?;
         Ok(())
     }
 
@@ -278,32 +283,26 @@ impl<T: Transport> HostNode<T> {
                 from_object,
                 target,
             } => {
-                if self.objects.contains_key(&from_object) {
-                    self.ops_served += 1;
-                    self.route_step(
-                        from_object,
-                        target,
-                        header.from,
-                        0,
-                        WirePurpose::Query { token },
-                    )?;
-                }
+                self.route_step(
+                    from_object,
+                    target,
+                    header.from,
+                    0,
+                    WirePurpose::Query { token },
+                )?;
             }
             WireMsg::AreaReq {
                 token,
                 from_object,
                 rect,
             } => {
-                if self.objects.contains_key(&from_object) {
-                    self.ops_served += 1;
-                    self.route_step(
-                        from_object,
-                        rect.center(),
-                        header.from,
-                        0,
-                        WirePurpose::Area { rect, token },
-                    )?;
-                }
+                self.route_step(
+                    from_object,
+                    rect.center(),
+                    header.from,
+                    0,
+                    WirePurpose::Area { rect, token },
+                )?;
             }
             WireMsg::RadiusReq {
                 token,
@@ -311,20 +310,17 @@ impl<T: Transport> HostNode<T> {
                 center,
                 radius,
             } => {
-                if self.objects.contains_key(&from_object) {
-                    self.ops_served += 1;
-                    self.route_step(
-                        from_object,
+                self.route_step(
+                    from_object,
+                    center,
+                    header.from,
+                    0,
+                    WirePurpose::Radius {
                         center,
-                        header.from,
-                        0,
-                        WirePurpose::Radius {
-                            center,
-                            radius,
-                            token,
-                        },
-                    )?;
-                }
+                        radius,
+                        token,
+                    },
+                )?;
             }
             WireMsg::RouteStep {
                 target,
@@ -333,10 +329,7 @@ impl<T: Transport> HostNode<T> {
                 purpose,
             } => {
                 // The destination object travels in the frame header.
-                if self.objects.contains_key(&header.to) {
-                    self.ops_served += 1;
-                    self.route_step(header.to, target, origin, hops, purpose)?;
-                }
+                self.route_step(header.to, target, origin, hops, purpose)?;
             }
             WireMsg::FloodProbe {
                 token,
@@ -347,22 +340,20 @@ impl<T: Transport> HostNode<T> {
                 let (eligible, is_match, neighbours) = match self.objects.get(&object) {
                     Some(h) => {
                         let (eligible, is_match) = h.evaluate(&query);
-                        (eligible, is_match, h.vn.clone())
+                        (eligible, is_match, &h.vn[..])
                     }
-                    None => (false, false, Vec::new()),
+                    None => (false, false, &[][..]),
                 };
-                let mut scratch = Vec::new();
-                let mut frame = Vec::new();
                 WireMsg::FloodReply {
                     token,
                     object,
                     eligible,
                     is_match,
-                    neighbours: IdList::build(&mut scratch, &neighbours),
+                    neighbours: IdList::build(&mut self.ids, neighbours),
                 }
-                .encode(self.peer, header.from, &mut frame)
+                .encode(self.peer, header.from, &mut self.out)
                 .expect("bounded-degree neighbour list fits a frame");
-                self.t.send(header.from, &frame)?;
+                self.t.send(header.from, &self.out)?;
             }
             WireMsg::FloodReply {
                 token,
@@ -377,7 +368,7 @@ impl<T: Transport> HostNode<T> {
                 let incorporated = self.floods.get_mut(&token).is_some_and(|flood| {
                     let fresh = flood.outstanding.remove(&object).is_some();
                     if fresh {
-                        incorporate(flood, object, eligible, is_match, &neighbours.to_vec());
+                        incorporate(flood, object, eligible, is_match, neighbours.iter());
                     }
                     fresh
                 });
@@ -539,10 +530,9 @@ impl<T: Transport> HostNode<T> {
     }
 
     fn reply(&mut self, to: PeerId, msg: WireMsg<'_>) -> Result<(), ClusterError> {
-        let mut frame = Vec::new();
-        msg.encode(self.peer, to, &mut frame)
+        msg.encode(self.peer, to, &mut self.out)
             .expect("replies fit a frame");
-        self.t.send(to, &frame)?;
+        self.t.send(to, &self.out)?;
         Ok(())
     }
 
@@ -550,7 +540,9 @@ impl<T: Transport> HostNode<T> {
     /// host advance locally; a hop to an object hosted elsewhere becomes
     /// a [`WireMsg::RouteStep`] frame.  Each decision is
     /// [`greedy_next`] over the object's shipped `(id, coords)` table —
-    /// the kernel `VoroNet`'s own walk runs.
+    /// the kernel `VoroNet`'s own walk runs.  A step at an object this
+    /// host does not hold (a stale routing entry) is dropped, and the
+    /// driver retries; one at an object it holds is an op served.
     fn route_step(
         &mut self,
         at: u64,
@@ -559,12 +551,13 @@ impl<T: Transport> HostNode<T> {
         hops: u32,
         purpose: WirePurpose,
     ) -> Result<(), ClusterError> {
+        let Some(mut state) = self.objects.get(&at) else {
+            return Ok(());
+        };
+        self.ops_served += 1;
         let mut cur = at;
         let mut hops = hops;
         loop {
-            let Some(state) = self.objects.get(&cur) else {
-                return Ok(()); // stale routing entry: the driver will retry
-            };
             let cur_d = state.coords.distance2(target);
             // The table may list `cur` itself (a long link pointing home).
             // The rule rejects it anyway; filtering it out keeps this short
@@ -577,20 +570,23 @@ impl<T: Transport> HostNode<T> {
             }
             // `hops` may come straight off the wire: never overflow on it.
             hops = hops.saturating_add(1);
-            if host_of(best, self.hosts) == self.peer {
-                cur = best;
+            let peer = host_of(best, self.hosts);
+            if peer == self.peer {
+                let Some(next) = self.objects.get(&best) else {
+                    return Ok(());
+                };
+                (cur, state) = (best, next);
                 continue;
             }
-            let mut frame = Vec::new();
             WireMsg::RouteStep {
                 target,
                 origin,
                 hops,
                 purpose,
             }
-            .encode(cur, best, &mut frame)
+            .encode(cur, best, &mut self.out)
             .expect("route step is tiny");
-            self.t.send(host_of(best, self.hosts), &frame)?;
+            self.t.send(peer, &self.out)?;
             return Ok(());
         }
     }
@@ -672,8 +668,7 @@ impl<T: Transport> HostNode<T> {
             match self.objects.get(&object) {
                 Some(h) => {
                     let (eligible, is_match) = h.evaluate(&flood.query);
-                    let neighbours = h.vn.clone();
-                    incorporate(flood, object, eligible, is_match, &neighbours);
+                    incorporate(flood, object, eligible, is_match, h.vn.iter().copied());
                 }
                 None => {
                     let query = flood.query;
@@ -697,17 +692,15 @@ impl<T: Transport> HostNode<T> {
         if done {
             let mut flood = self.floods.remove(&token).expect("checked above");
             flood.matches.sort_unstable();
-            let mut scratch = Vec::new();
-            let mut frame = Vec::new();
             WireMsg::AnswerMatches {
                 token,
                 hops: flood.hops,
                 visited: flood.visited.len() as u32,
-                matches: IdList::build(&mut scratch, &flood.matches),
+                matches: IdList::build(&mut self.ids, &flood.matches),
             }
-            .encode(self.peer, flood.origin, &mut frame)
+            .encode(self.peer, flood.origin, &mut self.out)
             .expect("match sets of local floods fit a frame");
-            self.t.send(flood.origin, &frame)?;
+            self.t.send(flood.origin, &self.out)?;
         }
         Ok(())
     }
@@ -716,14 +709,20 @@ impl<T: Transport> HostNode<T> {
 /// Records one evaluated flood object, expanding through it when its
 /// cell touches the queried area — the exact visit rule of
 /// `core::queries::area_query_in`.
-fn incorporate(flood: &mut Flood, object: u64, eligible: bool, is_match: bool, neighbours: &[u64]) {
+fn incorporate(
+    flood: &mut Flood,
+    object: u64,
+    eligible: bool,
+    is_match: bool,
+    neighbours: impl IntoIterator<Item = u64>,
+) {
     if is_match {
         flood.matches.push(object);
     }
     if !eligible {
         return;
     }
-    for &n in neighbours {
+    for n in neighbours {
         if flood.visited.insert(n) {
             flood.frontier.push(n);
         }
