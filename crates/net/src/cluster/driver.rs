@@ -67,7 +67,8 @@ impl<T: Transport> Driver<T> {
     /// registered by the caller) controlling `hosts` host peers.
     pub fn new(transport: T, hosts: u64, config: VoroNetConfig) -> Self {
         let policy = RetryPolicy::default();
-        let detector = FailureDetector::new(hosts, transport.now());
+        let start = transport.now();
+        let detector = FailureDetector::new(hosts, start);
         Driver {
             t: transport,
             hosts,
@@ -77,7 +78,7 @@ impl<T: Transport> Driver<T> {
             synced: Some(0),
             next_token: 1,
             buf: Vec::new(),
-            table: PendingTable::default(),
+            table: PendingTable::new(start),
             subs: BTreeMap::new(),
             topic_seqs: HashMap::new(),
             kv: BTreeMap::new(),

@@ -221,7 +221,7 @@ impl Backoff {
 /// The driver's pending operations: queued entries in order, the ones
 /// currently inside the pump's window, and every entry's frame.  Emptied
 /// at the end of each [`Driver::pump`], so the buffers are reused.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(super) struct PendingTable {
     ops: Vec<PendingOp>,
     /// Every queued op's encoded frame, back to back.
@@ -231,6 +231,22 @@ pub(super) struct PendingTable {
     /// The first entry not yet admitted.
     next: usize,
     backoff: Backoff,
+    /// What a queued entry's timers read until its admission stamps
+    /// them, so queueing reads no clock: the driver's start.
+    unstamped: Instant,
+}
+
+impl PendingTable {
+    pub(super) fn new(start: Instant) -> Self {
+        PendingTable {
+            ops: Vec::new(),
+            frames: Vec::new(),
+            inflight: Vec::new(),
+            next: 0,
+            backoff: Backoff::default(),
+            unstamped: start,
+        }
+    }
 }
 
 /// How a finished op is handed back: its queue position, the frame that
@@ -252,7 +268,7 @@ impl<T: Transport> Driver<T> {
             .expect("requests are tiny and views of a bounded-degree node fit one frame");
         let start = self.table.frames.len();
         self.table.frames.extend_from_slice(&self.buf);
-        let now = self.t.now();
+        let now = self.table.unstamped;
         self.table.ops.push(PendingOp {
             peer,
             frame: start..self.table.frames.len(),
