@@ -96,7 +96,8 @@ pub trait Transport {
 
     /// Moves the next received frame into `buf` (cleared first) and
     /// returns the sending peer, or `None` when nothing is pending.
-    /// Never blocks.
+    /// Never blocks.  The transport may keep `buf`'s previous allocation
+    /// and hand over one of its own.
     fn recv_into(&mut self, buf: &mut Vec<u8>) -> Result<Option<PeerId>, TransportError>;
 
     /// This endpoint's transport-level counters.

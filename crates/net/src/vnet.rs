@@ -24,9 +24,9 @@
 //! frame is copied into a buffer an earlier receive gave back, and
 //! `recv_into` swaps that buffer into the caller's, keeping the caller's
 //! old one for a later send; so a warmed exchange allocates nothing.  The
-//! hub keeps at most `SPARE_FRAMES` (64) such buffers: a full view sync
-//! leaves thousands of frames behind, and keeping them all would only
-//! grow the process.
+//! hub keeps at most `SPARE_FRAMES` (16) such buffers: a warmed exchange
+//! cycles only a few, while a full view sync leaves thousands behind, and
+//! keeping those would only grow the process.
 //!
 //! Frames addressed to a peer with no open endpoint are dead letters —
 //! counted, never delivered.  So are frames still queued when their
@@ -47,7 +47,7 @@ use voronet_sim::{Delivery, NetworkModel, SimTime, TransportStats};
 const YIELD_STEP: Duration = Duration::from_micros(1);
 
 /// Most frame buffers the hub keeps for later sends.
-const SPARE_FRAMES: usize = 64;
+const SPARE_FRAMES: usize = 16;
 
 /// One frame waiting in a peer's mailbox, ordered by
 /// `(delivery time, submission sequence)`.
@@ -231,10 +231,16 @@ pub struct VnetTransport {
 
 impl Drop for VnetTransport {
     fn drop(&mut self) {
-        if let Ok(mut inner) = self.hub.lock() {
-            // Close this opening only: a newer endpoint of the same peer
-            // keeps its mailbox.  The counters stay in the hub's total.
-            let at = inner.index(self.opening);
+        let Ok(mut inner) = self.hub.lock() else {
+            return;
+        };
+        // Close this opening only: a newer endpoint of the same peer
+        // keeps its mailbox.  The counters stay in the hub's total.
+        let at = inner
+            .endpoints
+            .iter()
+            .position(|e| e.opening == self.opening);
+        if let Some(at) = at {
             let closed = inner.endpoints.swap_remove(at);
             inner.closed.merge(&closed.stats);
             if let Some(mailbox) = closed.mailbox {
