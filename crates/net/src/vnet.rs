@@ -182,9 +182,9 @@ impl VnetHub {
     }
 
     /// Opens the endpoint of `peer` on this hub, with counters of its own.
-    /// Re-opening a peer id moves its mailbox to the new endpoint, empty:
-    /// frames queued for the old one dead-letter, and the old one receives
-    /// nothing more.
+    /// Re-opening a peer id gives the new endpoint a fresh mailbox: frames
+    /// queued for the old endpoint dead-letter, and it receives nothing
+    /// more.
     pub fn endpoint(&self, peer: PeerId) -> VnetTransport {
         let mut inner = self.inner.lock().expect("hub poisoned");
         let older = inner

@@ -83,7 +83,7 @@ fn warmed_frames_and_cluster_ops_do_not_allocate() {
         })
         .collect();
     let mut hops = Vec::new();
-    let mut routes = |cluster: &mut InlineCluster, hops: &mut Vec<u32>| {
+    let routes = |cluster: &mut InlineCluster, hops: &mut Vec<u32>| {
         hops.clear();
         for &(from, to) in &pairs {
             let routed = cluster.route_between(from, to).unwrap();
