@@ -268,7 +268,7 @@ impl<T: Transport> Driver<T> {
             .expect("requests are tiny and views of a bounded-degree node fit one frame");
         let start = self.table.frames.len();
         self.table.frames.extend_from_slice(&self.buf);
-        let now = self.table.unstamped;
+        let unstamped = self.table.unstamped;
         self.table.ops.push(PendingOp {
             peer,
             frame: start..self.table.frames.len(),
@@ -276,10 +276,10 @@ impl<T: Transport> Driver<T> {
             what,
             ladder,
             attempt: 0,
-            issued: now,
-            attempt_started: now,
+            issued: unstamped,
+            attempt_started: unstamped,
             timeout: Duration::ZERO,
-            last_send: now,
+            last_send: unstamped,
         });
     }
 

@@ -69,9 +69,9 @@ impl Scripted {
     /// Replaces `peer` by an amnesiac host on a fresh endpoint, as a
     /// crash and restart would.
     fn restart(&mut self, peer: PeerId) {
-        // The fresh endpoint takes the peer's mailbox over (what was
-        // queued for the crashed host dead-letters); the old one, dropped
-        // after it, closes only itself.
+        // The fresh endpoint gets the peer's mailbox (what was queued for
+        // the crashed host dead-letters); the old one, dropped after it,
+        // closes only itself.
         let fresh = HostNode::new(self.hub.endpoint(peer), peer, HOSTS);
         self.inner.hosts[(peer - 1) as usize] = fresh;
     }
