@@ -89,7 +89,7 @@ struct Endpoint {
     opening: u64,
     stats: TransportStats,
     /// Frames in flight to the peer; `None` once a later opening of the
-    /// same peer took its frames over.
+    /// same peer replaced this one.
     mailbox: Option<Mailbox>,
 }
 
