@@ -312,6 +312,69 @@ mod tests {
         assert!(!m[0].is_empty());
     }
 
+    /// Each point as `(x, y · n)` in integers: with `n` the number of
+    /// samples behind the mean, `y · n` is the sum of integer counts (hops or
+    /// messages) and must round-trip exactly.
+    fn sums(series: &[Series], n: usize) -> Vec<Vec<(u64, u64)>> {
+        series
+            .iter()
+            .map(|s| {
+                s.points
+                    .iter()
+                    .map(|&(x, y)| {
+                        let sum = (y * n as f64).round();
+                        assert!((y * n as f64 - sum).abs() < 1e-6, "{}: {y} × {n}", s.label);
+                        (x as u64, sum as u64)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Every number the runners return at `tiny()` scale, as integers:
+    /// Fig. 5's histogram counts, the hop sums behind each Fig. 6, Fig. 8
+    /// and Kleinberg-ablation point (150 pairs each) and the message sums
+    /// behind each maintenance point (50 joins, 50 leaves).
+    #[test]
+    fn runner_numbers_are_pinned() {
+        let fig5: Vec<Vec<u64>> = run_fig5(tiny())
+            .histograms
+            .iter()
+            .map(|(_, h)| h.dense_rows().into_iter().map(|(_, c)| c).collect())
+            .collect();
+        assert_eq!(
+            fig5,
+            [
+                vec![0, 0, 0, 5, 45, 114, 118, 79, 29, 6, 3, 0, 1],
+                vec![0, 0, 0, 7, 54, 88, 129, 75, 32, 12, 3],
+            ]
+        );
+        assert_eq!(
+            sums(&run_fig6(tiny()), 150),
+            [
+                [(133, 781), (266, 1077), (399, 1230)],
+                [(133, 801), (266, 1083), (399, 1243)],
+                [(133, 536), (266, 534), (399, 589)],
+                [(133, 188), (266, 191), (399, 188)],
+            ]
+        );
+        assert_eq!(
+            sums(&run_fig8(tiny()), 150),
+            [[(1, 1177), (2, 1111)], [(1, 184), (2, 182)]]
+        );
+        assert_eq!(
+            sums(&run_ablation_kleinberg(tiny()), 150),
+            [[(256, 1248)], [(256, 987)]]
+        );
+        assert_eq!(
+            sums(&run_ablation_maintenance(tiny()), 50),
+            [
+                [(50, 695), (100, 691), (200, 726), (400, 705)],
+                [(50, 362), (100, 374), (200, 358), (400, 377)],
+            ]
+        );
+    }
+
     #[test]
     fn scale_presets() {
         assert_eq!(ExperimentScale::paper().objects, 300_000);
