@@ -12,9 +12,8 @@ use std::fs;
 use std::path::PathBuf;
 use voronet_bench::{
     run_ablation_kleinberg, run_ablation_maintenance, run_fig5, run_fig6, run_fig7, run_fig8,
-    ExperimentScale,
+    series_to_csv, series_to_table, ExperimentScale, Series,
 };
-use voronet_stats::{series_to_csv, series_to_table, Series};
 
 struct Options {
     figures: Vec<String>,
@@ -109,8 +108,7 @@ fn main() {
 
     if wants(&opts, "fig5") {
         println!("\nrunning Figure 5 (Voronoi out-degree distribution)...");
-        let out = run_fig5(opts.scale);
-        for (label, hist) in &out.histograms {
+        for (label, hist) in &run_fig5(&opts.scale) {
             println!("\n=== Figure 5: |vn(o)| distribution, {label} ===");
             println!("{:>10} {:>12}", "out-degree", "objects");
             for (deg, count) in hist.dense_rows() {
@@ -140,7 +138,7 @@ fn main() {
     let mut fig6_series: Option<Vec<Series>> = None;
     if wants(&opts, "fig6") || wants(&opts, "fig7") {
         println!("\nrunning Figure 6 (route length vs overlay size, 4 distributions)...");
-        let series = run_fig6(opts.scale);
+        let series = run_fig6(&opts.scale);
         print_series("Figure 6: mean route length vs overlay size", &series);
         save(&opts, "fig6_route_length.csv", &series_to_csv(&series));
         fig6_series = Some(series);
@@ -169,7 +167,7 @@ fn main() {
 
     if wants(&opts, "fig8") {
         println!("\nrunning Figure 8 (route length vs number of long links)...");
-        let series = run_fig8(opts.scale);
+        let series = run_fig8(&opts.scale);
         print_series(
             "Figure 8: mean route length vs long links per object",
             &series,
@@ -179,10 +177,10 @@ fn main() {
 
     if wants(&opts, "ablations") {
         println!("\nrunning ablations (not in the paper)...");
-        let k = run_ablation_kleinberg(opts.scale);
+        let k = run_ablation_kleinberg(&opts.scale);
         print_series("Ablation: VoroNet vs Kleinberg grid", &k);
         save(&opts, "ablation_kleinberg.csv", &series_to_csv(&k));
-        let m = run_ablation_maintenance(opts.scale);
+        let m = run_ablation_maintenance(&opts.scale);
         print_series("Ablation: per-operation maintenance messages", &m);
         save(&opts, "ablation_maintenance.csv", &series_to_csv(&m));
     }

@@ -1,5 +1,3 @@
-//! # voronet-smallworld
-//!
 //! The Kleinberg grid small-world model (Kleinberg, *The small-world
 //! phenomenon: an algorithmic perspective*, STOC 2000): the baseline that
 //! VoroNet generalises from a regular `n × n` grid to arbitrary object
@@ -12,24 +10,20 @@
 //! `s = 2` the expected greedy route length is `O(log² n)` — the same bound
 //! the paper proves for VoroNet on arbitrary distributions.
 //!
-//! The crate is used by the ablation benches to compare VoroNet's routing
-//! against the model it generalises, and by tests that reproduce
-//! Kleinberg's `s = 2` optimum.
-
-#![warn(missing_docs)]
+//! The grid is the control of the Kleinberg ablation, of the
+//! `kleinberg_baseline` example and of the tests that reproduce Kleinberg's
+//! `s = 2` optimum.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
-use voronet_stats::OnlineStats;
 
 /// Position on the lattice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GridPos {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct GridPos {
     /// Row index in `[0, n)`.
-    pub row: u32,
+    row: u32,
     /// Column index in `[0, n)`.
-    pub col: u32,
+    col: u32,
 }
 
 impl GridPos {
@@ -40,7 +34,7 @@ impl GridPos {
 }
 
 /// Configuration of a Kleinberg grid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KleinbergConfig {
     /// Lattice side (the grid has `side²` vertices).
     pub side: u32,
@@ -132,23 +126,13 @@ impl KleinbergGrid {
         KleinbergGrid { config, long }
     }
 
-    /// The grid configuration.
-    pub fn config(&self) -> KleinbergConfig {
-        self.config
-    }
-
     /// Number of vertices.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         (self.config.side * self.config.side) as usize
     }
 
-    /// True when the grid has no vertex (never the case after `build`).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Position of a vertex id.
-    pub fn position(&self, v: u32) -> GridPos {
+    fn position(&self, v: u32) -> GridPos {
         GridPos {
             row: v / self.config.side,
             col: v % self.config.side,
@@ -173,11 +157,6 @@ impl KleinbergGrid {
             out.push(v + 1);
         }
         out
-    }
-
-    /// Long-range contacts of a vertex.
-    pub fn long_links(&self, v: u32) -> &[u32] {
-        &self.long[v as usize]
     }
 
     /// Greedy route from `src` to `dst`: number of hops taken.
@@ -212,20 +191,21 @@ impl KleinbergGrid {
     }
 
     /// Mean greedy route length over `trials` random source/destination
-    /// pairs.
+    /// pairs (a running mean, updated after every route).
     pub fn mean_route_length(&self, trials: usize, seed: u64) -> f64 {
         let mut rng = StdRng::seed_from_u64(seed);
         let n = self.len() as u32;
-        let mut stats = OnlineStats::new();
-        for _ in 0..trials {
+        let mut mean = 0.0;
+        for routed in 1..=trials {
             let a = rng.random_range(0..n);
             let mut b = rng.random_range(0..n - 1);
             if b >= a {
                 b += 1;
             }
-            stats.record(self.greedy_route(a, b) as f64);
+            let hops = self.greedy_route(a, b) as f64;
+            mean += (hops - mean) / routed as f64;
         }
-        stats.mean()
+        mean
     }
 }
 
@@ -284,8 +264,8 @@ mod tests {
         };
         let g = KleinbergGrid::build(cfg, 7);
         for v in 0..g.len() as u32 {
-            assert_eq!(g.long_links(v).len(), 3);
-            for &l in g.long_links(v) {
+            assert_eq!(g.long[v as usize].len(), 3);
+            for &l in &g.long[v as usize] {
                 assert_ne!(l, v);
                 assert!((l as usize) < g.len());
             }
@@ -343,7 +323,7 @@ mod tests {
         // Kleinberg's theorem is asymptotic: at moderate sizes s = 2 already
         // clearly beats overly local long links (large s), while the
         // comparison against s = 0 only turns in favour of s = 2 at sizes
-        // too large for a unit test (the ablation bench covers that sweep).
+        // too large for a unit test (the `kleinberg_baseline` example sweeps s).
         let side = 40;
         let mean_for = |s: f64| {
             let cfg = KleinbergConfig {

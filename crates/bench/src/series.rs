@@ -1,13 +1,11 @@
 //! Labelled data series and CSV export.
 //!
 //! Every figure of the evaluation is ultimately a set of `(x, y)` series; the
-//! bench harness builds [`Series`] values and dumps them with
+//! runners build [`Series`] values and the `figures` binary dumps them with
 //! [`series_to_csv`] so the plots can be regenerated with any tool.
 
-use serde::{Deserialize, Serialize};
-
 /// A named series of `(x, y)` points (one curve of a figure).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Series {
     /// Curve label (e.g. `"uniform"`, `"sparse alpha=5"`).
     pub label: String,

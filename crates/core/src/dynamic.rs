@@ -133,7 +133,7 @@ pub fn adapt_nmax(
 mod tests {
     use super::*;
     use crate::config::{DminRule, VoroNetConfig};
-    use crate::experiments::build_overlay;
+    use crate::overlay::build_overlay;
     use voronet_workloads::Distribution;
 
     #[test]

@@ -13,8 +13,6 @@
 //!   traffic accounting;
 //! * [`VoroNetConfig`] — `N_max`, the number of long links and `d_min`;
 //! * [`queries`] — range and radius queries (the paper's perspectives);
-//! * [`experiments`] — drivers that regenerate each figure of the paper's
-//!   evaluation;
 //! * [`protocol`] — the paper's Algorithm 5 forwarding loop, with its stop
 //!   condition and the Lemma 4 check.
 //!
@@ -38,7 +36,6 @@ mod arena;
 pub mod config;
 pub mod dynamic;
 pub mod error;
-pub mod experiments;
 pub mod object;
 pub mod overlay;
 pub mod protocol;

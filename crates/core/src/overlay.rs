@@ -34,7 +34,7 @@ use crate::snapshot::{ChangeLog, ChangeRecord, FrozenView, RouteScratch, Traffic
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use voronet_geom::{greedy_descent, greedy_next, InsertError, Point2, Triangulation, VertexId};
-use voronet_sim::{MessageKind, RouteStats, TrafficStats};
+use voronet_sim::{MessageKind, TrafficStats};
 use voronet_stats::IntHistogram;
 
 /// Outcome of a greedy route (Section 3.2 / Algorithm 5).
@@ -671,18 +671,6 @@ impl VoroNet {
         Ok(report)
     }
 
-    /// Measures mean greedy route length over `pairs` of object ids,
-    /// returning the per-route samples.
-    pub fn measure_routes(&mut self, pairs: &[(ObjectId, ObjectId)]) -> RouteStats {
-        let mut stats = RouteStats::new();
-        for &(a, b) in pairs {
-            if let Ok(r) = self.route_between(a, b) {
-                stats.record(r.hops);
-            }
-        }
-        stats
-    }
-
     // ------------------------------------------------------------------
     // Long links (Algorithm 3 + Algorithm 2)
     // ------------------------------------------------------------------
@@ -1310,6 +1298,32 @@ impl std::fmt::Debug for VoroNet {
             .field("long_links", &self.config.long_links)
             .finish()
     }
+}
+
+/// Builds an overlay of `n` objects drawn from `dist`, re-drawing duplicate
+/// positions: the populated overlay the other modules' tests start from
+/// (the same points as `voronet-bench`'s `build_overlay`).
+#[cfg(test)]
+pub(crate) fn build_overlay(
+    dist: voronet_workloads::Distribution,
+    n: usize,
+    config: VoroNetConfig,
+) -> (VoroNet, Vec<ObjectId>) {
+    let mut net = VoroNet::new(config);
+    let mut generator = voronet_workloads::PointGenerator::with_domain(
+        dist,
+        config.seed ^ 0x9E3779B9,
+        config.domain,
+    );
+    let mut ids = Vec::with_capacity(n);
+    while ids.len() < n {
+        match net.insert(generator.next_point()) {
+            Ok(report) => ids.push(report.id),
+            Err(e) if matches!(e.kind(), ErrorKind::DuplicatePosition(_)) => continue,
+            Err(e) => panic!("unexpected join failure while building workload: {e}"),
+        }
+    }
+    (net, ids)
 }
 
 #[cfg(test)]

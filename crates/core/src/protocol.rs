@@ -187,7 +187,7 @@ fn lemma4_violations(net: &VoroNet, stopped_at: ObjectId, target: Point2) -> usi
 mod tests {
     use super::*;
     use crate::config::VoroNetConfig;
-    use crate::experiments::build_overlay;
+    use crate::overlay::build_overlay;
     use voronet_workloads::{Distribution, QueryGenerator};
 
     fn build(n: usize, seed: u64) -> (VoroNet, Vec<ObjectId>) {

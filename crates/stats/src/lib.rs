@@ -1,18 +1,13 @@
 //! # voronet-stats
 //!
-//! Statistics toolkit backing the VoroNet evaluation: exact integer
-//! histograms (degree distributions, Figure 5), online moment accumulators,
-//! percentiles, least-squares fitting (the Figure 7 slope) and labelled data
-//! series with CSV export for every figure.
+//! Exact integer histograms (the overlay's degree and view-size
+//! distributions, Figure 5) and the tail quantiles the scenario tests
+//! record.
 
 #![warn(missing_docs)]
 
-pub mod histogram;
-pub mod regression;
-pub mod series;
-pub mod summary;
+mod histogram;
+mod summary;
 
-pub use histogram::{FixedHistogram, IntHistogram};
-pub use regression::{fit_loglog_exponent, linear_fit, LinearFit};
-pub use series::{series_to_csv, series_to_table, Series};
-pub use summary::{mean, p999, percentile, tail_summary, OnlineStats, TailSummary};
+pub use histogram::IntHistogram;
+pub use summary::{tail_summary, TailSummary};

@@ -11,8 +11,7 @@
 //! ```
 
 use voronet::prelude::*;
-use voronet_core::experiments::{build_overlay, mean_route_length};
-use voronet_smallworld::{KleinbergConfig, KleinbergGrid};
+use voronet_bench::{build_overlay, mean_route_length, KleinbergConfig, KleinbergGrid};
 
 fn main() {
     let side: u32 = 64; // 4 096 vertices

@@ -6,7 +6,7 @@
 //! ```
 
 use voronet::prelude::*;
-use voronet_core::experiments::build_overlay;
+use voronet_bench::build_overlay;
 use voronet_workloads::{RadiusQuery, RangeQuery};
 
 const OBJECTS: usize = 4_000;

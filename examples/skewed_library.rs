@@ -12,7 +12,7 @@
 //! ```
 
 use voronet::prelude::*;
-use voronet_core::experiments::{build_overlay, mean_route_length};
+use voronet_bench::{build_overlay, mean_route_length};
 
 const OBJECTS: usize = 3_000;
 const ROUTE_SAMPLES: usize = 2_000;

@@ -10,14 +10,14 @@
 //! | crate | contents |
 //! |-------|----------|
 //! | [`geom`] | robust predicates, incremental Delaunay/Voronoi |
-//! | [`stats`] | histograms, regressions, series export |
+//! | [`stats`] | integer histograms, tail quantiles |
 //! | [`workloads`] | object distributions, query generators, batched op scripts |
 //! | [`sim`] | traffic accounting and deterministic network models |
 //! | [`core`] | the VoroNet overlay itself, plus the paper's Algorithm 5 |
 //! | [`api`] | the backend-agnostic [`Overlay`](api::Overlay) trait, batched ops, `OverlayBuilder`, unified errors |
 //! | [`services`] | geo-scoped services over any overlay: region pub/sub and coordinate-keyed KV |
 //! | [`net`] | the wire codec, pluggable transports (vnet/UDP/TCP) and the driver/host cluster behind `voronet-node`, which is also the message-level `Overlay` engine |
-//! | `voronet-smallworld` | Kleinberg grid baseline for the routing ablation (dev-only, not re-exported) |
+//! | `voronet-bench` | the paper's evaluation: figure drivers, Kleinberg grid, log–log fit, series export, the `figures` binary (dev-only, not re-exported) |
 //! | `voronet-testkit` | differential oracle fuzzing of every engine, shrinking reproducers (dev-only, not re-exported) |
 //!
 //! Applications program against the [`api::Overlay`] trait and pick an
@@ -61,7 +61,7 @@ pub mod prelude {
     pub use voronet_geom::{Point2, Rect, Triangulation};
     pub use voronet_net::InlineCluster;
     pub use voronet_services::{key_point, ServiceEngine};
-    pub use voronet_stats::{IntHistogram, Series};
+    pub use voronet_stats::IntHistogram;
     pub use voronet_workloads::{
         Distribution, OpBatchGenerator, OpMix, PointGenerator, QueryGenerator,
     };

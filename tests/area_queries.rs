@@ -2,7 +2,7 @@
 //! match a brute-force scan of the published objects, for every workload.
 
 use voronet::prelude::*;
-use voronet_core::experiments::build_overlay;
+use voronet_bench::build_overlay;
 use voronet_core::VoroNetConfig;
 use voronet_workloads::{RadiusQuery, RangeQuery};
 
