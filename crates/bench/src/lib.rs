@@ -347,15 +347,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fig7_transforms_every_fig6_point() {
-        let fig7 = run_fig7(&run_fig6(&tiny()));
-        assert_eq!(fig7.len(), 4);
-        for (s, _fit) in &fig7 {
-            assert_eq!(s.len(), 3);
-        }
-    }
-
     /// Each point as `(x, y · n)` in integers: with `n` the number of
     /// samples behind the mean, `y · n` is the sum of integer counts (hops or
     /// messages) and must round-trip exactly.
@@ -378,7 +369,8 @@ mod tests {
     /// Every number the runners return at `tiny()` scale, as integers:
     /// Fig. 5's histogram counts, the hop sums behind each Fig. 6, Fig. 8
     /// and Kleinberg-ablation point (150 pairs each) and the message sums
-    /// behind each maintenance point (50 joins, 50 leaves).
+    /// behind each maintenance point (50 joins, 50 leaves); plus Fig. 7's
+    /// shape, one transformed series per Fig. 6 series.
     #[test]
     fn runner_numbers_are_pinned() {
         let fig5: Vec<Vec<u64>> = run_fig5(&tiny())
@@ -392,8 +384,9 @@ mod tests {
                 vec![0, 0, 0, 7, 54, 88, 129, 75, 32, 12, 3],
             ]
         );
+        let fig6 = run_fig6(&tiny());
         assert_eq!(
-            sums(&run_fig6(&tiny()), 150),
+            sums(&fig6, 150),
             [
                 [(133, 781), (266, 1077), (399, 1230)],
                 [(133, 801), (266, 1083), (399, 1243)],
@@ -401,6 +394,9 @@ mod tests {
                 [(133, 188), (266, 191), (399, 188)],
             ]
         );
+        let fig7 = run_fig7(&fig6);
+        assert_eq!(fig7.len(), 4);
+        assert!(fig7.iter().all(|(s, _)| s.len() == 3));
         assert_eq!(
             sums(&run_fig8(&tiny()), 150),
             [[(1, 1177), (2, 1111)], [(1, 184), (2, 182)]]

@@ -55,6 +55,23 @@ pub fn tail_summary(values: &[f64]) -> Option<TailSummary> {
 mod tests {
     use super::*;
 
+    /// Closest-rank linear interpolation over a sorted sample, written
+    /// apart from `tail_summary` so its quantiles have something to match.
+    fn reference(sorted: &[f64], q: f64) -> f64 {
+        let pos = q * (sorted.len() - 1) as f64;
+        let lo = pos as usize;
+        let hi = (lo + 1).min(sorted.len() - 1);
+        sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+    }
+
+    #[test]
+    fn quantiles_interpolate_between_ranks() {
+        let t = tail_summary(&[4.0, 1.0, 3.0, 2.0]).unwrap();
+        assert_eq!(t.p50, 2.5);
+        assert!((t.p99 - 3.97).abs() < 1e-12, "{t:?}");
+        assert!((t.p999 - 3.997).abs() < 1e-12, "{t:?}");
+    }
+
     #[test]
     fn p999_clamps_on_short_and_tied_inputs() {
         // Seeded xorshift so the property sweep replays exactly without a
@@ -78,6 +95,13 @@ mod tests {
                 s
             };
             assert_eq!(t.count, len, "case {case}");
+            for (q, got) in [(0.5, t.p50), (0.99, t.p99), (0.999, t.p999)] {
+                let want = reference(&sorted, q);
+                assert!(
+                    (got - want).abs() < 1e-9,
+                    "case {case}: q{q} {got} vs {want}"
+                );
+            }
             // Quantiles are ordered and bounded by the extremes.
             assert!(
                 t.min <= t.p50 && t.p50 <= t.p99 && t.p99 <= t.p999 && t.p999 <= t.max,
