@@ -37,6 +37,16 @@
 //! is one row read plus point reads from the triangulation — no id lookup,
 //! no fan walk.  Joins and departures patch exactly the rows whose entries
 //! they change.
+//!
+//! Each vertex owns one 64-byte slot, a cache line at an address computed
+//! from its id: a header word (the row's length, a spilled flag and the
+//! fan's length), then up to 15 entries.  Nearly every row fits — on
+//! 50 000 uniform objects all but one do — so a hop waits on one load, with
+//! no table to read first, before it scans.  A longer row *spills*: its slot holds the
+//! row's place in a pool as full `u32`s, so no row length is capped.  The
+//! slots live in 64 KiB pages, grown a page at a time and permuted in
+//! place when the vertices are renumbered, so no slot block is ever copied
+//! or freed (see [`RoutingRows`] for why that matters to resident memory).
 
 use crate::object::{BackLink, LinkIndex, LongLink, ObjectId};
 use voronet_geom::triangulation::apply_renumbering;
@@ -313,21 +323,11 @@ impl Objects {
         self.back_pos.resize(n * k, 0);
         apply_renumbering(&mut self.back_pos, &wide);
         drop(wide);
-        // The lists are not `Copy`: follow the permutation's cycles with
-        // swaps, so no list is copied.  Free vertices hold empty lists,
-        // which end up past the live ids and are dropped.
+        // The lists are not `Copy`: they are swapped along the
+        // permutation's cycles, so no list is copied.  Free vertices hold
+        // empty lists, which end up past the live ids and are dropped.
         self.back.resize_with(n, Vec::new);
-        let mut dest = map.to_vec();
-        for i in 0..n {
-            loop {
-                let j = dest[i];
-                if j == NO_VERTEX || j as usize == i {
-                    break;
-                }
-                self.back.swap(i, j as usize);
-                dest.swap(i, j as usize);
-            }
-        }
+        permute(map, |i, j| self.back.swap(i, j));
         self.back.truncate(self.id.len());
         for &o in &self.order {
             let v = &mut self.vertex[o.0 as usize];
@@ -336,34 +336,111 @@ impl Objects {
     }
 }
 
-/// Where one vertex's row sits in the pool: `len` entries from `start`,
-/// the first `fan` of them its Voronoi fan, in a footprint of `cap`
-/// entries (those past `len` are slack).  [`RoutingRows::locate`] hands
-/// one out so a reader can fetch the row later with [`RoutingRows::row`].
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Span {
+/// Entries a slot holds inline, after its header word.
+const INLINE: usize = 15;
+
+/// Slots per page: 1 024 slots of 64 bytes, 64 KiB.
+const PAGE: usize = 1024;
+
+/// The header bit of a slot whose row is spilled to the pool.
+const SPILLED: u32 = 1 << 31;
+
+/// The header bits of an inline row's length.
+const LEN_MASK: u32 = 0xF;
+
+/// Where an inline row's fan length sits in its header.
+const FAN_SHIFT: u32 = 8;
+
+/// One vertex's routing row in one cache line: a header word, then up to
+/// [`INLINE`] entries.  An inline row's header packs its length and its fan
+/// length (words past the length are stale); a spilled row's header is the
+/// [`SPILLED`] flag alone, and words 1–4 hold its [`Spill`].
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(64))]
+struct Slot([u32; 16]);
+
+/// Where a spilled row sits in the pool: `len` entries from `start`, the
+/// first `fan` of them its Voronoi fan, in a footprint of `cap` entries
+/// (those past `len` are slack).  Each is a full `u32`, so no row length is
+/// capped: a centre point inside a ring of more than 65 535 points has a
+/// fan that long.
+#[derive(Debug, Clone, Copy)]
+struct Spill {
     start: u32,
-    len: u32,
     cap: u32,
+    len: u32,
     fan: u32,
 }
 
-/// The live walk's routing rows, one per triangulation vertex, pooled in
-/// one `Vec` (see the [module docs](self)).
+impl Slot {
+    const EMPTY: Slot = Slot([0; 16]);
+
+    fn spilled(s: Spill) -> Slot {
+        let mut slot = Slot::EMPTY;
+        slot.0[..5].copy_from_slice(&[SPILLED, s.start, s.cap, s.len, s.fan]);
+        slot
+    }
+
+    /// Where the row sits in the pool, `None` for an inline row.
+    #[inline]
+    fn spill(&self) -> Option<Spill> {
+        let [header, start, cap, len, fan, ..] = self.0;
+        (header & SPILLED != 0).then_some(Spill {
+            start,
+            cap,
+            len,
+            fan,
+        })
+    }
+
+    /// The length of the row's fan.
+    fn fan(&self) -> usize {
+        match self.spill() {
+            Some(s) => s.fan as usize,
+            None => (self.0[0] >> FAN_SHIFT) as usize,
+        }
+    }
+}
+
+/// [`PAGE`] slots, vertex `v`'s at index `v % PAGE` of page `v / PAGE`.
+type Page = Box<[Slot; PAGE]>;
+
+fn page() -> Page {
+    vec![Slot::EMPTY; PAGE]
+        .into_boxed_slice()
+        .try_into()
+        .expect("a page holds PAGE slots")
+}
+
+/// The live walk's routing rows: one 64-byte slot per triangulation
+/// vertex, at an address computed from the vertex id (see the
+/// [module docs](self)).
 ///
 /// A row is its fan followed by its tail, the close set then the long
 /// links.  A departure re-knits its neighbours' fans without touching
-/// their tails; a close pair or a long link patches one tail.  A row is
-/// rewritten in place when it fits its footprint.  One that outgrows it
-/// moves to the end of the pool with one slot of slack, and its old
-/// footprint turns dead.  When the pool is full and at least an eighth of
-/// it is dead, it is compacted to exact row sizes first, so it grows only
-/// when it is mostly live.  A clone is compacted too.  A renumbering lays
-/// the pool out afresh in the new vertex order, so rows sit in the order
-/// of the Hilbert curve until joins append moved rows at the end.
+/// their tails; a close pair or a long link patches one tail.  A row of up
+/// to [`INLINE`] entries sits in its slot, so a hop reads one cache line.
+/// A longer row *spills*: its slot names its footprint in a shared pool.
+/// A spilled row is rewritten in place when it fits its footprint; one
+/// that outgrows it moves to the end of the pool with one entry of slack,
+/// and its old footprint turns dead, as does the footprint of a row that
+/// shrinks back into its slot or is cleared.  When the pool is full and at
+/// least an eighth of it is dead, it is compacted to exact row sizes
+/// first, so it grows only when it is mostly live.
+///
+/// The slots live in pages of [`PAGE`] slots (64 KiB).  The rows grow a
+/// page at a time, and a renumbering permutes the slots in place, so no
+/// slot block is ever copied into a larger one or freed.  That matters
+/// under glibc: freeing a memory-mapped block larger than the mmap
+/// threshold raises the threshold to that block's size, later blocks below
+/// it come from the heap, and the heap fragments across rebuilds.  One
+/// flat slot array renumbered through a copy raised the benchmark's
+/// `peak_rss_mb` on 50 000 uniform objects by 41 %, of which the slots
+/// themselves were 1–2 MB.
 #[derive(Debug, Default)]
 pub(crate) struct RoutingRows {
-    spans: Vec<Span>,
+    pages: Vec<Page>,
+    /// The spilled rows' entries.
     pool: Vec<VertexId>,
     /// Pool entries outside every footprint.
     dead: usize,
@@ -372,29 +449,42 @@ pub(crate) struct RoutingRows {
 }
 
 impl RoutingRows {
-    /// Where the row of `v` sits in the pool (an empty row for a vertex no
-    /// object holds).  Valid until the rows next change.
     #[inline]
-    pub(crate) fn locate(&self, v: VertexId) -> Span {
-        self.spans.get(v as usize).copied().unwrap_or_default()
+    fn slot(&self, v: VertexId) -> Option<&Slot> {
+        let v = v as usize;
+        self.pages.get(v / PAGE).map(|page| &page[v % PAGE])
     }
 
-    /// The row a [`RoutingRows::locate`] found.
+    /// The slot of vertex `v`, the pages grown to hold it.
+    fn slot_mut(&mut self, v: usize) -> &mut Slot {
+        while self.pages.len() <= v / PAGE {
+            self.pages.push(page());
+        }
+        &mut self.pages[v / PAGE][v % PAGE]
+    }
+
+    fn slots(&self) -> impl Iterator<Item = &Slot> + '_ {
+        self.pages.iter().flat_map(|page| page.iter())
+    }
+
     #[inline]
-    pub(crate) fn row(&self, s: Span) -> &[VertexId] {
-        &self.pool[s.start as usize..(s.start + s.len) as usize]
+    fn row<'a>(&'a self, slot: &'a Slot) -> &'a [VertexId] {
+        match slot.spill() {
+            None => &slot.0[1..=(slot.0[0] & LEN_MASK) as usize],
+            Some(s) => &self.pool[s.start as usize..(s.start + s.len) as usize],
+        }
     }
 
     /// The row of `v` (empty for a vertex no object holds).
     #[inline]
     pub(crate) fn of(&self, v: VertexId) -> &[VertexId] {
-        self.row(self.locate(v))
+        self.slot(v).map_or(&[], |slot| self.row(slot))
     }
 
     /// The row of `v` split into its fan and its tail.
     pub(crate) fn parts(&self, v: VertexId) -> (&[VertexId], &[VertexId]) {
-        let s = self.locate(v);
-        self.row(s).split_at(s.fan as usize)
+        self.slot(v)
+            .map_or((&[], &[]), |slot| self.row(slot).split_at(slot.fan()))
     }
 
     /// Replaces the fan of the row of `v` with what `fill` appends to an
@@ -403,9 +493,9 @@ impl RoutingRows {
         let mut row = std::mem::take(&mut self.buf);
         row.clear();
         fill(&mut row);
-        let fan = row.len() as u32;
+        let fan = row.len();
         row.extend_from_slice(self.parts(v).1);
-        self.store(v as usize, &row, fan);
+        self.store(v, &row, fan);
         self.buf = row;
     }
 
@@ -425,124 +515,181 @@ impl RoutingRows {
         row.extend_from_slice(&tail[..at]);
         row.extend(insert);
         row.extend_from_slice(&tail[at + remove..]);
-        self.store(v as usize, &row, fan.len() as u32);
+        let fan = fan.len();
+        self.store(v, &row, fan);
         self.buf = row;
     }
 
     /// Empties the row of `v`, whose object left.
     pub(crate) fn clear(&mut self, v: VertexId) {
-        if let Some(s) = self.spans.get_mut(v as usize) {
-            self.dead += s.cap as usize;
-            *s = Span::default();
+        let v = v as usize;
+        if let Some(page) = self.pages.get_mut(v / PAGE) {
+            if let Some(s) = page[v % PAGE].spill() {
+                self.dead += s.cap as usize;
+            }
+            page[v % PAGE] = Slot::EMPTY;
         }
     }
 
-    fn store(&mut self, v: usize, row: &[VertexId], fan: u32) {
-        if v >= self.spans.len() {
-            self.spans.resize(v + 1, Span::default());
+    /// Makes `row`, whose first `fan` entries are its fan, the row of `v`:
+    /// in place when it fits its spilled footprint, else in its slot when it
+    /// fits there, else at the end of the pool.
+    fn store(&mut self, v: VertexId, row: &[VertexId], fan: usize) {
+        let v = v as usize;
+        let len = row.len();
+        if let Some(s) = self.slot_mut(v).spill() {
+            if len > INLINE && len <= s.cap as usize {
+                self.pool[s.start as usize..][..len].copy_from_slice(row);
+                *self.slot_mut(v) = Slot::spilled(Spill {
+                    len: len as u32,
+                    fan: fan as u32,
+                    ..s
+                });
+                return;
+            }
+            // Emptied first, so a compaction drops the footprint.
+            self.dead += s.cap as usize;
+            *self.slot_mut(v) = Slot::EMPTY;
         }
-        let old = self.spans[v];
-        let len = row.len() as u32;
-        if len <= old.cap {
-            let start = old.start as usize;
-            self.pool[start..start + row.len()].copy_from_slice(row);
-            self.spans[v] = Span { len, fan, ..old };
-            return;
+        if len <= INLINE {
+            let slot = self.slot_mut(v);
+            slot.0[0] = len as u32 | (fan as u32) << FAN_SHIFT;
+            slot.0[1..=len].copy_from_slice(row);
+        } else {
+            let slot = self.append(row, fan);
+            *self.slot_mut(v) = slot;
         }
-        self.dead += old.cap as usize;
-        self.spans[v] = Span::default();
-        let cap = len + 1;
-        if self.pool.len() + cap as usize > self.pool.capacity() && self.dead * 8 >= self.pool.len()
-        {
-            self.compact();
+    }
+
+    /// Appends a spilled row to the pool with one entry of slack, and
+    /// returns its slot.  A full pool at least an eighth dead is compacted
+    /// first.
+    fn append(&mut self, row: &[VertexId], fan: usize) -> Slot {
+        let cap = row.len() + 1;
+        if self.pool.len() + cap > self.pool.capacity() && self.dead * 8 >= self.pool.len() {
+            let mut pool = Vec::with_capacity(self.pool.capacity());
+            repack(&mut self.pages, &self.pool, &mut pool, 0, |u| u);
+            self.pool = pool;
+            self.dead = 0;
         }
         let start = self.pool.len() as u32;
         self.pool.extend_from_slice(row);
         self.pool.push(VertexId::MAX);
-        self.spans[v] = Span {
+        Slot::spilled(Spill {
             start,
-            len,
-            cap,
-            fan,
-        };
-    }
-
-    /// Copies every row, in vertex order, into a pool of the same capacity
-    /// and trims each footprint to its row.
-    fn compact(&mut self) {
-        let mut pool = Vec::with_capacity(self.pool.capacity());
-        self.spans = self.compacted_spans(&mut pool);
-        self.pool = pool;
-        self.dead = 0;
-    }
-
-    /// The spans of every row copied, in vertex order, to the end of
-    /// `pool`, each footprint trimmed to its row.
-    fn compacted_spans(&self, pool: &mut Vec<VertexId>) -> Vec<Span> {
-        self.spans
-            .iter()
-            .map(|s| {
-                let start = pool.len() as u32;
-                pool.extend_from_slice(self.row(*s));
-                Span {
-                    start,
-                    cap: s.len,
-                    ..*s
-                }
-            })
-            .collect()
+            cap: cap as u32,
+            len: row.len() as u32,
+            fan: fan as u32,
+        })
     }
 
     /// Moves every row to its vertex's new id under `map` (see
-    /// `Triangulation::renumber`) and rewrites its entries.  The pool is
-    /// laid out afresh in the new vertex order, each footprint with the one
-    /// slot of slack a moved row gets, so a fan that grows by one is
-    /// rewritten in place.  Spans and pool keep their buffers: the new
-    /// layout is assembled on the side and copied back.
+    /// `Triangulation::renumber`) and rewrites its entries.  The slots are
+    /// permuted in place and inline entries rewritten where they are; the
+    /// spilled rows are laid into a fresh pool in the new vertex order,
+    /// each footprint with the one entry of slack a moved row gets, so a
+    /// fan that grows by one is rewritten in place.
     pub(crate) fn renumber(&mut self, map: &[VertexId]) {
-        // Each span first moves to its new id, still pointing into the old
-        // pool.
-        self.spans.resize(map.len(), Span::default());
-        apply_renumbering(&mut self.spans, map);
-        let mut pool = Vec::with_capacity(self.spans.iter().map(|s| s.len as usize + 1).sum());
-        for s in &mut self.spans {
-            if s.len == 0 {
-                *s = Span::default();
-                continue;
+        let Some(last) = map.len().checked_sub(1) else {
+            return;
+        };
+        self.slot_mut(last); // every old id gets a slot to swap
+        let pages = &mut self.pages;
+        permute(map, |i, j| {
+            let moved = pages[i / PAGE][i % PAGE];
+            pages[i / PAGE][i % PAGE] = pages[j / PAGE][j % PAGE];
+            pages[j / PAGE][j % PAGE] = moved;
+        });
+        let mut spilled = 0;
+        for slot in self.pages.iter_mut().flat_map(|page| page.iter_mut()) {
+            match slot.spill() {
+                Some(s) => spilled += s.len as usize + 1,
+                None => {
+                    let len = (slot.0[0] & LEN_MASK) as usize;
+                    for u in &mut slot.0[1..=len] {
+                        *u = map[*u as usize];
+                    }
+                }
             }
-            let start = pool.len() as u32;
-            let row = &self.pool[s.start as usize..(s.start + s.len) as usize];
-            pool.extend(row.iter().map(|&u| map[u as usize]));
-            pool.push(VertexId::MAX);
-            *s = Span {
-                start,
-                cap: s.len + 1,
-                ..*s
-            };
         }
-        self.pool.clear();
-        self.pool.extend_from_slice(&pool);
+        let mut pool = Vec::with_capacity(spilled);
+        repack(&mut self.pages, &self.pool, &mut pool, 1, |u| {
+            map[u as usize]
+        });
+        self.pool = pool;
         self.dead = 0;
     }
 
     /// Vertices with a non-empty row.
     pub(crate) fn non_empty(&self) -> impl Iterator<Item = VertexId> + '_ {
-        (0..self.spans.len() as VertexId).filter(|&v| self.spans[v as usize].len > 0)
+        (self.slots().enumerate())
+            .filter(|(_, slot)| slot.0[0] != 0)
+            .map(|(v, _)| v as VertexId)
+    }
+
+    /// How many rows are spilled to the pool.
+    #[cfg(test)]
+    pub(crate) fn spilled(&self) -> usize {
+        self.slots().filter(|slot| slot.spill().is_some()).count()
+    }
+}
+
+/// Copies every spilled row of `pages`, in vertex order, from `from` to the
+/// end of `to` with its entries passed through `entry`, each in a footprint
+/// of its length plus `slack`, and points its slot there.
+fn repack(
+    pages: &mut [Page],
+    from: &[VertexId],
+    to: &mut Vec<VertexId>,
+    slack: u32,
+    entry: impl Fn(VertexId) -> VertexId,
+) {
+    for slot in pages.iter_mut().flat_map(|page| page.iter_mut()) {
+        if let Some(s) = slot.spill() {
+            let start = to.len() as u32;
+            let row = &from[s.start as usize..(s.start + s.len) as usize];
+            to.extend(row.iter().map(|&u| entry(u)));
+            to.resize(to.len() + slack as usize, VertexId::MAX);
+            *slot = Slot::spilled(Spill {
+                start,
+                cap: s.len + slack,
+                ..s
+            });
+        }
     }
 }
 
 impl Clone for RoutingRows {
-    /// The copy is compacted: a plain copy of a pool that had just filled
-    /// would compact at its first moved row, and a benchmark or a test
-    /// that mutates clones would pay that O(pool) pass every time.
+    /// The copy's pool is compacted: a plain copy of a pool that had just
+    /// filled would compact at its first moved row, and a benchmark or a
+    /// test that mutates clones would pay that O(pool) pass every time.
     fn clone(&self) -> Self {
+        let mut pages = self.pages.clone();
         let mut pool = Vec::with_capacity(self.pool.len() - self.dead);
-        let spans = self.compacted_spans(&mut pool);
+        repack(&mut pages, &self.pool, &mut pool, 0, |u| u);
         RoutingRows {
-            spans,
+            pages,
             pool,
             dead: 0,
             buf: Vec::new(),
+        }
+    }
+}
+
+/// Applies the renumbering `map` to a vertex-keyed sequence in place, by
+/// following the permutation's cycles with `swap(i, j)`, so nothing is
+/// copied: afterwards position `map[i]` holds what position `i` held, and
+/// the positions past the live ids hold what the free vertices held.
+fn permute(map: &[VertexId], mut swap: impl FnMut(usize, usize)) {
+    let mut dest = map.to_vec();
+    for i in 0..dest.len() {
+        loop {
+            let j = dest[i];
+            if j == NO_VERTEX || j as usize == i {
+                break;
+            }
+            swap(i, j as usize);
+            dest.swap(i, j as usize);
         }
     }
 }
@@ -705,5 +852,202 @@ mod tests {
         assert_eq!(objects.back_pos(three, 0), 1);
         let order: Vec<u64> = objects.ids().map(|o| o.0).collect();
         assert_eq!(order, [0, 1, 5, 3, 4]);
+    }
+
+    /// The rows' naive model: per vertex, its entries and its fan length,
+    /// or `None` for a free vertex.
+    type Model = Vec<Option<(Vec<VertexId>, usize)>>;
+
+    /// Every row read three ways — `of` (which the batched walk's lanes
+    /// read too), `parts` and `non_empty` — equals the model; a row is in
+    /// its slot exactly when it fits there; every pool entry lies in one
+    /// live footprint or is counted dead.
+    fn check_rows(rows: &RoutingRows, model: &Model) {
+        let mut footprints = 0;
+        for (v, row) in model.iter().enumerate() {
+            let v = v as VertexId;
+            let (entries, fan) = row.as_ref().map_or((&[][..], 0), |(e, f)| (&e[..], *f));
+            assert_eq!(rows.of(v), entries, "row of {v}");
+            assert_eq!(rows.parts(v), entries.split_at(fan), "parts of {v}");
+            let spill = rows.slot(v).and_then(Slot::spill);
+            assert_eq!(spill.is_some(), entries.len() > INLINE, "slot of {v}");
+            footprints += spill.map_or(0, |s| s.cap as usize);
+        }
+        assert_eq!(footprints + rows.dead, rows.pool.len());
+        let non_empty: Vec<VertexId> = (model.iter().enumerate())
+            .filter(|(_, row)| row.as_ref().is_some_and(|(e, _)| !e.is_empty()))
+            .map(|(v, _)| v as VertexId)
+            .collect();
+        assert_eq!(rows.non_empty().collect::<Vec<_>>(), non_empty);
+        assert!(rows
+            .of(model.len() as VertexId + 3 * PAGE as VertexId)
+            .is_empty());
+    }
+
+    /// The cases [`rows_follow_a_naive_model`] must reach, each counted.
+    #[derive(Debug, Default)]
+    struct Reached {
+        spilled_by_growth: usize,
+        inlined_by_shrinking: usize,
+        rewritten_in_place: usize,
+        outgrew_footprint: usize,
+        compactions: usize,
+        spilled_row_cleared: usize,
+        renumbered_with_free_and_spilled: usize,
+        past_a_page_boundary: usize,
+        row_of_70_000: usize,
+    }
+
+    /// Seeded random fan rewrites, tail splices, clears, departures, joins,
+    /// renumberings and clones against [`Model`], checked after every
+    /// step.  Row entries name *anchor* vertices, which never leave; the
+    /// rows written are those of *hot* vertices, which may.
+    #[test]
+    fn rows_follow_a_naive_model() {
+        let mut rng = StdRng::seed_from_u64(0x5107);
+        let mut rows = RoutingRows::default();
+        let mut model: Model = vec![Some((Vec::new(), 0)); 1_100];
+        let mut hot: Vec<VertexId> = (0..32).chain(1_060..1_092).collect();
+        let mut anchors: Vec<VertexId> = (32..1_060).collect();
+        let mut reached = Reached::default();
+        for step in 0..6_000 {
+            let pick = |rng: &mut StdRng, n: usize| -> Vec<VertexId> {
+                (0..n)
+                    .map(|_| anchors[rng.random_range(0..anchors.len())])
+                    .collect()
+            };
+            let v = hot[rng.random_range(0..hot.len())];
+            let before = rows.slot(v).and_then(Slot::spill);
+            let (old_len, dead) = (rows.of(v).len(), rows.dead);
+            let mut patched = true;
+            match (step, rng.random_range(0..100u32)) {
+                (3_000, _) => {
+                    let fan = pick(&mut rng, 70_000);
+                    rows.rewrite_fan(v, |row| row.extend_from_slice(&fan));
+                    let (row, f) = model[v as usize].as_mut().unwrap();
+                    row.splice(..*f, fan);
+                    *f = 70_000;
+                    reached.row_of_70_000 += 1;
+                }
+                (_, 0..=29) => {
+                    let n = rng.random_range(0..=12usize);
+                    let fan = pick(&mut rng, n);
+                    rows.rewrite_fan(v, |row| row.extend_from_slice(&fan));
+                    let (row, f) = model[v as usize].as_mut().unwrap();
+                    let len = fan.len();
+                    row.splice(..*f, fan);
+                    *f = len;
+                }
+                (_, 30..=89) => {
+                    let (row, f) = model[v as usize].as_mut().unwrap();
+                    let tail = row.len() - *f;
+                    let at = rng.random_range(0..=tail);
+                    let remove = rng.random_range(0..=(tail - at).min(4));
+                    let n = rng.random_range(0..=4usize);
+                    let insert = pick(&mut rng, n);
+                    rows.splice_tail(v, at, remove, insert.iter().copied());
+                    row.splice(*f + at..*f + at + remove, insert);
+                }
+                (_, 90..=93) => {
+                    patched = false;
+                    rows.clear(v);
+                    if before.is_some() {
+                        assert!(rows.dead > dead, "a cleared footprint turns dead");
+                        reached.spilled_row_cleared += 1;
+                    }
+                    if rng.random_range(0..4u32) == 0 {
+                        model[v as usize] = None;
+                        hot.retain(|&u| u != v);
+                    } else {
+                        model[v as usize] = Some((Vec::new(), 0));
+                    }
+                }
+                (_, 94..=95) => {
+                    patched = false;
+                    hot.push(model.len() as VertexId);
+                    model.push(Some((Vec::new(), 0)));
+                }
+                (_, 96..=97) => {
+                    patched = false;
+                    let mut order: Vec<usize> = (0..model.len()).collect();
+                    order.retain(|&u| model[u].is_some());
+                    for i in (1..order.len()).rev() {
+                        order.swap(i, rng.random_range(0..=i));
+                    }
+                    let mut map = vec![NO_VERTEX; model.len()];
+                    for (new, &old) in order.iter().enumerate() {
+                        map[old] = new as VertexId;
+                    }
+                    if order.len() < model.len() && rows.spilled() > 0 {
+                        reached.renumbered_with_free_and_spilled += 1;
+                    }
+                    rows.renumber(&map);
+                    let mut moved: Model = vec![None; order.len()];
+                    for (old, row) in model.into_iter().enumerate() {
+                        if let Some((mut row, f)) = row {
+                            row.iter_mut().for_each(|u| *u = map[*u as usize]);
+                            moved[map[old] as usize] = Some((row, f));
+                        }
+                    }
+                    model = moved;
+                    hot.iter_mut().for_each(|u| *u = map[*u as usize]);
+                    anchors.iter_mut().for_each(|u| *u = map[*u as usize]);
+                }
+                _ => {
+                    patched = false;
+                    rows = rows.clone();
+                }
+            }
+            check_rows(&rows, &model);
+            if !patched {
+                continue;
+            }
+            let after = rows.slot(v).and_then(Slot::spill);
+            let new_len = rows.of(v).len();
+            reached.spilled_by_growth += usize::from(old_len <= INLINE && new_len > INLINE);
+            reached.inlined_by_shrinking += usize::from(old_len > INLINE && new_len <= INLINE);
+            if let (Some(b), Some(a)) = (before, after) {
+                if a.start == b.start {
+                    reached.rewritten_in_place += 1;
+                } else if new_len > b.cap as usize {
+                    reached.outgrew_footprint += 1;
+                }
+            }
+            reached.compactions += usize::from(rows.dead < dead);
+            reached.past_a_page_boundary += usize::from(v as usize >= PAGE && new_len > 0);
+            if new_len >= 70_000 {
+                rows.clear(v);
+                model[v as usize] = Some((Vec::new(), 0));
+                check_rows(&rows, &model);
+            }
+        }
+        println!("{reached:?}");
+        let Reached {
+            spilled_by_growth,
+            inlined_by_shrinking,
+            rewritten_in_place,
+            outgrew_footprint,
+            compactions,
+            spilled_row_cleared,
+            renumbered_with_free_and_spilled,
+            past_a_page_boundary,
+            row_of_70_000,
+        } = reached;
+        for (case, count) in [
+            ("15 → 16 entries", spilled_by_growth),
+            ("16 → 15 entries", inlined_by_shrinking),
+            ("a spilled row rewritten in place", rewritten_in_place),
+            ("a spilled row outgrowing its footprint", outgrew_footprint),
+            ("a compaction", compactions),
+            ("a spilled row cleared", spilled_row_cleared),
+            (
+                "a renumbering with free vertices and spilled rows",
+                renumbered_with_free_and_spilled,
+            ),
+            ("a row past a page boundary", past_a_page_boundary),
+            ("a row of 70 000 entries", row_of_70_000),
+        ] {
+            assert!(count > 0, "never reached: {case}");
+        }
     }
 }

@@ -20,10 +20,14 @@
 //! * [`FrozenView`] — an immutable structure-of-arrays snapshot: ids and
 //!   coordinates in flat arrays and the full routing adjacency (Voronoi +
 //!   close + long neighbours) flattened into one pooled row per node.  Its
-//!   rows are rebuilt from the tessellation and the node slots, not copied
-//!   from the live rows, so a route over a `FrozenView` that agrees with
-//!   the live walk cross-checks the rows' maintenance.  The testkit's
-//!   differential oracle and the benchmark's probes use it that way.
+//!   fan segment is walked on the tessellation and its link segment read
+//!   from the link column, so a route over a `FrozenView` that agrees with
+//!   the live walk cross-checks the maintenance of those two segments.
+//!   Its close segment is read from the live rows (the close sets are
+//!   stored nowhere else), so it checks nothing there: the close sets'
+//!   only independent referee is [`crate::VoroNet::audit_invariants`],
+//!   which recomputes them from the points on a `d_min` grid.  The
+//!   testkit's differential oracle and the benchmark's probes use it.
 //! * [`ChangeLog`] — the per-mutation record of which Voronoi
 //!   neighbourhoods an insert, remove or link change touched.  It is what
 //!   makes [`crate::VoroNet::touched_since`] (and so a cluster's view

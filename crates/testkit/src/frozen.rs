@@ -7,8 +7,11 @@
 //! ([`FrozenView::refresh`]), exercised at *every* read so each write
 //! barrier's patch is covered by the differential oracle (a faithful run
 //! freezes from scratch exactly once and patches thereafter).  The view
-//! derives its rows from the tessellation on its own, so agreeing with
-//! the live walk cross-checks the overlay's routing rows as well.  Traffic
+//! walks its fans on the tessellation and reads its long links from their
+//! column, so agreeing with the live walk cross-checks those segments of
+//! the overlay's routing rows as well; its close segments are read from
+//! the live rows, whose only independent referee is the audit's
+//! recomputation from the points (`VoroNet::audit_invariants`).  Traffic
 //! deltas are replayed onto the overlay after each read, which must
 //! reproduce the live engines' counters bit for bit.  The replay tallies
 //! its refreshes and reports them through [`Overlay::snapshot_stats`].
