@@ -2,6 +2,7 @@
 
 use crate::ops::{
     InsertOutcome, Op, OpResult, OverlayStats, QueryOutcome, RemoveOutcome, RouteOutcome,
+    ServiceOp, ServiceResult,
 };
 use voronet_core::{ErrorKind, ObjectId, ObjectView, SnapshotStats, VoroNetConfig, VoronetError};
 use voronet_geom::Point2;
@@ -22,9 +23,11 @@ use voronet_workloads::{RadiusQuery, RangeQuery};
 /// `Box<dyn Overlay>` and never name an engine.  Implementations exist for
 /// the synchronous [`SyncEngine`](crate::SyncEngine) and for
 /// `voronet-net`'s `InlineCluster`, which runs the protocol at the message
-/// level (a driver and hosts exchanging wire frames, lossy or not); the
-/// service layer's `ServiceEngine` wraps either.  Any future engine
-/// (sharded, multi-threaded, remote) plugs in by implementing this trait.
+/// level (a driver and hosts exchanging wire frames, lossy or not) and
+/// serves [`Op::Service`] from its hosts.  The service layer's
+/// `ServiceEngine` gives any engine the same service semantics in one
+/// process.  Any future engine (sharded, multi-threaded, remote) plugs in
+/// by implementing this trait.
 pub trait Overlay {
     /// Short engine identifier ("sync", "cluster", …) for reports and test
     /// labels.
@@ -107,6 +110,16 @@ pub trait Overlay {
     /// debugging; engines may run the non-exhaustive variant).
     fn verify_invariants(&self) -> Result<(), VoronetError>;
 
+    /// Executes one geo-scoped service operation (region pub/sub or
+    /// coordinate-keyed KV).  An engine without a service plane answers
+    /// [`ErrorKind::Unsupported`]; the cluster serves these from its
+    /// hosts, and `voronet-services`' `ServiceEngine` adds them to any
+    /// engine.
+    fn serve(&mut self, op: ServiceOp) -> Result<ServiceResult, VoronetError> {
+        let _ = op;
+        Err(VoronetError::new(ErrorKind::Unsupported))
+    }
+
     /// Applies one operation.
     fn apply(&mut self, op: &Op) -> OpResult {
         match *op {
@@ -138,20 +151,45 @@ pub trait Overlay {
                 Ok(v) => OpResult::Snapshotted(Box::new(v)),
                 Err(e) => OpResult::Failed(e),
             },
-            // Service semantics live in the service layer
-            // (`voronet-services`), which wraps an engine and intercepts
-            // these before they ever reach a bare engine.
-            Op::Service(_) => OpResult::Failed(VoronetError::new(ErrorKind::Unsupported)),
+            Op::Service(op) => match self.serve(op) {
+                Ok(r) => OpResult::Service(r),
+                Err(e) => OpResult::Failed(e),
+            },
         }
     }
 
     /// Applies a batch of operations, returning one result per operation at
     /// the same index: exactly what applying them one at a time, in order,
-    /// returns.  The default implementation does that; engines override it
-    /// to amortise work across each run of consecutive routes (the sync
-    /// engine walks them interleaved, so their cache misses overlap; the
-    /// cluster pumps them together, so their waits under loss overlap).
+    /// returns.  Each maximal run of consecutive `Route`/`RouteBetween` ops
+    /// goes to [`Overlay::route_run`] whole; every other op goes through
+    /// [`Overlay::apply`].
     fn apply_batch(&mut self, ops: &[Op]) -> Vec<OpResult> {
-        ops.iter().map(|op| self.apply(op)).collect()
+        let is_route = |op: &Op| matches!(op, Op::Route { .. } | Op::RouteBetween { .. });
+        let mut results = Vec::with_capacity(ops.len());
+        let mut rest = ops;
+        while let Some(op) = rest.first() {
+            let run = rest.iter().take_while(|op| is_route(op)).count();
+            if run == 0 {
+                results.push(self.apply(op));
+                rest = &rest[1..];
+            } else {
+                self.route_run(&rest[..run], &mut results);
+                rest = &rest[run..];
+            }
+        }
+        results
+    }
+
+    /// Applies a run of `Route`/`RouteBetween` ops and appends one result
+    /// per op: what applying them one at a time returns, which is what
+    /// the default does.  Engines override it to amortise work across the
+    /// run (the sync engine walks it interleaved, so the walks' cache
+    /// misses overlap; the cluster pumps it together, so its waits under
+    /// loss overlap).
+    fn route_run(&mut self, run: &[Op], results: &mut Vec<OpResult>) {
+        for op in run {
+            let result = self.apply(op);
+            results.push(result);
+        }
     }
 }

@@ -12,9 +12,10 @@
 //! and no second copy of the topology.
 //!
 //! A single route is [`VoroNet::route_to_point_in`], which also records
-//! the path.  [`Overlay::apply_batch`] hands each maximal run of
-//! consecutive `Route`/`RouteBetween` ops to [`VoroNet::route_batch_in`],
-//! which keeps eight independent walks in flight and steps them
+//! the path.  The trait's [`Overlay::apply_batch`] hands each maximal run
+//! of consecutive `Route`/`RouteBetween` ops to [`Overlay::route_run`],
+//! which this engine answers with [`VoroNet::route_batch_in`]: it
+//! keeps eight independent walks in flight and steps them
 //! round-robin, so the cache misses of their row reads overlap; every
 //! other op goes through [`Overlay::apply`].  Each op's result, failure,
 //! counts and traffic are exactly those of the same op applied alone.
@@ -95,51 +96,6 @@ impl SyncEngine {
         self.scratch.delta.clear();
         Ok(report?.into())
     }
-
-    /// Walks a run of `Route`/`RouteBetween` ops interleaved
-    /// ([`VoroNet::route_batch_in`]) and appends one result per op: the
-    /// result, counts and traffic the ops give one at a time.
-    fn route_run(&mut self, run: &[Op], results: &mut Vec<OpResult>) {
-        let first = results.len();
-        self.jobs.clear();
-        for op in run {
-            // An unknown `to` fails as `Overlay::route_between` fails it,
-            // before any walk; every walk gets a placeholder to fill.
-            let job = match *op {
-                Op::Route { from, target } => Ok((from, target)),
-                Op::RouteBetween { from, to } => self
-                    .net
-                    .coords(to)
-                    .map(|target| (from, target))
-                    .ok_or_else(|| VoronetError::new(ErrorKind::UnknownObject(to))),
-                _ => unreachable!("a run holds routes only"),
-            };
-            results.push(match job {
-                Ok(job) => {
-                    self.jobs.push(job);
-                    OpResult::Routed(RouteOutcome {
-                        owner: job.0,
-                        hops: 0,
-                    })
-                }
-                Err(e) => OpResult::Failed(e),
-            });
-        }
-        let walks = self.net.route_batch_in(&self.jobs, &mut self.scratch);
-        let slots = results[first..].iter_mut().filter(|r| r.is_ok());
-        for (slot, walked) in slots.zip(walks) {
-            *slot = match walked {
-                Ok((owner, hops)) => {
-                    self.routes += 1;
-                    self.route_hops += u64::from(hops);
-                    OpResult::Routed(RouteOutcome { owner, hops })
-                }
-                Err(e) => OpResult::Failed(e),
-            };
-        }
-        self.net.apply_traffic(&self.scratch.delta);
-        self.scratch.delta.clear();
-    }
 }
 
 impl Overlay for SyncEngine {
@@ -218,25 +174,49 @@ impl Overlay for SyncEngine {
         self.net.check_invariants(false)
     }
 
-    /// Each maximal run of consecutive routes walks interleaved, through
-    /// [`VoroNet::route_batch_in`]; every other op goes through
-    /// [`Overlay::apply`].  Returns what the per-op loop returns (see the
-    /// [module docs](self)).
-    fn apply_batch(&mut self, ops: &[Op]) -> Vec<OpResult> {
-        let is_route = |op: &Op| matches!(op, Op::Route { .. } | Op::RouteBetween { .. });
-        let mut results = Vec::with_capacity(ops.len());
-        let mut rest = ops;
-        while let Some(op) = rest.first() {
-            let run = rest.iter().take_while(|op| is_route(op)).count();
-            if run == 0 {
-                results.push(self.apply(op));
-                rest = &rest[1..];
-            } else {
-                self.route_run(&rest[..run], &mut results);
-                rest = &rest[run..];
-            }
+    /// Walks a run of `Route`/`RouteBetween` ops interleaved
+    /// ([`VoroNet::route_batch_in`]) and appends one result per op: the
+    /// result, counts and traffic the ops give one at a time.
+    fn route_run(&mut self, run: &[Op], results: &mut Vec<OpResult>) {
+        let first = results.len();
+        self.jobs.clear();
+        for op in run {
+            // An unknown `to` fails as `Overlay::route_between` fails it,
+            // before any walk; every walk gets a placeholder to fill.
+            let job = match *op {
+                Op::Route { from, target } => Ok((from, target)),
+                Op::RouteBetween { from, to } => self
+                    .net
+                    .coords(to)
+                    .map(|target| (from, target))
+                    .ok_or_else(|| VoronetError::new(ErrorKind::UnknownObject(to))),
+                _ => unreachable!("a run holds routes only"),
+            };
+            results.push(match job {
+                Ok(job) => {
+                    self.jobs.push(job);
+                    OpResult::Routed(RouteOutcome {
+                        owner: job.0,
+                        hops: 0,
+                    })
+                }
+                Err(e) => OpResult::Failed(e),
+            });
         }
-        results
+        let walks = self.net.route_batch_in(&self.jobs, &mut self.scratch);
+        let slots = results[first..].iter_mut().filter(|r| r.is_ok());
+        for (slot, walked) in slots.zip(walks) {
+            *slot = match walked {
+                Ok((owner, hops)) => {
+                    self.routes += 1;
+                    self.route_hops += u64::from(hops);
+                    OpResult::Routed(RouteOutcome { owner, hops })
+                }
+                Err(e) => OpResult::Failed(e),
+            };
+        }
+        self.net.apply_traffic(&self.scratch.delta);
+        self.scratch.delta.clear();
     }
 }
 

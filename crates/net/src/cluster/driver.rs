@@ -47,7 +47,7 @@ pub struct Driver<T: Transport> {
     pub(super) table: PendingTable,
     /// Subscriptions by object and entries by key, ordered: pushes made
     /// by iterating them come out the same on every run.
-    pub(super) subs: BTreeMap<u64, Rect>,
+    pub(super) subs: BTreeMap<ObjectId, Rect>,
     pub(super) topic_seqs: HashMap<[u64; 4], u64>,
     pub(super) kv: BTreeMap<u64, KvPlacement>,
     pub(super) svc_seqs: HashMap<u64, u64>,
@@ -351,14 +351,23 @@ impl<T: Transport> Driver<T> {
         Ok(())
     }
 
-    /// The start of every indexed operation: regenerates revived hosts,
-    /// then names the `index`-th live object; `None` on an empty overlay.
-    pub(super) fn origin(&mut self, index: usize) -> Result<Option<u64>, ClusterError> {
-        if self.net.is_empty() {
+    /// The `index`-th live object, modulo the population; `None` on an
+    /// empty overlay.
+    fn origin(&self, index: usize) -> Option<ObjectId> {
+        index
+            .checked_rem(self.net.len())
+            .and_then(|i| self.net.id_at(i))
+    }
+
+    /// The start of every id-keyed operation: `None` when `id` is not a
+    /// live object, otherwise its raw id once revived hosts are
+    /// regenerated.
+    pub(super) fn issuer(&mut self, id: ObjectId) -> Result<Option<u64>, ClusterError> {
+        if !self.net.contains(id) {
             return Ok(None);
         }
         self.service_revivals()?;
-        Ok(self.net.id_at(index % self.net.len()).map(|id| id.0))
+        Ok(Some(id.0))
     }
 
     /// Inserts an object at `position` into the overlay and synchronises
@@ -383,26 +392,17 @@ impl<T: Transport> Driver<T> {
         Ok(Ok(report.id))
     }
 
-    /// Removes the `index`-th live object (modulo the population) and
-    /// synchronises the survivors' views.  `Ok(None)` when the overlay
-    /// refuses the departure (population floor).
-    pub fn remove_index(&mut self, index: usize) -> Result<Option<u64>, ClusterError> {
-        let Some(id) = self.origin(index)?.map(ObjectId) else {
-            return Ok(None);
-        };
-        Ok(self.leave(id)?.ok().map(|()| id.0))
-    }
-
     /// Removes `id` and synchronises the survivors' views; the inner error
-    /// is what [`VoroNet::remove`] returned.  Expects revived hosts to be
-    /// serviced already.
-    pub(super) fn leave(&mut self, id: ObjectId) -> Result<Result<(), VoronetError>, ClusterError> {
+    /// is what [`VoroNet::remove`] returned (an unknown object, the
+    /// population floor).
+    pub fn leave(&mut self, id: ObjectId) -> Result<Result<(), VoronetError>, ClusterError> {
+        self.service_revivals()?;
         if let Err(refused) = self.net.remove(id) {
             return Ok(Err(refused));
         }
         // The evicted host drops the departed object's service state with
         // it; the driver's control state follows.
-        self.subs.remove(&id.0);
+        self.subs.remove(&id);
         self.propagate(&[id.0])?;
         Ok(Ok(()))
     }
@@ -410,11 +410,9 @@ impl<T: Transport> Driver<T> {
     /// Queues the route from the `from`-th live object towards the
     /// `to`-th one's coordinates.
     fn queue_route(&mut self, from: usize, to: usize) {
-        let n = self.net.len();
-        let from_object = self.net.id_at(from % n).expect("index below len").0;
-        let to_id = self.net.id_at(to % n).expect("index below len");
-        let target = self.net.coords(to_id).expect("live object");
-        self.queue_route_to(from_object, target);
+        let from_object = self.origin(from).expect("a live population").0;
+        let target = self.origin(to).and_then(|to| self.net.coords(to));
+        self.queue_route_to(from_object, target.expect("live object"));
     }
 
     /// Queues the route from `from_object` towards `target`.
@@ -427,33 +425,25 @@ impl<T: Transport> Driver<T> {
         self.queue_request(from_object, "route", self.policy.requests(), route);
     }
 
-    /// Routes from the `from`-th live object towards the `to`-th one's
-    /// coordinates through the distributed overlay — a pipelined batch
-    /// of one.
-    pub fn route_indices(&mut self, from: usize, to: usize) -> Result<OpOutcome, ClusterError> {
-        if self.net.is_empty() {
-            return Ok(OpOutcome::Skipped);
-        }
-        self.service_revivals()?;
-        self.queue_route(from, to);
-        self.pump_one("route", routed)
-    }
-
-    /// Routes from `from_object` towards `target`: `(owner, hops)`.
-    /// Expects revived hosts to be serviced already.
-    pub(super) fn route_from(
+    /// Routes from the live object `from` towards `target` through the
+    /// distributed overlay: [`OpOutcome::Route`], or
+    /// [`OpOutcome::Skipped`] when `from` is not live.
+    pub fn route_from(
         &mut self,
-        from_object: u64,
+        from: ObjectId,
         target: Point2,
-    ) -> Result<(u64, u32), ClusterError> {
+    ) -> Result<OpOutcome, ClusterError> {
+        let Some(from_object) = self.issuer(from)? else {
+            return Ok(OpOutcome::Skipped);
+        };
         self.queue_route_to(from_object, target);
-        self.pump_one("route", owner_hops)
+        self.pump_one("route", routed)
     }
 
     /// Routes a batch of `(from, to)` index pairs with up to `window`
     /// operations in flight at once, sharing one receive pump.
     ///
-    /// Unlike issuing [`Self::route_indices`] in a loop — where one
+    /// Unlike issuing [`Self::route_from`] in a loop — where one
     /// operation waiting out its attempt timeout head-of-line-blocks
     /// every operation behind it — each in-flight route here keeps its
     /// own attempt ladder, fast-resend timer and budget, so a single
@@ -504,26 +494,17 @@ impl<T: Transport> Driver<T> {
         })
     }
 
-    /// Executes a distributed rectangular range query issued by the
-    /// `from`-th live object.
-    pub fn range_query(
+    /// Executes a distributed rectangular range query issued by the live
+    /// object `from`: [`OpOutcome::Matches`], or [`OpOutcome::Skipped`]
+    /// when `from` is not live.
+    pub fn range_from(
         &mut self,
-        from: usize,
+        from: ObjectId,
         query: RangeQuery,
     ) -> Result<OpOutcome, ClusterError> {
-        let Some(from_object) = self.origin(from)? else {
+        let Some(from_object) = self.issuer(from)? else {
             return Ok(OpOutcome::Skipped);
         };
-        self.range_from(from_object, query)
-    }
-
-    /// [`Self::range_query`] issued by `from_object`.  Expects revived
-    /// hosts to be serviced already.
-    pub(super) fn range_from(
-        &mut self,
-        from_object: u64,
-        query: RangeQuery,
-    ) -> Result<OpOutcome, ClusterError> {
         self.query(from_object, "range query", |token| WireMsg::AreaReq {
             token,
             from_object,
@@ -531,26 +512,16 @@ impl<T: Transport> Driver<T> {
         })
     }
 
-    /// Executes a distributed radius query issued by the `from`-th live
-    /// object.
-    pub fn radius_query(
+    /// Executes a distributed radius query issued by the live object
+    /// `from`, as [`Self::range_from`] does a rectangle.
+    pub fn radius_from(
         &mut self,
-        from: usize,
+        from: ObjectId,
         query: RadiusQuery,
     ) -> Result<OpOutcome, ClusterError> {
-        let Some(from_object) = self.origin(from)? else {
+        let Some(from_object) = self.issuer(from)? else {
             return Ok(OpOutcome::Skipped);
         };
-        self.radius_from(from_object, query)
-    }
-
-    /// [`Self::radius_query`] issued by `from_object`.  Expects revived
-    /// hosts to be serviced already.
-    pub(super) fn radius_from(
-        &mut self,
-        from_object: u64,
-        query: RadiusQuery,
-    ) -> Result<OpOutcome, ClusterError> {
         self.query(from_object, "radius query", |token| WireMsg::RadiusReq {
             token,
             from_object,
@@ -559,25 +530,44 @@ impl<T: Transport> Driver<T> {
         })
     }
 
-    /// Applies one scripted [`WorkloadOp`] to the cluster.
+    /// Applies one scripted [`WorkloadOp`] to the cluster: resolves its
+    /// population index to the `index`-th live object (modulo the
+    /// population; [`OpOutcome::Skipped`] on an empty overlay) and runs
+    /// the id-keyed operation.
     pub fn apply(&mut self, op: &WorkloadOp) -> Result<OpOutcome, ClusterError> {
+        use WorkloadOp as W;
+        let index = match *op {
+            W::Insert { position } => return Ok(OpOutcome::Inserted(self.insert(position)?)),
+            W::Snapshot { .. } => return Ok(OpOutcome::Skipped),
+            W::Remove { index } | W::Subscribe { index, .. } | W::Unsubscribe { index } => index,
+            W::Route { from, .. }
+            | W::Range { from, .. }
+            | W::Radius { from, .. }
+            | W::Publish { from, .. }
+            | W::KvPut { from, .. }
+            | W::KvGet { from, .. }
+            | W::KvDelete { from, .. } => from,
+        };
+        let Some(id) = self.origin(index) else {
+            return Ok(OpOutcome::Skipped);
+        };
         match *op {
-            WorkloadOp::Insert { position } => Ok(OpOutcome::Inserted(self.insert(position)?)),
-            WorkloadOp::Remove { index } => Ok(OpOutcome::Removed(self.remove_index(index)?)),
-            WorkloadOp::Route { from, to } => self.route_indices(from, to),
-            WorkloadOp::Range { from, query } => self.range_query(from, query),
-            WorkloadOp::Radius { from, query } => self.radius_query(from, query),
-            WorkloadOp::Snapshot { .. } => Ok(OpOutcome::Skipped),
-            WorkloadOp::Subscribe { index, region } => self.subscribe(index, region),
-            WorkloadOp::Unsubscribe { index } => self.unsubscribe(index),
-            WorkloadOp::Publish {
-                from,
-                region,
-                payload,
-            } => self.publish(from, region, payload),
-            WorkloadOp::KvPut { from, key, value } => self.kv_put(from, key, value),
-            WorkloadOp::KvGet { from, key } => self.kv_get(from, key),
-            WorkloadOp::KvDelete { from, key } => self.kv_delete(from, key),
+            W::Remove { .. } => Ok(OpOutcome::Removed(self.leave(id)?.ok().map(|()| id.0))),
+            W::Route { to, .. } => {
+                let target = self.origin(to).and_then(|to| self.net.coords(to));
+                self.route_from(id, target.expect("live object"))
+            }
+            W::Range { query, .. } => self.range_from(id, query),
+            W::Radius { query, .. } => self.radius_from(id, query),
+            W::Subscribe { region, .. } => self.subscribe(id, region),
+            W::Unsubscribe { .. } => self.unsubscribe(id),
+            W::Publish {
+                region, payload, ..
+            } => self.publish(id, region, payload),
+            W::KvPut { key, value, .. } => self.kv_put(id, key, value),
+            W::KvGet { key, .. } => self.kv_get(id, key),
+            W::KvDelete { key, .. } => self.kv_delete(id, key),
+            W::Insert { .. } | W::Snapshot { .. } => unreachable!("answered above"),
         }
     }
 

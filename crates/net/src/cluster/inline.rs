@@ -11,8 +11,11 @@ use super::host::HostNode;
 use super::DRIVER_PEER;
 use crate::transport::{PeerId, Transport, TransportError};
 use crate::vnet::{VnetHub, VnetTransport};
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
-use voronet_core::{VoroNet, VoroNetConfig};
+use voronet_core::{ObjectId, VoroNet, VoroNetConfig};
+use voronet_geom::Rect;
+use voronet_services::KvEntry;
 use voronet_sim::{NetworkModel, TransportStats};
 
 /// The driver's endpoint of an [`InlineCluster`], holding the hosts it
@@ -151,6 +154,19 @@ impl<T: Transport> InlineCluster<T> {
         self.driver.net()
     }
 
+    /// The driver's service control state, for audits: every standing
+    /// subscription, and every acked KV entry with its placement (value,
+    /// owner, replicas) — what the hosts were told to hold.
+    pub fn service_tables(
+        &self,
+    ) -> (
+        &BTreeMap<ObjectId, Rect>,
+        impl Iterator<Item = (&u64, &KvEntry)> + '_,
+    ) {
+        let kv = self.driver.kv.iter().map(|(key, p)| (key, &p.entry));
+        (&self.driver.subs, kv)
+    }
+
     /// The cluster's clock, as its endpoints read it.
     pub fn now(&self) -> Instant {
         self.driver.t.now()
@@ -190,10 +206,14 @@ mod tests {
         for p in PointGenerator::new(Distribution::Uniform, 3).take_points(24) {
             driver.insert(p).unwrap();
         }
-        let route = driver.route_indices(2, 17).unwrap();
+        let id = |i| driver.net().id_at(i).unwrap();
+        let (a, b, c, d) = (id(2), id(17), id(1), id(5));
+        let route = driver
+            .route_from(a, driver.net().coords(b).unwrap())
+            .unwrap();
         assert!(matches!(route, OpOutcome::Route { .. }), "{route:?}");
-        driver.kv_put(1, 7, 70).unwrap();
-        let got = driver.kv_get(5, 7).unwrap();
+        driver.kv_put(c, 7, 70).unwrap();
+        let got = driver.kv_get(d, 7).unwrap();
         assert!(
             matches!(
                 got,

@@ -41,14 +41,18 @@
 //! owning cell's object ([`WireMsg::SvcKvStore`]) and *migrate over the
 //! wire* when churn moves the owning cell — a [`WireMsg::SvcKvFetch`]
 //! always reads from whatever host currently owns the key's coordinates.
-//! Driver-side control state mirrors the single-process
-//! `ServiceEngine` semantics, so the in-process and deployed paths agree.
+//! The driver places keys by the one rule of `voronet_services::keys`,
+//! which the single-process `ServiceEngine` calls too.  Every driver
+//! operation names its issuing object by id; [`Driver::apply`] alone
+//! takes a scripted [`WorkloadOp`](voronet_workloads::WorkloadOp), whose
+//! population indices it resolves first.
 //!
 //! ## As an engine
 //!
 //! An [`InlineCluster`] implements `voronet_api::Overlay` (keyed by object
-//! id, like every other engine), so the differential oracle fleet and the
-//! API conformance suite run it beside the synchronous engine.
+//! id, like every other engine) and serves `Op::Service` through this
+//! plane, so the differential oracle fleet and the API conformance suite
+//! run it, service ops included, beside the synchronous engine.
 //!
 //! ## Loss and fault tolerance
 //!
@@ -192,7 +196,8 @@ pub struct ClusterStats {
     pub fast_resends: u64,
 }
 
-/// Outcome of one applied [`WorkloadOp`](voronet_workloads::WorkloadOp).
+/// Outcome of one driver operation, or of one applied
+/// [`WorkloadOp`](voronet_workloads::WorkloadOp).
 #[derive(Debug, Clone, PartialEq)]
 pub enum OpOutcome {
     /// Insert: the new object's id, `None` when the overlay rejected it.
@@ -255,6 +260,9 @@ pub enum OpOutcome {
         replaced: bool,
         /// Voronoi-neighbour replicas the entry was mirrored to.
         replicas: u32,
+        /// Hops of the greedy route to the owner (0 when the driver's
+        /// tessellation decided it because a host was down).
+        hops: u32,
     },
     /// KV get: the value fetched from the owning cell's host.
     KvFetched {
@@ -267,6 +275,8 @@ pub enum OpOutcome {
         /// True when the owner's host was unreachable and the value was
         /// served by a Voronoi-neighbour replica instead.
         degraded: bool,
+        /// Hops of the greedy route to the owner, as for `KvStored`.
+        hops: u32,
     },
     /// KV delete: whether an entry was dropped.
     KvDropped {
@@ -276,8 +286,11 @@ pub enum OpOutcome {
         owner: u64,
         /// True when an entry existed.
         existed: bool,
+        /// Hops of the greedy route to the owner, as for `KvStored`.
+        hops: u32,
     },
-    /// The operation does not apply to a cluster (e.g. `Snapshot`).
+    /// The operation does not apply: a `Snapshot`, an empty overlay, or
+    /// an issuing object that is not live.
     Skipped,
 }
 
@@ -301,11 +314,16 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
     use std::collections::BTreeSet;
-    use voronet_core::{queries, VoroNet, VoroNetConfig};
+    use voronet_core::{queries, ObjectId, VoroNet, VoroNetConfig};
     use voronet_geom::{Point2, Rect};
     use voronet_services::key_point;
     use voronet_sim::NetworkModel;
-    use voronet_workloads::{Distribution, PointGenerator, RadiusQuery, RangeQuery};
+    use voronet_workloads::{Distribution, PointGenerator, RadiusQuery, RangeQuery, WorkloadOp};
+
+    /// The `index`-th live object, modulo the population.
+    fn nth<T: crate::transport::Transport>(driver: &Driver<T>, index: usize) -> ObjectId {
+        driver.net().id_at(index % driver.population()).unwrap()
+    }
 
     fn oracle_with_inserts(seed: u64, points: &[Point2]) -> VoroNet {
         let mut net = VoroNet::new(VoroNetConfig::new(512).with_seed(seed));
@@ -332,7 +350,10 @@ mod tests {
             let n = oracle.len();
             let from = rng.random_range(0..n);
             let to = rng.random_range(0..n);
-            let outcome = cluster.driver().route_indices(from, to).unwrap();
+            let outcome = cluster
+                .driver()
+                .apply(&WorkloadOp::Route { from, to })
+                .unwrap();
             let a = oracle.id_at(from).unwrap();
             let b = oracle.id_at(to).unwrap();
             let expected = oracle.route_between(a, b).unwrap();
@@ -365,10 +386,9 @@ mod tests {
             Rect::new(Point2::new(0.4, 0.4), Point2::new(0.42, 0.42)),
         ];
         for (i, &rect) in rects.iter().enumerate() {
-            let outcome = cluster
-                .driver()
-                .range_query(i * 7, RangeQuery { rect })
-                .unwrap();
+            let query = RangeQuery { rect };
+            let driver = cluster.driver();
+            let outcome = driver.range_from(nth(driver, i * 7), query).unwrap();
             let from = oracle.id_at(i * 7 % oracle.len()).unwrap();
             let expected = queries::range_query(&mut oracle, from, RangeQuery { rect }).unwrap();
             assert_eq!(
@@ -386,7 +406,8 @@ mod tests {
                 center: Point2::new(0.3 + 0.2 * i as f64, 0.5),
                 radius: 0.12,
             };
-            let outcome = cluster.driver().radius_query(i * 5, query).unwrap();
+            let driver = cluster.driver();
+            let outcome = driver.radius_from(nth(driver, i * 5), query).unwrap();
             let from = oracle.id_at(i * 5 % oracle.len()).unwrap();
             let expected = queries::radius_query(&mut oracle, from, query).unwrap();
             assert_eq!(
@@ -426,16 +447,23 @@ mod tests {
                 }
                 1 if oracle.len() > 8 => {
                     let idx = rng.random_range(0..oracle.len());
-                    let got = cluster.driver().remove_index(idx).unwrap();
+                    let got = cluster.driver().apply(&WorkloadOp::Remove { index: idx });
                     let id = oracle.id_at(idx).unwrap();
                     let expected = oracle.remove(id).ok().map(|_| id.0);
-                    assert_eq!(got, expected, "round {round} remove");
+                    assert_eq!(
+                        got.unwrap(),
+                        OpOutcome::Removed(expected),
+                        "round {round} remove"
+                    );
                 }
                 _ => {
                     let n = oracle.len();
                     let from = rng.random_range(0..n);
                     let to = rng.random_range(0..n);
-                    let outcome = cluster.driver().route_indices(from, to).unwrap();
+                    let outcome = cluster
+                        .driver()
+                        .apply(&WorkloadOp::Route { from, to })
+                        .unwrap();
                     let a = oracle.id_at(from).unwrap();
                     let b = oracle.id_at(to).unwrap();
                     let expected = oracle.route_between(a, b).unwrap();
@@ -473,7 +501,7 @@ mod tests {
         // everyone else is missed.
         let domain = Rect::new(Point2::new(0.0, 0.0), Point2::new(1.0, 1.0));
         for i in 0..n {
-            let outcome = driver.subscribe(i, domain).unwrap();
+            let outcome = driver.subscribe(nth(driver, i), domain).unwrap();
             assert!(matches!(
                 outcome,
                 OpOutcome::Subscribed {
@@ -488,7 +516,7 @@ mod tests {
             delivered,
             missed,
             ..
-        } = driver.publish(0, region, 99).unwrap()
+        } = driver.publish(nth(driver, 0), region, 99).unwrap()
         else {
             panic!("publish on a populated overlay must resolve")
         };
@@ -510,7 +538,9 @@ mod tests {
         missed_expected.sort_unstable();
         assert_eq!(missed_sorted, missed_expected);
         // Same topic again: the per-topic sequence climbs.
-        let OpOutcome::Published { topic_seq, .. } = driver.publish(1, region, 100).unwrap() else {
+        let OpOutcome::Published { topic_seq, .. } =
+            driver.publish(nth(driver, 1), region, 100).unwrap()
+        else {
             panic!("publish must resolve")
         };
         assert_eq!(topic_seq, 2);
@@ -521,7 +551,7 @@ mod tests {
             owner,
             replaced: false,
             ..
-        } = driver.kv_put(3, key, 41).unwrap()
+        } = driver.kv_put(nth(driver, 3), key, 41).unwrap()
         else {
             panic!("kv_put must store")
         };
@@ -529,13 +559,15 @@ mod tests {
             value,
             owner: fetched_owner,
             ..
-        } = driver.kv_get(7, key).unwrap()
+        } = driver.kv_get(nth(driver, 7), key).unwrap()
         else {
             panic!("kv_get must resolve")
         };
         assert_eq!(value, Some(41));
         assert_eq!(fetched_owner, owner);
-        let OpOutcome::KvStored { replaced: true, .. } = driver.kv_put(4, key, 42).unwrap() else {
+        let OpOutcome::KvStored { replaced: true, .. } =
+            driver.kv_put(nth(driver, 4), key, 42).unwrap()
+        else {
             panic!("second put must replace")
         };
 
@@ -544,34 +576,38 @@ mod tests {
         // must follow it to the new owner's host.
         let kp = key_point(key, driver.net().config().domain);
         let new_id = driver.insert(kp).unwrap().expect("fresh position");
-        let OpOutcome::KvFetched { value, owner, .. } = driver.kv_get(9, key).unwrap() else {
+        let OpOutcome::KvFetched { value, owner, .. } = driver.kv_get(nth(driver, 9), key).unwrap()
+        else {
             panic!("kv_get must resolve")
         };
         assert_eq!(owner, new_id, "the on-key node must own the entry");
         assert_eq!(value, Some(42), "the value must survive the handoff");
 
         // Removing the new owner hands the entry back to a survivor.
-        let n = driver.population();
-        let idx = (0..n)
-            .position(|i| driver.net().id_at(i) == Some(voronet_core::ObjectId(new_id)))
-            .expect("new node is live");
-        assert_eq!(driver.remove_index(idx).unwrap(), Some(new_id));
-        let OpOutcome::KvFetched { value, owner, .. } = driver.kv_get(2, key).unwrap() else {
+        assert!(driver.leave(ObjectId(new_id)).unwrap().is_ok());
+        assert!(!driver.net().contains(ObjectId(new_id)));
+        let OpOutcome::KvFetched { value, owner, .. } = driver.kv_get(nth(driver, 2), key).unwrap()
+        else {
             panic!("kv_get must resolve")
         };
         assert_ne!(owner, new_id);
         assert_eq!(value, Some(42), "the value must survive the second handoff");
 
         // Delete, then the key is gone.
-        let OpOutcome::KvDropped { existed: true, .. } = driver.kv_delete(5, key).unwrap() else {
+        let OpOutcome::KvDropped { existed: true, .. } =
+            driver.kv_delete(nth(driver, 5), key).unwrap()
+        else {
             panic!("delete must drop the entry")
         };
-        let OpOutcome::KvFetched { value: None, .. } = driver.kv_get(6, key).unwrap() else {
+        let OpOutcome::KvFetched { value: None, .. } = driver.kv_get(nth(driver, 6), key).unwrap()
+        else {
             panic!("deleted key must read back as absent")
         };
 
         // Unsubscribe round-trips too.
-        let OpOutcome::Unsubscribed { existed: true, .. } = driver.unsubscribe(0).unwrap() else {
+        let OpOutcome::Unsubscribed { existed: true, .. } =
+            driver.unsubscribe(nth(driver, 0)).unwrap()
+        else {
             panic!("subscribed object must unsubscribe")
         };
         let reports = cluster.driver().collect_stats().unwrap();
@@ -611,9 +647,10 @@ mod tests {
         }
 
         let key = 0xFEEDu64;
+        let driver = cluster.driver();
         let OpOutcome::KvStored {
             owner, replicas, ..
-        } = cluster.driver().kv_put(1, key, 91).unwrap()
+        } = driver.kv_put(nth(driver, 1), key, 91).unwrap()
         else {
             panic!("kv_put must store")
         };
@@ -623,7 +660,7 @@ mod tests {
         );
         let OpOutcome::KvFetched {
             value, degraded, ..
-        } = cluster.driver().kv_get(2, key).unwrap()
+        } = driver.kv_get(nth(driver, 2), key).unwrap()
         else {
             panic!("healthy get must resolve")
         };
@@ -640,18 +677,18 @@ mod tests {
         heartbeat_until(cluster.driver(), owner_host, HostState::Dead, windows);
 
         // A query origin whose object lives on a surviving host.
-        let from = (0..cluster.driver().population())
-            .find(|&i| {
-                let id = cluster.driver().net().id_at(i).unwrap().0;
-                host_of(id, 3) != owner_host
-            })
+        let driver = cluster.driver();
+        let from = driver
+            .net()
+            .ids()
+            .find(|id| host_of(id.0, 3) != owner_host)
             .expect("a surviving object exists");
         let OpOutcome::KvFetched {
             value,
             owner: got_owner,
             degraded,
             ..
-        } = cluster.driver().kv_get(from, key).unwrap()
+        } = driver.kv_get(from, key).unwrap()
         else {
             panic!("degraded get must resolve")
         };
@@ -664,14 +701,14 @@ mod tests {
 
         // An op that must be served by the dead host fails fast: not one
         // idle turn, instead of the whole retry budget.
-        let dead_idx = (0..cluster.driver().population())
-            .find(|&i| {
-                let id = cluster.driver().net().id_at(i).unwrap().0;
-                host_of(id, 3) == owner_host
-            })
+        let dead = driver
+            .net()
+            .ids()
+            .find(|id| host_of(id.0, 3) == owner_host)
             .expect("the dead host serves at least one object");
+        let target = driver.net().coords(from).unwrap();
         let t0 = cluster.now();
-        let err = cluster.driver().route_indices(dead_idx, from).unwrap_err();
+        let err = cluster.driver().route_from(dead, target).unwrap_err();
         assert!(matches!(err, ClusterError::Unavailable(_)), "got {err}");
         assert_eq!(cluster.now(), t0, "fail-fast waited");
 
@@ -688,9 +725,10 @@ mod tests {
         // its state, and the healthy read path resumes.
         ctl.restart(owner_host);
         heartbeat_until(cluster.driver(), owner_host, HostState::Alive, 2);
+        let driver = cluster.driver();
         let OpOutcome::KvFetched {
             value, degraded, ..
-        } = cluster.driver().kv_get(3, key).unwrap()
+        } = driver.kv_get(nth(driver, 3), key).unwrap()
         else {
             panic!("post-revival get must resolve")
         };
@@ -713,11 +751,13 @@ mod tests {
             driver.insert(p).unwrap();
         }
         for key in 0..8u64 {
-            driver.kv_put(key as usize, key, key * 7).unwrap();
+            driver
+                .kv_put(nth(driver, key as usize), key, key * 7)
+                .unwrap();
         }
         for i in 0..30usize {
             let key = (i % 8) as u64;
-            let got = driver.kv_get(i, key).unwrap();
+            let got = driver.kv_get(nth(driver, i), key).unwrap();
             assert!(
                 matches!(got, OpOutcome::KvFetched { value: Some(v), .. } if v == key * 7),
                 "lossy kv_get {i} returned {got:?}"

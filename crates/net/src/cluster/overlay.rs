@@ -9,10 +9,14 @@
 //! [`ClusterError::kind`]: `OperationLost` for an exhausted retry ladder,
 //! `Unavailable` for a host the failure detector declared dead.
 //!
-//! [`Overlay::apply_batch`] queues each run of consecutive routes and
-//! pumps them together, as [`Driver::route_indices_pipelined`] does, so
-//! under loss one route's resends overlap the others' instead of
-//! following them.
+//! [`Op::Service`] runs on the driver's own service plane: the hosts
+//! store, mirror, fetch and deliver, and each outcome maps onto the
+//! [`ServiceResult`] the single-process `ServiceEngine` returns.
+//!
+//! [`Overlay::route_run`] queues a run of consecutive routes and pumps
+//! them together, as [`Driver::route_indices_pipelined`] does, so under
+//! loss one route's resends overlap the others' instead of following
+//! them.
 //!
 //! [`Driver::route_indices_pipelined`]: super::Driver::route_indices_pipelined
 
@@ -21,7 +25,9 @@ use crate::transport::Transport;
 use voronet_core::{ErrorKind, ObjectId, ObjectView, VoroNetConfig, VoronetError};
 use voronet_geom::Point2;
 use voronet_services::api::{
-    InsertOutcome, Op, OpResult, Overlay, OverlayStats, QueryOutcome, RemoveOutcome, RouteOutcome,
+    DeleteOutcome, GetOutcome, InsertOutcome, Op, OpResult, Overlay, OverlayStats, PublishOutcome,
+    PutOutcome, QueryOutcome, RemoveOutcome, RouteOutcome, ServiceOp, ServiceResult,
+    SubscribeOutcome, UnsubscribeOutcome,
 };
 use voronet_workloads::{RadiusQuery, RangeQuery};
 
@@ -31,9 +37,21 @@ impl From<ClusterError> for VoronetError {
     }
 }
 
-/// The query outcome an area answer carries; the flood sends one probe
+/// The error the synchronous engine returns for an operation issued by an
+/// object that is not live — what a driver outcome of
+/// [`OpOutcome::Skipped`] means here.
+fn unknown(id: ObjectId) -> VoronetError {
+    VoronetError::new(ErrorKind::UnknownObject(id))
+}
+
+/// Messages of an area flood that visited `visited` objects: one probe
 /// per visited object beyond the first, as the synchronous flood counts.
-fn matched(outcome: OpOutcome) -> Result<QueryOutcome, VoronetError> {
+fn flood_messages(visited: u32) -> u64 {
+    u64::from(visited.saturating_sub(1))
+}
+
+/// The query outcome an area answer issued by `from` carries.
+fn matched(from: ObjectId, outcome: OpOutcome) -> Result<QueryOutcome, VoronetError> {
     match outcome {
         OpOutcome::Matches {
             matches,
@@ -43,9 +61,9 @@ fn matched(outcome: OpOutcome) -> Result<QueryOutcome, VoronetError> {
             matches: matches.into_iter().map(ObjectId).collect(),
             visited: visited as usize,
             routing_hops: hops,
-            flood_messages: u64::from(visited.saturating_sub(1)),
+            flood_messages: flood_messages(visited),
         }),
-        _ => Err(ClusterError::Timeout("area query").into()),
+        _ => Err(unknown(from)),
     }
 }
 
@@ -56,7 +74,7 @@ impl<T: Transport> InlineCluster<T> {
         if self.driver.net.contains(id) {
             Ok(id.0)
         } else {
-            Err(VoronetError::new(ErrorKind::UnknownObject(id)))
+            Err(unknown(id))
         }
     }
 
@@ -66,13 +84,89 @@ impl<T: Transport> InlineCluster<T> {
         match *op {
             Op::Route { from, target } => Ok((self.live(from)?, target)),
             Op::RouteBetween { from, to } => {
-                let target = self
-                    .coords(to)
-                    .ok_or_else(|| VoronetError::new(ErrorKind::UnknownObject(to)))?;
+                let target = self.coords(to).ok_or_else(|| unknown(to))?;
                 Ok((self.live(from)?, target))
             }
             _ => unreachable!("only route ops are pipelined"),
         }
+    }
+}
+
+impl<T: Transport> Overlay for InlineCluster<T> {
+    fn engine_name(&self) -> &'static str {
+        "cluster"
+    }
+
+    fn config(&self) -> &VoroNetConfig {
+        self.driver.net.config()
+    }
+
+    fn len(&self) -> usize {
+        self.driver.net.len()
+    }
+
+    fn contains(&self, id: ObjectId) -> bool {
+        self.driver.net.contains(id)
+    }
+
+    fn coords(&self, id: ObjectId) -> Option<Point2> {
+        self.driver.net.coords(id)
+    }
+
+    fn id_at(&self, index: usize) -> Option<ObjectId> {
+        self.driver.net.id_at(index)
+    }
+
+    fn insert(&mut self, position: Point2) -> Result<InsertOutcome, VoronetError> {
+        let id = self.driver.join(position)??;
+        Ok(InsertOutcome { id })
+    }
+
+    fn remove(&mut self, id: ObjectId) -> Result<RemoveOutcome, VoronetError> {
+        self.driver.leave(id)??;
+        Ok(RemoveOutcome { id })
+    }
+
+    fn route(&mut self, from: ObjectId, target: Point2) -> Result<RouteOutcome, VoronetError> {
+        let OpOutcome::Route { owner, hops } = self.driver.route_from(from, target)? else {
+            return Err(unknown(from));
+        };
+        self.routes += 1;
+        self.route_hops += u64::from(hops);
+        Ok(RouteOutcome {
+            owner: ObjectId(owner),
+            hops,
+        })
+    }
+
+    fn range(&mut self, from: ObjectId, query: RangeQuery) -> Result<QueryOutcome, VoronetError> {
+        matched(from, self.driver.range_from(from, query)?)
+    }
+
+    fn radius(&mut self, from: ObjectId, query: RadiusQuery) -> Result<QueryOutcome, VoronetError> {
+        matched(from, self.driver.radius_from(from, query)?)
+    }
+
+    fn snapshot(&self, id: ObjectId) -> Result<ObjectView, VoronetError> {
+        self.driver.net.view(id)
+    }
+
+    /// `messages` counts the frames every endpoint sent.
+    fn stats(&self) -> OverlayStats {
+        OverlayStats {
+            population: self.len(),
+            messages: self.endpoints().map(|t| t.stats().frames_sent).sum(),
+            routes_completed: self.routes,
+            mean_route_hops: if self.routes == 0 {
+                0.0
+            } else {
+                self.route_hops as f64 / self.routes as f64
+            },
+        }
+    }
+
+    fn verify_invariants(&self) -> Result<(), VoronetError> {
+        self.driver.net.check_invariants(false)
     }
 
     /// Queues a run of route ops, pumps them together and appends one
@@ -115,104 +209,78 @@ impl<T: Transport> InlineCluster<T> {
             })
         }));
     }
-}
 
-impl<T: Transport> Overlay for InlineCluster<T> {
-    fn engine_name(&self) -> &'static str {
-        "cluster"
-    }
-
-    fn config(&self) -> &VoroNetConfig {
-        self.driver.net.config()
-    }
-
-    fn len(&self) -> usize {
-        self.driver.net.len()
-    }
-
-    fn contains(&self, id: ObjectId) -> bool {
-        self.driver.net.contains(id)
-    }
-
-    fn coords(&self, id: ObjectId) -> Option<Point2> {
-        self.driver.net.coords(id)
-    }
-
-    fn id_at(&self, index: usize) -> Option<ObjectId> {
-        self.driver.net.id_at(index)
-    }
-
-    fn insert(&mut self, position: Point2) -> Result<InsertOutcome, VoronetError> {
-        let id = self.driver.join(position)??;
-        Ok(InsertOutcome { id })
-    }
-
-    fn remove(&mut self, id: ObjectId) -> Result<RemoveOutcome, VoronetError> {
-        self.driver.service_revivals()?;
-        self.driver.leave(id)??;
-        Ok(RemoveOutcome { id })
-    }
-
-    fn route(&mut self, from: ObjectId, target: Point2) -> Result<RouteOutcome, VoronetError> {
-        let from_object = self.live(from)?;
-        self.driver.service_revivals()?;
-        let (owner, hops) = self.driver.route_from(from_object, target)?;
-        self.routes += 1;
-        self.route_hops += u64::from(hops);
-        Ok(RouteOutcome {
-            owner: ObjectId(owner),
-            hops,
-        })
-    }
-
-    fn range(&mut self, from: ObjectId, query: RangeQuery) -> Result<QueryOutcome, VoronetError> {
-        let from_object = self.live(from)?;
-        self.driver.service_revivals()?;
-        matched(self.driver.range_from(from_object, query)?)
-    }
-
-    fn radius(&mut self, from: ObjectId, query: RadiusQuery) -> Result<QueryOutcome, VoronetError> {
-        let from_object = self.live(from)?;
-        self.driver.service_revivals()?;
-        matched(self.driver.radius_from(from_object, query)?)
-    }
-
-    fn snapshot(&self, id: ObjectId) -> Result<ObjectView, VoronetError> {
-        self.driver.net.view(id)
-    }
-
-    /// `messages` counts the frames every endpoint sent.
-    fn stats(&self) -> OverlayStats {
-        OverlayStats {
-            population: self.len(),
-            messages: self.endpoints().map(|t| t.stats().frames_sent).sum(),
-            routes_completed: self.routes,
-            mean_route_hops: if self.routes == 0 {
-                0.0
-            } else {
-                self.route_hops as f64 / self.routes as f64
-            },
-        }
-    }
-
-    fn verify_invariants(&self) -> Result<(), VoronetError> {
-        self.driver.net.check_invariants(false)
-    }
-
-    fn apply_batch(&mut self, ops: &[Op]) -> Vec<OpResult> {
-        let is_route = |op: &Op| matches!(op, Op::Route { .. } | Op::RouteBetween { .. });
-        let mut results = Vec::with_capacity(ops.len());
-        let mut rest = ops;
-        while let Some(op) = rest.first() {
-            let run = rest.iter().take_while(|op| is_route(op)).count();
-            if run == 0 {
-                results.push(self.apply(op));
-                rest = &rest[1..];
-            } else {
-                self.route_run(&rest[..run], &mut results);
-                rest = &rest[run..];
+    /// Serves a service op from the hosts, through the driver's plane.
+    fn serve(&mut self, op: ServiceOp) -> Result<ServiceResult, VoronetError> {
+        let driver = &mut self.driver;
+        let (issuer, outcome) = match op {
+            ServiceOp::Subscribe { id, region } => (id, driver.subscribe(id, region)?),
+            ServiceOp::Unsubscribe { id } => (id, driver.unsubscribe(id)?),
+            ServiceOp::Publish {
+                from,
+                region,
+                payload,
+            } => (from, driver.publish(from, region, payload)?),
+            ServiceOp::KvPut { from, key, value } => (from, driver.kv_put(from, key, value)?),
+            ServiceOp::KvGet { from, key } => (from, driver.kv_get(from, key)?),
+            ServiceOp::KvDelete { from, key } => (from, driver.kv_delete(from, key)?),
+        };
+        let ids = |ids: Vec<u64>| ids.into_iter().map(ObjectId).collect();
+        Ok(match outcome {
+            OpOutcome::Subscribed { replaced, .. } => ServiceResult::Subscribed(SubscribeOutcome {
+                id: issuer,
+                replaced,
+            }),
+            OpOutcome::Unsubscribed { existed, .. } => {
+                ServiceResult::Unsubscribed(UnsubscribeOutcome {
+                    id: issuer,
+                    existed,
+                })
             }
-        }
-        results
+            OpOutcome::Published {
+                topic_seq,
+                delivered,
+                missed,
+                hops,
+                visited,
+            } => ServiceResult::Published(PublishOutcome {
+                seq: topic_seq,
+                delivered: ids(delivered),
+                missed: ids(missed),
+                routing_hops: hops,
+                visited: visited as usize,
+                flood_messages: flood_messages(visited),
+            }),
+            OpOutcome::KvStored {
+                key,
+                owner,
+                replaced,
+                hops,
+                ..
+            } => ServiceResult::Put(PutOutcome {
+                owner: ObjectId(owner),
+                replicas: driver.kv[&key].entry.replicas.clone(),
+                replaced,
+                hops,
+            }),
+            OpOutcome::KvFetched {
+                owner, value, hops, ..
+            } => ServiceResult::Got(GetOutcome {
+                owner: ObjectId(owner),
+                value,
+                hops,
+            }),
+            OpOutcome::KvDropped {
+                owner,
+                existed,
+                hops,
+                ..
+            } => ServiceResult::Deleted(DeleteOutcome {
+                owner: ObjectId(owner),
+                existed,
+                hops,
+            }),
+            _ => return Err(unknown(issuer)),
+        })
     }
 }

@@ -466,7 +466,7 @@ mod tests {
     use voronet_core::{RouteScratch, VoroNetConfig};
     use voronet_geom::{Point2, Rect};
     use voronet_sim::TransportStats;
-    use voronet_workloads::{Distribution, PointGenerator};
+    use voronet_workloads::{Distribution, PointGenerator, WorkloadOp};
 
     const MS: Duration = Duration::from_millis(1);
 
@@ -587,7 +587,9 @@ mod tests {
             .route_between_in(a, b, &mut RouteScratch::default())
             .unwrap();
         assert_eq!(
-            driver.route_indices(2, 17).unwrap(),
+            driver
+                .apply(&WorkloadOp::Route { from: 2, to: 17 })
+                .unwrap(),
             OpOutcome::Route {
                 owner: expected.0 .0,
                 hops: expected.1
@@ -611,7 +613,9 @@ mod tests {
             .push(|m| matches!(m, WireMsg::SvcAck { .. }));
         let region = Rect::new(Point2::new(0.1, 0.1), Point2::new(0.4, 0.4));
         assert!(matches!(
-            driver.subscribe(5, region).unwrap(),
+            driver
+                .apply(&WorkloadOp::Subscribe { index: 5, region })
+                .unwrap(),
             OpOutcome::Subscribed {
                 replaced: false,
                 ..
@@ -637,7 +641,9 @@ mod tests {
         });
         driver.t.script.muted = Some(2);
         let from = indices(&driver, 2, true)[0];
-        let err = driver.route_indices(from, 0).unwrap_err();
+        let err = driver
+            .apply(&WorkloadOp::Route { from, to: 0 })
+            .unwrap_err();
         assert!(matches!(err, ClusterError::Timeout("route")), "got {err}");
         let stats = driver.cluster_stats();
         assert_eq!(
@@ -653,7 +659,9 @@ mod tests {
         let mut driver = cluster();
         mute_towards_death(&mut driver, 2);
         let from = indices(&driver, 2, true)[0];
-        let err = driver.route_indices(from, 0).unwrap_err();
+        let err = driver
+            .apply(&WorkloadOp::Route { from, to: 0 })
+            .unwrap_err();
         assert!(matches!(err, ClusterError::Unavailable("route")), "{err}");
         assert_eq!(driver.host_state(2), HostState::Dead);
         let stats = driver.cluster_stats();
@@ -713,7 +721,7 @@ mod tests {
         ]);
         let to = driver.net().id_at(20).unwrap().0;
         assert!(matches!(
-            driver.route_indices(1, 20).unwrap(),
+            driver.apply(&WorkloadOp::Route { from: 1, to: 20 }).unwrap(),
             OpOutcome::Route { owner, .. } if owner == to
         ));
         assert!(driver.t.script.inject.is_empty());
@@ -781,7 +789,9 @@ mod tests {
         );
         // And every host keeps serving.
         assert_eq!(
-            driver.route_indices(2, 17).unwrap(),
+            driver
+                .apply(&WorkloadOp::Route { from: 2, to: 17 })
+                .unwrap(),
             OpOutcome::Route {
                 owner: expected.0 .0,
                 hops: expected.1

@@ -1,6 +1,10 @@
 //! The driver-side service plane: region pub/sub and the
 //! coordinate-keyed KV store, as control state mirrored onto the hosts
-//! through sequence-numbered service pushes.
+//! through sequence-numbered service pushes.  Every operation is issued
+//! by a live object, named by its id.  KV placement is the rule of
+//! `voronet_services::keys`, which the single-process `ServiceEngine`
+//! calls too: the owner is the least `(distance², id)`, the replicas its
+//! sorted Voronoi neighbours.
 
 use super::driver::Driver;
 use super::liveness::HostState;
@@ -9,52 +13,51 @@ use super::{host_of, ClusterError, OpOutcome};
 use crate::transport::{PeerId, Transport};
 use crate::wire::WireMsg;
 use std::collections::BTreeSet;
-use voronet_core::VoroNet;
+use voronet_core::{ObjectId, VoroNet};
 use voronet_geom::{Point2, Rect};
-use voronet_services::{key_point, topic_key};
+use voronet_services::{holder_among, holds_before, key_point, replica_set, topic_key, KvEntry};
 use voronet_workloads::RangeQuery;
 
 /// Driver-side control record of one coordinate-keyed entry: its value,
-/// the object whose Voronoi cell currently stores it, that object's
-/// replica set (its Voronoi neighbours), and the entry's write sequence
-/// used to validate replica freshness on degraded reads.
+/// owner and replica set, and the entry's write sequence used to validate
+/// replica freshness on degraded reads.
 #[derive(Debug, Clone, PartialEq)]
 pub(super) struct KvPlacement {
-    pub(super) value: u64,
-    pub(super) owner: u64,
+    pub(super) entry: KvEntry,
     pub(super) entry_seq: u64,
-    pub(super) replicas: Vec<u64>,
 }
 
 impl KvPlacement {
     /// Every object holding a copy: the owner, then its replicas.
     fn roles(&self) -> impl Iterator<Item = u64> + '_ {
-        std::iter::once(self.owner).chain(self.replicas.iter().copied())
+        let entry = &self.entry;
+        std::iter::once(entry.owner)
+            .chain(entry.replicas.iter().copied())
+            .map(|id| id.0)
     }
 }
 
-/// The owning object of a point per the authoritative tessellation (min
-/// squared distance, ties to the lower id — the `rebalance_kv` rule), by
-/// descent rather than a pass over the population: the greedy descent
-/// ends at *a* nearest object, and the objects tied with it at exactly that
-/// distance lie on one empty circle around `target`, so they are joined by
-/// Delaunay edges and a flood over equidistant Voronoi neighbours collects
-/// them all.
-fn local_owner_of(net: &VoroNet, target: Point2) -> Option<u64> {
+/// The owner of a point per the authoritative tessellation
+/// ([`holder_among`]), by descent rather than a pass over the population:
+/// the greedy descent ends at *a* nearest object, and the objects tied
+/// with it at exactly that distance lie on one empty circle around
+/// `target`, so they are joined by Delaunay edges and a flood over
+/// equidistant Voronoi neighbours collects them all.
+fn local_owner_of(net: &VoroNet, target: Point2) -> Option<ObjectId> {
     let nearest = net.owner_of(target)?;
-    let d2 = |id| net.coords(id).expect("live").distance2(target);
-    let least = d2(nearest);
+    let at = |id| net.coords(id).expect("live");
+    let least = at(nearest).distance2(target);
     let mut tied = vec![nearest];
     let mut flooded = 0;
-    while let Some(&at) = tied.get(flooded) {
+    while let Some(&from) = tied.get(flooded) {
         flooded += 1;
-        for n in net.view_ref(at).expect("live").voronoi_neighbours() {
-            if d2(n) == least && !tied.contains(&n) {
+        for n in net.view_ref(from).expect("live").voronoi_neighbours() {
+            if at(n).distance2(target) == least && !tied.contains(&n) {
                 tied.push(n);
             }
         }
     }
-    tied.iter().map(|id| id.0).min()
+    holder_among(target, tied.into_iter().map(|id| (id, at(id))))
 }
 
 impl<T: Transport> Driver<T> {
@@ -73,40 +76,52 @@ impl<T: Transport> Driver<T> {
         );
     }
 
-    /// Subscribes the `index`-th live object (modulo the population) to a
-    /// region, installing the subscription on the object's host.
-    pub fn subscribe(&mut self, index: usize, region: Rect) -> Result<OpOutcome, ClusterError> {
-        let Some(id) = self.origin(index)? else {
+    /// Subscribes the live object `id` to a region, installing the
+    /// subscription on the object's host; [`OpOutcome::Skipped`] when `id`
+    /// is not live.
+    pub fn subscribe(&mut self, id: ObjectId, region: Rect) -> Result<OpOutcome, ClusterError> {
+        let Some(object) = self.issuer(id)? else {
             return Ok(OpOutcome::Skipped);
         };
         let replaced = self.subs.insert(id, region).is_some();
-        self.queue_service_push(id, |seq| WireMsg::SvcSubscribe {
-            object: id,
+        self.queue_service_push(object, |seq| WireMsg::SvcSubscribe {
+            object,
             seq,
             region,
         });
         self.flush_pushes()?;
-        Ok(OpOutcome::Subscribed { id, replaced })
+        Ok(OpOutcome::Subscribed {
+            id: object,
+            replaced,
+        })
     }
 
-    /// Drops the `index`-th live object's subscription.
-    pub fn unsubscribe(&mut self, index: usize) -> Result<OpOutcome, ClusterError> {
-        let Some(id) = self.origin(index)? else {
-            return Ok(OpOutcome::Skipped);
+    /// Drops `id`'s subscription.  An object that is not live has none:
+    /// its subscription left with it.
+    pub fn unsubscribe(&mut self, id: ObjectId) -> Result<OpOutcome, ClusterError> {
+        let Some(object) = self.issuer(id)? else {
+            return Ok(OpOutcome::Unsubscribed {
+                id: id.0,
+                existed: false,
+            });
         };
         let existed = self.subs.remove(&id).is_some();
-        self.queue_service_push(id, |seq| WireMsg::SvcUnsubscribe { object: id, seq });
+        self.queue_service_push(object, |seq| WireMsg::SvcUnsubscribe { object, seq });
         self.flush_pushes()?;
-        Ok(OpOutcome::Unsubscribed { id, existed })
+        Ok(OpOutcome::Unsubscribed {
+            id: object,
+            existed,
+        })
     }
 
-    /// Publishes a payload to every subscriber inside `region`: resolves
-    /// the recipients through the distributed area flood, then delivers
-    /// host-by-host.  Subscribers whose subscribed region intersects the
-    /// publication but who sit outside it are reported as missed.
+    /// Publishes a payload from the live object `from` to every
+    /// subscriber inside `region`: resolves the recipients through the
+    /// distributed area flood, then delivers host-by-host.  Subscribers
+    /// whose subscribed region intersects the publication but who sit
+    /// outside it are reported as missed.
     pub fn publish(
         &mut self,
-        from: usize,
+        from: ObjectId,
         region: Rect,
         payload: u64,
     ) -> Result<OpOutcome, ClusterError> {
@@ -114,7 +129,7 @@ impl<T: Transport> Driver<T> {
             matches,
             hops,
             visited,
-        } = self.range_query(from, RangeQuery { rect: region })?
+        } = self.range_from(from, RangeQuery { rect: region })?
         else {
             return Ok(OpOutcome::Skipped);
         };
@@ -126,7 +141,7 @@ impl<T: Transport> Driver<T> {
             .subs
             .iter()
             .filter(|(_, sub_region)| sub_region.intersects(&region))
-            .map(|(&id, _)| id)
+            .map(|(id, _)| id.0)
             .partition(|id| matches.binary_search(id).is_ok());
         for &id in &delivered {
             self.queue_service_push(id, |seq| WireMsg::SvcDeliver {
@@ -147,23 +162,26 @@ impl<T: Transport> Driver<T> {
         })
     }
 
-    /// The replica set of one owner object — its Voronoi neighbours,
-    /// the exact rule of the single-process `ServiceEngine`.
-    fn replicas_of(&self, owner: u64) -> Vec<u64> {
-        let Ok(view) = self.net.view(voronet_core::ObjectId(owner)) else {
-            return Vec::new();
-        };
-        let mut replicas: Vec<u64> = view.voronoi_neighbours.iter().map(|n| n.0).collect();
-        replicas.sort_unstable();
-        replicas
+    /// The replica set of one owner object ([`replica_set`]), read from
+    /// its fan in place.
+    fn replicas_of(&self, owner: ObjectId) -> Vec<ObjectId> {
+        self.net.view_ref(owner).map_or_else(
+            |_| Vec::new(),
+            |view| replica_set(view.voronoi_neighbours()),
+        )
     }
 
-    /// Locates the owner of a point: the distributed greedy route
-    /// decides on the healthy path; when any host is suspected or dead
-    /// (or the route fails), the authoritative tessellation decides
-    /// directly — the same owner the healthy route converges to — instead
-    /// of letting the route burn its retry ladder on a dead hop first.
-    fn owner_of_point(&mut self, from_object: u64, target: Point2) -> Result<u64, ClusterError> {
+    /// Locates the owner of a point: `(owner, hops)`.  The distributed
+    /// greedy route decides on the healthy path; when any host is
+    /// suspected or dead (or the route fails), the authoritative
+    /// tessellation decides directly, in 0 hops — the same owner the
+    /// healthy route converges to — instead of letting the route burn its
+    /// retry ladder on a dead hop first.
+    fn owner_of_point(
+        &mut self,
+        from_object: u64,
+        target: Point2,
+    ) -> Result<(ObjectId, u32), ClusterError> {
         let routed = if self.detector.all_alive() {
             self.query(from_object, "kv route", |token| WireMsg::RouteReq {
                 token,
@@ -174,18 +192,25 @@ impl<T: Transport> Driver<T> {
             Err(ClusterError::Unavailable("kv route"))
         };
         match routed {
-            Ok(OpOutcome::Route { owner, .. }) => Ok(owner),
+            Ok(OpOutcome::Route { owner, hops }) => Ok((ObjectId(owner), hops)),
             Ok(_) | Err(ClusterError::Timeout(_) | ClusterError::Unavailable(_)) => {
-                local_owner_of(&self.net, target).ok_or(ClusterError::Unavailable("kv owner"))
+                let owner = local_owner_of(&self.net, target);
+                owner
+                    .map(|owner| (owner, 0))
+                    .ok_or(ClusterError::Unavailable("kv owner"))
             }
             Err(e) => Err(e),
         }
     }
 
-    /// The object owning `key`'s coordinates, located from the `from`-th
-    /// live object; `None` on an empty overlay.
-    fn kv_owner(&mut self, from: usize, key: u64) -> Result<Option<u64>, ClusterError> {
-        let Some(from_object) = self.origin(from)? else {
+    /// The object owning `key`'s coordinates and the hops to it, located
+    /// from the live object `from`; `None` when `from` is not live.
+    fn kv_owner(
+        &mut self,
+        from: ObjectId,
+        key: u64,
+    ) -> Result<Option<(ObjectId, u32)>, ClusterError> {
+        let Some(from_object) = self.issuer(from)? else {
             return Ok(None);
         };
         let target = key_point(key, self.net.config().domain);
@@ -198,19 +223,20 @@ impl<T: Transport> Driver<T> {
     /// `(object, key)`, so the host-side sequence filter can never let a
     /// reordered resend leave a stale role behind.
     fn queue_kv_layout(&mut self, key: u64, placement: &KvPlacement, previous: &[u64]) {
+        let entry = &placement.entry;
         let mut dropped: BTreeSet<u64> = previous.iter().copied().collect();
-        dropped.remove(&placement.owner);
-        for replica in &placement.replicas {
-            dropped.remove(replica);
+        dropped.remove(&entry.owner.0);
+        for replica in &entry.replicas {
+            dropped.remove(&replica.0);
         }
-        let (owner, value, entry_seq) = (placement.owner, placement.value, placement.entry_seq);
+        let (owner, value, entry_seq) = (entry.owner.0, entry.value, placement.entry_seq);
         self.queue_service_push(owner, |seq| WireMsg::SvcKvStore {
             object: owner,
             seq,
             key,
             value,
         });
-        for &replica in &placement.replicas {
+        for &ObjectId(replica) in &entry.replicas {
             if replica == owner {
                 continue;
             }
@@ -225,7 +251,7 @@ impl<T: Transport> Driver<T> {
         for object in dropped {
             // A departed object's host already dropped the entry when
             // the object was evicted; only live former roles need it.
-            if self.net.coords(voronet_core::ObjectId(object)).is_none() {
+            if !self.net.contains(ObjectId(object)) {
                 continue;
             }
             self.queue_service_push(object, |seq| WireMsg::SvcKvDrop { object, seq, key });
@@ -234,40 +260,54 @@ impl<T: Transport> Driver<T> {
 
     /// Stores `key → value` at the host of the object whose Voronoi cell
     /// contains the key's coordinates (located by a distributed route
-    /// from the `from`-th live object) and mirrors it to the owner's
+    /// from the live object `from`) and mirrors it to the owner's
     /// Voronoi-neighbour replica set, so an acked write survives any
-    /// single-host crash.
-    pub fn kv_put(&mut self, from: usize, key: u64, value: u64) -> Result<OpOutcome, ClusterError> {
-        let Some(owner) = self.kv_owner(from, key)? else {
+    /// single-host crash.  [`OpOutcome::Skipped`] when `from` is not live.
+    pub fn kv_put(
+        &mut self,
+        from: ObjectId,
+        key: u64,
+        value: u64,
+    ) -> Result<OpOutcome, ClusterError> {
+        let Some((owner, hops)) = self.kv_owner(from, key)? else {
             return Ok(OpOutcome::Skipped);
         };
         self.kv_seq += 1;
+        let replicas = self.replicas_of(owner);
+        let stored = replicas.len() as u32;
         let placement = KvPlacement {
-            value,
-            owner,
+            entry: KvEntry {
+                value,
+                owner,
+                replicas,
+            },
             entry_seq: self.kv_seq,
-            replicas: self.replicas_of(owner),
         };
-        let replicas = placement.replicas.len() as u32;
-        let old = self.kv.insert(key, placement.clone());
-        let previous: Vec<u64> = old.iter().flat_map(KvPlacement::roles).collect();
+        let previous: Vec<u64> = self
+            .kv
+            .get(&key)
+            .into_iter()
+            .flat_map(KvPlacement::roles)
+            .collect();
         self.queue_kv_layout(key, &placement, &previous);
+        let replaced = self.kv.insert(key, placement).is_some();
         self.flush_pushes()?;
         Ok(OpOutcome::KvStored {
             key,
-            owner,
-            replaced: old.is_some(),
-            replicas,
+            owner: owner.0,
+            replaced,
+            replicas: stored,
+            hops,
         })
     }
 
-    /// Reads `key` from the host of the owning cell's object — the route
-    /// decides the owner, so a get issued after churn reads from
-    /// wherever the entry migrated to.  When the owner's host is
-    /// suspected or dead (or stops answering mid-read), the read
-    /// degrades to the replica set instead of failing.
-    pub fn kv_get(&mut self, from: usize, key: u64) -> Result<OpOutcome, ClusterError> {
-        let Some(owner) = self.kv_owner(from, key)? else {
+    /// Reads `key`, issued by the live object `from`, from the host of the
+    /// owning cell's object — the route decides the owner, so a get
+    /// issued after churn reads from wherever the entry migrated to.  When
+    /// the owner's host is suspected or dead (or stops answering
+    /// mid-read), the read degrades to the replica set instead of failing.
+    pub fn kv_get(&mut self, from: ObjectId, key: u64) -> Result<OpOutcome, ClusterError> {
+        let Some((ObjectId(owner), hops)) = self.kv_owner(from, key)? else {
             return Ok(OpOutcome::Skipped);
         };
         if self.host_state(host_of(owner, self.hosts)) == HostState::Alive {
@@ -278,19 +318,25 @@ impl<T: Transport> Driver<T> {
                         owner,
                         value,
                         degraded: false,
+                        hops,
                     })
                 }
                 Err(ClusterError::Timeout(_) | ClusterError::Unavailable(_)) => {}
                 Err(e) => return Err(e),
             }
         }
-        self.degraded_kv_get(key, owner)
+        self.degraded_kv_get(key, owner, hops)
     }
 
     /// Serves a read whose owner host is unreachable from the replica
     /// set, accepting only a replica whose entry sequence matches the
     /// driver's record — a stale copy is never returned.
-    fn degraded_kv_get(&mut self, key: u64, owner: u64) -> Result<OpOutcome, ClusterError> {
+    fn degraded_kv_get(
+        &mut self,
+        key: u64,
+        owner: u64,
+        hops: u32,
+    ) -> Result<OpOutcome, ClusterError> {
         self.stats.degraded_reads += 1;
         let Some(placement) = self.kv.get(&key).cloned() else {
             // No acked write for this key: absence is an exact answer
@@ -300,9 +346,10 @@ impl<T: Transport> Driver<T> {
                 owner,
                 value: None,
                 degraded: true,
+                hops,
             });
         };
-        for &replica in &placement.replicas {
+        for &ObjectId(replica) in &placement.entry.replicas {
             if self.detector.is_dead(host_of(replica, self.hosts)) {
                 continue;
             }
@@ -310,9 +357,10 @@ impl<T: Transport> Driver<T> {
                 if entry_seq == placement.entry_seq {
                     return Ok(OpOutcome::KvFetched {
                         key,
-                        owner: placement.owner,
+                        owner: placement.entry.owner.0,
                         value: Some(value),
                         degraded: true,
+                        hops,
                     });
                 }
             }
@@ -321,17 +369,17 @@ impl<T: Transport> Driver<T> {
         Err(ClusterError::Unavailable("kv degraded read"))
     }
 
-    /// Deletes `key` from the host of the owning cell's object and from
-    /// every replica.
-    pub fn kv_delete(&mut self, from: usize, key: u64) -> Result<OpOutcome, ClusterError> {
-        let Some(owner) = self.kv_owner(from, key)? else {
+    /// Deletes `key`, issued by the live object `from`, from the host of
+    /// the owning cell's object and from every replica.
+    pub fn kv_delete(&mut self, from: ObjectId, key: u64) -> Result<OpOutcome, ClusterError> {
+        let Some((ObjectId(owner), hops)) = self.kv_owner(from, key)? else {
             return Ok(OpOutcome::Skipped);
         };
         let old = self.kv.remove(&key);
         let mut parties: BTreeSet<u64> = old.iter().flat_map(KvPlacement::roles).collect();
         parties.insert(owner);
         for object in parties {
-            if self.net.coords(voronet_core::ObjectId(object)).is_none() {
+            if !self.net.contains(ObjectId(object)) {
                 continue;
             }
             self.queue_service_push(object, |seq| WireMsg::SvcKvDrop { object, seq, key });
@@ -341,6 +389,7 @@ impl<T: Transport> Driver<T> {
             key,
             owner,
             existed: old.is_some(),
+            hops,
         })
     }
 
@@ -387,8 +436,8 @@ impl<T: Transport> Driver<T> {
         let subs: Vec<(u64, Rect)> = self
             .subs
             .iter()
-            .filter(|&(&id, _)| host_of(id, hosts) == peer)
-            .map(|(&id, &region)| (id, region))
+            .filter(|&(id, _)| host_of(id.0, hosts) == peer)
+            .map(|(id, &region)| (id.0, region))
             .collect();
         let entries: Vec<(u64, KvPlacement)> =
             self.kv.iter().map(|(&k, p)| (k, p.clone())).collect();
@@ -399,9 +448,9 @@ impl<T: Transport> Driver<T> {
                 region,
             });
         }
-        for (key, p) in entries {
-            if host_of(p.owner, hosts) == peer {
-                let (object, value) = (p.owner, p.value);
+        for (key, KvPlacement { entry, entry_seq }) in entries {
+            if host_of(entry.owner.0, hosts) == peer {
+                let (object, value) = (entry.owner.0, entry.value);
                 self.queue_service_push(object, |seq| WireMsg::SvcKvStore {
                     object,
                     seq,
@@ -409,9 +458,9 @@ impl<T: Transport> Driver<T> {
                     value,
                 });
             }
-            for &replica in &p.replicas {
-                if replica != p.owner && host_of(replica, hosts) == peer {
-                    let (value, entry_seq) = (p.value, p.entry_seq);
+            for &ObjectId(replica) in &entry.replicas {
+                if replica != entry.owner.0 && host_of(replica, hosts) == peer {
+                    let value = entry.value;
                     self.queue_service_push(replica, |seq| WireMsg::SvcKvReplicate {
                         object: replica,
                         seq,
@@ -428,14 +477,13 @@ impl<T: Transport> Driver<T> {
     /// Re-places KV entries against the authoritative tessellation after
     /// churn and migrates those whose layout changed: the value is
     /// re-stored at the new owner's host, mirrored to the new replicas,
-    /// and dropped from former roles (handoff).  The rule is the
-    /// single-process `ServiceEngine`'s — owner = min `(distance², id)`
-    /// over live objects, replicas = its Voronoi neighbours — and it is
-    /// run for the entries whose answer can differ from the one held: all
-    /// of them when `touched` is `None`, otherwise those whose owner
-    /// departed, is touched (only then can its neighbours have changed),
-    /// or is beaten under that order by a touched object (a joiner is
-    /// one; nothing else can newly be the minimum).
+    /// and dropped from former roles (handoff).  The placement rule (see
+    /// the module docs) is run for the entries whose answer can differ
+    /// from the one held: all of them when `touched` is `None`, otherwise
+    /// those whose owner departed, is touched (only then can its
+    /// neighbours have changed), or is beaten under that order by a
+    /// touched object (a joiner is one; nothing else can newly be the
+    /// owner).
     #[inline(never)]
     pub(super) fn rebalance_kv(&mut self, touched: Option<&[u64]>) -> Result<(), ClusterError> {
         if self.kv.is_empty() && self.subs.is_empty() {
@@ -449,36 +497,32 @@ impl<T: Transport> Driver<T> {
             return Ok(());
         }
         let domain = self.net.config().domain;
-        let coords_of = |id: u64| self.net.coords(voronet_core::ObjectId(id));
-        let rivals: Option<Vec<(u64, Point2)>> = touched.and_then(|ids| {
-            let placed = |&id| Some((id, coords_of(id)?));
-            ids.iter().map(placed).collect()
-        });
+        let placed = |id: ObjectId| Some((id, self.net.coords(id)?));
+        let rivals: Option<Vec<(ObjectId, Point2)>> =
+            touched.and_then(|ids| ids.iter().map(|&id| placed(ObjectId(id))).collect());
         let mut moves: Vec<(u64, KvPlacement, Vec<u64>)> = Vec::new(); // (key, new placement, previous roles)
         for (&key, placement) in &self.kv {
             let kp = key_point(key, domain);
-            if let (Some(rivals), Some(at)) = (&rivals, coords_of(placement.owner)) {
-                let held = (at.distance2(kp), placement.owner);
-                let settled =
-                    |&(id, c): &(u64, Point2)| id != held.1 && (c.distance2(kp), id) > held;
+            let held = &placement.entry;
+            if let (Some(rivals), Some(owner)) = (&rivals, placed(held.owner)) {
+                let settled = |&rival: &(ObjectId, Point2)| {
+                    rival.0 != held.owner && !holds_before(kp, rival, owner)
+                };
                 if rivals.iter().all(settled) {
                     continue;
                 }
             }
             let new_owner = local_owner_of(&self.net, kp).expect("non-empty overlay");
             let new_replicas = self.replicas_of(new_owner);
-            if new_owner != placement.owner || new_replicas != placement.replicas {
+            if new_owner != held.owner || new_replicas != held.replicas {
                 let previous = placement.roles().collect();
-                moves.push((
-                    key,
-                    KvPlacement {
-                        value: placement.value,
-                        owner: new_owner,
-                        entry_seq: placement.entry_seq,
-                        replicas: new_replicas,
-                    },
-                    previous,
-                ));
+                let entry = KvEntry {
+                    value: held.value,
+                    owner: new_owner,
+                    replicas: new_replicas,
+                };
+                let entry_seq = placement.entry_seq;
+                moves.push((key, KvPlacement { entry, entry_seq }, previous));
             }
         }
         if moves.is_empty() {
@@ -495,15 +539,15 @@ impl<T: Transport> Driver<T> {
 #[cfg(test)]
 mod tests {
     use super::local_owner_of;
-    use voronet_core::{VoroNet, VoroNetConfig};
+    use voronet_core::{ObjectId, VoroNet, VoroNetConfig};
     use voronet_geom::Point2;
     use voronet_workloads::{Distribution, PointGenerator};
 
     /// The rule as a pass over the population — what `local_owner_of`
     /// must answer.
-    fn linear_owner_of(net: &VoroNet, target: Point2) -> Option<u64> {
+    fn linear_owner_of(net: &VoroNet, target: Point2) -> Option<ObjectId> {
         net.ids()
-            .map(|id| (net.coords(id).expect("live").distance2(target), id.0))
+            .map(|id| (net.coords(id).expect("live").distance2(target), id))
             .min_by(|a, b| a.partial_cmp(b).expect("finite distances"))
             .map(|(_, id)| id)
     }
@@ -548,8 +592,7 @@ mod tests {
                 let expected = linear_owner_of(&net, target);
                 assert_eq!(local_owner_of(&net, target), expected, "{target:?}");
                 tied_queries += usize::from(twice_x % 2 == 1 || twice_y % 2 == 1);
-                descent_stopped_elsewhere +=
-                    usize::from(net.owner_of(target).map(|id| id.0) != expected);
+                descent_stopped_elsewhere += usize::from(net.owner_of(target) != expected);
             }
         }
         assert_eq!(tied_queries, 56);

@@ -46,8 +46,9 @@ fn assert_in_sync(driver: &Driver<Scripted>, step: usize) {
             .map(|n| n.0)
             .collect();
         replicas.sort_unstable();
+        let held: Vec<u64> = placement.entry.replicas.iter().map(|r| r.0).collect();
         assert_eq!(
-            (placement.owner, &placement.replicas),
+            (placement.entry.owner.0, &held),
             (owner, &replicas),
             "step {step} key {key}"
         );
@@ -73,11 +74,14 @@ fn assert_in_sync(driver: &Driver<Scripted>, step: usize) {
         }
         let (mut stored, mut mirrored) = (BTreeMap::new(), BTreeMap::new());
         for (&key, p) in &driver.kv {
-            if here(&p.owner) {
-                stored.insert((p.owner, key), p.value);
+            let (owner, value) = (p.entry.owner.0, p.entry.value);
+            if here(&owner) {
+                stored.insert((owner, key), value);
             }
-            for replica in p.replicas.iter().filter(|&r| *r != p.owner && here(r)) {
-                mirrored.insert((*replica, key), (p.entry_seq, p.value));
+            for replica in p.entry.replicas.iter().map(|r| r.0) {
+                if replica != owner && here(&replica) {
+                    mirrored.insert((replica, key), (p.entry_seq, value));
+                }
             }
         }
         let held: BTreeMap<_, _> = host.kv.clone().into_iter().collect();
@@ -111,24 +115,25 @@ fn run_script(
             revive(driver, 2);
         }
         let index = rng.random_range(0..driver.population());
+        let id = driver.net().id_at(index).unwrap();
         match rng.random_range(0..20u32) {
             0..=5 => {
                 driver.insert(points.next_point()).unwrap().unwrap();
             }
             6..=10 if driver.population() > 12 => {
-                driver.remove_index(index).unwrap().unwrap();
+                driver.leave(id).unwrap().unwrap();
             }
             11..=16 => {
                 let (key, value) = (rng.random_range(0..48u64), rng.random::<u64>());
-                driver.kv_put(index, key, value).unwrap();
+                driver.kv_put(id, key, value).unwrap();
             }
             17 => {
-                driver.kv_delete(index, rng.random_range(0..48u64)).unwrap();
+                driver.kv_delete(id, rng.random_range(0..48u64)).unwrap();
             }
             _ => {
                 let corner = points.next_point();
                 let region = Rect::new(corner, Point2::new(corner.x + 0.2, corner.y + 0.2));
-                driver.subscribe(index, region).unwrap();
+                driver.subscribe(id, region).unwrap();
             }
         }
         after_write(driver, step);

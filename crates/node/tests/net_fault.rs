@@ -109,7 +109,9 @@ fn killed_owner_process_leaves_acked_write_readable() {
     let key = 0xDEADu64;
     let OpOutcome::KvStored {
         owner, replicas, ..
-    } = driver.kv_put(1, key, 4096).expect("kv_put")
+    } = driver
+        .kv_put(driver.net().id_at(1).unwrap(), key, 4096)
+        .expect("kv_put")
     else {
         panic!("kv_put must store")
     };
@@ -134,11 +136,10 @@ fn killed_owner_process_leaves_acked_write_readable() {
 
     // The acked write is still readable — degraded, from a replica on a
     // surviving process, with the correct value.
-    let from = (0..driver.population())
-        .find(|&i| {
-            let id = driver.net().id_at(i).unwrap().0;
-            host_of(id, hosts_n) != owner_host
-        })
+    let from = driver
+        .net()
+        .ids()
+        .find(|id| host_of(id.0, hosts_n) != owner_host)
         .expect("a surviving object exists");
     let OpOutcome::KvFetched {
         value,
@@ -154,14 +155,14 @@ fn killed_owner_process_leaves_acked_write_readable() {
     assert_eq!(got_owner, owner);
 
     // An op that can only be served by the dead process fails fast.
-    let dead_idx = (0..driver.population())
-        .find(|&i| {
-            let id = driver.net().id_at(i).unwrap().0;
-            host_of(id, hosts_n) == owner_host
-        })
+    let dead = driver
+        .net()
+        .ids()
+        .find(|id| host_of(id.0, hosts_n) == owner_host)
         .expect("the dead host serves at least one object");
+    let target = driver.net().coords(from).unwrap();
     let t0 = Instant::now();
-    let err = driver.route_indices(dead_idx, from).unwrap_err();
+    let err = driver.route_from(dead, target).unwrap_err();
     assert!(matches!(err, ClusterError::Unavailable(_)), "got {err}");
     assert!(
         t0.elapsed() < Duration::from_millis(500),

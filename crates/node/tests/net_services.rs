@@ -15,13 +15,18 @@
 //! vnet.
 
 use std::process::{Child, Command, Stdio};
-use voronet_core::{queries, VoroNet, VoroNetConfig};
+use voronet_core::{queries, ObjectId, VoroNet, VoroNetConfig};
 use voronet_geom::{Point2, Rect};
 use voronet_net::cluster::{Driver, OpOutcome, DRIVER_PEER};
 use voronet_net::transport::Transport;
 use voronet_net::udp::UdpTransport;
 use voronet_services::key_point;
 use voronet_workloads::{Distribution, PointGenerator, RangeQuery};
+
+/// The `index`-th live object of the driver's overlay.
+fn nth<T: Transport>(driver: &Driver<T>, index: usize) -> ObjectId {
+    driver.net().id_at(index % driver.population()).unwrap()
+}
 
 /// A distinct port range per test process, clear of the ephemeral
 /// range's floor and of `net_overlay.rs`'s offsets (0 and 64).
@@ -106,7 +111,9 @@ fn services_over_loopback_udp_survive_churn_handoff() {
     // set must equal the oracle's flood match set, the rest are missed.
     let domain = Rect::new(Point2::new(0.0, 0.0), Point2::new(1.0, 1.0));
     for i in 0..n {
-        let outcome = driver.subscribe(i, domain).expect("subscribe");
+        let outcome = driver
+            .subscribe(nth(&driver, i), domain)
+            .expect("subscribe");
         assert!(matches!(
             outcome,
             OpOutcome::Subscribed {
@@ -121,7 +128,9 @@ fn services_over_loopback_udp_survive_churn_handoff() {
         delivered,
         missed,
         ..
-    } = driver.publish(0, region, 99).expect("publish")
+    } = driver
+        .publish(nth(&driver, 0), region, 99)
+        .expect("publish")
     else {
         panic!("publish on a populated overlay must resolve")
     };
@@ -145,7 +154,7 @@ fn services_over_loopback_udp_survive_churn_handoff() {
         owner,
         replaced: false,
         ..
-    } = driver.kv_put(3, key, 41).expect("kv_put")
+    } = driver.kv_put(nth(&driver, 3), key, 41).expect("kv_put")
     else {
         panic!("kv_put must store")
     };
@@ -153,7 +162,7 @@ fn services_over_loopback_udp_survive_churn_handoff() {
         value,
         owner: fetched_owner,
         ..
-    } = driver.kv_get(7, key).expect("kv_get")
+    } = driver.kv_get(nth(&driver, 7), key).expect("kv_get")
     else {
         panic!("kv_get must resolve")
     };
@@ -165,30 +174,34 @@ fn services_over_loopback_udp_survive_churn_handoff() {
     // follow it — physically migrating to the new owner's host process.
     let kp = key_point(key, driver.net().config().domain);
     let new_id = driver.insert(kp).expect("insert").expect("fresh position");
-    let OpOutcome::KvFetched { value, owner, .. } = driver.kv_get(9, key).expect("kv_get") else {
+    let OpOutcome::KvFetched { value, owner, .. } =
+        driver.kv_get(nth(&driver, 9), key).expect("kv_get")
+    else {
         panic!("kv_get must resolve")
     };
     assert_eq!(owner, new_id, "the on-key node must own the entry");
     assert_eq!(value, Some(41), "the value must survive the handoff");
 
     // Removing the new owner hands the entry back to a survivor.
-    let n = driver.population();
-    let idx = (0..n)
-        .position(|i| driver.net().id_at(i) == Some(voronet_core::ObjectId(new_id)))
-        .expect("new node is live");
-    assert_eq!(driver.remove_index(idx).expect("remove"), Some(new_id));
-    let OpOutcome::KvFetched { value, owner, .. } = driver.kv_get(2, key).expect("kv_get") else {
+    let left = driver.leave(ObjectId(new_id)).expect("remove");
+    assert!(left.is_ok() && !driver.net().contains(ObjectId(new_id)));
+    let OpOutcome::KvFetched { value, owner, .. } =
+        driver.kv_get(nth(&driver, 2), key).expect("kv_get")
+    else {
         panic!("kv_get must resolve")
     };
     assert_ne!(owner, new_id);
     assert_eq!(value, Some(41), "the value must survive the second handoff");
 
     // Delete, then the key reads back absent.
-    let OpOutcome::KvDropped { existed: true, .. } = driver.kv_delete(5, key).expect("kv_delete")
+    let OpOutcome::KvDropped { existed: true, .. } =
+        driver.kv_delete(nth(&driver, 5), key).expect("kv_delete")
     else {
         panic!("delete must drop the entry")
     };
-    let OpOutcome::KvFetched { value: None, .. } = driver.kv_get(6, key).expect("kv_get") else {
+    let OpOutcome::KvFetched { value: None, .. } =
+        driver.kv_get(nth(&driver, 6), key).expect("kv_get")
+    else {
         panic!("deleted key must read back as absent")
     };
 

@@ -10,11 +10,14 @@
 //!   bit-identical on every engine whose protocol results agree;
 //! * [`Op::Insert`] / [`Op::Remove`] — forwarded, then followed by the
 //!   churn hooks that keep KV ownership and replica sets correct;
-//! * everything else — forwarded in maximal runs via the inner engine's
-//!   `apply_batch`, preserving its batching tricks (the cluster's shared
-//!   pump for a run of routes).
+//! * everything else — forwarded; a run of consecutive routes in a batch
+//!   goes to the inner engine's `apply_batch` whole, preserving its
+//!   batching tricks (the sync engine's interleaved walks).
+//!
+//! KV placement is the rule of [`crate::keys`]: the owner is the least
+//! `(distance², id)`, the replicas its sorted Voronoi neighbours.
 
-use crate::keys::{key_point, topic_key};
+use crate::keys::{holder_among, holds_before, key_point, replica_set, topic_key};
 use crate::state::{KvEntry, ServiceState};
 use voronet_api::{
     DeleteOutcome, GetOutcome, InsertOutcome, Op, OpResult, Overlay, OverlayStats, PublishOutcome,
@@ -193,11 +196,9 @@ impl<O: Overlay> ServiceEngine<O> {
         }
     }
 
-    /// The replica set of `owner`: its Voronoi neighbours, sorted by id.
+    /// The replica set of `owner` ([`replica_set`]).
     fn replicas_of(&self, owner: ObjectId) -> Result<Vec<ObjectId>, VoronetError> {
-        let mut replicas = self.inner.snapshot(owner)?.voronoi_neighbours;
-        replicas.sort_unstable();
-        Ok(replicas)
+        Ok(replica_set(self.inner.snapshot(owner)?.voronoi_neighbours))
     }
 
     /// Churn hook after a successful insert: a new object may sit closer
@@ -212,9 +213,7 @@ impl<O: Overlay> ServiceEngine<O> {
             let Some(owner_pos) = self.inner.coords(entry.owner) else {
                 continue;
             };
-            // Lexicographic (distance², id) comparison: exact, and ties —
-            // measure-zero with hashed key points — break deterministically.
-            if (position.distance2(kp), id) < (owner_pos.distance2(kp), entry.owner) {
+            if holds_before(kp, (id, position), (entry.owner, owner_pos)) {
                 entry.owner = id;
                 handoffs += 1;
             }
@@ -246,16 +245,7 @@ impl<O: Overlay> ServiceEngine<O> {
             if entry.owner != id {
                 continue;
             }
-            let kp = key_point(*key, domain);
-            let next = live
-                .iter()
-                .copied()
-                .min_by(|&(a_id, a_pos), &(b_id, b_pos)| {
-                    (a_pos.distance2(kp), a_id)
-                        .partial_cmp(&(b_pos.distance2(kp), b_id))
-                        .expect("distances are finite")
-                });
-            if let Some((next_id, _)) = next {
+            if let Some(next_id) = holder_among(key_point(*key, domain), live.iter().copied()) {
                 entry.owner = next_id;
                 handoffs += 1;
             }
@@ -271,17 +261,9 @@ impl<O: Overlay> ServiceEngine<O> {
     fn refresh_replicas(&mut self) {
         for entry in self.state.kv.values_mut() {
             if let Ok(view) = self.inner.snapshot(entry.owner) {
-                let mut replicas = view.voronoi_neighbours;
-                replicas.sort_unstable();
-                entry.replicas = replicas;
+                entry.replicas = replica_set(view.voronoi_neighbours);
             }
         }
-    }
-
-    /// True for the op families the wrapper must see individually; the
-    /// rest forward to the inner engine in maximal runs.
-    fn intercepted(op: &Op) -> bool {
-        matches!(op, Op::Insert { .. } | Op::Remove { .. } | Op::Service(_))
     }
 }
 
@@ -373,7 +355,6 @@ impl<O: Overlay> Overlay for ServiceEngine<O> {
                 )));
             };
             let kp = key_point(*key, domain);
-            let d_owner = (owner_pos.distance2(kp), entry.owner);
             for index in 0..self.inner.len() {
                 let Some(other) = self.inner.id_at(index) else {
                     continue;
@@ -381,7 +362,7 @@ impl<O: Overlay> Overlay for ServiceEngine<O> {
                 let Some(other_pos) = self.inner.coords(other) else {
                     continue;
                 };
-                if (other_pos.distance2(kp), other) < d_owner {
+                if holds_before(kp, (other, other_pos), (entry.owner, owner_pos)) {
                     return Err(VoronetError::invariant(format!(
                         "kv entry {key}: owner {:?} is not nearest to the key point \
                          ({:?} is closer — missed handoff)",
@@ -408,24 +389,10 @@ impl<O: Overlay> Overlay for ServiceEngine<O> {
         }
     }
 
-    fn apply_batch(&mut self, ops: &[Op]) -> Vec<OpResult> {
-        let mut results = Vec::with_capacity(ops.len());
-        let mut i = 0;
-        while i < ops.len() {
-            if Self::intercepted(&ops[i]) {
-                results.push(self.apply(&ops[i]));
-                i += 1;
-            } else {
-                // Forward the maximal run of pure protocol ops so the
-                // inner engine keeps its batch-level optimisations.
-                let start = i;
-                while i < ops.len() && !Self::intercepted(&ops[i]) {
-                    i += 1;
-                }
-                results.extend(self.inner.apply_batch(&ops[start..i]));
-            }
-        }
-        results
+    /// A run of routes touches no service state: the inner engine walks
+    /// it as its own batch.
+    fn route_run(&mut self, run: &[Op], results: &mut Vec<OpResult>) {
+        results.extend(self.inner.apply_batch(run));
     }
 }
 

@@ -332,13 +332,11 @@ pub fn run_chaos(case: &ChaosCase) -> Result<ChaosReport, ChaosFailure> {
             .map_err(|e| fail(None, format!("heartbeat errored: {e}")))?;
         rounds += 1;
     }
-    let pop = cluster.driver().population();
+    let first = cluster.net().id_at(0);
     for (&key, &known) in &model {
         let Known::Value(v) = known else { continue };
-        if pop == 0 {
-            break;
-        }
-        match cluster.driver().kv_get(0, key) {
+        let Some(from) = first else { break };
+        match cluster.driver().kv_get(from, key) {
             Ok(OpOutcome::KvFetched { value, .. }) if value == Some(v) => {}
             Ok(OpOutcome::KvFetched { value, .. }) => {
                 return Err(fail(

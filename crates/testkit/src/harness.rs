@@ -5,17 +5,22 @@
 //!
 //! 1. **sync** — `SyncEngine`, the live `VoroNet` walk over the overlay's
 //!    routing rows, one op at a time (the reference execution);
-//! 2. **cluster** — `voronet-net`'s `InlineCluster` on an ideal hub: a
-//!    driver and three hosts exchanging wire frames, every route and area
-//!    query walked host to host over the views the driver shipped;
+//! 2. **cluster** — `voronet-net`'s bare `InlineCluster` on an ideal hub:
+//!    a driver and three hosts exchanging wire frames, every route and
+//!    area query walked host to host over the views the driver shipped,
+//!    and every service op served by the driver's own plane (KV entries
+//!    stored, mirrored and fetched at the hosts, publishes delivered
+//!    there);
 //! 3. **frozen** — every route served through a
 //!    [`FrozenView`](voronet_core::FrozenView) delta-patched at each read
 //!    ([`crate::frozen::FrozenReplay`]), whose rows are derived apart from
 //!    the live ones;
 //!
 //! checking every [`OpResult`] element-wise across all three and against
-//! the O(n²) [`OracleModel`].  When the case carries a lossy
-//! [`NetProfile`], a fourth execution — a cluster on a hub with that
+//! the O(n²) [`OracleModel`].  The sync and frozen executions carry the
+//! single-process service layer (`ServiceEngine`), the model the
+//! cluster's own service plane is held to.  When the case carries a lossy
+//! [`NetProfile`], a fourth execution — a bare cluster on a hub with that
 //! profile's loss, latency shifts and partition windows — runs beside
 //! them.  The cluster resends what the network loses, but an op can still
 //! run out of its retry budget (`OperationLost`) or meet a host the
@@ -28,9 +33,12 @@
 //! Audit points close every resolution round: populations, dense orders,
 //! coordinates, aggregate stats, per-kind traffic counts and invariant
 //! audits (with non-vacuity asserted via
-//! [`InvariantAudit`](voronet_core::InvariantAudit) counts), plus — while
-//! the population is small — the oracle's brute-force Delaunay
-//! cross-check of the engine's Voronoi neighbour relation.
+//! [`InvariantAudit`](voronet_core::InvariantAudit) counts), the service
+//! state — the frozen execution's whole `ServiceState` and the cluster
+//! driver's subscriptions and KV placements against the sync model's,
+//! and the model against the oracle — plus, while the population is
+//! small, the oracle's brute-force Delaunay cross-check of the engine's
+//! Voronoi neighbour relation.
 
 use crate::frozen::{Fault, FrozenReplay};
 use crate::grammar::{FuzzCase, NetProfile};
@@ -91,33 +99,32 @@ pub struct RunReport {
 
 struct Fleet {
     sync: ServiceEngine<SyncEngine>,
-    cluster: ServiceEngine<InlineCluster>,
+    cluster: InlineCluster,
     frozen: ServiceEngine<FrozenReplay>,
-    lossy: Option<ServiceEngine<InlineCluster>>,
+    lossy: Option<InlineCluster>,
     oracle: OracleModel,
 }
 
 impl Fleet {
     fn build(case: &FuzzCase, fault: Fault) -> Fleet {
-        // Every execution carries the service layer, so scripts mixing
-        // pub/sub and KV traffic into the protocol stream exercise it on
-        // all engines at once — including the KV ownership handoff hooks
-        // that churn ops trigger.
+        // Every execution serves service ops, so scripts mixing pub/sub
+        // and KV traffic into the protocol stream exercise both service
+        // planes at once — including the KV handoffs churn triggers.
         let config = VoroNetConfig::new(case.nmax).with_seed(case.seed);
         Fleet {
             sync: ServiceEngine::new(SyncEngine::new(config)),
-            cluster: ServiceEngine::new(InlineCluster::start(HOSTS, config, NetworkModel::ideal())),
+            cluster: InlineCluster::start(HOSTS, config, NetworkModel::ideal()),
             frozen: ServiceEngine::new(FrozenReplay::new(config, fault)),
             lossy: match case.net {
                 NetProfile::Ideal => None,
-                lossy => Some(ServiceEngine::new({
+                lossy => {
                     let mut cluster = InlineCluster::start(HOSTS, config, lossy.network());
                     cluster.driver().set_retry_policy(RetryPolicy {
                         budget: LOSSY_BUDGET,
                         ..RetryPolicy::default()
                     });
-                    cluster
-                })),
+                    Some(cluster)
+                }
             },
             oracle: OracleModel::new(&config),
         }
@@ -210,7 +217,7 @@ fn audit_fleet(fleet: &mut Fleet, round: usize, report: &mut RunReport) -> Resul
     let exhaustive = ids.len() <= 128;
     for (name, net) in [
         ("sync", fleet.sync.inner().net()),
-        ("cluster", fleet.cluster.inner().net()),
+        ("cluster", fleet.cluster.net()),
         ("frozen", fleet.frozen.inner().net()),
     ] {
         let audit = net
@@ -233,19 +240,28 @@ fn audit_fleet(fleet: &mut Fleet, round: usize, report: &mut RunReport) -> Resul
 
     // Service-layer state — subscriptions, topic sequence numbers, the
     // delivery ledger, the KV table with its placements, and the service
-    // counters — agrees bit for bit across the three deterministic
-    // executions and matches the oracle's naive model.
+    // counters — agrees bit for bit between the two in-process service
+    // layers and matches the oracle's naive model.  The cluster driver's
+    // subscriptions and KV placements (value, owner, replicas: what its
+    // hosts were told to hold) equal the model's.
     let service = fleet.sync.service_state();
-    for (name, other) in [
-        ("cluster", fleet.cluster.service_state()),
-        ("frozen", fleet.frozen.service_state()),
-    ] {
-        if other != service {
-            return Err(fail(
-                "audit:services",
-                format!("service state diverges on {name}: sync {service:?}, {name} {other:?}"),
-            ));
-        }
+    let other = fleet.frozen.service_state();
+    if other != service {
+        return Err(fail(
+            "audit:services",
+            format!("service state diverges on frozen: sync {service:?}, frozen {other:?}"),
+        ));
+    }
+    let (subs, kv) = fleet.cluster.service_tables();
+    if *subs != service.subscriptions || !kv.eq(&service.kv) {
+        let kv: Vec<_> = fleet.cluster.service_tables().1.collect();
+        return Err(fail(
+            "audit:services",
+            format!(
+                "service tables diverge on cluster: sync {:?} / {:?}, cluster {subs:?} / {kv:?}",
+                service.subscriptions, service.kv
+            ),
+        ));
     }
     fleet
         .oracle
@@ -273,7 +289,7 @@ fn audit_fleet(fleet: &mut Fleet, round: usize, report: &mut RunReport) -> Resul
 }
 
 fn check_lossy(
-    lossy: &mut ServiceEngine<InlineCluster>,
+    lossy: &mut InlineCluster,
     base: usize,
     ops: &[Op],
     report: &mut RunReport,
@@ -306,13 +322,10 @@ fn check_lossy(
             }
         }
     }
-    // Only the *overlay* invariants are demanded here: the service
-    // layer's owner-is-nearest KV invariant assumes reliable transport
-    // (a loss-degraded route can legitimately resolve a put to a stale
-    // owner, and a timed-out join skips the handoff hook), so it is
-    // verified on the deterministic engines via the oracle's
-    // service-state audit instead.
-    lossy.inner().verify_invariants().map_err(|e| Divergence {
+    // Only the *overlay* invariants are demanded here: the lossy
+    // driver's KV table follows a population that lags the script, so
+    // its placements are audited on the ideal cluster instead.
+    lossy.verify_invariants().map_err(|e| Divergence {
         op_index: None,
         kind: "lossy:invariants".to_string(),
         detail: format!("lossy run violated invariants: {e}"),

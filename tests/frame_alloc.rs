@@ -4,7 +4,9 @@
 //! nothing.  The pin covers bare hub round trips, routes through the
 //! [`Overlay`] surface of an ideal-hub [`InlineCluster`] (each hop a frame
 //! between hosts) and the driver's KV reads (a route to the key's owner,
-//! then a fetch).
+//! then a fetch).  Warmed KV writes through the id-keyed driver path are
+//! pinned at the exact count they make (a new placement record and its
+//! push bookkeeping per put), so a change to that count is seen.
 //!
 //! This file deliberately contains a single test: the counting allocator is
 //! process-global, and a concurrently running test would perturb the count.
@@ -39,6 +41,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
+
+/// Heap allocations of the 64 warmed `kv_put`s below.
+const PUT_ALLOCATIONS: u64 = 317;
 
 /// Heap allocations made by `f`.
 fn allocations(f: impl FnOnce()) -> u64 {
@@ -107,16 +112,34 @@ fn warmed_frames_and_cluster_ops_do_not_allocate() {
         pairs.len()
     );
 
-    // KV reads: a route to the owner of the key's point, then a fetch.
+    // KV writes: a route to the owner of the key's point, then the
+    // owner's store and its replicas' copies, pushed to their barrier.
+    // Warmed, each put overwrites a stored entry.
     let keys: Vec<u64> = (0..64u64)
         .map(|k| k.wrapping_mul(0x9E37_79B9) ^ 0x51)
         .collect();
-    for (i, &key) in keys.iter().enumerate() {
-        cluster.driver().kv_put(i * 29 % n, key, key + 1).unwrap();
-    }
+    let at = |cluster: &InlineCluster, index: usize| cluster.id_at(index % n).unwrap();
+    let puts: Vec<(ObjectId, u64)> = keys
+        .iter()
+        .enumerate()
+        .map(|(i, &key)| (at(&cluster, i * 29), key))
+        .collect();
+    let put_all = |cluster: &mut InlineCluster| {
+        for &(from, key) in &puts {
+            let put = cluster.driver().kv_put(from, key, key + 1).unwrap();
+            assert!(matches!(put, OpOutcome::KvStored { .. }), "{put:?}");
+        }
+    };
+    put_all(&mut cluster);
+    put_all(&mut cluster);
+    let allocated = allocations(|| put_all(&mut cluster));
+    assert_eq!(allocated, PUT_ALLOCATIONS, "{} warmed kv_puts", puts.len());
+
+    // KV reads: a route to the owner of the key's point, then a fetch.
     let gets = |cluster: &mut InlineCluster| {
         for (i, &key) in keys.iter().enumerate() {
-            let got = cluster.driver().kv_get(i * 41 % n, key).unwrap();
+            let from = at(cluster, i * 41);
+            let got = cluster.driver().kv_get(from, key).unwrap();
             assert!(
                 matches!(got, OpOutcome::KvFetched { value: Some(v), .. } if v == key + 1),
                 "{got:?}"

@@ -332,9 +332,9 @@ fn cluster_replay(sc: &Scenario, link: LinkFaults) -> ClusterRun {
                 flush(&mut cluster, &mut batch);
                 cluster.driver().insert(position).expect("insert");
             }
-            WorkloadOp::Remove { index } => {
+            WorkloadOp::Remove { .. } => {
                 flush(&mut cluster, &mut batch);
-                cluster.driver().remove_index(index).expect("remove");
+                cluster.driver().apply(op).expect("remove");
             }
             ref other => panic!("unexpected op {other:?}"),
         }

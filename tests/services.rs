@@ -191,10 +191,11 @@ fn publish_frames_stay_within_the_protocol_bound() {
     let mut rng = StdRng::seed_from_u64(PUBLISH_SEED ^ 0x5B);
     for index in (0..PUBLISH_OBJECTS).step_by(4) {
         let region = square(Point2::new(rng.random(), rng.random()), 0.05);
-        let subscribed = cluster
-            .driver()
-            .subscribe(index, region)
-            .expect("subscribe");
+        let id = cluster
+            .net()
+            .id_at(index)
+            .expect("index below the population");
+        let subscribed = cluster.driver().subscribe(id, region).expect("subscribe");
         assert!(matches!(subscribed, OpOutcome::Subscribed { .. }));
     }
 
@@ -204,10 +205,11 @@ fn publish_frames_stay_within_the_protocol_bound() {
         let mut visited_total = 0u64;
         for p in 0..PUBLISHES_PER_SIDE {
             let region = square(Point2::new(rng.random(), rng.random()), side / 2.0);
+            let from = cluster.net().id_at(p).expect("index below the population");
             let before = frames_sent(&cluster);
             let published = cluster
                 .driver()
-                .publish(p, region, p as u64)
+                .publish(from, region, p as u64)
                 .expect("publish");
             let frames = frames_sent(&cluster) - before;
             let OpOutcome::Published {
