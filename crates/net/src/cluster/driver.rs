@@ -10,7 +10,7 @@ use crate::transport::{PeerId, Transport};
 use crate::wire::{EntryList, IdList, PointList, WireMsg};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Duration;
 use voronet_core::{ObjectId, VoroNet, VoroNetConfig, VoronetError};
 use voronet_geom::{voronoi_cell, Point2, Rect};
@@ -52,6 +52,10 @@ pub struct Driver<T: Transport> {
     pub(super) kv: BTreeMap<u64, KvPlacement>,
     pub(super) svc_seqs: HashMap<u64, u64>,
     pub(super) kv_seq: u64,
+    /// Removals a dead host never saw, replayed when it comes back with
+    /// its state: `(object, Some(key))` a KV copy, `(object, None)` a
+    /// subscription.
+    pub(super) missed_drops: BTreeSet<(u64, Option<u64>)>,
     pub(super) policy: RetryPolicy,
     /// How long a push barrier waits for its acks ([`SYNC_DEADLINE`];
     /// the scripted tests shorten it to run a barrier out).
@@ -84,6 +88,7 @@ impl<T: Transport> Driver<T> {
             kv: BTreeMap::new(),
             svc_seqs: HashMap::new(),
             kv_seq: 0,
+            missed_drops: BTreeSet::new(),
             jitter_rng: StdRng::seed_from_u64(policy.seed),
             policy,
             barrier_deadline: SYNC_DEADLINE,

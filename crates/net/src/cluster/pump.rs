@@ -430,12 +430,22 @@ impl<T: Transport> Driver<T> {
 
     /// Finishes entry `idx` without a reply.  A dead host fails a request
     /// fast and drops a push (the barrier must not stall on a host that
-    /// cannot ack; the driver re-ships dropped state if it comes back).
+    /// cannot ack; the driver re-ships dropped state if it comes back,
+    /// and replays the removals it skipped).
     fn fail(&mut self, idx: usize, err: ClusterError, now: Instant, on_done: OnDone<'_>) {
         let op = &self.table.ops[idx];
         match (&err, op.completes) {
             (ClusterError::Unavailable(_), Completes::ViewAck(..) | Completes::SvcAck(..)) => {
-                self.stats.skipped_pushes += 1
+                self.stats.skipped_pushes += 1;
+                match WireMsg::decode(&self.table.frames[op.frame.clone()]) {
+                    Ok((_, WireMsg::SvcKvDrop { object, key, .. })) => {
+                        self.missed_drops.insert((object, Some(key)));
+                    }
+                    Ok((_, WireMsg::SvcUnsubscribe { object, .. })) => {
+                        self.missed_drops.insert((object, None));
+                    }
+                    _ => {}
+                }
             }
             (ClusterError::Unavailable(_), _) => self.stats.fail_fast += 1,
             _ => {}

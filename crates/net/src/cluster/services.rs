@@ -430,9 +430,31 @@ impl<T: Transport> Driver<T> {
 
     /// Replays a revived host's service state — subscriptions, owned KV
     /// entries and replica copies — from driver control state, ascending
-    /// by object and by key.
+    /// by object and by key.  First go the removals the host missed while
+    /// dead: a host that kept its state still holds what they removed.
+    /// The replay's own pushes carry newer sequence numbers, so they win
+    /// however the frames are reordered.
     pub(super) fn replay_services(&mut self, peer: PeerId) -> Result<(), ClusterError> {
         let hosts = self.hosts;
+        let (missed, elsewhere): (BTreeSet<_>, BTreeSet<_>) =
+            std::mem::take(&mut self.missed_drops)
+                .into_iter()
+                .partition(|&(object, _)| host_of(object, hosts) == peer);
+        self.missed_drops = elsewhere;
+        for (object, key) in missed {
+            // A departed object's state left with its eviction.
+            if !self.net.contains(ObjectId(object)) {
+                continue;
+            }
+            match key {
+                Some(key) => {
+                    self.queue_service_push(object, |seq| WireMsg::SvcKvDrop { object, seq, key })
+                }
+                None => {
+                    self.queue_service_push(object, |seq| WireMsg::SvcUnsubscribe { object, seq })
+                }
+            }
+        }
         let subs: Vec<(u64, Rect)> = self
             .subs
             .iter()
