@@ -166,15 +166,10 @@ pub trait Overlay {
     fn apply_batch(&mut self, ops: &[Op]) -> Vec<OpResult> {
         let is_route = |op: &Op| matches!(op, Op::Route { .. } | Op::RouteBetween { .. });
         let mut results = Vec::with_capacity(ops.len());
-        let mut rest = ops;
-        while let Some(op) = rest.first() {
-            let run = rest.iter().take_while(|op| is_route(op)).count();
-            if run == 0 {
-                results.push(self.apply(op));
-                rest = &rest[1..];
-            } else {
-                self.route_run(&rest[..run], &mut results);
-                rest = &rest[run..];
+        for run in ops.chunk_by(|a, b| is_route(a) && is_route(b)) {
+            match run {
+                [op] if !is_route(op) => results.push(self.apply(op)),
+                run => self.route_run(run, &mut results),
             }
         }
         results
@@ -187,9 +182,6 @@ pub trait Overlay {
     /// misses overlap; the cluster pumps it together, so its waits under
     /// loss overlap).
     fn route_run(&mut self, run: &[Op], results: &mut Vec<OpResult>) {
-        for op in run {
-            let result = self.apply(op);
-            results.push(result);
-        }
+        results.extend(run.iter().map(|op| self.apply(op)));
     }
 }

@@ -26,109 +26,58 @@ pub fn resolve_workload(overlay: &dyn Overlay, script: &[WorkloadOp]) -> Vec<Op>
     let mut mirror: Vec<ObjectId> = overlay.ids();
     let mut ops = Vec::with_capacity(script.len());
     for op in script {
-        match *op {
-            WorkloadOp::Insert { position } => ops.push(Op::Insert { position }),
-            WorkloadOp::Remove { index } => {
-                if mirror.is_empty() {
-                    continue;
-                }
-                let id = mirror.swap_remove(index % mirror.len());
-                ops.push(Op::Remove { id });
-            }
-            WorkloadOp::Route { from, to } => {
-                if mirror.is_empty() {
-                    continue;
-                }
-                let from = mirror[from % mirror.len()];
-                let to = mirror[to % mirror.len()];
-                ops.push(Op::RouteBetween { from, to });
-            }
-            WorkloadOp::Range { from, query } => {
-                if mirror.is_empty() {
-                    continue;
-                }
-                ops.push(Op::Range {
-                    from: mirror[from % mirror.len()],
-                    query,
-                });
-            }
-            WorkloadOp::Radius { from, query } => {
-                if mirror.is_empty() {
-                    continue;
-                }
-                ops.push(Op::Radius {
-                    from: mirror[from % mirror.len()],
-                    query,
-                });
-            }
-            WorkloadOp::Snapshot { index } => {
-                if mirror.is_empty() {
-                    continue;
-                }
-                ops.push(Op::Snapshot {
-                    id: mirror[index % mirror.len()],
-                });
-            }
-            WorkloadOp::Subscribe { index, region } => {
-                if mirror.is_empty() {
-                    continue;
-                }
-                ops.push(Op::Service(ServiceOp::Subscribe {
-                    id: mirror[index % mirror.len()],
-                    region,
-                }));
-            }
+        if mirror.is_empty() && !matches!(op, WorkloadOp::Insert { .. }) {
+            continue;
+        }
+        let at = |index: usize| mirror[index % mirror.len()];
+        ops.push(match *op {
+            WorkloadOp::Insert { position } => Op::Insert { position },
+            WorkloadOp::Remove { index } => Op::Remove {
+                id: mirror.swap_remove(index % mirror.len()),
+            },
+            WorkloadOp::Route { from, to } => Op::RouteBetween {
+                from: at(from),
+                to: at(to),
+            },
+            WorkloadOp::Range { from, query } => Op::Range {
+                from: at(from),
+                query,
+            },
+            WorkloadOp::Radius { from, query } => Op::Radius {
+                from: at(from),
+                query,
+            },
+            WorkloadOp::Snapshot { index } => Op::Snapshot { id: at(index) },
+            WorkloadOp::Subscribe { index, region } => Op::Service(ServiceOp::Subscribe {
+                id: at(index),
+                region,
+            }),
             WorkloadOp::Unsubscribe { index } => {
-                if mirror.is_empty() {
-                    continue;
-                }
-                ops.push(Op::Service(ServiceOp::Unsubscribe {
-                    id: mirror[index % mirror.len()],
-                }));
+                Op::Service(ServiceOp::Unsubscribe { id: at(index) })
             }
             WorkloadOp::Publish {
                 from,
                 region,
                 payload,
-            } => {
-                if mirror.is_empty() {
-                    continue;
-                }
-                ops.push(Op::Service(ServiceOp::Publish {
-                    from: mirror[from % mirror.len()],
-                    region,
-                    payload,
-                }));
-            }
-            WorkloadOp::KvPut { from, key, value } => {
-                if mirror.is_empty() {
-                    continue;
-                }
-                ops.push(Op::Service(ServiceOp::KvPut {
-                    from: mirror[from % mirror.len()],
-                    key,
-                    value,
-                }));
-            }
-            WorkloadOp::KvGet { from, key } => {
-                if mirror.is_empty() {
-                    continue;
-                }
-                ops.push(Op::Service(ServiceOp::KvGet {
-                    from: mirror[from % mirror.len()],
-                    key,
-                }));
-            }
-            WorkloadOp::KvDelete { from, key } => {
-                if mirror.is_empty() {
-                    continue;
-                }
-                ops.push(Op::Service(ServiceOp::KvDelete {
-                    from: mirror[from % mirror.len()],
-                    key,
-                }));
-            }
-        }
+            } => Op::Service(ServiceOp::Publish {
+                from: at(from),
+                region,
+                payload,
+            }),
+            WorkloadOp::KvPut { from, key, value } => Op::Service(ServiceOp::KvPut {
+                from: at(from),
+                key,
+                value,
+            }),
+            WorkloadOp::KvGet { from, key } => Op::Service(ServiceOp::KvGet {
+                from: at(from),
+                key,
+            }),
+            WorkloadOp::KvDelete { from, key } => Op::Service(ServiceOp::KvDelete {
+                from: at(from),
+                key,
+            }),
+        });
     }
     ops
 }

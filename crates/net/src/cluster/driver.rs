@@ -52,10 +52,9 @@ pub struct Driver<T: Transport> {
     pub(super) kv: BTreeMap<u64, KvPlacement>,
     pub(super) svc_seqs: HashMap<u64, u64>,
     pub(super) kv_seq: u64,
-    /// Removals a dead host never saw, replayed when it comes back with
-    /// its state: `(object, Some(key))` a KV copy, `(object, None)` a
-    /// subscription.
-    pub(super) missed_drops: BTreeSet<(u64, Option<u64>)>,
+    /// The `(object, key)` KV copies a dead host was told to drop and
+    /// never heard: replayed when it comes back with its state.
+    pub(super) missed_drops: BTreeSet<(u64, u64)>,
     pub(super) policy: RetryPolicy,
     /// How long a push barrier waits for its acks ([`SYNC_DEADLINE`];
     /// the scripted tests shorten it to run a barrier out).
@@ -356,12 +355,11 @@ impl<T: Transport> Driver<T> {
         Ok(())
     }
 
-    /// The `index`-th live object, modulo the population; `None` on an
-    /// empty overlay.
-    fn origin(&self, index: usize) -> Option<ObjectId> {
-        index
-            .checked_rem(self.net.len())
-            .and_then(|i| self.net.id_at(i))
+    /// The `index`-th live object, modulo the population, which must not
+    /// be empty.
+    fn origin(&self, index: usize) -> ObjectId {
+        let n = self.net.len();
+        self.net.id_at(index % n).expect("index below len")
     }
 
     /// The start of every id-keyed operation: `None` when `id` is not a
@@ -415,9 +413,8 @@ impl<T: Transport> Driver<T> {
     /// Queues the route from the `from`-th live object towards the
     /// `to`-th one's coordinates.
     fn queue_route(&mut self, from: usize, to: usize) {
-        let from_object = self.origin(from).expect("a live population").0;
-        let target = self.origin(to).and_then(|to| self.net.coords(to));
-        self.queue_route_to(from_object, target.expect("live object"));
+        let target = self.net.coords(self.origin(to)).expect("live object");
+        self.queue_route_to(self.origin(from).0, target);
     }
 
     /// Queues the route from `from_object` towards `target`.
@@ -502,7 +499,7 @@ impl<T: Transport> Driver<T> {
     /// Executes a distributed rectangular range query issued by the live
     /// object `from`: [`OpOutcome::Matches`], or [`OpOutcome::Skipped`]
     /// when `from` is not live.
-    pub fn range_from(
+    pub(crate) fn range_from(
         &mut self,
         from: ObjectId,
         query: RangeQuery,
@@ -519,7 +516,7 @@ impl<T: Transport> Driver<T> {
 
     /// Executes a distributed radius query issued by the live object
     /// `from`, as [`Self::range_from`] does a rectangle.
-    pub fn radius_from(
+    pub(crate) fn radius_from(
         &mut self,
         from: ObjectId,
         query: RadiusQuery,
@@ -535,43 +532,39 @@ impl<T: Transport> Driver<T> {
         })
     }
 
-    /// Applies one scripted [`WorkloadOp`] to the cluster: resolves its
-    /// population index to the `index`-th live object (modulo the
-    /// population; [`OpOutcome::Skipped`] on an empty overlay) and runs
-    /// the id-keyed operation.
+    /// Applies one scripted [`WorkloadOp`] to the cluster: resolves each
+    /// population index it names to the `index`-th live object (modulo
+    /// the population; [`OpOutcome::Skipped`] on an empty overlay) and
+    /// runs the id-keyed operation.
     pub fn apply(&mut self, op: &WorkloadOp) -> Result<OpOutcome, ClusterError> {
         use WorkloadOp as W;
-        let index = match *op {
-            W::Insert { position } => return Ok(OpOutcome::Inserted(self.insert(position)?)),
-            W::Snapshot { .. } => return Ok(OpOutcome::Skipped),
-            W::Remove { index } | W::Subscribe { index, .. } | W::Unsubscribe { index } => index,
-            W::Route { from, .. }
-            | W::Range { from, .. }
-            | W::Radius { from, .. }
-            | W::Publish { from, .. }
-            | W::KvPut { from, .. }
-            | W::KvGet { from, .. }
-            | W::KvDelete { from, .. } => from,
-        };
-        let Some(id) = self.origin(index) else {
+        if let W::Insert { position } = *op {
+            return Ok(OpOutcome::Inserted(self.insert(position)?));
+        }
+        if self.net.is_empty() || matches!(op, W::Snapshot { .. }) {
             return Ok(OpOutcome::Skipped);
-        };
+        }
         match *op {
-            W::Remove { .. } => Ok(OpOutcome::Removed(self.leave(id)?.ok().map(|()| id.0))),
-            W::Route { to, .. } => {
-                let target = self.origin(to).and_then(|to| self.net.coords(to));
-                self.route_from(id, target.expect("live object"))
+            W::Remove { index } => {
+                let id = self.origin(index);
+                Ok(OpOutcome::Removed(self.leave(id)?.ok().map(|()| id.0)))
             }
-            W::Range { query, .. } => self.range_from(id, query),
-            W::Radius { query, .. } => self.radius_from(id, query),
-            W::Subscribe { region, .. } => self.subscribe(id, region),
-            W::Unsubscribe { .. } => self.unsubscribe(id),
+            W::Route { from, to } => {
+                let target = self.net.coords(self.origin(to)).expect("live object");
+                self.route_from(self.origin(from), target)
+            }
+            W::Range { from, query } => self.range_from(self.origin(from), query),
+            W::Radius { from, query } => self.radius_from(self.origin(from), query),
+            W::Subscribe { index, region } => self.subscribe(self.origin(index), region),
+            W::Unsubscribe { index } => self.unsubscribe(self.origin(index)),
             W::Publish {
-                region, payload, ..
-            } => self.publish(id, region, payload),
-            W::KvPut { key, value, .. } => self.kv_put(id, key, value),
-            W::KvGet { key, .. } => self.kv_get(id, key),
-            W::KvDelete { key, .. } => self.kv_delete(id, key),
+                from,
+                region,
+                payload,
+            } => self.publish(self.origin(from), region, payload),
+            W::KvPut { from, key, value } => self.kv_put(self.origin(from), key, value),
+            W::KvGet { from, key } => self.kv_get(self.origin(from), key),
+            W::KvDelete { from, key } => self.kv_delete(self.origin(from), key),
             W::Insert { .. } | W::Snapshot { .. } => unreachable!("answered above"),
         }
     }

@@ -109,10 +109,17 @@ use crate::wire::WireMsg;
 use std::fmt;
 #[cfg(doc)]
 use voronet_core::VoroNet;
+use voronet_services::api::{DeleteOutcome, PublishOutcome, SubscribeOutcome, UnsubscribeOutcome};
 use voronet_sim::TransportStats;
 
 /// The driver's peer id.
 pub const DRIVER_PEER: PeerId = 0;
+
+/// Messages of an area flood that visited `visited` objects: one probe
+/// per visited object beyond the first, as the synchronous flood counts.
+fn flood_messages(visited: u32) -> u64 {
+    u64::from(visited.saturating_sub(1))
+}
 
 /// The host peer responsible for an object.
 pub fn host_of(object: u64, hosts: u64) -> PeerId {
@@ -220,36 +227,13 @@ pub enum OpOutcome {
         /// Objects visited by the flood.
         visited: u32,
     },
-    /// Subscribe: the subscriber's id and whether a previous
-    /// subscription was replaced.
-    Subscribed {
-        /// Subscribing object.
-        id: u64,
-        /// True when the object was already subscribed.
-        replaced: bool,
-    },
-    /// Unsubscribe: the object's id and whether a subscription existed.
-    Unsubscribed {
-        /// Unsubscribing object.
-        id: u64,
-        /// True when a subscription was dropped.
-        existed: bool,
-    },
-    /// Publish: the per-topic sequence number and the resolved
-    /// subscriber split.
-    Published {
-        /// Sequence number of this publication on its topic.
-        topic_seq: u64,
-        /// Subscribers delivered to (ascending by id).
-        delivered: Vec<u64>,
-        /// Subscribers whose region intersects the publication but whose
-        /// own coordinates fall outside it (ascending by id).
-        missed: Vec<u64>,
-        /// Hops of the initial greedy route of the resolution flood.
-        hops: u32,
-        /// Objects visited by the resolution flood.
-        visited: u32,
-    },
+    /// Subscribe, as the overlay API reports it.
+    Subscribed(SubscribeOutcome),
+    /// Unsubscribe, as the overlay API reports it.
+    Unsubscribed(UnsubscribeOutcome),
+    /// Publish: the per-topic sequence number, the resolved subscriber
+    /// split and the resolution flood, as the overlay API reports it.
+    Published(PublishOutcome),
     /// KV put: where the entry now lives.
     KvStored {
         /// The entry's key.
@@ -278,17 +262,8 @@ pub enum OpOutcome {
         /// Hops of the greedy route to the owner, as for `KvStored`.
         hops: u32,
     },
-    /// KV delete: whether an entry was dropped.
-    KvDropped {
-        /// The deleted key.
-        key: u64,
-        /// The owning cell's object.
-        owner: u64,
-        /// True when an entry existed.
-        existed: bool,
-        /// Hops of the greedy route to the owner, as for `KvStored`.
-        hops: u32,
-    },
+    /// KV delete, as the overlay API reports it.
+    KvDropped(DeleteOutcome),
     /// The operation does not apply: a `Snapshot`, an empty overlay, or
     /// an issuing object that is not live.
     Skipped,
@@ -504,46 +479,43 @@ mod tests {
             let outcome = driver.subscribe(nth(driver, i), domain).unwrap();
             assert!(matches!(
                 outcome,
-                OpOutcome::Subscribed {
+                OpOutcome::Subscribed(SubscribeOutcome {
                     replaced: false,
                     ..
-                }
+                })
             ));
         }
         let region = Rect::new(Point2::new(0.2, 0.2), Point2::new(0.7, 0.7));
-        let OpOutcome::Published {
-            topic_seq,
+        let OpOutcome::Published(PublishOutcome {
+            seq,
             delivered,
             missed,
             ..
-        } = driver.publish(nth(driver, 0), region, 99).unwrap()
+        }) = driver.publish(nth(driver, 0), region, 99).unwrap()
         else {
             panic!("publish on a populated overlay must resolve")
         };
-        assert_eq!(topic_seq, 1);
+        assert_eq!(seq, 1);
         let mut oracle = oracle_with_inserts(5, &points);
         let from = oracle.id_at(0).unwrap();
         let expected =
             queries::range_query(&mut oracle, from, RangeQuery { rect: region }).unwrap();
-        let expected_ids: Vec<u64> = expected.matches.iter().map(|m| m.0).collect();
-        assert_eq!(delivered, expected_ids);
-        let missed_expected: Vec<u64> = oracle
+        assert_eq!(delivered, expected.matches);
+        let mut missed_expected: Vec<ObjectId> = oracle
             .ids()
-            .map(|id| id.0)
-            .filter(|id| !expected_ids.contains(id))
+            .filter(|id| !expected.matches.contains(id))
             .collect();
         let mut missed_sorted = missed;
         missed_sorted.sort_unstable();
-        let mut missed_expected = missed_expected;
         missed_expected.sort_unstable();
         assert_eq!(missed_sorted, missed_expected);
         // Same topic again: the per-topic sequence climbs.
-        let OpOutcome::Published { topic_seq, .. } =
+        let OpOutcome::Published(PublishOutcome { seq, .. }) =
             driver.publish(nth(driver, 1), region, 100).unwrap()
         else {
             panic!("publish must resolve")
         };
-        assert_eq!(topic_seq, 2);
+        assert_eq!(seq, 2);
 
         // KV round-trip through the hosts.
         let key = 0xC0FFEEu64;
@@ -594,7 +566,7 @@ mod tests {
         assert_eq!(value, Some(42), "the value must survive the second handoff");
 
         // Delete, then the key is gone.
-        let OpOutcome::KvDropped { existed: true, .. } =
+        let OpOutcome::KvDropped(DeleteOutcome { existed: true, .. }) =
             driver.kv_delete(nth(driver, 5), key).unwrap()
         else {
             panic!("delete must drop the entry")
@@ -605,7 +577,7 @@ mod tests {
         };
 
         // Unsubscribe round-trips too.
-        let OpOutcome::Unsubscribed { existed: true, .. } =
+        let OpOutcome::Unsubscribed(UnsubscribeOutcome { existed: true, .. }) =
             driver.unsubscribe(nth(driver, 0)).unwrap()
         else {
             panic!("subscribed object must unsubscribe")

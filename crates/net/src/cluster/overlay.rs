@@ -20,14 +20,13 @@
 //!
 //! [`Driver::route_indices_pipelined`]: super::Driver::route_indices_pipelined
 
-use super::{ClusterError, InlineCluster, OpOutcome};
+use super::{flood_messages, ClusterError, InlineCluster, OpOutcome};
 use crate::transport::Transport;
 use voronet_core::{ErrorKind, ObjectId, ObjectView, VoroNetConfig, VoronetError};
 use voronet_geom::Point2;
 use voronet_services::api::{
-    DeleteOutcome, GetOutcome, InsertOutcome, Op, OpResult, Overlay, OverlayStats, PublishOutcome,
-    PutOutcome, QueryOutcome, RemoveOutcome, RouteOutcome, ServiceOp, ServiceResult,
-    SubscribeOutcome, UnsubscribeOutcome,
+    GetOutcome, InsertOutcome, Op, OpResult, Overlay, OverlayStats, PutOutcome, QueryOutcome,
+    RemoveOutcome, RouteOutcome, ServiceOp, ServiceResult,
 };
 use voronet_workloads::{RadiusQuery, RangeQuery};
 
@@ -42,12 +41,6 @@ impl From<ClusterError> for VoronetError {
 /// [`OpOutcome::Skipped`] means here.
 fn unknown(id: ObjectId) -> VoronetError {
     VoronetError::new(ErrorKind::UnknownObject(id))
-}
-
-/// Messages of an area flood that visited `visited` objects: one probe
-/// per visited object beyond the first, as the synchronous flood counts.
-fn flood_messages(visited: u32) -> u64 {
-    u64::from(visited.saturating_sub(1))
 }
 
 /// The query outcome an area answer issued by `from` carries.
@@ -68,26 +61,18 @@ fn matched(from: ObjectId, outcome: OpOutcome) -> Result<QueryOutcome, VoronetEr
 }
 
 impl<T: Transport> InlineCluster<T> {
-    /// `id`'s raw value when it is live; otherwise the error the
-    /// synchronous walk returns for an unknown origin.
-    fn live(&self, id: ObjectId) -> Result<u64, VoronetError> {
-        if self.driver.net.contains(id) {
-            Ok(id.0)
-        } else {
-            Err(unknown(id))
-        }
-    }
-
     /// The origin and target of a route op, checked in the order the
     /// trait's `route_between` checks them.
     fn route_ends(&self, op: &Op) -> Result<(u64, Point2), VoronetError> {
-        match *op {
-            Op::Route { from, target } => Ok((self.live(from)?, target)),
-            Op::RouteBetween { from, to } => {
-                let target = self.coords(to).ok_or_else(|| unknown(to))?;
-                Ok((self.live(from)?, target))
-            }
+        let (from, target) = match *op {
+            Op::Route { from, target } => (from, target),
+            Op::RouteBetween { from, to } => (from, self.coords(to).ok_or_else(|| unknown(to))?),
             _ => unreachable!("only route ops are pipelined"),
+        };
+        if self.contains(from) {
+            Ok((from.0, target))
+        } else {
+            Err(unknown(from))
         }
     }
 }
@@ -225,32 +210,11 @@ impl<T: Transport> Overlay for InlineCluster<T> {
             ServiceOp::KvGet { from, key } => (from, driver.kv_get(from, key)?),
             ServiceOp::KvDelete { from, key } => (from, driver.kv_delete(from, key)?),
         };
-        let ids = |ids: Vec<u64>| ids.into_iter().map(ObjectId).collect();
         Ok(match outcome {
-            OpOutcome::Subscribed { replaced, .. } => ServiceResult::Subscribed(SubscribeOutcome {
-                id: issuer,
-                replaced,
-            }),
-            OpOutcome::Unsubscribed { existed, .. } => {
-                ServiceResult::Unsubscribed(UnsubscribeOutcome {
-                    id: issuer,
-                    existed,
-                })
-            }
-            OpOutcome::Published {
-                topic_seq,
-                delivered,
-                missed,
-                hops,
-                visited,
-            } => ServiceResult::Published(PublishOutcome {
-                seq: topic_seq,
-                delivered: ids(delivered),
-                missed: ids(missed),
-                routing_hops: hops,
-                visited: visited as usize,
-                flood_messages: flood_messages(visited),
-            }),
+            OpOutcome::Subscribed(s) => ServiceResult::Subscribed(s),
+            OpOutcome::Unsubscribed(u) => ServiceResult::Unsubscribed(u),
+            OpOutcome::Published(p) => ServiceResult::Published(p),
+            OpOutcome::KvDropped(d) => ServiceResult::Deleted(d),
             OpOutcome::KvStored {
                 key,
                 owner,
@@ -268,16 +232,6 @@ impl<T: Transport> Overlay for InlineCluster<T> {
             } => ServiceResult::Got(GetOutcome {
                 owner: ObjectId(owner),
                 value,
-                hops,
-            }),
-            OpOutcome::KvDropped {
-                owner,
-                existed,
-                hops,
-                ..
-            } => ServiceResult::Deleted(DeleteOutcome {
-                owner: ObjectId(owner),
-                existed,
                 hops,
             }),
             _ => return Err(unknown(issuer)),

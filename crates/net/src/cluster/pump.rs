@@ -431,20 +431,15 @@ impl<T: Transport> Driver<T> {
     /// Finishes entry `idx` without a reply.  A dead host fails a request
     /// fast and drops a push (the barrier must not stall on a host that
     /// cannot ack; the driver re-ships dropped state if it comes back,
-    /// and replays the removals it skipped).
+    /// and replays the KV drops it skipped).
     fn fail(&mut self, idx: usize, err: ClusterError, now: Instant, on_done: OnDone<'_>) {
         let op = &self.table.ops[idx];
         match (&err, op.completes) {
             (ClusterError::Unavailable(_), Completes::ViewAck(..) | Completes::SvcAck(..)) => {
                 self.stats.skipped_pushes += 1;
-                match WireMsg::decode(&self.table.frames[op.frame.clone()]) {
-                    Ok((_, WireMsg::SvcKvDrop { object, key, .. })) => {
-                        self.missed_drops.insert((object, Some(key)));
-                    }
-                    Ok((_, WireMsg::SvcUnsubscribe { object, .. })) => {
-                        self.missed_drops.insert((object, None));
-                    }
-                    _ => {}
+                let frame = WireMsg::decode(&self.table.frames[op.frame.clone()]);
+                if let Ok((_, WireMsg::SvcKvDrop { object, key, .. })) = frame {
+                    self.missed_drops.insert((object, key));
                 }
             }
             (ClusterError::Unavailable(_), _) => self.stats.fail_fast += 1,
@@ -475,6 +470,7 @@ mod tests {
     use crate::wire::WirePurpose;
     use voronet_core::{RouteScratch, VoroNetConfig};
     use voronet_geom::{Point2, Rect};
+    use voronet_services::api::SubscribeOutcome;
     use voronet_sim::TransportStats;
     use voronet_workloads::{Distribution, PointGenerator, WorkloadOp};
 
@@ -626,10 +622,10 @@ mod tests {
             driver
                 .apply(&WorkloadOp::Subscribe { index: 5, region })
                 .unwrap(),
-            OpOutcome::Subscribed {
+            OpOutcome::Subscribed(SubscribeOutcome {
                 replaced: false,
                 ..
-            }
+            })
         ));
         let stats = driver.cluster_stats();
         assert_eq!((stats.fast_resends, stats.retries), (1, 0));

@@ -9,13 +9,14 @@
 use super::driver::Driver;
 use super::liveness::HostState;
 use super::pump::Completes;
-use super::{host_of, ClusterError, OpOutcome};
+use super::{flood_messages, host_of, ClusterError, OpOutcome};
 use crate::transport::{PeerId, Transport};
 use crate::wire::WireMsg;
 use std::collections::BTreeSet;
 use voronet_core::{ObjectId, VoroNet};
 use voronet_geom::{Point2, Rect};
-use voronet_services::{holder_among, holds_before, key_point, replica_set, topic_key, KvEntry};
+use voronet_services::api::{DeleteOutcome, PublishOutcome, SubscribeOutcome, UnsubscribeOutcome};
+use voronet_services::{holder_among, key_point, replica_set, topic_key, KvEntry};
 use voronet_workloads::RangeQuery;
 
 /// Driver-side control record of one coordinate-keyed entry: its value,
@@ -90,28 +91,19 @@ impl<T: Transport> Driver<T> {
             region,
         });
         self.flush_pushes()?;
-        Ok(OpOutcome::Subscribed {
-            id: object,
-            replaced,
-        })
+        Ok(OpOutcome::Subscribed(SubscribeOutcome { id, replaced }))
     }
 
     /// Drops `id`'s subscription.  An object that is not live has none:
     /// its subscription left with it.
-    pub fn unsubscribe(&mut self, id: ObjectId) -> Result<OpOutcome, ClusterError> {
-        let Some(object) = self.issuer(id)? else {
-            return Ok(OpOutcome::Unsubscribed {
-                id: id.0,
-                existed: false,
-            });
-        };
+    pub(crate) fn unsubscribe(&mut self, id: ObjectId) -> Result<OpOutcome, ClusterError> {
+        let issuer = self.issuer(id)?;
         let existed = self.subs.remove(&id).is_some();
-        self.queue_service_push(object, |seq| WireMsg::SvcUnsubscribe { object, seq });
-        self.flush_pushes()?;
-        Ok(OpOutcome::Unsubscribed {
-            id: object,
-            existed,
-        })
+        if let Some(object) = issuer {
+            self.queue_service_push(object, |seq| WireMsg::SvcUnsubscribe { object, seq });
+            self.flush_pushes()?;
+        }
+        Ok(OpOutcome::Unsubscribed(UnsubscribeOutcome { id, existed }))
     }
 
     /// Publishes a payload from the live object `from` to every
@@ -137,15 +129,15 @@ impl<T: Transport> Driver<T> {
         let seq = self.topic_seqs.entry(topic).or_insert(0);
         *seq += 1;
         let topic_seq = *seq;
-        let (delivered, missed): (Vec<u64>, Vec<u64>) = self
+        let (delivered, missed): (Vec<ObjectId>, Vec<ObjectId>) = self
             .subs
             .iter()
             .filter(|(_, sub_region)| sub_region.intersects(&region))
-            .map(|(id, _)| id.0)
-            .partition(|id| matches.binary_search(id).is_ok());
-        for &id in &delivered {
-            self.queue_service_push(id, |seq| WireMsg::SvcDeliver {
-                object: id,
+            .map(|(&id, _)| id)
+            .partition(|id| matches.binary_search(&id.0).is_ok());
+        for &ObjectId(object) in &delivered {
+            self.queue_service_push(object, |seq| WireMsg::SvcDeliver {
+                object,
                 seq,
                 topic,
                 topic_seq,
@@ -153,13 +145,14 @@ impl<T: Transport> Driver<T> {
             });
         }
         self.flush_pushes()?;
-        Ok(OpOutcome::Published {
-            topic_seq,
+        Ok(OpOutcome::Published(PublishOutcome {
+            seq: topic_seq,
             delivered,
             missed,
-            hops,
-            visited,
-        })
+            routing_hops: hops,
+            visited: visited as usize,
+            flood_messages: flood_messages(visited),
+        }))
     }
 
     /// The replica set of one owner object ([`replica_set`]), read from
@@ -171,17 +164,22 @@ impl<T: Transport> Driver<T> {
         )
     }
 
-    /// Locates the owner of a point: `(owner, hops)`.  The distributed
-    /// greedy route decides on the healthy path; when any host is
-    /// suspected or dead (or the route fails), the authoritative
+    /// The object owning `key`'s coordinates and the hops to it from the
+    /// live object `from`; `None` when `from` is not live.  The
+    /// distributed greedy route decides on the healthy path; when any
+    /// host is suspected or dead (or the route fails), the authoritative
     /// tessellation decides directly, in 0 hops — the same owner the
     /// healthy route converges to — instead of letting the route burn its
     /// retry ladder on a dead hop first.
-    fn owner_of_point(
+    fn kv_owner(
         &mut self,
-        from_object: u64,
-        target: Point2,
-    ) -> Result<(ObjectId, u32), ClusterError> {
+        from: ObjectId,
+        key: u64,
+    ) -> Result<Option<(ObjectId, u32)>, ClusterError> {
+        let Some(from_object) = self.issuer(from)? else {
+            return Ok(None);
+        };
+        let target = key_point(key, self.net.config().domain);
         let routed = if self.detector.all_alive() {
             self.query(from_object, "kv route", |token| WireMsg::RouteReq {
                 token,
@@ -192,29 +190,12 @@ impl<T: Transport> Driver<T> {
             Err(ClusterError::Unavailable("kv route"))
         };
         match routed {
-            Ok(OpOutcome::Route { owner, hops }) => Ok((ObjectId(owner), hops)),
+            Ok(OpOutcome::Route { owner, hops }) => Ok(Some((ObjectId(owner), hops))),
             Ok(_) | Err(ClusterError::Timeout(_) | ClusterError::Unavailable(_)) => {
-                let owner = local_owner_of(&self.net, target);
-                owner
-                    .map(|owner| (owner, 0))
-                    .ok_or(ClusterError::Unavailable("kv owner"))
+                Ok(local_owner_of(&self.net, target).map(|owner| (owner, 0)))
             }
             Err(e) => Err(e),
         }
-    }
-
-    /// The object owning `key`'s coordinates and the hops to it, located
-    /// from the live object `from`; `None` when `from` is not live.
-    fn kv_owner(
-        &mut self,
-        from: ObjectId,
-        key: u64,
-    ) -> Result<Option<(ObjectId, u32)>, ClusterError> {
-        let Some(from_object) = self.issuer(from)? else {
-            return Ok(None);
-        };
-        let target = key_point(key, self.net.config().domain);
-        self.owner_of_point(from_object, target).map(Some)
     }
 
     /// Queues the final replication layout of one entry: the owner
@@ -385,12 +366,11 @@ impl<T: Transport> Driver<T> {
             self.queue_service_push(object, |seq| WireMsg::SvcKvDrop { object, seq, key });
         }
         self.flush_pushes()?;
-        Ok(OpOutcome::KvDropped {
-            key,
-            owner,
+        Ok(OpOutcome::KvDropped(DeleteOutcome {
+            owner: ObjectId(owner),
             existed: old.is_some(),
             hops,
-        })
+        }))
     }
 
     /// Reads `key` from `owner`'s host.
@@ -430,8 +410,8 @@ impl<T: Transport> Driver<T> {
 
     /// Replays a revived host's service state — subscriptions, owned KV
     /// entries and replica copies — from driver control state, ascending
-    /// by object and by key.  First go the removals the host missed while
-    /// dead: a host that kept its state still holds what they removed.
+    /// by object and by key.  First go the KV drops the host missed while
+    /// dead: a host that kept its state still holds those copies.
     /// The replay's own pushes carry newer sequence numbers, so they win
     /// however the frames are reordered.
     pub(super) fn replay_services(&mut self, peer: PeerId) -> Result<(), ClusterError> {
@@ -441,18 +421,10 @@ impl<T: Transport> Driver<T> {
                 .into_iter()
                 .partition(|&(object, _)| host_of(object, hosts) == peer);
         self.missed_drops = elsewhere;
+        // A departed object's copies left with its eviction.
         for (object, key) in missed {
-            // A departed object's state left with its eviction.
-            if !self.net.contains(ObjectId(object)) {
-                continue;
-            }
-            match key {
-                Some(key) => {
-                    self.queue_service_push(object, |seq| WireMsg::SvcKvDrop { object, seq, key })
-                }
-                None => {
-                    self.queue_service_push(object, |seq| WireMsg::SvcUnsubscribe { object, seq })
-                }
+            if self.net.contains(ObjectId(object)) {
+                self.queue_service_push(object, |seq| WireMsg::SvcKvDrop { object, seq, key });
             }
         }
         let subs: Vec<(u64, Rect)> = self
@@ -528,7 +500,7 @@ impl<T: Transport> Driver<T> {
             let held = &placement.entry;
             if let (Some(rivals), Some(owner)) = (&rivals, placed(held.owner)) {
                 let settled = |&rival: &(ObjectId, Point2)| {
-                    rival.0 != held.owner && !holds_before(kp, rival, owner)
+                    rival.0 != held.owner && holder_among(kp, [owner, rival]) == Some(held.owner)
                 };
                 if rivals.iter().all(settled) {
                     continue;

@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
 use std::time::Duration;
-use voronet_core::{ObjectId, VoroNetConfig};
+use voronet_core::VoroNetConfig;
 use voronet_geom::{Point2, Rect};
 use voronet_services::key_point;
 use voronet_workloads::{Distribution, PointGenerator};
@@ -35,20 +35,15 @@ fn assert_in_sync(driver: &Driver<Scripted>, step: usize) {
         let kp = key_point(key, domain);
         let owner = net
             .ids()
-            .map(|id| (net.coords(id).unwrap().distance2(kp), id.0))
+            .map(|id| (net.coords(id).unwrap().distance2(kp), id))
             .min_by(|a, b| a.partial_cmp(b).unwrap())
             .unwrap()
             .1;
-        let mut replicas: Vec<u64> = net
-            .voronoi_neighbours(ObjectId(owner))
-            .unwrap()
-            .iter()
-            .map(|n| n.0)
-            .collect();
+        let mut replicas = net.voronoi_neighbours(owner).unwrap();
         replicas.sort_unstable();
-        let held: Vec<u64> = placement.entry.replicas.iter().map(|r| r.0).collect();
+        let entry = &placement.entry;
         assert_eq!(
-            (placement.entry.owner.0, &held),
+            (entry.owner, &entry.replicas),
             (owner, &replicas),
             "step {step} key {key}"
         );

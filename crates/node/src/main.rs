@@ -206,17 +206,17 @@ impl Tally {
                 self.matches += matches.len() as u64;
                 self.visited += u64::from(*visited);
             }
-            OpOutcome::Subscribed { .. } | OpOutcome::Unsubscribed { .. } => self.subs += 1,
-            OpOutcome::Published { delivered, .. } => {
+            OpOutcome::Subscribed(_) | OpOutcome::Unsubscribed(_) => self.subs += 1,
+            OpOutcome::Published(p) => {
                 self.pubs += 1;
-                self.delivered += delivered.len() as u64;
+                self.delivered += p.delivered.len() as u64;
             }
             OpOutcome::KvStored { .. } => self.kv_puts += 1,
             OpOutcome::KvFetched { value, .. } => {
                 self.kv_gets += 1;
                 self.kv_hits += u64::from(value.is_some());
             }
-            OpOutcome::KvDropped { .. } => self.kv_deletes += 1,
+            OpOutcome::KvDropped(_) => self.kv_deletes += 1,
             OpOutcome::Skipped => self.skipped += 1,
         }
     }

@@ -20,6 +20,7 @@ use voronet_geom::{Point2, Rect};
 use voronet_net::cluster::{Driver, OpOutcome, DRIVER_PEER};
 use voronet_net::transport::Transport;
 use voronet_net::udp::UdpTransport;
+use voronet_services::api::{DeleteOutcome, PublishOutcome, SubscribeOutcome};
 use voronet_services::key_point;
 use voronet_workloads::{Distribution, PointGenerator, RangeQuery};
 
@@ -116,30 +117,29 @@ fn services_over_loopback_udp_survive_churn_handoff() {
             .expect("subscribe");
         assert!(matches!(
             outcome,
-            OpOutcome::Subscribed {
+            OpOutcome::Subscribed(SubscribeOutcome {
                 replaced: false,
                 ..
-            }
+            })
         ));
     }
     let region = Rect::new(Point2::new(0.2, 0.2), Point2::new(0.7, 0.7));
-    let OpOutcome::Published {
-        topic_seq,
+    let OpOutcome::Published(PublishOutcome {
+        seq,
         delivered,
         missed,
         ..
-    } = driver
+    }) = driver
         .publish(nth(&driver, 0), region, 99)
         .expect("publish")
     else {
         panic!("publish on a populated overlay must resolve")
     };
-    assert_eq!(topic_seq, 1);
+    assert_eq!(seq, 1);
     let from = oracle.id_at(0).unwrap();
     let expected = queries::range_query(&mut oracle, from, RangeQuery { rect: region }).unwrap();
-    let expected_ids: Vec<u64> = expected.matches.iter().map(|m| m.0).collect();
     assert_eq!(
-        delivered, expected_ids,
+        delivered, expected.matches,
         "delivered set must match the oracle flood"
     );
     assert_eq!(
@@ -194,7 +194,7 @@ fn services_over_loopback_udp_survive_churn_handoff() {
     assert_eq!(value, Some(41), "the value must survive the second handoff");
 
     // Delete, then the key reads back absent.
-    let OpOutcome::KvDropped { existed: true, .. } =
+    let OpOutcome::KvDropped(DeleteOutcome { existed: true, .. }) =
         driver.kv_delete(nth(&driver, 5), key).expect("kv_delete")
     else {
         panic!("delete must drop the entry")

@@ -3,11 +3,12 @@
 //! `ServiceEngine<O>` wraps any [`Overlay`] engine and implements the
 //! trait itself, so it drops into every call site that holds a
 //! `Box<dyn Overlay>` — the builder, the testkit fleet, the node binary.
-//! It intercepts three op families and forwards everything else:
+//! It answers three op families itself and forwards everything else:
 //!
-//! * [`Op::Service`] — executed here, entirely through `Overlay` trait
-//!   calls (`route`, `range`, `snapshot`), so the results are
-//!   bit-identical on every engine whose protocol results agree;
+//! * [`Op::Service`] — executed here ([`Overlay::serve`]), entirely
+//!   through `Overlay` trait calls (`route`, `range`, `snapshot`), so the
+//!   results are bit-identical on every engine whose protocol results
+//!   agree;
 //! * [`Op::Insert`] / [`Op::Remove`] — forwarded, then followed by the
 //!   churn hooks that keep KV ownership and replica sets correct;
 //! * everything else — forwarded; a run of consecutive routes in a batch
@@ -17,7 +18,7 @@
 //! KV placement is the rule of [`crate::keys`]: the owner is the least
 //! `(distance², id)`, the replicas its sorted Voronoi neighbours.
 
-use crate::keys::{holder_among, holds_before, key_point, replica_set, topic_key};
+use crate::keys::{holder_among, key_point, replica_set, topic_key};
 use crate::state::{KvEntry, ServiceState};
 use voronet_api::{
     DeleteOutcome, GetOutcome, InsertOutcome, Op, OpResult, Overlay, OverlayStats, PublishOutcome,
@@ -58,209 +59,37 @@ impl<O: Overlay> ServiceEngine<O> {
         &self.state
     }
 
-    /// Executes one service operation against the wrapped engine.
+    /// Executes one service operation against the wrapped engine, as
+    /// [`Overlay::apply`] does an [`Op::Service`].
     pub fn exec_service(&mut self, op: ServiceOp) -> OpResult {
-        match op {
-            ServiceOp::Subscribe { id, region } => {
-                if !self.inner.contains(id) {
-                    return OpResult::Failed(VoronetError::new(ErrorKind::UnknownObject(id)));
-                }
-                let replaced = self.state.subscriptions.insert(id, region).is_some();
-                OpResult::Service(ServiceResult::Subscribed(SubscribeOutcome { id, replaced }))
-            }
-            ServiceOp::Unsubscribe { id } => {
-                let existed = self.state.subscriptions.remove(&id).is_some();
-                OpResult::Service(ServiceResult::Unsubscribed(UnsubscribeOutcome {
-                    id,
-                    existed,
-                }))
-            }
-            ServiceOp::Publish {
-                from,
-                region,
-                // The payload token matters on the wire path (it rides the
-                // Deliver frames); in-process delivery is pure accounting.
-                payload: _,
-            } => {
-                let flood = match self.inner.range(from, RangeQuery { rect: region }) {
-                    Ok(q) => q,
-                    Err(e) => return OpResult::Failed(e),
-                };
-                let topic = topic_key(&region);
-                let seq = {
-                    let s = self.state.topic_seqs.entry(topic).or_insert(0);
-                    *s += 1;
-                    *s
-                };
-                let mut delivered = Vec::new();
-                let mut missed = Vec::new();
-                for (&sub, sub_region) in &self.state.subscriptions {
-                    if !sub_region.intersects(&region) {
-                        continue;
-                    }
-                    // `matches` is sorted by id (QueryOutcome contract).
-                    if flood.matches.binary_search(&sub).is_ok() {
-                        delivered.push(sub);
-                    } else {
-                        missed.push(sub);
-                    }
-                }
-                for &sub in &delivered {
-                    let last = self.state.seen.entry((sub, topic)).or_insert(0);
-                    if seq > *last {
-                        *last = seq;
-                        self.state.stats.deliveries += 1;
-                    } else {
-                        self.state.stats.duplicates += 1;
-                    }
-                }
-                self.state.stats.publishes += 1;
-                self.state.stats.misses += missed.len() as u64;
-                OpResult::Service(ServiceResult::Published(PublishOutcome {
-                    seq,
-                    delivered,
-                    missed,
-                    routing_hops: flood.routing_hops,
-                    visited: flood.visited,
-                    flood_messages: flood.flood_messages,
-                }))
-            }
-            ServiceOp::KvPut { from, key, value } => {
-                let domain = self.inner.config().domain;
-                let route = match self.inner.route(from, key_point(key, domain)) {
-                    Ok(r) => r,
-                    Err(e) => return OpResult::Failed(e),
-                };
-                let replicas = match self.replicas_of(route.owner) {
-                    Ok(r) => r,
-                    Err(e) => return OpResult::Failed(e),
-                };
-                let replaced = self
-                    .state
-                    .kv
-                    .insert(
-                        key,
-                        KvEntry {
-                            value,
-                            owner: route.owner,
-                            replicas: replicas.clone(),
-                        },
-                    )
-                    .is_some();
-                self.state.stats.kv_puts += 1;
-                OpResult::Service(ServiceResult::Put(PutOutcome {
-                    owner: route.owner,
-                    replicas,
-                    replaced,
-                    hops: route.hops,
-                }))
-            }
-            ServiceOp::KvGet { from, key } => {
-                let domain = self.inner.config().domain;
-                let route = match self.inner.route(from, key_point(key, domain)) {
-                    Ok(r) => r,
-                    Err(e) => return OpResult::Failed(e),
-                };
-                // The lookup only succeeds when the stored placement and
-                // the routed owner agree — a missed ownership handoff
-                // surfaces as a lost value, not as silently stale data.
-                let value = self
-                    .state
-                    .kv
-                    .get(&key)
-                    .and_then(|entry| (entry.owner == route.owner).then_some(entry.value));
-                self.state.stats.kv_gets += 1;
-                if value.is_some() {
-                    self.state.stats.kv_hits += 1;
-                }
-                OpResult::Service(ServiceResult::Got(GetOutcome {
-                    owner: route.owner,
-                    value,
-                    hops: route.hops,
-                }))
-            }
-            ServiceOp::KvDelete { from, key } => {
-                let domain = self.inner.config().domain;
-                let route = match self.inner.route(from, key_point(key, domain)) {
-                    Ok(r) => r,
-                    Err(e) => return OpResult::Failed(e),
-                };
-                let existed = self.state.kv.remove(&key).is_some();
-                self.state.stats.kv_deletes += 1;
-                OpResult::Service(ServiceResult::Deleted(DeleteOutcome {
-                    owner: route.owner,
-                    existed,
-                    hops: route.hops,
-                }))
-            }
+        match self.serve(op) {
+            Ok(r) => OpResult::Service(r),
+            Err(e) => OpResult::Failed(e),
         }
     }
 
-    /// The replica set of `owner` ([`replica_set`]).
-    fn replicas_of(&self, owner: ObjectId) -> Result<Vec<ObjectId>, VoronetError> {
-        Ok(replica_set(self.inner.snapshot(owner)?.voronoi_neighbours))
-    }
-
-    /// Churn hook after a successful insert: a new object may sit closer
-    /// to a stored key's home coordinate than the current owner, in which
-    /// case ownership hands off to it (the tessellation cell containing
-    /// the key point now belongs to the newcomer).
-    fn handoff_on_insert(&mut self, id: ObjectId, position: Point2) {
+    /// Re-places every entry after churn, among the objects that can newly
+    /// hold its key point: `joiner` (a join takes the entry over when it
+    /// holds the point before the owner), or every survivor when the
+    /// owner departed.  Every replica set is recomputed — a join or a
+    /// departure can reshape Voronoi neighbourhoods beyond the touched
+    /// cell.
+    fn handoff(&mut self, joiner: Option<ObjectId>) {
         let domain = self.inner.config().domain;
-        let mut handoffs = 0u64;
-        for (key, entry) in self.state.kv.iter_mut() {
-            let kp = key_point(*key, domain);
-            let Some(owner_pos) = self.inner.coords(entry.owner) else {
-                continue;
+        let placed = |id| Some((id, self.inner.coords(id)?));
+        for (&key, entry) in self.state.kv.iter_mut() {
+            let kp = key_point(key, domain);
+            let holder = match (placed(entry.owner), joiner.and_then(placed)) {
+                (Some(held), Some(joiner)) => holder_among(kp, [held, joiner]),
+                (Some(_), None) => Some(entry.owner),
+                (None, _) => holder_among(kp, self.inner.ids().into_iter().filter_map(placed)),
             };
-            if holds_before(kp, (id, position), (entry.owner, owner_pos)) {
-                entry.owner = id;
-                handoffs += 1;
+            let Some(owner) = holder else { continue };
+            if owner != entry.owner {
+                entry.owner = owner;
+                self.state.stats.handoffs += 1;
             }
-        }
-        self.state.stats.handoffs += handoffs;
-        self.refresh_replicas();
-    }
-
-    /// Churn hook after a successful remove: entries owned by the
-    /// departed object re-resolve to the nearest survivor, the departed
-    /// object's subscription and delivery ledger are dropped, and an
-    /// empty overlay clears all membership-bound state.
-    fn handoff_on_remove(&mut self, id: ObjectId) {
-        self.state.subscriptions.remove(&id);
-        self.state.seen.retain(|(sub, _), _| *sub != id);
-        if self.inner.is_empty() {
-            self.state.clear_membership_state();
-            return;
-        }
-        let domain = self.inner.config().domain;
-        let live: Vec<(ObjectId, Point2)> = self
-            .inner
-            .ids()
-            .into_iter()
-            .filter_map(|oid| self.inner.coords(oid).map(|p| (oid, p)))
-            .collect();
-        let mut handoffs = 0u64;
-        for (key, entry) in self.state.kv.iter_mut() {
-            if entry.owner != id {
-                continue;
-            }
-            if let Some(next_id) = holder_among(key_point(*key, domain), live.iter().copied()) {
-                entry.owner = next_id;
-                handoffs += 1;
-            }
-        }
-        self.state.stats.handoffs += handoffs;
-        self.refresh_replicas();
-    }
-
-    /// Recomputes every entry's replica set from the current
-    /// tessellation.  Any churn event can reshape Voronoi neighbourhoods
-    /// well beyond the touched cell, so this runs after every
-    /// insert/remove rather than trying to track the blast radius.
-    fn refresh_replicas(&mut self) {
-        for entry in self.state.kv.values_mut() {
-            if let Ok(view) = self.inner.snapshot(entry.owner) {
+            if let Ok(view) = self.inner.snapshot(owner) {
                 entry.replicas = replica_set(view.voronoi_neighbours);
             }
         }
@@ -300,13 +129,20 @@ impl<O: Overlay> Overlay for ServiceEngine<O> {
 
     fn insert(&mut self, position: Point2) -> Result<InsertOutcome, VoronetError> {
         let outcome = self.inner.insert(position)?;
-        self.handoff_on_insert(outcome.id, position);
+        self.handoff(Some(outcome.id));
         Ok(outcome)
     }
 
+    /// A departed object's subscription and delivery ledger leave with
+    /// it, and an empty overlay clears all membership-bound state.
     fn remove(&mut self, id: ObjectId) -> Result<RemoveOutcome, VoronetError> {
         let outcome = self.inner.remove(id)?;
-        self.handoff_on_remove(id);
+        self.state.subscriptions.remove(&id);
+        self.state.seen.retain(|(sub, _), _| *sub != id);
+        if self.inner.is_empty() {
+            self.state.clear_membership_state();
+        }
+        self.handoff(None);
         Ok(outcome)
     }
 
@@ -345,48 +181,142 @@ impl<O: Overlay> Overlay for ServiceEngine<O> {
     fn verify_invariants(&self) -> Result<(), VoronetError> {
         self.inner.verify_invariants()?;
         // Service-layer invariant: every stored entry is owned by the
-        // live object whose cell contains the key's home coordinate.
+        // live object that holds the key's home coordinate.
         let domain = self.inner.config().domain;
-        for (key, entry) in &self.state.kv {
-            let Some(owner_pos) = self.inner.coords(entry.owner) else {
+        let placed = |id| Some((id, self.inner.coords(id)?));
+        let live: Vec<(ObjectId, Point2)> =
+            self.inner.ids().into_iter().filter_map(placed).collect();
+        for (&key, entry) in &self.state.kv {
+            let holder = holder_among(key_point(key, domain), live.iter().copied());
+            if holder != Some(entry.owner) {
                 return Err(VoronetError::invariant(format!(
-                    "kv entry {key} owned by dead object {:?}",
+                    "kv entry {key}: owner {:?} does not hold the key point ({holder:?} does — \
+                     missed handoff)",
                     entry.owner
                 )));
-            };
-            let kp = key_point(*key, domain);
-            for index in 0..self.inner.len() {
-                let Some(other) = self.inner.id_at(index) else {
-                    continue;
-                };
-                let Some(other_pos) = self.inner.coords(other) else {
-                    continue;
-                };
-                if holds_before(kp, (other, other_pos), (entry.owner, owner_pos)) {
-                    return Err(VoronetError::invariant(format!(
-                        "kv entry {key}: owner {:?} is not nearest to the key point \
-                         ({:?} is closer — missed handoff)",
-                        entry.owner, other
-                    )));
-                }
             }
         }
         Ok(())
     }
 
-    fn apply(&mut self, op: &Op) -> OpResult {
-        match *op {
-            Op::Service(service) => self.exec_service(service),
-            Op::Insert { position } => match self.insert(position) {
-                Ok(r) => OpResult::Inserted(r),
-                Err(e) => OpResult::Failed(e),
-            },
-            Op::Remove { id } => match self.remove(id) {
-                Ok(r) => OpResult::Removed(r),
-                Err(e) => OpResult::Failed(e),
-            },
-            _ => self.inner.apply(op),
-        }
+    /// Executes one service operation against the wrapped engine.
+    fn serve(&mut self, op: ServiceOp) -> Result<ServiceResult, VoronetError> {
+        Ok(match op {
+            ServiceOp::Subscribe { id, region } => {
+                if !self.inner.contains(id) {
+                    return Err(VoronetError::new(ErrorKind::UnknownObject(id)));
+                }
+                let replaced = self.state.subscriptions.insert(id, region).is_some();
+                ServiceResult::Subscribed(SubscribeOutcome { id, replaced })
+            }
+            ServiceOp::Unsubscribe { id } => {
+                let existed = self.state.subscriptions.remove(&id).is_some();
+                ServiceResult::Unsubscribed(UnsubscribeOutcome { id, existed })
+            }
+            ServiceOp::Publish {
+                from,
+                region,
+                // The payload token matters on the wire path (it rides the
+                // Deliver frames); in-process delivery is pure accounting.
+                payload: _,
+            } => {
+                let flood = self.inner.range(from, RangeQuery { rect: region })?;
+                let topic = topic_key(&region);
+                let seq = {
+                    let s = self.state.topic_seqs.entry(topic).or_insert(0);
+                    *s += 1;
+                    *s
+                };
+                let mut delivered = Vec::new();
+                let mut missed = Vec::new();
+                for (&sub, sub_region) in &self.state.subscriptions {
+                    if !sub_region.intersects(&region) {
+                        continue;
+                    }
+                    // `matches` is sorted by id (QueryOutcome contract).
+                    if flood.matches.binary_search(&sub).is_ok() {
+                        delivered.push(sub);
+                    } else {
+                        missed.push(sub);
+                    }
+                }
+                for &sub in &delivered {
+                    let last = self.state.seen.entry((sub, topic)).or_insert(0);
+                    if seq > *last {
+                        *last = seq;
+                        self.state.stats.deliveries += 1;
+                    } else {
+                        self.state.stats.duplicates += 1;
+                    }
+                }
+                self.state.stats.publishes += 1;
+                self.state.stats.misses += missed.len() as u64;
+                ServiceResult::Published(PublishOutcome {
+                    seq,
+                    delivered,
+                    missed,
+                    routing_hops: flood.routing_hops,
+                    visited: flood.visited,
+                    flood_messages: flood.flood_messages,
+                })
+            }
+            ServiceOp::KvPut { from, key, value } => {
+                let domain = self.inner.config().domain;
+                let route = self.inner.route(from, key_point(key, domain))?;
+                let replicas = replica_set(self.inner.snapshot(route.owner)?.voronoi_neighbours);
+                let replaced = self
+                    .state
+                    .kv
+                    .insert(
+                        key,
+                        KvEntry {
+                            value,
+                            owner: route.owner,
+                            replicas: replicas.clone(),
+                        },
+                    )
+                    .is_some();
+                self.state.stats.kv_puts += 1;
+                ServiceResult::Put(PutOutcome {
+                    owner: route.owner,
+                    replicas,
+                    replaced,
+                    hops: route.hops,
+                })
+            }
+            ServiceOp::KvGet { from, key } => {
+                let domain = self.inner.config().domain;
+                let route = self.inner.route(from, key_point(key, domain))?;
+                // The lookup only succeeds when the stored placement and
+                // the routed owner agree — a missed ownership handoff
+                // surfaces as a lost value, not as silently stale data.
+                let value = self
+                    .state
+                    .kv
+                    .get(&key)
+                    .and_then(|entry| (entry.owner == route.owner).then_some(entry.value));
+                self.state.stats.kv_gets += 1;
+                if value.is_some() {
+                    self.state.stats.kv_hits += 1;
+                }
+                ServiceResult::Got(GetOutcome {
+                    owner: route.owner,
+                    value,
+                    hops: route.hops,
+                })
+            }
+            ServiceOp::KvDelete { from, key } => {
+                let domain = self.inner.config().domain;
+                let route = self.inner.route(from, key_point(key, domain))?;
+                let existed = self.state.kv.remove(&key).is_some();
+                self.state.stats.kv_deletes += 1;
+                ServiceResult::Deleted(DeleteOutcome {
+                    owner: route.owner,
+                    existed,
+                    hops: route.hops,
+                })
+            }
+        })
     }
 
     /// A run of routes touches no service state: the inner engine walks

@@ -9,8 +9,8 @@
 //!
 //! The placement rule itself lives here too, once: the owner of a key is
 //! the live object with the least `(distance², id)` to the key's point
-//! ([`holds_before`], [`holder_among`]), and its replicas are the owner's
-//! Voronoi neighbours, sorted ([`replica_set`]).  The single-process
+//! ([`holder_among`]), and its replicas are the owner's Voronoi
+//! neighbours, sorted ([`replica_set`]).  The single-process
 //! `ServiceEngine` and the cluster driver both call these.
 
 use voronet_core::ObjectId;
@@ -55,21 +55,16 @@ pub fn topic_key(region: &Rect) -> [u64; 4] {
     ]
 }
 
-/// Whether object `a` holds the key point `key` before object `b`, each
-/// given with its coordinates: the lesser `(distance², id)`.  Exact, and
-/// ties — measure-zero for hashed key points — go to the lower id.
-pub fn holds_before(key: Point2, a: (ObjectId, Point2), b: (ObjectId, Point2)) -> bool {
-    (a.1.distance2(key), a.0) < (b.1.distance2(key), b.0)
-}
-
 /// The owner of the key point `key` among `candidates` (objects with
-/// their coordinates): the one that [holds it before](holds_before) every
-/// other; `None` when there is no candidate.
+/// their coordinates): the least `(distance², id)` — exact, and ties,
+/// measure-zero for hashed key points, go to the lower id; `None` when
+/// there is no candidate.
 pub fn holder_among(
     key: Point2,
     candidates: impl IntoIterator<Item = (ObjectId, Point2)>,
 ) -> Option<ObjectId> {
-    let best = |best, c| if holds_before(key, c, best) { c } else { best };
+    let rank = |(id, at): (ObjectId, Point2)| (at.distance2(key), id);
+    let best = |best, c| if rank(c) < rank(best) { c } else { best };
     candidates.into_iter().reduce(best).map(|(id, _)| id)
 }
 
@@ -119,33 +114,5 @@ mod tests {
         assert_eq!(topic_key(&r1), topic_key(&r2));
         let r3 = Rect::new(Point2::new(0.1, 0.2), Point2::new(0.3, 0.4000000001));
         assert_ne!(topic_key(&r1), topic_key(&r3));
-    }
-
-    #[test]
-    fn the_nearest_object_holds_a_key_and_ties_go_to_the_lower_id() {
-        let key = Point2::new(0.5, 0.5);
-        let (near, far) = (Point2::new(0.5, 0.6), Point2::new(0.5, 0.8));
-        // Distance decides before id does.
-        assert!(holds_before(key, (ObjectId(9), near), (ObjectId(1), far)));
-        assert!(!holds_before(key, (ObjectId(1), far), (ObjectId(9), near)));
-        // Equidistant: the lower id, and no object holds before itself.
-        let mirror = Point2::new(0.5, 0.4);
-        assert!(holds_before(
-            key,
-            (ObjectId(2), mirror),
-            (ObjectId(3), near)
-        ));
-        assert!(!holds_before(key, (ObjectId(3), near), (ObjectId(3), near)));
-        let candidates = [
-            (ObjectId(4), far),
-            (ObjectId(3), near),
-            (ObjectId(2), mirror),
-        ];
-        assert_eq!(holder_among(key, candidates), Some(ObjectId(2)));
-        assert_eq!(holder_among(key, []), None);
-        assert_eq!(
-            replica_set([ObjectId(5), ObjectId(1), ObjectId(3)]),
-            [ObjectId(1), ObjectId(3), ObjectId(5)]
-        );
     }
 }

@@ -52,7 +52,7 @@ pub mod keys;
 pub mod state;
 
 pub use engine::ServiceEngine;
-pub use keys::{holder_among, holds_before, key_point, replica_set, topic_key};
+pub use keys::{holder_among, key_point, replica_set, topic_key};
 pub use state::{KvEntry, ServiceState, ServiceStats};
 
 // Service ops and results are part of the API surface; re-export for

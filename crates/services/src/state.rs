@@ -73,7 +73,7 @@ impl ServiceState {
     /// Drops every piece of state that references live objects.  Called
     /// when the overlay population reaches zero: with no objects there
     /// is no owner to hold an entry and no subscriber to deliver to.
-    pub fn clear_membership_state(&mut self) {
+    pub(crate) fn clear_membership_state(&mut self) {
         self.subscriptions.clear();
         self.seen.clear();
         self.kv.clear();

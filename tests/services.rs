@@ -16,6 +16,7 @@ use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use voronet::api::PublishOutcome;
 use voronet::net::{InlineCluster, OpOutcome, Transport};
 use voronet::prelude::*;
 use voronet::sim::NetworkModel;
@@ -212,23 +213,23 @@ fn publish_frames_stay_within_the_protocol_bound() {
                 .publish(from, region, p as u64)
                 .expect("publish");
             let frames = frames_sent(&cluster) - before;
-            let OpOutcome::Published {
+            let OpOutcome::Published(PublishOutcome {
                 delivered,
-                hops,
+                routing_hops: hops,
                 visited,
                 ..
-            } = published
+            }) = published
             else {
                 panic!("side {side}, publish {p}: {published:?}");
             };
-            let bound = u64::from(hops) + 2 * u64::from(visited) + 2 * delivered.len() as u64 + 2;
+            let bound = u64::from(hops) + 2 * visited as u64 + 2 * delivered.len() as u64 + 2;
             assert!(
                 frames <= bound,
                 "side {side}, publish {p}: {frames} frames over the bound {bound} \
                  ({hops} hops, {visited} visited, {} delivered)",
                 delivered.len()
             );
-            visited_total += u64::from(visited);
+            visited_total += visited as u64;
         }
         let mean = visited_total as f64 / PUBLISHES_PER_SIDE as f64;
         println!("publish side {side}: flood visited {mean:.1} objects on average");
