@@ -31,7 +31,7 @@ use voronet_workloads::{RadiusQuery, RangeQuery};
 
 /// A geo-scoped service layer wrapped around an overlay engine.
 ///
-/// See the [module docs](self) for the interception contract and the
+/// See the [module docs](self) for what it answers itself and the
 /// [crate docs](crate) for the service semantics.
 #[derive(Debug)]
 pub struct ServiceEngine<O: Overlay> {

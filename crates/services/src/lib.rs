@@ -24,8 +24,11 @@
 //! The layer is an engine wrapper, [`ServiceEngine`], implementing
 //! [`Overlay`] itself: service ops execute purely through trait calls
 //! (`route`, `range`, `snapshot`), so any two engines that agree on
-//! protocol results agree bit-for-bit on service results — exactly the
-//! property the differential testkit pins down.
+//! protocol results agree bit-for-bit on service results.  The
+//! message-level cluster (`voronet-net`'s `InlineCluster`) serves the same
+//! ops from its hosts instead, placing keys by the same rule
+//! ([`holder_among`], [`replica_set`]); the differential testkit holds it
+//! to this wrapper's results and state.
 //!
 //! ```
 //! use voronet_api::{Op, Overlay, OverlayBuilder, OpResult, ServiceOp, ServiceResult};
