@@ -5,12 +5,12 @@
 use super::liveness::{FailureDetector, HostState, Liveness};
 use super::pump::{Completes, Ladder, PendingTable, RetryPolicy, SYNC_DEADLINE};
 use super::services::KvPlacement;
-use super::{host_of, ClusterError, ClusterStats, HostReport, OpOutcome, DRIVER_PEER};
+use super::{host_of, ClusterError, ClusterStats, HostReport, IdMap, OpOutcome, DRIVER_PEER};
 use crate::transport::{PeerId, Transport};
 use crate::wire::{EntryList, IdList, PointList, WireMsg};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 use voronet_core::{ObjectId, VoroNet, VoroNetConfig, VoronetError};
 use voronet_geom::{voronoi_cell, Point2, Rect};
@@ -34,8 +34,8 @@ pub struct Driver<T: Transport> {
     pub(super) t: T,
     pub(super) hosts: u64,
     pub(super) net: VoroNet,
-    pub(super) shipped: HashMap<u64, ShippedView>,
-    seqs: HashMap<u64, u64>,
+    pub(super) shipped: IdMap<u64, ShippedView>,
+    seqs: IdMap<u64, u64>,
     /// The overlay epoch up to which every host holds every view and every
     /// KV entry sits where the owner rule puts it; `None` while that is
     /// not known (a write is propagating, or one failed), which makes the
@@ -48,9 +48,9 @@ pub struct Driver<T: Transport> {
     /// Subscriptions by object and entries by key, ordered: pushes made
     /// by iterating them come out the same on every run.
     pub(super) subs: BTreeMap<ObjectId, Rect>,
-    pub(super) topic_seqs: HashMap<[u64; 4], u64>,
+    pub(super) topic_seqs: IdMap<[u64; 4], u64>,
     pub(super) kv: BTreeMap<u64, KvPlacement>,
-    pub(super) svc_seqs: HashMap<u64, u64>,
+    pub(super) svc_seqs: IdMap<u64, u64>,
     pub(super) kv_seq: u64,
     /// The `(object, key)` KV copies a dead host was told to drop and
     /// never heard: replayed when it comes back with its state.
@@ -76,16 +76,16 @@ impl<T: Transport> Driver<T> {
             t: transport,
             hosts,
             net: VoroNet::new(config),
-            shipped: HashMap::new(),
-            seqs: HashMap::new(),
+            shipped: IdMap::default(),
+            seqs: IdMap::default(),
             synced: Some(0),
             next_token: 1,
             buf: Vec::new(),
             table: PendingTable::new(start),
             subs: BTreeMap::new(),
-            topic_seqs: HashMap::new(),
+            topic_seqs: IdMap::default(),
             kv: BTreeMap::new(),
-            svc_seqs: HashMap::new(),
+            svc_seqs: IdMap::default(),
             kv_seq: 0,
             missed_drops: BTreeSet::new(),
             jitter_rng: StdRng::seed_from_u64(policy.seed),

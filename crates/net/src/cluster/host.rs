@@ -1,10 +1,12 @@
 //! The data plane: one object-hosting peer serving view pushes, greedy
 //! route steps, area floods and the service plane from shipped snapshots.
 
-use super::{host_of, ClusterError};
+use super::{host_of, ClusterError, IdMap};
 use crate::transport::{PeerId, Transport};
 use crate::wire::{IdList, WireMsg, WirePurpose, WireQuery};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 use std::time::{Duration, Instant};
 use voronet_geom::{greedy_next, Point2, Polygon, Rect};
 use voronet_sim::TransportStats;
@@ -82,16 +84,20 @@ pub struct HostNode<T: Transport> {
     pub(super) t: T,
     peer: PeerId,
     hosts: u64,
-    pub(super) objects: HashMap<u64, Hosted>,
+    pub(super) objects: IdMap<u64, Hosted>,
     /// Floods and their probes by token and object, ordered: a
     /// retransmission round sends in the same order on every run.
     floods: BTreeMap<u64, Flood>,
-    subs: HashMap<u64, Rect>,
-    seen: HashMap<(u64, [u64; 4]), u64>,
-    pub(super) kv: HashMap<(u64, u64), u64>,
-    pub(super) kv_replicas: HashMap<(u64, u64), (u64, u64)>,
-    svc_applied: HashMap<u64, u64>,
-    kv_applied: HashMap<(u64, u64), u64>,
+    /// One flood's probes a retransmission round resends and abandons;
+    /// kept, so a round allocates nothing.
+    resend: Vec<u64>,
+    abandon: Vec<u64>,
+    subs: IdMap<u64, Rect>,
+    seen: IdMap<(u64, [u64; 4]), u64>,
+    pub(super) kv: IdMap<(u64, u64), u64>,
+    pub(super) kv_replicas: IdMap<(u64, u64), (u64, u64)>,
+    svc_applied: IdMap<u64, u64>,
+    kv_applied: IdMap<(u64, u64), u64>,
     deliveries: u64,
     duplicates: u64,
     ops_served: u64,
@@ -110,14 +116,16 @@ impl<T: Transport> HostNode<T> {
             t: transport,
             peer,
             hosts,
-            objects: HashMap::new(),
+            objects: IdMap::default(),
             floods: BTreeMap::new(),
-            subs: HashMap::new(),
-            seen: HashMap::new(),
-            kv: HashMap::new(),
-            kv_replicas: HashMap::new(),
-            svc_applied: HashMap::new(),
-            kv_applied: HashMap::new(),
+            resend: Vec::new(),
+            abandon: Vec::new(),
+            subs: IdMap::default(),
+            seen: IdMap::default(),
+            kv: IdMap::default(),
+            kv_replicas: IdMap::default(),
+            svc_applied: IdMap::default(),
+            kv_applied: IdMap::default(),
             deliveries: 0,
             duplicates: 0,
             ops_served: 0,
@@ -166,44 +174,55 @@ impl<T: Transport> HostNode<T> {
     }
 
     /// Retransmits unanswered flood probes and finishes floods whose
-    /// probes exhausted their attempts.
+    /// probes exhausted their attempts: floods by ascending token, and in
+    /// each its resends, then its abandoned probes.
     fn tick(&mut self) -> Result<(), ClusterError> {
         if self.floods.is_empty() {
             return Ok(());
         }
         let now = self.t.now();
-        let tokens: Vec<u64> = self.floods.keys().copied().collect();
-        for token in tokens {
-            let mut resend: Vec<u64> = Vec::new();
-            let mut abandon: Vec<u64> = Vec::new();
-            if let Some(flood) = self.floods.get_mut(&token) {
-                for (&object, probe) in flood.outstanding.iter_mut() {
-                    if now.duration_since(probe.sent_at) > PROBE_RESEND {
-                        probe.attempts += 1;
-                        probe.sent_at = now;
-                        if probe.attempts > PROBE_MAX_ATTEMPTS {
-                            abandon.push(object);
-                        } else {
-                            resend.push(object);
-                        }
+        // The kept lists go back after the round (an error drops them, and
+        // the next round allocates afresh).
+        let mut resend = std::mem::take(&mut self.resend);
+        let mut abandon = std::mem::take(&mut self.abandon);
+        let mut next = self.floods.keys().next().copied();
+        while let Some(token) = next {
+            resend.clear();
+            abandon.clear();
+            let flood = self.floods.get_mut(&token).expect("a listed flood");
+            for (&object, probe) in flood.outstanding.iter_mut() {
+                if now.duration_since(probe.sent_at) > PROBE_RESEND {
+                    probe.attempts += 1;
+                    probe.sent_at = now;
+                    if probe.attempts > PROBE_MAX_ATTEMPTS {
+                        abandon.push(object);
+                    } else {
+                        resend.push(object);
                     }
                 }
             }
-            for object in resend {
-                let query = self.floods[&token].query;
+            let query = flood.query;
+            for &object in &resend {
                 self.send_probe(token, object, query)?;
             }
             if !abandon.is_empty() {
                 // Give up on unreachable objects so the flood terminates;
                 // the driver's fresh-token retry is the outer safety net.
                 if let Some(flood) = self.floods.get_mut(&token) {
-                    for object in abandon {
-                        flood.outstanding.remove(&object);
+                    for object in &abandon {
+                        flood.outstanding.remove(object);
                     }
                 }
                 self.pump_flood(token)?;
             }
+            // Only this token's flood can have finished meanwhile.
+            next = self
+                .floods
+                .range((Bound::Excluded(token), Bound::Unbounded))
+                .next()
+                .map(|(&t, _)| t);
         }
+        (self.resend, self.abandon) = (resend, abandon);
         Ok(())
     }
 
@@ -239,22 +258,25 @@ impl<T: Transport> HostNode<T> {
                 vn,
                 cell,
             } => {
-                let stale = self
-                    .objects
-                    .get(&object)
-                    .map(|h| h.seq >= seq)
-                    .unwrap_or(false);
-                if !stale {
-                    self.objects.insert(
-                        object,
-                        Hosted {
-                            seq,
-                            coords,
-                            routing: routing.to_vec(),
-                            vn: vn.to_vec(),
-                            cell: cell.to_vec(),
-                        },
-                    );
+                let fresh = match self.objects.entry(object) {
+                    Entry::Occupied(held) if held.get().seq >= seq => None,
+                    // A newer view of a hosted object is written in place,
+                    // into the buffers of the one it replaces.
+                    Entry::Occupied(held) => Some(held.into_mut()),
+                    Entry::Vacant(slot) => Some(slot.insert(Hosted {
+                        seq,
+                        coords,
+                        routing: Vec::new(),
+                        vn: Vec::new(),
+                        cell: Vec::new(),
+                    })),
+                };
+                if let Some(h) = fresh {
+                    h.seq = seq;
+                    h.coords = coords;
+                    refill(&mut h.routing, routing.len(), routing.iter());
+                    refill(&mut h.vn, vn.len(), vn.iter());
+                    refill(&mut h.cell, cell.len(), cell.iter());
                 }
                 self.reply(header.from, WireMsg::ViewAck { object, seq })?;
             }
@@ -703,6 +725,19 @@ impl<T: Transport> HostNode<T> {
             self.t.send(flood.origin, &self.out)?;
         }
         Ok(())
+    }
+}
+
+/// Overwrites `v` with the `len` `items` in place.  It grows to exactly
+/// `len` when it must (collecting an iterator without a size hint would
+/// round up), and gives memory back once the view needs less than half of
+/// its buffer, so a kept view holds no more than a fresh copy would.
+fn refill<T>(v: &mut Vec<T>, len: usize, items: impl Iterator<Item = T>) {
+    v.clear();
+    v.reserve_exact(len);
+    v.extend(items);
+    if v.capacity() > 2 * len {
+        v.shrink_to_fit();
     }
 }
 

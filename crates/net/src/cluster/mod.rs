@@ -106,7 +106,9 @@ pub use pump::RetryPolicy;
 use crate::transport::{PeerId, TransportError};
 #[cfg(doc)]
 use crate::wire::WireMsg;
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 #[cfg(doc)]
 use voronet_core::VoroNet;
 use voronet_services::api::{DeleteOutcome, PublishOutcome, SubscribeOutcome, UnsubscribeOutcome};
@@ -119,6 +121,42 @@ pub const DRIVER_PEER: PeerId = 0;
 /// per visited object beyond the first, as the synchronous flood counts.
 fn flood_messages(visited: u32) -> u64 {
     u64::from(visited.saturating_sub(1))
+}
+
+/// A map keyed by object ids (or tuples holding them).  The ids are the
+/// driver's own; a host reads them off frames, but from peers it already
+/// trusts with all of its state (frames carry no authentication), so a
+/// keyed SipHash on the per-hop lookups would defend nothing.
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// An Fx-style multiply-rotate hash: each word is added, then multiplied by
+/// an odd constant; `finish` rotates the product's well-mixed high bits
+/// into the low bits hashbrown picks a bucket with, keeping mixed bits in
+/// the top seven it tags a slot with.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        const ODD: u64 = 0xf135_7aea_2e62_a9c5;
+        self.0 = self.0.wrapping_add(word).wrapping_mul(ODD);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
 }
 
 /// The host peer responsible for an object.
@@ -584,6 +622,36 @@ mod tests {
         };
         let reports = cluster.driver().collect_stats().unwrap();
         assert!(reports.iter().any(|r| r.ops_served > 0));
+    }
+
+    /// One host's ids (≡ 1 mod 3 here) must spread over both the buckets
+    /// (low bits) and the slot tags (top seven bits) hashbrown reads: an
+    /// identity hash of small ids would tag every slot alike.
+    #[test]
+    fn id_hashes_spread_in_the_low_and_the_top_bits() {
+        use std::hash::BuildHasher;
+        let hasher = BuildHasherDefault::<IdHasher>::default();
+        let (mut low, mut top) = ([0u32; 128], [0u32; 128]);
+        for id in (0..1_024u64).map(|i| 3 * i + 1) {
+            let h = hasher.hash_one(id);
+            low[(h & 127) as usize] += 1;
+            top[(h >> 57) as usize] += 1;
+        }
+        // 1 024 ids over 128 values: 8 each on average.
+        for (bits, counts) in [("low", low), ("top", top)] {
+            let empty = counts.iter().filter(|&&c| c == 0).count();
+            let most = counts.iter().max().copied().unwrap_or(0);
+            assert!(
+                empty <= 4 && most <= 24,
+                "{bits} bits: {empty} empty, {most} max"
+            );
+        }
+        // Tuple and array keys hash every word.
+        assert_ne!(hasher.hash_one((1u64, 2u64)), hasher.hash_one((2u64, 1u64)));
+        assert_ne!(
+            hasher.hash_one([1u64, 0, 0, 0]),
+            hasher.hash_one([0u64, 0, 0, 1])
+        );
     }
 
     #[test]

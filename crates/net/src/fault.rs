@@ -22,9 +22,10 @@
 use crate::transport::{PeerId, Transport, TransportError};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::cell::RefCell;
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 use voronet_sim::TransportStats;
 
@@ -90,10 +91,11 @@ struct FaultState {
 
 /// The fault switchboard every [`FaultTransport`] of a cluster shares:
 /// crash/restart peers, open/heal partitions, adjust link faults — all
-/// effective on the very next frame.
+/// effective on the very next frame.  It lives on the thread of the
+/// endpoints it wraps, like a vnet hub.
 #[derive(Debug, Clone, Default)]
 pub struct FaultCtl {
-    state: Arc<Mutex<FaultState>>,
+    state: Rc<RefCell<FaultState>>,
 }
 
 impl FaultCtl {
@@ -101,46 +103,42 @@ impl FaultCtl {
     /// partition faults.
     pub fn new(link: LinkFaults) -> Self {
         FaultCtl {
-            state: Arc::new(Mutex::new(FaultState {
+            state: Rc::new(RefCell::new(FaultState {
                 link,
                 ..FaultState::default()
             })),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, FaultState> {
-        self.state.lock().expect("fault state poisoned")
-    }
-
     /// Crash-stops `peer`.
     pub fn crash(&self, peer: PeerId) {
-        self.lock().crashed.insert(peer);
+        self.state.borrow_mut().crashed.insert(peer);
     }
 
     /// Restarts `peer` (lifts its blackhole).
     pub fn restart(&self, peer: PeerId) {
-        self.lock().crashed.remove(&peer);
+        self.state.borrow_mut().crashed.remove(&peer);
     }
 
     /// True while `peer` is crashed.
     fn is_crashed(&self, peer: PeerId) -> bool {
-        self.lock().crashed.contains(&peer)
+        self.state.borrow().crashed.contains(&peer)
     }
 
     /// Splits the cluster into `groups` partitions by `peer % groups`.
     pub fn partition(&self, groups: u64) {
-        self.lock().partition = Some(groups.max(2));
+        self.state.borrow_mut().partition = Some(groups.max(2));
     }
 
     /// Heals any partition.
     pub fn heal(&self) {
-        self.lock().partition = None;
+        self.state.borrow_mut().partition = None;
     }
 
     /// Restores a fault-free cluster: restarts every crashed peer, heals
     /// partitions and zeroes the link faults.
     pub fn heal_all(&self) {
-        let mut s = self.lock();
+        let mut s = self.state.borrow_mut();
         s.crashed.clear();
         s.partition = None;
         s.link = LinkFaults::default();
@@ -238,7 +236,7 @@ impl<T: Transport> Transport for FaultTransport<T> {
         self.flush_held()?;
         let local = self.inner.local_peer();
         let (crashed_edge, partition_cut, link) = {
-            let s = self.ctl.lock();
+            let s = self.ctl.state.borrow();
             let crashed = s.crashed.contains(&local) || s.crashed.contains(&to);
             let cut = s
                 .partition
@@ -486,11 +484,11 @@ mod tests {
         let ctl = FaultCtl::new(LinkFaults::default());
         for &(_, event) in &p1.events {
             ctl.apply(event);
-            let state = ctl.lock();
+            let state = ctl.state.borrow();
             assert!(state.crashed.len() <= 1, "at most one host down");
             assert!(!state.crashed.contains(&DRIVER_PEER));
         }
-        let state = ctl.lock();
+        let state = ctl.state.borrow();
         assert!(state.crashed.is_empty(), "all hosts restarted by the end");
         assert!(state.partition.is_none(), "partitions healed by the end");
     }

@@ -28,6 +28,12 @@
 //! cycles only a few, while a full view sync leaves thousands behind, and
 //! keeping those would only grow the process.
 //!
+//! A hub and all its endpoints live on one thread.  They share the hub
+//! through an `Rc<RefCell<…>>`, so a frame crosses it without a lock or an
+//! atomic, and neither [`VnetHub`] nor [`VnetTransport`] is `Send` (nor is
+//! the chaos switchboard [`FaultCtl`](crate::fault::FaultCtl), shared the
+//! same way); a thread that wants a virtual network opens a hub of its own.
+//!
 //! Frames addressed to a peer with no open endpoint are dead letters —
 //! counted, never delivered.  So are frames still queued when their
 //! endpoint closes or its peer re-opens; each counts against its sender.
@@ -37,9 +43,10 @@
 
 use crate::frame::MAX_FRAME_LEN;
 use crate::transport::{PeerId, Transport, TransportError};
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 use voronet_sim::{Delivery, NetworkModel, SimTime, TransportStats};
 
@@ -160,14 +167,14 @@ fn mailbox_of(endpoints: &mut [Endpoint], peer: PeerId) -> Option<&mut Mailbox> 
 /// frames to it count as dead letters).
 #[derive(Debug, Clone)]
 pub struct VnetHub {
-    inner: Arc<Mutex<HubInner>>,
+    inner: Rc<RefCell<HubInner>>,
 }
 
 impl VnetHub {
     /// Creates a hub over the given network conditions.
     pub fn new(network: NetworkModel) -> Self {
         VnetHub {
-            inner: Arc::new(Mutex::new(HubInner {
+            inner: Rc::new(RefCell::new(HubInner {
                 network,
                 now: 0,
                 seq: 0,
@@ -186,7 +193,7 @@ impl VnetHub {
     /// queued for the old endpoint dead-letter, and it receives nothing
     /// more.
     pub fn endpoint(&self, peer: PeerId) -> VnetTransport {
-        let mut inner = self.inner.lock().expect("hub poisoned");
+        let mut inner = self.inner.borrow_mut();
         let older = inner
             .endpoints
             .iter_mut()
@@ -212,7 +219,7 @@ impl VnetHub {
 
     /// Aggregated counters over every endpoint ever opened on this hub.
     pub fn total_stats(&self) -> TransportStats {
-        let inner = self.inner.lock().expect("hub poisoned");
+        let inner = self.inner.borrow();
         let mut total = inner.closed;
         for e in &inner.endpoints {
             total.merge(&e.stats);
@@ -224,14 +231,15 @@ impl VnetHub {
 /// One peer's endpoint on a [`VnetHub`].
 #[derive(Debug)]
 pub struct VnetTransport {
-    hub: Arc<Mutex<HubInner>>,
+    hub: Rc<RefCell<HubInner>>,
     peer: PeerId,
     opening: u64,
 }
 
 impl Drop for VnetTransport {
     fn drop(&mut self) {
-        let Ok(mut inner) = self.hub.lock() else {
+        // A drop never panics: should the hub be borrowed, the entry stays.
+        let Ok(mut inner) = self.hub.try_borrow_mut() else {
             return;
         };
         // Close this opening only: a newer endpoint of the same peer
@@ -261,7 +269,7 @@ impl Transport for VnetTransport {
     }
 
     fn send(&mut self, to: PeerId, frame: &[u8]) -> Result<(), TransportError> {
-        let mut inner = self.hub.lock().expect("hub poisoned");
+        let mut inner = self.hub.borrow_mut();
         let inner = &mut *inner;
         let at = inner.index(self.opening);
         let stats = &mut inner.endpoints[at].stats;
@@ -303,7 +311,7 @@ impl Transport for VnetTransport {
     /// Hands over the frame's own buffer and keeps `buf`'s previous one
     /// for a later send.
     fn recv_into(&mut self, buf: &mut Vec<u8>) -> Result<Option<PeerId>, TransportError> {
-        let mut inner = self.hub.lock().expect("hub poisoned");
+        let mut inner = self.hub.borrow_mut();
         let at = inner.index(self.opening);
         let endpoint = &mut inner.endpoints[at];
         let Some(Reverse(mut in_flight)) = endpoint.mailbox.as_mut().and_then(BinaryHeap::pop)
@@ -317,18 +325,18 @@ impl Transport for VnetTransport {
     }
 
     fn stats(&self) -> TransportStats {
-        let inner = self.hub.lock().expect("hub poisoned");
+        let inner = self.hub.borrow();
         inner.endpoints[inner.index(self.opening)].stats
     }
 
     fn now(&self) -> Instant {
-        let inner = self.hub.lock().expect("hub poisoned");
+        let inner = self.hub.borrow();
         inner.epoch + inner.idled
     }
 
     fn idle(&mut self, wait: Duration) {
         let step = if wait.is_zero() { YIELD_STEP } else { wait };
-        self.hub.lock().expect("hub poisoned").idled += step;
+        self.hub.borrow_mut().idled += step;
     }
 }
 

@@ -6,7 +6,10 @@
 //! between hosts) and the driver's KV reads (a route to the key's owner,
 //! then a fetch).  Warmed KV writes through the id-keyed driver path are
 //! pinned at the exact count they make (a new placement record and its
-//! push bookkeeping per put), so a change to that count is seen.
+//! push bookkeeping per put), and so are warmed range queries (the flood's
+//! visited set, probe table and match list, each cell's clip) and one
+//! join through `Driver::insert` (the overlay's own insertion, the views
+//! it touched materialised and pushed), so a change to any count is seen.
 //!
 //! This file deliberately contains a single test: the counting allocator is
 //! process-global, and a concurrently running test would perturb the count.
@@ -44,6 +47,12 @@ static ALLOC: CountingAllocator = CountingAllocator;
 
 /// Heap allocations of the 64 warmed `kv_put`s below.
 const PUT_ALLOCATIONS: u64 = 317;
+
+/// Heap allocations of the 16 warmed range queries below.
+const RANGE_ALLOCATIONS: u64 = 2_402;
+
+/// Heap allocations of the one warmed join below.
+const INSERT_ALLOCATIONS: u64 = 98;
 
 /// Heap allocations made by `f`.
 fn allocations(f: impl FnOnce()) -> u64 {
@@ -149,4 +158,40 @@ fn warmed_frames_and_cluster_ops_do_not_allocate() {
     gets(&mut cluster);
     let allocated = allocations(|| gets(&mut cluster));
     assert_eq!(allocated, 0, "{} warmed kv_gets allocated", keys.len());
+
+    // Range queries: a route to the rectangle's centre, then the owner's
+    // host floods the cells touching it, probing those on other hosts.
+    let mut queries = QueryGenerator::new(13);
+    let ranges: Vec<_> = (0..16)
+        .map(|i| (at(&cluster, i * 53), queries.range_query(0.1)))
+        .collect();
+    let mut found = Vec::new();
+    let range_all = |cluster: &mut InlineCluster, found: &mut Vec<usize>| {
+        found.clear();
+        for &(from, query) in &ranges {
+            found.push(cluster.range(from, query).unwrap().matches.len());
+        }
+    };
+    range_all(&mut cluster, &mut found);
+    let warm_found = found.clone();
+    let allocated = allocations(|| range_all(&mut cluster, &mut found));
+    assert_eq!(found, warm_found, "range queries must be deterministic");
+    assert!(
+        found.iter().sum::<usize>() > ranges.len(),
+        "the ranges must match objects ({found:?})"
+    );
+    assert_eq!(
+        allocated,
+        RANGE_ALLOCATIONS,
+        "{} warmed range queries",
+        ranges.len()
+    );
+
+    // One join into the warmed overlay: located by the driver, then every
+    // view it changed pushed to its host, to the barrier.
+    let point = Point2::new(0.512_345, 0.487_654);
+    let allocated = allocations(|| {
+        assert!(cluster.driver().insert(point).unwrap().is_some());
+    });
+    assert_eq!(allocated, INSERT_ALLOCATIONS, "one warmed Driver::insert");
 }
