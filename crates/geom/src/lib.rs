@@ -42,7 +42,7 @@ pub mod triangulation;
 pub mod voronoi;
 
 pub use greedy::{greedy_descent, greedy_next};
-pub use point::{Point2, Polygon, Rect};
+pub use point::{clip_to_rect_into, Point2, Polygon, Rect};
 pub use predicates::{circumcenter, incircle, orient2d, Orientation};
 pub use triangulation::{InsertError, Locate, RemoveError, TriId, Triangulation, VertexId};
 pub use voronoi::{cell_stats, distance_to_region, voronoi_cell, CellStats, VoronoiCell};

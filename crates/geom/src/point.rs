@@ -349,67 +349,89 @@ impl Polygon {
         inside
     }
 
-    /// Clips the polygon against an axis-aligned rectangle using the
-    /// Sutherland–Hodgman algorithm. The result is again convex whenever the
+    /// Clips the polygon against an axis-aligned rectangle
+    /// ([`clip_to_rect_into`]). The result is again convex whenever the
     /// input is convex (Voronoi cells are convex).
     pub fn clip_to_rect(&self, rect: Rect) -> Polygon {
-        #[derive(Clone, Copy)]
-        enum Side {
-            Left(f64),
-            Right(f64),
-            Bottom(f64),
-            Top(f64),
-        }
-        fn inside(p: Point2, s: Side) -> bool {
-            match s {
-                Side::Left(x) => p.x >= x,
-                Side::Right(x) => p.x <= x,
-                Side::Bottom(y) => p.y >= y,
-                Side::Top(y) => p.y <= y,
-            }
-        }
-        fn intersect(a: Point2, b: Point2, s: Side) -> Point2 {
-            match s {
-                Side::Left(x) | Side::Right(x) => {
-                    let t = (x - a.x) / (b.x - a.x);
-                    Point2::new(x, a.y + t * (b.y - a.y))
-                }
-                Side::Bottom(y) | Side::Top(y) => {
-                    let t = (y - a.y) / (b.y - a.y);
-                    Point2::new(a.x + t * (b.x - a.x), y)
-                }
-            }
-        }
+        let (mut out, mut spare) = (Vec::new(), Vec::new());
+        clip_to_rect_into(&self.vertices, rect, &mut out, &mut spare);
+        Polygon::new(out)
+    }
+}
 
-        let sides = [
-            Side::Left(rect.min.x),
-            Side::Right(rect.max.x),
-            Side::Bottom(rect.min.y),
-            Side::Top(rect.max.y),
-        ];
-        let mut output = self.vertices.clone();
-        for s in sides {
-            if output.is_empty() {
-                break;
+/// One side of a clipping rectangle: the half-plane it keeps.
+#[derive(Clone, Copy)]
+enum Side {
+    Left(f64),
+    Right(f64),
+    Bottom(f64),
+    Top(f64),
+}
+
+impl Side {
+    fn keeps(self, p: Point2) -> bool {
+        match self {
+            Side::Left(x) => p.x >= x,
+            Side::Right(x) => p.x <= x,
+            Side::Bottom(y) => p.y >= y,
+            Side::Top(y) => p.y <= y,
+        }
+    }
+
+    /// Where the segment `a → b` crosses the side's line.
+    fn intersect(self, a: Point2, b: Point2) -> Point2 {
+        match self {
+            Side::Left(x) | Side::Right(x) => {
+                let t = (x - a.x) / (b.x - a.x);
+                Point2::new(x, a.y + t * (b.y - a.y))
             }
-            let input = std::mem::take(&mut output);
-            let n = input.len();
-            for i in 0..n {
-                let cur = input[i];
-                let prev = input[(i + n - 1) % n];
-                let cur_in = inside(cur, s);
-                let prev_in = inside(prev, s);
-                if cur_in {
-                    if !prev_in {
-                        output.push(intersect(prev, cur, s));
-                    }
-                    output.push(cur);
-                } else if prev_in {
-                    output.push(intersect(prev, cur, s));
-                }
+            Side::Bottom(y) | Side::Top(y) => {
+                let t = (y - a.y) / (b.y - a.y);
+                Point2::new(a.x + t * (b.x - a.x), y)
             }
         }
-        Polygon::new(output)
+    }
+}
+
+/// Clips the polygon `vertices` against an axis-aligned rectangle with the
+/// Sutherland–Hodgman algorithm, one side at a time, leaving the result in
+/// `out`.  `spare` holds each stage's input; both buffers are overwritten
+/// and allocate only when they must grow, so a caller that keeps them
+/// clips without touching the heap.
+pub fn clip_to_rect_into(
+    vertices: &[Point2],
+    rect: Rect,
+    out: &mut Vec<Point2>,
+    spare: &mut Vec<Point2>,
+) {
+    out.clear();
+    out.extend_from_slice(vertices);
+    let sides = [
+        Side::Left(rect.min.x),
+        Side::Right(rect.max.x),
+        Side::Bottom(rect.min.y),
+        Side::Top(rect.max.y),
+    ];
+    for s in sides {
+        if out.is_empty() {
+            break;
+        }
+        std::mem::swap(out, spare);
+        out.clear();
+        let n = spare.len();
+        for i in 0..n {
+            let cur = spare[i];
+            let prev = spare[(i + n - 1) % n];
+            let (cur_in, prev_in) = (s.keeps(cur), s.keeps(prev));
+            if cur_in {
+                if !prev_in {
+                    out.push(s.intersect(prev, cur));
+                }
+                out.push(cur);
+            } else if prev_in {
+                out.push(s.intersect(prev, cur));
+            }
+        }
     }
 }
 
@@ -531,6 +553,27 @@ mod tests {
             Point2::new(11.0, 11.0),
         ]);
         assert!(far.clip_to_rect(Rect::UNIT).is_empty());
+    }
+
+    #[test]
+    fn kept_clip_buffers_carry_nothing_over() {
+        let tri = [
+            Point2::new(0.5, -0.5),
+            Point2::new(1.5, 0.5),
+            Point2::new(0.5, 1.5),
+        ];
+        let (mut out, mut spare) = (
+            vec![Point2::new(9.0, 9.0); 12],
+            vec![Point2::new(0.0, 0.0); 3],
+        );
+        clip_to_rect_into(&tri, Rect::UNIT, &mut out, &mut spare);
+        assert_eq!(
+            out,
+            Polygon::new(tri.to_vec()).clip_to_rect(Rect::UNIT).vertices
+        );
+        assert_eq!(out.len(), 6);
+        clip_to_rect_into(&[], Rect::UNIT, &mut out, &mut spare);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -5,11 +5,12 @@
 use super::liveness::{FailureDetector, HostState, Liveness};
 use super::pump::{Completes, Ladder, PendingTable, RetryPolicy, SYNC_DEADLINE};
 use super::services::KvPlacement;
-use super::{host_of, ClusterError, ClusterStats, HostReport, IdMap, OpOutcome, DRIVER_PEER};
+use super::{ClusterError, ClusterStats, HostReport, IdMap, OpOutcome, DRIVER_PEER};
 use crate::transport::{PeerId, Transport};
-use crate::wire::{EntryList, IdList, PointList, WireMsg};
+use crate::wire::{EntryList, PlacedList, PointList, WireMsg};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 use voronet_core::{ObjectId, VoroNet, VoroNetConfig, VoronetError};
@@ -18,13 +19,24 @@ use voronet_sim::TransportStats;
 use voronet_workloads::{RadiusQuery, RangeQuery, WorkloadOp};
 
 /// What was last shipped to a host for one object; views are re-pushed
-/// only when this differs from the freshly materialised state.
+/// only when this differs from the freshly materialised state.  The hosts
+/// of its routing entries and neighbours ride in the frame but are not
+/// kept here: an object never moves, so they cannot differ.
 #[derive(Debug, Clone, PartialEq)]
 pub(super) struct ShippedView {
     pub(super) coords: Point2,
     pub(super) routing: Vec<(u64, Point2)>,
     pub(super) vn: Vec<u64>,
     pub(super) cell: Vec<Point2>,
+}
+
+/// Where an object was placed at its join, and the sequence number of
+/// its last view push.  Kept after the object departs, so its eviction —
+/// and a revived host's regeneration — still find its host.
+#[derive(Debug, Clone, Copy)]
+struct Placed {
+    host: PeerId,
+    seq: u64,
 }
 
 /// The cluster controller: authoritative tessellation + view
@@ -35,7 +47,11 @@ pub struct Driver<T: Transport> {
     pub(super) hosts: u64,
     pub(super) net: VoroNet,
     pub(super) shipped: IdMap<u64, ShippedView>,
-    seqs: IdMap<u64, u64>,
+    /// Every object ever placed, indexed by id (the overlay numbers joins
+    /// densely from 0); `load` counts the live ones per host (index
+    /// `peer - 1`).
+    placed: Vec<Placed>,
+    pub(super) load: Vec<u64>,
     /// The overlay epoch up to which every host holds every view and every
     /// KV entry sits where the owner rule puts it; `None` while that is
     /// not known (a write is propagating, or one failed), which makes the
@@ -77,7 +93,8 @@ impl<T: Transport> Driver<T> {
             hosts,
             net: VoroNet::new(config),
             shipped: IdMap::default(),
-            seqs: IdMap::default(),
+            placed: Vec::new(),
+            load: vec![0; hosts.max(1) as usize],
             synced: Some(0),
             next_token: 1,
             buf: Vec::new(),
@@ -140,6 +157,50 @@ impl<T: Transport> Driver<T> {
         self.t.stats()
     }
 
+    /// The host peer `id` was placed on at its join (objects never move);
+    /// `None` for an id this driver never placed.
+    pub fn host_of(&self, id: ObjectId) -> Option<PeerId> {
+        let index = usize::try_from(id.0).ok()?;
+        self.placed.get(index).map(|p| p.host)
+    }
+
+    /// The host of an object the driver placed.
+    pub(super) fn host(&self, object: u64) -> PeerId {
+        self.placed[object as usize].host
+    }
+
+    /// Places the object that just joined: on the host holding most of
+    /// its Voronoi neighbours (ties: fewer objects, then the lower peer
+    /// id), unless that host would then hold more than ⌈n/K⌉ + ⌊n/K⌋/32
+    /// of the n live objects, in which case on the least-loaded host.
+    fn place(&mut self, id: ObjectId) {
+        let hosts = self.load.len() as u64;
+        let n = self.net.len() as u64;
+        let cap = n.div_ceil(hosts) + n / hosts / 32;
+        let load = |host: PeerId| self.load[(host - 1) as usize];
+        let view = self.net.view_ref(id).expect("a live joiner");
+        let votes = |host| {
+            view.voronoi_neighbours()
+                .filter(|nb| self.host(nb.0) == host)
+                .count()
+        };
+        let mut host = (1..=hosts)
+            .max_by_key(|&h| (votes(h), Reverse(load(h)), Reverse(h)))
+            .expect("at least one host");
+        if load(host) + 1 > cap {
+            host = (1..=hosts)
+                .min_by_key(|&h| (load(h), h))
+                .expect("at least one host");
+        }
+        self.load[(host - 1) as usize] += 1;
+        assert_eq!(
+            id.0,
+            self.placed.len() as u64,
+            "the overlay numbers joins densely"
+        );
+        self.placed.push(Placed { host, seq: 0 });
+    }
+
     /// Pumps the table's single queued op and `read`s its answer out of
     /// the completing frame.
     fn pump_one<R>(
@@ -177,7 +238,7 @@ impl<T: Transport> Driver<T> {
     ) {
         let token = self.next_token;
         self.next_token += 1;
-        let peer = host_of(object, self.hosts);
+        let peer = self.host(object);
         self.queue(peer, build(token), Completes::Token(token), what, ladder);
     }
 
@@ -229,11 +290,11 @@ impl<T: Transport> Driver<T> {
     /// Queues one view-plane push (`ViewUpdate`/`Evict`) of `object`
     /// under its next push sequence number.
     fn queue_view_push<'a>(&mut self, object: u64, build: impl FnOnce(u64) -> WireMsg<'a>) {
-        let seq = self.seqs.entry(object).or_insert(0);
-        *seq += 1;
-        let seq = *seq;
+        let placed = &mut self.placed[object as usize];
+        placed.seq += 1;
+        let Placed { host, seq } = *placed;
         self.queue(
-            host_of(object, self.hosts),
+            host,
             build(seq),
             Completes::ViewAck(object, seq),
             "view acks",
@@ -260,7 +321,7 @@ impl<T: Transport> Driver<T> {
                 &everyone
             }
         };
-        let (mut routing, mut vn, mut cell) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut routing_buf, mut vn_buf, mut cell_buf) = (Vec::new(), Vec::new(), Vec::new());
         let mut pushed = Vec::new();
         for &object in candidates {
             let current = self.current_view(object);
@@ -269,13 +330,22 @@ impl<T: Transport> Driver<T> {
                 continue;
             }
             self.stats.view_pushes += 1;
+            let routing = current
+                .routing
+                .iter()
+                .map(|&(id, at)| (id, self.host(id), at));
+            let routing = EntryList::build(&mut routing_buf, routing);
+            let vn = current.vn.iter().map(|&id| (id, self.host(id)));
+            let vn = PlacedList::build(&mut vn_buf, vn);
+            let cell = PointList::build(&mut cell_buf, &current.cell);
+            let coords = current.coords;
             self.queue_view_push(object, |seq| WireMsg::ViewUpdate {
                 object,
                 seq,
-                coords: current.coords,
-                routing: EntryList::build(&mut routing, &current.routing),
-                vn: IdList::build(&mut vn, &current.vn),
-                cell: PointList::build(&mut cell, &current.cell),
+                coords,
+                routing,
+                vn,
+                cell,
             });
             self.shipped.insert(object, current);
             pushed.push(object);
@@ -333,21 +403,19 @@ impl<T: Transport> Driver<T> {
         // A failure below leaves the hosts' state unknown.
         let synced = self.synced.take();
         while let Some(peer) = self.detector.revived.pop() {
-            let hosts = self.hosts;
             // Forget what was shipped to the revived host so sync_views
             // re-pushes every view it must hold, and re-evict departed
             // objects whose eviction it may have missed.
+            let placed = &self.placed;
             self.shipped
-                .retain(|&object, _| host_of(object, hosts) != peer);
-            let mut stale: Vec<u64> = self
-                .seqs
-                .keys()
-                .copied()
-                .filter(|&object| {
-                    host_of(object, hosts) == peer && self.net.coords(ObjectId(object)).is_none()
+                .retain(|&object, _| placed[object as usize].host != peer);
+            let stale: Vec<u64> = (0..)
+                .zip(placed)
+                .filter(|&(object, p)| {
+                    p.host == peer && p.seq > 0 && !self.net.contains(ObjectId(object))
                 })
+                .map(|(object, _)| object)
                 .collect();
-            stale.sort_unstable();
             self.sync_views(&stale, None)?;
             self.replay_services(peer)?;
         }
@@ -391,6 +459,7 @@ impl<T: Transport> Driver<T> {
             Ok(report) => report,
             Err(rejected) => return Ok(Err(rejected)),
         };
+        self.place(report.id);
         self.propagate(&[])?;
         Ok(Ok(report.id))
     }
@@ -403,6 +472,10 @@ impl<T: Transport> Driver<T> {
         if let Err(refused) = self.net.remove(id) {
             return Ok(Err(refused));
         }
+        // The departure frees its host's slot; the object keeps its
+        // placement record for its eviction.
+        let host = self.host(id.0);
+        self.load[(host - 1) as usize] -= 1;
         // The evicted host drops the departed object's service state with
         // it; the driver's control state follows.
         self.subs.remove(&id);

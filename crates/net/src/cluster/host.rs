@@ -1,43 +1,69 @@
 //! The data plane: one object-hosting peer serving view pushes, greedy
 //! route steps, area floods and the service plane from shipped snapshots.
 
-use super::{host_of, ClusterError, IdMap};
+use super::{ClusterError, IdMap, IdSet};
 use crate::transport::{PeerId, Transport};
-use crate::wire::{IdList, WireMsg, WirePurpose, WireQuery};
+use crate::wire::{IdList, PlacedList, WireMsg, WirePurpose, WireQuery};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 use std::time::{Duration, Instant};
-use voronet_geom::{greedy_next, Point2, Polygon, Rect};
+use voronet_geom::{clip_to_rect_into, greedy_next, Point2};
 use voronet_sim::TransportStats;
 
 const PROBE_RESEND: Duration = Duration::from_millis(150);
 const PROBE_MAX_ATTEMPTS: u32 = 40;
 
 /// One hosted object's shipped snapshot: everything a host needs to
-/// route through it and evaluate flood predicates at it.
+/// route through it and evaluate flood predicates at it.  Routing entries
+/// are `(id, host, coords)`, with the host the driver placed each on.
 #[derive(Debug, Clone)]
 pub(super) struct Hosted {
     seq: u64,
     pub(super) coords: Point2,
-    pub(super) routing: Vec<(u64, Point2)>,
-    pub(super) vn: Vec<u64>,
+    pub(super) routing: Vec<RoutingEntry>,
+    /// The Voronoi neighbours, as positions in `routing` (every one is a
+    /// routing entry): two bytes each instead of an id and a host.
+    vn: Vec<u16>,
     pub(super) cell: Vec<Point2>,
 }
 
+/// The two buffers a host clips cells in, kept so a flood allocates
+/// nothing per visited object.
+type ClipBuffers = (Vec<Point2>, Vec<Point2>);
+
+/// A routing entry: `(id, host, coords)`.
+type RoutingEntry = (u64, PeerId, Point2);
+
+/// Where the neighbour `(id, host)` sits in a routing table; `None` when
+/// it is not one of its entries.  A frame holds at most 2 046 entries, so
+/// a position fits in a `u16`.
+fn position_of(routing: &[RoutingEntry], (id, host): (u64, PeerId)) -> Option<u16> {
+    let at = routing.iter().position(|&(r, h, _)| (r, h) == (id, host))?;
+    u16::try_from(at).ok()
+}
+
 impl Hosted {
+    /// The Voronoi neighbours with their hosts.
+    pub(super) fn neighbours(&self) -> impl Iterator<Item = (u64, PeerId)> + '_ {
+        self.vn.iter().map(|&at| {
+            let (id, host, _) = self.routing[usize::from(at)];
+            (id, host)
+        })
+    }
+
     /// Mirrors `core::queries`: the coordinate predicate (match) and the
     /// cell-touches-area predicate (flood expansion), computed from the
     /// shipped geometry with the exact same f64 operations as the
-    /// single-process oracle.
-    fn evaluate(&self, query: &WireQuery) -> (bool, bool) {
+    /// single-process oracle (one clipping routine serves both).
+    fn evaluate(&self, query: &WireQuery, clip: &mut ClipBuffers) -> (bool, bool) {
         match *query {
             WireQuery::Rect(rect) => {
                 let is_match = rect.contains(self.coords);
-                let eligible = is_match
-                    || !Polygon::new(self.cell.clone())
-                        .clip_to_rect(rect)
-                        .is_empty();
+                let eligible = is_match || {
+                    clip_to_rect_into(&self.cell, rect, &mut clip.0, &mut clip.1);
+                    !clip.0.is_empty()
+                };
                 (eligible, is_match)
             }
             WireQuery::Disk { center, radius } => {
@@ -61,20 +87,22 @@ impl Hosted {
 /// An outstanding flood probe awaiting its reply.
 #[derive(Debug)]
 struct ProbeState {
+    host: PeerId,
     sent_at: Instant,
     attempts: u32,
 }
 
 /// Coordinator state of one in-progress distributed flood (lives on the
-/// host of the area's owner object).
+/// host of the area's owner object).  The frontier holds objects with the
+/// hosts they were shipped with.
 #[derive(Debug)]
 struct Flood {
     origin: PeerId,
     hops: u32,
     query: WireQuery,
-    visited: BTreeSet<u64>,
+    visited: IdSet<u64>,
     matches: Vec<u64>,
-    frontier: Vec<u64>,
+    frontier: Vec<(u64, PeerId)>,
     outstanding: BTreeMap<u64, ProbeState>,
 }
 
@@ -90,17 +118,22 @@ pub struct HostNode<T: Transport> {
     floods: BTreeMap<u64, Flood>,
     /// One flood's probes a retransmission round resends and abandons;
     /// kept, so a round allocates nothing.
-    resend: Vec<u64>,
+    resend: Vec<(u64, PeerId)>,
     abandon: Vec<u64>,
-    subs: IdMap<u64, Rect>,
-    seen: IdMap<(u64, [u64; 4]), u64>,
+    clip: ClipBuffers,
+    /// A view's routing table and its neighbours' positions in it, read
+    /// here and checked before they replace the held ones.
+    entries: Vec<RoutingEntry>,
+    positions: Vec<u16>,
     pub(super) kv: IdMap<(u64, u64), u64>,
     pub(super) kv_replicas: IdMap<(u64, u64), (u64, u64)>,
     svc_applied: IdMap<u64, u64>,
     kv_applied: IdMap<(u64, u64), u64>,
-    deliveries: u64,
-    duplicates: u64,
     ops_served: u64,
+    /// Frames rejected for naming a host outside `1..=hosts`, or (a view)
+    /// a neighbour that is not one of its routing entries: never applied,
+    /// never acked, never followed.
+    pub(super) rejected: u64,
     shutdown: bool,
     /// Every frame this host sends is encoded here, and the id lists
     /// they carry are built in `ids`: both keep their allocations.
@@ -120,15 +153,15 @@ impl<T: Transport> HostNode<T> {
             floods: BTreeMap::new(),
             resend: Vec::new(),
             abandon: Vec::new(),
-            subs: IdMap::default(),
-            seen: IdMap::default(),
+            clip: (Vec::new(), Vec::new()),
+            entries: Vec::new(),
+            positions: Vec::new(),
             kv: IdMap::default(),
             kv_replicas: IdMap::default(),
             svc_applied: IdMap::default(),
             kv_applied: IdMap::default(),
-            deliveries: 0,
-            duplicates: 0,
             ops_served: 0,
+            rejected: 0,
             shutdown: false,
             out: Vec::new(),
             ids: Vec::new(),
@@ -138,11 +171,6 @@ impl<T: Transport> HostNode<T> {
     /// Number of objects currently hosted here.
     pub fn hosted(&self) -> usize {
         self.objects.len()
-    }
-
-    /// Publications delivered first-time to objects hosted here.
-    pub fn deliveries(&self) -> u64 {
-        self.deliveries
     }
 
     /// Protocol operations served so far.
@@ -197,13 +225,13 @@ impl<T: Transport> HostNode<T> {
                     if probe.attempts > PROBE_MAX_ATTEMPTS {
                         abandon.push(object);
                     } else {
-                        resend.push(object);
+                        resend.push((object, probe.host));
                     }
                 }
             }
             let query = flood.query;
-            for &object in &resend {
-                self.send_probe(token, object, query)?;
+            for &(object, host) in &resend {
+                self.send_probe(token, object, host, query)?;
             }
             if !abandon.is_empty() {
                 // Give up on unreachable objects so the flood terminates;
@@ -230,9 +258,9 @@ impl<T: Transport> HostNode<T> {
         &mut self,
         token: u64,
         object: u64,
+        host: PeerId,
         query: WireQuery,
     ) -> Result<(), ClusterError> {
-        let peer = host_of(object, self.hosts);
         WireMsg::FloodProbe {
             token,
             object,
@@ -240,8 +268,19 @@ impl<T: Transport> HostNode<T> {
         }
         .encode(self.peer, object, &mut self.out)
         .expect("probe is tiny");
-        self.t.send(peer, &self.out)?;
+        self.t.send(host, &self.out)?;
         Ok(())
+    }
+
+    /// True when a frame read `valid`; otherwise counts it as rejected.
+    fn admit(&mut self, valid: bool) -> bool {
+        self.rejected += u64::from(!valid);
+        valid
+    }
+
+    /// True for a host peer of this cluster.
+    fn is_host(&self, peer: PeerId) -> bool {
+        (1..=self.hosts).contains(&peer)
     }
 
     fn handle_frame(&mut self, frame: &[u8]) -> Result<(), ClusterError> {
@@ -258,6 +297,22 @@ impl<T: Transport> HostNode<T> {
                 vn,
                 cell,
             } => {
+                // A view naming a host that does not exist, or a neighbour
+                // that is not one of its routing entries, is not applied
+                // (nor acked): following it would send to a stranger.
+                self.entries.clear();
+                self.entries.extend(routing.iter());
+                self.positions.clear();
+                let hosts = 1..=self.hosts;
+                let valid = self.entries.iter().all(|e| hosts.contains(&e.1))
+                    && vn.iter().all(|nb| {
+                        let at = position_of(&self.entries, nb);
+                        self.positions.extend(at);
+                        at.is_some()
+                    });
+                if !self.admit(valid) {
+                    return Ok(());
+                }
                 let fresh = match self.objects.entry(object) {
                     Entry::Occupied(held) if held.get().seq >= seq => None,
                     // A newer view of a hosted object is written in place,
@@ -274,8 +329,8 @@ impl<T: Transport> HostNode<T> {
                 if let Some(h) = fresh {
                     h.seq = seq;
                     h.coords = coords;
-                    refill(&mut h.routing, routing.len(), routing.iter());
-                    refill(&mut h.vn, vn.len(), vn.iter());
+                    refill(&mut h.routing, routing.len(), self.entries.iter().copied());
+                    refill(&mut h.vn, vn.len(), self.positions.iter().copied());
                     refill(&mut h.cell, cell.len(), cell.iter());
                 }
                 self.reply(header.from, WireMsg::ViewAck { object, seq })?;
@@ -289,12 +344,9 @@ impl<T: Transport> HostNode<T> {
                 {
                     self.objects.remove(&object);
                 }
-                // The departed object's service state leaves with it:
-                // subscription, delivery ledger, and the KV entries its
-                // cell stored (ids are never reused, so clearing on a
-                // duplicate evict is harmless).
-                self.subs.remove(&object);
-                self.seen.retain(|&(o, _), _| o != object);
+                // The departed object's service state leaves with it: the
+                // KV entries its cell stored (ids are never reused, so
+                // clearing on a duplicate evict is harmless).
                 self.kv.retain(|&(o, _), _| o != object);
                 self.kv_replicas.retain(|&(o, _), _| o != object);
                 self.kv_applied.retain(|&(o, _), _| o != object);
@@ -359,19 +411,20 @@ impl<T: Transport> HostNode<T> {
                 query,
             } => {
                 self.ops_served += 1;
-                let (eligible, is_match, neighbours) = match self.objects.get(&object) {
+                let (eligible, is_match, held) = match self.objects.get(&object) {
                     Some(h) => {
-                        let (eligible, is_match) = h.evaluate(&query);
-                        (eligible, is_match, &h.vn[..])
+                        let (eligible, is_match) = h.evaluate(&query, &mut self.clip);
+                        (eligible, is_match, Some(h))
                     }
-                    None => (false, false, &[][..]),
+                    None => (false, false, None),
                 };
+                let neighbours = held.into_iter().flat_map(Hosted::neighbours);
                 WireMsg::FloodReply {
                     token,
                     object,
                     eligible,
                     is_match,
-                    neighbours: IdList::build(&mut self.ids, neighbours),
+                    neighbours: PlacedList::build(&mut self.ids, neighbours),
                 }
                 .encode(self.peer, header.from, &mut self.out)
                 .expect("bounded-degree neighbour list fits a frame");
@@ -386,7 +439,12 @@ impl<T: Transport> HostNode<T> {
             } => {
                 // A reply for an unknown token belongs to an abandoned
                 // flood; one whose probe is no longer outstanding is a
-                // duplicate from a retransmission.  Both are ignored.
+                // duplicate from a retransmission; one naming a host that
+                // does not exist is rejected, and its probe resends.  All
+                // are ignored.
+                if !self.admit(neighbours.iter().all(|(_, host)| self.is_host(host))) {
+                    return Ok(());
+                }
                 let incorporated = self.floods.get_mut(&token).is_some_and(|flood| {
                     let fresh = flood.outstanding.remove(&object).is_some();
                     if fresh {
@@ -398,40 +456,9 @@ impl<T: Transport> HostNode<T> {
                     self.pump_flood(token)?;
                 }
             }
-            WireMsg::SvcSubscribe {
-                object,
-                seq,
-                region,
-            } => {
+            WireMsg::SvcDeliver { object, seq, .. } => {
                 if self.fresh_service_push(object, seq) {
                     self.ops_served += 1;
-                    self.subs.insert(object, region);
-                }
-                self.reply(header.from, WireMsg::SvcAck { object, seq })?;
-            }
-            WireMsg::SvcUnsubscribe { object, seq } => {
-                if self.fresh_service_push(object, seq) {
-                    self.ops_served += 1;
-                    self.subs.remove(&object);
-                }
-                self.reply(header.from, WireMsg::SvcAck { object, seq })?;
-            }
-            WireMsg::SvcDeliver {
-                object,
-                seq,
-                topic,
-                topic_seq,
-                payload: _,
-            } => {
-                if self.fresh_service_push(object, seq) {
-                    self.ops_served += 1;
-                    let entry = self.seen.entry((object, topic)).or_insert(0);
-                    if topic_seq > *entry {
-                        *entry = topic_seq;
-                        self.deliveries += 1;
-                    } else {
-                        self.duplicates += 1;
-                    }
                 }
                 self.reply(header.from, WireMsg::SvcAck { object, seq })?;
             }
@@ -558,13 +585,14 @@ impl<T: Transport> HostNode<T> {
         Ok(())
     }
 
-    /// The greedy walk over shipped routing tables: hops within this
-    /// host advance locally; a hop to an object hosted elsewhere becomes
-    /// a [`WireMsg::RouteStep`] frame.  Each decision is
-    /// [`greedy_next`] over the object's shipped `(id, coords)` table —
-    /// the kernel `VoroNet`'s own walk runs.  A step at an object this
-    /// host does not hold (a stale routing entry) is dropped, and the
-    /// driver retries; one at an object it holds is an op served.
+    /// The greedy walk over shipped routing tables: hops to an entry
+    /// shipped as hosted here advance locally; a hop to an object hosted
+    /// elsewhere becomes a [`WireMsg::RouteStep`] frame to the host its
+    /// entry names.  Each decision is [`greedy_next`] over the object's
+    /// shipped `(id, host, coords)` table — the kernel `VoroNet`'s own walk
+    /// runs.  A step at an object this host does not hold (a stale routing
+    /// entry) is dropped, and the driver retries; one at an object it
+    /// holds is an op served.
     fn route_step(
         &mut self,
         at: u64,
@@ -585,14 +613,18 @@ impl<T: Transport> HostNode<T> {
             // The rule rejects it anyway; filtering it out keeps this short
             // scan the compact loop it was before the kernel (without the
             // filter LLVM unrolls it and `net.route_us` reads ~5 % worse).
-            let table = state.routing.iter().copied();
-            let (best, _) = greedy_next(target, (cur, cur_d), table.filter(|&(nb, _)| nb != cur));
+            let table = state.routing.iter().map(|&(nb, host, at)| ((nb, host), at));
+            let here = (cur, self.peer);
+            let ((best, peer), _) = greedy_next(
+                target,
+                (here, cur_d),
+                table.filter(|&((nb, _), _)| nb != cur),
+            );
             if best == cur {
                 return self.arrive(cur, origin, hops, purpose);
             }
             // `hops` may come straight off the wire: never overflow on it.
             hops = hops.saturating_add(1);
-            let peer = host_of(best, self.hosts);
             if peer == self.peer {
                 let Some(next) = self.objects.get(&best) else {
                     return Ok(());
@@ -658,7 +690,7 @@ impl<T: Transport> HostNode<T> {
         if self.floods.contains_key(&token) {
             return Ok(());
         }
-        let mut visited = BTreeSet::new();
+        let mut visited = IdSet::default();
         visited.insert(owner);
         self.floods.insert(
             token,
@@ -668,7 +700,7 @@ impl<T: Transport> HostNode<T> {
                 query,
                 visited,
                 matches: Vec::new(),
-                frontier: vec![owner],
+                frontier: vec![(owner, self.peer)],
                 outstanding: BTreeMap::new(),
             },
         );
@@ -684,13 +716,13 @@ impl<T: Transport> HostNode<T> {
             let Some(flood) = self.floods.get_mut(&token) else {
                 return Ok(());
             };
-            let Some(object) = flood.frontier.pop() else {
+            let Some((object, host)) = flood.frontier.pop() else {
                 break;
             };
             match self.objects.get(&object) {
                 Some(h) => {
-                    let (eligible, is_match) = h.evaluate(&flood.query);
-                    incorporate(flood, object, eligible, is_match, h.vn.iter().copied());
+                    let (eligible, is_match) = h.evaluate(&flood.query, &mut self.clip);
+                    incorporate(flood, object, eligible, is_match, h.neighbours());
                 }
                 None => {
                     let query = flood.query;
@@ -698,11 +730,12 @@ impl<T: Transport> HostNode<T> {
                     flood.outstanding.insert(
                         object,
                         ProbeState {
+                            host,
                             sent_at,
                             attempts: 0,
                         },
                     );
-                    self.send_probe(token, object, query)?;
+                    self.send_probe(token, object, host, query)?;
                 }
             }
         }
@@ -749,7 +782,7 @@ fn incorporate(
     object: u64,
     eligible: bool,
     is_match: bool,
-    neighbours: impl IntoIterator<Item = u64>,
+    neighbours: impl IntoIterator<Item = (u64, PeerId)>,
 ) {
     if is_match {
         flood.matches.push(object);
@@ -757,9 +790,9 @@ fn incorporate(
     if !eligible {
         return;
     }
-    for n in neighbours {
+    for (n, host) in neighbours {
         if flood.visited.insert(n) {
-            flood.frontier.push(n);
+            flood.frontier.push((n, host));
         }
     }
 }
@@ -769,6 +802,8 @@ mod tests {
     use super::*;
     use crate::cluster::DRIVER_PEER;
     use crate::vnet::{VnetHub, VnetTransport};
+    use crate::wire::{EntryList, PointList};
+    use voronet_geom::Rect;
     use voronet_sim::NetworkModel;
 
     const HOSTS: u64 = 3;
@@ -793,6 +828,124 @@ mod tests {
         })
     }
 
+    fn square(c: f64, h: f64) -> Vec<Point2> {
+        vec![
+            Point2::new(c - h, c - h),
+            Point2::new(c + h, c - h),
+            Point2::new(c + h, c + h),
+            Point2::new(c - h, c + h),
+        ]
+    }
+
+    /// Object 3 on host 1, owning the centre of the domain; its Voronoi
+    /// neighbours 4 and 5 were placed on hosts 2 and 3.
+    fn host_one_holding_object_three(hub: &VnetHub) -> HostNode<VnetTransport> {
+        let mut host = HostNode::new(hub.endpoint(1), 1, HOSTS);
+        host.objects.insert(
+            3,
+            Hosted {
+                seq: 1,
+                coords: Point2::new(0.5, 0.5),
+                routing: vec![(4, 2, Point2::new(0.6, 0.5)), (5, 3, Point2::new(0.4, 0.5))],
+                vn: vec![0, 1],
+                cell: square(0.5, 0.05),
+            },
+        );
+        host
+    }
+
+    /// Sends an area request for the centre of the domain to host 1.
+    fn request_area(driver: &mut VnetTransport, token: u64) {
+        let mut frame = Vec::new();
+        WireMsg::AreaReq {
+            token,
+            from_object: 3,
+            rect: Rect::new(Point2::new(0.4, 0.4), Point2::new(0.6, 0.6)),
+        }
+        .encode(DRIVER_PEER, 3, &mut frame)
+        .unwrap();
+        driver.send(1, &frame).unwrap();
+    }
+
+    /// Sends host 1 a `FloodReply` from host 2 for object 4.
+    fn reply_for_object_four(peer: &mut VnetTransport, token: u64, neighbours: &[(u64, u64)]) {
+        let (mut frame, mut ids) = (Vec::new(), Vec::new());
+        WireMsg::FloodReply {
+            token,
+            object: 4,
+            eligible: true,
+            is_match: true,
+            neighbours: PlacedList::build(&mut ids, neighbours),
+        }
+        .encode(2, 1, &mut frame)
+        .unwrap();
+        peer.send(1, &frame).unwrap();
+    }
+
+    fn settle(host: &mut HostNode<VnetTransport>) {
+        let mut buf = Vec::new();
+        while host.step(&mut buf).unwrap() {}
+    }
+
+    /// Host ids come off the wire: a view or a flood reply naming host 0
+    /// (the driver's peer id) or a host beyond K is rejected and counted —
+    /// no view is installed or acked, no probe or step goes to that peer.
+    #[test]
+    fn frames_naming_a_host_outside_the_cluster_are_rejected() {
+        let hub = VnetHub::new(NetworkModel::ideal());
+        let mut driver = hub.endpoint(DRIVER_PEER);
+        let mut strangers = [hub.endpoint(HOSTS + 1), hub.endpoint(u64::MAX)];
+        let mut peers = [hub.endpoint(2), hub.endpoint(3)];
+        let mut host = host_one_holding_object_three(&hub);
+        let mut view = |routing: &[(u64, u64, Point2)], vn: &[(u64, u64)]| {
+            let (mut frame, mut r, mut v, mut c) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            WireMsg::ViewUpdate {
+                object: 9,
+                seq: 1,
+                coords: Point2::new(0.2, 0.2),
+                routing: EntryList::build(&mut r, routing),
+                vn: PlacedList::build(&mut v, vn),
+                cell: PointList::build(&mut c, square(0.2, 0.05)),
+            }
+            .encode(DRIVER_PEER, 1, &mut frame)
+            .unwrap();
+            driver.send(1, &frame).unwrap();
+        };
+        let near = Point2::new(0.25, 0.2);
+        view(&[(3, 1, near), (10, 0, near)], &[(3, 1)]);
+        view(&[(3, 1, near)], &[(3, 1), (10, HOSTS + 1)]);
+        view(&[(3, 1, near), (10, u64::MAX, near)], &[]);
+        settle(&mut host);
+        assert_eq!(host.rejected, 3);
+        assert!(
+            !host.objects.contains_key(&9),
+            "a rejected view was installed"
+        );
+        assert!(
+            drain(&mut driver, |_| Some(())).is_empty(),
+            "a rejected view was acked"
+        );
+
+        // A flood reply naming them is dropped too: its probe stays out.
+        request_area(&mut driver, 5);
+        settle(&mut host);
+        assert_eq!(
+            (probed(&mut peers[0]), probed(&mut peers[1])),
+            (vec![4], vec![5])
+        );
+        for stranger in [0, HOSTS + 1] {
+            reply_for_object_four(&mut peers[0], 5, &[(3, 1), (7, stranger)]);
+        }
+        settle(&mut host);
+        assert_eq!(host.rejected, 5);
+        assert!(host.floods[&5].outstanding.contains_key(&4));
+        assert!(!host.floods[&5].visited.contains(&7));
+        assert!(drain(&mut driver, |_| Some(())).is_empty());
+        for stranger in &mut strangers {
+            assert!(drain(stranger, |_| Some(())).is_empty());
+        }
+    }
+
     /// A copy of an area request whose flood is still in flight — the
     /// driver resends every few tens of milliseconds — must leave the
     /// flood alone: no probe goes out again and the objects it reached
@@ -803,43 +956,9 @@ mod tests {
         let hub = VnetHub::new(NetworkModel::ideal());
         let mut driver = hub.endpoint(DRIVER_PEER);
         let mut peers = [hub.endpoint(2), hub.endpoint(3)];
-        let mut host = HostNode::new(hub.endpoint(1), 1, HOSTS);
-        // Object 3 lives on host 1 and owns the centre of the queried
-        // rectangle; its Voronoi neighbours 4 and 5 live on hosts 2 and 3.
-        let square = |c: f64, h: f64| {
-            vec![
-                Point2::new(c - h, c - h),
-                Point2::new(c + h, c - h),
-                Point2::new(c + h, c + h),
-                Point2::new(c - h, c + h),
-            ]
-        };
-        host.objects.insert(
-            3,
-            Hosted {
-                seq: 1,
-                coords: Point2::new(0.5, 0.5),
-                routing: vec![(4, Point2::new(0.6, 0.5)), (5, Point2::new(0.4, 0.5))],
-                vn: vec![4, 5],
-                cell: square(0.5, 0.05),
-            },
-        );
+        let mut host = host_one_holding_object_three(&hub);
         let token = 77;
-        let request = |driver: &mut VnetTransport| {
-            let mut frame = Vec::new();
-            WireMsg::AreaReq {
-                token,
-                from_object: 3,
-                rect: Rect::new(Point2::new(0.4, 0.4), Point2::new(0.6, 0.6)),
-            }
-            .encode(DRIVER_PEER, 3, &mut frame)
-            .unwrap();
-            driver.send(1, &frame).unwrap();
-        };
-        let mut buf = Vec::new();
-        let mut settle = |host: &mut HostNode<VnetTransport>| while host.step(&mut buf).unwrap() {};
-
-        request(&mut driver);
+        request_area(&mut driver, token);
         settle(&mut host);
         assert_eq!(
             (probed(&mut peers[0]), probed(&mut peers[1])),
@@ -847,30 +966,17 @@ mod tests {
         );
         // Host 2 answers for object 4, whose cell touches the area and
         // names object 7 (on host 2) as a new neighbour.
-        let mut frame = Vec::new();
-        let mut ids = Vec::new();
-        WireMsg::FloodReply {
-            token,
-            object: 4,
-            eligible: true,
-            is_match: true,
-            neighbours: IdList::build(&mut ids, &[3, 7]),
-        }
-        .encode(2, 1, &mut frame)
-        .unwrap();
-        peers[0].send(1, &frame).unwrap();
+        reply_for_object_four(&mut peers[0], token, &[(3, 1), (7, 2)]);
         settle(&mut host);
         assert_eq!(probed(&mut peers[0]), vec![7]);
         let visited = |host: &HostNode<VnetTransport>| {
-            host.floods[&token]
-                .visited
-                .iter()
-                .copied()
-                .collect::<Vec<_>>()
+            let mut visited: Vec<u64> = host.floods[&token].visited.iter().copied().collect();
+            visited.sort_unstable();
+            visited
         };
         assert_eq!(visited(&host), [3, 4, 5, 7]);
 
-        request(&mut driver);
+        request_area(&mut driver, token);
         settle(&mut host);
         assert_eq!(
             (probed(&mut peers[0]), probed(&mut peers[1])),

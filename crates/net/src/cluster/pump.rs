@@ -464,13 +464,11 @@ impl<T: Transport> Driver<T> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::scripted::{scripted, Scripted, HOSTS};
-    use super::super::{host_of, HostState, Liveness, OpOutcome};
+    use super::super::scripted::{scripted, Scripted};
+    use super::super::{HostState, Liveness, OpOutcome};
     use super::*;
     use crate::wire::WirePurpose;
     use voronet_core::{RouteScratch, VoroNetConfig};
-    use voronet_geom::{Point2, Rect};
-    use voronet_services::api::SubscribeOutcome;
     use voronet_sim::TransportStats;
     use voronet_workloads::{Distribution, PointGenerator, WorkloadOp};
 
@@ -560,7 +558,7 @@ mod tests {
     /// `peer`.
     fn indices(driver: &Driver<Scripted>, peer: PeerId, on: bool) -> Vec<usize> {
         (0..driver.population())
-            .filter(|&i| (host_of(driver.net().id_at(i).unwrap().0, HOSTS) == peer) == on)
+            .filter(|&i| (driver.host_of(driver.net().id_at(i).unwrap()) == Some(peer)) == on)
             .collect()
     }
 
@@ -608,30 +606,42 @@ mod tests {
 
     #[test]
     fn a_dropped_ack_resends_the_push_and_the_host_applies_it_once() {
-        let mut driver = cluster();
         let served =
             |d: &Driver<Scripted>| d.t.inner.hosts.iter().map(|h| h.ops_served()).sum::<u64>();
-        let before = served(&driver);
-        driver
-            .t
-            .script
-            .drop_received
-            .push(|m| matches!(m, WireMsg::SvcAck { .. }));
-        let region = Rect::new(Point2::new(0.1, 0.1), Point2::new(0.4, 0.4));
-        assert!(matches!(
-            driver
-                .apply(&WorkloadOp::Subscribe { index: 5, region })
-                .unwrap(),
-            OpOutcome::Subscribed(SubscribeOutcome {
-                replaced: false,
-                ..
-            })
-        ));
-        let stats = driver.cluster_stats();
-        assert_eq!((stats.fast_resends, stats.retries), (1, 0));
+        // The same put on two twin clusters, the second losing the first
+        // service ack that comes back.
+        let put = |lose_an_ack: bool| {
+            let mut driver = cluster();
+            if lose_an_ack {
+                driver
+                    .t
+                    .script
+                    .drop_received
+                    .push(|m| matches!(m, WireMsg::SvcAck { .. }));
+            }
+            let before = served(&driver);
+            let put = WorkloadOp::KvPut {
+                from: 5,
+                key: 9,
+                value: 90,
+            };
+            assert!(matches!(
+                driver.apply(&put).unwrap(),
+                OpOutcome::KvStored {
+                    replaced: false,
+                    ..
+                }
+            ));
+            let stats = driver.cluster_stats();
+            (
+                (stats.fast_resends, stats.retries),
+                served(&driver) - before,
+            )
+        };
+        let (clean, lossy) = (put(false), put(true));
+        assert_eq!((clean.0, lossy.0), ((0, 0), (1, 0)));
         assert_eq!(
-            served(&driver) - before,
-            1,
+            lossy.1, clean.1,
             "the resent push is a duplicate: acked again, applied once"
         );
     }
@@ -778,7 +788,7 @@ mod tests {
         }
         .encode(at.0, at.0, &mut frame)
         .unwrap();
-        driver.t.inner.send(host_of(at.0, HOSTS), &frame).unwrap();
+        driver.t.inner.send(driver.host(at.0), &frame).unwrap();
         driver.t.inner.step_hosts().unwrap();
 
         // The hosts walked it to the owner and answered the origin.

@@ -1,6 +1,8 @@
 //! The driver-side service plane: region pub/sub and the
 //! coordinate-keyed KV store, as control state mirrored onto the hosts
-//! through sequence-numbered service pushes.  Every operation is issued
+//! through sequence-numbered service pushes.  Subscriptions are driver
+//! state alone: a publication resolves its recipients here, and only its
+//! deliveries travel to the hosts.  Every operation is issued
 //! by a live object, named by its id.  KV placement is the rule of
 //! `voronet_services::keys`, which the single-process `ServiceEngine`
 //! calls too: the owner is the least `(distance², id)`, the replicas its
@@ -9,7 +11,7 @@
 use super::driver::Driver;
 use super::liveness::HostState;
 use super::pump::Completes;
-use super::{flood_messages, host_of, ClusterError, OpOutcome};
+use super::{flood_messages, ClusterError, OpOutcome};
 use crate::transport::{PeerId, Transport};
 use crate::wire::WireMsg;
 use std::collections::BTreeSet;
@@ -69,7 +71,7 @@ impl<T: Transport> Driver<T> {
         *seq += 1;
         let seq = *seq;
         self.queue(
-            host_of(object, self.hosts),
+            self.host(object),
             build(seq),
             Completes::SvcAck(object, seq),
             "service push acks",
@@ -77,32 +79,22 @@ impl<T: Transport> Driver<T> {
         );
     }
 
-    /// Subscribes the live object `id` to a region, installing the
-    /// subscription on the object's host; [`OpOutcome::Skipped`] when `id`
-    /// is not live.
+    /// Subscribes the live object `id` to a region;
+    /// [`OpOutcome::Skipped`] when `id` is not live.
     pub fn subscribe(&mut self, id: ObjectId, region: Rect) -> Result<OpOutcome, ClusterError> {
-        let Some(object) = self.issuer(id)? else {
+        if self.issuer(id)?.is_none() {
             return Ok(OpOutcome::Skipped);
-        };
+        }
         let replaced = self.subs.insert(id, region).is_some();
-        self.queue_service_push(object, |seq| WireMsg::SvcSubscribe {
-            object,
-            seq,
-            region,
-        });
-        self.flush_pushes()?;
         Ok(OpOutcome::Subscribed(SubscribeOutcome { id, replaced }))
     }
 
     /// Drops `id`'s subscription.  An object that is not live has none:
     /// its subscription left with it.
     pub(crate) fn unsubscribe(&mut self, id: ObjectId) -> Result<OpOutcome, ClusterError> {
-        let issuer = self.issuer(id)?;
+        // Like every operation, it regenerates revived hosts first.
+        self.issuer(id)?;
         let existed = self.subs.remove(&id).is_some();
-        if let Some(object) = issuer {
-            self.queue_service_push(object, |seq| WireMsg::SvcUnsubscribe { object, seq });
-            self.flush_pushes()?;
-        }
         Ok(OpOutcome::Unsubscribed(UnsubscribeOutcome { id, existed }))
     }
 
@@ -291,7 +283,7 @@ impl<T: Transport> Driver<T> {
         let Some((ObjectId(owner), hops)) = self.kv_owner(from, key)? else {
             return Ok(OpOutcome::Skipped);
         };
-        if self.host_state(host_of(owner, self.hosts)) == HostState::Alive {
+        if self.host_state(self.host(owner)) == HostState::Alive {
             match self.fetch_value(owner, key) {
                 Ok(value) => {
                     return Ok(OpOutcome::KvFetched {
@@ -331,7 +323,7 @@ impl<T: Transport> Driver<T> {
             });
         };
         for &ObjectId(replica) in &placement.entry.replicas {
-            if self.detector.is_dead(host_of(replica, self.hosts)) {
+            if self.detector.is_dead(self.host(replica)) {
                 continue;
             }
             if let Ok(Some((value, entry_seq))) = self.fetch_replica(replica, key) {
@@ -408,18 +400,17 @@ impl<T: Transport> Driver<T> {
         self.request(object, "kv replica fetch", ladder, fetch, read)
     }
 
-    /// Replays a revived host's service state — subscriptions, owned KV
-    /// entries and replica copies — from driver control state, ascending
-    /// by object and by key.  First go the KV drops the host missed while
-    /// dead: a host that kept its state still holds those copies.
+    /// Replays a revived host's service state — owned KV entries and
+    /// replica copies — from driver control state, ascending by key.
+    /// First go the KV drops the host missed while dead: a host that kept
+    /// its state still holds those copies.
     /// The replay's own pushes carry newer sequence numbers, so they win
     /// however the frames are reordered.
     pub(super) fn replay_services(&mut self, peer: PeerId) -> Result<(), ClusterError> {
-        let hosts = self.hosts;
         let (missed, elsewhere): (BTreeSet<_>, BTreeSet<_>) =
             std::mem::take(&mut self.missed_drops)
                 .into_iter()
-                .partition(|&(object, _)| host_of(object, hosts) == peer);
+                .partition(|&(object, _)| self.host(object) == peer);
         self.missed_drops = elsewhere;
         // A departed object's copies left with its eviction.
         for (object, key) in missed {
@@ -427,23 +418,10 @@ impl<T: Transport> Driver<T> {
                 self.queue_service_push(object, |seq| WireMsg::SvcKvDrop { object, seq, key });
             }
         }
-        let subs: Vec<(u64, Rect)> = self
-            .subs
-            .iter()
-            .filter(|&(id, _)| host_of(id.0, hosts) == peer)
-            .map(|(id, &region)| (id.0, region))
-            .collect();
         let entries: Vec<(u64, KvPlacement)> =
             self.kv.iter().map(|(&k, p)| (k, p.clone())).collect();
-        for (id, region) in subs {
-            self.queue_service_push(id, |seq| WireMsg::SvcSubscribe {
-                object: id,
-                seq,
-                region,
-            });
-        }
         for (key, KvPlacement { entry, entry_seq }) in entries {
-            if host_of(entry.owner.0, hosts) == peer {
+            if self.host(entry.owner.0) == peer {
                 let (object, value) = (entry.owner.0, entry.value);
                 self.queue_service_push(object, |seq| WireMsg::SvcKvStore {
                     object,
@@ -453,7 +431,7 @@ impl<T: Transport> Driver<T> {
                 });
             }
             for &ObjectId(replica) in &entry.replicas {
-                if replica != entry.owner.0 && host_of(replica, hosts) == peer {
+                if replica != entry.owner.0 && self.host(replica) == peer {
                     let value = entry.value;
                     self.queue_service_push(replica, |seq| WireMsg::SvcKvReplicate {
                         object: replica,

@@ -4,7 +4,7 @@
 
 use super::driver::Driver;
 use super::scripted::{kill, revive, scripted, Scripted, HOSTS};
-use super::{host_of, ClusterError, HostState};
+use super::{ClusterError, HostState};
 use crate::wire::WireMsg;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -48,22 +48,36 @@ fn assert_in_sync(driver: &Driver<Scripted>, step: usize) {
             "step {step} key {key}"
         );
     }
+    // Every live object counts towards its host's load.
+    let mut load = vec![0; HOSTS as usize];
+    for id in net.ids() {
+        load[(driver.host(id.0) - 1) as usize] += 1;
+    }
+    assert_eq!(driver.load, load, "step {step}");
     // Every host the driver pushes to holds exactly its share of both.
     for (peer, host) in (1..).zip(&driver.t.inner.hosts) {
         if driver.host_state(peer) == HostState::Dead {
             continue;
         }
-        let here = |object: &u64| host_of(*object, HOSTS) == peer;
+        let here = |object: &u64| driver.host(*object) == peer;
         assert_eq!(
             host.objects.len(),
             driver.shipped.keys().filter(|o| here(o)).count(),
             "step {step} host {peer}"
         );
         for (object, hosted) in &host.objects {
+            // What was shipped, with the hosts the frame carried.
             let shipped = &driver.shipped[object];
+            let routing: Vec<_> = shipped
+                .routing
+                .iter()
+                .map(|&(id, at)| (id, driver.host(id), at))
+                .collect();
+            let vn: Vec<_> = shipped.vn.iter().map(|&id| (id, driver.host(id))).collect();
+            let neighbours: Vec<_> = hosted.neighbours().collect();
             assert_eq!(
-                (hosted.coords, &hosted.routing, &hosted.vn, &hosted.cell),
-                (shipped.coords, &shipped.routing, &shipped.vn, &shipped.cell),
+                (hosted.coords, &hosted.routing, &neighbours, &hosted.cell),
+                (shipped.coords, &routing, &vn, &shipped.cell),
                 "step {step} host {peer} object {object}"
             );
         }
@@ -181,10 +195,7 @@ fn write_path_repairs_a_view_whose_barrier_failed() {
     driver.t.script.lost_view = Some(victim.0);
     let err = driver.insert(Point2::new(at.x + 1e-4, at.y)).unwrap_err();
     assert!(matches!(err, ClusterError::Timeout("view acks")), "{err}");
-    assert_eq!(
-        driver.host_state(host_of(victim.0, HOSTS)),
-        HostState::Alive
-    );
+    assert_eq!(driver.host_state(driver.host(victim.0)), HostState::Alive);
     assert_eq!(driver.synced, None);
     assert!(
         !driver.shipped.contains_key(&victim.0),

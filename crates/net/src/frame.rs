@@ -29,7 +29,7 @@ pub const MAGIC: [u8; 2] = *b"VN";
 /// Current wire-format version.  Bump on any incompatible layout change;
 /// decoders reject other versions with
 /// [`DecodeError::UnsupportedVersion`] instead of guessing.
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
 /// Size of the fixed frame header in bytes.
 pub const HEADER_LEN: usize = 24;

@@ -40,7 +40,7 @@ pub mod vnet;
 pub mod wire;
 
 pub use cluster::{
-    host_of, ClusterError, ClusterStats, Driver, HostNode, HostReport, HostState, InlineCluster,
+    ClusterError, ClusterStats, Driver, HostNode, HostReport, HostState, InlineCluster,
     InlineTransport, Liveness, OpOutcome, PipelinedRoute, RetryPolicy, DRIVER_PEER,
 };
 pub use fault::{FaultCtl, FaultEvent, FaultPlan, FaultStats, FaultTransport, LinkFaults};
@@ -49,4 +49,6 @@ pub use tcp::TcpTransport;
 pub use transport::{PeerId, Transport, TransportError};
 pub use udp::UdpTransport;
 pub use vnet::{VnetHub, VnetTransport};
-pub use wire::{EncodeError, EntryList, IdList, PointList, WireMsg, WirePurpose, WireQuery};
+pub use wire::{
+    EncodeError, EntryList, IdList, PlacedList, PointList, WireMsg, WirePurpose, WireQuery,
+};

@@ -3,21 +3,30 @@
 //!
 //! [`WireMsg`] holds the control- and data-plane messages of a deployed
 //! overlay (`ViewUpdate`/`RouteReq`/`RouteStep`/`FloodProbe`/… — see
-//! [`crate::cluster`]), each under its own kind byte.  Kind bytes 1, 3, 4
-//! and 6 belonged to messages nothing sends any more (a join request, a
-//! neighbourhood-change notice, a departure notice and a bare route
-//! answer); they decode as [`DecodeError::UnknownKind`] and are never
-//! reused.
+//! [`crate::cluster`]), each under its own kind byte.  Kind bytes 1, 3, 4,
+//! 6, 21 and 22 belonged to messages nothing sends any more (a join
+//! request, a neighbourhood-change notice, a departure notice, a bare
+//! route answer, and the host-side subscription pushes); they decode as
+//! [`DecodeError::UnknownKind`] and are never reused.
+//!
+//! Every object a frame names as a place to go next — a routing entry or
+//! a Voronoi neighbour in a `ViewUpdate`, a neighbour in a `FloodReply` —
+//! travels with the host peer the driver placed it on, since
+//! [`WIRE_VERSION`](crate::frame::WIRE_VERSION) 2: an [`EntryList`] item
+//! is `id u64 ‖ host u64 ‖ x f64 ‖ y f64` (32 bytes), a [`PlacedList`]
+//! item `id u64 ‖ host u64` (16 bytes).  Hosts never compute placement,
+//! they read it.
 //!
 //! Decode is **zero-copy**: list-valued fields ([`EntryList`],
-//! [`IdList`], [`PointList`]) borrow the frame buffer and parse items
-//! lazily on iteration; no allocation happens until the caller keeps
-//! something.  Decoding is total — malformed bytes yield a typed
-//! [`DecodeError`], never a panic.
+//! [`PlacedList`], [`IdList`], [`PointList`]) borrow the frame buffer and
+//! parse items lazily on iteration; no allocation happens until the
+//! caller keeps something.  Decoding is total — malformed bytes yield a
+//! typed [`DecodeError`], never a panic.
 
 use crate::frame::{
     put_f64, put_u32, put_u64, DecodeError, FrameHeader, WireReader, HEADER_LEN, MAX_PAYLOAD_LEN,
 };
+use std::borrow::Borrow;
 use std::fmt;
 use voronet_geom::{Point2, Rect};
 use voronet_sim::TransportStats;
@@ -48,7 +57,8 @@ impl fmt::Display for EncodeError {
 
 impl std::error::Error for EncodeError {}
 
-const ENTRY_SIZE: usize = 24; // u64 id + 2 × f64 coords
+const ENTRY_SIZE: usize = 32; // u64 id + u64 host + 2 × f64 coords
+const PLACED_SIZE: usize = 16; // u64 id + u64 host
 const POINT_SIZE: usize = 16; // 2 × f64
 const ID_SIZE: usize = 8; // u64
 
@@ -67,14 +77,17 @@ macro_rules! wire_list {
                 $name { bytes: &[] }
             }
 
-            /// Serialises `items` into the caller's scratch buffer and
-            /// returns a view borrowing it (the encode-side counterpart
-            /// of zero-copy decoding).
-            pub fn build(scratch: &'a mut Vec<u8>, items: &[$item]) -> Self {
+            /// Serialises `items` (a slice, or any iterator of items) into
+            /// the caller's scratch buffer and returns a view borrowing it
+            /// (the encode-side counterpart of zero-copy decoding).
+            pub fn build(
+                scratch: &'a mut Vec<u8>,
+                items: impl IntoIterator<Item = impl Borrow<$item>>,
+            ) -> Self {
                 scratch.clear();
                 for item in items {
                     let write: fn(&mut Vec<u8>, &$item) = $write;
-                    write(scratch, item);
+                    write(scratch, item.borrow());
                 }
                 $name { bytes: scratch }
             }
@@ -129,7 +142,14 @@ macro_rules! wire_list {
                 let parse: fn(&[u8]) -> $item = $parse;
                 Some(parse(head))
             }
+
+            fn size_hint(&self) -> (usize, Option<usize>) {
+                let len = self.bytes.len() / $size;
+                (len, Some(len))
+            }
         }
+
+        impl ExactSizeIterator for $iter<'_> {}
     };
 }
 
@@ -142,19 +162,36 @@ fn read_f64(b: &[u8]) -> f64 {
 }
 
 wire_list!(
-    /// Borrowed list of `(node id, coordinates)` routing-table entries.
+    /// Borrowed list of `(node id, host peer, coordinates)` routing-table
+    /// entries.
     EntryList,
     EntryIter,
-    (u64, Point2),
+    (u64, u64, Point2),
     ENTRY_SIZE,
     |b| (
         read_u64(b),
-        Point2::new(read_f64(&b[8..]), read_f64(&b[16..]))
+        read_u64(&b[8..]),
+        Point2::new(read_f64(&b[16..]), read_f64(&b[24..]))
     ),
-    |buf, &(id, p)| {
+    |buf, &(id, host, p)| {
         put_u64(buf, id);
+        put_u64(buf, host);
         put_f64(buf, p.x);
         put_f64(buf, p.y);
+    }
+);
+
+wire_list!(
+    /// Borrowed list of `(node id, host peer)` pairs (e.g. Voronoi
+    /// neighbours, each with the host to probe it on).
+    PlacedList,
+    PlacedIter,
+    (u64, u64),
+    PLACED_SIZE,
+    |b| (read_u64(b), read_u64(&b[8..])),
+    |buf, &(id, host)| {
+        put_u64(buf, id);
+        put_u64(buf, host);
     }
 );
 
@@ -257,7 +294,8 @@ pub enum WireMsg<'a> {
     /// Installs / refreshes one hosted object's view on its host: the
     /// object's coordinates, its flattened routing table, its Voronoi
     /// neighbours (the flood graph) and its clipped Voronoi cell polygon
-    /// (the flood-eligibility geometry).
+    /// (the flood-eligibility geometry).  Every routing entry and
+    /// neighbour names the host it lives on.
     ViewUpdate {
         /// The object whose view this is.
         object: u64,
@@ -265,10 +303,10 @@ pub enum WireMsg<'a> {
         seq: u64,
         /// The object's attribute coordinates.
         coords: Point2,
-        /// Flattened routing neighbours with their coordinates.
+        /// Flattened routing neighbours with their hosts and coordinates.
         routing: EntryList<'a>,
-        /// Voronoi neighbours (subset of `routing` ids).
-        vn: IdList<'a>,
+        /// Voronoi neighbours (subset of `routing` ids) with their hosts.
+        vn: PlacedList<'a>,
         /// Vertices of the object's Voronoi cell clipped to the domain.
         cell: PointList<'a>,
     },
@@ -362,25 +400,9 @@ pub enum WireMsg<'a> {
         eligible: bool,
         /// True when the object's coordinates satisfy the predicate.
         is_match: bool,
-        /// The object's Voronoi neighbours (expansion set).
-        neighbours: IdList<'a>,
-    },
-    /// Installs / replaces one hosted object's region subscription
-    /// (driver → host service push, acked by `SvcAck`).
-    SvcSubscribe {
-        /// The subscribing object.
-        object: u64,
-        /// Monotonic per-object service push sequence number.
-        seq: u64,
-        /// The subscribed region.
-        region: Rect,
-    },
-    /// Drops one hosted object's region subscription.
-    SvcUnsubscribe {
-        /// The unsubscribing object.
-        object: u64,
-        /// Monotonic per-object service push sequence number.
-        seq: u64,
+        /// The object's Voronoi neighbours (expansion set) with their
+        /// hosts.
+        neighbours: PlacedList<'a>,
     },
     /// Delivers one publication to a subscribed object on its host.
     SvcDeliver {
@@ -390,8 +412,7 @@ pub enum WireMsg<'a> {
         seq: u64,
         /// Topic key of the published region (its corner bit patterns).
         topic: [u64; 4],
-        /// Per-topic publication sequence number (drives the host's
-        /// duplicate-delivery ledger).
+        /// Per-topic publication sequence number.
         topic_seq: u64,
         /// Opaque payload.
         payload: u64,
@@ -433,8 +454,8 @@ pub enum WireMsg<'a> {
         /// The stored value, `None` when the host holds no entry.
         value: Option<u64>,
     },
-    /// Acknowledges one service push (`SvcSubscribe`/`SvcUnsubscribe`/
-    /// `SvcDeliver`/`SvcKvStore`/`SvcKvDrop`/`SvcKvReplicate`).
+    /// Acknowledges one service push (`SvcDeliver`/`SvcKvStore`/
+    /// `SvcKvDrop`/`SvcKvReplicate`).
     SvcAck {
         /// Acknowledged object.
         object: u64,
@@ -489,7 +510,7 @@ pub enum WireMsg<'a> {
     Shutdown,
 }
 
-// Kind bytes 1, 3, 4 and 6 are retired (see the module docs).
+// Kind bytes 1, 3, 4, 6, 21 and 22 are retired (see the module docs).
 const KIND_HELLO: u8 = 0;
 const KIND_ROUTE_STEP: u8 = 2;
 const KIND_PING: u8 = 5;
@@ -507,8 +528,6 @@ const KIND_FLOOD_REPLY: u8 = 17;
 const KIND_STATS_REQ: u8 = 18;
 const KIND_STATS_REPLY: u8 = 19;
 const KIND_SHUTDOWN: u8 = 20;
-const KIND_SVC_SUBSCRIBE: u8 = 21;
-const KIND_SVC_UNSUBSCRIBE: u8 = 22;
 const KIND_SVC_DELIVER: u8 = 23;
 const KIND_SVC_KV_STORE: u8 = 24;
 const KIND_SVC_KV_DROP: u8 = 25;
@@ -563,8 +582,6 @@ impl<'a> WireMsg<'a> {
             WireMsg::AnswerMatches { .. } => KIND_ANSWER_MATCHES,
             WireMsg::FloodProbe { .. } => KIND_FLOOD_PROBE,
             WireMsg::FloodReply { .. } => KIND_FLOOD_REPLY,
-            WireMsg::SvcSubscribe { .. } => KIND_SVC_SUBSCRIBE,
-            WireMsg::SvcUnsubscribe { .. } => KIND_SVC_UNSUBSCRIBE,
             WireMsg::SvcDeliver { .. } => KIND_SVC_DELIVER,
             WireMsg::SvcKvStore { .. } => KIND_SVC_KV_STORE,
             WireMsg::SvcKvDrop { .. } => KIND_SVC_KV_DROP,
@@ -727,16 +744,7 @@ impl<'a> WireMsg<'a> {
                 buf.push(is_match as u8);
                 neighbours.encode(buf);
             }
-            WireMsg::SvcSubscribe {
-                object,
-                seq,
-                region,
-            } => {
-                put_u64(buf, object);
-                put_u64(buf, seq);
-                put_rect(buf, region);
-            }
-            WireMsg::SvcUnsubscribe { object, seq } | WireMsg::SvcAck { object, seq } => {
+            WireMsg::SvcAck { object, seq } => {
                 put_u64(buf, object);
                 put_u64(buf, seq);
             }
@@ -904,7 +912,7 @@ impl<'a> WireMsg<'a> {
                 seq: r.u64()?,
                 coords: read_point(&mut r)?,
                 routing: EntryList::decode(&mut r)?,
-                vn: IdList::decode(&mut r)?,
+                vn: PlacedList::decode(&mut r)?,
                 cell: PointList::decode(&mut r)?,
             },
             KIND_VIEW_ACK => WireMsg::ViewAck {
@@ -991,18 +999,9 @@ impl<'a> WireMsg<'a> {
                     object,
                     eligible,
                     is_match,
-                    neighbours: IdList::decode(&mut r)?,
+                    neighbours: PlacedList::decode(&mut r)?,
                 }
             }
-            KIND_SVC_SUBSCRIBE => WireMsg::SvcSubscribe {
-                object: r.u64()?,
-                seq: r.u64()?,
-                region: read_rect(&mut r)?,
-            },
-            KIND_SVC_UNSUBSCRIBE => WireMsg::SvcUnsubscribe {
-                object: r.u64()?,
-                seq: r.u64()?,
-            },
             KIND_SVC_DELIVER => WireMsg::SvcDeliver {
                 object: r.u64()?,
                 seq: r.u64()?,
@@ -1115,18 +1114,21 @@ mod tests {
         let mut ids_scratch = Vec::new();
         let routing = EntryList::build(
             &mut routing_scratch,
-            &[(3, Point2::new(0.25, 0.75)), (9, Point2::new(0.5, 0.125))],
+            [
+                (3, 1, Point2::new(0.25, 0.75)),
+                (9, 2, Point2::new(0.5, 0.125)),
+            ],
         );
-        let vn = IdList::build(&mut vn_scratch, &[3, 9, 27]);
+        let vn = PlacedList::build(&mut vn_scratch, [(3, 1), (9, 2), (27, u64::MAX)]);
         let cell = PointList::build(
             &mut cell_scratch,
-            &[
+            [
                 Point2::new(0.0, 0.0),
                 Point2::new(1.0, 0.0),
                 Point2::new(0.5, 1.0),
             ],
         );
-        let matches = IdList::build(&mut ids_scratch, &[1, 2, 3, 5, 8]);
+        let matches = IdList::build(&mut ids_scratch, [1, 2, 3, 5, 8]);
         let rect = Rect::new(Point2::new(0.1, 0.2), Point2::new(0.6, 0.7));
         let msgs: Vec<WireMsg<'_>> = vec![
             WireMsg::Hello,
@@ -1221,12 +1223,6 @@ mod tests {
                 is_match: false,
                 neighbours: vn,
             },
-            WireMsg::SvcSubscribe {
-                object: 7,
-                seq: 3,
-                region: rect,
-            },
-            WireMsg::SvcUnsubscribe { object: 7, seq: 4 },
             WireMsg::SvcDeliver {
                 object: 7,
                 seq: 5,
@@ -1306,10 +1302,22 @@ mod tests {
     #[test]
     fn list_views_are_zero_copy_and_lazy() {
         let mut scratch = Vec::new();
-        let items = [(1u64, Point2::new(0.1, 0.9)), (2, Point2::new(0.2, 0.8))];
-        let list = EntryList::build(&mut scratch, &items);
+        let items = [
+            (1u64, 3, Point2::new(0.1, 0.9)),
+            (2, 1, Point2::new(0.2, 0.8)),
+        ];
+        let list = EntryList::build(&mut scratch, items);
         assert_eq!(list.len(), 2);
         assert_eq!(list.to_vec(), items);
+        // Iterators know their exact length, so collecting allocates once,
+        // to the size of the list.
+        let mut iter = list.iter();
+        assert_eq!(iter.len(), 2);
+        iter.next();
+        assert_eq!(iter.size_hint(), (1, Some(1)));
+        let ids: Vec<u64> = (0..17).collect();
+        let mut id_scratch = Vec::new();
+        assert_eq!(IdList::build(&mut id_scratch, &ids).to_vec().capacity(), 17);
         let empty = EntryList::empty();
         assert!(empty.is_empty());
         assert_eq!(empty.iter().count(), 0);
@@ -1359,7 +1367,7 @@ mod tests {
 
     #[test]
     fn retired_kind_bytes_stay_unknown() {
-        for retired in [1u8, 3, 4, 6] {
+        for retired in [1u8, 3, 4, 6, 21, 22] {
             let mut buf = Vec::new();
             WireMsg::Shutdown.encode(0, 1, &mut buf).unwrap();
             buf[3] = retired;

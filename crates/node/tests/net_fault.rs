@@ -12,9 +12,9 @@
 
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
-use voronet_core::VoroNetConfig;
+use voronet_core::{ObjectId, VoroNetConfig};
 use voronet_net::cluster::{
-    host_of, ClusterError, Driver, HostState, Liveness, OpOutcome, RetryPolicy, DRIVER_PEER,
+    ClusterError, Driver, HostState, Liveness, OpOutcome, RetryPolicy, DRIVER_PEER,
 };
 use voronet_net::transport::Transport;
 use voronet_net::udp::UdpTransport;
@@ -122,7 +122,7 @@ fn killed_owner_process_leaves_acked_write_readable() {
 
     // SIGKILL the owning host's process; the failure detector must
     // notice within its ping windows.
-    let owner_host = host_of(owner, hosts_n);
+    let owner_host = driver.host_of(ObjectId(owner)).expect("a placed owner");
     hosts.kill_host(owner_host);
     let deadline = Instant::now() + Duration::from_secs(15);
     while driver.host_state(owner_host) != HostState::Dead {
@@ -139,7 +139,7 @@ fn killed_owner_process_leaves_acked_write_readable() {
     let from = driver
         .net()
         .ids()
-        .find(|id| host_of(id.0, hosts_n) != owner_host)
+        .find(|&id| driver.host_of(id) != Some(owner_host))
         .expect("a surviving object exists");
     let OpOutcome::KvFetched {
         value,
@@ -158,7 +158,7 @@ fn killed_owner_process_leaves_acked_write_readable() {
     let dead = driver
         .net()
         .ids()
-        .find(|id| host_of(id.0, hosts_n) == owner_host)
+        .find(|&id| driver.host_of(id) == Some(owner_host))
         .expect("the dead host serves at least one object");
     let target = driver.net().coords(from).unwrap();
     let t0 = Instant::now();

@@ -9,8 +9,8 @@
 //! entry round-trips through the owning host, and churn — a join landing
 //! exactly on the key's coordinates, then that node's departure — must
 //! migrate the stored value between host processes without losing it.
-//! Running it over UDP proves the service frames (`SvcSubscribe`,
-//! `SvcDeliver`, `SvcKvStore`, ...) and their ack/resend discipline
+//! Running it over UDP proves the service frames (`SvcKvStore`,
+//! `SvcKvFetch`, `SvcDeliver`, ...) and their ack/resend discipline
 //! survive a lossy, reordering transport, not just the deterministic
 //! vnet.
 

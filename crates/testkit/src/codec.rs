@@ -22,7 +22,9 @@ use rand::rngs::StdRng;
 use rand::RngExt;
 use voronet_geom::{Point2, Rect};
 use voronet_net::frame::HEADER_LEN;
-use voronet_net::wire::{EntryList, IdList, PointList, WireMsg, WirePurpose, WireQuery};
+use voronet_net::wire::{
+    EntryList, IdList, PlacedList, PointList, WireMsg, WirePurpose, WireQuery,
+};
 use voronet_sim::TransportStats;
 
 fn point(rng: &mut StdRng) -> Point2 {
@@ -64,6 +66,22 @@ fn ids(rng: &mut StdRng, max: usize) -> Vec<u64> {
         .collect()
 }
 
+/// A host field: mostly a real host peer, sometimes the driver's id or
+/// any other value a corrupt or hostile frame may carry.
+fn host(rng: &mut StdRng) -> u64 {
+    match rng.random_range(0..4u32) {
+        0 => rng.random(),
+        1 => 0,
+        _ => rng.random_range(1..=8u64),
+    }
+}
+
+fn placed(rng: &mut StdRng, max: usize) -> Vec<(u64, u64)> {
+    (0..rng.random_range(0..max))
+        .map(|_| (rng.random(), host(rng)))
+        .collect()
+}
+
 fn stats(rng: &mut StdRng) -> TransportStats {
     let mut s = TransportStats::new();
     s.frames_sent = rng.random();
@@ -86,7 +104,7 @@ pub fn random_frame(rng: &mut StdRng) -> Vec<u8> {
     let mut s1 = Vec::new();
     let mut s2 = Vec::new();
     let mut s3 = Vec::new();
-    let msg = match rng.random_range(0..28u32) {
+    let msg = match rng.random_range(0..26u32) {
         0 => WireMsg::Hello,
         1 => WireMsg::RouteStep {
             target: point(rng),
@@ -98,19 +116,19 @@ pub fn random_frame(rng: &mut StdRng) -> Vec<u8> {
             reply: rng.random(),
         },
         3 => {
-            let entries: Vec<(u64, Point2)> = (0..rng.random_range(0..24usize))
-                .map(|_| (rng.random(), point(rng)))
+            let entries: Vec<(u64, u64, Point2)> = (0..rng.random_range(0..24usize))
+                .map(|_| (rng.random(), host(rng), point(rng)))
                 .collect();
             let cell: Vec<Point2> = (0..rng.random_range(0..16usize))
                 .map(|_| point(rng))
                 .collect();
-            let vn = ids(rng, 24);
+            let vn = placed(rng, 24);
             WireMsg::ViewUpdate {
                 object: rng.random(),
                 seq: rng.random(),
                 coords: point(rng),
                 routing: EntryList::build(&mut s1, &entries),
-                vn: IdList::build(&mut s2, &vn),
+                vn: PlacedList::build(&mut s2, &vn),
                 cell: PointList::build(&mut s3, &cell),
             }
         }
@@ -169,13 +187,13 @@ pub fn random_frame(rng: &mut StdRng) -> Vec<u8> {
             },
         },
         13 => {
-            let neighbours = ids(rng, 24);
+            let neighbours = placed(rng, 24);
             WireMsg::FloodReply {
                 token: rng.random(),
                 object: rng.random(),
                 eligible: rng.random(),
                 is_match: rng.random(),
-                neighbours: IdList::build(&mut s1, &neighbours),
+                neighbours: PlacedList::build(&mut s1, &neighbours),
             }
         }
         14 => WireMsg::StatsReq,
@@ -184,39 +202,30 @@ pub fn random_frame(rng: &mut StdRng) -> Vec<u8> {
             ops_served: rng.random(),
         },
         16 => WireMsg::Shutdown,
-        17 => WireMsg::SvcSubscribe {
-            object: rng.random(),
-            seq: rng.random(),
-            region: rect(rng),
-        },
-        18 => WireMsg::SvcUnsubscribe {
-            object: rng.random(),
-            seq: rng.random(),
-        },
-        19 => WireMsg::SvcDeliver {
+        17 => WireMsg::SvcDeliver {
             object: rng.random(),
             seq: rng.random(),
             topic: [rng.random(), rng.random(), rng.random(), rng.random()],
             topic_seq: rng.random(),
             payload: rng.random(),
         },
-        20 => WireMsg::SvcKvStore {
+        18 => WireMsg::SvcKvStore {
             object: rng.random(),
             seq: rng.random(),
             key: rng.random(),
             value: rng.random(),
         },
-        21 => WireMsg::SvcKvDrop {
+        19 => WireMsg::SvcKvDrop {
             object: rng.random(),
             seq: rng.random(),
             key: rng.random(),
         },
-        22 => WireMsg::SvcKvFetch {
+        20 => WireMsg::SvcKvFetch {
             token: rng.random(),
             object: rng.random(),
             key: rng.random(),
         },
-        23 => WireMsg::SvcKvValue {
+        21 => WireMsg::SvcKvValue {
             token: rng.random(),
             value: if rng.random() {
                 Some(rng.random())
@@ -224,18 +233,18 @@ pub fn random_frame(rng: &mut StdRng) -> Vec<u8> {
                 None
             },
         },
-        24 => WireMsg::SvcAck {
+        22 => WireMsg::SvcAck {
             object: rng.random(),
             seq: rng.random(),
         },
-        25 => WireMsg::SvcKvReplicate {
+        23 => WireMsg::SvcKvReplicate {
             object: rng.random(),
             seq: rng.random(),
             key: rng.random(),
             value: rng.random(),
             entry_seq: rng.random(),
         },
-        26 => WireMsg::SvcKvFetchReplica {
+        24 => WireMsg::SvcKvFetchReplica {
             token: rng.random(),
             object: rng.random(),
             key: rng.random(),

@@ -2,14 +2,15 @@
 //! warmed up, a frame crossing the vnet hub reuses a buffer the hub kept,
 //! and a cluster op — driver, codec, hub, host walk and reply — allocates
 //! nothing.  The pin covers bare hub round trips, routes through the
-//! [`Overlay`] surface of an ideal-hub [`InlineCluster`] (each hop a frame
-//! between hosts) and the driver's KV reads (a route to the key's owner,
-//! then a fetch).  Warmed KV writes through the id-keyed driver path are
-//! pinned at the exact count they make (a new placement record and its
-//! push bookkeeping per put), and so are warmed range queries (the flood's
-//! visited set, probe table and match list, each cell's clip) and one
-//! join through `Driver::insert` (the overlay's own insertion, the views
-//! it touched materialised and pushed), so a change to any count is seen.
+//! [`Overlay`] surface of an ideal-hub [`InlineCluster`] (each hop that
+//! crosses hosts a frame) and the driver's KV reads (a route to the key's
+//! owner, then a fetch).  Warmed KV writes through the id-keyed driver
+//! path are pinned at the exact count they make (a new placement record
+//! and its push bookkeeping per put), and so are warmed range queries (the
+//! flood's visited set, probe table and match list; cells clip into
+//! buffers the host keeps) and one join through `Driver::insert` (the
+//! overlay's own insertion, the views it touched materialised and pushed),
+//! so a change to any count is seen.
 //!
 //! This file deliberately contains a single test: the counting allocator is
 //! process-global, and a concurrently running test would perturb the count.
@@ -49,7 +50,7 @@ static ALLOC: CountingAllocator = CountingAllocator;
 const PUT_ALLOCATIONS: u64 = 317;
 
 /// Heap allocations of the 16 warmed range queries below.
-const RANGE_ALLOCATIONS: u64 = 2_402;
+const RANGE_ALLOCATIONS: u64 = 180;
 
 /// Heap allocations of the one warmed join below.
 const INSERT_ALLOCATIONS: u64 = 98;
