@@ -7,7 +7,7 @@ use super::pump::{Completes, Ladder, PendingTable, RetryPolicy, SYNC_DEADLINE};
 use super::services::KvPlacement;
 use super::{ClusterError, ClusterStats, HostReport, IdMap, OpOutcome, DRIVER_PEER};
 use crate::transport::{PeerId, Transport};
-use crate::wire::{EntryList, PlacedList, PointList, WireMsg};
+use crate::wire::{EntryList, PointList, PositionList, WireMsg};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
@@ -66,6 +66,8 @@ pub struct Driver<T: Transport> {
     pub(super) subs: BTreeMap<ObjectId, Rect>,
     pub(super) topic_seqs: IdMap<[u64; 4], u64>,
     pub(super) kv: BTreeMap<u64, KvPlacement>,
+    /// [`Self::copies_of`] by owner, since the last membership change.
+    pub(super) copies: IdMap<u64, Vec<u64>>,
     pub(super) svc_seqs: IdMap<u64, u64>,
     pub(super) kv_seq: u64,
     /// The `(object, key)` KV copies a dead host was told to drop and
@@ -102,6 +104,7 @@ impl<T: Transport> Driver<T> {
             subs: BTreeMap::new(),
             topic_seqs: IdMap::default(),
             kv: BTreeMap::new(),
+            copies: IdMap::default(),
             svc_seqs: IdMap::default(),
             kv_seq: 0,
             missed_drops: BTreeSet::new(),
@@ -335,8 +338,12 @@ impl<T: Transport> Driver<T> {
                 .iter()
                 .map(|&(id, at)| (id, self.host(id), at));
             let routing = EntryList::build(&mut routing_buf, routing);
-            let vn = current.vn.iter().map(|&id| (id, self.host(id)));
-            let vn = PlacedList::build(&mut vn_buf, vn);
+            // `routing` is sorted by id and holds every neighbour.
+            let vn = current.vn.iter().map(|&id| {
+                let at = current.routing.binary_search_by_key(&id, |&(r, _)| r);
+                u16::try_from(at.expect("a neighbour is a routing entry")).expect("fits a frame")
+            });
+            let vn = PositionList::build(&mut vn_buf, vn);
             let cell = PointList::build(&mut cell_buf, &current.cell);
             let coords = current.coords;
             self.queue_view_push(object, |seq| WireMsg::ViewUpdate {
@@ -365,6 +372,8 @@ impl<T: Transport> Driver<T> {
     /// that got through — and at everyone when there is no such write to
     /// start from or the journal no longer reaches it.
     fn propagate(&mut self, evicted: &[u64]) -> Result<(), ClusterError> {
+        // Copies follow the membership and the placement.
+        self.copies.clear();
         let touched = self.synced.take().and_then(|epoch| {
             let mut touched: Vec<u64> = self
                 .net

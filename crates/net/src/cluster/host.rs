@@ -21,9 +21,9 @@ const PROBE_MAX_ATTEMPTS: u32 = 40;
 pub(super) struct Hosted {
     seq: u64,
     pub(super) coords: Point2,
-    pub(super) routing: Vec<RoutingEntry>,
+    pub(super) routing: Vec<(u64, PeerId, Point2)>,
     /// The Voronoi neighbours, as positions in `routing` (every one is a
-    /// routing entry): two bytes each instead of an id and a host.
+    /// routing entry), as the view shipped them.
     vn: Vec<u16>,
     pub(super) cell: Vec<Point2>,
 }
@@ -31,17 +31,6 @@ pub(super) struct Hosted {
 /// The two buffers a host clips cells in, kept so a flood allocates
 /// nothing per visited object.
 type ClipBuffers = (Vec<Point2>, Vec<Point2>);
-
-/// A routing entry: `(id, host, coords)`.
-type RoutingEntry = (u64, PeerId, Point2);
-
-/// Where the neighbour `(id, host)` sits in a routing table; `None` when
-/// it is not one of its entries.  A frame holds at most 2 046 entries, so
-/// a position fits in a `u16`.
-fn position_of(routing: &[RoutingEntry], (id, host): (u64, PeerId)) -> Option<u16> {
-    let at = routing.iter().position(|&(r, h, _)| (r, h) == (id, host))?;
-    u16::try_from(at).ok()
-}
 
 impl Hosted {
     /// The Voronoi neighbours with their hosts.
@@ -121,17 +110,12 @@ pub struct HostNode<T: Transport> {
     resend: Vec<(u64, PeerId)>,
     abandon: Vec<u64>,
     clip: ClipBuffers,
-    /// A view's routing table and its neighbours' positions in it, read
-    /// here and checked before they replace the held ones.
-    entries: Vec<RoutingEntry>,
-    positions: Vec<u16>,
     pub(super) kv: IdMap<(u64, u64), u64>,
     pub(super) kv_replicas: IdMap<(u64, u64), (u64, u64)>,
-    svc_applied: IdMap<u64, u64>,
     kv_applied: IdMap<(u64, u64), u64>,
     ops_served: u64,
     /// Frames rejected for naming a host outside `1..=hosts`, or (a view)
-    /// a neighbour that is not one of its routing entries: never applied,
+    /// a neighbour position past its routing entries: never applied,
     /// never acked, never followed.
     pub(super) rejected: u64,
     shutdown: bool,
@@ -154,11 +138,8 @@ impl<T: Transport> HostNode<T> {
             resend: Vec::new(),
             abandon: Vec::new(),
             clip: (Vec::new(), Vec::new()),
-            entries: Vec::new(),
-            positions: Vec::new(),
             kv: IdMap::default(),
             kv_replicas: IdMap::default(),
-            svc_applied: IdMap::default(),
             kv_applied: IdMap::default(),
             ops_served: 0,
             rejected: 0,
@@ -298,18 +279,10 @@ impl<T: Transport> HostNode<T> {
                 cell,
             } => {
                 // A view naming a host that does not exist, or a neighbour
-                // that is not one of its routing entries, is not applied
-                // (nor acked): following it would send to a stranger.
-                self.entries.clear();
-                self.entries.extend(routing.iter());
-                self.positions.clear();
-                let hosts = 1..=self.hosts;
-                let valid = self.entries.iter().all(|e| hosts.contains(&e.1))
-                    && vn.iter().all(|nb| {
-                        let at = position_of(&self.entries, nb);
-                        self.positions.extend(at);
-                        at.is_some()
-                    });
+                // position past its routing entries, is not applied (nor
+                // acked): following it would send to a stranger.
+                let valid = routing.iter().all(|(_, host, _)| self.is_host(host))
+                    && vn.iter().all(|at| usize::from(at) < routing.len());
                 if !self.admit(valid) {
                     return Ok(());
                 }
@@ -329,8 +302,8 @@ impl<T: Transport> HostNode<T> {
                 if let Some(h) = fresh {
                     h.seq = seq;
                     h.coords = coords;
-                    refill(&mut h.routing, routing.len(), self.entries.iter().copied());
-                    refill(&mut h.vn, vn.len(), self.positions.iter().copied());
+                    refill(&mut h.routing, routing.len(), routing.iter());
+                    refill(&mut h.vn, vn.len(), vn.iter());
                     refill(&mut h.cell, cell.len(), cell.iter());
                 }
                 self.reply(header.from, WireMsg::ViewAck { object, seq })?;
@@ -456,12 +429,6 @@ impl<T: Transport> HostNode<T> {
                     self.pump_flood(token)?;
                 }
             }
-            WireMsg::SvcDeliver { object, seq, .. } => {
-                if self.fresh_service_push(object, seq) {
-                    self.ops_served += 1;
-                }
-                self.reply(header.from, WireMsg::SvcAck { object, seq })?;
-            }
             WireMsg::SvcKvStore {
                 object,
                 seq,
@@ -549,19 +516,7 @@ impl<T: Transport> HostNode<T> {
         Ok(())
     }
 
-    /// The per-object push-sequence filter: true exactly once per push,
-    /// false for duplicates from ack-timeout resends.
-    fn fresh_service_push(&mut self, object: u64, seq: u64) -> bool {
-        let applied = self.svc_applied.entry(object).or_insert(0);
-        if seq > *applied {
-            *applied = seq;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Freshness for the KV plane is per `(object, key)`, not per
+    /// The push-sequence filter, per `(object, key)`, not per
     /// object: one rebalance flush may push several *different* keys to
     /// the same object, and under delay faults those frames can arrive
     /// reordered.  A per-object high-water mark would reject the
@@ -802,7 +757,7 @@ mod tests {
     use super::*;
     use crate::cluster::DRIVER_PEER;
     use crate::vnet::{VnetHub, VnetTransport};
-    use crate::wire::{EntryList, PointList};
+    use crate::wire::{EntryList, PointList, PositionList};
     use voronet_geom::Rect;
     use voronet_sim::NetworkModel;
 
@@ -888,7 +843,8 @@ mod tests {
     }
 
     /// Host ids come off the wire: a view or a flood reply naming host 0
-    /// (the driver's peer id) or a host beyond K is rejected and counted —
+    /// (the driver's peer id) or a host beyond K, or a view naming a
+    /// neighbour position past its routing list, is rejected and counted —
     /// no view is installed or acked, no probe or step goes to that peer.
     #[test]
     fn frames_naming_a_host_outside_the_cluster_are_rejected() {
@@ -897,14 +853,14 @@ mod tests {
         let mut strangers = [hub.endpoint(HOSTS + 1), hub.endpoint(u64::MAX)];
         let mut peers = [hub.endpoint(2), hub.endpoint(3)];
         let mut host = host_one_holding_object_three(&hub);
-        let mut view = |routing: &[(u64, u64, Point2)], vn: &[(u64, u64)]| {
+        let view = |driver: &mut VnetTransport, routing: &[(u64, u64, Point2)], vn: &[u16]| {
             let (mut frame, mut r, mut v, mut c) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
             WireMsg::ViewUpdate {
                 object: 9,
                 seq: 1,
                 coords: Point2::new(0.2, 0.2),
                 routing: EntryList::build(&mut r, routing),
-                vn: PlacedList::build(&mut v, vn),
+                vn: PositionList::build(&mut v, vn),
                 cell: PointList::build(&mut c, square(0.2, 0.05)),
             }
             .encode(DRIVER_PEER, 1, &mut frame)
@@ -912,11 +868,12 @@ mod tests {
             driver.send(1, &frame).unwrap();
         };
         let near = Point2::new(0.25, 0.2);
-        view(&[(3, 1, near), (10, 0, near)], &[(3, 1)]);
-        view(&[(3, 1, near)], &[(3, 1), (10, HOSTS + 1)]);
-        view(&[(3, 1, near), (10, u64::MAX, near)], &[]);
+        view(&mut driver, &[(3, 1, near), (10, 0, near)], &[0]);
+        view(&mut driver, &[(3, 1, near)], &[0, 1]);
+        view(&mut driver, &[(3, 1, near), (10, u64::MAX, near)], &[]);
+        view(&mut driver, &[(3, 1, near), (10, HOSTS + 1, near)], &[0]);
         settle(&mut host);
-        assert_eq!(host.rejected, 3);
+        assert_eq!(host.rejected, 4);
         assert!(
             !host.objects.contains_key(&9),
             "a rejected view was installed"
@@ -925,6 +882,16 @@ mod tests {
             drain(&mut driver, |_| Some(())).is_empty(),
             "a rejected view was acked"
         );
+        // The same view with its hosts in range is installed and acked.
+        view(&mut driver, &[(3, 1, near), (10, HOSTS, near)], &[1, 0]);
+        settle(&mut host);
+        assert_eq!(host.rejected, 4);
+        let neighbours: Vec<_> = host.objects[&9].neighbours().collect();
+        assert_eq!(neighbours, [(10, HOSTS), (3, 1)]);
+        let acks = drain(&mut driver, |msg| {
+            matches!(msg, WireMsg::ViewAck { object: 9, seq: 1 }).then_some(())
+        });
+        assert_eq!(acks, [()]);
 
         // A flood reply naming them is dropped too: its probe stays out.
         request_area(&mut driver, 5);
@@ -937,7 +904,7 @@ mod tests {
             reply_for_object_four(&mut peers[0], 5, &[(3, 1), (7, stranger)]);
         }
         settle(&mut host);
-        assert_eq!(host.rejected, 5);
+        assert_eq!(host.rejected, 6);
         assert!(host.floods[&5].outstanding.contains_key(&4));
         assert!(!host.floods[&5].visited.contains(&7));
         assert!(drain(&mut driver, |_| Some(())).is_empty());

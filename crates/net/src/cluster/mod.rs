@@ -29,12 +29,14 @@
 //! objects, then the lower peer id) — unless that host would then hold
 //! more than ⌈n/K⌉ + ⌊n/K⌋/32 of the n live objects, in which case on the
 //! least-loaded host.  Objects never move; a departure frees its host's
-//! slot.  Hosts never compute placement: every routing entry and Voronoi
-//! neighbour of a [`WireMsg::ViewUpdate`], and every neighbour of a
-//! [`WireMsg::FloodReply`], carries its host, so a walk forwards to the
-//! host its next object's entry names and a flood probes each frontier
-//! object on the host it was shipped with.  A host rejects (and counts)
-//! a frame naming a host outside `1..=K`.  Hops, owners and match sets
+//! slot.  Hosts never compute placement: every routing entry of a
+//! [`WireMsg::ViewUpdate`] (whose Voronoi neighbours are positions among
+//! those entries), and every neighbour of a [`WireMsg::FloodReply`],
+//! carries its host, so a walk forwards to the host its next object's
+//! entry names and a flood probes each frontier object on the host it
+//! was shipped with.  A host rejects (and counts) a frame naming a host
+//! outside `1..=K`, or a neighbour position past its routing entries.
+//! Hops, owners and match sets
 //! do not depend on placement — only which process takes each hop — and
 //! a walk stays inside one host until it meets an object placed
 //! elsewhere: on 2 000 uniform objects over three hosts a route crosses
@@ -42,10 +44,12 @@
 //! the hosts hold 647/674/679 objects.  Placing by position alone (a
 //! Hilbert-curve split of the domain) needs no wire change but follows
 //! the domain, not the population: it put all 2 000 objects of a
-//! power-law population on one host.  Locality has a price: an owner's
-//! Voronoi neighbours, its KV replica set, mostly share its host (every
-//! one of them does for 70 % of those 2 000 objects), so most keys of a
-//! crashed host cannot be read until it is revived.
+//! power-law population on one host.  Locality has a price the KV store
+//! pays: an owner's Voronoi neighbours, its replica set, mostly share its
+//! host (every one of them does for 70 % of those 2 000 objects), so an
+//! entry's copies go to hosts other than the owner's — its replicas
+//! placed elsewhere, else the nearest object placed elsewhere — and every
+//! acked write stays readable while any one host is down.
 //!
 //! ## Conformance
 //!
@@ -61,9 +65,8 @@
 //!
 //! The cluster also hosts the geo-scoped service plane of
 //! `voronet-services`: region subscriptions are driver state,
-//! publications resolve through the distributed area flood and are
-//! delivered host-by-host ([`WireMsg::SvcDeliver`], applied once per push
-//! sequence number), and coordinate-keyed KV entries are physically
+//! publications resolve their recipients through the distributed area
+//! flood, and coordinate-keyed KV entries are physically
 //! stored at the host of the owning cell's object
 //! ([`WireMsg::SvcKvStore`]) and *migrate over the wire* when churn moves
 //! the owning cell — a [`WireMsg::SvcKvFetch`] always reads from whatever
@@ -760,9 +763,18 @@ mod tests {
         seed: u64,
         link: LinkFaults,
     ) -> (InlineCluster<FaultTransport<VnetTransport>>, FaultCtl) {
+        faulty_sized(512, seed, link)
+    }
+
+    /// [`faulty`], configured for `capacity` objects.
+    fn faulty_sized(
+        capacity: usize,
+        seed: u64,
+        link: LinkFaults,
+    ) -> (InlineCluster<FaultTransport<VnetTransport>>, FaultCtl) {
         let hub = VnetHub::new(NetworkModel::ideal());
         let ctl = FaultCtl::new(link);
-        let config = VoroNetConfig::new(512).with_seed(seed);
+        let config = VoroNetConfig::new(capacity).with_seed(seed);
         let mut cluster = InlineCluster::start_with(3, config, |peer| {
             FaultTransport::new(hub.endpoint(peer), ctl.clone(), seed)
         });
@@ -868,6 +880,59 @@ mod tests {
         assert_eq!(value, Some(91));
         assert!(!degraded, "the healthy path must resume after revival");
         assert!(cluster.driver().cluster_stats().revivals >= 1);
+    }
+
+    /// Placement puts most of an owner's Voronoi neighbours (its replica
+    /// set) on its own host, so an entry's copies go to other hosts: with
+    /// any one host of a 2 000-object build dead, every acked key still
+    /// reads its value — degraded for the keys the dead host owned.
+    #[test]
+    fn every_acked_write_survives_each_single_host_crash() {
+        let n = 2_000;
+        let (mut cluster, ctl) = faulty_sized(n, 2007, LinkFaults::default());
+        for p in PointGenerator::new(Distribution::Uniform, 2007).take_points(n) {
+            cluster.driver().insert(p).unwrap();
+        }
+        let value = |key: u64| key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let keys = 0..300u64;
+        let driver = cluster.driver();
+        for key in keys.clone() {
+            let from = nth(driver, (key as usize * 7) % n);
+            let put = driver.kv_put(from, key, value(key)).unwrap();
+            assert!(matches!(put, OpOutcome::KvStored { .. }), "{put:?}");
+        }
+        let windows = Liveness::tight().dead_after + 2;
+        for dead in 1..=3 {
+            ctl.crash(dead);
+            heartbeat_until(cluster.driver(), dead, HostState::Dead, windows);
+            let driver = cluster.driver();
+            let from = driver
+                .net()
+                .ids()
+                .find(|&id| driver.host_of(id) != Some(dead))
+                .expect("a surviving object exists");
+            let mut degraded_reads = 0;
+            for key in keys.clone() {
+                let got = driver.kv_get(from, key).unwrap();
+                let OpOutcome::KvFetched {
+                    value: Some(got),
+                    owner,
+                    degraded,
+                    ..
+                } = got
+                else {
+                    panic!("host {dead} dead: key {key} read {got:?}")
+                };
+                assert_eq!(got, value(key), "host {dead} dead: key {key}");
+                let owned_there = driver.host_of(ObjectId(owner)) == Some(dead);
+                assert_eq!(degraded, owned_there, "host {dead} dead: key {key}");
+                degraded_reads += usize::from(degraded);
+            }
+            assert!(degraded_reads > 50, "host {dead}: {degraded_reads}");
+            ctl.restart(dead);
+            heartbeat_until(cluster.driver(), dead, HostState::Alive, 2);
+        }
+        assert_eq!(cluster.driver().cluster_stats().fail_fast, 0);
     }
 
     /// Regression: under 10% frame loss the driver used to send each

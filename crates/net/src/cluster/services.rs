@@ -1,17 +1,26 @@
 //! The driver-side service plane: region pub/sub and the
 //! coordinate-keyed KV store, as control state mirrored onto the hosts
 //! through sequence-numbered service pushes.  Subscriptions are driver
-//! state alone: a publication resolves its recipients here, and only its
-//! deliveries travel to the hosts.  Every operation is issued
+//! state alone: a publication resolves its recipients here through the
+//! distributed area flood, and nothing about it travels to the hosts.
+//! Every operation is issued
 //! by a live object, named by its id.  KV placement is the rule of
 //! `voronet_services::keys`, which the single-process `ServiceEngine`
 //! calls too: the owner is the least `(distance², id)`, the replicas its
 //! sorted Voronoi neighbours.
+//!
+//! Which objects physically hold a copy is the cluster's own concern,
+//! because only a copy on another host survives the owner's host: the
+//! replicas placed on hosts other than the owner's mirror the entry, and
+//! when every replica shares the owner's host (placement puts neighbours
+//! together) the nearest object placed elsewhere does ([`Driver::copies_of`]).
+//! A replica on the owner's host holds nothing: it would fall with the
+//! owner, and the driver keeps every value anyway.
 
 use super::driver::Driver;
 use super::liveness::HostState;
 use super::pump::Completes;
-use super::{flood_messages, ClusterError, OpOutcome};
+use super::{flood_messages, ClusterError, IdSet, OpOutcome};
 use crate::transport::{PeerId, Transport};
 use crate::wire::WireMsg;
 use std::collections::BTreeSet;
@@ -22,21 +31,21 @@ use voronet_services::{holder_among, key_point, replica_set, topic_key, KvEntry}
 use voronet_workloads::RangeQuery;
 
 /// Driver-side control record of one coordinate-keyed entry: its value,
-/// owner and replica set, and the entry's write sequence used to validate
-/// replica freshness on degraded reads.
+/// owner and replica set, the objects that hold its copies, and the
+/// entry's write sequence used to validate copy freshness on degraded
+/// reads.
 #[derive(Debug, Clone, PartialEq)]
 pub(super) struct KvPlacement {
     pub(super) entry: KvEntry,
     pub(super) entry_seq: u64,
+    /// [`Driver::copies_of`] the owner, ascending: none on its host.
+    pub(super) copies: Vec<u64>,
 }
 
 impl KvPlacement {
-    /// Every object holding a copy: the owner, then its replicas.
+    /// Every object holding the entry: the owner, then its copies.
     fn roles(&self) -> impl Iterator<Item = u64> + '_ {
-        let entry = &self.entry;
-        std::iter::once(entry.owner)
-            .chain(entry.replicas.iter().copied())
-            .map(|id| id.0)
+        std::iter::once(self.entry.owner.0).chain(self.copies.iter().copied())
     }
 }
 
@@ -100,14 +109,16 @@ impl<T: Transport> Driver<T> {
 
     /// Publishes a payload from the live object `from` to every
     /// subscriber inside `region`: resolves the recipients through the
-    /// distributed area flood, then delivers host-by-host.  Subscribers
+    /// distributed area flood and names them in the outcome.  Subscribers
     /// whose subscribed region intersects the publication but who sit
-    /// outside it are reported as missed.
+    /// outside it are reported as missed.  Nothing is pushed to the
+    /// recipients' hosts, which keep no subscription state: the payload
+    /// stays with the caller.
     pub fn publish(
         &mut self,
         from: ObjectId,
         region: Rect,
-        payload: u64,
+        _payload: u64,
     ) -> Result<OpOutcome, ClusterError> {
         let OpOutcome::Matches {
             matches,
@@ -127,16 +138,6 @@ impl<T: Transport> Driver<T> {
             .filter(|(_, sub_region)| sub_region.intersects(&region))
             .map(|(&id, _)| id)
             .partition(|id| matches.binary_search(&id.0).is_ok());
-        for &ObjectId(object) in &delivered {
-            self.queue_service_push(object, |seq| WireMsg::SvcDeliver {
-                object,
-                seq,
-                topic,
-                topic_seq,
-                payload,
-            });
-        }
-        self.flush_pushes()?;
         Ok(OpOutcome::Published(PublishOutcome {
             seq: topic_seq,
             delivered,
@@ -154,6 +155,66 @@ impl<T: Transport> Driver<T> {
             |_| Vec::new(),
             |view| replica_set(view.voronoi_neighbours()),
         )
+    }
+
+    /// The objects that hold copies of an entry the live object `owner`
+    /// owns, ascending: its Voronoi neighbours placed on other hosts; when
+    /// every one shares its host, the nearest object placed elsewhere —
+    /// fewest Delaunay hops, then least `(distance², id)` to the owner
+    /// ([`holder_among`]).  None when no other host holds a live object.
+    pub(super) fn copies_of(&self, owner: ObjectId) -> Vec<u64> {
+        let home = self.host(owner.0);
+        let neighbours = |id| self.net.view_ref(id).expect("live").voronoi_neighbours();
+        let mut seen = IdSet::default();
+        seen.insert(owner);
+        let (mut ring, mut next) = (vec![owner], Vec::new());
+        let mut copies: Vec<u64> = Vec::new();
+        for hops in 1.. {
+            for &at in &ring {
+                next.extend(neighbours(at).filter(|&n| seen.insert(n)));
+            }
+            copies.extend(next.iter().map(|n| n.0).filter(|&n| self.host(n) != home));
+            if hops > 1 && !copies.is_empty() {
+                let centre = self.net.coords(owner).expect("live");
+                let placed = copies.iter().map(|&c| {
+                    let c = ObjectId(c);
+                    (c, self.net.coords(c).expect("live"))
+                });
+                let nearest = holder_among(centre, placed).expect("a copy");
+                copies = vec![nearest.0];
+            }
+            if !copies.is_empty() || next.is_empty() {
+                break;
+            }
+            std::mem::swap(&mut ring, &mut next);
+            next.clear();
+        }
+        copies.sort_unstable();
+        copies
+    }
+
+    /// The placement of `value` under `owner`, written at `entry_seq`.
+    /// Its copies come from [`Self::copies_of`] once per owner between
+    /// two membership changes: the search reads ~30 objects for the
+    /// owners whose replicas all share their host.
+    fn kv_placement(&mut self, owner: ObjectId, value: u64, entry_seq: u64) -> KvPlacement {
+        let copies = match self.copies.get(&owner.0) {
+            Some(copies) => copies.clone(),
+            None => {
+                let copies = self.copies_of(owner);
+                self.copies.insert(owner.0, copies.clone());
+                copies
+            }
+        };
+        KvPlacement {
+            entry: KvEntry {
+                value,
+                owner,
+                replicas: self.replicas_of(owner),
+            },
+            entry_seq,
+            copies,
+        }
     }
 
     /// The object owning `key`'s coordinates and the hops to it from the
@@ -191,17 +252,16 @@ impl<T: Transport> Driver<T> {
     }
 
     /// Queues the final replication layout of one entry: the owner
-    /// stores, each replica mirrors, and every previously involved live
+    /// stores, each copy mirrors, and every previously involved live
     /// object no longer in the layout drops.  At most one push per
     /// `(object, key)`, so the host-side sequence filter can never let a
     /// reordered resend leave a stale role behind.
     fn queue_kv_layout(&mut self, key: u64, placement: &KvPlacement, previous: &[u64]) {
-        let entry = &placement.entry;
         let mut dropped: BTreeSet<u64> = previous.iter().copied().collect();
-        dropped.remove(&entry.owner.0);
-        for replica in &entry.replicas {
-            dropped.remove(&replica.0);
+        for role in placement.roles() {
+            dropped.remove(&role);
         }
+        let entry = &placement.entry;
         let (owner, value, entry_seq) = (entry.owner.0, entry.value, placement.entry_seq);
         self.queue_service_push(owner, |seq| WireMsg::SvcKvStore {
             object: owner,
@@ -209,12 +269,9 @@ impl<T: Transport> Driver<T> {
             key,
             value,
         });
-        for &ObjectId(replica) in &entry.replicas {
-            if replica == owner {
-                continue;
-            }
-            self.queue_service_push(replica, |seq| WireMsg::SvcKvReplicate {
-                object: replica,
+        for &copy in &placement.copies {
+            self.queue_service_push(copy, |seq| WireMsg::SvcKvReplicate {
+                object: copy,
                 seq,
                 key,
                 value,
@@ -233,8 +290,8 @@ impl<T: Transport> Driver<T> {
 
     /// Stores `key → value` at the host of the object whose Voronoi cell
     /// contains the key's coordinates (located by a distributed route
-    /// from the live object `from`) and mirrors it to the owner's
-    /// Voronoi-neighbour replica set, so an acked write survives any
+    /// from the live object `from`) and mirrors it to copies on other
+    /// hosts (see the module docs), so an acked write survives any
     /// single-host crash.  [`OpOutcome::Skipped`] when `from` is not live.
     pub fn kv_put(
         &mut self,
@@ -246,16 +303,8 @@ impl<T: Transport> Driver<T> {
             return Ok(OpOutcome::Skipped);
         };
         self.kv_seq += 1;
-        let replicas = self.replicas_of(owner);
-        let stored = replicas.len() as u32;
-        let placement = KvPlacement {
-            entry: KvEntry {
-                value,
-                owner,
-                replicas,
-            },
-            entry_seq: self.kv_seq,
-        };
+        let placement = self.kv_placement(owner, value, self.kv_seq);
+        let stored = placement.entry.replicas.len() as u32;
         let previous: Vec<u64> = self
             .kv
             .get(&key)
@@ -301,8 +350,8 @@ impl<T: Transport> Driver<T> {
         self.degraded_kv_get(key, owner, hops)
     }
 
-    /// Serves a read whose owner host is unreachable from the replica
-    /// set, accepting only a replica whose entry sequence matches the
+    /// Serves a read whose owner host is unreachable from the entry's
+    /// copies, accepting only one whose entry sequence matches the
     /// driver's record — a stale copy is never returned.
     fn degraded_kv_get(
         &mut self,
@@ -322,11 +371,11 @@ impl<T: Transport> Driver<T> {
                 hops,
             });
         };
-        for &ObjectId(replica) in &placement.entry.replicas {
-            if self.detector.is_dead(self.host(replica)) {
+        for &copy in &placement.copies {
+            if self.detector.is_dead(self.host(copy)) {
                 continue;
             }
-            if let Ok(Some((value, entry_seq))) = self.fetch_replica(replica, key) {
+            if let Ok(Some((value, entry_seq))) = self.fetch_replica(copy, key) {
                 if entry_seq == placement.entry_seq {
                     return Ok(OpOutcome::KvFetched {
                         key,
@@ -401,7 +450,7 @@ impl<T: Transport> Driver<T> {
     }
 
     /// Replays a revived host's service state — owned KV entries and
-    /// replica copies — from driver control state, ascending by key.
+    /// their copies — from driver control state, ascending by key.
     /// First go the KV drops the host missed while dead: a host that kept
     /// its state still holds those copies.
     /// The replay's own pushes carry newer sequence numbers, so they win
@@ -420,21 +469,21 @@ impl<T: Transport> Driver<T> {
         }
         let entries: Vec<(u64, KvPlacement)> =
             self.kv.iter().map(|(&k, p)| (k, p.clone())).collect();
-        for (key, KvPlacement { entry, entry_seq }) in entries {
-            if self.host(entry.owner.0) == peer {
-                let (object, value) = (entry.owner.0, entry.value);
-                self.queue_service_push(object, |seq| WireMsg::SvcKvStore {
-                    object,
+        for (key, placement) in entries {
+            let (value, entry_seq) = (placement.entry.value, placement.entry_seq);
+            let owner = placement.entry.owner.0;
+            if self.host(owner) == peer {
+                self.queue_service_push(owner, |seq| WireMsg::SvcKvStore {
+                    object: owner,
                     seq,
                     key,
                     value,
                 });
             }
-            for &ObjectId(replica) in &entry.replicas {
-                if replica != entry.owner.0 && self.host(replica) == peer {
-                    let value = entry.value;
-                    self.queue_service_push(replica, |seq| WireMsg::SvcKvReplicate {
-                        object: replica,
+            for &copy in &placement.copies {
+                if self.host(copy) == peer {
+                    self.queue_service_push(copy, |seq| WireMsg::SvcKvReplicate {
+                        object: copy,
                         seq,
                         key,
                         value,
@@ -455,7 +504,7 @@ impl<T: Transport> Driver<T> {
     /// those whose owner departed, is touched (only then can its
     /// neighbours have changed), or is beaten under that order by a
     /// touched object (a joiner is one; nothing else can newly be the
-    /// owner).
+    /// owner), and those that lost a copy.
     #[inline(never)]
     pub(super) fn rebalance_kv(&mut self, touched: Option<&[u64]>) -> Result<(), ClusterError> {
         if self.kv.is_empty() && self.subs.is_empty() {
@@ -472,37 +521,43 @@ impl<T: Transport> Driver<T> {
         let placed = |id: ObjectId| Some((id, self.net.coords(id)?));
         let rivals: Option<Vec<(ObjectId, Point2)>> =
             touched.and_then(|ids| ids.iter().map(|&id| placed(ObjectId(id))).collect());
-        let mut moves: Vec<(u64, KvPlacement, Vec<u64>)> = Vec::new(); // (key, new placement, previous roles)
+        let mut owners: Vec<(u64, ObjectId)> = Vec::new(); // (key, its owner now)
         for (&key, placement) in &self.kv {
             let kp = key_point(key, domain);
             let held = &placement.entry;
+            let copies_live = || {
+                placement
+                    .copies
+                    .iter()
+                    .all(|&c| self.net.contains(ObjectId(c)))
+            };
             if let (Some(rivals), Some(owner)) = (&rivals, placed(held.owner)) {
                 let settled = |&rival: &(ObjectId, Point2)| {
                     rival.0 != held.owner && holder_among(kp, [owner, rival]) == Some(held.owner)
                 };
-                if rivals.iter().all(settled) {
+                if rivals.iter().all(settled) && copies_live() {
                     continue;
                 }
             }
-            let new_owner = local_owner_of(&self.net, kp).expect("non-empty overlay");
-            let new_replicas = self.replicas_of(new_owner);
-            if new_owner != held.owner || new_replicas != held.replicas {
-                let previous = placement.roles().collect();
-                let entry = KvEntry {
-                    value: held.value,
-                    owner: new_owner,
-                    replicas: new_replicas,
-                };
-                let entry_seq = placement.entry_seq;
-                moves.push((key, KvPlacement { entry, entry_seq }, previous));
+            owners.push((
+                key,
+                local_owner_of(&self.net, kp).expect("non-empty overlay"),
+            ));
+        }
+        let mut moved = false;
+        for (key, owner) in owners {
+            let held = &self.kv[&key];
+            let new = self.kv_placement(owner, held.entry.value, held.entry_seq);
+            let held = &self.kv[&key];
+            if new != *held {
+                let previous: Vec<u64> = held.roles().collect();
+                self.queue_kv_layout(key, &new, &previous);
+                self.kv.insert(key, new);
+                moved = true;
             }
         }
-        if moves.is_empty() {
+        if !moved {
             return Ok(());
-        }
-        for (key, placement, previous) in moves {
-            self.queue_kv_layout(key, &placement, &previous);
-            self.kv.insert(key, placement);
         }
         self.flush_pushes()
     }

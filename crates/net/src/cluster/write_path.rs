@@ -10,7 +10,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
 use std::time::Duration;
-use voronet_core::VoroNetConfig;
+use voronet_core::{ObjectId, VoroNetConfig};
 use voronet_geom::{Point2, Rect};
 use voronet_services::key_point;
 use voronet_workloads::{Distribution, PointGenerator};
@@ -47,6 +47,26 @@ fn assert_in_sync(driver: &Driver<Scripted>, step: usize) {
             (owner, &replicas),
             "step {step} key {key}"
         );
+        // Its copies are the replicas on other hosts, else one live
+        // object elsewhere when there is one.
+        let home = driver.host(owner.0);
+        let elsewhere: Vec<u64> = (replicas.iter().map(|r| r.0))
+            .filter(|&r| driver.host(r) != home)
+            .collect();
+        if elsewhere.is_empty() {
+            let lone = net.ids().all(|id| driver.host(id.0) == home);
+            assert_eq!(
+                placement.copies.len(),
+                usize::from(!lone),
+                "step {step} key {key}"
+            );
+        } else {
+            assert_eq!(placement.copies, elsewhere, "step {step} key {key}");
+        }
+        for &copy in &placement.copies {
+            assert!(net.contains(ObjectId(copy)), "step {step} key {key}");
+            assert_ne!(driver.host(copy), home, "step {step} key {key}");
+        }
     }
     // Every live object counts towards its host's load.
     let mut load = vec![0; HOSTS as usize];
@@ -87,9 +107,9 @@ fn assert_in_sync(driver: &Driver<Scripted>, step: usize) {
             if here(&owner) {
                 stored.insert((owner, key), value);
             }
-            for replica in p.entry.replicas.iter().map(|r| r.0) {
-                if replica != owner && here(&replica) {
-                    mirrored.insert((replica, key), (p.entry_seq, value));
+            for &copy in &p.copies {
+                if here(&copy) {
+                    mirrored.insert((copy, key), (p.entry_seq, value));
                 }
             }
         }

@@ -50,5 +50,6 @@ pub use transport::{PeerId, Transport, TransportError};
 pub use udp::UdpTransport;
 pub use vnet::{VnetHub, VnetTransport};
 pub use wire::{
-    EncodeError, EntryList, IdList, PlacedList, PointList, WireMsg, WirePurpose, WireQuery,
+    EncodeError, EntryList, IdList, PlacedList, PointList, PositionList, WireMsg, WirePurpose,
+    WireQuery,
 };

@@ -4,21 +4,25 @@
 //! [`WireMsg`] holds the control- and data-plane messages of a deployed
 //! overlay (`ViewUpdate`/`RouteReq`/`RouteStep`/`FloodProbe`/… — see
 //! [`crate::cluster`]), each under its own kind byte.  Kind bytes 1, 3, 4,
-//! 6, 21 and 22 belonged to messages nothing sends any more (a join
+//! 6, 21, 22 and 23 belonged to messages nothing sends any more (a join
 //! request, a neighbourhood-change notice, a departure notice, a bare
-//! route answer, and the host-side subscription pushes); they decode as
+//! route answer, the host-side subscription pushes and the delivery of a
+//! publication to its subscribers' hosts); they decode as
 //! [`DecodeError::UnknownKind`] and are never reused.
 //!
-//! Every object a frame names as a place to go next — a routing entry or
-//! a Voronoi neighbour in a `ViewUpdate`, a neighbour in a `FloodReply` —
-//! travels with the host peer the driver placed it on, since
+//! Every object a frame names as a place to go next — a routing entry in
+//! a `ViewUpdate`, a neighbour in a `FloodReply` — travels with the host
+//! peer the driver placed it on, since
 //! [`WIRE_VERSION`](crate::frame::WIRE_VERSION) 2: an [`EntryList`] item
 //! is `id u64 ‖ host u64 ‖ x f64 ‖ y f64` (32 bytes), a [`PlacedList`]
-//! item `id u64 ‖ host u64` (16 bytes).  Hosts never compute placement,
-//! they read it.
+//! item `id u64 ‖ host u64` (16 bytes).  A `ViewUpdate` names its Voronoi
+//! neighbours as [`PositionList`] items, `u16` positions into its own
+//! routing list (2 bytes each; every neighbour is a routing entry).  Hosts
+//! never compute placement, they read it.
 //!
 //! Decode is **zero-copy**: list-valued fields ([`EntryList`],
-//! [`PlacedList`], [`IdList`], [`PointList`]) borrow the frame buffer and
+//! [`PlacedList`], [`PositionList`], [`IdList`], [`PointList`]) borrow
+//! the frame buffer and
 //! parse items lazily on iteration; no allocation happens until the
 //! caller keeps something.  Decoding is total — malformed bytes yield a
 //! typed [`DecodeError`], never a panic.
@@ -59,6 +63,7 @@ impl std::error::Error for EncodeError {}
 
 const ENTRY_SIZE: usize = 32; // u64 id + u64 host + 2 × f64 coords
 const PLACED_SIZE: usize = 16; // u64 id + u64 host
+const POSITION_SIZE: usize = 2; // u16
 const POINT_SIZE: usize = 16; // 2 × f64
 const ID_SIZE: usize = 8; // u64
 
@@ -196,6 +201,17 @@ wire_list!(
 );
 
 wire_list!(
+    /// Borrowed list of `u16` positions into a frame's routing list (a
+    /// view's Voronoi neighbours).
+    PositionList,
+    PositionIter,
+    u16,
+    POSITION_SIZE,
+    |b| u16::from_le_bytes([b[0], b[1]]),
+    |buf, &at| buf.extend_from_slice(&at.to_le_bytes())
+);
+
+wire_list!(
     /// Borrowed list of points (e.g. a Voronoi cell polygon).
     PointList,
     PointIter,
@@ -294,8 +310,8 @@ pub enum WireMsg<'a> {
     /// Installs / refreshes one hosted object's view on its host: the
     /// object's coordinates, its flattened routing table, its Voronoi
     /// neighbours (the flood graph) and its clipped Voronoi cell polygon
-    /// (the flood-eligibility geometry).  Every routing entry and
-    /// neighbour names the host it lives on.
+    /// (the flood-eligibility geometry).  Every routing entry names the
+    /// host it lives on; a neighbour names its routing entry.
     ViewUpdate {
         /// The object whose view this is.
         object: u64,
@@ -305,8 +321,8 @@ pub enum WireMsg<'a> {
         coords: Point2,
         /// Flattened routing neighbours with their hosts and coordinates.
         routing: EntryList<'a>,
-        /// Voronoi neighbours (subset of `routing` ids) with their hosts.
-        vn: PlacedList<'a>,
+        /// Voronoi neighbours, as positions in `routing`.
+        vn: PositionList<'a>,
         /// Vertices of the object's Voronoi cell clipped to the domain.
         cell: PointList<'a>,
     },
@@ -404,19 +420,6 @@ pub enum WireMsg<'a> {
         /// hosts.
         neighbours: PlacedList<'a>,
     },
-    /// Delivers one publication to a subscribed object on its host.
-    SvcDeliver {
-        /// The subscriber being delivered to.
-        object: u64,
-        /// Monotonic per-object service push sequence number.
-        seq: u64,
-        /// Topic key of the published region (its corner bit patterns).
-        topic: [u64; 4],
-        /// Per-topic publication sequence number.
-        topic_seq: u64,
-        /// Opaque payload.
-        payload: u64,
-    },
     /// Stores one KV entry at the host of its owning object.
     SvcKvStore {
         /// The cell owner the entry belongs to.
@@ -454,8 +457,8 @@ pub enum WireMsg<'a> {
         /// The stored value, `None` when the host holds no entry.
         value: Option<u64>,
     },
-    /// Acknowledges one service push (`SvcDeliver`/`SvcKvStore`/
-    /// `SvcKvDrop`/`SvcKvReplicate`).
+    /// Acknowledges one service push (`SvcKvStore`/`SvcKvDrop`/
+    /// `SvcKvReplicate`).
     SvcAck {
         /// Acknowledged object.
         object: u64,
@@ -510,7 +513,7 @@ pub enum WireMsg<'a> {
     Shutdown,
 }
 
-// Kind bytes 1, 3, 4, 6, 21 and 22 are retired (see the module docs).
+// Kind bytes 1, 3, 4, 6, 21, 22 and 23 are retired (see the module docs).
 const KIND_HELLO: u8 = 0;
 const KIND_ROUTE_STEP: u8 = 2;
 const KIND_PING: u8 = 5;
@@ -528,7 +531,6 @@ const KIND_FLOOD_REPLY: u8 = 17;
 const KIND_STATS_REQ: u8 = 18;
 const KIND_STATS_REPLY: u8 = 19;
 const KIND_SHUTDOWN: u8 = 20;
-const KIND_SVC_DELIVER: u8 = 23;
 const KIND_SVC_KV_STORE: u8 = 24;
 const KIND_SVC_KV_DROP: u8 = 25;
 const KIND_SVC_KV_FETCH: u8 = 26;
@@ -582,7 +584,6 @@ impl<'a> WireMsg<'a> {
             WireMsg::AnswerMatches { .. } => KIND_ANSWER_MATCHES,
             WireMsg::FloodProbe { .. } => KIND_FLOOD_PROBE,
             WireMsg::FloodReply { .. } => KIND_FLOOD_REPLY,
-            WireMsg::SvcDeliver { .. } => KIND_SVC_DELIVER,
             WireMsg::SvcKvStore { .. } => KIND_SVC_KV_STORE,
             WireMsg::SvcKvDrop { .. } => KIND_SVC_KV_DROP,
             WireMsg::SvcKvFetch { .. } => KIND_SVC_KV_FETCH,
@@ -748,21 +749,6 @@ impl<'a> WireMsg<'a> {
                 put_u64(buf, object);
                 put_u64(buf, seq);
             }
-            WireMsg::SvcDeliver {
-                object,
-                seq,
-                topic,
-                topic_seq,
-                payload,
-            } => {
-                put_u64(buf, object);
-                put_u64(buf, seq);
-                for word in topic {
-                    put_u64(buf, word);
-                }
-                put_u64(buf, topic_seq);
-                put_u64(buf, payload);
-            }
             WireMsg::SvcKvStore {
                 object,
                 seq,
@@ -912,7 +898,7 @@ impl<'a> WireMsg<'a> {
                 seq: r.u64()?,
                 coords: read_point(&mut r)?,
                 routing: EntryList::decode(&mut r)?,
-                vn: PlacedList::decode(&mut r)?,
+                vn: PositionList::decode(&mut r)?,
                 cell: PointList::decode(&mut r)?,
             },
             KIND_VIEW_ACK => WireMsg::ViewAck {
@@ -1002,13 +988,6 @@ impl<'a> WireMsg<'a> {
                     neighbours: PlacedList::decode(&mut r)?,
                 }
             }
-            KIND_SVC_DELIVER => WireMsg::SvcDeliver {
-                object: r.u64()?,
-                seq: r.u64()?,
-                topic: [r.u64()?, r.u64()?, r.u64()?, r.u64()?],
-                topic_seq: r.u64()?,
-                payload: r.u64()?,
-            },
             KIND_SVC_KV_STORE => WireMsg::SvcKvStore {
                 object: r.u64()?,
                 seq: r.u64()?,
@@ -1119,7 +1098,9 @@ mod tests {
                 (9, 2, Point2::new(0.5, 0.125)),
             ],
         );
-        let vn = PlacedList::build(&mut vn_scratch, [(3, 1), (9, 2), (27, u64::MAX)]);
+        let mut placed_scratch = Vec::new();
+        let vn = PositionList::build(&mut vn_scratch, [1, 0, u16::MAX]);
+        let placed = PlacedList::build(&mut placed_scratch, [(3, 1), (9, 2), (27, u64::MAX)]);
         let cell = PointList::build(
             &mut cell_scratch,
             [
@@ -1221,14 +1202,7 @@ mod tests {
                 object: 8,
                 eligible: true,
                 is_match: false,
-                neighbours: vn,
-            },
-            WireMsg::SvcDeliver {
-                object: 7,
-                seq: 5,
-                topic: [1, u64::MAX, 0, 42],
-                topic_seq: 9,
-                payload: 0xDEAD_BEEF,
+                neighbours: placed,
             },
             WireMsg::SvcKvStore {
                 object: 8,
@@ -1367,7 +1341,7 @@ mod tests {
 
     #[test]
     fn retired_kind_bytes_stay_unknown() {
-        for retired in [1u8, 3, 4, 6, 21, 22] {
+        for retired in [1u8, 3, 4, 6, 21, 22, 23] {
             let mut buf = Vec::new();
             WireMsg::Shutdown.encode(0, 1, &mut buf).unwrap();
             buf[3] = retired;

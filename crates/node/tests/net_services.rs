@@ -10,7 +10,7 @@
 //! exactly on the key's coordinates, then that node's departure — must
 //! migrate the stored value between host processes without losing it.
 //! Running it over UDP proves the service frames (`SvcKvStore`,
-//! `SvcKvFetch`, `SvcDeliver`, ...) and their ack/resend discipline
+//! `SvcKvFetch`, `SvcKvReplicate`, ...) and their ack/resend discipline
 //! survive a lossy, reordering transport, not just the deterministic
 //! vnet.
 

@@ -23,7 +23,7 @@ use rand::RngExt;
 use voronet_geom::{Point2, Rect};
 use voronet_net::frame::HEADER_LEN;
 use voronet_net::wire::{
-    EntryList, IdList, PlacedList, PointList, WireMsg, WirePurpose, WireQuery,
+    EntryList, IdList, PlacedList, PointList, PositionList, WireMsg, WirePurpose, WireQuery,
 };
 use voronet_sim::TransportStats;
 
@@ -104,7 +104,7 @@ pub fn random_frame(rng: &mut StdRng) -> Vec<u8> {
     let mut s1 = Vec::new();
     let mut s2 = Vec::new();
     let mut s3 = Vec::new();
-    let msg = match rng.random_range(0..26u32) {
+    let msg = match rng.random_range(0..25u32) {
         0 => WireMsg::Hello,
         1 => WireMsg::RouteStep {
             target: point(rng),
@@ -122,13 +122,19 @@ pub fn random_frame(rng: &mut StdRng) -> Vec<u8> {
             let cell: Vec<Point2> = (0..rng.random_range(0..16usize))
                 .map(|_| point(rng))
                 .collect();
-            let vn = placed(rng, 24);
+            // Positions mostly inside the routing list, some past it.
+            let vn: Vec<u16> = (0..rng.random_range(0..24usize))
+                .map(|_| match rng.random_range(0..4u32) {
+                    0 => rng.random(),
+                    _ => rng.random_range(0..=entries.len() as u16),
+                })
+                .collect();
             WireMsg::ViewUpdate {
                 object: rng.random(),
                 seq: rng.random(),
                 coords: point(rng),
                 routing: EntryList::build(&mut s1, &entries),
-                vn: PlacedList::build(&mut s2, &vn),
+                vn: PositionList::build(&mut s2, &vn),
                 cell: PointList::build(&mut s3, &cell),
             }
         }
@@ -202,30 +208,23 @@ pub fn random_frame(rng: &mut StdRng) -> Vec<u8> {
             ops_served: rng.random(),
         },
         16 => WireMsg::Shutdown,
-        17 => WireMsg::SvcDeliver {
-            object: rng.random(),
-            seq: rng.random(),
-            topic: [rng.random(), rng.random(), rng.random(), rng.random()],
-            topic_seq: rng.random(),
-            payload: rng.random(),
-        },
-        18 => WireMsg::SvcKvStore {
+        17 => WireMsg::SvcKvStore {
             object: rng.random(),
             seq: rng.random(),
             key: rng.random(),
             value: rng.random(),
         },
-        19 => WireMsg::SvcKvDrop {
+        18 => WireMsg::SvcKvDrop {
             object: rng.random(),
             seq: rng.random(),
             key: rng.random(),
         },
-        20 => WireMsg::SvcKvFetch {
+        19 => WireMsg::SvcKvFetch {
             token: rng.random(),
             object: rng.random(),
             key: rng.random(),
         },
-        21 => WireMsg::SvcKvValue {
+        20 => WireMsg::SvcKvValue {
             token: rng.random(),
             value: if rng.random() {
                 Some(rng.random())
@@ -233,18 +232,18 @@ pub fn random_frame(rng: &mut StdRng) -> Vec<u8> {
                 None
             },
         },
-        22 => WireMsg::SvcAck {
+        21 => WireMsg::SvcAck {
             object: rng.random(),
             seq: rng.random(),
         },
-        23 => WireMsg::SvcKvReplicate {
+        22 => WireMsg::SvcKvReplicate {
             object: rng.random(),
             seq: rng.random(),
             key: rng.random(),
             value: rng.random(),
             entry_seq: rng.random(),
         },
-        24 => WireMsg::SvcKvFetchReplica {
+        23 => WireMsg::SvcKvFetchReplica {
             token: rng.random(),
             object: rng.random(),
             key: rng.random(),

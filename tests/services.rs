@@ -174,10 +174,11 @@ fn frames_sent(cluster: &InlineCluster) -> u64 {
 
 /// Publishes over an ideal hub, with every 4th object subscribed to a
 /// small region.  Each publish must succeed, and it may send at most
-/// `hops + 2·visited + 2·delivered + 2` frames in all: the request and
-/// the answer, at most one route step per hop, one probe and one reply
-/// per object the resolution flood visits, and one push and one ack per
-/// delivery.  The flood must visit more objects as the region grows.
+/// `hops + 2·visited + 2` frames in all: the request and the answer, at
+/// most one route step per hop, and one probe and one reply per object
+/// the resolution flood visits.  Nothing goes to the recipients' hosts:
+/// the outcome names them.  The flood must visit more objects as the
+/// region grows.
 #[test]
 fn publish_frames_stay_within_the_protocol_bound() {
     let config = VoroNetConfig::new(PUBLISH_OBJECTS).with_seed(PUBLISH_SEED);
@@ -222,7 +223,7 @@ fn publish_frames_stay_within_the_protocol_bound() {
             else {
                 panic!("side {side}, publish {p}: {published:?}");
             };
-            let bound = u64::from(hops) + 2 * visited as u64 + 2 * delivered.len() as u64 + 2;
+            let bound = u64::from(hops) + 2 * visited as u64 + 2;
             assert!(
                 frames <= bound,
                 "side {side}, publish {p}: {frames} frames over the bound {bound} \
