@@ -639,11 +639,7 @@ impl<T: Transport> Driver<T> {
             W::Radius { from, query } => self.radius_from(self.origin(from), query),
             W::Subscribe { index, region } => self.subscribe(self.origin(index), region),
             W::Unsubscribe { index } => self.unsubscribe(self.origin(index)),
-            W::Publish {
-                from,
-                region,
-                payload,
-            } => self.publish(self.origin(from), region, payload),
+            W::Publish { from, region, .. } => self.publish(self.origin(from), region),
             W::KvPut { from, key, value } => self.kv_put(self.origin(from), key, value),
             W::KvGet { from, key } => self.kv_get(self.origin(from), key),
             W::KvDelete { from, key } => self.kv_delete(self.origin(from), key),

@@ -120,10 +120,14 @@ pub struct InlineCluster<T: Transport = VnetTransport> {
 }
 
 impl InlineCluster {
-    /// Starts the driver and `hosts` hosts on one hub with the given
-    /// network model ([`NetworkModel::ideal`] for a lossless cluster).
-    pub fn start(hosts: u64, config: VoroNetConfig, network: NetworkModel) -> Self {
-        let hub = VnetHub::new(network);
+    /// Starts the driver and `hosts` hosts on one ideal hub
+    /// ([`NetworkModel::ideal`]: one unit per frame).  Every hub is
+    /// lossless: a cluster with other latency, or that loses frames,
+    /// crashes hosts or partitions, wraps each endpoint in a
+    /// [`FaultTransport`](crate::fault::FaultTransport) through
+    /// [`InlineCluster::start_with`].
+    pub fn start(hosts: u64, config: VoroNetConfig) -> Self {
+        let hub = VnetHub::new(NetworkModel::ideal());
         Self::start_with(hosts, config, |peer| hub.endpoint(peer))
     }
 }

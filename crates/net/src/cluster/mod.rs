@@ -376,11 +376,7 @@ mod tests {
     #[test]
     fn distributed_routes_match_the_single_process_oracle() {
         let points = PointGenerator::new(Distribution::Uniform, 11).take_points(60);
-        let mut cluster = InlineCluster::start(
-            3,
-            VoroNetConfig::new(512).with_seed(4),
-            NetworkModel::ideal(),
-        );
+        let mut cluster = InlineCluster::start(3, VoroNetConfig::new(512).with_seed(4));
         for &p in &points {
             cluster.driver().insert(p).unwrap();
         }
@@ -411,11 +407,7 @@ mod tests {
     #[test]
     fn distributed_queries_match_the_single_process_oracle() {
         let points = PointGenerator::new(Distribution::Uniform, 13).take_points(80);
-        let mut cluster = InlineCluster::start(
-            4,
-            VoroNetConfig::new(512).with_seed(6),
-            NetworkModel::ideal(),
-        );
+        let mut cluster = InlineCluster::start(4, VoroNetConfig::new(512).with_seed(6));
         for &p in &points {
             cluster.driver().insert(p).unwrap();
         }
@@ -464,11 +456,7 @@ mod tests {
 
     #[test]
     fn churn_keeps_the_cluster_in_lockstep_with_the_oracle() {
-        let mut cluster = InlineCluster::start(
-            3,
-            VoroNetConfig::new(512).with_seed(8),
-            NetworkModel::ideal(),
-        );
+        let mut cluster = InlineCluster::start(3, VoroNetConfig::new(512).with_seed(8));
         let mut oracle = VoroNet::new(VoroNetConfig::new(512).with_seed(8));
         let mut pg = PointGenerator::new(Distribution::Uniform, 17);
         for _ in 0..30 {
@@ -524,11 +512,7 @@ mod tests {
 
     #[test]
     fn service_plane_pubsub_and_kv_handoff() {
-        let mut cluster = InlineCluster::start(
-            3,
-            VoroNetConfig::new(512).with_seed(5),
-            NetworkModel::ideal(),
-        );
+        let mut cluster = InlineCluster::start(3, VoroNetConfig::new(512).with_seed(5));
         let points = PointGenerator::new(Distribution::Uniform, 23).take_points(40);
         for &p in &points {
             cluster.driver().insert(p).unwrap();
@@ -556,7 +540,7 @@ mod tests {
             delivered,
             missed,
             ..
-        }) = driver.publish(nth(driver, 0), region, 99).unwrap()
+        }) = driver.publish(nth(driver, 0), region).unwrap()
         else {
             panic!("publish on a populated overlay must resolve")
         };
@@ -576,7 +560,7 @@ mod tests {
         assert_eq!(missed_sorted, missed_expected);
         // Same topic again: the per-topic sequence climbs.
         let OpOutcome::Published(PublishOutcome { seq, .. }) =
-            driver.publish(nth(driver, 1), region, 100).unwrap()
+            driver.publish(nth(driver, 1), region).unwrap()
         else {
             panic!("publish must resolve")
         };
@@ -685,7 +669,7 @@ mod tests {
     /// at seed 2007, and every object's host by id.
     fn built(distribution: Distribution, n: usize) -> (InlineCluster, Vec<(u64, PeerId)>) {
         let config = VoroNetConfig::new(n).with_seed(2007);
-        let mut cluster = InlineCluster::start(3, config, NetworkModel::ideal());
+        let mut cluster = InlineCluster::start(3, config);
         for p in PointGenerator::new(distribution, 2007).take_points(n) {
             cluster.driver().insert(p).unwrap();
         }

@@ -201,11 +201,7 @@ impl<T: Transport> Overlay for InlineCluster<T> {
         let (issuer, outcome) = match op {
             ServiceOp::Subscribe { id, region } => (id, driver.subscribe(id, region)?),
             ServiceOp::Unsubscribe { id } => (id, driver.unsubscribe(id)?),
-            ServiceOp::Publish {
-                from,
-                region,
-                payload,
-            } => (from, driver.publish(from, region, payload)?),
+            ServiceOp::Publish { from, region, .. } => (from, driver.publish(from, region)?),
             ServiceOp::KvPut { from, key, value } => (from, driver.kv_put(from, key, value)?),
             ServiceOp::KvGet { from, key } => (from, driver.kv_get(from, key)?),
             ServiceOp::KvDelete { from, key } => (from, driver.kv_delete(from, key)?),

@@ -107,19 +107,14 @@ impl<T: Transport> Driver<T> {
         Ok(OpOutcome::Unsubscribed(UnsubscribeOutcome { id, existed }))
     }
 
-    /// Publishes a payload from the live object `from` to every
-    /// subscriber inside `region`: resolves the recipients through the
-    /// distributed area flood and names them in the outcome.  Subscribers
-    /// whose subscribed region intersects the publication but who sit
-    /// outside it are reported as missed.  Nothing is pushed to the
-    /// recipients' hosts, which keep no subscription state: the payload
+    /// Publishes from the live object `from` to every subscriber inside
+    /// `region`: resolves the recipients through the distributed area
+    /// flood and names them in the outcome.  Subscribers whose subscribed
+    /// region intersects the publication but who sit outside it are
+    /// reported as missed.  Nothing is pushed to the recipients' hosts,
+    /// which keep no subscription state, so the call takes no payload: it
     /// stays with the caller.
-    pub fn publish(
-        &mut self,
-        from: ObjectId,
-        region: Rect,
-        _payload: u64,
-    ) -> Result<OpOutcome, ClusterError> {
+    pub fn publish(&mut self, from: ObjectId, region: Rect) -> Result<OpOutcome, ClusterError> {
         let OpOutcome::Matches {
             matches,
             hops,

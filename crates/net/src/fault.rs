@@ -1,6 +1,7 @@
 //! Deterministic fault injection for any [`Transport`]: seeded link
 //! faults (drop/duplicate/delay-reorder), crash-stop hosts with restart,
-//! and partition windows — the substrate of the chaos harness.
+//! and partitions — the substrate of the chaos harness, and the
+//! repository's one fault model (the vnet hub keeps latency only).
 //!
 //! [`FaultTransport`] wraps an inner transport and perturbs its traffic
 //! according to a shared [`FaultCtl`] switchboard plus a per-endpoint
@@ -311,14 +312,9 @@ impl<T: Transport> Transport for FaultTransport<T> {
 }
 
 /// A replayable fault schedule: which [`FaultEvent`] fires before which
-/// operation index, plus the link-fault profile — everything a chaos run
-/// needs to reproduce bit-for-bit from the seed.
+/// operation index, the same for the same seed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
-    /// The seed the schedule (and every endpoint RNG) derives from.
-    pub seed: u64,
-    /// Link faults in force for the whole run.
-    pub link: LinkFaults,
     /// `(operation index, event)` pairs, ascending by index.
     pub events: Vec<(usize, FaultEvent)>,
 }
@@ -365,11 +361,7 @@ impl FaultPlan {
         if split {
             events.push((ops, FaultEvent::Heal));
         }
-        FaultPlan {
-            seed,
-            link: LinkFaults::default(),
-            events,
-        }
+        FaultPlan { events }
     }
 }
 
@@ -378,7 +370,7 @@ mod tests {
     use super::*;
     use crate::cluster::DRIVER_PEER;
     use crate::vnet::VnetHub;
-    use voronet_sim::NetworkModel;
+    use voronet_sim::{LatencyModel, NetworkModel};
 
     fn frame(from: u64, to: u64) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -386,6 +378,65 @@ mod tests {
             .encode(from, to, &mut buf)
             .unwrap();
         buf
+    }
+
+    /// A seeded exchange among peers 1..=3, each frame to a peer in 1..=4
+    /// (4 has no endpoint: a dead letter), every mailbox drained after
+    /// every third send.  Returns each receipt `(receiver, sender,
+    /// frame)` in order and the summed counters.
+    fn exchange<T: Transport>(endpoints: &mut [T]) -> (Vec<(u64, u64, Vec<u8>)>, TransportStats) {
+        let mut rng = StdRng::seed_from_u64(11);
+        let (mut receipts, mut buf) = (Vec::new(), Vec::new());
+        for round in 0..600u32 {
+            let from = rng.random_range(0..endpoints.len());
+            endpoints[from]
+                .send(rng.random_range(1..=4u64), &round.to_le_bytes())
+                .unwrap();
+            for t in endpoints.iter_mut().filter(|_| round % 3 == 2) {
+                t.poll().unwrap();
+                while let Some(from) = t.recv_into(&mut buf).unwrap() {
+                    receipts.push((t.local_peer(), from, buf.clone()));
+                }
+            }
+        }
+        let mut total = TransportStats::new();
+        endpoints.iter().for_each(|t| total.merge(&t.stats()));
+        (receipts, total)
+    }
+
+    /// With every probability 0, no crash and no partition, the wrapper
+    /// is the transport it wraps: the same frames arrive in the same
+    /// order with the same counters, and its RNG never moves — a roll
+    /// would shift every later fault of a lossy run.
+    #[test]
+    fn a_fault_free_wrapper_passes_every_frame_through() {
+        let hub = || {
+            VnetHub::new(NetworkModel::new(
+                5,
+                LatencyModel::Uniform { min: 1, max: 20 },
+            ))
+        };
+        let (bare_hub, wrapped_hub, twin_hub) = (hub(), hub(), hub());
+        let ctl = FaultCtl::new(LinkFaults::default());
+        let wrap = |hub: &VnetHub, peer| FaultTransport::new(hub.endpoint(peer), ctl.clone(), 7);
+        let mut bare: Vec<_> = (1..=3).map(|peer| bare_hub.endpoint(peer)).collect();
+        let mut wrapped: Vec<_> = (1..=3).map(|peer| wrap(&wrapped_hub, peer)).collect();
+
+        let (receipts, stats) = exchange(&mut wrapped);
+        assert_eq!((receipts, stats), exchange(&mut bare));
+        assert!(
+            stats.frames_delivered > 300 && stats.dead_letters > 100,
+            "{stats:?}"
+        );
+        for t in &mut wrapped {
+            assert_eq!(t.fault_stats(), FaultStats::default());
+            let mut twin = wrap(&twin_hub, t.local_peer());
+            assert_eq!(
+                t.rng.random::<u64>(),
+                twin.rng.random::<u64>(),
+                "an RNG moved"
+            );
+        }
     }
 
     #[test]

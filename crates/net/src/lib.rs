@@ -12,9 +12,9 @@
 //!   (typed errors, never panics).
 //! * [`transport`] — the pluggable [`transport::Transport`] contract:
 //!   datagram semantics, loss counted rather than surfaced.
-//! * [`vnet`] — the deterministic in-memory transport wrapping
-//!   [`NetworkModel`](voronet_sim::NetworkModel): same seed, same drops,
-//!   same order, same stats.
+//! * [`vnet`] — the deterministic in-memory transport wrapping the
+//!   latency of a [`NetworkModel`](voronet_sim::NetworkModel): same seed,
+//!   same order, same stats, and no frame lost.
 //! * [`udp`] / [`tcp`] — real loopback/LAN transports over std sockets
 //!   (one frame per datagram; length-delimited streams with reconnect).
 //! * [`cluster`] — a driver + hosts deployment speaking the wire protocol
@@ -23,7 +23,9 @@
 //!   one virtual clock, and is an `Overlay` engine of its own.
 //! * [`fault`] — seeded deterministic fault injection
 //!   ([`fault::FaultTransport`] wraps any transport; [`fault::FaultPlan`]
-//!   schedules crashes, restarts and partitions) for chaos testing.
+//!   schedules crashes, restarts and partitions): every lost, duplicated,
+//!   reordered or partitioned frame of chaos, the fuzz fleet and the
+//!   tests comes from here.
 //!
 //! The `voronet-node` binary (crate `crates/node`) builds on [`cluster`]
 //! to run a live overlay over localhost sockets.

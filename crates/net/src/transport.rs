@@ -83,7 +83,7 @@ pub trait Transport {
     fn register(&mut self, peer: PeerId, addr: &str) -> Result<(), TransportError>;
 
     /// Submits one frame to `to`.  Delivery is best-effort: a frame lost
-    /// to simulated loss, a full socket buffer or a dead connection is
+    /// to injected loss, a full socket buffer or a dead connection is
     /// *counted* (see [`Transport::stats`]) and the call still returns
     /// `Ok`.  Errors are reserved for misuse (unknown peer, oversized
     /// frame) and unrecoverable socket state.

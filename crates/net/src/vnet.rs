@@ -1,15 +1,15 @@
-//! The deterministic in-memory transport: a simulated network
+//! The deterministic in-memory transport: a simulated network's latency
 //! ([`NetworkModel`]) behind the [`Transport`] trait.
 //!
 //! A [`VnetHub`] is a shared switch all endpoints of one virtual network
-//! hang off.  `send` consults the hub's `NetworkModel` — partitions
-//! first, then one latency draw, then the loss coin, in that fixed RNG
-//! order — and a surviving
-//! frame is timestamped `now + delay` in the hub's virtual clock (one
+//! hang off.  `send` draws one latency from the hub's `NetworkModel` and
+//! timestamps the frame `now + delay` in the hub's virtual clock (one
 //! tick per submission).  `recv_into` drains frames in
 //! `(delivery time, submission sequence)` order, so a single-threaded
-//! session is bit-deterministic per seed: same sends → same drops, same
-//! ordering, same [`TransportStats`].
+//! session is bit-deterministic per seed: same sends → same ordering,
+//! same [`TransportStats`].  The hub loses nothing; lost frames, crashes
+//! and partitions come from wrapping its endpoints in a
+//! [`FaultTransport`](crate::fault::FaultTransport).
 //!
 //! The hub also carries the one clock every endpoint's [`Transport::now`]
 //! reads.  It stands still until an endpoint spends an idle turn
@@ -39,7 +39,7 @@
 //! endpoint closes or its peer re-opens; each counts against its sender.
 //! A closed endpoint's counters stay in [`VnetHub::total_stats`], so once
 //! every mailbox is drained the hub's ledger balances: `frames_sent` is
-//! `frames_delivered + dropped_loss + dropped_partition + dead_letters`.
+//! `frames_delivered + dead_letters`.
 
 use crate::frame::MAX_FRAME_LEN;
 use crate::transport::{PeerId, Transport, TransportError};
@@ -48,7 +48,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
-use voronet_sim::{Delivery, NetworkModel, SimTime, TransportStats};
+use voronet_sim::{NetworkModel, SimTime, TransportStats};
 
 /// How far the hub clock moves when an idle turn asks only to yield.
 const YIELD_STEP: Duration = Duration::from_micros(1);
@@ -280,25 +280,22 @@ impl Transport for VnetTransport {
         stats.frames_sent += 1;
         inner.now += 1;
         let now = inner.now;
-        match inner.network.delivery(self.peer, to, now) {
-            Delivery::DroppedLoss => inner.endpoints[at].stats.dropped_loss += 1,
-            Delivery::DroppedPartition => inner.endpoints[at].stats.dropped_partition += 1,
-            Delivery::Deliver { delay } => match mailbox_of(&mut inner.endpoints, to) {
-                Some(mailbox) => {
-                    let mut buf = inner.spare.pop().unwrap_or_default();
-                    buf.clear();
-                    buf.extend_from_slice(frame);
-                    inner.seq += 1;
-                    mailbox.push(Reverse(InFlight {
-                        at: now + delay,
-                        seq: inner.seq,
-                        from: self.peer,
-                        sender: self.opening,
-                        frame: buf,
-                    }));
-                }
-                None => inner.endpoints[at].stats.dead_letters += 1,
-            },
+        let delay = inner.network.delay(now);
+        match mailbox_of(&mut inner.endpoints, to) {
+            Some(mailbox) => {
+                let mut buf = inner.spare.pop().unwrap_or_default();
+                buf.clear();
+                buf.extend_from_slice(frame);
+                inner.seq += 1;
+                mailbox.push(Reverse(InFlight {
+                    at: now + delay,
+                    seq: inner.seq,
+                    from: self.peer,
+                    sender: self.opening,
+                    frame: buf,
+                }));
+            }
+            None => inner.endpoints[at].stats.dead_letters += 1,
         }
         Ok(())
     }
@@ -371,9 +368,10 @@ mod tests {
     #[test]
     fn identical_sessions_are_bit_deterministic() {
         let session = || {
-            let hub = VnetHub::new(
-                NetworkModel::new(42, LatencyModel::Uniform { min: 1, max: 30 }).with_loss(0.3),
-            );
+            let hub = VnetHub::new(NetworkModel::new(
+                42,
+                LatencyModel::Uniform { min: 1, max: 30 },
+            ));
             let mut a = hub.endpoint(1);
             let mut b = hub.endpoint(2);
             for tag in 0..100u8 {
@@ -391,12 +389,12 @@ mod tests {
         assert_eq!(got1, got2);
         assert_eq!(a1, a2);
         assert_eq!(b1, b2);
-        assert!(a1.dropped_loss > 0, "{a1:?}");
         assert_eq!(
-            a1.frames_sent,
-            a1.dropped_loss + b1.frames_delivered,
-            "every frame is delivered or counted"
+            (a1.frames_sent, b1.frames_delivered),
+            (100, 100),
+            "the hub loses nothing"
         );
+        assert_eq!((a1.dropped_loss, a1.dropped_partition), (0, 0), "{a1:?}");
     }
 
     #[test]
@@ -509,10 +507,7 @@ mod tests {
         assert_eq!(total.frames_sent, 4, "{total:?}");
         assert_eq!(
             total.frames_sent,
-            total.frames_delivered
-                + total.dropped_loss
-                + total.dropped_partition
-                + total.dead_letters,
+            total.frames_delivered + total.dead_letters,
             "{total:?}"
         );
     }
@@ -529,22 +524,5 @@ mod tests {
         ));
         assert_eq!(a.stats().oversized, 1);
         assert_eq!(a.stats().frames_sent, 0);
-    }
-
-    #[test]
-    fn partition_windows_sever_groups() {
-        use voronet_sim::PartitionWindow;
-        let hub = VnetHub::new(NetworkModel::ideal().with_partition(PartitionWindow {
-            start: 0,
-            end: SimTime::MAX,
-            groups: 2,
-        }));
-        let mut a = hub.endpoint(0);
-        let _b = hub.endpoint(1);
-        let _c = hub.endpoint(2);
-        a.send(1, &frame(0)).unwrap(); // 0 vs 1: different groups
-        a.send(2, &frame(1)).unwrap(); // 0 vs 2: same group
-        let stats = a.stats();
-        assert_eq!(stats.dropped_partition, 1, "{stats:?}");
     }
 }

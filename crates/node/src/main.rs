@@ -30,9 +30,11 @@ use std::time::{Duration, Instant};
 use voronet_core::snapshot::RouteScratch;
 use voronet_core::VoroNetConfig;
 use voronet_net::cluster::{Driver, HostNode, HostReport, InlineCluster, OpOutcome, DRIVER_PEER};
+use voronet_net::fault::{FaultCtl, FaultTransport, LinkFaults};
 use voronet_net::tcp::TcpTransport;
 use voronet_net::transport::Transport;
 use voronet_net::udp::UdpTransport;
+use voronet_net::vnet::VnetHub;
 use voronet_sim::NetworkModel;
 use voronet_workloads::{Distribution, OpBatchGenerator, OpMix, PointGenerator, WorkloadOp};
 
@@ -344,21 +346,22 @@ fn run_drive<T: Transport>(mut t: T, args: &Args) -> Result<(), String> {
 }
 
 fn run_demo(args: &Args) -> Result<(), String> {
-    let network = if args.loss > 0.0 {
-        NetworkModel::new(args.seed, voronet_sim::LatencyModel::Fixed(1)).with_loss(args.loss)
-    } else {
-        NetworkModel::ideal()
-    };
     println!(
         "[demo] in-process cluster: {} hosts over vnet (loss {:.0}%), one thread, virtual clock",
         args.hosts,
         args.loss * 100.0
     );
-    let mut cluster = InlineCluster::start(
-        args.hosts,
-        VoroNetConfig::new(args.nmax).with_seed(args.seed),
-        network,
-    );
+    // `--loss` drops frames through the fault layer; at 0 its endpoints
+    // pass every frame through.
+    let hub = VnetHub::new(NetworkModel::ideal());
+    let ctl = FaultCtl::new(LinkFaults {
+        drop: args.loss,
+        ..LinkFaults::default()
+    });
+    let config = VoroNetConfig::new(args.nmax).with_seed(args.seed);
+    let mut cluster = InlineCluster::start_with(args.hosts, config, |peer| {
+        FaultTransport::new(hub.endpoint(peer), ctl.clone(), args.seed)
+    });
     let driver = cluster.driver();
     drive_workload(driver, args)?;
     let reports = driver.collect_stats().map_err(|e| e.to_string())?;

@@ -129,9 +129,7 @@ fn services_over_loopback_udp_survive_churn_handoff() {
         delivered,
         missed,
         ..
-    }) = driver
-        .publish(nth(&driver, 0), region, 99)
-        .expect("publish")
+    }) = driver.publish(nth(&driver, 0), region).expect("publish")
     else {
         panic!("publish on a populated overlay must resolve")
     };

@@ -1,6 +1,6 @@
 //! # voronet-sim
 //!
-//! Message-level accounting and network conditions for the VoroNet
+//! Message-level accounting and network latency for the VoroNet
 //! evaluation.
 //!
 //! The original paper evaluates the protocol "by simulation" with an
@@ -12,14 +12,15 @@
 //!   overlay layer fills in while executing the protocol;
 //! * [`TransportStats`] — the counters every transport of `voronet-net`
 //!   keeps;
-//! * [`NetworkModel`] — pluggable network conditions (fixed/uniform/
-//!   heavy-tailed latency, iid loss, partition windows), deterministic per
-//!   seed, behind `voronet-net`'s simulated hub.
+//! * [`NetworkModel`] — pluggable latency (fixed, uniform or heavy-tailed,
+//!   with scheduled shifts), deterministic per seed, behind `voronet-net`'s
+//!   simulated hub.  It loses nothing: every lost frame, crash or
+//!   partition comes from `voronet-net`'s fault layer.
 
 #![warn(missing_docs)]
 
 pub mod metrics;
 pub mod network;
 
-pub use metrics::{MessageKind, NodeId, RouteStats, TrafficStats, TransportStats};
-pub use network::{Delivery, LatencyModel, NetworkModel, PartitionWindow, SimTime};
+pub use metrics::{MessageKind, RouteStats, TrafficStats, TransportStats};
+pub use network::{LatencyModel, NetworkModel, SimTime};

@@ -7,9 +7,6 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// Identifier of a simulated node (the physical host of an object).
-pub type NodeId = u64;
-
 /// Category of protocol message, used to break traffic down per operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum MessageKind {
@@ -117,9 +114,10 @@ pub struct TransportStats {
     pub frames_sent: u64,
     /// Frames handed to the receiving endpoint.
     pub frames_delivered: u64,
-    /// Frames dropped by iid loss (vnet) or a failed socket send.
+    /// Frames dropped by injected loss or a crashed endpoint (the fault
+    /// layer), or by a failed socket send.
     pub dropped_loss: u64,
-    /// Frames dropped by an active partition window (vnet only).
+    /// Frames dropped at an open partition's boundary (the fault layer).
     pub dropped_partition: u64,
     /// Frames that arrived for a departed / unknown destination.
     pub dead_letters: u64,

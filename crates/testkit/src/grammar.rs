@@ -11,13 +11,15 @@
 //! mix that includes snapshots, and service segments (region pub/sub and
 //! coordinate-keyed KV traffic, occasionally with a Zipf-skewed hot-topic
 //! palette) — while the lossy profile layers
-//! network events on top: iid loss, latency shifts and partition windows.
+//! network events on top: iid loss and a partition window, both from the
+//! chaos layer's fault injection, and latency shifts on the hub.
 //! Service segments are always part of the rotation; [`FuzzSpec::services`]
 //! biases generation towards them for service-focused fuzzing.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use voronet_sim::{LatencyModel, NetworkModel, PartitionWindow};
+use voronet_net::LinkFaults;
+use voronet_sim::{LatencyModel, NetworkModel};
 use voronet_workloads::{Distribution, OpBatchGenerator, OpMix, PointGenerator, WorkloadOp};
 
 /// Knobs of case generation (what [`generate_case`] consumes).
@@ -67,41 +69,47 @@ impl FuzzSpec {
 }
 
 /// The network conditions of the lossy companion run, in serializable
-/// form (resolved to a [`NetworkModel`] at execution time).
+/// form: a latency-only hub ([`NetProfile::network`]) whose endpoints
+/// the chaos layer's `FaultTransport` wraps ([`NetProfile::link`], and
+/// the partition the harness opens and heals).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NetProfile {
     /// No companion run: only the three deterministic executions.
     Ideal,
     /// A lossy, latency-shifting, occasionally partitioned network.
     Lossy {
-        /// Seed of the network's own RNG.
+        /// Seed of the hub's latency draws and of every endpoint's fault
+        /// rolls.
         seed: u64,
-        /// iid per-message loss probability.
+        /// iid per-frame drop probability.
         loss: f64,
         /// Initial latency bounds (uniform in `[min, max]`).
         lat_min: u64,
         /// Upper latency bound.
         lat_max: u64,
-        /// Optional latency shift: from instant `.0`, latency becomes
+        /// Optional latency shift: from hub instant `.0`, latency becomes
         /// uniform in `[.1, .2]`.
         shift: Option<(u64, u64, u64)>,
-        /// Optional partition window `(start, end, groups)`.
+        /// Optional partition `(start, end, groups)`: the cluster splits
+        /// into `groups` before op `start` and heals before op `end`,
+        /// counted in the resolved op stream as
+        /// [`Divergence::op_index`](crate::Divergence::op_index)
+        /// counts it.
         partition: Option<(u64, u64, u64)>,
     },
 }
 
 impl NetProfile {
-    /// Builds the concrete network model.
+    /// The hub's latency model.
     pub fn network(&self) -> NetworkModel {
         match *self {
             NetProfile::Ideal => NetworkModel::ideal(),
             NetProfile::Lossy {
                 seed,
-                loss,
                 lat_min,
                 lat_max,
                 shift,
-                partition,
+                ..
             } => {
                 let mut model = NetworkModel::new(
                     seed,
@@ -109,16 +117,23 @@ impl NetProfile {
                         min: lat_min,
                         max: lat_max,
                     },
-                )
-                .with_loss(loss);
+                );
                 if let Some((at, min, max)) = shift {
                     model = model.with_latency_shift(at, LatencyModel::Uniform { min, max });
                 }
-                if let Some((start, end, groups)) = partition {
-                    model = model.with_partition(PartitionWindow { start, end, groups });
-                }
                 model
             }
+        }
+    }
+
+    /// The link faults every endpoint rolls.
+    pub fn link(&self) -> LinkFaults {
+        match *self {
+            NetProfile::Ideal => LinkFaults::default(),
+            NetProfile::Lossy { loss, .. } => LinkFaults {
+                drop: loss,
+                ..LinkFaults::default()
+            },
         }
     }
 }
@@ -240,11 +255,14 @@ pub fn generate_case(spec: &FuzzSpec) -> FuzzCase {
         } else {
             None
         };
-        let partition = if rng.random_range(0..3u32) == 0 {
-            let start = rng.random_range(50..600u64);
+        // A partition opens and heals inside the script, after the
+        // warm-up.
+        let last = (script.len() as u64).saturating_sub(1);
+        let partition = if rng.random_range(0..3u32) == 0 && last > spec.warmup as u64 {
+            let start = rng.random_range(spec.warmup as u64..last);
             Some((
                 start,
-                start + rng.random_range(20..200u64),
+                (start + rng.random_range(20..200u64)).min(last),
                 rng.random_range(2..4u64),
             ))
         } else {
@@ -299,20 +317,39 @@ mod tests {
             .any(|op| matches!(op, WorkloadOp::Insert { .. })));
     }
 
+    /// A lossy profile drops frames through the fault layer, and a
+    /// partition it draws opens inside the script: the lossy member's
+    /// endpoints cut frames at its boundary.
     #[test]
-    fn lossy_profiles_resolve_to_lossy_networks() {
-        let case = generate_case(&FuzzSpec {
+    fn lossy_profiles_drop_frames_and_their_partitions_fire() {
+        let spec = |seed| FuzzSpec {
+            warmup: 16,
+            ops: 96,
             lossy: true,
-            ..FuzzSpec::smoke(3)
-        });
-        let NetProfile::Lossy { .. } = case.net else {
-            panic!("lossy spec must generate a lossy profile");
+            ..FuzzSpec::smoke(seed)
         };
-        assert!(case.net.network().is_lossy());
+        let case = generate_case(&spec(3));
+        assert!(case.net.link().drop > 0.0, "{:?}", case.net);
         let ideal = generate_case(&FuzzSpec {
             lossy: false,
             ..FuzzSpec::smoke(3)
         });
         assert_eq!(ideal.net, NetProfile::Ideal);
+
+        let case = (1..)
+            .map(|seed| generate_case(&spec(seed)))
+            .find(|case| {
+                matches!(
+                    case.net,
+                    NetProfile::Lossy {
+                        partition: Some(_),
+                        ..
+                    }
+                )
+            })
+            .expect("a third of lossy profiles carry a partition");
+        let report = crate::harness::run_case(&case, crate::frozen::Fault::None)
+            .unwrap_or_else(|d| panic!("seed {}: {d}", case.seed));
+        assert!(report.lossy_partitioned > 0, "{:?}: {report:?}", case.net);
     }
 }

@@ -20,9 +20,11 @@
 //! the O(n²) [`OracleModel`].  The sync and frozen executions carry the
 //! single-process service layer (`ServiceEngine`), the model the
 //! cluster's own service plane is held to.  When the case carries a lossy
-//! [`NetProfile`], a fourth execution — a bare cluster on a hub with that
-//! profile's loss, latency shifts and partition windows — runs beside
-//! them.  The cluster resends what the network loses, but an op can still
+//! [`NetProfile`], a fourth execution runs beside them: the chaos layer's
+//! rig, a cluster on a hub with that profile's latency whose every
+//! endpoint is a [`FaultTransport`] dropping the profile's share of
+//! frames, partitioned from the profile's start op to its end op.  The
+//! cluster resends what the network loses, but an op can still
 //! run out of its retry budget (`OperationLost`) or meet a host the
 //! failure detector declared dead (`Unavailable`), and its population then
 //! lags the script, so it is checked for *sanity* instead: only those
@@ -47,9 +49,11 @@ use std::time::Duration;
 use voronet_api::{resolve_workload, Op, OpResult, Overlay, SyncEngine};
 use voronet_core::{ErrorKind, VoroNetConfig};
 use voronet_geom::Point2;
-use voronet_net::{InlineCluster, RetryPolicy};
+use voronet_net::{
+    FaultCtl, FaultEvent, FaultTransport, InlineCluster, RetryPolicy, Transport, VnetHub,
+    VnetTransport,
+};
 use voronet_services::ServiceEngine;
-use voronet_sim::NetworkModel;
 
 /// Hosts of every cluster in the fleet.
 const HOSTS: u64 = 3;
@@ -92,6 +96,8 @@ pub struct RunReport {
     pub population: usize,
     /// Operations the lossy companion run lost to the network.
     pub lossy_lost: usize,
+    /// Frames the lossy companion's partition cut.
+    pub lossy_partitioned: u64,
     /// Invariant checks performed across all audits (sum of audited
     /// nodes).
     pub invariants_checked: usize,
@@ -101,8 +107,64 @@ struct Fleet {
     sync: ServiceEngine<SyncEngine>,
     cluster: InlineCluster,
     frozen: ServiceEngine<FrozenReplay>,
-    lossy: Option<InlineCluster>,
+    lossy: Option<Lossy>,
     oracle: OracleModel,
+}
+
+/// The lossy companion: a cluster over fault-injecting endpoints, and the
+/// partition its switchboard opens and heals.
+struct Lossy {
+    cluster: InlineCluster<FaultTransport<VnetTransport>>,
+    ctl: FaultCtl,
+    /// The partition and its heal, by the op index they fire before.
+    events: Vec<(usize, FaultEvent)>,
+}
+
+impl Lossy {
+    fn start(net: NetProfile, config: VoroNetConfig) -> Option<Lossy> {
+        let NetProfile::Lossy {
+            seed, partition, ..
+        } = net
+        else {
+            return None;
+        };
+        let hub = VnetHub::new(net.network());
+        let ctl = FaultCtl::new(net.link());
+        let mut cluster = InlineCluster::start_with(HOSTS, config, |peer| {
+            FaultTransport::new(hub.endpoint(peer), ctl.clone(), seed)
+        });
+        cluster.driver().set_retry_policy(RetryPolicy {
+            budget: LOSSY_BUDGET,
+            ..RetryPolicy::default()
+        });
+        let mut events = Vec::new();
+        if let Some((start, end, groups)) = partition {
+            events.push((start as usize, FaultEvent::Partition(groups)));
+            events.push((end as usize, FaultEvent::Heal));
+            events.sort_by_key(|&(at, _)| at);
+        }
+        Some(Lossy {
+            cluster,
+            ctl,
+            events,
+        })
+    }
+
+    /// Applies the ops the resolved stream holds from index `base` on,
+    /// firing each partition event before the op its index names.
+    fn apply_batch(&mut self, base: usize, ops: &[Op]) -> Vec<OpResult> {
+        let mut results = Vec::with_capacity(ops.len());
+        let mut done = 0;
+        for &(at, event) in &self.events {
+            if let Some(cut) = at.checked_sub(base).filter(|&cut| cut < ops.len()) {
+                results.extend(self.cluster.apply_batch(&ops[done..cut]));
+                done = cut;
+                self.ctl.apply(event);
+            }
+        }
+        results.extend(self.cluster.apply_batch(&ops[done..]));
+        results
+    }
 }
 
 impl Fleet {
@@ -113,19 +175,9 @@ impl Fleet {
         let config = VoroNetConfig::new(case.nmax).with_seed(case.seed);
         Fleet {
             sync: ServiceEngine::new(SyncEngine::new(config)),
-            cluster: InlineCluster::start(HOSTS, config, NetworkModel::ideal()),
+            cluster: InlineCluster::start(HOSTS, config),
             frozen: ServiceEngine::new(FrozenReplay::new(config, fault)),
-            lossy: match case.net {
-                NetProfile::Ideal => None,
-                lossy => {
-                    let mut cluster = InlineCluster::start(HOSTS, config, lossy.network());
-                    cluster.driver().set_retry_policy(RetryPolicy {
-                        budget: LOSSY_BUDGET,
-                        ..RetryPolicy::default()
-                    });
-                    Some(cluster)
-                }
-            },
+            lossy: Lossy::start(case.net, config),
             oracle: OracleModel::new(&config),
         }
     }
@@ -289,12 +341,12 @@ fn audit_fleet(fleet: &mut Fleet, round: usize, report: &mut RunReport) -> Resul
 }
 
 fn check_lossy(
-    lossy: &mut InlineCluster,
+    lossy: &mut Lossy,
     base: usize,
     ops: &[Op],
     report: &mut RunReport,
 ) -> Result<(), Divergence> {
-    let results = lossy.apply_batch(ops);
+    let results = lossy.apply_batch(base, ops);
     for (i, result) in results.iter().enumerate() {
         if let OpResult::Failed(e) = result {
             match e.kind() {
@@ -325,7 +377,7 @@ fn check_lossy(
     // Only the *overlay* invariants are demanded here: the lossy
     // driver's KV table follows a population that lags the script, so
     // its placements are audited on the ideal cluster instead.
-    lossy.verify_invariants().map_err(|e| Divergence {
+    lossy.cluster.verify_invariants().map_err(|e| Divergence {
         op_index: None,
         kind: "lossy:invariants".to_string(),
         detail: format!("lossy run violated invariants: {e}"),
@@ -374,6 +426,10 @@ pub fn run_case(case: &FuzzCase, fault: Fault) -> Result<RunReport, Divergence> 
         audit_fleet(&mut fleet, round, &mut report)?;
     }
     report.population = fleet.sync.len();
+    if let Some(lossy) = &fleet.lossy {
+        let endpoints = lossy.cluster.endpoints();
+        report.lossy_partitioned = endpoints.map(|t| t.stats().dropped_partition).sum();
+    }
     Ok(report)
 }
 

@@ -16,9 +16,10 @@
 //! * [`grammar`] — seeded generation of [`grammar::FuzzCase`]s
 //!   from a weighted op grammar (built on
 //!   [`OpMix`](voronet_workloads::OpMix)), including network-event
-//!   profiles (loss, latency shifts, partition windows);
+//!   profiles (loss, latency shifts, a partition);
 //! * [`harness`] — [`harness::run_case`], the differential executor over
-//!   sync, cluster and frozen (plus a lossy cluster);
+//!   sync, cluster and frozen (plus a lossy cluster over the chaos
+//!   layer's fault-injecting endpoints);
 //! * [`frozen`] — the frozen-snapshot execution plus deliberate
 //!   [`frozen::Fault`] injection for self-testing the checker;
 //! * [`shrink`] — ddmin-style script minimisation of diverging cases;

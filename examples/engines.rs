@@ -7,6 +7,7 @@
 //! cargo run --release --example engines
 //! ```
 
+use voronet::net::{FaultCtl, FaultTransport, LinkFaults, VnetHub};
 use voronet::prelude::*;
 use voronet::sim::{LatencyModel, NetworkModel};
 use voronet_api::{resolve_workload, RouteOutcome};
@@ -82,24 +83,33 @@ fn main() {
     println!("the same {BATCH}-op read-heavy batch, submitted through `Box<dyn Overlay>`\n");
 
     let config = OverlayBuilder::new(NMAX).seed(2006).config();
-    let lossy = NetworkModel::new(
+    // The lossy cluster: heavy-tailed latency on the hub, and every
+    // endpoint wrapped by the fault layer, which drops a fifth of the
+    // frames it sends.
+    let hub = VnetHub::new(NetworkModel::new(
         2006,
         LatencyModel::Skewed {
             min: 1,
             max: 40,
             alpha: 1.3,
         },
-    )
-    .with_loss(0.20);
+    ));
+    let ctl = FaultCtl::new(LinkFaults {
+        drop: 0.20,
+        ..LinkFaults::default()
+    });
+    let lossy = InlineCluster::start_with(3, config, |peer| {
+        FaultTransport::new(hub.endpoint(peer), ctl.clone(), 2006)
+    });
 
     run("sync engine", Box::new(SyncEngine::new(config)));
     run(
         "cluster, 3 hosts (ideal network)",
-        Box::new(InlineCluster::start(3, config, NetworkModel::ideal())),
+        Box::new(InlineCluster::start(3, config)),
     );
     run(
         "cluster, 3 hosts (heavy-tailed latency, 20% loss)",
-        Box::new(InlineCluster::start(3, config, lossy)),
+        Box::new(lossy),
     );
 
     println!("\nNo engine type appears in `run` — that is the point.");

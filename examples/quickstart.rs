@@ -11,7 +11,7 @@ use voronet::prelude::*;
 fn main() {
     // An overlay provisioned for up to 10 000 objects, one long link each,
     // built on the synchronous engine.  Swapping in the message-level
-    // cluster is `InlineCluster::start(3, builder.config(), network)` —
+    // cluster is `InlineCluster::start(3, builder.config())` —
     // same trait, same program (see the `engines` example).
     let mut net = OverlayBuilder::new(10_000).seed(42).build_sync();
 

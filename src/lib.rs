@@ -24,7 +24,7 @@
 //! engine: the synchronous fast path, or the message-level cluster
 //! ([`net::InlineCluster`]: a driver and hosts exchanging wire frames on
 //! one thread).  The program below runs unchanged on
-//! `Box::new(InlineCluster::start(3, builder.config(), NetworkModel::ideal()))`;
+//! `Box::new(InlineCluster::start(3, builder.config()))`;
 //! `examples/engines.rs` runs one batch on both, and on a lossy cluster.
 //!
 //! ```

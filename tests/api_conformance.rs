@@ -7,10 +7,13 @@
 //! query matches and invariants.  Under loss the cluster resends; its
 //! failures are the cluster's own (`OperationLost`, `Unavailable`).
 
-use voronet::net::{InlineCluster, Liveness, VnetHub};
+use voronet::net::{
+    FaultCtl, FaultTransport, InlineCluster, LinkFaults, Liveness, Transport, VnetHub,
+    VnetTransport,
+};
 use voronet::prelude::*;
-use voronet::sim::{LatencyModel, NetworkModel, PartitionWindow};
-use voronet_api::resolve_workload;
+use voronet::sim::{LatencyModel, NetworkModel, TransportStats};
+use voronet_api::{resolve_workload, InsertOutcome, RouteOutcome};
 use voronet_workloads::{RadiusQuery, RangeQuery, WorkloadOp};
 
 const NMAX: usize = 1_000;
@@ -21,17 +24,36 @@ fn config() -> VoroNetConfig {
     OverlayBuilder::new(NMAX).seed(SEED).config()
 }
 
-fn cluster(network: NetworkModel) -> InlineCluster {
-    InlineCluster::start(HOSTS, config(), network)
+fn cluster() -> InlineCluster {
+    InlineCluster::start(HOSTS, config())
+}
+
+type LossyCluster = InlineCluster<FaultTransport<VnetTransport>>;
+
+/// A cluster on a hub with the given latency whose every endpoint drops
+/// `loss` of the frames it sends, through the fault layer; the
+/// switchboard opens and heals partitions.
+fn lossy_cluster(
+    config: VoroNetConfig,
+    latency: LatencyModel,
+    loss: f64,
+) -> (LossyCluster, FaultCtl) {
+    let seed = config.seed;
+    let hub = VnetHub::new(NetworkModel::new(seed, latency));
+    let ctl = FaultCtl::new(LinkFaults {
+        drop: loss,
+        ..LinkFaults::default()
+    });
+    let net = InlineCluster::start_with(HOSTS, config, |peer| {
+        FaultTransport::new(hub.endpoint(peer), ctl.clone(), seed)
+    });
+    (net, ctl)
 }
 
 /// Both engines, freshly built from the same configuration (an ideal hub
 /// for the cluster, so results must agree).
 fn backends() -> Vec<Box<dyn Overlay>> {
-    vec![
-        Box::new(SyncEngine::new(config())),
-        Box::new(cluster(NetworkModel::ideal())),
-    ]
+    vec![Box::new(SyncEngine::new(config())), Box::new(cluster())]
 }
 
 fn populate(net: &mut dyn Overlay, n: usize, seed: u64) -> Vec<ObjectId> {
@@ -311,13 +333,13 @@ fn batched_workloads_agree_across_engines() {
 }
 
 /// The cluster's batching lever is *virtual* time, not host time: on a
-/// lossy hub a batch of routes is pumped together, so one route's resend
+/// lossy cluster a batch of routes is pumped together, so one route's resend
 /// waits overlap the others', while one-at-a-time submission pays every
 /// wait back to back.  The hub's clock moves only on idle turns, so the
 /// gate is a count of them — no wall clock involved.
 #[test]
 fn async_batches_pipeline_in_simulated_time() {
-    let mut net = cluster(NetworkModel::new(SEED, LatencyModel::Fixed(1)).with_loss(0.05));
+    let (mut net, _) = lossy_cluster(config(), LatencyModel::Fixed(1), 0.05);
     populate(&mut net, 400, 61);
     let mut gen = OpBatchGenerator::new(Distribution::Uniform, 67, OpMix::routes_only());
     let routes = resolve_workload(&net, &gen.batch(400, 64));
@@ -346,9 +368,12 @@ fn async_batches_pipeline_in_simulated_time() {
 /// overlay.
 #[test]
 fn lossy_async_engine_reports_lost_operations() {
-    let lossy =
-        |loss: f64| NetworkModel::new(7, LatencyModel::Uniform { min: 1, max: 10 }).with_loss(loss);
-    let script = |net: &mut InlineCluster| {
+    type Script = (
+        Vec<Result<InsertOutcome, VoronetError>>,
+        Vec<ObjectId>,
+        Vec<Result<RouteOutcome, VoronetError>>,
+    );
+    fn script<T: Transport>(net: &mut InlineCluster<T>) -> Script {
         let mut points = PointGenerator::new(Distribution::Uniform, 73);
         let mut results = Vec::new();
         let inserts: Vec<_> = (0..120).map(|_| net.insert(points.next_point())).collect();
@@ -362,11 +387,13 @@ fn lossy_async_engine_reports_lost_operations() {
             results.push(net.route_between(inserted[a], inserted[b]));
         }
         (inserts, inserted, results)
-    };
+    }
+    let lossy =
+        |loss: f64| lossy_cluster(config(), LatencyModel::Uniform { min: 1, max: 10 }, loss).0;
 
-    let mut ideal = cluster(NetworkModel::ideal());
+    let mut ideal = cluster();
     let expected = script(&mut ideal);
-    let mut net = cluster(lossy(0.35));
+    let mut net = lossy(0.35);
     // A ping exchange fails 58 % of the time at 35 % loss, so the default
     // detector (dead after 6 missed windows: 0.58⁶ ≈ 4 %) now and then
     // declares a live host dead and its ops fail fast.  After 20 missed
@@ -383,7 +410,7 @@ fn lossy_async_engine_reports_lost_operations() {
     assert!(stats.fast_resends > 0, "{stats:?}");
     net.verify_invariants().unwrap();
 
-    let mut net = cluster(lossy(0.6));
+    let mut net = lossy(0.6);
     let (inserts, _, routes) = script(&mut net);
     let failures: Vec<ErrorKind> = inserts
         .iter()
@@ -402,32 +429,22 @@ fn lossy_async_engine_reports_lost_operations() {
 }
 
 /// A churn script in which well over 1 000 objects take part — 1 000
-/// joins, then joins, departures, routes and area queries — on a lossy,
-/// partitioned hub runs bit-identically twice: every per-op result, the
-/// driver's `ClusterStats` and the hub's `TransportStats`.  Another seed
-/// gives a different run.  The loss is 3 %: every lost frame costs idle
-/// turns of the pump, and at 10 % the three runs take ~10 s of the debug
-/// suite.
+/// joins, then joins, departures, routes and area queries — on a lossy
+/// cluster that is partitioned for one of its batches runs bit-identically
+/// twice: every per-op result, the driver's `ClusterStats` and the summed
+/// `TransportStats` of its endpoints.  Another seed gives a different
+/// run.  The loss is 3 %: every lost frame costs idle turns of the pump,
+/// and at 10 % the three runs take ~10 s of the debug suite.
 #[test]
 fn thousand_node_lossy_scenario_is_deterministic() {
     let run = |seed: u64| {
-        let network = NetworkModel::new(
-            seed,
-            LatencyModel::Skewed {
-                min: 1,
-                max: 60,
-                alpha: 1.2,
-            },
-        )
-        .with_loss(0.03)
-        .with_partition(PartitionWindow {
-            start: 2_000,
-            end: 2_600,
-            groups: 2,
-        });
-        let hub = VnetHub::new(network);
+        let latency = LatencyModel::Skewed {
+            min: 1,
+            max: 60,
+            alpha: 1.2,
+        };
         let config = VoroNetConfig::new(2_000).with_seed(seed);
-        let mut net = InlineCluster::start_with(HOSTS, config, |peer| hub.endpoint(peer));
+        let (mut net, ctl) = lossy_cluster(config, latency, 0.03);
         let mut warm = PointGenerator::new(Distribution::Uniform, seed ^ 0xCAFE);
         let mut results: Vec<OpResult> = (0..1_000)
             .map(|_| {
@@ -438,13 +455,22 @@ fn thousand_node_lossy_scenario_is_deterministic() {
             .collect();
         let mut gen =
             OpBatchGenerator::new(Distribution::Uniform, seed ^ 0xF00D, OpMix::churn_zipf());
-        for _ in 0..10 {
+        for batch in 0..10 {
+            match batch {
+                4 => ctl.partition(2),
+                5 => ctl.heal(),
+                _ => {}
+            }
             let script = gen.batch(net.len(), 40);
             let ops = resolve_workload(&net, &script);
             results.extend(net.apply_batch(&ops));
         }
         let stats = net.driver().cluster_stats();
-        (results, stats, hub.total_stats())
+        let mut transport = TransportStats::new();
+        for t in net.endpoints() {
+            transport.merge(&t.stats());
+        }
+        (results, stats, transport)
     };
     let (a, b, c) = std::thread::scope(|s| {
         let [a, b, c] = [2006, 2006, 2007].map(|seed| s.spawn(move || run(seed)));
@@ -468,9 +494,9 @@ fn thousand_node_lossy_scenario_is_deterministic() {
         left > 20 && routed > 100 && queried > 10,
         "{left} {routed} {queried}"
     );
-    let (_, cluster, hub) = &a;
-    assert!(hub.dropped_loss > 0, "{hub:?}");
-    assert!(hub.dropped_partition > 0, "{hub:?}");
+    let (_, cluster, transport) = &a;
+    assert!(transport.dropped_loss > 0, "{transport:?}");
+    assert!(transport.dropped_partition > 0, "{transport:?}");
     assert!(cluster.fast_resends > 0, "{cluster:?}");
 
     assert_ne!(

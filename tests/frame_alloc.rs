@@ -84,7 +84,7 @@ fn warmed_frames_and_cluster_ops_do_not_allocate() {
 
     // A 2 000-object cluster on three hosts of an ideal hub.
     let config = VoroNetConfig::new(2_000).with_seed(7);
-    let mut cluster = InlineCluster::start(3, config, NetworkModel::ideal());
+    let mut cluster = InlineCluster::start(3, config);
     for p in PointGenerator::new(Distribution::Uniform, 11).take_points(2_000) {
         cluster.insert(p).unwrap();
     }

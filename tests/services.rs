@@ -19,7 +19,6 @@ use rand::{RngExt, SeedableRng};
 use voronet::api::PublishOutcome;
 use voronet::net::{InlineCluster, OpOutcome, Transport};
 use voronet::prelude::*;
-use voronet::sim::NetworkModel;
 use voronet_testkit::check_cases;
 
 /// One step of a KV-under-churn script.  Keys come from a small palette
@@ -182,7 +181,7 @@ fn frames_sent(cluster: &InlineCluster) -> u64 {
 #[test]
 fn publish_frames_stay_within_the_protocol_bound() {
     let config = VoroNetConfig::new(PUBLISH_OBJECTS).with_seed(PUBLISH_SEED);
-    let mut cluster = InlineCluster::start(3, config, NetworkModel::ideal());
+    let mut cluster = InlineCluster::start(3, config);
     let mut points = PointGenerator::new(Distribution::Uniform, PUBLISH_SEED);
     while cluster.driver().population() < PUBLISH_OBJECTS {
         cluster
@@ -209,10 +208,7 @@ fn publish_frames_stay_within_the_protocol_bound() {
             let region = square(Point2::new(rng.random(), rng.random()), side / 2.0);
             let from = cluster.net().id_at(p).expect("index below the population");
             let before = frames_sent(&cluster);
-            let published = cluster
-                .driver()
-                .publish(from, region, p as u64)
-                .expect("publish");
+            let published = cluster.driver().publish(from, region).expect("publish");
             let frames = frames_sent(&cluster) - before;
             let OpOutcome::Published(PublishOutcome {
                 delivered,
