@@ -280,7 +280,7 @@ impl Transport for VnetTransport {
         stats.frames_sent += 1;
         inner.now += 1;
         let now = inner.now;
-        let delay = inner.network.delay(now);
+        let delay = inner.network.delay();
         match mailbox_of(&mut inner.endpoints, to) {
             Some(mailbox) => {
                 let mut buf = inner.spare.pop().unwrap_or_default();

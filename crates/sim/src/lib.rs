@@ -12,10 +12,10 @@
 //!   overlay layer fills in while executing the protocol;
 //! * [`TransportStats`] — the counters every transport of `voronet-net`
 //!   keeps;
-//! * [`NetworkModel`] — pluggable latency (fixed, uniform or heavy-tailed,
-//!   with scheduled shifts), deterministic per seed, behind `voronet-net`'s
-//!   simulated hub.  It loses nothing: every lost frame, crash or
-//!   partition comes from `voronet-net`'s fault layer.
+//! * [`NetworkModel`] — pluggable latency (fixed, uniform or heavy-tailed),
+//!   deterministic per seed, behind `voronet-net`'s simulated hub.  It
+//!   loses nothing: every lost frame, crash or partition comes from
+//!   `voronet-net`'s fault layer.
 
 #![warn(missing_docs)]
 

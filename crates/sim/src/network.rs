@@ -69,14 +69,10 @@ impl LatencyModel {
 }
 
 /// Deterministic, seeded model of the network between simulated nodes:
-/// a latency distribution and scheduled shifts of it.
+/// one latency distribution.
 #[derive(Debug, Clone)]
 pub struct NetworkModel {
     latency: LatencyModel,
-    /// Scheduled latency regime changes, sorted by activation time: from
-    /// each entry's instant (inclusive) onwards, its model replaces the
-    /// previous one.
-    latency_shifts: Vec<(SimTime, LatencyModel)>,
     rng: StdRng,
 }
 
@@ -91,39 +87,16 @@ impl NetworkModel {
     pub fn new(seed: u64, latency: LatencyModel) -> Self {
         NetworkModel {
             latency,
-            latency_shifts: Vec::new(),
             rng: StdRng::seed_from_u64(seed ^ 0x6E65_745F_6D6F_6465),
         }
     }
 
-    /// Schedules a latency-regime shift: from `at` (inclusive) onwards,
-    /// messages are delayed by `latency` instead of the previously active
-    /// model.  Multiple shifts compose into a piecewise schedule; the
-    /// latest shift at or before the submission instant wins.  Scenario
-    /// generators use this to model a network whose conditions degrade or
-    /// recover mid-run.
-    pub fn with_latency_shift(mut self, at: SimTime, latency: LatencyModel) -> Self {
-        self.latency_shifts.push((at, latency));
-        self.latency_shifts.sort_by_key(|&(t, _)| t);
-        self
-    }
-
-    /// The latency model in effect at instant `now`.
-    fn latency_at(&self, now: SimTime) -> LatencyModel {
-        self.latency_shifts
-            .iter()
-            .rev()
-            .find(|&&(t, _)| t <= now)
-            .map(|&(_, m)| m)
-            .unwrap_or(self.latency)
-    }
-
-    /// Draws the transit time of a message submitted at `now`.
+    /// Draws the transit time of the next message.
     ///
     /// Consumes randomness in submission order, which the caller keeps
     /// deterministic; a `Fixed` latency draws none.
-    pub fn delay(&mut self, now: SimTime) -> SimTime {
-        self.latency_at(now).sample(&mut self.rng)
+    pub fn delay(&mut self) -> SimTime {
+        self.latency.sample(&mut self.rng)
     }
 }
 
@@ -132,7 +105,7 @@ mod tests {
     use super::*;
 
     fn delays(model: &mut NetworkModel, n: usize) -> Vec<SimTime> {
-        (0..n).map(|_| model.delay(0)).collect()
+        (0..n).map(|_| model.delay()).collect()
     }
 
     #[test]
@@ -176,26 +149,5 @@ mod tests {
             "most messages should be fast, got {below_10}/{n}"
         );
         assert!(max_seen > 20, "the tail should reach far, got {max_seen}");
-    }
-
-    #[test]
-    fn latency_shifts_take_effect_at_their_instant() {
-        let mut m = NetworkModel::new(0, LatencyModel::Fixed(1))
-            .with_latency_shift(50, LatencyModel::Fixed(7))
-            .with_latency_shift(100, LatencyModel::Fixed(2));
-        assert_eq!(m.latency_at(0), LatencyModel::Fixed(1));
-        assert_eq!(m.latency_at(49), LatencyModel::Fixed(1));
-        assert_eq!(m.latency_at(50), LatencyModel::Fixed(7));
-        assert_eq!(m.latency_at(99), LatencyModel::Fixed(7));
-        assert_eq!(m.latency_at(100), LatencyModel::Fixed(2));
-        assert_eq!(m.delay(10), 1);
-        assert_eq!(m.delay(60), 7);
-        assert_eq!(m.delay(200), 2);
-        // Shifts registered out of order still form a sorted schedule.
-        let m = NetworkModel::new(0, LatencyModel::Fixed(1))
-            .with_latency_shift(80, LatencyModel::Fixed(3))
-            .with_latency_shift(20, LatencyModel::Fixed(9));
-        assert_eq!(m.latency_at(30), LatencyModel::Fixed(9));
-        assert_eq!(m.latency_at(90), LatencyModel::Fixed(3));
     }
 }

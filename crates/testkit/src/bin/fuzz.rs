@@ -22,8 +22,9 @@
 //!
 //! `--dump-ops FILE` writes each generated case's resolved op stream to
 //! `FILE` before running it, one `{op:?}` per line (the file ends up
-//! holding the last case's ops) — a debugging aid, not a replay format:
-//! reproducers are the `.ron` files.
+//! holding the last case's ops), resolved op by op as the harness
+//! resolves them — a debugging aid, not a replay format: reproducers are
+//! the `.ron` files.
 //!
 //! `--codec` runs the standalone wire-codec property pass
 //! ([`voronet_testkit::run_codec_pass`]) instead of differential
@@ -50,8 +51,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use voronet_testkit::{
     generate_case, generate_chaos, list_reproducers, read_chaos_reproducer, read_reproducer,
-    run_case, run_chaos, shrink_case, shrink_chaos, write_chaos_reproducer, write_reproducer,
-    ChaosReport, ChaosSpec, Fault, FuzzSpec,
+    resolve_op, run_case, run_chaos, shrink_case, shrink_chaos, write_chaos_reproducer,
+    write_reproducer, ChaosReport, ChaosSpec, Fault, FuzzSpec,
 };
 use voronet_workloads::smoke_budget;
 
@@ -131,11 +132,11 @@ fn parse_args() -> Result<Args, String> {
 /// debugging (replay the case itself from its reproducer file).
 fn dump_resolved_ops(case: &voronet_testkit::FuzzCase, path: &PathBuf) -> std::io::Result<()> {
     use std::fmt::Write;
-    use voronet_api::{resolve_workload, Overlay, OverlayBuilder};
+    use voronet_api::{Overlay, OverlayBuilder};
     let mut engine = OverlayBuilder::new(case.nmax).seed(case.seed).build_sync();
     let mut text = String::new();
-    for chunk in case.script.chunks(case.round.max(1)) {
-        for op in resolve_workload(&engine, chunk) {
+    for step in &case.script {
+        if let Some(op) = resolve_op(&engine, step) {
             writeln!(text, "{op:?}").expect("writing to a String cannot fail");
             engine.apply(&op);
         }
@@ -337,13 +338,12 @@ fn main() -> ExitCode {
             Ok(report) => {
                 total_ops += report.ops_run;
                 println!(
-                    "seed {} … clean ({} ops, {} rounds, population {}, lossy lost {}, \
+                    "seed {} … clean ({} ops, {} rounds, population {}, \
                      {} invariant node-checks)",
                     spec.seed,
                     report.ops_run,
                     report.rounds,
                     report.population,
-                    report.lossy_lost,
                     report.invariants_checked
                 );
             }

@@ -18,14 +18,19 @@
 //!    must hold under crashes and partitions.
 //! 3. **Ledger consistency** — after healing every fault, all hosts
 //!    return to `Alive`, every acked value reads back on the healthy
-//!    path, every death was matched by a revival, and the transport
+//!    path, the driver's tessellation passes its structural invariant
+//!    check, every death was matched by a revival, and the transport
 //!    layer saw no decode errors or oversized frames.
 //!
-//! Failing cases shrink through [`shrink_chaos`] (classic ddmin over the
-//! step list) and serialize to `.ron` reproducers under `tests/chaos/`,
-//! which CI replays via the fuzz binary's `--chaos` pass.
+//! This is the one place a cluster meets loss, partitions and crashes:
+//! the differential fuzz fleet ([`crate::harness`]) runs on an ideal
+//! network.  Failing cases shrink through [`shrink_chaos`] (the testkit's
+//! one ddmin, in [`crate::shrink`], over the step list) and serialize to
+//! `.ron` reproducers under `tests/chaos/`, which CI replays via the fuzz
+//! binary's `--chaos` pass.
 
 use crate::repro::{encode_op, perr, tokenize, Parser, ReproError, Token};
+use crate::shrink::ddmin;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
@@ -348,6 +353,12 @@ pub fn run_chaos(case: &ChaosCase) -> Result<ChaosReport, ChaosFailure> {
             Err(e) => return Err(fail(None, format!("healed kv_get errored: {e}"))),
         }
     }
+    // Whatever the faults did to the ops, the driver's tessellation keeps
+    // its structural invariants.
+    if let Err(e) = cluster.net().check_invariants(false) {
+        let detail = format!("driver tessellation violated invariants: {e}");
+        return Err(fail(None, detail));
+    }
     let stats = cluster.driver().cluster_stats();
     if stats.revivals < stats.deaths {
         return Err(fail(
@@ -398,40 +409,16 @@ pub struct ChaosShrinkOutcome {
 /// still fails.  The returned case always still fails; when the budget
 /// runs out the partially shrunk case is returned.
 pub fn shrink_chaos(case: &ChaosCase, max_executions: usize) -> ChaosShrinkOutcome {
-    let mut failure = run_chaos(case).expect_err("shrink_chaos requires a case that fails");
-    let mut current = case.clone();
-    let mut executions = 1usize;
-    loop {
-        let before = current.steps.len();
-        let mut window = (current.steps.len() / 2).max(1);
-        loop {
-            let mut start = 0;
-            while start < current.steps.len() && executions < max_executions {
-                let end = (start + window).min(current.steps.len());
-                let mut candidate = current.clone();
-                candidate.steps.drain(start..end);
-                executions += 1;
-                match run_chaos(&candidate) {
-                    Err(f) => {
-                        current = candidate;
-                        failure = f;
-                    }
-                    Ok(_) => start = end,
-                }
-            }
-            if window == 1 || executions >= max_executions {
-                break;
-            }
-            window = (window / 2).max(1);
-        }
-        if executions >= max_executions || current.steps.len() == before {
-            break;
-        }
-    }
+    let failure = run_chaos(case).expect_err("shrink_chaos requires a case that fails");
+    let budget = max_executions.saturating_sub(1);
+    let (steps, failure, runs) = ddmin(case.steps.clone(), failure, budget, |steps| {
+        let steps = steps.to_vec();
+        run_chaos(&ChaosCase { steps, ..*case }).err()
+    });
     ChaosShrinkOutcome {
-        case: current,
+        case: ChaosCase { steps, ..*case },
         failure,
-        executions,
+        executions: 1 + runs,
     }
 }
 

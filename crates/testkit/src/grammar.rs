@@ -1,25 +1,22 @@
 //! Seeded generation of fuzz cases from a weighted op grammar.
 //!
-//! A [`FuzzCase`] is fully self-describing: the overlay parameters, the
-//! network profile of the lossy companion run, and an engine-agnostic
-//! [`WorkloadOp`] script (participants named by dense population index, so
-//! the script survives arbitrary subsequence removal during shrinking).
-//! Generation reuses [`OpBatchGenerator`]/[`OpMix`] as the grammar
-//! backbone: the script opens with a warm-up burst of inserts, then
-//! alternates weighted segments — read-heavy serving, churn bursts,
-//! read-only stretches (long runs of reads over one epoch), a balanced
-//! mix that includes snapshots, and service segments (region pub/sub and
-//! coordinate-keyed KV traffic, occasionally with a Zipf-skewed hot-topic
-//! palette) — while the lossy profile layers
-//! network events on top: iid loss and a partition window, both from the
-//! chaos layer's fault injection, and latency shifts on the hub.
-//! Service segments are always part of the rotation; [`FuzzSpec::services`]
-//! biases generation towards them for service-focused fuzzing.
+//! A [`FuzzCase`] is fully self-describing: the overlay parameters and an
+//! engine-agnostic [`WorkloadOp`] script (participants named by dense
+//! population index, so the script survives arbitrary subsequence
+//! removal during shrinking).  Generation reuses
+//! [`OpBatchGenerator`]/[`OpMix`] as the grammar backbone: the script
+//! opens with a warm-up burst of inserts, then alternates weighted
+//! segments — read-heavy serving, churn bursts, read-only stretches (long
+//! runs of reads over one epoch), a balanced mix that includes snapshots,
+//! and service segments (region pub/sub and coordinate-keyed KV traffic,
+//! occasionally with a Zipf-skewed hot-topic palette).  Every case runs on
+//! an ideal network; loss, partitions and crashes are the chaos harness's
+//! ([`crate::chaos`]).  Service segments are always part of the rotation;
+//! [`FuzzSpec::services`] biases generation towards them for
+//! service-focused fuzzing.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use voronet_net::LinkFaults;
-use voronet_sim::{LatencyModel, NetworkModel};
 use voronet_workloads::{Distribution, OpBatchGenerator, OpMix, PointGenerator, WorkloadOp};
 
 /// Knobs of case generation (what [`generate_case`] consumes).
@@ -33,9 +30,6 @@ pub struct FuzzSpec {
     pub ops: usize,
     /// Provisioned overlay capacity (`N_max`).
     pub nmax: usize,
-    /// Whether to attach a lossy network profile (adds the lossy cluster
-    /// companion run).
-    pub lossy: bool,
     /// Bias generation towards service segments (pub/sub + KV).  Service
     /// traffic appears in every case regardless; this roughly triples its
     /// share for service-focused fuzzing.
@@ -50,7 +44,6 @@ impl FuzzSpec {
             warmup: 24,
             ops: 220,
             nmax: 400,
-            lossy: seed % 2 == 1,
             services: false,
         }
     }
@@ -62,78 +55,7 @@ impl FuzzSpec {
             warmup: 120,
             ops: 10_000,
             nmax: 4_000,
-            lossy: true,
             services: false,
-        }
-    }
-}
-
-/// The network conditions of the lossy companion run, in serializable
-/// form: a latency-only hub ([`NetProfile::network`]) whose endpoints
-/// the chaos layer's `FaultTransport` wraps ([`NetProfile::link`], and
-/// the partition the harness opens and heals).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum NetProfile {
-    /// No companion run: only the three deterministic executions.
-    Ideal,
-    /// A lossy, latency-shifting, occasionally partitioned network.
-    Lossy {
-        /// Seed of the hub's latency draws and of every endpoint's fault
-        /// rolls.
-        seed: u64,
-        /// iid per-frame drop probability.
-        loss: f64,
-        /// Initial latency bounds (uniform in `[min, max]`).
-        lat_min: u64,
-        /// Upper latency bound.
-        lat_max: u64,
-        /// Optional latency shift: from hub instant `.0`, latency becomes
-        /// uniform in `[.1, .2]`.
-        shift: Option<(u64, u64, u64)>,
-        /// Optional partition `(start, end, groups)`: the cluster splits
-        /// into `groups` before op `start` and heals before op `end`,
-        /// counted in the resolved op stream as
-        /// [`Divergence::op_index`](crate::Divergence::op_index)
-        /// counts it.
-        partition: Option<(u64, u64, u64)>,
-    },
-}
-
-impl NetProfile {
-    /// The hub's latency model.
-    pub fn network(&self) -> NetworkModel {
-        match *self {
-            NetProfile::Ideal => NetworkModel::ideal(),
-            NetProfile::Lossy {
-                seed,
-                lat_min,
-                lat_max,
-                shift,
-                ..
-            } => {
-                let mut model = NetworkModel::new(
-                    seed,
-                    LatencyModel::Uniform {
-                        min: lat_min,
-                        max: lat_max,
-                    },
-                );
-                if let Some((at, min, max)) = shift {
-                    model = model.with_latency_shift(at, LatencyModel::Uniform { min, max });
-                }
-                model
-            }
-        }
-    }
-
-    /// The link faults every endpoint rolls.
-    pub fn link(&self) -> LinkFaults {
-        match *self {
-            NetProfile::Ideal => LinkFaults::default(),
-            NetProfile::Lossy { loss, .. } => LinkFaults {
-                drop: loss,
-                ..LinkFaults::default()
-            },
         }
     }
 }
@@ -145,12 +67,9 @@ pub struct FuzzCase {
     pub seed: u64,
     /// Provisioned overlay capacity.
     pub nmax: usize,
-    /// Ops per resolution round (scripts resolve participant indices
-    /// against live state once per round, so later rounds can address
-    /// objects inserted by earlier ones).
+    /// Ops per audit round: the harness audits the whole fleet after
+    /// every `round` ops.
     pub round: usize,
-    /// Network profile of the lossy companion run.
-    pub net: NetProfile,
     /// The op script.
     pub script: Vec<WorkloadOp>,
 }
@@ -242,49 +161,10 @@ pub fn generate_case(spec: &FuzzSpec) -> FuzzCase {
         script.extend(segment);
     }
 
-    let net = if spec.lossy {
-        let lat_min = rng.random_range(1..4u64);
-        let lat_max = lat_min + rng.random_range(1..12u64);
-        let shift = if rng.random_range(0..2u32) == 0 {
-            let min = rng.random_range(1..6u64);
-            Some((
-                rng.random_range(50..400u64),
-                min,
-                min + rng.random_range(1..20u64),
-            ))
-        } else {
-            None
-        };
-        // A partition opens and heals inside the script, after the
-        // warm-up.
-        let last = (script.len() as u64).saturating_sub(1);
-        let partition = if rng.random_range(0..3u32) == 0 && last > spec.warmup as u64 {
-            let start = rng.random_range(spec.warmup as u64..last);
-            Some((
-                start,
-                (start + rng.random_range(20..200u64)).min(last),
-                rng.random_range(2..4u64),
-            ))
-        } else {
-            None
-        };
-        NetProfile::Lossy {
-            seed: rng.random::<u64>(),
-            loss: f64::from(rng.random_range(1..30u32)) / 100.0,
-            lat_min,
-            lat_max,
-            shift,
-            partition,
-        }
-    } else {
-        NetProfile::Ideal
-    };
-
     FuzzCase {
         seed: spec.seed,
         nmax: spec.nmax,
         round: 64,
-        net,
         script,
     }
 }
@@ -315,41 +195,5 @@ mod tests {
         assert!(tail
             .iter()
             .any(|op| matches!(op, WorkloadOp::Insert { .. })));
-    }
-
-    /// A lossy profile drops frames through the fault layer, and a
-    /// partition it draws opens inside the script: the lossy member's
-    /// endpoints cut frames at its boundary.
-    #[test]
-    fn lossy_profiles_drop_frames_and_their_partitions_fire() {
-        let spec = |seed| FuzzSpec {
-            warmup: 16,
-            ops: 96,
-            lossy: true,
-            ..FuzzSpec::smoke(seed)
-        };
-        let case = generate_case(&spec(3));
-        assert!(case.net.link().drop > 0.0, "{:?}", case.net);
-        let ideal = generate_case(&FuzzSpec {
-            lossy: false,
-            ..FuzzSpec::smoke(3)
-        });
-        assert_eq!(ideal.net, NetProfile::Ideal);
-
-        let case = (1..)
-            .map(|seed| generate_case(&spec(seed)))
-            .find(|case| {
-                matches!(
-                    case.net,
-                    NetProfile::Lossy {
-                        partition: Some(_),
-                        ..
-                    }
-                )
-            })
-            .expect("a third of lossy profiles carry a partition");
-        let report = crate::harness::run_case(&case, crate::frozen::Fault::None)
-            .unwrap_or_else(|d| panic!("seed {}: {d}", case.seed));
-        assert!(report.lossy_partitioned > 0, "{:?}: {report:?}", case.net);
     }
 }

@@ -1,5 +1,5 @@
-//! The differential harness: one script, three executions plus a lossy
-//! companion, zero tolerated disagreement.
+//! The differential harness: one script, three executions, zero tolerated
+//! disagreement.
 //!
 //! [`run_case`] replays a [`FuzzCase`] simultaneously against
 //!
@@ -19,22 +19,17 @@
 //! checking every [`OpResult`] element-wise across all three and against
 //! the O(n²) [`OracleModel`].  The sync and frozen executions carry the
 //! single-process service layer (`ServiceEngine`), the model the
-//! cluster's own service plane is held to.  When the case carries a lossy
-//! [`NetProfile`], a fourth execution runs beside them: the chaos layer's
-//! rig, a cluster on a hub with that profile's latency whose every
-//! endpoint is a [`FaultTransport`] dropping the profile's share of
-//! frames, partitioned from the profile's start op to its end op.  The
-//! cluster resends what the network loses, but an op can still
-//! run out of its retry budget (`OperationLost`) or meet a host the
-//! failure detector declared dead (`Unavailable`), and its population then
-//! lags the script, so it is checked for *sanity* instead: only those
-//! failures (plus the unknown-object and duplicate-position errors a
-//! lagging population causes), structural invariants intact after every
-//! round.
+//! cluster's own service plane is held to.  Every execution runs on an
+//! ideal network: a cluster meeting loss, partitions and crashes is the
+//! chaos harness's ([`crate::chaos::run_chaos`]).
 //!
-//! Audit points close every resolution round: populations, dense orders,
-//! coordinates, aggregate stats, per-kind traffic counts and invariant
-//! audits (with non-vacuity asserted via
+//! Each script op is resolved against the sync engine's live population
+//! just before the sync engine applies it ([`resolve_op`]), so it can
+//! address any object an earlier op created; the others then execute the
+//! ops exactly as resolved.  Audit points close every round of
+//! [`FuzzCase::round`] ops: populations, dense orders, coordinates,
+//! aggregate stats, per-kind traffic counts and invariant audits (with
+//! non-vacuity asserted via
 //! [`InvariantAudit`](voronet_core::InvariantAudit) counts), the service
 //! state — the frozen execution's whole `ServiceState` and the cluster
 //! driver's subscriptions and KV placements against the sync model's,
@@ -43,25 +38,17 @@
 //! Voronoi neighbour relation.
 
 use crate::frozen::{Fault, FrozenReplay};
-use crate::grammar::{FuzzCase, NetProfile};
+use crate::grammar::FuzzCase;
 use crate::oracle::OracleModel;
-use std::time::Duration;
 use voronet_api::{resolve_workload, Op, OpResult, Overlay, SyncEngine};
-use voronet_core::{ErrorKind, VoroNetConfig};
+use voronet_core::VoroNetConfig;
 use voronet_geom::Point2;
-use voronet_net::{
-    FaultCtl, FaultEvent, FaultTransport, InlineCluster, RetryPolicy, Transport, VnetHub,
-    VnetTransport,
-};
+use voronet_net::InlineCluster;
 use voronet_services::ServiceEngine;
+use voronet_workloads::WorkloadOp;
 
-/// Hosts of every cluster in the fleet.
+/// Hosts of the fleet's cluster.
 const HOSTS: u64 = 3;
-/// Time budget of one op on the lossy cluster: 40 resends on the default
-/// 25 ms cadence.  The default 30 s budget makes each op the network keeps
-/// losing wait out 30 000 idle turns of the pump, and the 10k-op smoke
-/// case then spends ~30 s of wall time on the ~200 ops it loses.
-const LOSSY_BUDGET: Duration = Duration::from_secs(1);
 
 /// A disagreement between executions (or between an execution and the
 /// oracle): what the fuzzer hunts and the shrinker preserves.
@@ -90,14 +77,10 @@ impl std::fmt::Display for Divergence {
 pub struct RunReport {
     /// Ops resolved and executed on every engine.
     pub ops_run: usize,
-    /// Resolution rounds (== audit points).
+    /// Audit rounds (== audit points).
     pub rounds: usize,
     /// Final population.
     pub population: usize,
-    /// Operations the lossy companion run lost to the network.
-    pub lossy_lost: usize,
-    /// Frames the lossy companion's partition cut.
-    pub lossy_partitioned: u64,
     /// Invariant checks performed across all audits (sum of audited
     /// nodes).
     pub invariants_checked: usize,
@@ -107,64 +90,7 @@ struct Fleet {
     sync: ServiceEngine<SyncEngine>,
     cluster: InlineCluster,
     frozen: ServiceEngine<FrozenReplay>,
-    lossy: Option<Lossy>,
     oracle: OracleModel,
-}
-
-/// The lossy companion: a cluster over fault-injecting endpoints, and the
-/// partition its switchboard opens and heals.
-struct Lossy {
-    cluster: InlineCluster<FaultTransport<VnetTransport>>,
-    ctl: FaultCtl,
-    /// The partition and its heal, by the op index they fire before.
-    events: Vec<(usize, FaultEvent)>,
-}
-
-impl Lossy {
-    fn start(net: NetProfile, config: VoroNetConfig) -> Option<Lossy> {
-        let NetProfile::Lossy {
-            seed, partition, ..
-        } = net
-        else {
-            return None;
-        };
-        let hub = VnetHub::new(net.network());
-        let ctl = FaultCtl::new(net.link());
-        let mut cluster = InlineCluster::start_with(HOSTS, config, |peer| {
-            FaultTransport::new(hub.endpoint(peer), ctl.clone(), seed)
-        });
-        cluster.driver().set_retry_policy(RetryPolicy {
-            budget: LOSSY_BUDGET,
-            ..RetryPolicy::default()
-        });
-        let mut events = Vec::new();
-        if let Some((start, end, groups)) = partition {
-            events.push((start as usize, FaultEvent::Partition(groups)));
-            events.push((end as usize, FaultEvent::Heal));
-            events.sort_by_key(|&(at, _)| at);
-        }
-        Some(Lossy {
-            cluster,
-            ctl,
-            events,
-        })
-    }
-
-    /// Applies the ops the resolved stream holds from index `base` on,
-    /// firing each partition event before the op its index names.
-    fn apply_batch(&mut self, base: usize, ops: &[Op]) -> Vec<OpResult> {
-        let mut results = Vec::with_capacity(ops.len());
-        let mut done = 0;
-        for &(at, event) in &self.events {
-            if let Some(cut) = at.checked_sub(base).filter(|&cut| cut < ops.len()) {
-                results.extend(self.cluster.apply_batch(&ops[done..cut]));
-                done = cut;
-                self.ctl.apply(event);
-            }
-        }
-        results.extend(self.cluster.apply_batch(&ops[done..]));
-        results
-    }
 }
 
 impl Fleet {
@@ -177,7 +103,6 @@ impl Fleet {
             sync: ServiceEngine::new(SyncEngine::new(config)),
             cluster: InlineCluster::start(HOSTS, config),
             frozen: ServiceEngine::new(FrozenReplay::new(config, fault)),
-            lossy: Lossy::start(case.net, config),
             oracle: OracleModel::new(&config),
         }
     }
@@ -340,49 +265,12 @@ fn audit_fleet(fleet: &mut Fleet, round: usize, report: &mut RunReport) -> Resul
     Ok(())
 }
 
-fn check_lossy(
-    lossy: &mut Lossy,
-    base: usize,
-    ops: &[Op],
-    report: &mut RunReport,
-) -> Result<(), Divergence> {
-    let results = lossy.apply_batch(base, ops);
-    for (i, result) in results.iter().enumerate() {
-        if let OpResult::Failed(e) = result {
-            match e.kind() {
-                // An exhausted retry ladder, or a host the failure
-                // detector declared dead failing fast: the cluster's own
-                // failure modes under loss.
-                ErrorKind::OperationLost | ErrorKind::Unavailable => report.lossy_lost += 1,
-                // The lossy overlay's population legitimately lags the
-                // script (lost joins), so later ops may reference objects
-                // it never admitted or kept — and an insert the reference
-                // rejected as a duplicate may collide differently here.
-                ErrorKind::UnknownObject(_)
-                | ErrorKind::UnknownBootstrap(_)
-                | ErrorKind::DuplicatePosition(_) => {}
-                other => {
-                    return Err(Divergence {
-                        op_index: Some(base + i),
-                        kind: "lossy:error-kind".to_string(),
-                        detail: format!(
-                            "lossy run failed op {:?} with unexpected kind {other:?}: {e}",
-                            ops[i]
-                        ),
-                    })
-                }
-            }
-        }
-    }
-    // Only the *overlay* invariants are demanded here: the lossy
-    // driver's KV table follows a population that lags the script, so
-    // its placements are audited on the ideal cluster instead.
-    lossy.cluster.verify_invariants().map_err(|e| Divergence {
-        op_index: None,
-        kind: "lossy:invariants".to_string(),
-        detail: format!("lossy run violated invariants: {e}"),
-    })?;
-    Ok(())
+/// Binds one script op to `engine`'s live population, the way
+/// [`resolve_workload`] binds a batch: participant indices are taken
+/// modulo the population, and an op naming a participant is dropped
+/// (`None`) while the population is empty.
+pub fn resolve_op(engine: &dyn Overlay, op: &WorkloadOp) -> Option<Op> {
+    resolve_workload(engine, std::slice::from_ref(op)).pop()
 }
 
 /// Executes a case across the fleet.  `Ok` means every check of every
@@ -393,12 +281,18 @@ pub fn run_case(case: &FuzzCase, fault: Fault) -> Result<RunReport, Divergence> 
     let round_len = case.round.max(1);
 
     for (round, chunk) in case.script.chunks(round_len).enumerate() {
-        // Resolve participant indices against live state once per round,
-        // so this round's ops can address objects earlier rounds created.
-        let ops = resolve_workload(&fleet.sync, chunk);
+        // Each op is resolved just before the sync engine applies it, so
+        // it can address objects any earlier op created.
+        let mut ops = Vec::with_capacity(chunk.len());
+        let mut reference = Vec::with_capacity(chunk.len());
+        for step in chunk {
+            if let Some(op) = resolve_op(&fleet.sync, step) {
+                reference.push(fleet.sync.apply(&op));
+                ops.push(op);
+            }
+        }
         let base = report.ops_run;
 
-        let reference: Vec<OpResult> = ops.iter().map(|op| fleet.sync.apply(op)).collect();
         let cluster = fleet.cluster.apply_batch(&ops);
         if let Some(d) = result_divergence("cluster", base, &ops, &reference, &cluster) {
             return Err(d);
@@ -417,19 +311,12 @@ pub fn run_case(case: &FuzzCase, fault: Fault) -> Result<RunReport, Divergence> 
                     detail: e,
                 })?;
         }
-        if let Some(lossy) = fleet.lossy.as_mut() {
-            check_lossy(lossy, base, &ops, &mut report)?;
-        }
 
         report.ops_run += ops.len();
         report.rounds = round + 1;
         audit_fleet(&mut fleet, round, &mut report)?;
     }
     report.population = fleet.sync.len();
-    if let Some(lossy) = &fleet.lossy {
-        let endpoints = lossy.cluster.endpoints();
-        report.lossy_partitioned = endpoints.map(|t| t.stats().dropped_partition).sum();
-    }
     Ok(report)
 }
 
@@ -454,12 +341,26 @@ mod tests {
         }
     }
 
+    /// Ops resolve one at a time against the live population, so the
+    /// first round's routes, queries and service ops address the objects
+    /// its own inserts created instead of being dropped: every op of a
+    /// script that never empties the population runs.
+    #[test]
+    fn every_script_op_runs() {
+        let case = generate_case(&FuzzSpec {
+            warmup: 16,
+            ops: 96,
+            ..FuzzSpec::smoke(5)
+        });
+        let report = run_case(&case, Fault::None).unwrap_or_else(|d| panic!("{d}"));
+        assert_eq!(report.ops_run, case.script.len(), "{report:?}");
+    }
+
     #[test]
     fn the_planted_fault_is_detected() {
         let case = generate_case(&FuzzSpec {
             warmup: 12,
             ops: 64,
-            lossy: false,
             ..FuzzSpec::smoke(11)
         });
         let d = run_case(&case, Fault::FrozenRouteExtraHop)

@@ -15,14 +15,13 @@
 //!   that predicts every op result from first principles;
 //! * [`grammar`] — seeded generation of [`grammar::FuzzCase`]s
 //!   from a weighted op grammar (built on
-//!   [`OpMix`](voronet_workloads::OpMix)), including network-event
-//!   profiles (loss, latency shifts, a partition);
+//!   [`OpMix`](voronet_workloads::OpMix));
 //! * [`harness`] — [`harness::run_case`], the differential executor over
-//!   sync, cluster and frozen (plus a lossy cluster over the chaos
-//!   layer's fault-injecting endpoints);
+//!   sync, cluster and frozen on an ideal network;
 //! * [`frozen`] — the frozen-snapshot execution plus deliberate
 //!   [`frozen::Fault`] injection for self-testing the checker;
-//! * [`shrink`] — ddmin-style script minimisation of diverging cases;
+//! * [`shrink`] — the ddmin both fuzzers shrink through, and script
+//!   minimisation of diverging cases;
 //! * [`repro`] — `.ron`-style reproducer files under
 //!   `tests/reproducers/`, written on divergence and replayed by CI;
 //! * [`prop`] — the seeded property-check harness (with input
@@ -31,7 +30,8 @@
 //!   (round-trip canonicality, truncation/corruption totality), run by
 //!   the fuzz binary's `--codec` pass;
 //! * [`chaos`] — seeded crash/partition fuzzing of the fault-tolerant
-//!   cluster: replayable timelines of workload ops and fault events,
+//!   cluster, the one place a cluster meets loss, partitions and crashes:
+//!   replayable timelines of workload ops and fault events,
 //!   a no-acked-write-lost/no-livelock oracle, ddmin shrinking and
 //!   `.ron` reproducers under `tests/chaos/`, run by the fuzz binary's
 //!   `--chaos` pass.
@@ -60,8 +60,8 @@ pub use codec::{
     check_corruption, check_roundtrip, check_truncations, random_frame, run_codec_pass,
 };
 pub use frozen::{Fault, FrozenReplay};
-pub use grammar::{generate_case, FuzzCase, FuzzSpec, NetProfile};
-pub use harness::{run_case, Divergence, RunReport};
+pub use grammar::{generate_case, FuzzCase, FuzzSpec};
+pub use harness::{resolve_op, run_case, Divergence, RunReport};
 pub use oracle::OracleModel;
 pub use prop::{check_cases, ShrinkInput};
 pub use repro::{

@@ -5,69 +5,71 @@
 //! derives one RNG per case from a base seed, runs the property (a
 //! closure returning `Err(diagnostic)` on failure — see
 //! [`tk_ensure!`](crate::tk_ensure)),
-//! and on failure greedily shrinks the generated input before panicking
-//! with the **seed, case number, shrunk input and diagnostic** — so every
-//! failure is reproducible and minimal by construction.
+//! and on failure shrinks the generated input (lists through the
+//! testkit's one ddmin, the fuzzers' shrinker) before panicking with the
+//! **seed, case number, shrunk input and diagnostic** — so every failure
+//! is reproducible and minimal by construction.
 
+use crate::shrink::ddmin;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Inputs the harness knows how to shrink.  `candidates` returns reduced
-/// variants to try, most aggressive first; shrinking greedily walks to
-/// the first still-failing candidate until a fixpoint.
+/// Inputs the harness knows how to shrink.
 pub trait ShrinkInput: Clone {
-    /// Reduced variants of `self`, most aggressive first.
-    fn candidates(&self) -> Vec<Self>;
+    /// Shrinks `self`, known to fail with `failure`, with at most
+    /// `budget` runs of `fails` (which reports a still-failing
+    /// candidate's diagnostic).  Returns the smallest input found that
+    /// still fails, its diagnostic and the runs spent.
+    fn shrink(
+        self,
+        failure: String,
+        budget: usize,
+        fails: impl FnMut(&Self) -> Option<String>,
+    ) -> (Self, String, usize);
 }
 
+/// Lists shrink by chunk removal: halves, then quarters, down to single
+/// elements.
 impl<T: Clone> ShrinkInput for Vec<T> {
-    fn candidates(&self) -> Vec<Self> {
-        let mut out = Vec::new();
-        let n = self.len();
-        if n == 0 {
-            return out;
-        }
-        // Drop halves, then quarters, then single elements.
-        let mut window = (n / 2).max(1);
-        loop {
-            let mut start = 0;
-            while start < n {
-                let end = (start + window).min(n);
-                let mut candidate = self.clone();
-                candidate.drain(start..end);
-                out.push(candidate);
-                start = end;
-            }
-            if window == 1 {
-                break;
-            }
-            window = (window / 2).max(1);
-        }
-        out
+    fn shrink(
+        self,
+        failure: String,
+        budget: usize,
+        mut fails: impl FnMut(&Self) -> Option<String>,
+    ) -> (Self, String, usize) {
+        ddmin(self, failure, budget, |v| fails(&v.to_vec()))
     }
 }
 
 /// Pairs shrink their first component and carry the second along (e.g. a
 /// point set plus a fixed query point).
 impl<A: ShrinkInput, B: Clone> ShrinkInput for (A, B) {
-    fn candidates(&self) -> Vec<Self> {
-        self.0
-            .candidates()
-            .into_iter()
-            .map(|a| (a, self.1.clone()))
-            .collect()
+    fn shrink(
+        self,
+        failure: String,
+        budget: usize,
+        mut fails: impl FnMut(&Self) -> Option<String>,
+    ) -> (Self, String, usize) {
+        let (a, b) = self;
+        let (a, failure, runs) = a.shrink(failure, budget, |a| fails(&(a.clone(), b.clone())));
+        ((a, b), failure, runs)
     }
 }
 
 /// Triples shrink their first component like pairs do (a seed or a work
 /// list plus two fixed parameters).
 impl<A: ShrinkInput, B: Clone, C: Clone> ShrinkInput for (A, B, C) {
-    fn candidates(&self) -> Vec<Self> {
-        self.0
-            .candidates()
-            .into_iter()
-            .map(|a| (a, self.1.clone(), self.2.clone()))
-            .collect()
+    fn shrink(
+        self,
+        failure: String,
+        budget: usize,
+        mut fails: impl FnMut(&Self) -> Option<String>,
+    ) -> (Self, String, usize) {
+        let (a, b, c) = self;
+        let (a, failure, runs) = a.shrink(failure, budget, |a| {
+            fails(&(a.clone(), b.clone(), c.clone()))
+        });
+        ((a, b, c), failure, runs)
     }
 }
 
@@ -78,42 +80,18 @@ impl<A: ShrinkInput, B: Clone, C: Clone> ShrinkInput for (A, B, C) {
 macro_rules! atomic_shrink_input {
     ($($t:ty),* $(,)?) => {
         $(impl ShrinkInput for $t {
-            fn candidates(&self) -> Vec<Self> {
-                Vec::new()
+            fn shrink(
+                self,
+                failure: String,
+                _budget: usize,
+                _fails: impl FnMut(&Self) -> Option<String>,
+            ) -> (Self, String, usize) {
+                (self, failure, 0)
             }
         })*
     };
 }
 atomic_shrink_input!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64, bool);
-
-fn shrink<T: ShrinkInput>(
-    input: T,
-    message: String,
-    test: impl Fn(&T) -> Result<(), String>,
-    budget: usize,
-) -> (T, String, usize) {
-    let mut current = input;
-    let mut current_msg = message;
-    let mut spent = 0usize;
-    loop {
-        let mut reduced = false;
-        for candidate in current.candidates() {
-            if spent >= budget {
-                return (current, current_msg, spent);
-            }
-            spent += 1;
-            if let Err(msg) = run_property(&test, &candidate) {
-                current = candidate;
-                current_msg = msg;
-                reduced = true;
-                break;
-            }
-        }
-        if !reduced {
-            return (current, current_msg, spent);
-        }
-    }
-}
 
 /// Runs the property once, converting a panic inside it into an ordinary
 /// failure diagnostic — so `.unwrap()`s and `assert!`s in property code
@@ -148,7 +126,9 @@ where
         let mut rng = StdRng::seed_from_u64(seed);
         let input = generate(&mut rng);
         if let Err(message) = run_property(&test, &input) {
-            let (min_input, min_message, steps) = shrink(input, message, &test, 512);
+            let (min_input, min_message, steps) = input.shrink(message, 512, |candidate| {
+                run_property(&test, candidate).err()
+            });
             panic!(
                 "property `{name}` failed at seed {seed} (case {case} of {cases}, base seed \
                  {base_seed}):\n  {min_message}\n  shrunk input after {steps} shrink runs: \
@@ -293,15 +273,19 @@ mod tests {
     }
 
     #[test]
-    fn vec_candidates_cover_halves_and_single_elements() {
-        let v: Vec<u32> = (0..8).collect();
-        let cands = v.candidates();
-        assert!(cands.iter().any(|c| c.len() == 4), "halves");
-        assert!(
-            cands.iter().any(|c| c.len() == 7),
-            "single-element removals"
+    fn lists_shrink_through_ddmin_and_tuples_carry_the_rest() {
+        let fails = |(v, tag): &(Vec<u32>, char)| {
+            assert_eq!(*tag, 'q', "the second component rides along");
+            (v.contains(&3) && v.contains(&7)).then(|| "3 and 7".to_string())
+        };
+        let input = ((0..40).collect::<Vec<u32>>(), 'q');
+        let ((shrunk, tag), message, runs) = input.shrink("3 and 7".into(), 512, fails);
+        assert_eq!((shrunk, tag), (vec![3, 7], 'q'));
+        assert_eq!(message, "3 and 7");
+        assert!(runs > 0 && runs < 512, "{runs} runs");
+        assert_eq!(
+            7u64.shrink("seed".into(), 512, |_| None),
+            (7, "seed".into(), 0)
         );
-        assert!(cands.iter().all(|c| c.len() < v.len()));
-        assert!(Vec::<u32>::new().candidates().is_empty());
     }
 }

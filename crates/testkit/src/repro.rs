@@ -1,12 +1,11 @@
 //! Replayable reproducer files (`.ron`-style) for diverging cases.
 //!
 //! A reproducer is a single self-contained text file holding a
-//! [`FuzzCase`]: overlay parameters, the network profile of the lossy
-//! companion run, and the full (usually shrunk) op script.  Floats are
-//! printed with Rust's shortest round-trip representation, so parsing a
-//! reproducer yields a bit-identical case.  Files live under
-//! `tests/reproducers/`; CI replays every one and fails while any of
-//! them still diverges.
+//! [`FuzzCase`]: overlay parameters and the full (usually shrunk) op
+//! script.  Floats are printed with Rust's shortest round-trip
+//! representation, so parsing a reproducer yields a bit-identical case.
+//! Files live under `tests/reproducers/`; CI replays every one and fails
+//! while any of them still diverges.
 //!
 //! ```text
 //! // voronet-testkit reproducer v1
@@ -15,7 +14,6 @@
 //!     seed: 2027,
 //!     nmax: 400,
 //!     round: 64,
-//!     network: Lossy(seed: 9, loss: 0.1, lat: (1, 9), shift: None, partition: Some((60, 120, 2))),
 //!     script: [
 //!         insert(0.5, 0.25),
 //!         route(0, 1),
@@ -27,7 +25,7 @@
 //! )
 //! ```
 
-use crate::grammar::{FuzzCase, NetProfile};
+use crate::grammar::FuzzCase;
 use crate::harness::Divergence;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -92,31 +90,6 @@ pub(crate) fn encode_op(op: &WorkloadOp) -> String {
     }
 }
 
-fn encode_net(net: &NetProfile) -> String {
-    match *net {
-        NetProfile::Ideal => "Ideal".to_string(),
-        NetProfile::Lossy {
-            seed,
-            loss,
-            lat_min,
-            lat_max,
-            shift,
-            partition,
-        } => {
-            let opt = |v: Option<(u64, u64, u64)>| match v {
-                None => "None".to_string(),
-                Some((a, b, c)) => format!("Some(({a}, {b}, {c}))"),
-            };
-            format!(
-                "Lossy(seed: {seed}, loss: {loss}, lat: ({lat_min}, {lat_max}), \
-                 shift: {}, partition: {})",
-                opt(shift),
-                opt(partition)
-            )
-        }
-    }
-}
-
 /// Serializes a case (optionally annotating the divergence it triggers).
 pub fn encode_case(case: &FuzzCase, divergence: Option<&Divergence>) -> String {
     let mut out = String::new();
@@ -130,7 +103,6 @@ pub fn encode_case(case: &FuzzCase, divergence: Option<&Divergence>) -> String {
     let _ = writeln!(out, "    seed: {},", case.seed);
     let _ = writeln!(out, "    nmax: {},", case.nmax);
     let _ = writeln!(out, "    round: {},", case.round);
-    let _ = writeln!(out, "    network: {},", encode_net(&case.net));
     let _ = writeln!(out, "    script: [");
     for op in &case.script {
         let _ = writeln!(out, "        {},", encode_op(op));
@@ -286,67 +258,6 @@ impl Parser {
         }
     }
 
-    fn triple(&mut self) -> Result<(u64, u64, u64), ReproError> {
-        self.punct('(')?;
-        let a = self.u64()?;
-        self.punct(',')?;
-        let b = self.u64()?;
-        self.punct(',')?;
-        let c = self.u64()?;
-        self.punct(')')?;
-        Ok((a, b, c))
-    }
-
-    fn opt_triple(&mut self) -> Result<Option<(u64, u64, u64)>, ReproError> {
-        match self.ident()?.as_str() {
-            "None" => Ok(None),
-            "Some" => {
-                self.punct('(')?;
-                let t = self.triple()?;
-                self.punct(')')?;
-                Ok(Some(t))
-            }
-            other => Err(perr(format!("expected None or Some, found {other:?}"))),
-        }
-    }
-
-    fn net(&mut self) -> Result<NetProfile, ReproError> {
-        match self.ident()?.as_str() {
-            "Ideal" => Ok(NetProfile::Ideal),
-            "Lossy" => {
-                self.punct('(')?;
-                self.key("seed")?;
-                let seed = self.u64()?;
-                self.punct(',')?;
-                self.key("loss")?;
-                let loss = self.f64()?;
-                self.punct(',')?;
-                self.key("lat")?;
-                self.punct('(')?;
-                let lat_min = self.u64()?;
-                self.punct(',')?;
-                let lat_max = self.u64()?;
-                self.punct(')')?;
-                self.punct(',')?;
-                self.key("shift")?;
-                let shift = self.opt_triple()?;
-                self.punct(',')?;
-                self.key("partition")?;
-                let partition = self.opt_triple()?;
-                self.punct(')')?;
-                Ok(NetProfile::Lossy {
-                    seed,
-                    loss,
-                    lat_min,
-                    lat_max,
-                    shift,
-                    partition,
-                })
-            }
-            other => Err(perr(format!("unknown network profile {other:?}"))),
-        }
-    }
-
     /// Four comma-separated floats `ax, ay, bx, by` forming a rectangle.
     fn rect(&mut self) -> Result<Rect, ReproError> {
         let ax = self.f64()?;
@@ -480,9 +391,6 @@ pub fn parse_case(text: &str) -> Result<FuzzCase, ReproError> {
     p.key("round")?;
     let round = p.usize()?;
     p.punct(',')?;
-    p.key("network")?;
-    let net = p.net()?;
-    p.punct(',')?;
     p.key("script")?;
     p.punct('[')?;
     let mut script = Vec::new();
@@ -514,7 +422,6 @@ pub fn parse_case(text: &str) -> Result<FuzzCase, ReproError> {
         seed,
         nmax,
         round,
-        net,
         script,
     })
 }

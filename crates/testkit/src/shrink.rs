@@ -1,19 +1,68 @@
-//! Delta-debugging shrinker for diverging fuzz cases.
+//! Delta-debugging shrinker for diverging fuzz cases, and the one ddmin
+//! both fuzzers shrink through.
 //!
-//! Scripts are sequences of index-named
-//! [`WorkloadOp`](voronet_workloads::WorkloadOp)s, so *any*
-//! subsequence is still executable (participant indices are taken modulo
-//! the live population and resolution drops ops the state cannot
-//! support).  That makes classic ddmin applicable without repair logic:
-//! repeatedly try removing chunks of the script — halves first, then
-//! smaller windows, down to single ops — and keep every removal after
-//! which [`run_case`] still reports *a*
-//! divergence.  The reproducer keeps the final (usually much smaller)
-//! script plus the divergence it still triggers.
+//! `ddmin` minimises any step list against a failing predicate:
+//! repeatedly try removing chunks — halves first, then smaller windows,
+//! down to single steps — and keep every removal after which the
+//! predicate still fails.  Fuzz scripts are sequences of index-named
+//! [`WorkloadOp`](voronet_workloads::WorkloadOp)s, so *any* subsequence
+//! is still executable (each op's participant indices are taken modulo
+//! the live population, and an op naming a participant is skipped while
+//! the population is empty), and chaos timelines
+//! ([`crate::chaos::shrink_chaos`]) are op and fault steps with the same
+//! property: ddmin applies to both without repair logic.
+//! [`shrink_case`] keeps the final (usually much smaller) script plus the
+//! divergence it still triggers.
 
 use crate::frozen::Fault;
 use crate::grammar::FuzzCase;
 use crate::harness::{run_case, Divergence};
+
+/// Classic ddmin over a step list.  Sweeps windows from half the list
+/// down to single steps, keeping every removal after which `fails` still
+/// reports a failure, until a whole sweep removes nothing (the list is
+/// 1-minimal with respect to chunk removal) or `fails` has run `budget`
+/// times.  Returns the shrunk list, which always still fails, the
+/// failure its last failing run reported (`failure`, the caller's own,
+/// if none did) and the number of runs spent.
+pub(crate) fn ddmin<T: Clone, E>(
+    mut steps: Vec<T>,
+    mut failure: E,
+    budget: usize,
+    mut fails: impl FnMut(&[T]) -> Option<E>,
+) -> (Vec<T>, E, usize) {
+    let mut runs = 0;
+    loop {
+        let before = steps.len();
+        let mut window = (steps.len() / 2).max(1);
+        loop {
+            let mut start = 0;
+            while start < steps.len() && runs < budget {
+                let end = (start + window).min(steps.len());
+                let mut candidate = steps[..start].to_vec();
+                candidate.extend_from_slice(&steps[end..]);
+                runs += 1;
+                match fails(&candidate) {
+                    Some(f) => {
+                        // The removal preserved a failure: keep it and
+                        // stay at the same position (the next window slid
+                        // into it).
+                        steps = candidate;
+                        failure = f;
+                    }
+                    None => start = end,
+                }
+            }
+            if window == 1 || runs >= budget {
+                break;
+            }
+            window /= 2;
+        }
+        if runs >= budget || steps.len() == before {
+            return (steps, failure, runs);
+        }
+    }
+}
 
 /// The result of shrinking a diverging case.
 #[derive(Debug, Clone)]
@@ -26,79 +75,21 @@ pub struct ShrinkOutcome {
     pub executions: usize,
 }
 
-/// Minimises `case` (known to diverge under `fault`) with at most
-/// `max_executions` re-runs of the harness.  The returned case always
-/// still diverges; if the budget runs out the partially shrunk case is
-/// returned.
+/// Minimises `case` (known to diverge under `fault`) by `ddmin` over
+/// its script, with at most `max_executions` runs of the harness.  The
+/// returned case always still diverges; if the budget runs out the
+/// partially shrunk case is returned.
 pub fn shrink_case(case: &FuzzCase, fault: Fault, max_executions: usize) -> ShrinkOutcome {
-    let mut divergence =
-        run_case(case, fault).expect_err("shrink_case requires a case that diverges");
-    let mut current = case.clone();
-    let mut executions = 1usize;
-
-    // Outer loop: sweep windows from half the current script down to
-    // single ops; once a whole sweep removes nothing, the script is
-    // 1-minimal with respect to chunk removal.
-    loop {
-        let before = current.script.len();
-        let mut window = (current.script.len() / 2).max(1);
-        loop {
-            let mut start = 0;
-            while start < current.script.len() && executions < max_executions {
-                let end = (start + window).min(current.script.len());
-                let mut candidate = current.clone();
-                candidate.script.drain(start..end);
-                executions += 1;
-                match run_case(&candidate, fault) {
-                    Err(d) => {
-                        // The removal preserved a divergence: keep it and
-                        // stay at the same position (the next window slid
-                        // into it).
-                        current = candidate;
-                        divergence = d;
-                    }
-                    Ok(_) => start = end,
-                }
-            }
-            if window == 1 || executions >= max_executions {
-                break;
-            }
-            window = (window / 2).max(1);
-        }
-        if executions >= max_executions {
-            break;
-        }
-        if current.script.len() == before {
-            // Chunk removal reached a fixpoint.  Participant indices
-            // resolve once per round, so an op can depend on *where the
-            // round boundaries fall* (a route is only executable in a
-            // round after the inserts it needs) — shrinking the round
-            // size to 1 makes resolution per-op and unlocks further
-            // removals.
-            let mut reduced_round = false;
-            let mut r = current.round / 2;
-            while r >= 1 && executions < max_executions {
-                let mut candidate = current.clone();
-                candidate.round = r;
-                executions += 1;
-                if let Err(d) = run_case(&candidate, fault) {
-                    current = candidate;
-                    divergence = d;
-                    reduced_round = true;
-                    break;
-                }
-                r /= 2;
-            }
-            if !reduced_round {
-                break;
-            }
-        }
-    }
-
+    let divergence = run_case(case, fault).expect_err("shrink_case requires a case that diverges");
+    let budget = max_executions.saturating_sub(1);
+    let (script, divergence, runs) = ddmin(case.script.clone(), divergence, budget, |script| {
+        let script = script.to_vec();
+        run_case(&FuzzCase { script, ..*case }, fault).err()
+    });
     ShrinkOutcome {
-        case: current,
+        case: FuzzCase { script, ..*case },
         divergence,
-        executions,
+        executions: 1 + runs,
     }
 }
 
@@ -115,7 +106,6 @@ mod tests {
         let case = generate_case(&FuzzSpec {
             warmup: 16,
             ops: 160,
-            lossy: false,
             ..FuzzSpec::smoke(2027)
         });
         let outcome = shrink_case(&case, Fault::FrozenRouteExtraHop, 2_000);
@@ -133,5 +123,21 @@ mod tests {
         // … and is clean without the fault.
         run_case(&outcome.case, Fault::None)
             .unwrap_or_else(|d| panic!("fault-free replay must be clean, got {d}"));
+    }
+
+    /// The shared ddmin finds the two steps a failure needs, and a budget
+    /// that runs out still leaves a failing list.
+    #[test]
+    fn ddmin_shrinks_to_the_failing_pair() {
+        let fails = |v: &[u32]| (v.contains(&3) && v.contains(&7)).then_some(());
+        let steps: Vec<u32> = (0..40).collect();
+        let (shrunk, (), runs) = ddmin(steps.clone(), (), 1_000, fails);
+        assert_eq!(shrunk, [3, 7]);
+        assert!(runs < 1_000, "{runs} runs");
+
+        let (partial, (), runs) = ddmin(steps, (), 3, fails);
+        assert_eq!(runs, 3);
+        assert!(partial.len() > 2, "{partial:?}");
+        assert!(fails(&partial).is_some(), "{partial:?}");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The full budget lives in the `fuzz` CLI (`crates/testkit/src/bin`),
 //! run by the CI `fuzz-smoke` step; this suite keeps a small always-on
-//! slice in `cargo test`: a handful of seeded cases through the four-way
+//! slice in `cargo test`: a handful of seeded cases through the three-way
 //! differential harness, the detect→shrink→reproduce self-test with the
 //! deliberately planted frozen-route fault, and replay of every
 //! reproducer file committed under `tests/reproducers/`.
@@ -40,7 +40,6 @@ fn planted_fault_is_caught_shrunk_and_reproducible_from_file() {
     let case = generate_case(&FuzzSpec {
         warmup: 16,
         ops: 180,
-        lossy: false,
         ..FuzzSpec::smoke(4242)
     });
     let outcome = shrink_case(&case, Fault::FrozenRouteExtraHop, 2_000);
