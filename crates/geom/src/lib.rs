@@ -44,5 +44,7 @@ pub mod voronoi;
 pub use greedy::{greedy_descent, greedy_next};
 pub use point::{clip_to_rect_into, Point2, Polygon, Rect};
 pub use predicates::{circumcenter, incircle, orient2d, Orientation};
-pub use triangulation::{InsertError, Locate, RemoveError, TriId, Triangulation, VertexId};
+pub use triangulation::{
+    hilbert_key, InsertError, Locate, RemoveError, TriId, Triangulation, VertexId,
+};
 pub use voronoi::{cell_stats, distance_to_region, voronoi_cell, CellStats, VoronoiCell};

@@ -67,7 +67,7 @@ impl Triangle {
     }
 }
 
-/// Cells per side of the grid [`Triangulation::renumber`] lays its Hilbert
+/// Cells per side of the grid [`hilbert_key`] lays its Hilbert
 /// curve over: 2¹⁶, so a key fits in 32 bits and two points share a cell
 /// only when they are within 1/65 536 of the domain's side.
 const HILBERT_SIDE: f64 = 65_536.0;
@@ -104,9 +104,21 @@ const HILBERT_STEP: [u16; 1024] = {
     table
 };
 
+/// Position of `p` along the Hilbert curve over the 2¹⁶ × 2¹⁶ grid laid
+/// on `domain`, which [`Triangulation::renumber`] orders vertices by; a
+/// point outside the domain takes the nearest border cell.
+pub fn hilbert_key(domain: Rect, p: Point2) -> u32 {
+    let Rect { min, max } = domain;
+    let cell = |lo: f64, hi: f64, c: f64| {
+        let unit = if hi > lo { (c - lo) / (hi - lo) } else { 0.0 };
+        (unit * HILBERT_SIDE).clamp(0.0, HILBERT_SIDE - 1.0) as u32
+    };
+    curve_position(cell(min.x, max.x, p.x), cell(min.y, max.y, p.y))
+}
+
 /// Position of grid cell `(x, y)` along the Hilbert curve over the
 /// 2¹⁶ × 2¹⁶ grid: four table steps, from the top bits down.
-fn hilbert_key(x: u32, y: u32) -> u32 {
+fn curve_position(x: u32, y: u32) -> u32 {
     let (mut key, mut orientation) = (0, 0);
     for shift in [12, 8, 4, 0] {
         let cell = (x >> shift & 15) << 4 | (y >> shift & 15);
@@ -1049,19 +1061,13 @@ impl Triangulation {
     /// are, so every later location, insertion, removal and neighbour scan
     /// makes the same decisions, in the same order, on relabelled vertices.
     pub fn renumber(&mut self) -> Vec<VertexId> {
-        let Rect { min, max } = self.domain;
-        let cell = |lo: f64, hi: f64, c: f64| {
-            let unit = if hi > lo { (c - lo) / (hi - lo) } else { 0.0 };
-            (unit * HILBERT_SIDE).clamp(0.0, HILBERT_SIDE - 1.0) as u32
-        };
         // Key in the high half, old id in the low half: one sort orders by
         // curve position with ties to the lower old id.  The stable sort
         // finds the long runs the last renumbering left in id order.
         let mut order: Vec<u64> = self
             .vertices()
             .map(|v| {
-                let p = self.points[v as usize];
-                let key = hilbert_key(cell(min.x, max.x, p.x), cell(min.y, max.y, p.y));
+                let key = hilbert_key(self.domain, self.points[v as usize]);
                 u64::from(key) << 32 | u64::from(v)
             })
             .collect();
@@ -1621,7 +1627,7 @@ mod tests {
         let mut by_key = vec![None; 64 * 64];
         for x in 0..64 {
             for y in 0..64 {
-                let key = hilbert_key(x, y) as usize;
+                let key = curve_position(x, y) as usize;
                 assert!(by_key[key].replace((x, y)).is_none(), "key {key} twice");
             }
         }
@@ -1631,7 +1637,7 @@ mod tests {
             assert_eq!(ax.abs_diff(bx) + ay.abs_diff(by), 1, "{:?}", w);
         }
         assert_eq!(
-            hilbert_key(65_535, 0),
+            curve_position(65_535, 0),
             u32::MAX,
             "the curve ends in the other corner"
         );
@@ -1681,7 +1687,7 @@ mod tests {
                 .map(|v| {
                     let p = renumbered.point(v);
                     let cell = |c: f64| (c * HILBERT_SIDE).min(HILBERT_SIDE - 1.0) as u32;
-                    hilbert_key(cell(p.x), cell(p.y))
+                    curve_position(cell(p.x), cell(p.y))
                 })
                 .collect();
             assert!(keys.is_sorted(), "ids follow the curve");

@@ -190,8 +190,9 @@ impl<T: Transport> Driver<T> {
 
     /// The placement of `value` under `owner`, written at `entry_seq`.
     /// Its copies come from [`Self::copies_of`] once per owner between
-    /// two membership changes: the search reads ~30 objects for the
-    /// owners whose replicas all share their host.
+    /// two membership changes: the search reads 90 objects on average for
+    /// the owners of a 2 000-object build whose replicas all share their
+    /// host, 625 at 20 000.
     fn kv_placement(&mut self, owner: ObjectId, value: u64, entry_seq: u64) -> KvPlacement {
         let copies = match self.copies.get(&owner.0) {
             Some(copies) => copies.clone(),

@@ -49,8 +49,12 @@ static ALLOC: CountingAllocator = CountingAllocator;
 /// Heap allocations of the 64 warmed `kv_put`s below.
 const PUT_ALLOCATIONS: u64 = 381;
 
-/// Heap allocations of the 16 warmed range queries below.
-const RANGE_ALLOCATIONS: u64 = 180;
+/// Heap allocations of the 16 warmed range queries below.  Four of them
+/// cross a border between two hosts' shares of the curve with more than
+/// eleven probes in flight at once, so the flood's outstanding-probe
+/// `BTreeMap` splits its root leaf: a second leaf and an internal node
+/// each.
+const RANGE_ALLOCATIONS: u64 = 188;
 
 /// Heap allocations of the one warmed join below.
 const INSERT_ALLOCATIONS: u64 = 95;
