@@ -1,12 +1,12 @@
 //! The fluent [`OverlayBuilder`]: the protocol parameters of an overlay.
 
 use crate::sync_engine::SyncEngine;
-use voronet_core::{DminRule, VoroNetConfig};
+use voronet_core::VoroNetConfig;
 use voronet_geom::Rect;
 
 /// Fluent construction of the protocol parameters: provisioned
-/// population `N_max`, seed, long-link count, `d_min` rule and attribute
-/// domain.  [`OverlayBuilder::build_sync`] builds the synchronous engine;
+/// population `N_max` (which fixes `d_min`), seed, long-link count and
+/// attribute domain.  [`OverlayBuilder::build_sync`] builds the synchronous engine;
 /// [`OverlayBuilder::config`] hands the same parameters to any other
 /// engine (`voronet_net::InlineCluster::start` takes a config).
 ///
@@ -43,12 +43,6 @@ impl OverlayBuilder {
     /// Sets the number of long-range links per object.
     pub fn long_links(mut self, k: usize) -> Self {
         self.config = self.config.with_long_links(k);
-        self
-    }
-
-    /// Sets the `d_min` derivation rule.
-    pub fn dmin_rule(mut self, rule: DminRule) -> Self {
-        self.config = self.config.with_dmin_rule(rule);
         self
     }
 

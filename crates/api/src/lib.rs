@@ -18,7 +18,7 @@
 //!   for each run of routes on the sync engine, one shared pump for each
 //!   run of routes on the cluster);
 //! * [`OverlayBuilder`] — fluent construction: provisioned population,
-//!   seed, long-link count, `d_min` rule, attribute domain;
+//!   seed, long-link count, attribute domain;
 //! * [`VoronetError`] — the one error taxonomy (re-exported from
 //!   `voronet-core`, whose concrete methods return it too);
 //! * [`resolve_workload`] — binds the index-named batch scripts of

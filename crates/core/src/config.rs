@@ -22,42 +22,16 @@ pub struct VoroNetConfig {
     /// targets, bootstrap objects); two overlays built with the same seed
     /// and the same operation sequence are identical.
     pub seed: u64,
-    /// How `d_min` is derived from `N_max` (see [`DminRule`]).
-    pub dmin_rule: DminRule,
-}
-
-/// Choice of the close-neighbour radius `d_min`.
-///
-/// The paper defines `d_min = 1/(π·N_max)` (Section 4.1) but then argues the
-/// expected close-neighbour count with `π·d_min²·N_max`, which would require
-/// `d_min = 1/√(π·N_max)`.  Both readings are implemented.  The literal value
-/// is the default: it keeps `|cn(o)|` bounded even under the extreme
-/// attribute skew of the α = 5 workload (where the square-root variant makes
-/// every object in the dense corner a close neighbour of every other,
-/// i.e. Θ(N²) state), and the overlay's correctness never depends on `d_min`
-/// being large — greedy routing terminates through the Voronoi links alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DminRule {
-    /// `d_min = 1 / (π · N_max)` — the value as printed in the paper
-    /// (Section 4.1).  Default.
-    PaperLiteral,
-    /// `d_min = 1 / sqrt(π · N_max)` — the value the paper's expected-count
-    /// computation (`π·d_min²·N_max = 1`) implicitly uses.  Gives ≈1 close
-    /// neighbour under a uniform distribution but grows quadratically under
-    /// heavy skew; exposed for the ablation discussed in DESIGN.md.
-    Analysis,
 }
 
 impl VoroNetConfig {
-    /// Creates a configuration over the unit square with one long link and
-    /// the paper's `d_min = 1/(π·N_max)` rule.
+    /// Creates a configuration over the unit square with one long link.
     pub fn new(nmax: usize) -> Self {
         VoroNetConfig {
             nmax: nmax.max(1),
             long_links: 1,
             domain: Rect::UNIT,
             seed: 0xC0FFEE,
-            dmin_rule: DminRule::PaperLiteral,
         }
     }
 
@@ -73,19 +47,14 @@ impl VoroNetConfig {
         self
     }
 
-    /// Sets the `d_min` derivation rule.
-    pub fn with_dmin_rule(mut self, rule: DminRule) -> Self {
-        self.dmin_rule = rule;
-        self
-    }
-
-    /// The close-neighbour radius `d_min` for this configuration.
+    /// The close-neighbour radius `d_min = 1/(π·N_max)`, as Section 4.1
+    /// prints it.  The paper's expected-count argument (π·d_min²·N_max = 1)
+    /// would need `1/√(π·N_max)`, but routing never depends on `d_min`
+    /// being large (greedy routing terminates through the Voronoi links
+    /// alone), and the larger radius makes a skewed corner's close sets
+    /// grow with the square of its population.
     pub fn dmin(&self) -> f64 {
-        let n = self.nmax.max(1) as f64;
-        match self.dmin_rule {
-            DminRule::Analysis => 1.0 / (std::f64::consts::PI * n).sqrt(),
-            DminRule::PaperLiteral => 1.0 / (std::f64::consts::PI * n),
-        }
+        1.0 / (std::f64::consts::PI * self.nmax.max(1) as f64)
     }
 
     /// Upper bound of the long-link radius distribution: the domain
@@ -106,22 +75,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dmin_analysis_rule_matches_unit_density() {
-        let cfg = VoroNetConfig::new(10_000).with_dmin_rule(DminRule::Analysis);
-        let d = cfg.dmin();
-        // Expected number of neighbours in a disk of radius d_min at density
-        // N_max per unit square is π d² N_max = 1.
-        let expected = std::f64::consts::PI * d * d * 10_000.0;
-        assert!((expected - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dmin_default_is_the_paper_literal_value() {
+    fn dmin_is_the_paper_value() {
         let cfg = VoroNetConfig::new(10_000);
-        assert_eq!(cfg.dmin_rule, DminRule::PaperLiteral);
         assert!((cfg.dmin() - 1.0 / (std::f64::consts::PI * 10_000.0)).abs() < 1e-18);
-        let analysis = cfg.with_dmin_rule(DminRule::Analysis);
-        assert!(cfg.dmin() < analysis.dmin() / 10.0);
     }
 
     #[test]

@@ -34,7 +34,6 @@
 
 mod arena;
 pub mod config;
-pub mod dynamic;
 pub mod error;
 pub mod object;
 pub mod overlay;
@@ -42,8 +41,7 @@ pub mod protocol;
 pub mod queries;
 pub mod snapshot;
 
-pub use config::{DminRule, VoroNetConfig};
-pub use dynamic::{adapt_nmax, AdaptationPolicy, AdaptationReport, RefreshStrategy};
+pub use config::VoroNetConfig;
 pub use error::{ErrorKind, VoronetError};
 pub use object::{BackLink, LinkIndex, LongLink, ObjectId, ObjectView, ViewRef};
 pub use overlay::{InvariantAudit, JoinReport, LeaveReport, RouteReport, VoroNet};

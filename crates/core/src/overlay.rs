@@ -1010,90 +1010,6 @@ impl VoroNet {
     }
 
     // ------------------------------------------------------------------
-    // Re-provisioning support (dynamic N_max, see `crate::dynamic`)
-    // ------------------------------------------------------------------
-
-    /// Updates the provisioned maximum number of objects.
-    ///
-    /// This changes `d_min` and the support of the long-link length
-    /// distribution for *future* draws; existing state is not touched (use
-    /// [`VoroNet::prune_close_neighbours`] and
-    /// [`VoroNet::refresh_long_links`] for that, or the full
-    /// [`crate::dynamic::adapt_nmax`] procedure).
-    pub fn set_nmax(&mut self, nmax: usize) {
-        self.config.nmax = nmax.max(1);
-    }
-
-    /// Removes every close-neighbour pair that exceeds the *current*
-    /// `d_min`, returning the number of (unordered) pairs dropped.
-    ///
-    /// Exact when `d_min` shrinks (the case of a growing `N_max`): the old
-    /// sets contained all pairs within the old, larger radius, so filtering
-    /// them leaves exactly the pairs within the new radius.
-    pub fn prune_close_neighbours(&mut self) -> usize {
-        let dmin = self.config.dmin();
-        let mut to_drop: Vec<(VertexId, VertexId)> = Vec::new();
-        for a in self.objects.ids() {
-            let va = self
-                .vertex_of(a)
-                .expect("the dense order holds live objects");
-            for &vb in self.close(va) {
-                if self.objects.object(vb) > a
-                    && self.tri.point(va).distance(self.tri.point(vb)) > dmin
-                {
-                    to_drop.push((va, vb));
-                }
-            }
-        }
-        for &(va, vb) in &to_drop {
-            self.remove_close(va, vb);
-            self.remove_close(vb, va);
-            self.traffic.record(MessageKind::CloseNeighbourExchange);
-        }
-        if !to_drop.is_empty() {
-            let dirty: Vec<ObjectId> = (to_drop.iter())
-                .flat_map(|&(va, vb)| [va, vb])
-                .map(|v| self.objects.object(v))
-                .collect();
-            self.log_change(ChangeRecord::Mutate { dirty });
-        }
-        to_drop.len()
-    }
-
-    /// Redraws and re-establishes every long-range link of `id` under the
-    /// current configuration (`Choose-LRT` with the current `d_min`),
-    /// returning the routing hops spent.  Used when `N_max` is re-estimated
-    /// (the paper's dynamic-provisioning perspective).
-    pub fn refresh_long_links(&mut self, id: ObjectId) -> Result<u32, VoronetError> {
-        let v = self.vertex(id)?;
-        // Unregister the existing back pointers.  The links themselves stay
-        // in the row until each is re-established, so the routes below scan
-        // the links not yet redrawn.
-        for link in 0..self.config.long_links {
-            let neighbour = self.objects.long(v)[link].neighbour;
-            let at = self
-                .objects
-                .vertex_of(neighbour)
-                .expect("long links name live objects");
-            self.objects.unregister(v, link, at);
-            self.traffic.record(MessageKind::LongLink);
-        }
-        let origin = self.tri.point(v);
-        let hops = self.with_scratch(|net, scratch| {
-            (0..net.config.long_links)
-                .map(|link| {
-                    let target = net.choose_long_link_target(origin);
-                    net.establish_long_link(v, link, target, scratch)
-                })
-                .sum()
-        });
-        // Only `id`'s own long links (part of its adjacency row) changed;
-        // the back-pointer moves at old/new targets are not row state.
-        self.log_change(ChangeRecord::Mutate { dirty: vec![id] });
-        Ok(hops)
-    }
-
-    // ------------------------------------------------------------------
     // Invariant checking (tests, examples, debugging)
     // ------------------------------------------------------------------
 
@@ -1330,7 +1246,7 @@ pub(crate) fn build_overlay(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{DminRule, VoroNetConfig};
+    use crate::config::VoroNetConfig;
     use crate::snapshot::ViewRefresh;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -1676,8 +1592,6 @@ mod tests {
         Leave(usize),
         Route(usize, usize),
         Query(usize, usize),
-        RefreshLinks(usize),
-        Prune,
         /// Renumbers the second overlay only.
         Renumber,
     }
@@ -1689,13 +1603,11 @@ mod tests {
                     rng.random_range(0..usize::MAX),
                     rng.random_range(0..usize::MAX),
                 );
-                match rng.random_range(0..40u32) {
+                match rng.random_range(0..37u32) {
                     0..=15 => Step::Join(i),
                     16..=21 => Step::Leave(i),
                     22..=26 => Step::Route(i, j),
                     27..=31 => Step::Query(i, j),
-                    32..=33 => Step::RefreshLinks(i),
-                    34 => Step::Prune,
                     _ => Step::Renumber,
                 }
             })
@@ -1771,10 +1683,6 @@ mod tests {
                 format!("{joined:?}")
             }
             Step::Renumber => unreachable!("the caller renumbers"),
-            Step::Prune => {
-                net.set_nmax(net.config().nmax * 2);
-                format!("{}", net.prune_close_neighbours())
-            }
             _ if live.is_empty() => String::new(),
             Step::Leave(i) => format!("{:?}", net.remove(live.swap_remove(i % live.len()))),
             Step::Route(i, j) => format!("{:?}", net.route_between(pick(i), pick(j))),
@@ -1782,7 +1690,6 @@ mod tests {
                 "{:?}",
                 net.handle_query(pick(i), targets[t % targets.len()])
             ),
-            Step::RefreshLinks(i) => format!("{:?}", net.refresh_long_links(pick(i))),
         }
     }
 
@@ -1807,11 +1714,9 @@ mod tests {
             for seed in 0..6 {
                 let case = format!("{name} seed {seed}");
                 let mut rng = StdRng::seed_from_u64(seed);
-                // `d_min` ≈ 0.14, so close sets are large and tie often.
-                let cfg = VoroNetConfig::new(16)
-                    .with_dmin_rule(DminRule::Analysis)
-                    .with_long_links(2)
-                    .with_seed(seed);
+                // `d_min` = 1/(2π) ≈ 0.159, so close sets are large and
+                // tie often.
+                let cfg = VoroNetConfig::new(2).with_long_links(2).with_seed(seed);
                 let (mut plain, mut renumbered) = (VoroNet::new(cfg), VoroNet::new(cfg));
                 let (mut live, mut live_too) = (Vec::new(), Vec::new());
                 let mut renumbers = 0;
@@ -2026,6 +1931,45 @@ mod tests {
             non_empty > 0,
             "clustered workload should create close pairs"
         );
+    }
+
+    /// |cn(o)| is the number of other objects within `d_min` of `o`, i.e.
+    /// (local density) · π·d_min² with the density taken over that disk.
+    /// Under the input class the paper provisions for — no area denser
+    /// than `N_max` objects per unit — that is ≤ 1/(π·N_max) on average
+    /// (500 uniform points: none); 500 `PowerLaw{5}` points crowd far past
+    /// it at `N_max = 500`.  Pins `(sum, p99, max, objects with |cn| > 0)`
+    /// per population.
+    #[test]
+    fn close_sets_grow_with_local_density() {
+        let power_law = Distribution::PowerLaw { alpha: 5.0 };
+        for (dist, nmax, pinned) in [
+            (power_law, 500, (143_696, 445, 449, 499)),
+            (power_law, 50_000, (30, 1, 2, 26)),
+            (Distribution::Uniform, 500, (0, 0, 0, 0)),
+        ] {
+            let mut net = VoroNet::new(VoroNetConfig::new(nmax).with_seed(2007));
+            let points = PointGenerator::new(dist, 2007).take_points(500);
+            for &p in &points {
+                net.insert(p).unwrap();
+            }
+            let dmin = net.dmin();
+            let mut sizes: Vec<usize> = (net.ids())
+                .map(|id| {
+                    let cn = net.close_neighbours(id).unwrap().len();
+                    let at = net.coords(id).unwrap();
+                    let within = points.iter().filter(|&&q| q.distance(at) <= dmin);
+                    assert_eq!(cn, within.count() - 1, "{dist:?} {nmax}: {id}");
+                    cn
+                })
+                .collect();
+            sizes.sort_unstable();
+            let sum: usize = sizes.iter().sum();
+            let p99 = sizes[sizes.len() * 99 / 100 - 1];
+            let nonzero = sizes.iter().filter(|&&c| c > 0).count();
+            let max = *sizes.last().unwrap();
+            assert_eq!((sum, p99, max, nonzero), pinned, "{dist:?} {nmax}");
+        }
     }
 
     #[test]

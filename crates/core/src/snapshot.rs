@@ -424,7 +424,6 @@ impl FrozenView {
                         moved.push(moved_id);
                     }
                 }
-                ChangeRecord::Mutate { .. } => {}
             }
         }
 
@@ -631,17 +630,12 @@ pub(crate) enum ChangeRecord {
     },
     /// An object departed; `dirty` holds its former neighbourhood.
     Remove { id: ObjectId, dirty: Vec<ObjectId> },
-    /// Links changed without membership change (long-link refresh,
-    /// close-neighbour pruning).
-    Mutate { dirty: Vec<ObjectId> },
 }
 
 impl ChangeRecord {
     fn dirty(&self) -> &[ObjectId] {
         match self {
-            ChangeRecord::Insert { dirty, .. }
-            | ChangeRecord::Remove { dirty, .. }
-            | ChangeRecord::Mutate { dirty } => dirty,
+            ChangeRecord::Insert { dirty, .. } | ChangeRecord::Remove { dirty, .. } => dirty,
         }
     }
 
@@ -878,7 +872,8 @@ mod tests {
     #[test]
     fn refreshed_views_stay_bit_identical_to_fresh_freezes_under_churn() {
         // One continuously-patched view must match a from-scratch freeze
-        // after every kind of mutation the overlay can perform.
+        // after joins, departures and reads, one record or a burst at a
+        // time.
         let (mut net, mut ids) = build(120, 41);
         let mut view = net.freeze();
         let mut rng = StdRng::seed_from_u64(43);
@@ -890,16 +885,13 @@ mod tests {
                         ids.push(r.id);
                     }
                 }
-                5..=7 => {
+                5..=8 => {
                     let victim = rng.random_range(0..ids.len());
                     net.remove(ids.swap_remove(victim)).unwrap();
                 }
-                8 => {
-                    let id = ids[rng.random_range(0..ids.len())];
-                    net.refresh_long_links(id).unwrap();
-                }
                 _ => {
-                    net.prune_close_neighbours();
+                    let (from, to) = (ids[step % ids.len()], ids[(step * 7) % ids.len()]);
+                    net.route_between(from, to).unwrap();
                 }
             }
             // Refresh at every step half the time, in bursts otherwise —
@@ -907,8 +899,8 @@ mod tests {
             if step % 2 == 0 || step % 7 == 0 {
                 let stale = view.epoch() != net.snapshot_epoch();
                 let refresh = view.refresh(&net);
-                // A prune that drops nothing leaves the epoch alone; any
-                // real mutation must not report a free reuse.
+                // A read leaves the epoch alone; any mutation must not
+                // report a free reuse.
                 assert_eq!(stale, refresh != ViewRefresh::Current);
                 let fresh = net.freeze();
                 assert_eq!(view, fresh, "patched view diverged at step {step}");
@@ -969,8 +961,9 @@ mod tests {
         // epoch predates the retained window cannot patch.
         let mut log = ChangeLog::default();
         for i in 0..(ChangeLog::CAP + 10) {
-            log.push(ChangeRecord::Mutate {
-                dirty: vec![ObjectId(i as u64)],
+            log.push(ChangeRecord::Remove {
+                id: ObjectId(i as u64),
+                dirty: vec![ObjectId(i as u64 + 1)],
             });
         }
         let newest = (ChangeLog::CAP + 10) as u64;
@@ -983,13 +976,16 @@ mod tests {
         assert_eq!(log.range(newest, newest).map(|r| r.count()), Some(0));
 
         // And end to end: an ancient view refreshes by full rebuild.
-        let (mut net, ids) = build(50, 61);
+        let (mut net, mut ids) = build(50, 61);
         let mut view = net.freeze();
+        let mut rng = StdRng::seed_from_u64(61);
         for _ in 0..6 {
             // Mutations beyond the patch-volume threshold for n=50 force
             // the rebuild branch even inside the window.
-            for &id in ids.iter().take(30) {
-                net.refresh_long_links(id).unwrap();
+            for _ in 0..15 {
+                net.remove(ids.swap_remove(0)).unwrap();
+                let p = Point2::new(rng.random::<f64>(), rng.random::<f64>());
+                ids.push(net.insert(p).unwrap().id);
             }
             assert_eq!(view.refresh(&net), ViewRefresh::Rebuilt);
             assert_eq!(view, net.freeze());
@@ -1009,7 +1005,7 @@ mod tests {
 
         let joined = net.insert(Point2::new(0.31, 0.64)).unwrap().id;
         net.remove(ids[7]).unwrap();
-        net.refresh_long_links(ids[9]).unwrap();
+        net.remove(ids[9]).unwrap();
         let log = net.change_log();
         let mut union: std::collections::BTreeSet<ObjectId> = log
             .range(start, net.snapshot_epoch())
@@ -1018,20 +1014,30 @@ mod tests {
             .collect();
         // A join's own record names its neighbourhood, not the joiner.
         union.insert(joined);
-        assert_eq!(touched(&net, start), Some(union));
-        // A later cursor sees only the later records.
-        assert_eq!(
-            touched(&net, net.snapshot_epoch() - 1),
-            Some([ids[9]].into_iter().collect())
-        );
+        assert_eq!(touched(&net, start), Some(union.clone()));
+        // A later cursor sees only the later records: the last
+        // departure's former neighbourhood.
+        let last = touched(&net, net.snapshot_epoch() - 1).unwrap();
+        let last_record = log.range(net.snapshot_epoch() - 1, net.snapshot_epoch());
+        let last_dirty = last_record.map(|r| r.flat_map(|rec| rec.touched()).collect());
+        assert_eq!(Some(last.clone()), last_dirty);
+        assert!(!last.is_empty() && !last.contains(&ids[9]) && last.len() < union.len());
 
         // The window slides: `CAP` records back is covered, one more is not.
-        for _ in 0..ChangeLog::CAP - 3 {
-            net.refresh_long_links(ids[0]).unwrap();
+        let mut rng = StdRng::seed_from_u64(67);
+        let mut hop_in = || {
+            let p = Point2::new(rng.random::<f64>(), rng.random::<f64>());
+            let id = net.insert(p).unwrap().id;
+            net.remove(id).unwrap();
+        };
+        for _ in 0..(ChangeLog::CAP - 3) / 2 {
+            hop_in();
         }
+        assert_eq!(net.snapshot_epoch(), start + ChangeLog::CAP as u64 - 1);
+        net.insert(Point2::new(0.71, 0.29)).unwrap();
         assert_eq!(net.snapshot_epoch(), start + ChangeLog::CAP as u64);
         assert!(net.touched_since(start).is_some());
-        net.refresh_long_links(ids[0]).unwrap();
+        net.insert(Point2::new(0.29, 0.71)).unwrap();
         assert!(net.touched_since(start).is_none());
         assert!(net.touched_since(start + 1).is_some());
     }
@@ -1066,10 +1072,10 @@ mod tests {
             for step in 0..260 {
                 let before = shippable(&net);
                 let epoch = net.snapshot_epoch();
-                match rng.random_range(0..10u32) {
+                match rng.random_range(0..7u32) {
                     0..=3 => {
                         // Half the joins land beside an existing object, so
-                        // close links form and later prunes have work.
+                        // close links form and break.
                         let near = net.coords(ids[rng.random_range(0..ids.len())]).unwrap();
                         let p = if rng.random::<bool>() {
                             Point2::new(rng.random::<f64>(), rng.random::<f64>())
@@ -1083,17 +1089,9 @@ mod tests {
                             ids.push(r.id);
                         }
                     }
-                    4..=6 => {
+                    _ => {
                         let victim = rng.random_range(0..ids.len());
                         net.remove(ids.swap_remove(victim)).unwrap();
-                    }
-                    7..=8 => {
-                        let id = ids[rng.random_range(0..ids.len())];
-                        net.refresh_long_links(id).unwrap();
-                    }
-                    _ => {
-                        net.set_nmax(net.config().nmax * 2);
-                        net.prune_close_neighbours();
                     }
                 }
                 let touched: std::collections::BTreeSet<ObjectId> = net

@@ -561,13 +561,6 @@ impl<T: Transport> Driver<T> {
         Ok(Ok(()))
     }
 
-    /// Queues the route from the `from`-th live object towards the
-    /// `to`-th one's coordinates.
-    fn queue_route(&mut self, from: usize, to: usize) {
-        let target = self.net.coords(self.origin(to)).expect("live object");
-        self.queue_route_to(self.origin(from).0, target);
-    }
-
     /// Queues the route from `from_object` towards `target`.
     pub(super) fn queue_route_to(&mut self, from_object: u64, target: Point2) {
         let route = |token| WireMsg::RouteReq {
@@ -591,45 +584,6 @@ impl<T: Transport> Driver<T> {
         };
         self.queue_route_to(from_object, target);
         self.pump_one("route", routed)
-    }
-
-    /// Routes a batch of `(from, to)` index pairs with up to `window`
-    /// operations in flight at once, sharing one receive pump.
-    ///
-    /// Unlike issuing [`Self::route_from`] in a loop — where one
-    /// operation waiting out its attempt timeout head-of-line-blocks
-    /// every operation behind it — each in-flight route here keeps its
-    /// own attempt ladder, fast-resend timer and budget, so a single
-    /// route stalled on a lossy or crashed hop cannot stall the rest of
-    /// the batch.  Results come back in input order; an entry whose
-    /// route never answered within its budget (or whose origin host was
-    /// dead) carries `owner_hops: None` plus the time spent on it.
-    pub fn route_indices_pipelined(
-        &mut self,
-        pairs: &[(usize, usize)],
-        window: usize,
-    ) -> Result<Vec<PipelinedRoute>, ClusterError> {
-        let mut results = vec![
-            PipelinedRoute {
-                owner_hops: None,
-                latency: Duration::ZERO,
-            };
-            pairs.len()
-        ];
-        if self.net.is_empty() || pairs.is_empty() {
-            return Ok(results);
-        }
-        self.service_revivals()?;
-        for &(from, to) in pairs {
-            self.queue_route(from, to);
-        }
-        self.pump_routes(window, |slot, verdict, latency| {
-            results[slot] = PipelinedRoute {
-                owner_hops: verdict.ok(),
-                latency,
-            };
-        })?;
-        Ok(results)
     }
 
     /// Pumps the queued routes with up to `window` in flight, handing each
@@ -780,17 +734,6 @@ fn routed(msg: &WireMsg<'_>) -> Option<OpOutcome> {
         }),
         _ => None,
     }
-}
-
-/// One completed route of a [`Driver::route_indices_pipelined`] batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipelinedRoute {
-    /// `Some((owner, hops))` when the route answered within its budget;
-    /// `None` when it timed out or its origin host was dead.
-    pub owner_hops: Option<(u64, u32)>,
-    /// Time from issuing the operation to its completion (or
-    /// abandonment), on the transport's clock.
-    pub latency: Duration,
 }
 
 #[cfg(test)]

@@ -129,7 +129,7 @@ mod services;
 #[cfg(test)]
 mod write_path;
 
-pub use driver::{Driver, PipelinedRoute};
+pub use driver::Driver;
 pub use host::HostNode;
 pub use inline::{InlineCluster, InlineTransport};
 pub use liveness::{HostState, Liveness};

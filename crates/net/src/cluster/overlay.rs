@@ -14,11 +14,8 @@
 //! [`ServiceResult`] the single-process `ServiceEngine` returns.
 //!
 //! [`Overlay::route_run`] queues a run of consecutive routes and pumps
-//! them together, as [`Driver::route_indices_pipelined`] does, so under
-//! loss one route's resends overlap the others' instead of following
-//! them.
-//!
-//! [`Driver::route_indices_pipelined`]: super::Driver::route_indices_pipelined
+//! them together, so under loss one route's resends overlap the others'
+//! instead of following them.
 
 use super::{flood_messages, ClusterError, InlineCluster, OpOutcome};
 use crate::transport::Transport;

@@ -829,23 +829,38 @@ mod tests {
         let stalled = indices(&driver, 2, true)[0];
         let mut pairs = vec![(stalled, stalled)];
         pairs.extend(indices(&driver, 2, false)[..3].iter().map(|&i| (i, i)));
-        let results = driver.route_indices_pipelined(&pairs, 4).unwrap();
-        assert_eq!(results[0].owner_hops, None);
+        // Each route's `(owner, hops)`, `None` once it ran out of budget,
+        // and its time in flight, pumped with up to `window` at once.
+        let route_all = |driver: &mut Driver<Scripted>, window| {
+            for &(from, to) in &pairs {
+                let from = driver.net().id_at(from).unwrap().0;
+                let target = driver.net().coords(driver.net().id_at(to).unwrap());
+                driver.queue_route_to(from, target.unwrap());
+            }
+            let mut results = vec![(None, Duration::ZERO); pairs.len()];
+            driver
+                .pump_routes(window, |slot, verdict, latency| {
+                    results[slot] = (verdict.ok(), latency);
+                })
+                .unwrap();
+            results
+        };
+        let results = route_all(&mut driver, 4);
+        assert_eq!(results[0].0, None);
         for (r, &(i, _)) in results.iter().zip(&pairs).skip(1) {
             let id = driver.net().id_at(i).unwrap().0;
-            assert_eq!(r.owner_hops, Some((id, 0)));
+            assert_eq!(r.0, Some((id, 0)));
             assert!(
-                r.latency < results[0].latency,
+                r.1 < results[0].1,
                 "finished while the stalled route was still pending"
             );
         }
         assert_eq!(driver.cluster_stats().retries, 1);
         // With a window of one the same batch would have parked the
         // healthy routes behind the stalled one; the results agree.
-        let serial = driver.route_indices_pipelined(&pairs, 1).unwrap();
-        let owners = |rs: &[super::super::PipelinedRoute]| {
-            rs.iter().map(|r| r.owner_hops).collect::<Vec<_>>()
-        };
+        let serial = route_all(&mut driver, 1);
+        let owners =
+            |rs: &[(Option<(u64, u32)>, Duration)]| rs.iter().map(|r| r.0).collect::<Vec<_>>();
         assert_eq!(owners(&serial), owners(&results));
     }
 }

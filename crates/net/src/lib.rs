@@ -43,7 +43,7 @@ pub mod wire;
 
 pub use cluster::{
     ClusterError, ClusterStats, Driver, HostNode, HostReport, HostState, InlineCluster,
-    InlineTransport, Liveness, OpOutcome, PipelinedRoute, RetryPolicy, DRIVER_PEER,
+    InlineTransport, Liveness, OpOutcome, RetryPolicy, DRIVER_PEER,
 };
 pub use fault::{FaultCtl, FaultEvent, FaultPlan, FaultStats, FaultTransport, LinkFaults};
 pub use frame::{DecodeError, FrameHeader, HEADER_LEN, MAGIC, MAX_FRAME_LEN, WIRE_VERSION};

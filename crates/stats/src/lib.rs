@@ -1,8 +1,8 @@
 //! # voronet-stats
 //!
 //! Exact integer histograms (the overlay's degree and view-size
-//! distributions, Figure 5) and the tail quantiles the scenario tests
-//! record.
+//! distributions, Figure 5) and the tail quantiles of a latency sample,
+//! which the lossy-cluster gates read.
 
 #![warn(missing_docs)]
 

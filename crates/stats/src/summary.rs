@@ -2,8 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
-/// The latency quantiles every scenario record carries: median, tail and
-/// deep tail plus the extremes and the sample count they came from.
+/// The quantiles of a latency sample: median, tail and deep tail plus the
+/// extremes and the sample count they came from.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TailSummary {
     /// Median.

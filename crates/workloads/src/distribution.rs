@@ -79,8 +79,9 @@ impl Distribution {
 /// The cumulative distribution is computed and normalised **once**, so
 /// each draw costs one uniform variate plus a binary search — O(log n)
 /// instead of re-walking the partial harmonic sum per sample.  That
-/// matters for the flash-crowd and hotspot scenarios, which draw
-/// destination ranks millions of times against a stable population.
+/// matters for the power-law point generator and the Zipf destination
+/// and topic streams of [`crate::OpBatchGenerator`], which draw ranks
+/// millions of times against a stable population.
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
     alpha: f64,

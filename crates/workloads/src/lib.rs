@@ -15,12 +15,10 @@
 pub mod distribution;
 pub mod ops;
 pub mod queries;
-pub mod scenario;
 
 pub use distribution::{Distribution, PointGenerator, ZipfSampler, ZIPF_VALUES};
 pub use ops::{OpBatchGenerator, OpMix, WorkloadOp};
 pub use queries::{QueryGenerator, RadiusQuery, RangeQuery};
-pub use scenario::{Scenario, ScenarioKind, ScenarioPhase, ScenarioSpec};
 
 /// Whether `VORONET_SMOKE` selects the CI-sized budget: set, non-empty and
 /// not `"0"`.  The one parser of that variable — the benches, the fuzzer

@@ -8,11 +8,12 @@
 //! failures are the cluster's own (`OperationLost`, `Unavailable`).
 
 use voronet::net::{
-    FaultCtl, FaultTransport, InlineCluster, LinkFaults, Liveness, Transport, VnetHub,
+    FaultCtl, FaultTransport, InlineCluster, LinkFaults, Liveness, RetryPolicy, Transport, VnetHub,
     VnetTransport,
 };
 use voronet::prelude::*;
 use voronet::sim::{LatencyModel, NetworkModel, TransportStats};
+use voronet::stats::tail_summary;
 use voronet_api::{resolve_workload, InsertOutcome, RouteOutcome};
 use voronet_workloads::{RadiusQuery, RangeQuery, WorkloadOp};
 
@@ -337,27 +338,57 @@ fn batched_workloads_agree_across_engines() {
 /// waits overlap the others', while one-at-a-time submission pays every
 /// wait back to back.  The hub's clock moves only on idle turns, so the
 /// gate is a count of them — no wall clock involved.
+///
+/// At 10 % loss on every link, each lost frame must be recovered by a
+/// fast resend inside the first attempt window: no attempt window closes
+/// (no retry), no route waits one out (virtual p99 below
+/// `RetryPolicy::tight().base` — the retry stall this gate was written
+/// for sat at ~107 ms), and a second run replays identically.
 #[test]
 fn async_batches_pipeline_in_simulated_time() {
-    let (mut net, _) = lossy_cluster(config(), LatencyModel::Fixed(1), 0.05);
-    populate(&mut net, 400, 61);
-    let mut gen = OpBatchGenerator::new(Distribution::Uniform, 67, OpMix::routes_only());
-    let routes = resolve_workload(&net, &gen.batch(400, 64));
-    assert_eq!(routes.len(), 64);
+    let run = || {
+        let (mut net, _) = lossy_cluster(config(), LatencyModel::Fixed(1), 0.10);
+        net.driver().set_retry_policy(RetryPolicy::tight());
+        populate(&mut net, 400, 61);
+        let mut gen = OpBatchGenerator::new(Distribution::Uniform, 67, OpMix::routes_only());
+        let routes = resolve_workload(&net, &gen.batch(400, 64));
+        assert_eq!(routes.len(), 64);
 
-    let t0 = net.now();
-    let per_op: Vec<OpResult> = routes.iter().map(|op| net.apply(op)).collect();
-    let per_op_time = net.now() - t0;
-    let t0 = net.now();
-    let batched = net.apply_batch(&routes);
-    let batch_time = net.now() - t0;
+        let mut latency_us = Vec::new();
+        let t0 = net.now();
+        let per_op: Vec<OpResult> = (routes.iter())
+            .map(|op| {
+                let start = net.now();
+                let result = net.apply(op);
+                latency_us.push((net.now() - start).as_secs_f64() * 1e6);
+                result
+            })
+            .collect();
+        let per_op_time = net.now() - t0;
+        let t0 = net.now();
+        let batched = net.apply_batch(&routes);
+        let batch_time = net.now() - t0;
+        let stats = net.driver().cluster_stats();
+        (per_op, per_op_time, batched, batch_time, latency_us, stats)
+    };
+    let first = run();
+    let (per_op, per_op_time, batched, batch_time, latency_us, stats) = &first;
 
     assert!(per_op.iter().all(|r| r.as_routed().is_some()), "resent");
     assert_eq!(batched, per_op, "batching must not change any result");
     assert!(
-        batch_time * 4 < per_op_time,
+        *batch_time * 4 < *per_op_time,
         "64 batched routes took {batch_time:?} of virtual time, one at a time {per_op_time:?}"
     );
+    assert_eq!(stats.retries, 0, "an attempt window closed: {stats:?}");
+    assert!(stats.fast_resends > 0, "no frame was lost: {stats:?}");
+    let p99 = tail_summary(latency_us).expect("routes completed").p99;
+    let window_us = RetryPolicy::tight().base.as_secs_f64() * 1e6;
+    assert!(
+        p99 < window_us,
+        "virtual p99 {p99:.1}us waited out an attempt window ({window_us:.0}us)"
+    );
+    assert!(first == run(), "a second run must replay identically");
 }
 
 /// Under loss the cluster resends: at 35 % loss every operation still

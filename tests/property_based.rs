@@ -454,23 +454,15 @@ fn greedy_routing_terminates_at_owner() {
 enum Mutation {
     Insert(usize),
     Remove(usize),
-    RefreshLongLinks(usize),
-    /// Doubles `N_max`, then drops the close pairs beyond the new `d_min`.
-    Prune,
-    /// One `adapt_nmax` round that always triggers.
-    Adapt,
 }
 
 fn mutations(rng: &mut StdRng) -> Vec<Mutation> {
     (0..rng.random_range(1..90usize))
         .map(|_| {
             let pick = rng.random_range(0..usize::MAX);
-            match rng.random_range(0..40u32) {
+            match rng.random_range(0..30u32) {
                 0..=19 => Mutation::Insert(pick),
-                20..=29 => Mutation::Remove(pick),
-                30..=34 => Mutation::RefreshLongLinks(pick),
-                35..=37 => Mutation::Prune,
-                _ => Mutation::Adapt,
+                _ => Mutation::Remove(pick),
             }
         })
         .collect()
@@ -480,22 +472,10 @@ fn mutations(rng: &mut StdRng) -> Vec<Mutation> {
 /// op: the audit rebuilds every object's routing row and must have
 /// compared one per live object.
 fn rows_stay_current(ops: &[Mutation], points: &[Point2]) -> Result<(), String> {
-    use voronet_core::{adapt_nmax, AdaptationPolicy, DminRule, RefreshStrategy};
-    // `d_min = 1/√(π·8)` ≈ 0.2 at first, so close sets are large, and every
-    // prune shrinks it by √2.
-    let cfg = VoroNetConfig::new(8)
-        .with_dmin_rule(DminRule::Analysis)
-        .with_long_links(2)
-        .with_seed(13);
+    // `d_min = 1/(2π)` ≈ 0.159, so close sets are large.
+    let cfg = VoroNetConfig::new(2).with_long_links(2).with_seed(13);
     let mut net = VoroNet::new(cfg);
     let mut live: Vec<ObjectId> = Vec::new();
-    let adapt = AdaptationPolicy {
-        trigger_fraction: 0.0,
-        growth_factor: 2,
-        strategy: RefreshStrategy::DenseOnly {
-            max_close_neighbours: 2,
-        },
-    };
     for (step, &op) in ops.iter().enumerate() {
         let failed = |e: VoronetError| format!("step {step} {op:?}: {e}");
         match op {
@@ -508,18 +488,7 @@ fn rows_stay_current(ops: &[Mutation], points: &[Point2]) -> Result<(), String> 
                 let id = live.swap_remove(i % live.len());
                 net.remove(id).map_err(failed)?;
             }
-            Mutation::RefreshLongLinks(i) if !live.is_empty() => {
-                net.refresh_long_links(live[i % live.len()])
-                    .map_err(failed)?;
-            }
-            Mutation::Prune => {
-                net.set_nmax(net.config().nmax * 2);
-                net.prune_close_neighbours();
-            }
-            Mutation::Adapt => {
-                adapt_nmax(&mut net, &adapt).map_err(failed)?;
-            }
-            Mutation::Remove(_) | Mutation::RefreshLongLinks(_) => {}
+            Mutation::Remove(_) => {}
         }
         let audit = net.audit_invariants(true).map_err(failed)?;
         tk_ensure_eq!(
@@ -536,8 +505,8 @@ fn rows_stay_current(ops: &[Mutation], points: &[Point2]) -> Result<(), String> 
     Ok(())
 }
 
-/// The live walk reads routing rows that join, leave, close-set pruning
-/// and long-link refreshes keep current; after any sequence of them every
+/// The live walk reads routing rows that joins and departures keep
+/// current; after any sequence of them every
 /// row equals the one rebuilt from the tessellation, the close set and the
 /// long links, order included — on uniform points, on power-law points,
 /// on the committed reproducers' collinear points and on points crowded
@@ -564,10 +533,9 @@ fn routing_rows_stay_current_under_any_mutation_sequence() {
     }
     assert!(collinear.len() >= 12);
     // Every point inside [0, 0.02]²: almost every long-link target falls
-    // outside the square, on two or three hull objects, so each departure,
-    // refresh, prune and adaptation swap-removes from a hub's back links —
-    // with two links per object, often moving the departing object's own
-    // other link.
+    // outside the square, on two or three hull objects, so each departure
+    // swap-removes from a hub's back links — with two links per object,
+    // often moving the departing object's own other link.
     let corner: Vec<Point2> = PointGenerator::new(Distribution::Uniform, 47)
         .take_points(48)
         .into_iter()
