@@ -25,7 +25,7 @@ use voronet_api::{
     PutOutcome, QueryOutcome, RemoveOutcome, RouteOutcome, ServiceOp, ServiceResult,
     SubscribeOutcome, UnsubscribeOutcome,
 };
-use voronet_core::{ErrorKind, ObjectId, ObjectView, SnapshotStats, VoroNetConfig, VoronetError};
+use voronet_core::{ErrorKind, ObjectId, ObjectView, VoroNetConfig, VoronetError};
 use voronet_geom::Point2;
 use voronet_workloads::{RadiusQuery, RangeQuery};
 
@@ -172,10 +172,6 @@ impl<O: Overlay> Overlay for ServiceEngine<O> {
 
     fn stats(&self) -> OverlayStats {
         self.inner.stats()
-    }
-
-    fn snapshot_stats(&self) -> SnapshotStats {
-        self.inner.snapshot_stats()
     }
 
     fn verify_invariants(&self) -> Result<(), VoronetError> {

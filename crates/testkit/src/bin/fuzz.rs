@@ -43,9 +43,12 @@
 //!
 //! `VORONET_SMOKE=1` selects the CI budget (one 10k-op acceptance case
 //! plus a handful of smaller mixed cases); without it the fuzzer runs
-//! the same shape with a larger case count.  `--demo-fault` plants the
-//! deliberate frozen-route defect and *expects* to catch and shrink it —
-//! a self-test of the whole detect→shrink→reproduce pipeline.
+//! the same shape with a larger case count.  Each case runs on the sync
+//! engine and a three-host inline cluster, checked against each other and
+//! the O(n²) oracle.  `--demo-fault` plants the deliberate cluster-route
+//! defect (one extra hop on every multi-hop route the cluster answers)
+//! and *expects* to catch and shrink it — a self-test of the whole
+//! detect→shrink→reproduce pipeline.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -254,7 +257,7 @@ fn main() -> ExitCode {
     }
 
     let fault = if args.demo_fault {
-        Fault::FrozenRouteExtraHop
+        Fault::ClusterRouteExtraHop
     } else {
         Fault::None
     };

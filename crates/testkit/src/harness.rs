@@ -1,43 +1,43 @@
-//! The differential harness: one script, three executions, zero tolerated
-//! disagreement.
+//! The differential harness: one script, two executions and an oracle,
+//! zero tolerated disagreement.
 //!
 //! [`run_case`] replays a [`FuzzCase`] simultaneously against
 //!
-//! 1. **sync** — `SyncEngine`, the live `VoroNet` walk over the overlay's
-//!    routing rows, one op at a time (the reference execution);
+//! 1. **sync** — `SyncEngine` under the single-process service layer
+//!    (`ServiceEngine`): the live `VoroNet` walk over the overlay's
+//!    routing rows, one op at a time (the reference execution and the
+//!    service model);
 //! 2. **cluster** — `voronet-net`'s bare `InlineCluster` on an ideal hub:
 //!    a driver and three hosts exchanging wire frames, every route and
 //!    area query walked host to host over the views the driver shipped,
 //!    and every service op served by the driver's own plane (KV entries
 //!    stored, mirrored and fetched at the hosts, publishes delivered
 //!    there);
-//! 3. **frozen** — every route served through a
-//!    [`FrozenView`](voronet_core::FrozenView) delta-patched at each read
-//!    ([`crate::frozen::FrozenReplay`]), whose rows are derived apart from
-//!    the live ones;
 //!
-//! checking every [`OpResult`] element-wise across all three and against
-//! the O(n²) [`OracleModel`].  The sync and frozen executions carry the
-//! single-process service layer (`ServiceEngine`), the model the
-//! cluster's own service plane is held to.  Every execution runs on an
-//! ideal network: a cluster meeting loss, partitions and crashes is the
-//! chaos harness's ([`crate::chaos::run_chaos`]).
+//! checking every [`OpResult`] element-wise across both and against the
+//! O(n²) [`OracleModel`], whose route owners come from a linear scan.
+//! Every execution runs on an ideal network: a cluster meeting loss,
+//! partitions and crashes is the chaos harness's
+//! ([`crate::chaos::run_chaos`]).
 //!
 //! Each script op is resolved against the sync engine's live population
 //! just before the sync engine applies it ([`resolve_op`]), so it can
-//! address any object an earlier op created; the others then execute the
-//! ops exactly as resolved.  Audit points close every round of
+//! address any object an earlier op created; the cluster then executes
+//! the ops exactly as resolved.  Audit points close every round of
 //! [`FuzzCase::round`] ops: populations, dense orders, coordinates,
-//! aggregate stats, per-kind traffic counts and invariant audits (with
-//! non-vacuity asserted via
+//! invariant audits of both overlays (every routing row rebuilt from the
+//! triangulation, with non-vacuity asserted via
 //! [`InvariantAudit`](voronet_core::InvariantAudit) counts), the service
-//! state — the frozen execution's whole `ServiceState` and the cluster
-//! driver's subscriptions and KV placements against the sync model's,
-//! and the model against the oracle — plus, while the population is
-//! small, the oracle's brute-force Delaunay cross-check of the engine's
-//! Voronoi neighbour relation.
+//! state — the cluster driver's subscriptions and KV placements against
+//! the sync model's, and the model against the oracle — plus, while the
+//! population is small, the oracle's brute-force Delaunay cross-check of
+//! the engine's Voronoi neighbour relation.
+//!
+//! [`Fault`] plants a deliberate defect in the cluster's results before
+//! the comparison (never in production code), so the fuzz binary's
+//! `--demo-fault` and the self-tests can show the checker catches it and
+//! the shrinker reduces the offending script to a handful of ops.
 
-use crate::frozen::{Fault, FrozenReplay};
 use crate::grammar::FuzzCase;
 use crate::oracle::OracleModel;
 use voronet_api::{resolve_workload, Op, OpResult, Overlay, SyncEngine};
@@ -50,6 +50,35 @@ use voronet_workloads::WorkloadOp;
 /// Hosts of the fleet's cluster.
 const HOSTS: u64 = 3;
 
+/// A deliberate defect planted in the cluster's results (self-test
+/// instrumentation; [`Fault::None`] in every real fuzz run).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Fault {
+    /// No fault: the cluster's results are compared as they come.
+    #[default]
+    None,
+    /// Every cluster route that takes at least one hop reports one hop
+    /// too many — the defect the self-tests plant and expect to be caught
+    /// as `result:cluster` and shrunk.
+    ClusterRouteExtraHop,
+}
+
+impl Fault {
+    /// Applies the fault to a batch of cluster results.
+    fn plant(self, results: &mut [OpResult]) {
+        if self != Fault::ClusterRouteExtraHop {
+            return;
+        }
+        for result in results {
+            if let OpResult::Routed(route) = result {
+                if route.hops >= 1 {
+                    route.hops += 1;
+                }
+            }
+        }
+    }
+}
+
 /// A disagreement between executions (or between an execution and the
 /// oracle): what the fuzzer hunts and the shrinker preserves.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,7 +86,7 @@ pub struct Divergence {
     /// Index into the *resolved* op stream at which the disagreement
     /// surfaced (`None` for audit-point divergences).
     pub op_index: Option<usize>,
-    /// Short machine-matchable label ("result:frozen", "oracle", …).
+    /// Short machine-matchable label ("result:cluster", "oracle", …).
     pub kind: String,
     /// Full human-readable diagnostic.
     pub detail: String,
@@ -89,20 +118,18 @@ pub struct RunReport {
 struct Fleet {
     sync: ServiceEngine<SyncEngine>,
     cluster: InlineCluster,
-    frozen: ServiceEngine<FrozenReplay>,
     oracle: OracleModel,
 }
 
 impl Fleet {
-    fn build(case: &FuzzCase, fault: Fault) -> Fleet {
-        // Every execution serves service ops, so scripts mixing pub/sub
+    fn build(case: &FuzzCase) -> Fleet {
+        // Both executions serve service ops, so scripts mixing pub/sub
         // and KV traffic into the protocol stream exercise both service
         // planes at once — including the KV handoffs churn triggers.
         let config = VoroNetConfig::new(case.nmax).with_seed(case.seed);
         Fleet {
             sync: ServiceEngine::new(SyncEngine::new(config)),
             cluster: InlineCluster::start(HOSTS, config),
-            frozen: ServiceEngine::new(FrozenReplay::new(config, fault)),
             oracle: OracleModel::new(&config),
         }
     }
@@ -138,31 +165,22 @@ fn audit_fleet(fleet: &mut Fleet, round: usize, report: &mut RunReport) -> Resul
         detail: format!("audit after round {round}: {detail}"),
     };
 
-    // Populations and dense orders agree everywhere.
+    // Populations, dense orders and coordinates agree.
     let ids = fleet.sync.ids();
-    for (name, other) in [
-        ("cluster", fleet.cluster.ids()),
-        ("frozen", fleet.frozen.inner().net().ids().collect()),
-    ] {
-        if other != ids {
-            return Err(fail(
-                "audit:population",
-                format!("dense id order diverges on {name}: sync {ids:?}, {name} {other:?}"),
-            ));
-        }
+    let other = fleet.cluster.ids();
+    if other != ids {
+        return Err(fail(
+            "audit:population",
+            format!("dense id order diverges on cluster: sync {ids:?}, cluster {other:?}"),
+        ));
     }
     for &id in &ids {
-        let c = fleet.sync.coords(id);
-        for (name, other) in [
-            ("cluster", fleet.cluster.coords(id)),
-            ("frozen", fleet.frozen.inner().net().coords(id)),
-        ] {
-            if other != c {
-                return Err(fail(
-                    "audit:coords",
-                    format!("coordinates of {id} diverge on {name}: {c:?} vs {other:?}"),
-                ));
-            }
+        let (c, other) = (fleet.sync.coords(id), fleet.cluster.coords(id));
+        if other != c {
+            return Err(fail(
+                "audit:coords",
+                format!("coordinates of {id} diverge on cluster: {c:?} vs {other:?}"),
+            ));
         }
     }
     fleet
@@ -170,32 +188,12 @@ fn audit_fleet(fleet: &mut Fleet, round: usize, report: &mut RunReport) -> Resul
         .check_population("sync", &ids, |id| fleet.sync.coords(id))
         .map_err(|e| fail("audit:oracle", e))?;
 
-    // Aggregate stats and per-kind traffic across the two deterministic
-    // sync-semantics executions.
-    let stats = fleet.sync.stats();
-    let other = fleet.frozen.stats();
-    if other != stats {
-        return Err(fail(
-            "audit:stats",
-            format!("aggregate stats diverge on frozen: sync {stats:?}, frozen {other:?}"),
-        ));
-    }
-    let sent = fleet.sync.inner().net().traffic();
-    let other = fleet.frozen.inner().net().traffic();
-    if other != sent {
-        return Err(fail(
-            "audit:traffic",
-            format!("per-kind traffic diverges on frozen: sync {sent:?}, frozen {other:?}"),
-        ));
-    }
-
     // Structural invariants, with non-vacuous audits.  The exhaustive
     // O(n²) close-set reconstruction runs while it is cheap.
     let exhaustive = ids.len() <= 128;
     for (name, net) in [
         ("sync", fleet.sync.inner().net()),
         ("cluster", fleet.cluster.net()),
-        ("frozen", fleet.frozen.inner().net()),
     ] {
         let audit = net
             .audit_invariants(exhaustive)
@@ -217,18 +215,10 @@ fn audit_fleet(fleet: &mut Fleet, round: usize, report: &mut RunReport) -> Resul
 
     // Service-layer state — subscriptions, topic sequence numbers, the
     // delivery ledger, the KV table with its placements, and the service
-    // counters — agrees bit for bit between the two in-process service
-    // layers and matches the oracle's naive model.  The cluster driver's
+    // counters — matches the oracle's naive model.  The cluster driver's
     // subscriptions and KV placements (value, owner, replicas: what its
     // hosts were told to hold) equal the model's.
     let service = fleet.sync.service_state();
-    let other = fleet.frozen.service_state();
-    if other != service {
-        return Err(fail(
-            "audit:services",
-            format!("service state diverges on frozen: sync {service:?}, frozen {other:?}"),
-        ));
-    }
     let (subs, kv) = fleet.cluster.service_tables();
     if *subs != service.subscriptions || !kv.eq(&service.kv) {
         let kv: Vec<_> = fleet.cluster.service_tables().1.collect();
@@ -276,7 +266,7 @@ pub fn resolve_op(engine: &dyn Overlay, op: &WorkloadOp) -> Option<Op> {
 /// Executes a case across the fleet.  `Ok` means every check of every
 /// round passed; `Err` carries the first divergence.
 pub fn run_case(case: &FuzzCase, fault: Fault) -> Result<RunReport, Divergence> {
-    let mut fleet = Fleet::build(case, fault);
+    let mut fleet = Fleet::build(case);
     let mut report = RunReport::default();
     let round_len = case.round.max(1);
 
@@ -293,12 +283,9 @@ pub fn run_case(case: &FuzzCase, fault: Fault) -> Result<RunReport, Divergence> 
         }
         let base = report.ops_run;
 
-        let cluster = fleet.cluster.apply_batch(&ops);
+        let mut cluster = fleet.cluster.apply_batch(&ops);
+        fault.plant(&mut cluster);
         if let Some(d) = result_divergence("cluster", base, &ops, &reference, &cluster) {
-            return Err(d);
-        }
-        let frozen: Vec<OpResult> = ops.iter().map(|op| fleet.frozen.apply(op)).collect();
-        if let Some(d) = result_divergence("frozen", base, &ops, &reference, &frozen) {
             return Err(d);
         }
         for (i, (op, result)) in ops.iter().zip(&reference).enumerate() {
@@ -324,6 +311,8 @@ pub fn run_case(case: &FuzzCase, fault: Fault) -> Result<RunReport, Divergence> 
 mod tests {
     use super::*;
     use crate::grammar::{generate_case, FuzzSpec};
+    use voronet_core::ObjectId;
+    use voronet_workloads::{Distribution, PointGenerator};
 
     #[test]
     fn smoke_cases_run_divergence_free() {
@@ -363,9 +352,47 @@ mod tests {
             ops: 64,
             ..FuzzSpec::smoke(11)
         });
-        let d = run_case(&case, Fault::FrozenRouteExtraHop)
+        let d = run_case(&case, Fault::ClusterRouteExtraHop)
             .expect_err("a wrong hop count must be caught");
-        assert_eq!(d.kind, "result:frozen", "{d}");
+        assert_eq!(d.kind, "result:cluster", "{d}");
         assert!(d.op_index.is_some());
+    }
+
+    #[test]
+    fn the_planted_fault_perturbs_exactly_the_multi_hop_routes() {
+        let mut engine = SyncEngine::new(VoroNetConfig::new(100).with_seed(3));
+        let mut points = PointGenerator::new(Distribution::Uniform, 3);
+        for _ in 0..20 {
+            let position = points.next_point();
+            assert!(engine.apply(&Op::Insert { position }).is_ok());
+        }
+        let ops: Vec<Op> = (0..20u64)
+            .map(|i| Op::RouteBetween {
+                from: ObjectId(0),
+                to: ObjectId(i),
+            })
+            .collect();
+        let live: Vec<OpResult> = ops.iter().map(|op| engine.apply(op)).collect();
+        let mut planted = live.clone();
+        Fault::ClusterRouteExtraHop.plant(&mut planted);
+        // Self-routes take 0 hops and stay untouched.
+        assert_eq!(live[0], planted[0]);
+        let mut diverged = false;
+        for (l, p) in live.iter().zip(&planted) {
+            let (OpResult::Routed(l), OpResult::Routed(p)) = (l, p) else {
+                panic!("routes between live objects succeed");
+            };
+            assert_eq!(l.owner, p.owner);
+            if l.hops >= 1 {
+                assert_eq!(p.hops, l.hops + 1, "fault adds exactly one hop");
+                diverged = true;
+            } else {
+                assert_eq!(p.hops, 0);
+            }
+        }
+        assert!(diverged, "some route must take at least one hop");
+        let mut faithful = live.clone();
+        Fault::None.plant(&mut faithful);
+        assert_eq!(faithful, live);
     }
 }

@@ -3,10 +3,9 @@
 //! The differential oracle testkit: model-based fuzzing of every VoroNet
 //! execution engine, with shrinking, replayable reproducers.
 //!
-//! The workspace carries three executions of the same protocol
+//! The workspace carries two executions of the same protocol
 //! semantics — the live [`VoroNet`](voronet_core::VoroNet) walk over its
-//! routing rows, the [`FrozenView`](voronet_core::FrozenView) snapshot
-//! with independently derived rows, and the message-level
+//! routing rows and the message-level
 //! [`InlineCluster`](voronet_net::InlineCluster), whose hosts route over
 //! the views the driver ships them.  This crate pins them to each other
 //! and to a naive O(n²) reference model:
@@ -17,9 +16,8 @@
 //!   from a weighted op grammar (built on
 //!   [`OpMix`](voronet_workloads::OpMix));
 //! * [`harness`] — [`harness::run_case`], the differential executor over
-//!   sync, cluster and frozen on an ideal network;
-//! * [`frozen`] — the frozen-snapshot execution plus deliberate
-//!   [`frozen::Fault`] injection for self-testing the checker;
+//!   sync and cluster on an ideal network, plus deliberate
+//!   [`harness::Fault`] injection for self-testing the checker;
 //! * [`shrink`] — the ddmin both fuzzers shrink through, and script
 //!   minimisation of diverging cases;
 //! * [`repro`] — `.ron`-style reproducer files under
@@ -44,7 +42,6 @@
 
 pub mod chaos;
 pub mod codec;
-pub mod frozen;
 pub mod grammar;
 pub mod harness;
 pub mod oracle;
@@ -59,9 +56,8 @@ pub use chaos::{
 pub use codec::{
     check_corruption, check_roundtrip, check_truncations, random_frame, run_codec_pass,
 };
-pub use frozen::{Fault, FrozenReplay};
 pub use grammar::{generate_case, FuzzCase, FuzzSpec};
-pub use harness::{resolve_op, run_case, Divergence, RunReport};
+pub use harness::{resolve_op, run_case, Divergence, Fault, RunReport};
 pub use oracle::OracleModel;
 pub use prop::{check_cases, ShrinkInput};
 pub use repro::{

@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! // voronet-testkit reproducer v1
-//! // divergence: [result:frozen] at op 18: …
+//! // divergence: [result:cluster] at op 18: …
 //! (
 //!     seed: 2027,
 //!     nmax: 400,
@@ -496,7 +496,7 @@ mod tests {
         });
         let d = Divergence {
             op_index: Some(3),
-            kind: "result:frozen".to_string(),
+            kind: "result:cluster".to_string(),
             detail: "hops diverge".to_string(),
         };
         let text = encode_case(&case, Some(&d));

@@ -14,9 +14,8 @@
 //! [`shrink_case`] keeps the final (usually much smaller) script plus the
 //! divergence it still triggers.
 
-use crate::frozen::Fault;
 use crate::grammar::FuzzCase;
-use crate::harness::{run_case, Divergence};
+use crate::harness::{run_case, Divergence, Fault};
 
 /// Classic ddmin over a step list.  Sweeps windows from half the list
 /// down to single steps, keeping every removal after which `fails` still
@@ -98,17 +97,17 @@ mod tests {
     use super::*;
     use crate::grammar::{generate_case, FuzzSpec};
 
-    /// The acceptance self-test: a wrong hop planted in the frozen
-    /// execution is caught by the differential checker and shrunk to a
+    /// The acceptance self-test: a wrong hop planted in the cluster's
+    /// results is caught by the differential checker and shrunk to a
     /// reproducer of at most 20 ops.
     #[test]
-    fn planted_frozen_fault_shrinks_to_a_tiny_reproducer() {
+    fn planted_cluster_fault_shrinks_to_a_tiny_reproducer() {
         let case = generate_case(&FuzzSpec {
             warmup: 16,
             ops: 160,
             ..FuzzSpec::smoke(2027)
         });
-        let outcome = shrink_case(&case, Fault::FrozenRouteExtraHop, 2_000);
+        let outcome = shrink_case(&case, Fault::ClusterRouteExtraHop, 2_000);
         assert!(
             outcome.case.script.len() <= 20,
             "shrunk script still has {} ops: {:?}",
@@ -117,9 +116,9 @@ mod tests {
         );
         assert!(outcome.case.script.len() >= 2, "needs at least two objects");
         // The minimised case still reproduces the same class of bug.
-        let d = run_case(&outcome.case, Fault::FrozenRouteExtraHop)
+        let d = run_case(&outcome.case, Fault::ClusterRouteExtraHop)
             .expect_err("minimised case must still diverge");
-        assert_eq!(d.kind, "result:frozen", "{d}");
+        assert_eq!(d.kind, "result:cluster", "{d}");
         // … and is clean without the fault.
         run_case(&outcome.case, Fault::None)
             .unwrap_or_else(|d| panic!("fault-free replay must be clean, got {d}"));

@@ -10,7 +10,7 @@
 //! | crate | contents |
 //! |-------|----------|
 //! | [`geom`] | robust predicates, incremental Delaunay/Voronoi |
-//! | [`stats`] | integer histograms, tail quantiles |
+//! | [`stats`] | integer histograms |
 //! | [`workloads`] | object distributions, query generators, batched op scripts |
 //! | [`sim`] | traffic accounting and deterministic network models |
 //! | [`core`] | the VoroNet overlay itself, plus the paper's Algorithm 5 |

@@ -7,7 +7,8 @@
 //! `freeze()` — same ids in live scan order, same SoA coordinates, same
 //! adjacency rows — and every route walked over it returns the same
 //! `(owner, hops)` and the same per-kind message counts as the live
-//! mutable walk.  Checked here through the workspace's shrinking
+//! mutable walk, and a refresh does work exactly when a write landed
+//! since the last read.  Checked here through the workspace's shrinking
 //! property harness (`voronet_testkit::check_cases`).
 
 use rand::rngs::StdRng;
@@ -64,6 +65,8 @@ fn check_script(steps: &[Step]) -> Result<(), String> {
     }
 
     let mut view: Option<FrozenView> = None;
+    // Whether a write landed since the last read.
+    let mut wrote = false;
     let mut scratch = RouteScratch::new();
     for (i, step) in steps.iter().enumerate() {
         match *step {
@@ -72,6 +75,7 @@ fn check_script(steps: &[Step]) -> Result<(), String> {
                 let a = live.insert(p).map(|r| r.id).ok();
                 let b = net.insert(p).map(|r| r.id).ok();
                 tk_ensure_eq!(a, b, "step {i}: insert outcome");
+                wrote |= b.is_some();
             }
             Step::Remove { pick } => {
                 if live.len() <= 8 {
@@ -81,6 +85,7 @@ fn check_script(steps: &[Step]) -> Result<(), String> {
                 let a = live.remove(id).map(|_| ()).ok();
                 let b = net.remove(id).map(|_| ()).ok();
                 tk_ensure_eq!(a, b, "step {i}: remove outcome for {id:?}");
+                wrote |= b.is_some();
             }
             Step::Route { from, to } => {
                 if live.len() < 2 {
@@ -92,11 +97,23 @@ fn check_script(steps: &[Step]) -> Result<(), String> {
                     .route_between(from, to)
                     .map_err(|e| format!("step {i}: live route failed: {e}"))?;
 
-                // Retained view: freeze once, then delta-patch forward.
-                if let Some(v) = view.as_mut() {
-                    v.refresh(&net);
-                }
-                let view = view.get_or_insert_with(|| net.freeze());
+                // Retained view: freeze once, then bring it forward at
+                // every read-after-write barrier (a patch, or a rebuild
+                // when the writes touched half the population).
+                let view = match view.as_mut() {
+                    None => view.insert(net.freeze()),
+                    Some(v) => {
+                        let refresh = v.refresh(&net);
+                        tk_ensure_eq!(
+                            refresh != ViewRefresh::Current,
+                            wrote,
+                            "step {i}: a read after a write refreshes, any other read \
+                             reuses the view ({refresh:?})"
+                        );
+                        v
+                    }
+                };
+                wrote = false;
                 tk_ensure_eq!(
                     view.epoch(),
                     net.snapshot_epoch(),

@@ -2,10 +2,11 @@
 //!
 //! The full budget lives in the `fuzz` CLI (`crates/testkit/src/bin`),
 //! run by the CI `fuzz-smoke` step; this suite keeps a small always-on
-//! slice in `cargo test`: a handful of seeded cases through the three-way
-//! differential harness, the detect→shrink→reproduce self-test with the
-//! deliberately planted frozen-route fault, and replay of every
-//! reproducer file committed under `tests/reproducers/`.
+//! slice in `cargo test`: a handful of seeded cases through the
+//! differential harness (sync, cluster and oracle), the
+//! detect→shrink→reproduce self-test with the deliberately planted
+//! cluster-route fault, and replay of every reproducer file committed
+//! under `tests/reproducers/`.
 
 use voronet_testkit::{
     generate_case, list_reproducers, read_reproducer, run_case, shrink_case, write_reproducer,
@@ -32,9 +33,9 @@ fn seeded_smoke_cases_are_divergence_free() {
     }
 }
 
-/// The acceptance self-test: a wrong hop planted in a scratch copy of the
-/// frozen execution is caught, shrunk to ≤ 20 ops, and the reproducer
-/// file round-trips and still reproduces after a parse.
+/// The acceptance self-test: a wrong hop planted in the cluster's route
+/// results is caught, shrunk to ≤ 20 ops, and the reproducer file
+/// round-trips and still reproduces after a parse.
 #[test]
 fn planted_fault_is_caught_shrunk_and_reproducible_from_file() {
     let case = generate_case(&FuzzSpec {
@@ -42,7 +43,7 @@ fn planted_fault_is_caught_shrunk_and_reproducible_from_file() {
         ops: 180,
         ..FuzzSpec::smoke(4242)
     });
-    let outcome = shrink_case(&case, Fault::FrozenRouteExtraHop, 2_000);
+    let outcome = shrink_case(&case, Fault::ClusterRouteExtraHop, 2_000);
     assert!(
         outcome.case.script.len() <= 20,
         "reproducer must shrink to at most 20 ops, got {}",
@@ -55,9 +56,9 @@ fn planted_fault_is_caught_shrunk_and_reproducible_from_file() {
         .expect("reproducer writes");
     let parsed = read_reproducer(&path).expect("reproducer parses");
     assert_eq!(parsed, outcome.case, "reproducers round-trip bit-exactly");
-    let replayed = run_case(&parsed, Fault::FrozenRouteExtraHop)
+    let replayed = run_case(&parsed, Fault::ClusterRouteExtraHop)
         .expect_err("the parsed reproducer still diverges under the fault");
-    assert_eq!(replayed.kind, "result:frozen", "{replayed}");
+    assert_eq!(replayed.kind, "result:cluster", "{replayed}");
     // Without the planted fault the same case is clean.
     run_case(&parsed, Fault::None)
         .unwrap_or_else(|d| panic!("fault-free replay must be clean: {d}"));
