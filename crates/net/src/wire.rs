@@ -1074,7 +1074,16 @@ mod tests {
     use super::*;
     use crate::frame::MAX_FRAME_LEN;
 
-    fn roundtrip(msg: WireMsg<'_>, from: u64, to: u64) {
+    /// FNV-1a-64 over a byte string, continuing from `hash`.
+    fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+        for &b in bytes {
+            hash = (hash ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
+        hash
+    }
+
+    /// Round-trips `msg` and returns its encoded frame.
+    fn roundtrip(msg: WireMsg<'_>, from: u64, to: u64) -> Vec<u8> {
         let mut buf = Vec::new();
         msg.encode(from, to, &mut buf).unwrap();
         assert!(buf.len() <= MAX_FRAME_LEN);
@@ -1083,6 +1092,7 @@ mod tests {
         assert_eq!(header.to, to);
         assert_eq!(header.kind, msg.kind());
         assert_eq!(decoded, msg);
+        buf
     }
 
     #[test]
@@ -1267,10 +1277,17 @@ mod tests {
             },
             WireMsg::Shutdown,
         ];
+        // Round-tripping alone cannot catch a reordered field (encode and
+        // decode would agree with each other), so the bytes are pinned too.
+        let mut digest = 0xcbf2_9ce4_8422_2325;
         for msg in msgs {
-            roundtrip(msg, 0, 1);
-            roundtrip(msg, u64::MAX, u64::MAX - 1);
+            digest = fnv1a(digest, &roundtrip(msg, 0, 1));
+            digest = fnv1a(digest, &roundtrip(msg, u64::MAX, u64::MAX - 1));
         }
+        assert_eq!(
+            digest, 0x6a05_a752_5628_3ba7,
+            "wire bytes moved: {digest:#018x}"
+        );
     }
 
     #[test]

@@ -382,4 +382,20 @@ mod tests {
         doubled.extend_from_slice(&frame);
         assert!(check_truncations(&doubled).is_err());
     }
+
+    /// The generator's frames are pinned byte for byte: a reordered field
+    /// round-trips clean (encode and decode agree) but moves this digest.
+    #[test]
+    fn random_frame_bytes_are_pinned() {
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        for seed in 0..20_000 {
+            for &b in &random_frame(&mut StdRng::seed_from_u64(seed)) {
+                digest = (digest ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        assert_eq!(
+            digest, 0x5ce2_7ea3_120b_3777,
+            "wire bytes moved: {digest:#018x}"
+        );
+    }
 }
