@@ -3,12 +3,19 @@
 //!
 //! [`WireMsg`] holds the control- and data-plane messages of a deployed
 //! overlay (`ViewUpdate`/`RouteReq`/`RouteStep`/`FloodProbe`/… — see
-//! [`crate::cluster`]), each under its own kind byte.  Kind bytes 1, 3, 4,
-//! 6, 21, 22 and 23 belonged to messages nothing sends any more (a join
-//! request, a neighbourhood-change notice, a departure notice, a bare
-//! route answer, the host-side subscription pushes and the delivery of a
-//! publication to its subscribers' hosts); they decode as
-//! [`DecodeError::UnknownKind`] and are never reused.
+//! [`crate::cluster`]).  One table, the `wire_messages!` invocation below,
+//! declares every message: its variant, its kind byte and its fields in
+//! wire order.  The enum, [`WireMsg::kind`], [`WireMsg::encode`] and
+//! [`WireMsg::decode`] are generated from it, and each field type says
+//! once how it is written and read (the private `Field` trait), so a new
+//! message is one table row.  Kind bytes 1, 3, 4, 6, 21, 22 and 23
+//! belonged to messages nothing sends any more (a join request, a
+//! neighbourhood-change notice, a departure notice, a bare route answer,
+//! the host-side subscription pushes and the delivery of a publication to
+//! its subscribers' hosts); they stay out of the table, decode as
+//! [`DecodeError::UnknownKind`] and are never reused.  The codec tests pin
+//! a digest of the encoded bytes, so a reordered or retyped field fails
+//! them even though it would still round-trip.
 //!
 //! Every object a frame names as a place to go next — a routing entry in
 //! a `ViewUpdate`, a neighbour in a `FloodReply` — travels with the host
@@ -60,6 +67,115 @@ impl fmt::Display for EncodeError {
 }
 
 impl std::error::Error for EncodeError {}
+
+/// One field of a wire message: how a value is appended to a payload and
+/// read back out of one.  `field` names the field (`Variant.field`) for
+/// the [`DecodeError::BadTag`] a tag byte with no meaning yields.
+trait Field<'a>: Sized {
+    fn put(&self, buf: &mut Vec<u8>);
+    fn take(r: &mut WireReader<'a>, field: &'static str) -> Result<Self, DecodeError>;
+}
+
+macro_rules! scalar_field {
+    ($($t:ty: $put:ident, $read:ident);*) => {$(
+        impl<'a> Field<'a> for $t {
+            fn put(&self, buf: &mut Vec<u8>) {
+                $put(buf, *self);
+            }
+
+            fn take(r: &mut WireReader<'a>, _: &'static str) -> Result<Self, DecodeError> {
+                r.$read()
+            }
+        }
+    )*};
+}
+
+scalar_field!(u32: put_u32, u32; u64: put_u64, u64; f64: put_f64, f64);
+
+/// A flag is one byte, 0 or 1; any other value is a [`DecodeError::BadTag`].
+impl<'a> Field<'a> for bool {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(*self as u8);
+    }
+
+    fn take(r: &mut WireReader<'a>, field: &'static str) -> Result<Self, DecodeError> {
+        match r.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            value => Err(DecodeError::BadTag { field, value }),
+        }
+    }
+}
+
+/// A presence flag, then the value when present.
+impl<'a> Field<'a> for Option<u64> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.is_some().put(buf);
+        if let Some(v) = self {
+            v.put(buf);
+        }
+    }
+
+    fn take(r: &mut WireReader<'a>, field: &'static str) -> Result<Self, DecodeError> {
+        Ok(match bool::take(r, field)? {
+            true => Some(u64::take(r, field)?),
+            false => None,
+        })
+    }
+}
+
+impl<'a> Field<'a> for Point2 {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.x.put(buf);
+        self.y.put(buf);
+    }
+
+    fn take(r: &mut WireReader<'a>, field: &'static str) -> Result<Self, DecodeError> {
+        Ok(Point2::new(f64::take(r, field)?, f64::take(r, field)?))
+    }
+}
+
+impl<'a> Field<'a> for Rect {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.min.put(buf);
+        self.max.put(buf);
+    }
+
+    fn take(r: &mut WireReader<'a>, field: &'static str) -> Result<Self, DecodeError> {
+        Ok(Rect::new(Point2::take(r, field)?, Point2::take(r, field)?))
+    }
+}
+
+impl<'a> Field<'a> for TransportStats {
+    fn put(&self, buf: &mut Vec<u8>) {
+        let s = self;
+        for v in [
+            s.frames_sent,
+            s.frames_delivered,
+            s.dropped_loss,
+            s.dropped_partition,
+            s.dead_letters,
+            s.oversized,
+            s.decode_errors,
+            s.reconnects,
+        ] {
+            v.put(buf);
+        }
+    }
+
+    fn take(r: &mut WireReader<'a>, field: &'static str) -> Result<Self, DecodeError> {
+        Ok(TransportStats {
+            frames_sent: u64::take(r, field)?,
+            frames_delivered: u64::take(r, field)?,
+            dropped_loss: u64::take(r, field)?,
+            dropped_partition: u64::take(r, field)?,
+            dead_letters: u64::take(r, field)?,
+            oversized: u64::take(r, field)?,
+            decode_errors: u64::take(r, field)?,
+            reconnects: u64::take(r, field)?,
+        })
+    }
+}
 
 const ENTRY_SIZE: usize = 32; // u64 id + u64 host + 2 × f64 coords
 const PLACED_SIZE: usize = 16; // u64 id + u64 host
@@ -116,16 +232,19 @@ macro_rules! wire_list {
             pub fn to_vec(&self) -> Vec<$item> {
                 self.iter().collect()
             }
+        }
 
-            fn decode(r: &mut WireReader<'a>) -> Result<Self, DecodeError> {
+        /// A `u32` item count, then the items.
+        impl<'a> Field<'a> for $name<'a> {
+            fn put(&self, buf: &mut Vec<u8>) {
+                put_u32(buf, self.len() as u32);
+                buf.extend_from_slice(self.bytes);
+            }
+
+            fn take(r: &mut WireReader<'a>, _: &'static str) -> Result<Self, DecodeError> {
                 let count = r.u32()? as usize;
                 let bytes = r.bytes(count * $size)?;
                 Ok($name { bytes })
-            }
-
-            fn encode(&self, buf: &mut Vec<u8>) {
-                put_u32(buf, self.len() as u32);
-                buf.extend_from_slice(self.bytes);
             }
         }
 
@@ -181,8 +300,7 @@ wire_list!(
     |buf, &(id, host, p)| {
         put_u64(buf, id);
         put_u64(buf, host);
-        put_f64(buf, p.x);
-        put_f64(buf, p.y);
+        p.put(buf);
     }
 );
 
@@ -218,10 +336,7 @@ wire_list!(
     Point2,
     POINT_SIZE,
     |b| Point2::new(read_f64(b), read_f64(&b[8..])),
-    |buf, &p| {
-        put_f64(buf, p.x);
-        put_f64(buf, p.y);
-    }
+    |buf, p| p.put(buf)
 );
 
 wire_list!(
@@ -267,6 +382,61 @@ pub enum WirePurpose {
     },
 }
 
+/// A tag byte (0 join, 1 query, 2 area, 3 radius), then the variant's
+/// fields.
+impl<'a> Field<'a> for WirePurpose {
+    fn put(&self, buf: &mut Vec<u8>) {
+        match *self {
+            WirePurpose::Join { position, token } => {
+                buf.push(0);
+                position.put(buf);
+                token.put(buf);
+            }
+            WirePurpose::Query { token } => {
+                buf.push(1);
+                token.put(buf);
+            }
+            WirePurpose::Area { rect, token } => {
+                buf.push(2);
+                rect.put(buf);
+                token.put(buf);
+            }
+            WirePurpose::Radius {
+                center,
+                radius,
+                token,
+            } => {
+                buf.push(3);
+                center.put(buf);
+                radius.put(buf);
+                token.put(buf);
+            }
+        }
+    }
+
+    fn take(r: &mut WireReader<'a>, field: &'static str) -> Result<Self, DecodeError> {
+        Ok(match r.u8()? {
+            0 => WirePurpose::Join {
+                position: Field::take(r, field)?,
+                token: Field::take(r, field)?,
+            },
+            1 => WirePurpose::Query {
+                token: Field::take(r, field)?,
+            },
+            2 => WirePurpose::Area {
+                rect: Field::take(r, field)?,
+                token: Field::take(r, field)?,
+            },
+            3 => WirePurpose::Radius {
+                center: Field::take(r, field)?,
+                radius: Field::take(r, field)?,
+                token: Field::take(r, field)?,
+            },
+            value => return Err(DecodeError::BadTag { field, value }),
+        })
+    }
+}
+
 /// The predicate parameters a flood probe evaluates against one object's
 /// Voronoi cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -285,787 +455,344 @@ pub enum WireQuery {
     },
 }
 
-/// One decoded wire message.  List-valued fields borrow the frame buffer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum WireMsg<'a> {
-    /// Transport-level preamble identifying the sending peer (TCP sends
-    /// it first on every new connection; header `from` carries the id).
-    Hello,
-    /// One greedy forwarding step.
-    RouteStep {
-        /// Point the route converges towards.
-        target: Point2,
-        /// Peer that initiated the route (receives the answer).
-        origin: u64,
-        /// Forwarding steps taken so far.
-        hops: u32,
-        /// What to do on arrival.
-        purpose: WirePurpose,
-    },
-    /// Liveness probe.
-    Ping {
-        /// True on the echo leg.
-        reply: bool,
-    },
-    /// Installs / refreshes one hosted object's view on its host: the
-    /// object's coordinates, its flattened routing table, its Voronoi
-    /// neighbours (the flood graph) and its clipped Voronoi cell polygon
-    /// (the flood-eligibility geometry).  Every routing entry names the
-    /// host it lives on; a neighbour names its routing entry.
-    ViewUpdate {
-        /// The object whose view this is.
-        object: u64,
-        /// Monotonic per-object sequence number (acked by `ViewAck`).
-        seq: u64,
-        /// The object's attribute coordinates.
-        coords: Point2,
-        /// Flattened routing neighbours with their hosts and coordinates.
-        routing: EntryList<'a>,
-        /// Voronoi neighbours, as positions in `routing`.
-        vn: PositionList<'a>,
-        /// Vertices of the object's Voronoi cell clipped to the domain.
-        cell: PointList<'a>,
-    },
-    /// Acknowledges a `ViewUpdate`.
-    ViewAck {
-        /// Acknowledged object.
-        object: u64,
-        /// Acknowledged sequence number.
-        seq: u64,
-    },
-    /// Removes one hosted object from its host.
-    Evict {
-        /// The departing object.
-        object: u64,
-        /// Monotonic per-object sequence number (acked by `EvictAck`).
-        seq: u64,
-    },
-    /// Acknowledges an `Evict`.
-    EvictAck {
-        /// Acknowledged object.
-        object: u64,
-        /// Acknowledged sequence number.
-        seq: u64,
-    },
-    /// Asks the host of `from_object` to start a greedy point route.
-    RouteReq {
-        /// Result-correlation token (fresh per attempt).
-        token: u64,
-        /// Hosted object the route starts from.
-        from_object: u64,
-        /// Route target.
-        target: Point2,
-    },
-    /// Asks the host of `from_object` to start a rectangular area query.
-    AreaReq {
-        /// Result-correlation token (fresh per attempt).
-        token: u64,
-        /// Hosted object the query starts from.
-        from_object: u64,
-        /// Queried rectangle.
-        rect: Rect,
-    },
-    /// Asks the host of `from_object` to start a radius query.
-    RadiusReq {
-        /// Result-correlation token (fresh per attempt).
-        token: u64,
-        /// Hosted object the query starts from.
-        from_object: u64,
-        /// Disk centre.
-        center: Point2,
-        /// Disk radius.
-        radius: f64,
-    },
-    /// Point-route result: the owner the greedy walk arrived at.
-    AnswerOwner {
-        /// Token of the answered request.
-        token: u64,
-        /// Owner object.
-        owner: u64,
-        /// Hops of the greedy walk.
-        hops: u32,
-    },
-    /// Area/radius-query result.
-    AnswerMatches {
-        /// Token of the answered request.
-        token: u64,
-        /// Hops of the initial greedy route.
-        hops: u32,
-        /// Objects visited by the flood.
-        visited: u32,
-        /// Matching objects, sorted ascending.
-        matches: IdList<'a>,
-    },
-    /// Flood visit: "evaluate `query` at `object` and report".
-    FloodProbe {
-        /// Token of the area/radius query being flooded.
-        token: u64,
-        /// Object to evaluate.
-        object: u64,
-        /// The query predicate parameters.
-        query: WireQuery,
-    },
-    /// Reply to a `FloodProbe`.
-    FloodReply {
-        /// Token of the area/radius query being flooded.
-        token: u64,
-        /// Evaluated object.
-        object: u64,
-        /// True when the object's cell touches the queried area (the
-        /// flood expands through it).
-        eligible: bool,
-        /// True when the object's coordinates satisfy the predicate.
-        is_match: bool,
-        /// The object's Voronoi neighbours (expansion set) with their
-        /// hosts.
-        neighbours: PlacedList<'a>,
-    },
-    /// Stores one KV entry at the host of its owning object.
-    SvcKvStore {
-        /// The cell owner the entry belongs to.
-        object: u64,
-        /// Monotonic per-object service push sequence number.
-        seq: u64,
-        /// The entry's key.
-        key: u64,
-        /// The entry's value.
-        value: u64,
-    },
-    /// Drops one KV entry from the host of its (former) owning object.
-    SvcKvDrop {
-        /// The cell owner the entry belonged to.
-        object: u64,
-        /// Monotonic per-object service push sequence number.
-        seq: u64,
-        /// The entry's key.
-        key: u64,
-    },
-    /// Asks the host of `object` for the value it stores under `key` on
-    /// behalf of that object (answered by `SvcKvValue`).
-    SvcKvFetch {
-        /// Result-correlation token (fresh per attempt).
-        token: u64,
-        /// The cell owner to read from.
-        object: u64,
-        /// The queried key.
-        key: u64,
-    },
-    /// Answer to a `SvcKvFetch`.
-    SvcKvValue {
-        /// Token of the answered fetch.
-        token: u64,
-        /// The stored value, `None` when the host holds no entry.
-        value: Option<u64>,
-    },
-    /// Acknowledges one service push (`SvcKvStore`/`SvcKvDrop`/
-    /// `SvcKvReplicate`).
-    SvcAck {
-        /// Acknowledged object.
-        object: u64,
-        /// Acknowledged service push sequence number.
-        seq: u64,
-    },
-    /// Stores one KV entry's *replica copy* at the host of a Voronoi
-    /// neighbour of the owning object, stamped with the entry's write
-    /// sequence number so degraded reads can judge freshness.
-    SvcKvReplicate {
-        /// The replica-holding object (a Voronoi neighbour of the owner).
-        object: u64,
-        /// Monotonic per-object service push sequence number.
-        seq: u64,
-        /// The entry's key.
-        key: u64,
-        /// The entry's value.
-        value: u64,
-        /// The write's global sequence number (freshness stamp).
-        entry_seq: u64,
-    },
-    /// Asks the host of `object` for the replica copy it stores under
-    /// `key` (answered by `SvcKvReplicaValue`); issued when the owning
-    /// object's host is suspected or dead.
-    SvcKvFetchReplica {
-        /// Result-correlation token (fresh per attempt).
-        token: u64,
-        /// The replica-holding object to read from.
-        object: u64,
-        /// The queried key.
-        key: u64,
-    },
-    /// Answer to a `SvcKvFetchReplica`.
-    SvcKvReplicaValue {
-        /// Token of the answered fetch.
-        token: u64,
-        /// Freshness stamp of the replica copy (0 when absent).
-        entry_seq: u64,
-        /// The stored value, `None` when the host holds no replica.
-        value: Option<u64>,
-    },
-    /// Asks a peer for its stats.
-    StatsReq,
-    /// Stats snapshot of one peer.
-    StatsReply {
-        /// Transport-level counters.
-        stats: TransportStats,
-        /// Protocol operations served by the peer.
-        ops_served: u64,
-    },
-    /// Asks a peer to exit its serve loop.
-    Shutdown,
-}
-
-// Kind bytes 1, 3, 4, 6, 21, 22 and 23 are retired (see the module docs).
-const KIND_HELLO: u8 = 0;
-const KIND_ROUTE_STEP: u8 = 2;
-const KIND_PING: u8 = 5;
-const KIND_VIEW_UPDATE: u8 = 7;
-const KIND_VIEW_ACK: u8 = 8;
-const KIND_EVICT: u8 = 9;
-const KIND_EVICT_ACK: u8 = 10;
-const KIND_ROUTE_REQ: u8 = 11;
-const KIND_AREA_REQ: u8 = 12;
-const KIND_RADIUS_REQ: u8 = 13;
-const KIND_ANSWER_OWNER: u8 = 14;
-const KIND_ANSWER_MATCHES: u8 = 15;
-const KIND_FLOOD_PROBE: u8 = 16;
-const KIND_FLOOD_REPLY: u8 = 17;
-const KIND_STATS_REQ: u8 = 18;
-const KIND_STATS_REPLY: u8 = 19;
-const KIND_SHUTDOWN: u8 = 20;
-const KIND_SVC_KV_STORE: u8 = 24;
-const KIND_SVC_KV_DROP: u8 = 25;
-const KIND_SVC_KV_FETCH: u8 = 26;
-const KIND_SVC_KV_VALUE: u8 = 27;
-const KIND_SVC_ACK: u8 = 28;
-const KIND_SVC_KV_REPLICATE: u8 = 29;
-const KIND_SVC_KV_FETCH_REPLICA: u8 = 30;
-const KIND_SVC_KV_REPLICA_VALUE: u8 = 31;
-
-const PURPOSE_JOIN: u8 = 0;
-const PURPOSE_QUERY: u8 = 1;
-const PURPOSE_AREA: u8 = 2;
-const PURPOSE_RADIUS: u8 = 3;
-
-const QUERY_RECT: u8 = 0;
-const QUERY_DISK: u8 = 1;
-
-fn put_point(buf: &mut Vec<u8>, p: Point2) {
-    put_f64(buf, p.x);
-    put_f64(buf, p.y);
-}
-
-fn read_point(r: &mut WireReader<'_>) -> Result<Point2, DecodeError> {
-    Ok(Point2::new(r.f64()?, r.f64()?))
-}
-
-fn put_rect(buf: &mut Vec<u8>, rect: Rect) {
-    put_point(buf, rect.min);
-    put_point(buf, rect.max);
-}
-
-fn read_rect(r: &mut WireReader<'_>) -> Result<Rect, DecodeError> {
-    Ok(Rect::new(read_point(r)?, read_point(r)?))
-}
-
-impl<'a> WireMsg<'a> {
-    /// The kind byte this message encodes under.
-    pub fn kind(&self) -> u8 {
-        match self {
-            WireMsg::Hello => KIND_HELLO,
-            WireMsg::RouteStep { .. } => KIND_ROUTE_STEP,
-            WireMsg::Ping { .. } => KIND_PING,
-            WireMsg::ViewUpdate { .. } => KIND_VIEW_UPDATE,
-            WireMsg::ViewAck { .. } => KIND_VIEW_ACK,
-            WireMsg::Evict { .. } => KIND_EVICT,
-            WireMsg::EvictAck { .. } => KIND_EVICT_ACK,
-            WireMsg::RouteReq { .. } => KIND_ROUTE_REQ,
-            WireMsg::AreaReq { .. } => KIND_AREA_REQ,
-            WireMsg::RadiusReq { .. } => KIND_RADIUS_REQ,
-            WireMsg::AnswerOwner { .. } => KIND_ANSWER_OWNER,
-            WireMsg::AnswerMatches { .. } => KIND_ANSWER_MATCHES,
-            WireMsg::FloodProbe { .. } => KIND_FLOOD_PROBE,
-            WireMsg::FloodReply { .. } => KIND_FLOOD_REPLY,
-            WireMsg::SvcKvStore { .. } => KIND_SVC_KV_STORE,
-            WireMsg::SvcKvDrop { .. } => KIND_SVC_KV_DROP,
-            WireMsg::SvcKvFetch { .. } => KIND_SVC_KV_FETCH,
-            WireMsg::SvcKvValue { .. } => KIND_SVC_KV_VALUE,
-            WireMsg::SvcAck { .. } => KIND_SVC_ACK,
-            WireMsg::SvcKvReplicate { .. } => KIND_SVC_KV_REPLICATE,
-            WireMsg::SvcKvFetchReplica { .. } => KIND_SVC_KV_FETCH_REPLICA,
-            WireMsg::SvcKvReplicaValue { .. } => KIND_SVC_KV_REPLICA_VALUE,
-            WireMsg::StatsReq => KIND_STATS_REQ,
-            WireMsg::StatsReply { .. } => KIND_STATS_REPLY,
-            WireMsg::Shutdown => KIND_SHUTDOWN,
-        }
-    }
-
-    /// Encodes `header ‖ payload` into `buf` (cleared first).
-    pub fn encode(&self, from: u64, to: u64, buf: &mut Vec<u8>) -> Result<(), EncodeError> {
-        buf.clear();
-        FrameHeader {
-            kind: self.kind(),
-            from,
-            to,
-            len: 0,
-        }
-        .encode_into(buf);
+/// A tag byte (0 rectangle, 1 disk), then the variant's fields.
+impl<'a> Field<'a> for WireQuery {
+    fn put(&self, buf: &mut Vec<u8>) {
         match *self {
-            WireMsg::Hello | WireMsg::StatsReq | WireMsg::Shutdown => {}
-            WireMsg::RouteStep {
-                target,
-                origin,
-                hops,
-                purpose,
-            } => {
-                put_point(buf, target);
-                put_u64(buf, origin);
-                put_u32(buf, hops);
-                match purpose {
-                    WirePurpose::Join { position, token } => {
-                        buf.push(PURPOSE_JOIN);
-                        put_point(buf, position);
-                        put_u64(buf, token);
-                    }
-                    WirePurpose::Query { token } => {
-                        buf.push(PURPOSE_QUERY);
-                        put_u64(buf, token);
-                    }
-                    WirePurpose::Area { rect, token } => {
-                        buf.push(PURPOSE_AREA);
-                        put_rect(buf, rect);
-                        put_u64(buf, token);
-                    }
-                    WirePurpose::Radius {
-                        center,
-                        radius,
-                        token,
-                    } => {
-                        buf.push(PURPOSE_RADIUS);
-                        put_point(buf, center);
-                        put_f64(buf, radius);
-                        put_u64(buf, token);
-                    }
-                }
+            WireQuery::Rect(rect) => {
+                buf.push(0);
+                rect.put(buf);
             }
-            WireMsg::Ping { reply } => buf.push(reply as u8),
-            WireMsg::ViewUpdate {
-                object,
-                seq,
-                coords,
-                routing,
-                vn,
-                cell,
-            } => {
-                put_u64(buf, object);
-                put_u64(buf, seq);
-                put_point(buf, coords);
-                routing.encode(buf);
-                vn.encode(buf);
-                cell.encode(buf);
-            }
-            WireMsg::ViewAck { object, seq }
-            | WireMsg::Evict { object, seq }
-            | WireMsg::EvictAck { object, seq } => {
-                put_u64(buf, object);
-                put_u64(buf, seq);
-            }
-            WireMsg::RouteReq {
-                token,
-                from_object,
-                target,
-            } => {
-                put_u64(buf, token);
-                put_u64(buf, from_object);
-                put_point(buf, target);
-            }
-            WireMsg::AreaReq {
-                token,
-                from_object,
-                rect,
-            } => {
-                put_u64(buf, token);
-                put_u64(buf, from_object);
-                put_rect(buf, rect);
-            }
-            WireMsg::RadiusReq {
-                token,
-                from_object,
-                center,
-                radius,
-            } => {
-                put_u64(buf, token);
-                put_u64(buf, from_object);
-                put_point(buf, center);
-                put_f64(buf, radius);
-            }
-            WireMsg::AnswerOwner { token, owner, hops } => {
-                put_u64(buf, token);
-                put_u64(buf, owner);
-                put_u32(buf, hops);
-            }
-            WireMsg::AnswerMatches {
-                token,
-                hops,
-                visited,
-                matches,
-            } => {
-                put_u64(buf, token);
-                put_u32(buf, hops);
-                put_u32(buf, visited);
-                matches.encode(buf);
-            }
-            WireMsg::FloodProbe {
-                token,
-                object,
-                query,
-            } => {
-                put_u64(buf, token);
-                put_u64(buf, object);
-                match query {
-                    WireQuery::Rect(rect) => {
-                        buf.push(QUERY_RECT);
-                        put_rect(buf, rect);
-                    }
-                    WireQuery::Disk { center, radius } => {
-                        buf.push(QUERY_DISK);
-                        put_point(buf, center);
-                        put_f64(buf, radius);
-                    }
-                }
-            }
-            WireMsg::FloodReply {
-                token,
-                object,
-                eligible,
-                is_match,
-                neighbours,
-            } => {
-                put_u64(buf, token);
-                put_u64(buf, object);
-                buf.push(eligible as u8);
-                buf.push(is_match as u8);
-                neighbours.encode(buf);
-            }
-            WireMsg::SvcAck { object, seq } => {
-                put_u64(buf, object);
-                put_u64(buf, seq);
-            }
-            WireMsg::SvcKvStore {
-                object,
-                seq,
-                key,
-                value,
-            } => {
-                put_u64(buf, object);
-                put_u64(buf, seq);
-                put_u64(buf, key);
-                put_u64(buf, value);
-            }
-            WireMsg::SvcKvDrop { object, seq, key } => {
-                put_u64(buf, object);
-                put_u64(buf, seq);
-                put_u64(buf, key);
-            }
-            WireMsg::SvcKvFetch { token, object, key } => {
-                put_u64(buf, token);
-                put_u64(buf, object);
-                put_u64(buf, key);
-            }
-            WireMsg::SvcKvValue { token, value } => {
-                put_u64(buf, token);
-                match value {
-                    Some(v) => {
-                        buf.push(1);
-                        put_u64(buf, v);
-                    }
-                    None => buf.push(0),
-                }
-            }
-            WireMsg::SvcKvReplicate {
-                object,
-                seq,
-                key,
-                value,
-                entry_seq,
-            } => {
-                put_u64(buf, object);
-                put_u64(buf, seq);
-                put_u64(buf, key);
-                put_u64(buf, value);
-                put_u64(buf, entry_seq);
-            }
-            WireMsg::SvcKvFetchReplica { token, object, key } => {
-                put_u64(buf, token);
-                put_u64(buf, object);
-                put_u64(buf, key);
-            }
-            WireMsg::SvcKvReplicaValue {
-                token,
-                entry_seq,
-                value,
-            } => {
-                put_u64(buf, token);
-                put_u64(buf, entry_seq);
-                match value {
-                    Some(v) => {
-                        buf.push(1);
-                        put_u64(buf, v);
-                    }
-                    None => buf.push(0),
-                }
-            }
-            WireMsg::StatsReply { stats, ops_served } => {
-                put_u64(buf, stats.frames_sent);
-                put_u64(buf, stats.frames_delivered);
-                put_u64(buf, stats.dropped_loss);
-                put_u64(buf, stats.dropped_partition);
-                put_u64(buf, stats.dead_letters);
-                put_u64(buf, stats.oversized);
-                put_u64(buf, stats.decode_errors);
-                put_u64(buf, stats.reconnects);
-                put_u64(buf, ops_served);
+            WireQuery::Disk { center, radius } => {
+                buf.push(1);
+                center.put(buf);
+                radius.put(buf);
             }
         }
-        let len = buf.len() - HEADER_LEN;
-        if len > MAX_PAYLOAD_LEN {
-            return Err(EncodeError::Oversized { len });
-        }
-        buf[20..24].copy_from_slice(&(len as u32).to_le_bytes());
-        Ok(())
     }
 
-    /// Decodes one whole frame (`header ‖ payload`): validates the
-    /// header, the declared length against the bytes present, parses the
-    /// payload and rejects trailing bytes.
-    pub fn decode(frame: &'a [u8]) -> Result<(FrameHeader, WireMsg<'a>), DecodeError> {
-        let header = FrameHeader::decode(frame)?;
-        let payload = &frame[HEADER_LEN.min(frame.len())..];
-        if payload.len() != header.len as usize {
-            return Err(DecodeError::LengthMismatch {
-                declared: header.len as usize,
-                actual: payload.len(),
-            });
+    fn take(r: &mut WireReader<'a>, field: &'static str) -> Result<Self, DecodeError> {
+        Ok(match r.u8()? {
+            0 => WireQuery::Rect(Field::take(r, field)?),
+            1 => WireQuery::Disk {
+                center: Field::take(r, field)?,
+                radius: Field::take(r, field)?,
+            },
+            value => return Err(DecodeError::BadTag { field, value }),
+        })
+    }
+}
+
+/// Generates the message enum, `kind`, `encode` and `decode` from one
+/// table: each variant carries its kind byte and lists its fields in wire
+/// order.
+macro_rules! wire_messages {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident<$lt:lifetime> {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident = $kind:literal $({
+                    $($(#[$fmeta:meta])* $field:ident: $ty:ty),* $(,)?
+                })?
+            ),* $(,)?
         }
-        let mut r = WireReader::new(payload);
-        let msg = match header.kind {
-            KIND_HELLO => WireMsg::Hello,
-            KIND_ROUTE_STEP => {
-                let target = read_point(&mut r)?;
-                let origin = r.u64()?;
-                let hops = r.u32()?;
-                let purpose = match r.u8()? {
-                    PURPOSE_JOIN => WirePurpose::Join {
-                        position: read_point(&mut r)?,
-                        token: r.u64()?,
-                    },
-                    PURPOSE_QUERY => WirePurpose::Query { token: r.u64()? },
-                    PURPOSE_AREA => WirePurpose::Area {
-                        rect: read_rect(&mut r)?,
-                        token: r.u64()?,
-                    },
-                    PURPOSE_RADIUS => WirePurpose::Radius {
-                        center: read_point(&mut r)?,
-                        radius: r.f64()?,
-                        token: r.u64()?,
-                    },
-                    value => {
-                        return Err(DecodeError::BadTag {
-                            field: "route purpose",
-                            value,
-                        })
-                    }
-                };
-                WireMsg::RouteStep {
-                    target,
-                    origin,
-                    hops,
-                    purpose,
+    ) => {
+        $(#[$meta])*
+        $vis enum $name<$lt> {
+            $(
+                $(#[$vmeta])*
+                $variant $({ $($(#[$fmeta])* $field: $ty),* })?,
+            )*
+        }
+
+        impl<$lt> $name<$lt> {
+            /// The kind byte this message encodes under.
+            pub fn kind(&self) -> u8 {
+                match self {
+                    $($name::$variant { .. } => $kind,)*
                 }
             }
-            KIND_PING => WireMsg::Ping {
-                reply: match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    value => {
-                        return Err(DecodeError::BadTag {
-                            field: "ping reply",
-                            value,
-                        })
-                    }
-                },
-            },
-            KIND_VIEW_UPDATE => WireMsg::ViewUpdate {
-                object: r.u64()?,
-                seq: r.u64()?,
-                coords: read_point(&mut r)?,
-                routing: EntryList::decode(&mut r)?,
-                vn: PositionList::decode(&mut r)?,
-                cell: PointList::decode(&mut r)?,
-            },
-            KIND_VIEW_ACK => WireMsg::ViewAck {
-                object: r.u64()?,
-                seq: r.u64()?,
-            },
-            KIND_EVICT => WireMsg::Evict {
-                object: r.u64()?,
-                seq: r.u64()?,
-            },
-            KIND_EVICT_ACK => WireMsg::EvictAck {
-                object: r.u64()?,
-                seq: r.u64()?,
-            },
-            KIND_ROUTE_REQ => WireMsg::RouteReq {
-                token: r.u64()?,
-                from_object: r.u64()?,
-                target: read_point(&mut r)?,
-            },
-            KIND_AREA_REQ => WireMsg::AreaReq {
-                token: r.u64()?,
-                from_object: r.u64()?,
-                rect: read_rect(&mut r)?,
-            },
-            KIND_RADIUS_REQ => WireMsg::RadiusReq {
-                token: r.u64()?,
-                from_object: r.u64()?,
-                center: read_point(&mut r)?,
-                radius: r.f64()?,
-            },
-            KIND_ANSWER_OWNER => WireMsg::AnswerOwner {
-                token: r.u64()?,
-                owner: r.u64()?,
-                hops: r.u32()?,
-            },
-            KIND_ANSWER_MATCHES => WireMsg::AnswerMatches {
-                token: r.u64()?,
-                hops: r.u32()?,
-                visited: r.u32()?,
-                matches: IdList::decode(&mut r)?,
-            },
-            KIND_FLOOD_PROBE => WireMsg::FloodProbe {
-                token: r.u64()?,
-                object: r.u64()?,
-                query: match r.u8()? {
-                    QUERY_RECT => WireQuery::Rect(read_rect(&mut r)?),
-                    QUERY_DISK => WireQuery::Disk {
-                        center: read_point(&mut r)?,
-                        radius: r.f64()?,
-                    },
-                    value => {
-                        return Err(DecodeError::BadTag {
-                            field: "flood query",
-                            value,
-                        })
-                    }
-                },
-            },
-            KIND_FLOOD_REPLY => {
-                let token = r.u64()?;
-                let object = r.u64()?;
-                let eligible = match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    value => {
-                        return Err(DecodeError::BadTag {
-                            field: "flood eligible",
-                            value,
-                        })
-                    }
-                };
-                let is_match = match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    value => {
-                        return Err(DecodeError::BadTag {
-                            field: "flood match",
-                            value,
-                        })
-                    }
-                };
-                WireMsg::FloodReply {
-                    token,
-                    object,
-                    eligible,
-                    is_match,
-                    neighbours: PlacedList::decode(&mut r)?,
+
+            /// Encodes `header ‖ payload` into `buf` (cleared first).
+            pub fn encode(&self, from: u64, to: u64, buf: &mut Vec<u8>) -> Result<(), EncodeError> {
+                buf.clear();
+                FrameHeader {
+                    kind: self.kind(),
+                    from,
+                    to,
+                    len: 0,
                 }
+                .encode_into(buf);
+                match self {
+                    $($name::$variant $({ $($field),* })? => {
+                        $($($field.put(buf);)*)?
+                    })*
+                }
+                let len = buf.len() - HEADER_LEN;
+                if len > MAX_PAYLOAD_LEN {
+                    return Err(EncodeError::Oversized { len });
+                }
+                buf[20..24].copy_from_slice(&(len as u32).to_le_bytes());
+                Ok(())
             }
-            KIND_SVC_KV_STORE => WireMsg::SvcKvStore {
-                object: r.u64()?,
-                seq: r.u64()?,
-                key: r.u64()?,
-                value: r.u64()?,
-            },
-            KIND_SVC_KV_DROP => WireMsg::SvcKvDrop {
-                object: r.u64()?,
-                seq: r.u64()?,
-                key: r.u64()?,
-            },
-            KIND_SVC_KV_FETCH => WireMsg::SvcKvFetch {
-                token: r.u64()?,
-                object: r.u64()?,
-                key: r.u64()?,
-            },
-            KIND_SVC_KV_VALUE => WireMsg::SvcKvValue {
-                token: r.u64()?,
-                value: match r.u8()? {
-                    0 => None,
-                    1 => Some(r.u64()?),
-                    value => {
-                        return Err(DecodeError::BadTag {
-                            field: "kv value presence",
-                            value,
-                        })
-                    }
-                },
-            },
-            KIND_SVC_ACK => WireMsg::SvcAck {
-                object: r.u64()?,
-                seq: r.u64()?,
-            },
-            KIND_SVC_KV_REPLICATE => WireMsg::SvcKvReplicate {
-                object: r.u64()?,
-                seq: r.u64()?,
-                key: r.u64()?,
-                value: r.u64()?,
-                entry_seq: r.u64()?,
-            },
-            KIND_SVC_KV_FETCH_REPLICA => WireMsg::SvcKvFetchReplica {
-                token: r.u64()?,
-                object: r.u64()?,
-                key: r.u64()?,
-            },
-            KIND_SVC_KV_REPLICA_VALUE => WireMsg::SvcKvReplicaValue {
-                token: r.u64()?,
-                entry_seq: r.u64()?,
-                value: match r.u8()? {
-                    0 => None,
-                    1 => Some(r.u64()?),
-                    value => {
-                        return Err(DecodeError::BadTag {
-                            field: "kv replica value presence",
-                            value,
-                        })
-                    }
-                },
-            },
-            KIND_STATS_REQ => WireMsg::StatsReq,
-            KIND_STATS_REPLY => WireMsg::StatsReply {
-                stats: TransportStats {
-                    frames_sent: r.u64()?,
-                    frames_delivered: r.u64()?,
-                    dropped_loss: r.u64()?,
-                    dropped_partition: r.u64()?,
-                    dead_letters: r.u64()?,
-                    oversized: r.u64()?,
-                    decode_errors: r.u64()?,
-                    reconnects: r.u64()?,
-                },
-                ops_served: r.u64()?,
-            },
-            KIND_SHUTDOWN => WireMsg::Shutdown,
-            kind => return Err(DecodeError::UnknownKind(kind)),
-        };
-        r.finish()?;
-        Ok((header, msg))
+
+            /// Decodes one whole frame (`header ‖ payload`): validates the
+            /// header, the declared length against the bytes present, parses
+            /// the payload and rejects trailing bytes.
+            pub fn decode(frame: &$lt [u8]) -> Result<(FrameHeader, $name<$lt>), DecodeError> {
+                let header = FrameHeader::decode(frame)?;
+                let payload = &frame[HEADER_LEN.min(frame.len())..];
+                if payload.len() != header.len as usize {
+                    return Err(DecodeError::LengthMismatch {
+                        declared: header.len as usize,
+                        actual: payload.len(),
+                    });
+                }
+                let mut r = WireReader::new(payload);
+                let msg = match header.kind {
+                    $($kind => $name::$variant $({ $(
+                        $field: <$ty as Field<$lt>>::take(
+                            &mut r,
+                            concat!(stringify!($variant), ".", stringify!($field)),
+                        )?,
+                    )* })?,)*
+                    kind => return Err(DecodeError::UnknownKind(kind)),
+                };
+                r.finish()?;
+                Ok((header, msg))
+            }
+        }
+    };
+}
+
+wire_messages! {
+    /// One decoded wire message.  List-valued fields borrow the frame buffer.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub enum WireMsg<'a> {
+        /// Transport-level preamble identifying the sending peer (TCP sends
+        /// it first on every new connection; header `from` carries the id).
+        Hello = 0,
+        /// One greedy forwarding step.
+        RouteStep = 2 {
+            /// Point the route converges towards.
+            target: Point2,
+            /// Peer that initiated the route (receives the answer).
+            origin: u64,
+            /// Forwarding steps taken so far.
+            hops: u32,
+            /// What to do on arrival.
+            purpose: WirePurpose,
+        },
+        /// Liveness probe.
+        Ping = 5 {
+            /// True on the echo leg.
+            reply: bool,
+        },
+        /// Installs / refreshes one hosted object's view on its host: the
+        /// object's coordinates, its flattened routing table, its Voronoi
+        /// neighbours (the flood graph) and its clipped Voronoi cell polygon
+        /// (the flood-eligibility geometry).  Every routing entry names the
+        /// host it lives on; a neighbour names its routing entry.
+        ViewUpdate = 7 {
+            /// The object whose view this is.
+            object: u64,
+            /// Monotonic per-object sequence number (acked by `ViewAck`).
+            seq: u64,
+            /// The object's attribute coordinates.
+            coords: Point2,
+            /// Flattened routing neighbours with their hosts and coordinates.
+            routing: EntryList<'a>,
+            /// Voronoi neighbours, as positions in `routing`.
+            vn: PositionList<'a>,
+            /// Vertices of the object's Voronoi cell clipped to the domain.
+            cell: PointList<'a>,
+        },
+        /// Acknowledges a `ViewUpdate`.
+        ViewAck = 8 {
+            /// Acknowledged object.
+            object: u64,
+            /// Acknowledged sequence number.
+            seq: u64,
+        },
+        /// Removes one hosted object from its host.
+        Evict = 9 {
+            /// The departing object.
+            object: u64,
+            /// Monotonic per-object sequence number (acked by `EvictAck`).
+            seq: u64,
+        },
+        /// Acknowledges an `Evict`.
+        EvictAck = 10 {
+            /// Acknowledged object.
+            object: u64,
+            /// Acknowledged sequence number.
+            seq: u64,
+        },
+        /// Asks the host of `from_object` to start a greedy point route.
+        RouteReq = 11 {
+            /// Result-correlation token (fresh per attempt).
+            token: u64,
+            /// Hosted object the route starts from.
+            from_object: u64,
+            /// Route target.
+            target: Point2,
+        },
+        /// Asks the host of `from_object` to start a rectangular area query.
+        AreaReq = 12 {
+            /// Result-correlation token (fresh per attempt).
+            token: u64,
+            /// Hosted object the query starts from.
+            from_object: u64,
+            /// Queried rectangle.
+            rect: Rect,
+        },
+        /// Asks the host of `from_object` to start a radius query.
+        RadiusReq = 13 {
+            /// Result-correlation token (fresh per attempt).
+            token: u64,
+            /// Hosted object the query starts from.
+            from_object: u64,
+            /// Disk centre.
+            center: Point2,
+            /// Disk radius.
+            radius: f64,
+        },
+        /// Point-route result: the owner the greedy walk arrived at.
+        AnswerOwner = 14 {
+            /// Token of the answered request.
+            token: u64,
+            /// Owner object.
+            owner: u64,
+            /// Hops of the greedy walk.
+            hops: u32,
+        },
+        /// Area/radius-query result.
+        AnswerMatches = 15 {
+            /// Token of the answered request.
+            token: u64,
+            /// Hops of the initial greedy route.
+            hops: u32,
+            /// Objects visited by the flood.
+            visited: u32,
+            /// Matching objects, sorted ascending.
+            matches: IdList<'a>,
+        },
+        /// Flood visit: "evaluate `query` at `object` and report".
+        FloodProbe = 16 {
+            /// Token of the area/radius query being flooded.
+            token: u64,
+            /// Object to evaluate.
+            object: u64,
+            /// The query predicate parameters.
+            query: WireQuery,
+        },
+        /// Reply to a `FloodProbe`.
+        FloodReply = 17 {
+            /// Token of the area/radius query being flooded.
+            token: u64,
+            /// Evaluated object.
+            object: u64,
+            /// True when the object's cell touches the queried area (the
+            /// flood expands through it).
+            eligible: bool,
+            /// True when the object's coordinates satisfy the predicate.
+            is_match: bool,
+            /// The object's Voronoi neighbours (expansion set) with their
+            /// hosts.
+            neighbours: PlacedList<'a>,
+        },
+        /// Stores one KV entry at the host of its owning object.
+        SvcKvStore = 24 {
+            /// The cell owner the entry belongs to.
+            object: u64,
+            /// Monotonic per-object service push sequence number.
+            seq: u64,
+            /// The entry's key.
+            key: u64,
+            /// The entry's value.
+            value: u64,
+        },
+        /// Drops one KV entry from the host of its (former) owning object.
+        SvcKvDrop = 25 {
+            /// The cell owner the entry belonged to.
+            object: u64,
+            /// Monotonic per-object service push sequence number.
+            seq: u64,
+            /// The entry's key.
+            key: u64,
+        },
+        /// Asks the host of `object` for the value it stores under `key` on
+        /// behalf of that object (answered by `SvcKvValue`).
+        SvcKvFetch = 26 {
+            /// Result-correlation token (fresh per attempt).
+            token: u64,
+            /// The cell owner to read from.
+            object: u64,
+            /// The queried key.
+            key: u64,
+        },
+        /// Answer to a `SvcKvFetch`.
+        SvcKvValue = 27 {
+            /// Token of the answered fetch.
+            token: u64,
+            /// The stored value, `None` when the host holds no entry.
+            value: Option<u64>,
+        },
+        /// Acknowledges one service push (`SvcKvStore`/`SvcKvDrop`/
+        /// `SvcKvReplicate`).
+        SvcAck = 28 {
+            /// Acknowledged object.
+            object: u64,
+            /// Acknowledged service push sequence number.
+            seq: u64,
+        },
+        /// Stores one KV entry's *replica copy* at the host of a Voronoi
+        /// neighbour of the owning object, stamped with the entry's write
+        /// sequence number so degraded reads can judge freshness.
+        SvcKvReplicate = 29 {
+            /// The replica-holding object (a Voronoi neighbour of the owner).
+            object: u64,
+            /// Monotonic per-object service push sequence number.
+            seq: u64,
+            /// The entry's key.
+            key: u64,
+            /// The entry's value.
+            value: u64,
+            /// The write's global sequence number (freshness stamp).
+            entry_seq: u64,
+        },
+        /// Asks the host of `object` for the replica copy it stores under
+        /// `key` (answered by `SvcKvReplicaValue`); issued when the owning
+        /// object's host is suspected or dead.
+        SvcKvFetchReplica = 30 {
+            /// Result-correlation token (fresh per attempt).
+            token: u64,
+            /// The replica-holding object to read from.
+            object: u64,
+            /// The queried key.
+            key: u64,
+        },
+        /// Answer to a `SvcKvFetchReplica`.
+        SvcKvReplicaValue = 31 {
+            /// Token of the answered fetch.
+            token: u64,
+            /// Freshness stamp of the replica copy (0 when absent).
+            entry_seq: u64,
+            /// The stored value, `None` when the host holds no replica.
+            value: Option<u64>,
+        },
+        /// Asks a peer for its stats.
+        StatsReq = 18,
+        /// Stats snapshot of one peer.
+        StatsReply = 19 {
+            /// Transport-level counters.
+            stats: TransportStats,
+            /// Protocol operations served by the peer.
+            ops_served: u64,
+        },
+        /// Asks a peer to exit its serve loop.
+        Shutdown = 20,
     }
 }
 
@@ -1350,7 +1077,7 @@ mod tests {
         assert!(matches!(
             WireMsg::decode(&buf),
             Err(DecodeError::BadTag {
-                field: "ping reply",
+                field: "Ping.reply",
                 value: 7
             })
         ));
