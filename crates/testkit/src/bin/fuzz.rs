@@ -55,7 +55,7 @@ use std::process::ExitCode;
 use voronet_testkit::{
     generate_case, generate_chaos, list_reproducers, read_chaos_reproducer, read_reproducer,
     resolve_op, run_case, run_chaos, shrink_case, shrink_chaos, write_chaos_reproducer,
-    write_reproducer, ChaosReport, ChaosSpec, Fault, FuzzSpec,
+    write_reproducer, ChaosReport, ChaosSpec, Fault, FuzzSpec, Panics,
 };
 use voronet_workloads::smoke_budget;
 
@@ -197,6 +197,7 @@ fn run_chaos_pass(args: &Args) -> ExitCode {
                     outcome.executions,
                     outcome.failure
                 );
+                report_panics("chaos seed", spec.seed, &outcome.panics);
                 match write_chaos_reproducer(&dir, &outcome.case, Some(&outcome.failure)) {
                     Ok(path) => eprintln!(
                         "chaos seed {}: reproducer written to {}",
@@ -212,6 +213,17 @@ fn run_chaos_pass(args: &Args) -> ExitCode {
     println!("chaos: {cases} cases, no failure");
     eprintln!("chaos: wall time {:.1?}", started.elapsed());
     ExitCode::SUCCESS
+}
+
+/// Says how many shrink candidates panicked (each counted as not
+/// reproducing), with the first one's message.
+fn report_panics(label: &str, seed: u64, panics: &Panics) {
+    if let Some(first) = &panics.first {
+        eprintln!(
+            "{label} {seed}: {} shrink candidates panicked; first: {first}",
+            panics.count
+        );
+    }
 }
 
 /// One chaos run's line: counters only, so two runs of the pass print
@@ -362,6 +374,7 @@ fn main() -> ExitCode {
                     outcome.executions,
                     outcome.divergence
                 );
+                report_panics("seed", spec.seed, &outcome.panics);
                 if args.demo_fault {
                     // Self-test mode: catching and shrinking the planted
                     // fault is the *expected* outcome.

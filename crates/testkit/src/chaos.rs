@@ -30,7 +30,7 @@
 //! binary's `--chaos` pass.
 
 use crate::repro::{encode_op, perr, tokenize, Parser, ReproError, Token};
-use crate::shrink::ddmin;
+use crate::shrink::{ddmin, Panics};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
@@ -402,6 +402,8 @@ pub struct ChaosShrinkOutcome {
     pub failure: ChaosFailure,
     /// Harness executions spent shrinking.
     pub executions: usize,
+    /// Shrink candidates whose run panicked.
+    pub panics: Panics,
 }
 
 /// ddmin over the step timeline: repeatedly removes chunks (halves down
@@ -411,7 +413,7 @@ pub struct ChaosShrinkOutcome {
 pub fn shrink_chaos(case: &ChaosCase, max_executions: usize) -> ChaosShrinkOutcome {
     let failure = run_chaos(case).expect_err("shrink_chaos requires a case that fails");
     let budget = max_executions.saturating_sub(1);
-    let (steps, failure, runs) = ddmin(case.steps.clone(), failure, budget, |steps| {
+    let (steps, failure, runs, panics) = ddmin(case.steps.clone(), failure, budget, |steps| {
         let steps = steps.to_vec();
         run_chaos(&ChaosCase { steps, ..*case }).err()
     });
@@ -419,6 +421,7 @@ pub fn shrink_chaos(case: &ChaosCase, max_executions: usize) -> ChaosShrinkOutco
         case: ChaosCase { steps, ..*case },
         failure,
         executions: 1 + runs,
+        panics,
     }
 }
 

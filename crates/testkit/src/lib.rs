@@ -63,4 +63,4 @@ pub use prop::{check_cases, ShrinkInput};
 pub use repro::{
     encode_case, list_reproducers, parse_case, read_reproducer, write_reproducer, ReproError,
 };
-pub use shrink::{shrink_case, ShrinkOutcome};
+pub use shrink::{shrink_case, Panics, ShrinkOutcome};

@@ -10,7 +10,7 @@
 //! **seed, case number, shrunk input and diagnostic** — so every failure
 //! is reproducible and minimal by construction.
 
-use crate::shrink::ddmin;
+use crate::shrink::{catch_panic, ddmin};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -37,7 +37,8 @@ impl<T: Clone> ShrinkInput for Vec<T> {
         budget: usize,
         mut fails: impl FnMut(&Self) -> Option<String>,
     ) -> (Self, String, usize) {
-        ddmin(self, failure, budget, |v| fails(&v.to_vec()))
+        let (list, failure, runs, _) = ddmin(self, failure, budget, |v| fails(&v.to_vec()));
+        (list, failure, runs)
     }
 }
 
@@ -98,16 +99,8 @@ atomic_shrink_input!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f6
 /// still get seed/case context attached and still shrink, instead of
 /// unwinding straight past the harness.
 fn run_property<T>(test: &impl Fn(&T) -> Result<(), String>, input: &T) -> Result<(), String> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| test(input))) {
-        Ok(outcome) => outcome,
-        Err(payload) => Err(if let Some(s) = payload.downcast_ref::<&str>() {
-            format!("property panicked: {s}")
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            format!("property panicked: {s}")
-        } else {
-            "property panicked with a non-string payload".to_string()
-        }),
-    }
+    catch_panic(|| test(input))
+        .unwrap_or_else(|message| Err(format!("property panicked: {message}")))
 }
 
 /// Runs `cases` seeded cases of a property.  Each case derives its RNG
