@@ -1116,6 +1116,7 @@ impl VoroNet {
                 ));
             }
             audit.rows += 1;
+            audit.longest_row = audit.longest_row.max(fan.len() + tail.len());
         }
         if self.objects.vertices().count() != audit.nodes {
             return Err("the vertex → object column names departed objects".to_string());
@@ -1205,6 +1206,8 @@ pub struct InvariantAudit {
     /// Ordered object pairs tested by the exhaustive O(n²) close-set
     /// reconstruction (0 when `exhaustive` was not requested).
     pub pairs: usize,
+    /// Entries of the longest routing row compared.
+    pub longest_row: usize,
 }
 
 impl std::fmt::Debug for VoroNet {

@@ -354,12 +354,14 @@ fn main() -> ExitCode {
                 total_ops += report.ops_run;
                 println!(
                     "seed {} … clean ({} ops, {} rounds, population {}, \
-                     {} invariant node-checks)",
+                     {} invariant node-checks, ≤ {} close links, rows ≤ {} entries)",
                     spec.seed,
                     report.ops_run,
                     report.rounds,
                     report.population,
-                    report.invariants_checked
+                    report.invariants_checked,
+                    report.close_links,
+                    report.longest_row
                 );
             }
             Err(divergence) => {

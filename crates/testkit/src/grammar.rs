@@ -8,8 +8,10 @@
 //! opens with a warm-up burst of inserts, then alternates weighted
 //! segments — read-heavy serving, churn bursts, read-only stretches (long
 //! runs of reads over one epoch), a balanced mix that includes snapshots,
-//! and service segments (region pub/sub and coordinate-keyed KV traffic,
-//! occasionally with a Zipf-skewed hot-topic palette).  Every case runs on
+//! service segments (region pub/sub and coordinate-keyed KV traffic,
+//! occasionally with a Zipf-skewed hot-topic palette), and crowded
+//! segments: a few dozen objects packed within `d_min` of each other, so
+//! close sets form and routing rows spill out of their slots.  Every case runs on
 //! an ideal network; loss, partitions and crashes are the chaos harness's
 //! ([`crate::chaos`]).  Service segments are always part of the rotation;
 //! [`FuzzSpec::services`] biases generation towards them for
@@ -17,6 +19,8 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use voronet_core::VoroNetConfig;
+use voronet_geom::Point2;
 use voronet_workloads::{Distribution, OpBatchGenerator, OpMix, PointGenerator, WorkloadOp};
 
 /// Knobs of case generation (what [`generate_case`] consumes).
@@ -97,8 +101,12 @@ pub fn generate_case(spec: &FuzzSpec) -> FuzzCase {
             // time, the regular rotation otherwise.
             10 + rng.random_range(0..2u32)
         } else {
-            rng.random_range(0..12u32)
+            rng.random_range(0..13u32)
         };
+        if selector == 12 {
+            crowded_segment(&mut rng, spec.nmax, len, &mut pop, &mut script);
+            continue;
+        }
         let service_segment = selector >= 10;
         let mix = match selector {
             0..=3 => OpMix {
@@ -166,6 +174,51 @@ pub fn generate_case(spec: &FuzzSpec) -> FuzzCase {
         nmax: spec.nmax,
         round: 64,
         script,
+    }
+}
+
+/// Appends a crowded segment of `len` ops: 16–32 objects inserted within
+/// `d_min/2` of one centre (every pair of them within `d_min`, so each
+/// holds a close set and a routing row longer than its 15-entry slot),
+/// interleaved with routes to them and removals of them.  The crowd is
+/// the tail of the dense population order, and a removal moves the last
+/// object into the freed index, so the crowd stays the tail.
+fn crowded_segment(
+    rng: &mut StdRng,
+    nmax: usize,
+    len: usize,
+    pop: &mut usize,
+    script: &mut Vec<WorkloadOp>,
+) {
+    let dmin = VoroNetConfig::new(nmax).dmin();
+    let centre = Point2::new(
+        rng.random_range(dmin..1.0 - dmin),
+        rng.random_range(dmin..1.0 - dmin),
+    );
+    let start = *pop;
+    let mut inserts = rng.random_range(16..=32usize);
+    for _ in 0..len {
+        let crowd = *pop - start;
+        let op = if inserts > 0 && (crowd == 0 || rng.random_range(0..2u32) == 0) {
+            inserts -= 1;
+            *pop += 1;
+            let r = dmin / 2.0 * rng.random::<f64>().sqrt();
+            let angle = rng.random_range(0.0..std::f64::consts::TAU);
+            WorkloadOp::Insert {
+                position: Point2::new(centre.x + r * angle.cos(), centre.y + r * angle.sin()),
+            }
+        } else if crowd > 1 && rng.random_range(0..3u32) == 0 {
+            *pop -= 1;
+            WorkloadOp::Remove {
+                index: start + rng.random_range(0..crowd),
+            }
+        } else {
+            WorkloadOp::Route {
+                from: rng.random_range(0..*pop),
+                to: start + rng.random_range(0..crowd),
+            }
+        };
+        script.push(op);
     }
 }
 

@@ -113,6 +113,11 @@ pub struct RunReport {
     /// Invariant checks performed across all audits (sum of audited
     /// nodes).
     pub invariants_checked: usize,
+    /// Most close links the sync overlay held at any audit point.
+    pub close_links: usize,
+    /// Entries of the longest routing row the sync overlay held at any
+    /// audit point (a row over 15 entries spills out of its slot).
+    pub longest_row: usize,
 }
 
 struct Fleet {
@@ -211,6 +216,10 @@ fn audit_fleet(fleet: &mut Fleet, round: usize, report: &mut RunReport) -> Resul
             ));
         }
         report.invariants_checked += audit.nodes;
+        if name == "sync" {
+            report.close_links = report.close_links.max(audit.close_links);
+            report.longest_row = report.longest_row.max(audit.longest_row);
+        }
     }
 
     // Service-layer state — subscriptions, topic sequence numbers, the
@@ -343,6 +352,19 @@ mod tests {
         });
         let report = run_case(&case, Fault::None).unwrap_or_else(|d| panic!("{d}"));
         assert_eq!(report.ops_run, case.script.len(), "{report:?}");
+    }
+
+    /// Crowded segments build what a sparse population never does: some
+    /// audit point of the first smoke cases finds the sync overlay holding
+    /// close links and a routing row longer than its 15-entry slot.
+    #[test]
+    fn smoke_cases_build_close_sets_and_spilled_rows() {
+        let crowded = (0..16).find(|&seed| {
+            let case = generate_case(&FuzzSpec::smoke(seed));
+            let report = run_case(&case, Fault::None).unwrap_or_else(|d| panic!("{seed}: {d}"));
+            report.close_links > 0 && report.longest_row > 15
+        });
+        assert!(crowded.is_some(), "no smoke case crowded the overlay");
     }
 
     #[test]
