@@ -47,4 +47,4 @@ pub use predicates::{circumcenter, incircle, orient2d, Orientation};
 pub use triangulation::{
     hilbert_key, InsertError, Locate, RemoveError, TriId, Triangulation, VertexId,
 };
-pub use voronoi::{cell_stats, distance_to_region, voronoi_cell, CellStats, VoronoiCell};
+pub use voronoi::{distance_to_region, voronoi_cell, VoronoiCell};

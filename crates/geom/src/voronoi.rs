@@ -33,11 +33,6 @@ impl VoronoiCell {
     pub fn clipped(&self, rect: Rect) -> Polygon {
         self.polygon.clip_to_rect(rect)
     }
-
-    /// Area of the cell clipped to the given rectangle.
-    fn area_in(&self, rect: Rect) -> f64 {
-        self.clipped(rect).area()
-    }
 }
 
 /// Computes the Voronoi cell of `v`.
@@ -103,44 +98,6 @@ pub fn distance_to_region(tri: &Triangulation, v: VertexId, p: Point2) -> Point2
     best
 }
 
-/// Summary statistics of all Voronoi cells clipped to the domain; used by
-/// examples and by load-balance analyses.
-#[derive(Debug, Clone, Default)]
-pub struct CellStats {
-    /// Number of cells measured.
-    pub count: usize,
-    /// Mean clipped cell area.
-    pub mean_area: f64,
-    /// Maximum clipped cell area.
-    pub max_area: f64,
-    /// Minimum clipped cell area.
-    pub min_area: f64,
-}
-
-/// Computes [`CellStats`] over every real vertex of the triangulation.
-pub fn cell_stats(tri: &Triangulation, domain: Rect) -> CellStats {
-    let mut stats = CellStats {
-        count: 0,
-        mean_area: 0.0,
-        max_area: f64::MIN,
-        min_area: f64::MAX,
-    };
-    for v in tri.vertices() {
-        let a = voronoi_cell(tri, v).area_in(domain);
-        stats.count += 1;
-        stats.mean_area += a;
-        stats.max_area = stats.max_area.max(a);
-        stats.min_area = stats.min_area.min(a);
-    }
-    if stats.count > 0 {
-        stats.mean_area /= stats.count as f64;
-    } else {
-        stats.max_area = 0.0;
-        stats.min_area = 0.0;
-    }
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,7 +121,7 @@ mod tests {
         let (t, _) = build(200, 1);
         let total: f64 = t
             .vertices()
-            .map(|v| voronoi_cell(&t, v).area_in(Rect::UNIT))
+            .map(|v| voronoi_cell(&t, v).clipped(Rect::UNIT).area())
             .sum();
         assert!(
             (total - 1.0).abs() < 1e-6,
@@ -215,16 +172,5 @@ mod tests {
                 assert!(dz <= closest + 1e-9);
             }
         }
-    }
-
-    #[test]
-    fn cell_stats_reasonable() {
-        let (t, _) = build(300, 8);
-        let stats = cell_stats(&t, Rect::UNIT);
-        assert_eq!(stats.count, 300);
-        assert!((stats.mean_area - 1.0 / 300.0).abs() < 1e-6);
-        assert!(stats.max_area >= stats.mean_area);
-        assert!(stats.min_area <= stats.mean_area);
-        assert!(stats.min_area >= 0.0);
     }
 }

@@ -199,7 +199,8 @@ impl<'a> WireReader<'a> {
         self.bytes.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+    /// Borrows the next `n` bytes without copying.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
         if self.remaining() < n {
             return Err(DecodeError::Truncated {
                 needed: n,
@@ -209,36 +210,6 @@ impl<'a> WireReader<'a> {
         let s = &self.bytes[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// Reads an `f64` from its little-endian IEEE-754 bit pattern
-    /// (bit-exact round trip).
-    pub fn f64(&mut self) -> Result<f64, DecodeError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Borrows the next `n` bytes without copying (zero-copy list views).
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        self.take(n)
     }
 
     /// Asserts the payload is fully consumed.
@@ -251,21 +222,6 @@ impl<'a> WireReader<'a> {
             })
         }
     }
-}
-
-/// Appends a little-endian `u32` to `buf`.
-pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends a little-endian `u64` to `buf`.
-pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Appends an `f64` as its little-endian IEEE-754 bit pattern.
-pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
 #[cfg(test)]
@@ -323,22 +279,11 @@ mod tests {
     #[test]
     fn reader_is_bounds_checked() {
         let mut r = WireReader::new(&[1, 2, 3]);
-        assert_eq!(r.u8().unwrap(), 1);
-        assert!(matches!(r.u32(), Err(DecodeError::Truncated { .. })));
+        assert_eq!(r.bytes(1).unwrap(), &[1]);
+        assert!(matches!(r.bytes(4), Err(DecodeError::Truncated { .. })));
         assert_eq!(r.remaining(), 2);
         assert!(r.finish().is_err());
         assert_eq!(r.bytes(2).unwrap(), &[2, 3]);
         r.finish().unwrap();
-    }
-
-    #[test]
-    fn f64_round_trip_is_bit_exact() {
-        let mut buf = Vec::new();
-        for v in [0.0, -0.0, 1.5e-300, f64::MAX, f64::MIN_POSITIVE] {
-            buf.clear();
-            put_f64(&mut buf, v);
-            let mut r = WireReader::new(&buf);
-            assert_eq!(r.f64().unwrap().to_bits(), v.to_bits());
-        }
     }
 }

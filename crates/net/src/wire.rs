@@ -34,9 +34,7 @@
 //! caller keeps something.  Decoding is total — malformed bytes yield a
 //! typed [`DecodeError`], never a panic.
 
-use crate::frame::{
-    put_f64, put_u32, put_u64, DecodeError, FrameHeader, WireReader, HEADER_LEN, MAX_PAYLOAD_LEN,
-};
+use crate::frame::{DecodeError, FrameHeader, WireReader, HEADER_LEN, MAX_PAYLOAD_LEN};
 use std::borrow::Borrow;
 use std::fmt;
 use voronet_geom::{Point2, Rect};
@@ -76,21 +74,23 @@ trait Field<'a>: Sized {
     fn take(r: &mut WireReader<'a>, field: &'static str) -> Result<Self, DecodeError>;
 }
 
+/// Little-endian; an `f64` travels as its IEEE-754 bit pattern.
 macro_rules! scalar_field {
-    ($($t:ty: $put:ident, $read:ident);*) => {$(
+    ($($t:ident),*) => {$(
         impl<'a> Field<'a> for $t {
             fn put(&self, buf: &mut Vec<u8>) {
-                $put(buf, *self);
+                buf.extend_from_slice(&self.to_le_bytes());
             }
 
             fn take(r: &mut WireReader<'a>, _: &'static str) -> Result<Self, DecodeError> {
-                r.$read()
+                let bytes = r.bytes(std::mem::size_of::<$t>())?;
+                Ok($t::from_le_bytes(bytes.try_into().expect("exact length")))
             }
         }
     )*};
 }
 
-scalar_field!(u32: put_u32, u32; u64: put_u64, u64; f64: put_f64, f64);
+scalar_field!(u8, u16, u32, u64, f64);
 
 /// A flag is one byte, 0 or 1; any other value is a [`DecodeError::BadTag`].
 impl<'a> Field<'a> for bool {
@@ -99,7 +99,7 @@ impl<'a> Field<'a> for bool {
     }
 
     fn take(r: &mut WireReader<'a>, field: &'static str) -> Result<Self, DecodeError> {
-        match r.u8()? {
+        match u8::take(r, field)? {
             0 => Ok(false),
             1 => Ok(true),
             value => Err(DecodeError::BadTag { field, value }),
@@ -121,6 +121,29 @@ impl<'a> Field<'a> for Option<u64> {
             true => Some(u64::take(r, field)?),
             false => None,
         })
+    }
+}
+
+impl<'a, A: Field<'a>, B: Field<'a>> Field<'a> for (A, B) {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.0.put(buf);
+        self.1.put(buf);
+    }
+
+    fn take(r: &mut WireReader<'a>, field: &'static str) -> Result<Self, DecodeError> {
+        Ok((A::take(r, field)?, B::take(r, field)?))
+    }
+}
+
+impl<'a, A: Field<'a>, B: Field<'a>, C: Field<'a>> Field<'a> for (A, B, C) {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.0.put(buf);
+        self.1.put(buf);
+        self.2.put(buf);
+    }
+
+    fn take(r: &mut WireReader<'a>, field: &'static str) -> Result<Self, DecodeError> {
+        Ok((A::take(r, field)?, B::take(r, field)?, C::take(r, field)?))
     }
 }
 
@@ -177,15 +200,10 @@ impl<'a> Field<'a> for TransportStats {
     }
 }
 
-const ENTRY_SIZE: usize = 32; // u64 id + u64 host + 2 × f64 coords
-const PLACED_SIZE: usize = 16; // u64 id + u64 host
-const POSITION_SIZE: usize = 2; // u16
-const POINT_SIZE: usize = 16; // 2 × f64
-const ID_SIZE: usize = 8; // u64
-
+/// A list view: a `u32` item count, then `$size`-byte items, each laid
+/// out by the item type's own [`Field`] impl.
 macro_rules! wire_list {
-    ($(#[$doc:meta])* $name:ident, $iter:ident, $item:ty, $size:expr,
-     $parse:expr, $write:expr) => {
+    ($(#[$doc:meta])* $name:ident, $iter:ident, $item:ty, $size:expr) => {
         $(#[$doc])*
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         pub struct $name<'a> {
@@ -207,8 +225,7 @@ macro_rules! wire_list {
             ) -> Self {
                 scratch.clear();
                 for item in items {
-                    let write: fn(&mut Vec<u8>, &$item) = $write;
-                    write(scratch, item.borrow());
+                    item.borrow().put(scratch);
                 }
                 $name { bytes: scratch }
             }
@@ -234,15 +251,14 @@ macro_rules! wire_list {
             }
         }
 
-        /// A `u32` item count, then the items.
         impl<'a> Field<'a> for $name<'a> {
             fn put(&self, buf: &mut Vec<u8>) {
-                put_u32(buf, self.len() as u32);
+                (self.len() as u32).put(buf);
                 buf.extend_from_slice(self.bytes);
             }
 
-            fn take(r: &mut WireReader<'a>, _: &'static str) -> Result<Self, DecodeError> {
-                let count = r.u32()? as usize;
+            fn take(r: &mut WireReader<'a>, field: &'static str) -> Result<Self, DecodeError> {
+                let count = u32::take(r, field)? as usize;
                 let bytes = r.bytes(count * $size)?;
                 Ok($name { bytes })
             }
@@ -263,8 +279,8 @@ macro_rules! wire_list {
                 }
                 let (head, tail) = self.bytes.split_at($size);
                 self.bytes = tail;
-                let parse: fn(&[u8]) -> $item = $parse;
-                Some(parse(head))
+                // Always `Some`: the head holds exactly one item.
+                <$item>::take(&mut WireReader::new(head), "list item").ok()
             }
 
             fn size_hint(&self) -> (usize, Option<usize>) {
@@ -277,31 +293,13 @@ macro_rules! wire_list {
     };
 }
 
-fn read_u64(b: &[u8]) -> u64 {
-    u64::from_le_bytes(b[..8].try_into().expect("8 bytes"))
-}
-
-fn read_f64(b: &[u8]) -> f64 {
-    f64::from_bits(read_u64(b))
-}
-
 wire_list!(
     /// Borrowed list of `(node id, host peer, coordinates)` routing-table
     /// entries.
     EntryList,
     EntryIter,
     (u64, u64, Point2),
-    ENTRY_SIZE,
-    |b| (
-        read_u64(b),
-        read_u64(&b[8..]),
-        Point2::new(read_f64(&b[16..]), read_f64(&b[24..]))
-    ),
-    |buf, &(id, host, p)| {
-        put_u64(buf, id);
-        put_u64(buf, host);
-        p.put(buf);
-    }
+    32 // u64 id + u64 host + 2 × f64 coords
 );
 
 wire_list!(
@@ -310,12 +308,7 @@ wire_list!(
     PlacedList,
     PlacedIter,
     (u64, u64),
-    PLACED_SIZE,
-    |b| (read_u64(b), read_u64(&b[8..])),
-    |buf, &(id, host)| {
-        put_u64(buf, id);
-        put_u64(buf, host);
-    }
+    16 // u64 id + u64 host
 );
 
 wire_list!(
@@ -324,9 +317,7 @@ wire_list!(
     PositionList,
     PositionIter,
     u16,
-    POSITION_SIZE,
-    |b| u16::from_le_bytes([b[0], b[1]]),
-    |buf, &at| buf.extend_from_slice(&at.to_le_bytes())
+    2
 );
 
 wire_list!(
@@ -334,9 +325,7 @@ wire_list!(
     PointList,
     PointIter,
     Point2,
-    POINT_SIZE,
-    |b| Point2::new(read_f64(b), read_f64(&b[8..])),
-    |buf, p| p.put(buf)
+    16 // 2 × f64
 );
 
 wire_list!(
@@ -344,9 +333,7 @@ wire_list!(
     IdList,
     IdIter,
     u64,
-    ID_SIZE,
-    |b| read_u64(b),
-    |buf, &id| put_u64(buf, id)
+    8
 );
 
 /// Why a [`WireMsg::RouteStep`] is travelling.
@@ -415,7 +402,7 @@ impl<'a> Field<'a> for WirePurpose {
     }
 
     fn take(r: &mut WireReader<'a>, field: &'static str) -> Result<Self, DecodeError> {
-        Ok(match r.u8()? {
+        Ok(match u8::take(r, field)? {
             0 => WirePurpose::Join {
                 position: Field::take(r, field)?,
                 token: Field::take(r, field)?,
@@ -472,7 +459,7 @@ impl<'a> Field<'a> for WireQuery {
     }
 
     fn take(r: &mut WireReader<'a>, field: &'static str) -> Result<Self, DecodeError> {
-        Ok(match r.u8()? {
+        Ok(match u8::take(r, field)? {
             0 => WireQuery::Rect(Field::take(r, field)?),
             1 => WireQuery::Disk {
                 center: Field::take(r, field)?,
@@ -1015,6 +1002,16 @@ mod tests {
             digest, 0x6a05_a752_5628_3ba7,
             "wire bytes moved: {digest:#018x}"
         );
+    }
+
+    #[test]
+    fn f64_round_trip_is_bit_exact() {
+        for v in [0.0, -0.0, 1.5e-300, f64::MAX, f64::MIN_POSITIVE] {
+            let mut buf = Vec::new();
+            v.put(&mut buf);
+            let back = f64::take(&mut WireReader::new(&buf), "f64").unwrap();
+            assert_eq!(back.to_bits(), v.to_bits());
+        }
     }
 
     #[test]

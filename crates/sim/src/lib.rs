@@ -8,8 +8,8 @@
 //! (greedy-routing hops, per-operation message counts, view sizes).  This
 //! crate holds what the overlay and its transports share of that:
 //!
-//! * [`TrafficStats`], [`RouteStats`] — the accounting structures the
-//!   overlay layer fills in while executing the protocol;
+//! * [`TrafficStats`] — the accounting structure the overlay layer fills
+//!   in while executing the protocol;
 //! * [`TransportStats`] — the counters every transport of `voronet-net`
 //!   keeps;
 //! * [`NetworkModel`] — pluggable latency (fixed, uniform or heavy-tailed),
@@ -22,5 +22,5 @@
 pub mod metrics;
 pub mod network;
 
-pub use metrics::{MessageKind, RouteStats, TrafficStats, TransportStats};
+pub use metrics::{MessageKind, TrafficStats, TransportStats};
 pub use network::{LatencyModel, NetworkModel, SimTime};

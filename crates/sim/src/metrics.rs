@@ -167,64 +167,6 @@ impl fmt::Display for TransportStats {
     }
 }
 
-/// Accumulator of per-route hop counts (the paper's central routing metric).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RouteStats {
-    hops: Vec<u32>,
-}
-
-impl RouteStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records the hop count of one completed route.
-    pub fn record(&mut self, hops: u32) {
-        self.hops.push(hops);
-    }
-
-    /// Number of routes recorded.
-    pub fn count(&self) -> usize {
-        self.hops.len()
-    }
-
-    /// Mean hop count (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.hops.is_empty() {
-            0.0
-        } else {
-            self.hops.iter().map(|&h| h as f64).sum::<f64>() / self.hops.len() as f64
-        }
-    }
-
-    /// Maximum hop count (`None` when empty).
-    pub fn max(&self) -> Option<u32> {
-        self.hops.iter().copied().max()
-    }
-
-    /// The `q`-quantile of hop counts (`None` when empty).
-    pub fn quantile(&self, q: f64) -> Option<u32> {
-        if self.hops.is_empty() {
-            return None;
-        }
-        let mut sorted = self.hops.clone();
-        sorted.sort_unstable();
-        let rank = (q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64).round() as usize;
-        Some(sorted[rank])
-    }
-
-    /// All recorded hop counts (in recording order).
-    pub fn samples(&self) -> &[u32] {
-        &self.hops
-    }
-
-    /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &RouteStats) {
-        self.hops.extend_from_slice(&other.hops);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,33 +216,5 @@ mod tests {
         a.record(MessageKind::QueryAnswer);
         assert_eq!(a.total(), b.total());
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn route_stats_quantiles() {
-        let mut r = RouteStats::new();
-        for h in 1..=100u32 {
-            r.record(h);
-        }
-        assert_eq!(r.count(), 100);
-        assert!((r.mean() - 50.5).abs() < 1e-12);
-        assert_eq!(r.max(), Some(100));
-        assert_eq!(r.quantile(0.0), Some(1));
-        assert_eq!(r.quantile(1.0), Some(100));
-        assert_eq!(r.quantile(0.5), Some(51));
-    }
-
-    #[test]
-    fn route_stats_empty_and_merge() {
-        let r = RouteStats::new();
-        assert_eq!(r.mean(), 0.0);
-        assert_eq!(r.max(), None);
-        assert_eq!(r.quantile(0.5), None);
-        let mut a = RouteStats::new();
-        a.record(3);
-        let mut b = RouteStats::new();
-        b.record(5);
-        a.merge(&b);
-        assert_eq!(a.samples(), &[3, 5]);
     }
 }
