@@ -21,8 +21,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 use voronet_sim::TransportStats;
 
-const KIND_HELLO: u8 = 0; // WireMsg::Hello discriminant (filtered below)
-
 /// How long a single frame write may retry on a full send buffer before
 /// the connection is considered dead.
 const WRITE_DEADLINE: Duration = Duration::from_secs(2);
@@ -201,7 +199,7 @@ impl TcpTransport {
         for (from, kind, frame, conn) in identified {
             // A reconnecting peer replaces its old connection.
             self.conns.insert(from, conn);
-            if kind != KIND_HELLO {
+            if kind != WireMsg::Hello.kind() {
                 self.stats.frames_delivered += 1;
                 self.inbox.push_back((from, frame));
             }
@@ -215,7 +213,7 @@ impl TcpTransport {
                 match conn.next_frame() {
                     Ok(Some(frame)) => {
                         let header = FrameHeader::decode(&frame).expect("validated");
-                        if header.kind != KIND_HELLO {
+                        if header.kind != WireMsg::Hello.kind() {
                             self.stats.frames_delivered += 1;
                             self.inbox.push_back((header.from, frame));
                         }
