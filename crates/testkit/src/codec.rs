@@ -378,10 +378,14 @@ mod tests {
         run_codec_pass(CASES, BASE_SEED);
     }
 
-    /// The kinds the decoder knows: every kind byte whose bare header,
-    /// with an empty payload, decodes to anything but `UnknownKind`.
-    fn known_kinds() -> Vec<u8> {
-        (0..=255u8)
+    /// `random_frame` draws its variant from a hard-coded range, so a
+    /// message added to the codec's table could go unfuzzed: every kind
+    /// the decoder knows (its bare header, with an empty payload, decodes
+    /// to anything but `UnknownKind`) must come out of the generator
+    /// within the round-trip property's unit-test budget.
+    #[test]
+    fn random_frame_covers_every_known_kind() {
+        let known: Vec<u8> = (0..=255u8)
             .filter(|&kind| {
                 let mut frame = Vec::new();
                 FrameHeader {
@@ -393,18 +397,10 @@ mod tests {
                 .encode_into(&mut frame);
                 !matches!(WireMsg::decode(&frame), Err(DecodeError::UnknownKind(_)))
             })
-            .collect()
-    }
-
-    /// `random_frame` draws its variant from a hard-coded range, so a
-    /// message added to the codec's table could go unfuzzed: every kind
-    /// the decoder knows must come out of the generator within the
-    /// round-trip property's unit-test budget.
-    #[test]
-    fn random_frame_covers_every_known_kind() {
+            .collect();
         let retired = [1, 3, 4, 6, 21, 22, 23];
         let expected: Vec<u8> = (0..=31).filter(|k| !retired.contains(k)).collect();
-        assert_eq!(known_kinds(), expected);
+        assert_eq!(known, expected);
         let mut drawn: Vec<u8> = (0..CASES)
             .map(|case| random_frame(&mut StdRng::seed_from_u64(BASE_SEED + case))[3])
             .collect();

@@ -10,10 +10,10 @@
 //! runs of reads over one epoch), a balanced mix that includes snapshots,
 //! service segments (region pub/sub and coordinate-keyed KV traffic,
 //! occasionally with a Zipf-skewed hot-topic palette), and crowded
-//! segments: a few dozen objects packed within `d_min` of each other, so
-//! close sets form and routing rows spill out of their slots.  Every case runs on
-//! an ideal network; loss, partitions and crashes are the chaos harness's
-//! ([`crate::chaos`]).  Service segments are always part of the rotation;
+//! segments: 16–32 objects packed within `d_min` of each other, so close
+//! sets form and routing rows spill out of their slots.  Every case runs
+//! on an ideal network; loss, partitions and crashes are the chaos
+//! harness's ([`crate::chaos`]).  Service segments are always part of the rotation;
 //! [`FuzzSpec::services`] biases generation towards them for
 //! service-focused fuzzing.
 
@@ -182,7 +182,8 @@ pub fn generate_case(spec: &FuzzSpec) -> FuzzCase {
 /// holds a close set and a routing row longer than its 15-entry slot),
 /// interleaved with routes to them and removals of them.  The crowd is
 /// the tail of the dense population order, and a removal moves the last
-/// object into the freed index, so the crowd stays the tail.
+/// object into the freed index, so the crowd stays the tail (where `pop`
+/// misjudges the live population, an op only names another object).
 fn crowded_segment(
     rng: &mut StdRng,
     nmax: usize,

@@ -113,10 +113,10 @@ pub struct RunReport {
     /// Invariant checks performed across all audits (sum of audited
     /// nodes).
     pub invariants_checked: usize,
-    /// Most close links the sync overlay held at any audit point.
+    /// Most close links an overlay held at any audit point.
     pub close_links: usize,
-    /// Entries of the longest routing row the sync overlay held at any
-    /// audit point (a row over 15 entries spills out of its slot).
+    /// Entries of the longest routing row an overlay held at any audit
+    /// point (a row over 15 entries spills out of its slot).
     pub longest_row: usize,
 }
 
@@ -216,10 +216,8 @@ fn audit_fleet(fleet: &mut Fleet, round: usize, report: &mut RunReport) -> Resul
             ));
         }
         report.invariants_checked += audit.nodes;
-        if name == "sync" {
-            report.close_links = report.close_links.max(audit.close_links);
-            report.longest_row = report.longest_row.max(audit.longest_row);
-        }
+        report.close_links = report.close_links.max(audit.close_links);
+        report.longest_row = report.longest_row.max(audit.longest_row);
     }
 
     // Service-layer state — subscriptions, topic sequence numbers, the
@@ -355,7 +353,7 @@ mod tests {
     }
 
     /// Crowded segments build what a sparse population never does: some
-    /// audit point of the first smoke cases finds the sync overlay holding
+    /// audit point of the first smoke cases finds an overlay holding
     /// close links and a routing row longer than its 15-entry slot.
     #[test]
     fn smoke_cases_build_close_sets_and_spilled_rows() {
